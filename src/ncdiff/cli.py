@@ -18,6 +18,7 @@ from . import deformation as dfm
 from . import dirichlet
 from . import expr
 from . import graph_algebra as ga
+from .carrier import PRUNE_EPSILON
 from .forms import DifferentialBasis
 from .matrix_algebra import projection_basis
 from .qlattice import (QElement, element_to_json, heisenberg_spec, spec_from_json,
@@ -29,10 +30,8 @@ FAILED_CHECK = 1
 
 @dataclass
 class Config:
-    tolerance: float = 1e-10
     truncation: int = 6
-    prune_epsilon: float = 1e-12
-    normalized_trace: bool = True
+    prune_epsilon: float = PRUNE_EPSILON
 
     @classmethod
     def load(cls, path: str | None) -> "Config":
@@ -40,10 +39,17 @@ class Config:
         if path:
             with open(path) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("config file must hold a JSON object")
             for key, value in data.items():
                 if not hasattr(cfg, key):
                     raise ValueError(f"unknown config key {key!r}")
-                setattr(cfg, key, value)
+                kind = type(getattr(cfg, key))
+                accepted = (int, float) if kind is float else kind
+                if isinstance(value, bool) or not isinstance(value, accepted):
+                    raise ValueError(f"config key {key!r} must be {kind.__name__}, "
+                                     f"got {value!r}")
+                setattr(cfg, key, kind(value))
         return cfg
 
 
@@ -56,7 +62,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _cmd_eval(args, cfg: Config) -> int:
@@ -181,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ncdiff",
                                  description="inner-derivation differential "
                                              "calculus workbench")
-    ap.add_argument("--config", help="JSON config file (tolerances, truncation, "
-                                     "prune epsilon, trace normalization)")
+    ap.add_argument("--config", help="JSON config file (truncation, prune_epsilon)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression to normal form")

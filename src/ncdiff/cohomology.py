@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms
+from .carrier import commutator
 from .forms import DifferentialBasis, DifferentialForm
 from .graph_algebra import DirectedGraph, GraphElement
 from .matrix_algebra import MatElement
-from .qlattice import QAlgebraSpec, QElement, commutator
+from .qlattice import QAlgebraSpec, QElement
 
 
 class TruncationError(ValueError):
@@ -46,7 +47,29 @@ class MatrixCarrierBasis:
         return a.mat.reshape(-1).copy()
 
 
-class QMonomialBasis:
+class _KeyedBasis:
+    """Carrier coordinates over a list of term keys: ``keys[i]`` is coordinate i."""
+
+    def __init__(self, keys: list, description: str):
+        self.keys = keys
+        self._index = {k: i for i, k in enumerate(keys)}
+        self.description = description
+
+    @property
+    def dim(self) -> int:
+        return len(self.keys)
+
+    def coords(self, x) -> np.ndarray:
+        v = np.zeros(self.dim, dtype=complex)
+        for k, c in x.terms.items():
+            i = self._index.get(k)
+            if i is None:
+                raise TruncationError(f"{k} escapes the {self.description}")
+            v[i] = c
+        return v
+
+
+class QMonomialBasis(_KeyedBasis):
     """Monomials with every exponent in [-K, K] as carrier coordinates."""
 
     def __init__(self, spec: QAlgebraSpec, K: int):
@@ -54,59 +77,29 @@ class QMonomialBasis:
             raise ValueError("truncation must be nonnegative")
         self.spec = spec
         self.K = K
-        m = spec.generator_count
-        self.monomials = [tuple(e) for e in
-                          itertools.product(range(-K, K + 1), repeat=m)]
-        self._index = {e: i for i, e in enumerate(self.monomials)}
-        self.description = f"{spec.label or 'q-lattice'} monomials |e|<={K}"
-
-    @property
-    def dim(self) -> int:
-        return len(self.monomials)
+        super().__init__(list(itertools.product(range(-K, K + 1),
+                                                repeat=spec.generator_count)),
+                         f"{spec.label or 'q-lattice'} monomials |e|<={K}")
 
     def elements(self) -> list[QElement]:
-        return [QElement.monomial(self.spec, e) for e in self.monomials]
-
-    def coords(self, a: QElement) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        for e, c in a.terms.items():
-            i = self._index.get(e)
-            if i is None:
-                raise TruncationError(f"monomial {e} escapes the |e|<={self.K} ball")
-            v[i] = c
-        return v
+        return [QElement.monomial(self.spec, e) for e in self.keys]
 
 
-class GraphCarrierBasis:
+class GraphCarrierBasis(_KeyedBasis):
     """Common-range path pairs with both lengths <= max_len as coordinates."""
 
     def __init__(self, graph: DirectedGraph, max_len: int):
         self.graph = graph
         self.max_len = max_len
-        paths = graph.paths_up_to(max_len)
         by_range: dict = {}
-        for p in paths:
+        for p in graph.paths_up_to(max_len):
             by_range.setdefault(p.range, []).append(p)
-        self.terms = [(mu, nu) for group in by_range.values()
-                      for mu in group for nu in group]
-        self._index = {t: i for i, t in enumerate(self.terms)}
-        self.description = f"graph terms |mu|,|nu|<={max_len}"
-
-    @property
-    def dim(self) -> int:
-        return len(self.terms)
+        super().__init__([(mu, nu) for group in by_range.values()
+                          for mu in group for nu in group],
+                         f"graph terms |mu|,|nu|<={max_len}")
 
     def elements(self) -> list[GraphElement]:
-        return [GraphElement.term(self.graph, mu, nu) for mu, nu in self.terms]
-
-    def coords(self, x: GraphElement) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        for t, c in x.terms.items():
-            i = self._index.get(t)
-            if i is None:
-                raise TruncationError(f"term {t} escapes the length-{self.max_len} table")
-            v[i] = c
-        return v
+        return [GraphElement.term(self.graph, mu, nu) for mu, nu in self.keys]
 
 
 def _form_indices(n: int, k: int, mode: str) -> list:
@@ -305,6 +298,18 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
 
 # -- direct degree-zero routes ----------------------------------------------
 
+def _commutator_stack(gens: list, carrier_basis) -> np.ndarray:
+    """Matrix of a -> ([x, a])_x in carrier coordinates, one row block per x."""
+    elems = carrier_basis.elements()
+    blocks = []
+    for x in gens:
+        block = np.zeros((carrier_basis.dim, carrier_basis.dim), dtype=complex)
+        for i, b in enumerate(elems):
+            block[:, i] = carrier_basis.coords(commutator(x, b))
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
 def commutant_kernel_dimension(basis: DifferentialBasis, carrier_basis,
                                include_adjoints: bool = False,
                                threshold: float | None = None) -> int:
@@ -317,14 +322,7 @@ def commutant_kernel_dimension(basis: DifferentialBasis, carrier_basis,
     gens = list(basis.scaled)
     if include_adjoints:
         gens += [x.adjoint() for x in basis.scaled]
-    elems = carrier_basis.elements()
-    rows = []
-    for x in gens:
-        block = np.zeros((carrier_basis.dim, carrier_basis.dim), dtype=complex)
-        for i, b in enumerate(elems):
-            block[:, i] = carrier_basis.coords(x * b - b * x)
-        rows.append(block)
-    M = np.vstack(rows)
+    M = _commutator_stack(gens, carrier_basis)
     return carrier_basis.dim - numeric_rank(M, threshold)
 
 
@@ -344,21 +342,8 @@ def fuglede_putnam_check(basis: DifferentialBasis, carrier_basis,
     system extended by the starred commutators: equal dimensions plus mutual
     containment.
     """
-    gens = list(basis.scaled)
-    stars = [x.adjoint() for x in gens]
-    elems = carrier_basis.elements()
-
-    def stack(ops):
-        blocks = []
-        for x in ops:
-            B = np.zeros((carrier_basis.dim, carrier_basis.dim), dtype=complex)
-            for i, b in enumerate(elems):
-                B[:, i] = carrier_basis.coords(x * b - b * x)
-            blocks.append(B)
-        return np.vstack(blocks)
-
-    L1 = stack(gens)
-    L2 = stack(gens + stars)
+    L1 = _commutator_stack(basis.scaled, carrier_basis)
+    L2 = np.vstack([L1, _commutator_stack(basis.scaled_star, carrier_basis)])
     N1 = _null_basis(L1)
     N2 = _null_basis(L2)
     if N1.shape[1] != N2.shape[1]:
@@ -384,8 +369,3 @@ def c00_membership(a: QElement, tol: float = 1e-8):
                  if abs(1.0 - np.exp(1j * theta * e[1])) > tol]
     return (not witnesses), witnesses
 
-
-def c00_cross_check(a: QElement, tol: float = 1e-10) -> bool:
-    """Direct commutant check [U, a] = 0, the oracle for the coefficient test."""
-    U = QElement.generator(a.spec, 1)
-    return commutator(U, a).norm() <= tol

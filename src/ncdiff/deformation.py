@@ -68,7 +68,8 @@ class DeformationSweep:
         return "\n".join(lines) + "\n"
 
     def summary_json(self) -> dict:
-        return {"fitted_order": self.fitted_order,
+        """Strict-JSON summary: a NaN ``fitted_order`` becomes ``None``."""
+        return {"fitted_order": None if math.isnan(self.fitted_order) else self.fitted_order,
                 "target_description": self.target_description}
 
 
@@ -295,6 +296,6 @@ def heisenberg_derivations(x: QElement, K: int, variant: str = "paper"):
         heisenberg_d1_image(spec, max(K, 1), variant) if involves_w else zero,
     ]
     d1 = extend_derivation(d1_images, x)
-    d2 = QElement._make(spec, {e: TWO_PI_I * e[1] * v for e, v in x.terms.items()})
-    d3 = QElement._make(spec, {e: TWO_PI_I * c * e[2] * v for e, v in x.terms.items()})
+    d2 = x._like({e: TWO_PI_I * e[1] * v for e, v in x.terms.items()})
+    d3 = x._like({e: TWO_PI_I * c * e[2] * v for e, v in x.terms.items()})
     return d1, d2, d3

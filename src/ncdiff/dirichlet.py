@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .forms import BasisModeError, DifferentialBasis, _comm
+from .carrier import commutator
+from .forms import BasisModeError, DifferentialBasis
 from .matrix_algebra import MatElement, trace
 from .qlattice import QElement, _mul_angle, tau as q_tau
 
@@ -28,7 +29,7 @@ def laplacian(a, basis: DifferentialBasis):
     """Delta(a) = sum_j [(c_j U_j)^*, [c_j U_j, a]] on any carrier."""
     out = None
     for x, xs in zip(basis.scaled, basis.scaled_star):
-        term = _comm(xs, _comm(x, a))
+        term = commutator(xs, commutator(x, a))
         out = term if out is None else out + term
     return out
 
@@ -136,7 +137,7 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
     if isinstance(a, QElement):
         out = {e: c * float(np.exp(-t * _q_eigenvalue(basis, a.spec, e)))
                for e, c in a.terms.items()}
-        return QElement._make(a.spec, out)
+        return a._like(out)
     raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
 
 
@@ -266,8 +267,8 @@ def carre_du_champ_first_order(a, c, basis: DifferentialBasis):
     """
     out = None
     for x, xs in zip(basis.scaled, basis.scaled_star):
-        term = _comm(x, a).adjoint() * _comm(x, c) \
-            + _comm(xs, a).adjoint() * _comm(xs, c)
+        term = commutator(x, a).adjoint() * commutator(x, c) \
+            + commutator(xs, a).adjoint() * commutator(xs, c)
         out = term if out is None else out + term
     return out
 
@@ -285,9 +286,9 @@ def dirichlet_form(a, b, basis: DifferentialBasis, trace_fn=None):
     generator_side = tr(a.adjoint() * laplacian(b, basis))
     pairing = None
     for x, xs in zip(basis.scaled, basis.scaled_star):
-        term = _comm(x, a).adjoint() * _comm(x, b)
+        term = commutator(x, a).adjoint() * commutator(x, b)
         if basis.mode == "complex":
-            term = term + _comm(xs, a).adjoint() * _comm(xs, b)
+            term = term + commutator(xs, a).adjoint() * commutator(xs, b)
         pairing = term if pairing is None else pairing + term
     return generator_side, tr(pairing)
 
@@ -296,8 +297,8 @@ def locality_isometry(a, b, basis: DifferentialBasis) -> tuple:
     """Image of a (x) b under W: the 2n-tuple ([c_j U_j, a] b, [(c_j U_j)^*, a] b)."""
     if basis.mode != "complex":
         raise BasisModeError("locality isometry needs complex mode")
-    head = tuple(_comm(x, a) * b for x in basis.scaled)
-    tail = tuple(_comm(xs, a) * b for xs in basis.scaled_star)
+    head = tuple(commutator(x, a) * b for x in basis.scaled)
+    tail = tuple(commutator(xs, a) * b for xs in basis.scaled_star)
     return head + tail
 
 

@@ -17,9 +17,8 @@ the split delta = partial + partial_star and the star operation need the
 complex (paired-covector) mode.  A self-adjoint basis mode identifies
 dU_j^* with dU_j, halving the complex and disabling the type decomposition.
 
-Carrier elements only need ``+``, ``-``, ``*`` (element and scalar),
-``adjoint()`` and ``norm()``; the q-lattice, matrix and graph carriers all
-qualify.
+Carrier elements only need what the protocol in :mod:`ncdiff.carrier`
+lists; the q-lattice, matrix and graph carriers all qualify.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from bisect import bisect_left
 from math import comb
 from typing import Mapping, Sequence
 
-EQ_TOLERANCE = 1e-10
+from .carrier import EQ_TOLERANCE, Normed, commutator
 
 FormIndex = tuple  # ((i_1..i_p), (j_1..j_q)) of 0-based slots, each ascending
 
@@ -40,10 +39,6 @@ class BasisModeError(ValueError):
 
 class BasisConditionError(ValueError):
     """Proposed differential basis violates the commuting condition."""
-
-
-def _comm(x, a):
-    return x * a - a * x
 
 
 class DifferentialBasis:
@@ -81,7 +76,7 @@ class DifferentialBasis:
         pool = self.elements + adjoints
         for i in range(len(pool)):
             for j in range(i + 1, len(pool)):
-                if _comm(pool[i], pool[j]).norm() > tol:
+                if commutator(pool[i], pool[j]).norm() > tol:
                     raise BasisConditionError(
                         "basis elements and their adjoints must mutually commute")
         if mode == "selfadjoint":
@@ -139,7 +134,7 @@ def _prepend_covector(starred: bool, j: int, I, J) -> tuple[int, FormIndex] | No
     return sign, (tuple(sorted(I + (j,))), J)
 
 
-class DifferentialForm:
+class DifferentialForm(Normed):
     """Graded form: coefficient table from covector index pairs to carrier elements."""
 
     __slots__ = ("basis", "coeffs")
@@ -205,19 +200,8 @@ class DifferentialForm:
         return DifferentialForm._make(self.basis,
                                       {k: a.scale(c) for k, a in self.coeffs.items()})
 
-    def __rmul__(self, c):
-        if isinstance(c, (int, float, complex)):
-            return self.scale(c)
-        return NotImplemented
-
     def norm(self) -> float:
         return max((a.norm() for a in self.coeffs.values()), default=0.0)
-
-    def is_zero(self, tol: float = EQ_TOLERANCE) -> bool:
-        return self.norm() <= tol
-
-    def equal_within(self, other: "DifferentialForm", tol: float = EQ_TOLERANCE) -> bool:
-        return (self - other).norm() <= tol
 
     def degrees(self) -> set:
         return {(len(I), len(J)) for I, J in self.coeffs}
@@ -243,7 +227,7 @@ def _half_delta(alpha: DifferentialForm, starred: bool) -> DifferentialForm:
     out: dict = {}
     for (I, J), a in alpha.coeffs.items():
         for j, x in enumerate(gens):
-            c = _comm(x, a)
+            c = commutator(x, a)
             if c.norm() == 0.0:
                 continue
             hit = _prepend_covector(starred, j, I, J)

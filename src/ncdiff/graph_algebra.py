@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-EQ_TOLERANCE = 1e-10
-PRUNE_EPSILON = 1e-12
+from .carrier import PRUNE_EPSILON, Terms
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def graph_to_text(g: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-class GraphElement:
+class GraphElement(Terms):
     """Complex combination of terms s_mu s_nu^* over a fixed graph."""
 
     __slots__ = ("graph", "terms")
@@ -180,10 +179,10 @@ class GraphElement:
         self.graph = graph
         self.terms = tt
 
-    @classmethod
-    def _make(cls, graph, terms: dict) -> "GraphElement":
-        out = object.__new__(cls)
-        out.graph = graph
+    def _like(self, terms: dict) -> "GraphElement":
+        """Element over the same graph: terms already canonical, only prunes."""
+        out = object.__new__(GraphElement)
+        out.graph = self.graph
         out.terms = {t: c for t, c in terms.items() if abs(c) > PRUNE_EPSILON}
         return out
 
@@ -199,31 +198,6 @@ class GraphElement:
         if self.graph is not other.graph:
             raise ValueError("elements live over different graphs")
 
-    def __add__(self, other):
-        if not isinstance(other, GraphElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, 0j) + c
-        return GraphElement._make(self.graph, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, GraphElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, 0j) - c
-        return GraphElement._make(self.graph, out)
-
-    def __neg__(self):
-        return GraphElement._make(self.graph, {t: -c for t, c in self.terms.items()})
-
-    def scale(self, c: complex) -> "GraphElement":
-        c = complex(c)
-        return GraphElement._make(self.graph, {t: c * v for t, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, GraphElement):
             self._check(other)
@@ -233,29 +207,13 @@ class GraphElement:
                     t = _term_product(t1, t2)
                     if t is not None:
                         out[t] = out.get(t, 0j) + c1 * c2
-            return GraphElement._make(self.graph, out)
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
+            return self._like(out)
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         return NotImplemented
 
     def adjoint(self) -> "GraphElement":
-        return GraphElement._make(
-            self.graph,
-            {(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()})
-
-    def norm(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def is_zero(self, tol: float = EQ_TOLERANCE) -> bool:
-        return self.norm() <= tol
-
-    def equal_within(self, other: "GraphElement", tol: float = EQ_TOLERANCE) -> bool:
-        return (self - other).norm() <= tol
+        return self._like({(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -340,7 +298,7 @@ def vertex_commutator(v: str, x: GraphElement) -> GraphElement:
         sign = (1 if mu.source == v else 0) - (1 if nu.source == v else 0)
         if sign:
             out[(mu, nu)] = out.get((mu, nu), 0j) + sign * c
-    return GraphElement._make(x.graph, out)
+    return x._like(out)
 
 
 def is_closed(t: CKTerm) -> bool:
@@ -380,7 +338,7 @@ def expand_projection_check(graph: DirectedGraph, mu: Path) -> bool:
             for e in graph.out_edges(v):
                 t = (graph.extend(a, e), graph.extend(b, e))
                 out[t] = out.get(t, 0j) + c
-        x = GraphElement._make(graph, out)
+        x = x._like(out)
     return x.equal_within(GraphElement.term(graph, mu, mu))
 
 

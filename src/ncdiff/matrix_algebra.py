@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-EQ_TOLERANCE = 1e-10
+from .carrier import Normed, commutator
 
 
-class MatElement:
+class MatElement(Normed):
     """Immutable square complex matrix with carrier-algebra operations."""
 
     __slots__ = ("mat",)
@@ -70,23 +70,12 @@ class MatElement:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
-
     def adjoint(self) -> "MatElement":
         return MatElement(self.mat.conj().T)
 
     def norm(self) -> float:
         """Largest entry modulus."""
         return float(np.abs(self.mat).max()) if self.n else 0.0
-
-    def is_zero(self, tol: float = EQ_TOLERANCE) -> bool:
-        return self.norm() <= tol
-
-    def equal_within(self, other: "MatElement", tol: float = EQ_TOLERANCE) -> bool:
-        return (self - other).norm() <= tol
 
     def __repr__(self):
         return f"MatElement(n={self.n})"
@@ -99,20 +88,7 @@ def projection_basis(n: int) -> list[MatElement]:
     return [MatElement.unit(n, j, j) for j in range(n)]
 
 
-def mat_mul(a: MatElement, b: MatElement) -> MatElement:
-    return a * b
-
-
-def mat_add(a: MatElement, b: MatElement) -> MatElement:
-    return a + b
-
-
-def mat_adjoint(a: MatElement) -> MatElement:
-    return a.adjoint()
-
-
-def mat_commutator(a: MatElement, b: MatElement) -> MatElement:
-    return a * b - b * a
+mat_commutator = commutator
 
 
 def trace(a: MatElement, normalized: bool = True) -> complex:

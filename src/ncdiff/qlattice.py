@@ -26,8 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-PRUNE_EPSILON = 1e-12
-EQ_TOLERANCE = 1e-10
+from .carrier import PRUNE_EPSILON, Terms, commutator  # noqa: F401 (re-export)
 
 Monomial = tuple  # exponent tuple (e_1, ..., e_m)
 
@@ -98,7 +97,7 @@ def _adjoint_angle(spec: QAlgebraSpec, e: Monomial) -> float:
     return sum(t * e[j] * e[k] for j, k, t in spec._pairs)
 
 
-class QElement:
+class QElement(Terms):
     """Finite complex combination of normal-ordered monomials.
 
     Immutable; all operations return new elements.  Use ``QElement.monomial``
@@ -120,12 +119,11 @@ class QElement:
         self.spec = spec
         self.terms = tt
 
-    @classmethod
-    def _make(cls, spec, terms: dict) -> "QElement":
-        """Internal constructor: terms already canonical, only prunes."""
-        out = object.__new__(cls)
-        out.spec = spec
-        eps = spec.prune_epsilon
+    def _like(self, terms: dict) -> "QElement":
+        """Element over the same presentation: terms already canonical, only prunes."""
+        out = object.__new__(QElement)
+        out.spec = self.spec
+        eps = self.spec.prune_epsilon
         out.terms = {e: c for e, c in terms.items() if abs(c) > eps}
         return out
 
@@ -159,31 +157,6 @@ class QElement:
         if not self.spec.same_as(other.spec):
             raise SpecMismatchError("elements live over different presentations")
 
-    def __add__(self, other):
-        if not isinstance(other, QElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0j) + c
-        return QElement._make(self.spec, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, QElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0j) - c
-        return QElement._make(self.spec, out)
-
-    def __neg__(self):
-        return QElement._make(self.spec, {e: -c for e, c in self.terms.items()})
-
-    def scale(self, c: complex) -> "QElement":
-        c = complex(c)
-        return QElement._make(self.spec, {e: c * v for e, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, QElement):
             self._check(other)
@@ -197,12 +170,7 @@ class QElement:
                         c *= cmath.exp(1j * ang)
                     g = tuple(x + y for x, y in zip(e, f))
                     out[g] = out.get(g, 0j) + c
-            return QElement._make(spec, out)
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
+            return self._like(out)
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         return NotImplemented
@@ -215,22 +183,12 @@ class QElement:
             if ang != 0.0:
                 v *= cmath.exp(1j * ang)
             out[tuple(-x for x in e)] = v
-        return QElement._make(self.spec, out)
+        return self._like(out)
 
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, exponents: Sequence[int]) -> complex:
         return self.terms.get(tuple(exponents), 0j)
-
-    def norm(self) -> float:
-        """Largest coefficient modulus (0.0 for the zero element)."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def is_zero(self, tol: float = EQ_TOLERANCE) -> bool:
-        return self.norm() <= tol
-
-    def equal_within(self, other: "QElement", tol: float = EQ_TOLERANCE) -> bool:
-        return (self - other).norm() <= tol
 
     def __repr__(self):
         if not self.terms:
@@ -323,11 +281,6 @@ def normal_order(spec: QAlgebraSpec, word: Iterable[tuple[int, int]]) -> QElemen
     return acc
 
 
-def commutator(a: QElement, b: QElement) -> QElement:
-    """[a, b] = a b - b a."""
-    return a * b - b * a
-
-
 def theta_hat(s: float, t: float, a: QElement) -> QElement:
     """Torus translation automorphism: U^k V^l -> exp(-i(s k + t l)) U^k V^l.
 
@@ -337,7 +290,7 @@ def theta_hat(s: float, t: float, a: QElement) -> QElement:
         raise ValueError("theta_hat needs a two-generator presentation")
     out = {e: c * cmath.exp(-1j * (s * e[0] + t * e[1]))
            for e, c in a.terms.items()}
-    return QElement._make(a.spec, out)
+    return a._like(out)
 
 
 def tau(a: QElement) -> complex:
@@ -399,6 +352,8 @@ def spec_to_json(spec: QAlgebraSpec) -> dict:
 
 
 def spec_from_json(d: Mapping) -> QAlgebraSpec:
+    if not isinstance(d, Mapping) or "theta_matrix" not in d:
+        raise ValueError("presentation needs a theta_matrix")
     th = np.array(d["theta_matrix"], dtype=float)
     if th.shape[0] != d.get("generators", th.shape[0]):
         raise ValueError("generator count disagrees with theta matrix shape")

@@ -5,6 +5,7 @@ from ncdiff.graph_algebra import DirectedGraph
 from ncdiff.matrix_algebra import projection_basis
 from ncdiff.forms import DifferentialBasis
 from ncdiff.qlattice import QElement, heisenberg_spec, torus_spec
+from ncdiff.testing import line_graph, loop_graph, star_tree
 
 THETA = 0.7
 MU, NU = 0.11, 0.07
@@ -40,24 +41,6 @@ def heisenberg_basis(heisenberg):
 def p_basis3():
     return DifferentialBasis(projection_basis(3), mode="selfadjoint",
                              label="M_3 projections")
-
-
-def star_tree(n):
-    vertices = ["root"] + [f"v{i}" for i in range(1, n)]
-    edges = {f"e{i}": (f"v{i}", "root") for i in range(1, n)}
-    return DirectedGraph(vertices, edges)
-
-
-def line_graph(n_edges):
-    vertices = [f"v{i}" for i in range(n_edges + 1)]
-    edges = {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(n_edges)}
-    return DirectedGraph(vertices, edges)
-
-
-def loop_graph(n):
-    vertices = [f"c{i}" for i in range(n)]
-    edges = {f"l{i}": (f"c{i}", f"c{(i + 1) % n}") for i in range(n)}
-    return DirectedGraph(vertices, edges)
 
 
 def diamond_graph():

@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import ncdiff.cli as cli
 import ncdiff.expr as E
 from ncdiff.cli import main
 from ncdiff.forms import DifferentialBasis
@@ -199,6 +200,41 @@ def test_cli_deform():
     rc, out, _ = run_cli(["deform", "plane", "--k", "1,0", "--t", "0,1",
                           "--summary"])
     assert abs(json.loads(out)["fitted_order"] - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("config, spec", [
+    (None, {"generators": 2, "label": "no relations"}),
+    ({"truncation": "x"}, None),
+    ({"tolerance": 1e-9}, None),
+    ({"normalized_trace": False}, None),
+    ([6], None),
+], ids=["spec-without-theta-matrix", "config-truncation-string",
+        "config-dropped-tolerance", "config-dropped-normalized-trace",
+        "config-not-an-object"])
+def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec):
+    argv = []
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        spec_file = str(path)
+    rc, out, err = run_cli(argv + ["eval", "--spec", spec_file, "U"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_deform_summary_is_strict_json():
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rc, out, _ = run_cli(["deform", "torus", "--degrees", "0", "--summary"])
+    assert rc == 0
+    assert json.loads(out, parse_constant=reject)["fitted_order"] is None
+    with pytest.raises(ValueError):
+        cli._emit({"value": float("nan")})
 
 
 def test_cli_cohomology():
