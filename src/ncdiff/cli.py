@@ -90,18 +90,18 @@ def _cmd_eval(args, cfg: Config) -> int:
 
 def _cohomology_setup(args, cfg: Config):
     if args.carrier == "matrix":
-        n = args.n or 3
+        n = 3 if args.n is None else args.n
         basis = DifferentialBasis(projection_basis(n), mode="selfadjoint",
                                   label=f"M_{n} projections")
         return basis, coh.MatrixCarrierBasis(n), None
     if args.carrier == "torus":
         spec = torus_spec(args.theta)
         basis = DifferentialBasis([QElement.generator(spec, 1)], label="torus {U}")
-        return basis, spec, args.trunc or cfg.truncation
+        return basis, spec, cfg.truncation if args.trunc is None else args.trunc
     if args.carrier == "heisenberg":
         spec = heisenberg_spec(args.mu, args.nu, hbar=args.hbar)
         basis = DifferentialBasis([QElement.generator(spec, 3)], label="heisenberg {W}")
-        return basis, spec, args.trunc or cfg.truncation
+        return basis, spec, cfg.truncation if args.trunc is None else args.trunc
     raise ValueError(f"unknown carrier {args.carrier!r}")
 
 

@@ -1,23 +1,30 @@
 """Laplacian, heat semigroup and Dirichlet-form machinery over a differential basis.
 
-The generator is Delta = sum_j [(c_j U_j)^*, [c_j U_j, .]].  On a matrix
-carrier everything is assembled as n^2 x n^2 superoperators acting on
-row-major vectorized matrices, which makes complete positivity (Choi),
-symmetry, conservativity and the Markov property exact linear algebra.  On
-q-lattice carriers Delta acts diagonally on monomials, so the semigroup is
-evaluated exactly with no truncation.
+The generator is Delta = sum_j [(c_j U_j)^*, [c_j U_j, .]].  A differential
+basis is commuting and normal, so on a matrix carrier the scaled elements
+X_j = c_j U_j share an eigenbasis Q with X_j = Q diag(lambda_j) Q^*, and
+Delta acts as the Schur (entrywise) multiplier with symbol
+W[a, b] = sum_j |lambda_j(a) - lambda_j(b)|^2 on Q^* a Q.  The heat channel
+is then Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is completely
+positive exactly when its symbol exp(-t W) is positive semidefinite.  The
+n^2 x n^2 superoperators on row-major vectorized matrices
+(:func:`delta_superoperator`, :func:`heat_superoperator`,
+:func:`choi_matrix`, :func:`trotter_check`) stay as the reference path the
+tests compare against.  On q-lattice carriers Delta acts diagonally on
+monomials, so the semigroup is evaluated exactly with no truncation.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .carrier import commutator
+from .carrier import EQ_TOLERANCE, commutator
 from .forms import BasisModeError, DifferentialBasis
 from .matrix_algebra import MatElement, trace
 from .qlattice import QElement, _mul_angle, tau as q_tau
@@ -43,15 +50,7 @@ def default_trace(a):
     raise TypeError(f"no trace available for {type(a).__name__}")
 
 
-# -- matrix superoperators --------------------------------------------------
-
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1)
-
-
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape(n, n)
-
+# -- matrix superoperators (reference path) ----------------------------------
 
 def _left_mul(X: np.ndarray, n: int) -> np.ndarray:
     return np.kron(X, np.eye(n))
@@ -108,6 +107,62 @@ def heat_superoperator(t: float, basis: DifferentialBasis, n: int) -> np.ndarray
     return _expm_negative(delta_superoperator(basis, n), t)
 
 
+# -- matrix Schur-multiplier route -------------------------------------------
+
+# incommensurate weights for the Hermitian combination in _joint_eigenbasis
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+
+
+def _joint_eigenbasis(mats: list[np.ndarray]):
+    """Common eigenbasis of the scaled basis matrices X_j and the heat symbol.
+
+    Returns ``(Q, W)``: a unitary Q with every Q^* X_j Q diagonal, and
+    W[a, b] = sum_j |lambda_j(a) - lambda_j(b)|^2, so that
+    Delta(a) = Q (W o Q^* a Q) Q^*.  Q is None when every X_j is already
+    diagonal, which keeps diagonals and Phi_t(1) = 1 bit-exact.  A basis
+    only commutes to within EQ_TOLERANCE, so the diagonalization is checked.
+    """
+    if not any((X - np.diag(np.diag(X))).any() for X in mats):
+        Q, lams = None, [np.diag(X) for X in mats]
+    else:
+        # the Hermitian parts X + X^* and i(X - X^*) all commute; a real
+        # combination with incommensurate weights has their joint
+        # eigenspaces as its eigenspaces.  Each part is scaled by its
+        # element, not by itself, so the rounding-level i(X - X^*) of a
+        # self-adjoint X stays negligible.
+        H = np.zeros(mats[0].shape, dtype=complex)
+        k = 0
+        for X in mats:
+            scale = np.abs(X).max() or 1.0
+            for part in (X + X.conj().T, 1j * (X - X.conj().T)):
+                k += 1
+                H += (1.0 + (k * _GOLDEN) % 1.0) / scale * part
+        Q = np.linalg.eigh(H)[1]
+        lams = []
+        for X in mats:
+            Y = Q.conj().T @ X @ Q
+            lam = np.diag(Y)
+            if np.abs(Y - np.diag(lam)).max() > EQ_TOLERANCE * max(1.0, np.abs(X).max()):
+                raise ValueError("basis matrices have no common eigenbasis "
+                                 "within tolerance")
+            lams.append(lam)
+    W = sum(np.abs(lam[:, None] - lam[None, :]) ** 2 for lam in lams)
+    return Q, W
+
+
+def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Phi_t(m) = Q (M o Q^* m Q) Q^* for the symbol M = exp(-t W)."""
+    if Q is None:
+        return M * m
+    Qh = Q.conj().T
+    return Q @ (M * (Qh @ m @ Q)) @ Qh
+
+
 def _q_eigenvalue(basis: DifferentialBasis, spec, exponents: tuple) -> float:
     """Diagonal action of Delta on a q-lattice monomial.
 
@@ -129,11 +184,10 @@ def _q_eigenvalue(basis: DifferentialBasis, spec, exponents: tuple) -> float:
 
 def heat_semigroup(a, t: float, basis: DifferentialBasis):
     """Apply exp(-t Delta) to a matrix or q-lattice element."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     if isinstance(a, MatElement):
-        S = heat_superoperator(t, basis, a.n)
-        return MatElement(_unvec(S @ _vec(a.mat), a.n))
+        Q, W = _joint_eigenbasis(_basis_mats(basis, a.n))
+        return MatElement(_schur_heat(Q, np.exp(-t * W), a.mat))
     if isinstance(a, QElement):
         out = {e: c * float(np.exp(-t * _q_eigenvalue(basis, a.spec, e)))
                for e, c in a.terms.items()}
@@ -175,47 +229,56 @@ class SemigroupAudit:
         return "\n".join(lines) + "\n"
 
 
-def _random_unit_interval_operator(n: int, rng) -> np.ndarray:
-    """Random Hermitian matrix with spectrum inside [0, 1]."""
-    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    H = X + X.conj().T
+def _random_unit_interval_operators(n: int, samples: int, rng) -> np.ndarray:
+    """Stack of random Hermitian matrices with spectrum inside [0, 1]."""
+    X = rng.standard_normal((samples, 2, n, n))
+    X = X[:, 0] + 1j * X[:, 1]
+    H = X + X.conj().swapaxes(1, 2)
     lam = np.linalg.eigvalsh(H)
-    lo, hi = lam[0], lam[-1]
-    if hi - lo < 1e-12:
-        return np.eye(n) * 0.5
-    return (H - lo * np.eye(n)) / (hi - lo)
+    lo, hi = lam[:, :1, None], lam[:, -1:, None]
+    flat = hi - lo < 1e-12
+    eye = np.eye(n)
+    return np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
 
 
 def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
                     samples: int = 100, seed: int = 7) -> SemigroupAudit:
-    """Run the complete-positivity / symmetry / conservativity / Markov checks."""
+    """Run the complete-positivity / symmetry / conservativity / Markov checks.
+
+    The channel is applied as the Schur multiplier exp(-t W) in the joint
+    eigenbasis, so the eigenbasis and the symbol are computed once for all
+    times.  The Choi matrix is unitarily similar (via conj(Q) (x) Q) to the
+    symbol on span{e_i (x) e_i} plus a zero block of size n^2 - n, so its
+    least eigenvalue is read off the n x n symbol.
+    """
+    ts = list(ts)
+    if not ts:
+        raise ValueError("need at least one time")
+    for t in ts:
+        _check_time(t)
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    Q, W = _joint_eigenbasis(_basis_mats(basis, n))
     rng = np.random.default_rng(seed)
     audit = SemigroupAudit(n=n, basis_label=basis.label)
-    pairs = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
-              rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-             for _ in range(samples)]
-    interval_ops = [_random_unit_interval_operator(n, rng) for _ in range(samples)]
+    # one batched draw gives the same samples as drawing pair by pair
+    draws = rng.standard_normal((samples, 4, n, n))
+    A = draws[:, 0] + 1j * draws[:, 1]
+    B = draws[:, 2] + 1j * draws[:, 3]
+    interval_ops = _random_unit_interval_operators(n, samples, rng)
     eye = np.eye(n)
     for t in ts:
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        S = heat_superoperator(t, basis, n)
-
-        C = choi_matrix(t, n, basis).mat
-        choi_min = float(np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0])
-
-        def phi(m):
-            return _unvec(S @ _vec(np.asarray(m, dtype=complex)), n)
-
-        sym = max(abs(np.trace(phi(a) @ b) - np.trace(a @ phi(b))) / n
-                  for a, b in pairs)
-        cons = float(np.abs(phi(eye) - eye).max())
-        mk_min, mk_max = np.inf, -np.inf
-        for a in interval_ops:
-            fa = phi(a)
-            lam = np.linalg.eigvalsh(0.5 * (fa + fa.conj().T))
-            mk_min = min(mk_min, float(lam[0]))
-            mk_max = max(mk_max, float(lam[-1]))
+        M = np.exp(-t * W)
+        choi_min = float(np.linalg.eigvalsh(M)[0])
+        if n >= 2:
+            choi_min = min(choi_min, 0.0)
+        # tau-symmetry tr(Phi(a) b) = tr(a Phi(b)) over the random pairs
+        sym = np.abs(np.einsum("kij,kji->k", _schur_heat(Q, M, A), B)
+                     - np.einsum("kij,kji->k", A, _schur_heat(Q, M, B))).max() / n
+        cons = float(np.abs(_schur_heat(Q, M, eye) - eye).max())
+        F = _schur_heat(Q, M, interval_ops)
+        lam = np.linalg.eigvalsh(0.5 * (F + F.conj().swapaxes(1, 2)))
+        mk_min, mk_max = float(lam[:, 0].min()), float(lam[:, -1].max())
         audit.ts.append(t)
         audit.results.append({
             "t": t,

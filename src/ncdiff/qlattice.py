@@ -354,10 +354,18 @@ def spec_to_json(spec: QAlgebraSpec) -> dict:
 def spec_from_json(d: Mapping) -> QAlgebraSpec:
     if not isinstance(d, Mapping) or "theta_matrix" not in d:
         raise ValueError("presentation needs a theta_matrix")
-    th = np.array(d["theta_matrix"], dtype=float)
+    try:
+        th = np.array(d["theta_matrix"], dtype=float)
+    except TypeError:
+        raise ValueError("theta_matrix must be a matrix of numbers") from None
+    if th.ndim != 2:
+        raise ValueError("theta_matrix must be a square matrix")
     if th.shape[0] != d.get("generators", th.shape[0]):
         raise ValueError("generator count disagrees with theta matrix shape")
-    return QAlgebraSpec(th, label=d.get("label", ""), meta=d.get("meta"))
+    meta = d.get("meta")
+    if meta is not None and not isinstance(meta, Mapping):
+        raise ValueError("presentation meta must be a JSON object")
+    return QAlgebraSpec(th, label=d.get("label", ""), meta=meta)
 
 
 def element_to_json(a: QElement) -> list:

@@ -126,6 +126,74 @@ def test_audit(p_basis3):
     assert len(csv.splitlines()) == 4
 
 
+def _random_unitary(n, rng):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(z)[0]
+
+
+def _rotated_unitary_basis(n, seed):
+    """Two commuting unitaries Q diag(exp(i phi)) Q^* with complex prefactors."""
+    rng = np.random.default_rng(seed)
+    q = _random_unitary(n, rng)
+    mats = [MatElement(q @ np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, n)))
+                       @ q.conj().T) for _ in range(2)]
+    return DifferentialBasis(mats, prefactors=[0.8 + 0.3j, 1.1 - 0.4j],
+                             label=f"rotated M_{n} unitaries")
+
+
+@pytest.mark.parametrize("kind, n", [("projection", n) for n in (2, 3, 4, 5)]
+                         + [("rotated", 7), ("rotated", 12),
+                            ("rotated-projection", 6)],
+                         ids=lambda v: str(v))
+def test_schur_heat_matches_superoperator(kind, n, rng):
+    if kind == "projection":
+        basis = DifferentialBasis(projection_basis(n), mode="selfadjoint")
+    elif kind == "rotated":
+        basis = _rotated_unitary_basis(n, seed=n)
+    else:
+        # the projections sum to 1, so only unequal weights in the Hermitian
+        # combination separate their eigenspaces
+        q = _random_unitary(n, np.random.default_rng(n))
+        basis = DifferentialBasis([MatElement(q @ p.mat @ q.conj().T)
+                                   for p in projection_basis(n)], mode="selfadjoint")
+    ts = (0.0, 0.1, 1.0, 10.0)
+    for t in ts:
+        S = D.heat_superoperator(t, basis, n)
+        a = random_matelement(n, rng)
+        fast = D.heat_semigroup(a, t, basis).mat
+        assert np.abs(fast - (S @ a.mat.reshape(-1)).reshape(n, n)).max() <= 1e-12
+    audit = D.audit_semigroup(ts, n, basis, samples=10)
+    for t, row in zip(ts, audit.results):
+        C = D.choi_matrix(t, n, basis).mat
+        choi_min = np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0]
+        assert abs(row["choi_min_eigenvalue"] - choi_min) <= 1e-12
+        if kind == "projection":
+            assert row["conservativity_error"] == 0.0
+
+
+def test_heat_rejects_bad_input(p_basis2, torus, torus_basis):
+    e12 = MatElement.unit(2, 0, 1)
+    V = QElement.generator(torus, 2)
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            D.heat_semigroup(e12, t, p_basis2)
+        with pytest.raises(ValueError):
+            D.heat_semigroup(V, t, torus_basis)
+        with pytest.raises(ValueError):
+            D.audit_semigroup([1.0, t], 2, p_basis2)
+    with pytest.raises(ValueError):
+        D.audit_semigroup([1.0], 2, p_basis2, samples=0)
+    with pytest.raises(ValueError):
+        D.audit_semigroup([], 2, p_basis2)
+    # a loose construction tolerance lets non-commuting matrices through;
+    # the joint eigenbasis must still refuse them
+    sx = MatElement(np.array([[0, 1], [1, 0]], dtype=complex))
+    sz = MatElement(np.diag([1.0, -1.0]).astype(complex))
+    loose = DifferentialBasis([sx, sz], mode="selfadjoint", tol=10.0)
+    with pytest.raises(ValueError):
+        D.heat_semigroup(e12, 1.0, loose)
+
+
 def test_trotter(p_basis2, p_basis3):
     assert D.trotter_check(0.0, 8, 2, p_basis2) == 0.0
     e8 = D.trotter_check(1.0, 8, 2, p_basis2)

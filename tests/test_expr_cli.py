@@ -202,26 +202,43 @@ def test_cli_deform():
     assert abs(json.loads(out)["fitted_order"] - 1.0) < 0.1
 
 
-@pytest.mark.parametrize("config, spec", [
-    (None, {"generators": 2, "label": "no relations"}),
-    ({"truncation": "x"}, None),
-    ({"tolerance": 1e-9}, None),
-    ({"normalized_trace": False}, None),
-    ([6], None),
+EVAL_U = ["eval", "--spec", "{spec}", "U"]
+SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
+
+
+@pytest.mark.parametrize("config, spec, argv", [
+    (None, {"generators": 2, "label": "no relations"}, EVAL_U),
+    ({"truncation": "x"}, None, EVAL_U),
+    ({"tolerance": 1e-9}, None, EVAL_U),
+    ({"normalized_trace": False}, None, EVAL_U),
+    ([6], None, EVAL_U),
+    (None, {"theta_matrix": 5}, EVAL_U),
+    (None, {"theta_matrix": {"rows": 2}}, EVAL_U),
+    (None, {"theta_matrix": SQUARE, "meta": 3}, EVAL_U),
+    (None, None, ["semigroup", "--n", "3", "--t", "1", "--samples", "0"]),
+    (None, None, ["semigroup", "--n", "3", "--t", "inf"]),
+    (None, None, ["semigroup", "--n", "3", "--t", "0.1,nan"]),
+    (None, None, ["semigroup", "--n", "3", "--t", ","]),
+    (None, None, ["cohomology", "--carrier", "matrix", "--n", "0"]),
+    (None, None, ["cohomology", "--carrier", "torus", "--trunc", "0"]),
 ], ids=["spec-without-theta-matrix", "config-truncation-string",
         "config-dropped-tolerance", "config-dropped-normalized-trace",
-        "config-not-an-object"])
-def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec):
-    argv = []
+        "config-not-an-object", "spec-theta-matrix-scalar",
+        "spec-theta-matrix-object", "spec-meta-not-an-object",
+        "semigroup-zero-samples", "semigroup-infinite-time", "semigroup-nan-time",
+        "semigroup-no-times", "cohomology-matrix-n-zero", "cohomology-trunc-zero"])
+def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
+    options = []
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
+        options += ["--config", str(path)]
     if spec is not None:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         spec_file = str(path)
-    rc, out, err = run_cli(argv + ["eval", "--spec", spec_file, "U"])
+    argv = [spec_file if a == "{spec}" else a for a in argv]
+    rc, out, err = run_cli(options + argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
