@@ -10,11 +10,12 @@ Dolbeault dimension reports; :mod:`ncdiff.deformation` the classical-limit
 experiments.
 """
 
+from .carrier import commutator
 from .qlattice import (QAlgebraSpec, QElement, SpecMismatchError, clock_shift_rep,
-                       commutator, heisenberg_spec, inner, normal_order, tau,
-                       theta_hat, torus_spec, torus_spec_2n, weyl_lattice_spec)
+                       heisenberg_spec, inner, normal_order, tau, theta_hat,
+                       torus_spec, torus_spec_2n, weyl_lattice_spec)
 from .matrix_algebra import MatElement, offdiag, projection_basis, trace
-from .graph_algebra import (DirectedGraph, GraphElement, Path, ck_adjoint, ck_mul,
+from .graph_algebra import (DirectedGraph, GraphElement, Path,
                             full_isometry_criterion, h0_report, is_closed,
                             parse_graph, vertex_commutator, vertex_projection)
 from .forms import (BasisConditionError, BasisModeError, DifferentialBasis,

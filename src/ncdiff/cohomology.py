@@ -1,10 +1,13 @@
 """Boundary-map assembly and kernel/rank computation for the form complexes.
 
 Degree-k forms over a finite-dimensional (or truncated) carrier span a
-vector space with basis {carrier basis element} x {covector index}; the
-derivative becomes an explicit complex matrix whose ranks give the de Rham
-and Dolbeault dimensions.  Truncated q-lattice carriers use nested exponent
-balls so the assembled maps never leave their codomain.
+vector space with basis {covector index} x {carrier basis element}.  The
+derivative acts by inner derivations, so each map is assembled from the
+matrices A_j of a -> [c_j U_j, a] (and of the starred elements), copied
+with their exterior signs into the covector blocks they reach; the
+degree-zero commutant systems stack the same A_j.  Ranks count singular
+values above max(shape) * eps * sigma_max.  Truncated q-lattice carriers
+use nested exponent balls so the assembled maps never leave their codomain.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import forms
 from .carrier import commutator
-from .forms import DifferentialBasis, DifferentialForm
+from .forms import BasisModeError, DifferentialBasis, _prepend_covector
 from .graph_algebra import DirectedGraph, GraphElement
 from .matrix_algebra import MatElement
 from .qlattice import QAlgebraSpec, QElement
@@ -102,48 +104,53 @@ class GraphCarrierBasis(_KeyedBasis):
         return [GraphElement.term(self.graph, mu, nu) for mu, nu in self.keys]
 
 
-def _form_indices(n: int, k: int, mode: str) -> list:
-    """Covector indices of total degree k, canonical order."""
-    out = []
-    if mode == "selfadjoint":
-        if 0 <= k <= n:
-            out = [(I, ()) for I in itertools.combinations(range(n), k)]
-        return out
-    for p in range(k + 1):
-        q = k - p
-        if p > n or q > n:
-            continue
-        for I in itertools.combinations(range(n), p):
-            for J in itertools.combinations(range(n), q):
-                out.append((I, J))
-    return out
-
-
 def _dolbeault_indices(n: int, p: int, q: int) -> list:
+    """Covector indices of bidegree (p, q), canonical order."""
     if p > n or q > n or p < 0 or q < 0:
         return []
     return [(I, J) for I in itertools.combinations(range(n), p)
             for J in itertools.combinations(range(n), q)]
 
 
-def _assemble(op, out_indices: list, in_indices: list,
+def _form_indices(n: int, k: int, mode: str) -> list:
+    """Covector indices of total degree k, canonical order."""
+    if mode == "selfadjoint":
+        return _dolbeault_indices(n, k, 0)
+    return [idx for p in range(k + 1) for idx in _dolbeault_indices(n, p, k - p)]
+
+
+def _ad_matrix(x, elems: list, codomain) -> np.ndarray:
+    """Coordinates of a -> [x, a]: column i holds [x, elems[i]] in ``codomain``."""
+    A = np.zeros((codomain.dim, len(elems)), dtype=complex)
+    for i, b in enumerate(elems):
+        A[:, i] = codomain.coords(commutator(x, b))
+    return A
+
+
+def _assemble(families: tuple, out_indices: list, in_indices: list,
               basis: DifferentialBasis, domain, codomain) -> np.ndarray:
-    """Matrix of a form operator in the product coordinates."""
-    d_in = domain.dim * len(in_indices)
-    d_out = codomain.dim * len(out_indices)
+    """Matrix of the half-derivatives in ``families`` (starred flags).
+
+    Block (out, in) is +-A_j where prepending dU_j (dU_j^* when starred) to
+    covector index ``in`` gives ``out``; each A_j is built only when some
+    block needs it, and dropped before the next generator's.
+    """
+    rows, cols = codomain.dim, domain.dim
     out_pos = {idx: i for i, idx in enumerate(out_indices)}
-    M = np.zeros((d_out, d_in), dtype=complex)
-    carrier_elems = domain.elements()
-    for col_idx, key in enumerate(in_indices):
-        for b_i, b in enumerate(carrier_elems):
-            col = col_idx * domain.dim + b_i
-            image = op(DifferentialForm(basis, {key: b}))
-            for okey, coeff in image.coeffs.items():
-                row_block = out_pos.get(okey)
-                if row_block is None:
-                    raise ValueError(f"operator produced unexpected index {okey}")
-                M[row_block * codomain.dim:(row_block + 1) * codomain.dim, col] += \
-                    codomain.coords(coeff)
+    M = np.zeros((rows * len(out_indices), cols * len(in_indices)), dtype=complex)
+    elems = domain.elements()
+    for starred in families:
+        for j, x in enumerate(basis.scaled_star if starred else basis.scaled):
+            A = None
+            for c, (I, J) in enumerate(in_indices):
+                hit = _prepend_covector(starred, j, I, J)
+                if hit is None:
+                    continue
+                if A is None:
+                    A = _ad_matrix(x, elems, codomain)
+                sign, key = hit
+                r = out_pos[key]
+                M[r * rows:(r + 1) * rows, c * cols:(c + 1) * cols] = A if sign > 0 else -A
     return M
 
 
@@ -157,7 +164,8 @@ def boundary_matrix(k: int, basis: DifferentialBasis, carrier_basis,
     """
     codomain = codomain_basis or carrier_basis
     n, mode = basis.size, basis.mode
-    return _assemble(forms.delta,
+    families = (False,) if mode == "selfadjoint" else (False, True)
+    return _assemble(families,
                      _form_indices(n, k + 1, mode), _form_indices(n, k, mode),
                      basis, carrier_basis, codomain)
 
@@ -165,21 +173,27 @@ def boundary_matrix(k: int, basis: DifferentialBasis, carrier_basis,
 def dolbeault_matrix(p: int, q: int, basis: DifferentialBasis, carrier_basis,
                      codomain_basis=None) -> np.ndarray:
     """The starred half-derivative on (p, q) forms as an explicit matrix."""
+    if basis.mode != "complex":
+        raise BasisModeError("type decomposition needs complex mode")
     codomain = codomain_basis or carrier_basis
     n = basis.size
-    return _assemble(forms.partial_star,
+    return _assemble((True,),
                      _dolbeault_indices(n, p, q + 1), _dolbeault_indices(n, p, q),
                      basis, carrier_basis, codomain)
 
 
-def numeric_rank(M: np.ndarray, threshold: float | None = None) -> int:
-    """Rank by singular values; default threshold max_dim * eps * sigma_max."""
+def _rank(s: np.ndarray, shape: tuple) -> int:
+    """Singular values above max(shape) * eps * sigma_max."""
+    if not len(s):
+        return 0
+    return int((s > max(shape) * np.finfo(float).eps * s[0]).sum())
+
+
+def numeric_rank(M: np.ndarray) -> int:
+    """Rank by singular values, cut at max(shape) * eps * sigma_max."""
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if threshold is None:
-        threshold = max(M.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
-    return int((s > threshold).sum())
+    return _rank(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
 @dataclass
@@ -216,11 +230,10 @@ class ComplexReport:
 
 
 def _chain_report(maps: list[np.ndarray], dims: list[int], basis_label: str,
-                  carrier_description: str, truncation: dict | None,
-                  threshold: float | None) -> ComplexReport:
+                  carrier_description: str, truncation: dict | None) -> ComplexReport:
     """Cohomology rows from consecutive maps; maps[k] acts on a space of dims[k]."""
     report = ComplexReport(basis_label, carrier_description, truncation)
-    ranks = [numeric_rank(M, threshold) for M in maps]
+    ranks = [numeric_rank(M) for M in maps]
     for k in range(len(maps)):
         dim_ker = dims[k] - ranks[k]
         rank_prev = ranks[k - 1] if k > 0 else 0
@@ -229,8 +242,7 @@ def _chain_report(maps: list[np.ndarray], dims: list[int], basis_label: str,
 
 
 def deRham_dims(basis: DifferentialBasis, carrier_basis,
-                max_degree: int | None = None,
-                threshold: float | None = None) -> ComplexReport:
+                max_degree: int | None = None) -> ComplexReport:
     """De Rham dimensions over an exact (untruncated) carrier."""
     top = basis.top_degree if max_degree is None else max_degree
     maps, dims = [], []
@@ -238,20 +250,17 @@ def deRham_dims(basis: DifferentialBasis, carrier_basis,
         n_in = len(_form_indices(basis.size, k, basis.mode)) * carrier_basis.dim
         dims.append(n_in)
         maps.append(boundary_matrix(k, basis, carrier_basis))
-    return _chain_report(maps, dims, basis.label, carrier_basis.description,
-                         None, threshold)
+    return _chain_report(maps, dims, basis.label, carrier_basis.description, None)
 
 
-def dolbeault_dims(p: int, basis: DifferentialBasis, carrier_basis,
-                   threshold: float | None = None) -> ComplexReport:
+def dolbeault_dims(p: int, basis: DifferentialBasis, carrier_basis) -> ComplexReport:
     """Dolbeault dimensions of the row at fixed unstarred degree p."""
     n = basis.size
     maps, dims = [], []
     for q in range(n + 1):
         dims.append(len(_dolbeault_indices(n, p, q)) * carrier_basis.dim)
         maps.append(dolbeault_matrix(p, q, basis, carrier_basis))
-    return _chain_report(maps, dims, basis.label, carrier_basis.description,
-                         None, threshold)
+    return _chain_report(maps, dims, basis.label, carrier_basis.description, None)
 
 
 def _max_basis_degree(basis: DifferentialBasis) -> int:
@@ -263,8 +272,7 @@ def _max_basis_degree(basis: DifferentialBasis) -> int:
 
 
 def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
-                          max_degree: int | None = None,
-                          threshold: float | None = None) -> ComplexReport:
+                          max_degree: int | None = None) -> ComplexReport:
     """De Rham dimensions on a truncated q-lattice carrier.
 
     Bumping a coefficient by a basis commutator can raise exponents by at
@@ -287,73 +295,64 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
     for k in range(top + 1):
         Mk = boundary_matrix(k, basis, ball_mid, ball_big)
         dim_ker = ball_mid.dim * len(_form_indices(basis.size, k, basis.mode)) \
-            - numeric_rank(Mk, threshold)
+            - numeric_rank(Mk)
         rank_prev = 0
         if k > 0:
             Mprev = boundary_matrix(k - 1, basis, ball_small, ball_mid)
-            rank_prev = numeric_rank(Mprev, threshold)
+            rank_prev = numeric_rank(Mprev)
         report.degrees.append(DegreeRow(k, dim_ker, rank_prev, dim_ker - rank_prev))
     return report
 
 
 # -- direct degree-zero routes ----------------------------------------------
 
-def _commutator_stack(gens: list, carrier_basis) -> np.ndarray:
-    """Matrix of a -> ([x, a])_x in carrier coordinates, one row block per x."""
+# residual bound for the Fuglede-Putnam containment and the C00 phase test
+_TOL = 1e-8
+
+
+def _commutant_system(gens: list, carrier_basis) -> np.ndarray:
+    """Matrix of a -> ([x, a])_x: the blocks A_x stacked, one row block per x."""
     elems = carrier_basis.elements()
-    blocks = []
-    for x in gens:
-        block = np.zeros((carrier_basis.dim, carrier_basis.dim), dtype=complex)
-        for i, b in enumerate(elems):
-            block[:, i] = carrier_basis.coords(commutator(x, b))
-        blocks.append(block)
-    return np.vstack(blocks)
+    return np.vstack([_ad_matrix(x, elems, carrier_basis) for x in gens])
 
 
 def commutant_kernel_dimension(basis: DifferentialBasis, carrier_basis,
-                               include_adjoints: bool = False,
-                               threshold: float | None = None) -> int:
-    """Dimension of {a : [U_j, a] = 0 for all j} assembled element by element.
+                               include_adjoints: bool = False) -> int:
+    """Dimension of {a : [U_j, a] = 0 for all j}.
 
-    Independent of the form-index machinery: rows are raw commutator
-    coordinates.  With ``include_adjoints`` the starred commutators join the
-    system.
+    The system stacks the commutator blocks A_j that build the boundary
+    maps, so it is the unstarred half of the degree-zero map.  With
+    ``include_adjoints`` the starred blocks join it, giving the complex-mode
+    degree-zero map up to the order of its row blocks.
     """
-    gens = list(basis.scaled)
-    if include_adjoints:
-        gens += [x.adjoint() for x in basis.scaled]
-    M = _commutator_stack(gens, carrier_basis)
-    return carrier_basis.dim - numeric_rank(M, threshold)
+    gens = basis.scaled + (basis.scaled_star if include_adjoints else [])
+    return carrier_basis.dim - numeric_rank(_commutant_system(gens, carrier_basis))
 
 
-def _null_basis(M: np.ndarray, threshold: float | None = None) -> np.ndarray:
-    u, s, vh = np.linalg.svd(M)
-    if threshold is None:
-        threshold = max(M.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
-    r = int((s > threshold).sum())
-    return vh[r:].conj().T
+def _null_basis(M: np.ndarray) -> np.ndarray:
+    _, s, vh = np.linalg.svd(M)
+    return vh[_rank(s, M.shape):].conj().T
 
 
-def fuglede_putnam_check(basis: DifferentialBasis, carrier_basis,
-                         tol: float = 1e-8) -> bool:
+def fuglede_putnam_check(basis: DifferentialBasis, carrier_basis) -> bool:
     """Whether commuting with the basis forces commuting with the adjoints.
 
     Compares the null space of a -> ([U_j, a])_j with the null space of the
     system extended by the starred commutators: equal dimensions plus mutual
     containment.
     """
-    L1 = _commutator_stack(basis.scaled, carrier_basis)
-    L2 = np.vstack([L1, _commutator_stack(basis.scaled_star, carrier_basis)])
+    L1 = _commutant_system(basis.scaled, carrier_basis)
+    L2 = np.vstack([L1, _commutant_system(basis.scaled_star, carrier_basis)])
     N1 = _null_basis(L1)
     N2 = _null_basis(L2)
     if N1.shape[1] != N2.shape[1]:
         return False
     if N1.shape[1] == 0:
         return True
-    return float(np.abs(L2 @ N1).max()) <= tol
+    return float(np.abs(L2 @ N1).max()) <= _TOL
 
 
-def c00_membership(a: QElement, tol: float = 1e-8):
+def c00_membership(a: QElement):
     """Coefficient test for membership in the commutant of U on a 2-torus.
 
     [U, U^k V^l] = (1 - e^{-i l theta}) U^{k+1} V^l, so the element commutes
@@ -366,6 +365,6 @@ def c00_membership(a: QElement, tol: float = 1e-8):
         raise ValueError("membership test needs a two-generator presentation")
     theta = spec.theta[1, 0]
     witnesses = [e for e in sorted(a.terms)
-                 if abs(1.0 - np.exp(1j * theta * e[1])) > tol]
+                 if abs(1.0 - np.exp(1j * theta * e[1])) > _TOL]
     return (not witnesses), witnesses
 

@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qlattice import (QElement, commutator, heisenberg_spec, torus_spec_2n,
+from .carrier import commutator
+from .qlattice import (QElement, heisenberg_spec, torus_spec_2n,
                        weyl_lattice_spec)
 
 TWO_PI_I = 2j * math.pi

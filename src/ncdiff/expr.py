@@ -9,11 +9,13 @@ parenthesized expressions, commutator brackets ``[x, y]``, ``delta(x)`` and
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
+from .carrier import commutator
 from .forms import DifferentialBasis, DifferentialForm, delta as form_delta, wedge as form_wedge
-from .qlattice import QAlgebraSpec, QElement, commutator, theta_hat
+from .qlattice import QAlgebraSpec, QElement, theta_hat
 
 
 class ExprSyntaxError(ValueError):
@@ -203,10 +205,15 @@ class _Parser:
             raise ExprSyntaxError("exponent must be an integer", tok[2])
         return sign * int(tok[1])
 
-    def _number_value(self, text: str) -> complex:
-        if text.endswith("i"):
-            return complex(0.0, float(text[:-1]))
-        return complex(float(text), 0.0)
+    def _finite(self, tok) -> float:
+        x = float(tok[1].removesuffix("i"))
+        if not math.isfinite(x):
+            raise ExprSyntaxError(f"number {tok[1]!r} is out of range", tok[2])
+        return x
+
+    def _number_value(self, tok) -> complex:
+        x = self._finite(tok)
+        return complex(0.0, x) if tok[1].endswith("i") else complex(x, 0.0)
 
     def _float_arg(self) -> float:
         sign = 1.0
@@ -216,13 +223,13 @@ class _Parser:
         tok = self.expect("number")
         if tok[1].endswith("i"):
             raise ExprSyntaxError("expected a real number", tok[2])
-        return sign * float(tok[1])
+        return sign * self._finite(tok)
 
     def atom(self):
         tok = self.next()
         kind, text, pos = tok
         if kind == "number":
-            return Num(self._number_value(text))
+            return Num(self._number_value(tok))
         if kind == "ident":
             if text == "i":
                 return Num(1j)
@@ -371,7 +378,10 @@ def evaluate(node, ctx: EvalContext):
         v = evaluate(node.arg, ctx)
         k = node.exponent
         if isinstance(v, complex):
-            return v ** k
+            try:
+                return v ** k
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise EvalError(f"{v} ^ {k}: {exc}") from None
         v = _as_element(v, ctx)
         if k == 0:
             return QElement.one(ctx.spec)

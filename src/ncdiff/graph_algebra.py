@@ -275,18 +275,6 @@ def _term_product(t1: CKTerm, t2: CKTerm) -> CKTerm | None:
     return None
 
 
-def ck_mul(graph: DirectedGraph, t1: CKTerm, t2: CKTerm) -> GraphElement:
-    """Product of two basis terms; zero or a single term."""
-    t = _term_product(t1, t2)
-    if t is None:
-        return GraphElement.zero(graph)
-    return GraphElement.term(graph, t[0], t[1])
-
-
-def ck_adjoint(x: GraphElement) -> GraphElement:
-    return x.adjoint()
-
-
 def vertex_commutator(v: str, x: GraphElement) -> GraphElement:
     """[p_v, x], computed termwise.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .carrier import Normed, commutator
+from .carrier import Normed
 
 
 class MatElement(Normed):
@@ -86,9 +86,6 @@ def projection_basis(n: int) -> list[MatElement]:
     if n < 2:
         raise ValueError("projection basis needs n >= 2")
     return [MatElement.unit(n, j, j) for j in range(n)]
-
-
-mat_commutator = commutator
 
 
 def trace(a: MatElement, normalized: bool = True) -> complex:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, Terms, commutator  # noqa: F401 (re-export)
+from .carrier import PRUNE_EPSILON, Terms
 
 Monomial = tuple  # exponent tuple (e_1, ..., e_m)
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import ncdiff.cohomology as C
-from ncdiff.forms import DifferentialBasis
+import ncdiff.forms as F
+from ncdiff.forms import DifferentialBasis, DifferentialForm
 from ncdiff.graph_algebra import vertex_projection
 from ncdiff.matrix_algebra import MatElement, projection_basis
-from ncdiff.qlattice import QElement, clock_shift_rep, commutator, torus_spec
+from ncdiff.carrier import commutator
+from ncdiff.qlattice import QElement, clock_shift_rep, torus_spec
 from ncdiff.testing import random_qelement
 
 from conftest import star_tree
@@ -146,6 +148,67 @@ def test_truncated_torus_chain(torus, torus_basis):
     d0 = C.boundary_matrix(0, torus_basis, small, mid)
     d1 = C.boundary_matrix(1, torus_basis, mid, big)
     assert np.abs(d1 @ d0).max() <= 1e-10
+
+
+def _symbolic_matrix(op, out_indices, in_indices, basis, domain, codomain):
+    """Form-operator matrix column by column: op applied to b dU_key, in coordinates."""
+    out_pos = {idx: i for i, idx in enumerate(out_indices)}
+    rows, cols = codomain.dim, domain.dim
+    M = np.zeros((rows * len(out_indices), cols * len(in_indices)), dtype=complex)
+    for c, key in enumerate(in_indices):
+        for i, b in enumerate(domain.elements()):
+            image = op(DifferentialForm(basis, {key: b}))
+            for okey, coeff in image.coeffs.items():
+                r = out_pos[okey]
+                M[r * rows:(r + 1) * rows, c * cols + i] = codomain.coords(coeff)
+    return M
+
+
+def _oracle_case(case, fixture):
+    if case == "M_3 projections":
+        return fixture("p_basis3"), C.MatrixCarrierBasis(3), C.MatrixCarrierBasis(3)
+    if case == "M_7 clock":
+        basis, carrier = fixture("clock7_setup")
+        return basis, carrier, carrier
+    if case == "torus K 2->3":
+        torus = fixture("torus")
+        return (fixture("torus_basis"), C.QMonomialBasis(torus, 2),
+                C.QMonomialBasis(torus, 3))
+    if case == "heisenberg K 1->2":
+        heisenberg = fixture("heisenberg")
+        return (fixture("heisenberg_basis"), C.QMonomialBasis(heisenberg, 1),
+                C.QMonomialBasis(heisenberg, 2))
+    g = star_tree(3)
+    basis = DifferentialBasis([vertex_projection(g, v) for v in g.vertices],
+                              mode="selfadjoint", label="{p_v}")
+    return basis, C.GraphCarrierBasis(g, 2), C.GraphCarrierBasis(g, 2)
+
+
+@pytest.mark.parametrize("case", ["M_3 projections", "M_7 clock", "torus K 2->3",
+                                  "heisenberg K 1->2", "star3 graph"])
+def test_boundary_matrix_matches_symbolic_delta(case, request):
+    # the commutator-block assembly against delta applied column by column
+    basis, domain, codomain = _oracle_case(case, request.getfixturevalue)
+    n, mode = basis.size, basis.mode
+    for k in range(basis.top_degree + 1):
+        expected = _symbolic_matrix(F.delta, C._form_indices(n, k + 1, mode),
+                                    C._form_indices(n, k, mode), basis, domain, codomain)
+        got = C.boundary_matrix(k, basis, domain, codomain)
+        assert got.shape == expected.shape and np.array_equal(got, expected), k
+    assert np.abs(C.boundary_matrix(0, basis, domain, codomain)).max() > 0.0
+
+
+def test_dolbeault_matrix_matches_symbolic_partial_star(clock7_setup):
+    basis, carrier = clock7_setup
+    n = basis.size
+    for p in (0, 1):
+        for q in range(n + 1):
+            expected = _symbolic_matrix(F.partial_star, C._dolbeault_indices(n, p, q + 1),
+                                        C._dolbeault_indices(n, p, q), basis,
+                                        carrier, carrier)
+            got = C.dolbeault_matrix(p, q, basis, carrier)
+            assert got.shape == expected.shape and np.array_equal(got, expected), (p, q)
+    assert np.abs(C.dolbeault_matrix(1, 0, basis, carrier)).max() > 0.0
 
 
 def test_truncation_escape_raises(torus, torus_basis):

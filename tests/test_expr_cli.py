@@ -221,12 +221,18 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
     (None, None, ["semigroup", "--n", "3", "--t", ","]),
     (None, None, ["cohomology", "--carrier", "matrix", "--n", "0"]),
     (None, None, ["cohomology", "--carrier", "torus", "--trunc", "0"]),
+    (None, None, ["eval", "--spec", "{spec}", "0^-1"]),
+    (None, None, ["eval", "--spec", "{spec}", "1e308^2"]),
+    (None, None, ["eval", "--spec", "{spec}", "2*1e400"]),
+    (None, None, ["eval", "--spec", "{spec}", "theta_hat(1e400, 0, U)"]),
 ], ids=["spec-without-theta-matrix", "config-truncation-string",
         "config-dropped-tolerance", "config-dropped-normalized-trace",
         "config-not-an-object", "spec-theta-matrix-scalar",
         "spec-theta-matrix-object", "spec-meta-not-an-object",
         "semigroup-zero-samples", "semigroup-infinite-time", "semigroup-nan-time",
-        "semigroup-no-times", "cohomology-matrix-n-zero", "cohomology-trunc-zero"])
+        "semigroup-no-times", "cohomology-matrix-n-zero", "cohomology-trunc-zero",
+        "eval-zero-to-negative-power", "eval-power-overflow",
+        "eval-infinite-literal", "eval-infinite-theta-hat-argument"])
 def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     options = []
     if config is not None:

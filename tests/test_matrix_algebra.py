@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from ncdiff.carrier import commutator
 from ncdiff.dirichlet import laplacian
 from ncdiff.forms import DifferentialBasis
-from ncdiff.matrix_algebra import (MatElement, mat_commutator, mat_from_json,
-                                   mat_to_json, offdiag, projection_basis, trace)
+from ncdiff.matrix_algebra import (MatElement, mat_from_json, mat_to_json, offdiag,
+                                   projection_basis, trace)
 from ncdiff.testing import random_matelement
 
 
@@ -30,9 +31,9 @@ def test_projection_basis_rejects_small():
 def test_commutator_hand_values():
     p1, p2 = projection_basis(2)
     e12 = MatElement.unit(2, 0, 1)
-    assert (mat_commutator(p1, e12) - e12).norm() < 1e-15
-    assert (mat_commutator(p2, e12) + e12).norm() < 1e-15
-    assert mat_commutator(p1, p2).norm() == 0.0
+    assert (commutator(p1, e12) - e12).norm() < 1e-15
+    assert (commutator(p2, e12) + e12).norm() < 1e-15
+    assert commutator(p1, p2).norm() == 0.0
 
 
 def test_offdiag(rng):
@@ -66,7 +67,7 @@ def test_laplacian_is_twice_offdiag(rng):
             a = random_matelement(n, rng)
             lap = laplacian(a, basis)
             assert (lap - offdiag(a).scale(2)).norm() <= 1e-12
-            nested = sum((mat_commutator(p, mat_commutator(p, a)).mat for p in ps),
+            nested = sum((commutator(p, commutator(p, a)).mat for p in ps),
                          np.zeros((n, n), dtype=complex))
             assert np.abs(nested - 2 * offdiag(a).mat).max() <= 1e-12
             # diagonal compression identity: sum_j p_j a p_j = diag(a)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from ncdiff.carrier import commutator
 from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError,
-                             clock_shift_rep, commutator, element_from_json,
+                             clock_shift_rep, element_from_json,
                              element_to_json, inner,
                              normal_order, spec_from_json, spec_to_json, tau,
                              theta_hat, torus_spec, torus_spec_2n,
