@@ -6,7 +6,9 @@ adjoint and a norm from its carrier.  A carrier element supplies ``+``,
 ``adjoint()`` and ``norm()``; :class:`Normed` then adds ``is_zero``,
 ``equal_within`` and scalar-on-the-left products.  A carrier whose elements
 are finite combinations of basis keys inherits :class:`Terms` and supplies
-only ``_check``, ``_like``, ``__mul__`` and ``adjoint``.
+only ``_check``, ``_like``, ``__mul__`` and ``adjoint``; differential forms
+are :class:`Terms` too, over covector keys with carrier-element
+coefficients.
 
 This module holds the one tolerance policy of the package: elements agree
 when their difference has norm at most ``EQ_TOLERANCE``, and term
@@ -42,11 +44,15 @@ class Normed:
 
 
 class Terms(Normed):
-    """Finite complex combination of basis keys, held in ``terms: {key: coeff}``.
+    """Finite combination of basis keys, held in ``terms: {key: coeff}``.
 
     Subclasses supply ``_check(other)``, which raises when two elements live
     over different parents, and ``_like(terms)``, which builds an element
     over this one's parent from canonical keys, dropping small coefficients.
+    A coefficient is a complex number or any carrier element: sums need
+    only ``+``, ``-`` and unary ``-`` of the coefficients, and ``scale``
+    needs ``c * coeff``.  A subclass with non-scalar coefficients also
+    supplies ``norm``.
     """
 
     __slots__ = ()
@@ -57,7 +63,7 @@ class Terms(Normed):
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, 0j) + c
+            out[k] = out[k] + c if k in out else c
         return self._like(out)
 
     def __sub__(self, other):
@@ -66,7 +72,7 @@ class Terms(Normed):
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, 0j) - c
+            out[k] = out[k] - c if k in out else -c
         return self._like(out)
 
     def __neg__(self):

@@ -76,6 +76,7 @@ def _cmd_eval(args, cfg: Config) -> int:
     ctx = expr.EvalContext(spec, basis)
     ast = expr.parse(args.expression)
     value = expr.evaluate(ast, ctx)
+    expr.check_finite(value)
     if isinstance(value, complex):
         value = QElement.one(spec).scale(value)
     if isinstance(value, QElement):
@@ -98,11 +99,9 @@ def _cohomology_setup(args, cfg: Config):
         spec = torus_spec(args.theta)
         basis = DifferentialBasis([QElement.generator(spec, 1)], label="torus {U}")
         return basis, spec, cfg.truncation if args.trunc is None else args.trunc
-    if args.carrier == "heisenberg":
-        spec = heisenberg_spec(args.mu, args.nu, hbar=args.hbar)
-        basis = DifferentialBasis([QElement.generator(spec, 3)], label="heisenberg {W}")
-        return basis, spec, cfg.truncation if args.trunc is None else args.trunc
-    raise ValueError(f"unknown carrier {args.carrier!r}")
+    spec = heisenberg_spec(args.mu, args.nu, hbar=args.hbar)
+    basis = DifferentialBasis([QElement.generator(spec, 3)], label="heisenberg {W}")
+    return basis, spec, cfg.truncation if args.trunc is None else args.trunc
 
 
 def _cmd_cohomology(args, cfg: Config) -> int:
@@ -127,19 +126,15 @@ def _cmd_graph(args, cfg: Config) -> int:
         report = ga.h0_report(graph, args.max_len)
         _emit({"closed_terms": ga.h0_report_json(report)["closed_terms"]})
         return 0
-    if args.action == "criterion":
-        if not args.path:
-            print("criterion needs a comma-separated edge path", file=sys.stderr)
-            return BAD_INPUT
-        mu = graph.path(args.path.split(","))
-        flag = ga.full_isometry_criterion(graph, mu)
-        verified = ga.expand_projection_check(graph, mu) if flag else None
-        _emit({"path": {"source": mu.source, "edges": list(mu.edges),
-                        "range": mu.range},
-               "criterion": flag, "verified": verified})
-        return 0
-    print(f"unknown graph action {args.action!r}", file=sys.stderr)
-    return BAD_INPUT
+    if not args.path:
+        print("criterion needs a comma-separated edge path", file=sys.stderr)
+        return BAD_INPUT
+    mu = graph.path(args.path.split(","))
+    flag = ga.full_isometry_criterion(graph, mu)
+    verified = ga.expand_projection_check(graph, mu) if flag else None
+    _emit({"path": {"source": mu.source, "edges": list(mu.edges), "range": mu.range},
+           "criterion": flag, "verified": verified})
+    return 0
 
 
 def _cmd_semigroup(args, cfg: Config) -> int:
@@ -164,13 +159,10 @@ def _cmd_deform(args, cfg: Config) -> int:
         k = tuple(_parse_int_list(args.k))
         t = tuple(_parse_int_list(args.t))
         sweep = dfm.plane_limit_sweep(k, {t: 1.0}, params, step=args.step)
-    elif args.family == "heisenberg":
+    else:
         e = tuple(_parse_int_list(args.exponents))
         sweep = dfm.heisenberg_limit_sweep(args.direction, e, params,
                                            mu=args.mu, nu=args.nu)
-    else:
-        print(f"unknown family {args.family!r}", file=sys.stderr)
-        return BAD_INPUT
     if args.summary:
         _emit(sweep.summary_json())
     else:

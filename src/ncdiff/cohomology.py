@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .carrier import commutator
-from .forms import BasisModeError, DifferentialBasis, _prepend_covector
-from .graph_algebra import DirectedGraph, GraphElement
+from .forms import BasisModeError, DifferentialBasis, _merge_indices
+from .graph_algebra import DirectedGraph, GraphElement, common_range_pairs
 from .matrix_algebra import MatElement
 from .qlattice import QAlgebraSpec, QElement
 
@@ -93,11 +93,7 @@ class GraphCarrierBasis(_KeyedBasis):
     def __init__(self, graph: DirectedGraph, max_len: int):
         self.graph = graph
         self.max_len = max_len
-        by_range: dict = {}
-        for p in graph.paths_up_to(max_len):
-            by_range.setdefault(p.range, []).append(p)
-        super().__init__([(mu, nu) for group in by_range.values()
-                          for mu in group for nu in group],
+        super().__init__(common_range_pairs(graph, max_len),
                          f"graph terms |mu|,|nu|<={max_len}")
 
     def elements(self) -> list[GraphElement]:
@@ -142,8 +138,9 @@ def _assemble(families: tuple, out_indices: list, in_indices: list,
     for starred in families:
         for j, x in enumerate(basis.scaled_star if starred else basis.scaled):
             A = None
+            cov = ((), (j,)) if starred else ((j,), ())
             for c, (I, J) in enumerate(in_indices):
-                hit = _prepend_covector(starred, j, I, J)
+                hit = _merge_indices(*cov, I, J)
                 if hit is None:
                     continue
                 if A is None:

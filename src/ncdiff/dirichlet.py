@@ -206,7 +206,6 @@ class SemigroupAudit:
     """
     n: int
     basis_label: str
-    ts: list = field(default_factory=list)
     results: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -272,7 +271,6 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
         F = _schur_heat(Q, M, interval_ops)
         lam = np.linalg.eigvalsh(0.5 * (F + F.conj().swapaxes(1, 2)))
         mk_min, mk_max = float(lam[:, 0].min()), float(lam[:, -1].max())
-        audit.ts.append(t)
         audit.results.append({
             "t": t,
             "choi_min_eigenvalue": choi_min,

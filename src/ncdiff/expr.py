@@ -9,6 +9,7 @@ parenthesized expressions, commutator brackets ``[x, y]``, ``delta(x)`` and
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -365,8 +366,7 @@ def evaluate(node, ctx: EvalContext):
     if isinstance(node, Gen):
         return ctx.resolve(node.name)
     if isinstance(node, Neg):
-        v = evaluate(node.arg, ctx)
-        return -v if not isinstance(v, complex) else -v
+        return -evaluate(node.arg, ctx)
     if isinstance(node, Adj):
         v = evaluate(node.arg, ctx)
         if isinstance(v, complex):
@@ -426,6 +426,22 @@ def evaluate(node, ctx: EvalContext):
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def check_finite(value) -> None:
+    """Raise EvalError when an evaluated value holds an inf or a nan.
+
+    Looks at the scalar, at every coefficient of an element, or at every
+    coefficient of every element coefficient of a form.
+    """
+    if isinstance(value, DifferentialForm):
+        coeffs = [c for a in value.terms.values() for c in a.terms.values()]
+    elif isinstance(value, QElement):
+        coeffs = value.terms.values()
+    else:
+        coeffs = [value]
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise EvalError("the result is not finite: a coefficient overflowed")
+
+
 # -- element pretty printer ------------------------------------------------------
 
 def _gen_label(j: int, m: int) -> str:
@@ -456,11 +472,11 @@ def format_element(a: QElement) -> str:
 
 
 def format_form(alpha: DifferentialForm) -> str:
-    if not alpha.coeffs:
+    if not alpha.terms:
         return "0"
     bits = []
-    for (I, J) in sorted(alpha.coeffs, key=lambda k: (len(k[0]) + len(k[1]), k)):
-        a = alpha.coeffs[(I, J)]
+    for (I, J) in sorted(alpha.terms, key=lambda k: (len(k[0]) + len(k[1]), k)):
+        a = alpha.terms[(I, J)]
         covs = [f"dU{i + 1}" for i in I] + [f"dU{j + 1}*" for j in J]
         label = "^".join(covs) if covs else "1"
         body = format_element(a) if isinstance(a, QElement) else repr(a)

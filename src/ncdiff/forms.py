@@ -1,8 +1,9 @@
 """Graded differential forms over any carrier algebra.
 
 A differential basis is a tuple of carrier elements U_1..U_n whose members
-and adjoints mutually commute.  Forms are tables from covector index pairs
-(I, J) to carrier coefficients, representing
+and adjoints mutually commute.  Forms are :class:`~ncdiff.carrier.Terms`
+over covector index pairs (I, J) with carrier-element coefficients,
+representing
 
     alpha = sum a_{I,J} dU_I ^ dU_J^*
 
@@ -24,11 +25,10 @@ lists; the q-lattice, matrix and graph carriers all qualify.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from math import comb
 from typing import Mapping, Sequence
 
-from .carrier import EQ_TOLERANCE, Normed, commutator
+from .carrier import EQ_TOLERANCE, Terms, commutator
 
 FormIndex = tuple  # ((i_1..i_p), (j_1..j_q)) of 0-based slots, each ascending
 
@@ -73,12 +73,13 @@ class DifferentialBasis:
         self.label = label
 
         adjoints = [u.adjoint() for u in self.elements]
-        pool = self.elements + adjoints
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                if commutator(pool[i], pool[j]).norm() > tol:
-                    raise BasisConditionError(
-                        "basis elements and their adjoints must mutually commute")
+        # [X, Y]^* = [Y^*, X^*] and carrier norms are adjoint-invariant, so
+        # [U_i, U_j] for i < j and [U_i, U_j^*] for i <= j cover every pair
+        for i, u in enumerate(self.elements):
+            others = self.elements[i + 1:] + adjoints[i:]
+            if any(commutator(u, v).norm() > tol for v in others):
+                raise BasisConditionError(
+                    "basis elements and their adjoints must mutually commute")
         if mode == "selfadjoint":
             for u, ua in zip(self.elements, adjoints):
                 if (u - ua).norm() > tol:
@@ -120,30 +121,16 @@ def _merge_indices(I1, J1, I2, J2) -> tuple[int, FormIndex] | None:
     return sign, (tuple(sorted(I1 + I2)), tuple(sorted(J1 + J2)))
 
 
-def _prepend_covector(starred: bool, j: int, I, J) -> tuple[int, FormIndex] | None:
-    """Canonicalize dU_j (or dU_j^*) wedged in front of dU_I dU_J^*."""
-    if starred:
-        if j in J:
-            return None
-        inv = len(I) + bisect_left(J, j)
-        sign = -1 if inv % 2 else 1
-        return sign, (I, tuple(sorted(J + (j,))))
-    if j in I:
-        return None
-    sign = -1 if bisect_left(I, j) % 2 else 1
-    return sign, (tuple(sorted(I + (j,))), J)
+class DifferentialForm(Terms):
+    """Graded form: carrier-element coefficients on covector index keys (I, J)."""
 
-
-class DifferentialForm(Normed):
-    """Graded form: coefficient table from covector index pairs to carrier elements."""
-
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("basis", "terms")
 
     def __init__(self, basis: DifferentialBasis,
-                 coeffs: Mapping[FormIndex, object] | None = None):
+                 terms: Mapping[FormIndex, object] | None = None):
         n = basis.size
         table = {}
-        for (I, J), a in (coeffs or {}).items():
+        for (I, J), a in (terms or {}).items():
             I, J = tuple(I), tuple(J)
             for idx in (I, J):
                 if any(not 0 <= x < n for x in idx) or list(idx) != sorted(set(idx)):
@@ -153,13 +140,13 @@ class DifferentialForm(Normed):
             if a.norm() > 0.0:
                 table[(I, J)] = a
         self.basis = basis
-        self.coeffs = table
+        self.terms = table
 
-    @classmethod
-    def _make(cls, basis, table: dict) -> "DifferentialForm":
-        out = object.__new__(cls)
-        out.basis = basis
-        out.coeffs = {k: a for k, a in table.items() if a.norm() > 0.0}
+    def _like(self, terms: dict) -> "DifferentialForm":
+        """Form over the same basis: keys already canonical, drops zero coefficients."""
+        out = object.__new__(DifferentialForm)
+        out.basis = self.basis
+        out.terms = {k: a for k, a in terms.items() if a.norm() > 0.0}
         return out
 
     @classmethod
@@ -175,68 +162,40 @@ class DifferentialForm(Normed):
         if self.basis is not other.basis:
             raise ValueError("forms live over different bases")
 
-    def __add__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, a in other.coeffs.items():
-            out[k] = out[k] + a if k in out else a
-        return DifferentialForm._make(self.basis, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, a in other.coeffs.items():
-            out[k] = out[k] - a if k in out else -a
-        return DifferentialForm._make(self.basis, out)
-
-    def __neg__(self):
-        return DifferentialForm._make(self.basis, {k: -a for k, a in self.coeffs.items()})
-
-    def scale(self, c: complex) -> "DifferentialForm":
-        return DifferentialForm._make(self.basis,
-                                      {k: a.scale(c) for k, a in self.coeffs.items()})
-
     def norm(self) -> float:
-        return max((a.norm() for a in self.coeffs.values()), default=0.0)
+        """Largest coefficient norm (0.0 for the zero form)."""
+        return max((a.norm() for a in self.terms.values()), default=0.0)
 
     def degrees(self) -> set:
-        return {(len(I), len(J)) for I, J in self.coeffs}
-
-    def is_homogeneous(self) -> bool:
-        return len({len(I) + len(J) for I, J in self.coeffs}) <= 1
+        return {(len(I), len(J)) for I, J in self.terms}
 
     def total_degree(self) -> int:
         """Degree of a homogeneous form (0 for the zero form)."""
-        degs = {len(I) + len(J) for I, J in self.coeffs}
+        degs = {len(I) + len(J) for I, J in self.terms}
         if len(degs) > 1:
             raise ValueError("form is not homogeneous")
         return degs.pop() if degs else 0
 
     def __repr__(self):
-        keys = sorted(self.coeffs, key=lambda k: (len(k[0]) + len(k[1]), k))
-        return f"DifferentialForm({len(self.coeffs)} terms, indices {keys[:6]})"
+        keys = sorted(self.terms, key=lambda k: (len(k[0]) + len(k[1]), k))
+        return f"DifferentialForm({len(self.terms)} terms, indices {keys[:6]})"
 
 
 def _half_delta(alpha: DifferentialForm, starred: bool) -> DifferentialForm:
-    basis = alpha.basis
-    gens = basis.scaled_star if starred else basis.scaled
+    gens = alpha.basis.scaled_star if starred else alpha.basis.scaled
     out: dict = {}
-    for (I, J), a in alpha.coeffs.items():
+    for (I, J), a in alpha.terms.items():
         for j, x in enumerate(gens):
+            hit = _merge_indices((), (j,), I, J) if starred else _merge_indices((j,), (), I, J)
+            if hit is None:
+                continue
             c = commutator(x, a)
             if c.norm() == 0.0:
-                continue
-            hit = _prepend_covector(starred, j, I, J)
-            if hit is None:
                 continue
             sign, key = hit
             term = c if sign > 0 else -c
             out[key] = out[key] + term if key in out else term
-    return DifferentialForm._make(basis, out)
+    return alpha._like(out)
 
 
 def delta(alpha: DifferentialForm) -> DifferentialForm:
@@ -268,8 +227,8 @@ def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
     """Exterior product; coefficients multiply in the carrier, in the order written."""
     alpha._check(beta)
     out: dict = {}
-    for (I1, J1), a in alpha.coeffs.items():
-        for (I2, J2), b in beta.coeffs.items():
+    for (I1, J1), a in alpha.terms.items():
+        for (I2, J2), b in beta.terms.items():
             hit = _merge_indices(I1, J1, I2, J2)
             if hit is None:
                 continue
@@ -278,7 +237,7 @@ def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
             if sign < 0:
                 term = -term
             out[key] = out[key] + term if key in out else term
-    return DifferentialForm._make(alpha.basis, out)
+    return alpha._like(out)
 
 
 def star(alpha: DifferentialForm) -> DifferentialForm:
@@ -289,22 +248,22 @@ def star(alpha: DifferentialForm) -> DifferentialForm:
     if alpha.basis.mode != "complex":
         raise BasisModeError("star needs complex mode")
     out: dict = {}
-    for (I, J), a in alpha.coeffs.items():
+    for (I, J), a in alpha.terms.items():
         sign = -1 if (len(I) * len(J)) % 2 else 1
         term = a.adjoint()
         if sign < 0:
             term = -term
         key = (J, I)
         out[key] = out[key] + term if key in out else term
-    return DifferentialForm._make(alpha.basis, out)
+    return alpha._like(out)
 
 
 def grade(alpha: DifferentialForm) -> dict[tuple[int, int], DifferentialForm]:
     """Split into homogeneous (p, q) components; summing them reassembles alpha."""
     buckets: dict = {}
-    for (I, J), a in alpha.coeffs.items():
+    for (I, J), a in alpha.terms.items():
         buckets.setdefault((len(I), len(J)), {})[(I, J)] = a
-    return {pq: DifferentialForm._make(alpha.basis, tbl) for pq, tbl in buckets.items()}
+    return {pq: alpha._like(tbl) for pq, tbl in buckets.items()}
 
 
 def component_rank(n: int, p: int, q: int) -> int:
@@ -320,5 +279,5 @@ def form_to_json(alpha: DifferentialForm, coeff_to_json) -> dict:
         "basis_ref": alpha.basis.label,
         "terms": [{"I": [i + 1 for i in I], "J": [j + 1 for j in J],
                    "coefficient": coeff_to_json(a)}
-                  for (I, J), a in sorted(alpha.coeffs.items())],
+                  for (I, J), a in sorted(alpha.terms.items())],
     }

@@ -52,8 +52,6 @@ class DirectedGraph:
             self.edges[name] = (str(src), str(rng))
         self._out = {v: tuple(e for e, (s, _) in self.edges.items() if s == v)
                      for v in self.vertices}
-        self._in = {v: tuple(e for e, (_, r) in self.edges.items() if r == v)
-                    for v in self.vertices}
 
     def source(self, edge: str) -> str:
         return self.edges[edge][0]
@@ -64,17 +62,8 @@ class DirectedGraph:
     def out_edges(self, v: str) -> tuple:
         return self._out[v]
 
-    def in_edges(self, v: str) -> tuple:
-        return self._in[v]
-
     def is_sink(self, v: str) -> bool:
         return not self._out[v]
-
-    def is_source(self, v: str) -> bool:
-        return not self._in[v]
-
-    def sinks(self) -> list[str]:
-        return [v for v in self.vertices if self.is_sink(v)]
 
     def has_loops(self) -> bool:
         """True when the graph contains a directed cycle."""
@@ -132,6 +121,18 @@ class DirectedGraph:
 
     def __repr__(self):
         return f"DirectedGraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
+
+
+def common_range_pairs(graph: DirectedGraph, max_len: int) -> list[CKTerm]:
+    """Term keys (mu, nu) with a common range and |mu|, |nu| <= max_len.
+
+    Grouped by range vertex, in the order the ranges first appear among
+    ``graph.paths_up_to(max_len)``, and in path order within each group.
+    """
+    by_range: dict = {}
+    for p in graph.paths_up_to(max_len):
+        by_range.setdefault(p.range, []).append(p)
+    return [(mu, nu) for group in by_range.values() for mu in group for nu in group]
 
 
 def parse_graph(text: str) -> DirectedGraph:
@@ -383,16 +384,8 @@ def h0_report(graph: DirectedGraph, max_len: int) -> dict:
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    paths = graph.paths_up_to(max_len)
-    by_range: dict = {}
-    for p in paths:
-        by_range.setdefault(p.range, []).append(p)
-    closed = []
-    for group in by_range.values():
-        for mu in group:
-            for nu in group:
-                if mu.source == nu.source:
-                    closed.append((mu, nu))
+    closed = [(mu, nu) for mu, nu in common_range_pairs(graph, max_len)
+              if mu.source == nu.source]
     loop_free = not graph.has_loops()
     report = {
         "closed_terms": closed,

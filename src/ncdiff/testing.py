@@ -29,11 +29,7 @@ def random_matelement(n: int, rng) -> MatElement:
 
 
 def random_graph_element(graph, rng, max_len: int = 2, n_terms: int = 3):
-    paths = graph.paths_up_to(max_len)
-    by_range: dict = {}
-    for p in paths:
-        by_range.setdefault(p.range, []).append(p)
-    pairs = [(mu, nu) for group in by_range.values() for mu in group for nu in group]
+    pairs = ga.common_range_pairs(graph, max_len)
     terms = {}
     for _ in range(n_terms):
         mu, nu = pairs[int(rng.integers(len(pairs)))]
@@ -137,7 +133,7 @@ def check_leibniz(samples: int = 30) -> list[tuple[str, float]]:
         for _ in range(samples):
             alpha = random_form(basis, lambda _: sample(), rng, max_terms=1)
             beta = random_form(basis, lambda _: sample(), rng, max_terms=1)
-            if not alpha.coeffs:
+            if not alpha.terms:
                 continue
             r = alpha.total_degree()
             lhs = forms.delta(forms.wedge(alpha, beta))

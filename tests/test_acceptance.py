@@ -80,7 +80,7 @@ def test_c02_leibniz_and_type_split():
         for _ in range(SAMPLES):
             alpha = random_form(basis, lambda _: sample(), rng, max_terms=1)
             beta = random_form(basis, lambda _: sample(), rng, max_terms=1)
-            if alpha.coeffs:
+            if alpha.terms:
                 r = alpha.total_degree()
                 lhs = F.delta(F.wedge(alpha, beta))
                 rhs = F.wedge(F.delta(alpha), beta) \

@@ -158,7 +158,7 @@ def _symbolic_matrix(op, out_indices, in_indices, basis, domain, codomain):
     for c, key in enumerate(in_indices):
         for i, b in enumerate(domain.elements()):
             image = op(DifferentialForm(basis, {key: b}))
-            for okey, coeff in image.coeffs.items():
+            for okey, coeff in image.terms.items():
                 r = out_pos[okey]
                 M[r * rows:(r + 1) * rows, c * cols + i] = codomain.coords(coeff)
     return M

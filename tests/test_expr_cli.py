@@ -26,7 +26,7 @@ def test_parse_examples(ctx, torus):
     v = E.evaluate(E.parse("U*U'"), ctx)
     assert (v - QElement.one(torus)).norm() == 0.0
     form = E.evaluate(E.parse("delta(V)"), ctx)
-    assert set(form.coeffs) == {((0,), ()), ((), (0,))}
+    assert set(form.terms) == {((0,), ()), ((), (0,))}
     assert E.evaluate(E.parse("delta(1)"), ctx).norm() == 0.0
     v = E.evaluate(E.parse("theta_hat(0.5, 0, U)"), ctx)
     assert abs(v.terms[(1, 0)] - cmath.exp(-0.5j)) < 1e-14
@@ -146,6 +146,9 @@ def test_cli_eval(spec_file):
     rc, out, _ = run_cli(["eval", "--spec", spec_file, "--json", "U*V"])
     items = json.loads(out)
     assert items == [{"exponents": [1, 1], "re": 1.0, "im": 0.0}]
+    # large but finite: only a non-finite result is rejected
+    rc, out, _ = run_cli(["eval", "--spec", spec_file, "1e300*U + 1e300*U"])
+    assert rc == 0 and out == "2e+300*U\n"
 
 
 def test_cli_eval_bad_input(spec_file):
@@ -225,6 +228,11 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
     (None, None, ["eval", "--spec", "{spec}", "1e308^2"]),
     (None, None, ["eval", "--spec", "{spec}", "2*1e400"]),
     (None, None, ["eval", "--spec", "{spec}", "theta_hat(1e400, 0, U)"]),
+    (None, None, ["eval", "--spec", "{spec}", "1e200*1e200"]),
+    (None, None, ["eval", "--spec", "{spec}", "1e200*U*1e200"]),
+    (None, None, ["eval", "--spec", "{spec}", "(1e200*U)^2"]),
+    (None, None, ["eval", "--spec", "{spec}", "[1e200*U, 1e200*V]"]),
+    (None, None, ["eval", "--spec", "{spec}", "--basis", "1", "delta(1e200*V*1e200)"]),
 ], ids=["spec-without-theta-matrix", "config-truncation-string",
         "config-dropped-tolerance", "config-dropped-normalized-trace",
         "config-not-an-object", "spec-theta-matrix-scalar",
@@ -232,7 +240,10 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
         "semigroup-zero-samples", "semigroup-infinite-time", "semigroup-nan-time",
         "semigroup-no-times", "cohomology-matrix-n-zero", "cohomology-trunc-zero",
         "eval-zero-to-negative-power", "eval-power-overflow",
-        "eval-infinite-literal", "eval-infinite-theta-hat-argument"])
+        "eval-infinite-literal", "eval-infinite-theta-hat-argument",
+        "eval-scalar-product-overflow", "eval-element-scale-overflow",
+        "eval-element-power-overflow", "eval-commutator-overflow",
+        "eval-form-coefficient-overflow"])
 def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     options = []
     if config is not None:

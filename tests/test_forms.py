@@ -27,6 +27,14 @@ def test_basis_validation_rejects_noncommuting(torus):
         DifferentialBasis([U, V])
 
 
+def test_basis_validation_rejects_commuting_non_normal_pair():
+    e12 = MatElement.unit(2, 0, 1)
+    shifted = e12 + MatElement.identity(2)
+    assert (e12 * shifted - shifted * e12).norm() == 0.0
+    with pytest.raises(BasisConditionError, match="mutually commute"):
+        DifferentialBasis([e12, shifted])
+
+
 def test_basis_selfadjoint_mode_checks():
     DifferentialBasis(projection_basis(2), mode="selfadjoint")
     clockish = MatElement(np.diag([1.0, 1j]))
@@ -44,9 +52,9 @@ def test_delta_matrix_example():
     basis = DifferentialBasis(projection_basis(2), mode="selfadjoint")
     e12 = MatElement.unit(2, 0, 1)
     d = delta(DifferentialForm.from_element(basis, e12))
-    assert set(d.coeffs) == {((0,), ()), ((1,), ())}
-    assert (d.coeffs[((0,), ())] - e12).norm() == 0.0
-    assert (d.coeffs[((1,), ())] + e12).norm() == 0.0
+    assert set(d.terms) == {((0,), ()), ((1,), ())}
+    assert (d.terms[((0,), ())] - e12).norm() == 0.0
+    assert (d.terms[((1,), ())] + e12).norm() == 0.0
 
 
 def test_delta_of_identity(torus, torus_basis):
@@ -58,8 +66,8 @@ def test_delta_of_identity(torus, torus_basis):
 def test_delta_torus_example(torus, torus_basis):
     V = QElement.generator(torus, 2)
     d = delta(DifferentialForm.from_element(torus_basis, V))
-    cU = d.coeffs[((0,), ())]
-    cUs = d.coeffs[((), (0,))]
+    cU = d.terms[((0,), ())]
+    cUs = d.terms[((), (0,))]
     assert abs(cU.terms[(1, 1)] - (1 - cmath.exp(-1j * THETA))) < 1e-14
     assert abs(cUs.terms[(-1, 1)] - (1 - cmath.exp(1j * THETA))) < 1e-14
 
@@ -68,7 +76,7 @@ def test_partial_halves(torus, torus_basis, rng):
     V = QElement.generator(torus, 2)
     alpha = DifferentialForm.from_element(torus_basis, V)
     p = partial(alpha)
-    assert set(p.coeffs) == {((0,), ())}
+    assert set(p.terms) == {((0,), ())}
     assert partial(DifferentialForm.from_element(torus_basis, QElement.one(torus))).norm() == 0.0
     for _ in range(100):
         form = random_form(torus_basis, lambda r: random_qelement(torus, r), rng)
@@ -100,8 +108,8 @@ def test_wedge_antisymmetry_and_units(torus):
     assert (wedge(one, a) - a).norm() == 0.0
     ab = wedge(a, b)
     ba = wedge(b, a)
-    assert (ab.coeffs[((0, 1), ())] - U * V).norm() < 1e-14
-    assert (ba.coeffs[((0, 1), ())] + V * U).norm() < 1e-14
+    assert (ab.terms[((0, 1), ())] - U * V).norm() < 1e-14
+    assert (ba.terms[((0, 1), ())] + V * U).norm() < 1e-14
     # noncommutative coefficients: not each other's negatives for theta != 0
     assert (ab + ba).norm() > 0.1
 
@@ -119,8 +127,8 @@ def test_star_examples(torus, torus_basis, rng):
     U = QElement.generator(torus, 1)
     a = DifferentialForm(torus_basis, {((0,), ()): U})
     s = star(a)
-    assert set(s.coeffs) == {((), (0,))}
-    assert (s.coeffs[((), (0,))] - U.adjoint()).norm() == 0.0
+    assert set(s.terms) == {((), (0,))}
+    assert (s.terms[((), (0,))] - U.adjoint()).norm() == 0.0
     one = DifferentialForm.from_element(torus_basis, QElement.one(torus))
     assert (star(one) - one).norm() == 0.0
     for _ in range(100):
@@ -191,7 +199,7 @@ def test_graded_leibniz(torus, rng):
     for _ in range(100):
         alpha = random_form(basis, lambda r: random_qelement(torus, r), rng, max_terms=1)
         beta = random_form(basis, lambda r: random_qelement(torus, r), rng, max_terms=1)
-        if not alpha.coeffs:
+        if not alpha.terms:
             continue
         r = alpha.total_degree()
         lhs = delta(wedge(alpha, beta))
@@ -228,9 +236,9 @@ def test_merge_sign_against_bubble_sort(rng):
         assert F._merge_indices(I1, J1, I2, J2) == \
             _bubble_sort_covectors(I1, J1, I2, J2)
         for j in range(n):
-            assert F._prepend_covector(False, j, I1, J1) == \
+            assert F._merge_indices((j,), (), I1, J1) == \
                 _bubble_sort_covectors((j,), (), I1, J1)
-            assert F._prepend_covector(True, j, I1, J1) == \
+            assert F._merge_indices((), (j,), I1, J1) == \
                 _bubble_sort_covectors((), (j,), I1, J1)
 
 
