@@ -12,13 +12,23 @@ coefficients.
 
 This module holds the one tolerance policy of the package: elements agree
 when their difference has norm at most ``EQ_TOLERANCE``, and term
-coefficients at or below ``PRUNE_EPSILON`` in modulus are dropped.
+coefficients at or below ``PRUNE_EPSILON`` in modulus are dropped.  A nan
+coefficient is never dropped and makes the norm nan, so the finiteness
+checks of :mod:`ncdiff.expr` see it.
 """
 
 from __future__ import annotations
 
+import math
+
 EQ_TOLERANCE = 1e-10
 PRUNE_EPSILON = 1e-12
+
+
+def largest(norms) -> float:
+    """Largest of some norms: 0.0 when there are none, nan when any is nan."""
+    norms = list(norms)
+    return math.nan if math.isnan(sum(norms)) else max(norms, default=0.0)
 
 
 def commutator(x, a):
@@ -83,5 +93,5 @@ class Terms(Normed):
         return self._like({k: c * v for k, v in self.terms.items()})
 
     def norm(self) -> float:
-        """Largest coefficient modulus (0.0 for the zero element)."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        """Largest coefficient modulus (0.0 for the zero element, nan if any is nan)."""
+        return largest(abs(c) for c in self.terms.values())

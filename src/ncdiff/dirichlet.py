@@ -1,10 +1,10 @@
 """Laplacian, heat semigroup and Dirichlet-form machinery over a differential basis.
 
 The generator is Delta = sum_j [(c_j U_j)^*, [c_j U_j, .]].  A differential
-basis is commuting and normal, so on a matrix carrier the scaled elements
-X_j = c_j U_j share an eigenbasis Q with X_j = Q diag(lambda_j) Q^*, and
-Delta acts as the Schur (entrywise) multiplier with symbol
-W[a, b] = sum_j |lambda_j(a) - lambda_j(b)|^2 on Q^* a Q.  The heat channel
+basis is commuting and normal, so on a matrix carrier its elements are
+U_j = Q diag(lambda_j) Q^* in one eigenbasis Q, which the basis keeps; Delta acts
+as the Schur (entrywise) multiplier with symbol
+W[a, b] = sum_j |c_j|^2 |lambda_j(a) - lambda_j(b)|^2 on Q^* a Q.  The heat channel
 is then Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is completely
 positive exactly when its symbol exp(-t W) is positive semidefinite.  The
 n^2 x n^2 superoperators on row-major vectorized matrices
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .carrier import EQ_TOLERANCE, commutator
+from .carrier import commutator
 from .forms import BasisModeError, DifferentialBasis
 from .matrix_algebra import MatElement, trace
 from .qlattice import QElement, _mul_angle, tau as q_tau
@@ -63,12 +63,10 @@ def _comm_superop(X: np.ndarray, n: int) -> np.ndarray:
 
 
 def _basis_mats(basis: DifferentialBasis, n: int) -> list[np.ndarray]:
-    mats = []
-    for x in basis.scaled:
-        if not isinstance(x, MatElement) or x.n != n:
-            raise ValueError("basis does not act on this matrix dimension")
-        mats.append(x.mat)
-    return mats
+    # only a validated matrix basis has an eigenbasis, and its elements share one size
+    if basis.eigenbasis is None or basis.elements[0].n != n:
+        raise ValueError("basis does not act on this matrix dimension")
+    return [x.mat for x in basis.scaled]
 
 
 def delta_superoperator(basis: DifferentialBasis, n: int) -> np.ndarray:
@@ -102,49 +100,17 @@ def heat_superoperator(t: float, basis: DifferentialBasis, n: int) -> np.ndarray
 
 # -- matrix Schur-multiplier route -------------------------------------------
 
-# incommensurate weights for the Hermitian combination in _joint_eigenbasis
-_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
 def _check_time(t: float) -> None:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
 
 
-def _joint_eigenbasis(mats: list[np.ndarray]):
-    """Common eigenbasis of the scaled basis matrices X_j and the heat symbol.
-
-    Returns ``(Q, W)``: a unitary Q with every Q^* X_j Q diagonal, and
-    W[a, b] = sum_j |lambda_j(a) - lambda_j(b)|^2, so that
-    Delta(a) = Q (W o Q^* a Q) Q^*.  Q is None when every X_j is already
-    diagonal, which keeps diagonals and Phi_t(1) = 1 bit-exact.  A basis
-    only commutes to within EQ_TOLERANCE, so the diagonalization is checked.
-    """
-    if not any((X - np.diag(np.diag(X))).any() for X in mats):
-        Q, lams = None, [np.diag(X) for X in mats]
-    else:
-        # the Hermitian parts X + X^* and i(X - X^*) all commute; a real
-        # combination with incommensurate weights has their joint
-        # eigenspaces as its eigenspaces.  Each part is scaled by its
-        # element, not by itself, so the rounding-level i(X - X^*) of a
-        # self-adjoint X stays negligible.
-        H = np.zeros(mats[0].shape, dtype=complex)
-        k = 0
-        for X in mats:
-            scale = np.abs(X).max() or 1.0
-            for part in (X + X.conj().T, 1j * (X - X.conj().T)):
-                k += 1
-                H += (1.0 + (k * _GOLDEN) % 1.0) / scale * part
-        Q = np.linalg.eigh(H)[1]
-        lams = []
-        for X in mats:
-            Y = Q.conj().T @ X @ Q
-            lam = np.diag(Y)
-            if np.abs(Y - np.diag(lam)).max() > EQ_TOLERANCE * max(1.0, np.abs(X).max()):
-                raise ValueError("basis matrices have no common eigenbasis "
-                                 "within tolerance")
-            lams.append(lam)
-    W = sum(np.abs(lam[:, None] - lam[None, :]) ** 2 for lam in lams)
+def _heat_symbol(basis: DifferentialBasis, n: int):
+    """(Q, W) with Delta(a) = Q (W o Q^* a Q) Q^*, from the basis's eigenbasis."""
+    _basis_mats(basis, n)
+    Q, lams = basis.eigenbasis
+    W = sum(abs(c) ** 2 * np.abs(lam[:, None] - lam[None, :]) ** 2
+            for c, lam in zip(basis.prefactors, lams))
     return Q, W
 
 
@@ -179,7 +145,7 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
     """Apply exp(-t Delta) to a matrix or q-lattice element."""
     _check_time(t)
     if isinstance(a, MatElement):
-        Q, W = _joint_eigenbasis(_basis_mats(basis, a.n))
+        Q, W = _heat_symbol(basis, a.n)
         return MatElement(_schur_heat(Q, np.exp(-t * W), a.mat))
     if isinstance(a, QElement):
         out = {e: c * float(np.exp(-t * _q_eigenvalue(basis, a.spec, e)))
@@ -237,9 +203,8 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
                     samples: int = 100, seed: int = 7) -> SemigroupAudit:
     """Run the complete-positivity / symmetry / conservativity / Markov checks.
 
-    The channel is applied as the Schur multiplier exp(-t W) in the joint
-    eigenbasis, so the eigenbasis and the symbol are computed once for all
-    times.  The Choi matrix is unitarily similar (via conj(Q) (x) Q) to the
+    The channel is applied as the Schur multiplier exp(-t W) in the basis's
+    joint eigenbasis, and the symbol is computed once for all times.  The Choi matrix is unitarily similar (via conj(Q) (x) Q) to the
     symbol on span{e_i (x) e_i} plus a zero block of size n^2 - n, so its
     least eigenvalue is read off the n x n symbol.
     """
@@ -250,7 +215,7 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
         _check_time(t)
     if samples < 1:
         raise ValueError("need at least one sample")
-    Q, W = _joint_eigenbasis(_basis_mats(basis, n))
+    Q, W = _heat_symbol(basis, n)
     rng = np.random.default_rng(seed)
     audit = SemigroupAudit(n=n, basis_label=basis.label)
     # one batched draw gives the same samples as drawing pair by pair

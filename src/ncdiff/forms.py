@@ -1,9 +1,10 @@
 """Graded differential forms over any carrier algebra.
 
 A differential basis is a tuple of carrier elements U_1..U_n whose members
-and adjoints mutually commute.  Forms are :class:`~ncdiff.carrier.Terms`
-over covector index pairs (I, J) with carrier-element coefficients,
-representing
+and adjoints mutually commute; for matrices, exactly when they share one
+unitary eigenbasis (Horn & Johnson, Matrix Analysis, 2.5).  Forms are
+:class:`~ncdiff.carrier.Terms` over covector index pairs (I, J) with
+carrier-element coefficients, representing
 
     alpha = sum a_{I,J} dU_I ^ dU_J^*
 
@@ -28,7 +29,8 @@ import warnings
 from math import comb
 from typing import Mapping, Sequence
 
-from .carrier import EQ_TOLERANCE, Terms, commutator
+from .carrier import EQ_TOLERANCE, Terms, commutator, largest
+from .matrix_algebra import MatElement, joint_eigenbasis
 
 FormIndex = tuple  # ((i_1..i_p), (j_1..j_q)) of 0-based slots, each ascending
 
@@ -53,12 +55,13 @@ class DifferentialBasis:
     mode:
         ``"complex"`` keeps paired covectors dU_j, dU_j^*;
         ``"selfadjoint"`` requires U_j = U_j^* and keeps only dU_j.
-    tol:
-        Tolerance for the construction-time commutation check.
+
+    A matrix family keeps the :func:`~ncdiff.matrix_algebra.joint_eigenbasis`
+    that validates it as ``eigenbasis``; it is None on other carriers.
     """
 
     def __init__(self, elements: Sequence, prefactors: Sequence[complex] | None = None,
-                 mode: str = "complex", tol: float = EQ_TOLERANCE, label: str = ""):
+                 mode: str = "complex", label: str = ""):
         if mode not in ("complex", "selfadjoint"):
             raise ValueError(f"unknown mode {mode!r}")
         self.elements = list(elements)
@@ -73,21 +76,29 @@ class DifferentialBasis:
         self.label = label
 
         adjoints = [u.adjoint() for u in self.elements]
-        # [X, Y]^* = [Y^*, X^*] and carrier norms are adjoint-invariant, so
-        # [U_i, U_j] for i < j and [U_i, U_j^*] for i <= j cover every pair
-        for i, u in enumerate(self.elements):
-            others = self.elements[i + 1:] + adjoints[i:]
-            if any(commutator(u, v).norm() > tol for v in others):
-                raise BasisConditionError(
-                    "basis elements and their adjoints must mutually commute")
+        self.eigenbasis = None
+        if all(isinstance(u, MatElement) for u in self.elements):
+            for u in self.elements[1:]:
+                self.elements[0]._check(u)  # one dimension for every element
+            self.eigenbasis = joint_eigenbasis([u.mat for u in self.elements])
+            commuting = self.eigenbasis is not None
+        else:
+            # [X, Y]^* = [Y^*, X^*] and carrier norms are adjoint-invariant, so
+            # [U_i, U_j] for i < j and [U_i, U_j^*] for i <= j cover every pair
+            commuting = all(commutator(u, v).norm() <= EQ_TOLERANCE
+                            for i, u in enumerate(self.elements)
+                            for v in self.elements[i + 1:] + adjoints[i:])
+        if not commuting:
+            raise BasisConditionError(
+                "basis elements and their adjoints must mutually commute")
         if mode == "selfadjoint":
             for u, ua in zip(self.elements, adjoints):
-                if (u - ua).norm() > tol:
+                if (u - ua).norm() > EQ_TOLERANCE:
                     raise BasisConditionError(
                         "self-adjoint mode needs self-adjoint basis elements")
         else:
             for j, (u, ua) in enumerate(zip(self.elements, adjoints)):
-                if (u - ua).norm() <= tol:
+                if (u - ua).norm() <= EQ_TOLERANCE:
                     warnings.warn(f"basis element {j + 1} is self-adjoint; the "
                                   "paired covectors dU, dU* coincide on it",
                                   stacklevel=2)
@@ -137,7 +148,7 @@ class DifferentialForm(Terms):
                     raise ValueError(f"bad covector index {idx}")
             if basis.mode == "selfadjoint" and J:
                 raise BasisModeError("self-adjoint mode has no starred covectors")
-            if a.norm() > 0.0:
+            if a.norm() != 0.0:
                 table[(I, J)] = a
         self.basis = basis
         self.terms = table
@@ -146,7 +157,7 @@ class DifferentialForm(Terms):
         """Form over the same basis: keys already canonical, drops zero coefficients."""
         out = object.__new__(DifferentialForm)
         out.basis = self.basis
-        out.terms = {k: a for k, a in terms.items() if a.norm() > 0.0}
+        out.terms = {k: a for k, a in terms.items() if a.norm() != 0.0}
         return out
 
     @classmethod
@@ -163,8 +174,8 @@ class DifferentialForm(Terms):
             raise ValueError("forms live over different bases")
 
     def norm(self) -> float:
-        """Largest coefficient norm (0.0 for the zero form)."""
-        return max((a.norm() for a in self.terms.values()), default=0.0)
+        """Largest coefficient norm (0.0 for the zero form, nan if any is nan)."""
+        return largest(a.norm() for a in self.terms.values())
 
     def degrees(self) -> set:
         return {(len(I), len(J)) for I, J in self.terms}

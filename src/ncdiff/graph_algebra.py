@@ -175,7 +175,7 @@ class GraphElement(Terms):
             if mu.range != nu.range:
                 raise ValueError(f"term ({mu}, {nu}) violates the common-range condition")
             c = complex(c)
-            if abs(c) > PRUNE_EPSILON:
+            if not abs(c) <= PRUNE_EPSILON:  # keeps a nan for the finiteness checks
                 tt[(mu, nu)] = c
         self.graph = graph
         self.terms = tt
@@ -184,7 +184,7 @@ class GraphElement(Terms):
         """Element over the same graph: terms already canonical, only prunes."""
         out = object.__new__(GraphElement)
         out.graph = self.graph
-        out.terms = {t: c for t, c in terms.items() if abs(c) > PRUNE_EPSILON}
+        out.terms = {t: c for t, c in terms.items() if not abs(c) <= PRUNE_EPSILON}
         return out
 
     @classmethod

@@ -1,10 +1,10 @@
-"""Dense complex matrix carrier with the diagonal-projection differential basis."""
+"""Dense complex matrix carrier, its diagonal-projection basis and joint eigenbases."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .carrier import Normed
+from .carrier import EQ_TOLERANCE, Normed
 
 
 class MatElement(Normed):
@@ -86,6 +86,37 @@ def projection_basis(n: int) -> list[MatElement]:
     if n < 2:
         raise ValueError("projection basis needs n >= 2")
     return [MatElement.unit(n, j, j) for j in range(n)]
+
+
+def joint_eigenbasis(mats: list[np.ndarray]):
+    """Common unitary eigenbasis of commuting normal matrices X_j.
+
+    ``(Q, [lambda_j])`` with every Q^* X_j Q = diag(lambda_j) within
+    EQ_TOLERANCE * max(1, |X_j|_max), or None when there is none; Q is None
+    when every X_j is diagonal, which keeps them bit-exact.  The Hermitian
+    parts X + X^* and i(X - X^*) are diagonalized in turn, each only inside
+    the eigenspaces the earlier parts left degenerate (eigenvalue gaps within
+    the tolerance count as degenerate).
+    """
+    if not any((X - np.diag(np.diag(X))).any() for X in mats):
+        return None, [np.diag(X) for X in mats]
+    tols = [EQ_TOLERANCE * max(1.0, np.abs(X).max()) for X in mats]
+    blocks = [np.eye(len(mats[0]), dtype=complex)]  # bases of the eigenspaces so far
+    for X, tol in zip(mats, tols):
+        for part in (X + X.conj().T, 1j * (X - X.conj().T)):
+            refined = []
+            for B in blocks:
+                if B.shape[1] > 1:
+                    lam, V = np.linalg.eigh(B.conj().T @ part @ B)
+                    refined += np.split(B @ V, np.flatnonzero(np.diff(lam) > tol) + 1, axis=1)
+                else:
+                    refined.append(B)
+            blocks = refined
+    Q = np.hstack(blocks)
+    Ys = [Q.conj().T @ X @ Q for X in mats]
+    if any(np.abs(Y - np.diag(np.diag(Y))).max() > tol for Y, tol in zip(Ys, tols)):
+        return None
+    return Q, [np.diag(Y) for Y in Ys]
 
 
 def trace(a: MatElement, normalized: bool = True) -> complex:

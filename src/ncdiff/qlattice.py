@@ -114,7 +114,7 @@ class QElement(Terms):
             if len(mono) != m:
                 raise ValueError(f"monomial {mono} has wrong arity for {m} generators")
             c = complex(c)
-            if abs(c) > eps:
+            if not abs(c) <= eps:  # keeps a nan for the finiteness checks
                 tt[tuple(int(x) for x in mono)] = c
         self.spec = spec
         self.terms = tt
@@ -124,7 +124,7 @@ class QElement(Terms):
         out = object.__new__(QElement)
         out.spec = self.spec
         eps = self.spec.prune_epsilon
-        out.terms = {e: c for e, c in terms.items() if abs(c) > eps}
+        out.terms = {e: c for e, c in terms.items() if not abs(c) <= eps}
         return out
 
     # -- constructors ------------------------------------------------------

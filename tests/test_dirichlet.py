@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ncdiff.dirichlet as D
-from ncdiff.forms import BasisModeError, DifferentialBasis
-from ncdiff.matrix_algebra import MatElement, projection_basis, trace
+from ncdiff.carrier import EQ_TOLERANCE
+from ncdiff.forms import BasisConditionError, BasisModeError, DifferentialBasis
+from ncdiff.matrix_algebra import MatElement, joint_eigenbasis, projection_basis, trace
 from ncdiff.qlattice import QElement, tau
 from ncdiff.testing import random_matelement, random_qelement
 
@@ -151,8 +153,8 @@ def test_schur_heat_matches_superoperator(kind, n, rng):
     elif kind == "rotated":
         basis = _rotated_unitary_basis(n, seed=n)
     else:
-        # the projections sum to 1, so only unequal weights in the Hermitian
-        # combination separate their eigenspaces
+        # each rotated projection splits one eigenvector off a degenerate rest,
+        # so the eigenbasis comes from refining one element at a time
         q = _random_unitary(n, np.random.default_rng(n))
         basis = DifferentialBasis([MatElement(q @ p.mat @ q.conj().T)
                                    for p in projection_basis(n)], mode="selfadjoint")
@@ -171,6 +173,90 @@ def test_schur_heat_matches_superoperator(kind, n, rng):
             assert row["conservativity_error"] == 0.0
 
 
+# -- joint eigenbasis against the superoperator oracle ------------------------
+
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+# weights w_k = 1 + frac(k phi) of X + X^* and i(X - X^*) in a single real
+# combination; the eigenvalue 1 + i w1/w2 lands on 0 in that combination
+_W1, _W2 = 1.0 + _PHI % 1.0, 1.0 + (2.0 * _PHI) % 1.0
+_GOLDEN_ALIGNED = (_random_unitary(3, np.random.default_rng(3)),
+                   [np.array([0.0, 1.0 + 1j * _W1 / _W2, 3.0])], [1.0])
+
+
+@st.composite
+def normal_families(draw):
+    """(R, [lambda_j], [c_j]) for the commuting normal family R diag(lambda_j) R^*.
+
+    Eigenvalues come from a small Gaussian-integer grid, so they repeat
+    within an element and across elements.
+    """
+    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = draw(st.integers(1, n))
+    lams = []
+    for _ in range(k):
+        grid = rng.integers(-2, 3, levels) + 1j * rng.integers(-2, 3, levels)
+        lams.append(rng.choice(grid, n))
+    prefactors = [complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(k)]
+    return _random_unitary(n, rng), lams, prefactors
+
+
+def _rotated(R, lams):
+    return [R @ np.diag(lam) @ R.conj().T for lam in lams]
+
+
+def _pairwise_commute(mats) -> bool:
+    """The commutator rule for other carriers: every [X_i, X_j], [X_i, X_j^*] small."""
+    pool = mats + [X.conj().T for X in mats]
+    return all(np.abs(X @ Y - Y @ X).max() <= EQ_TOLERANCE for X in mats for Y in pool)
+
+
+@pytest.mark.filterwarnings("ignore:basis element")
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(family=normal_families(), t=st.sampled_from([0.1, 1.0]), seed=st.integers(0, 99))
+@example(family=_GOLDEN_ALIGNED, t=1.0, seed=0)
+def test_joint_eigenbasis_matches_superoperator(family, t, seed):
+    R, lams, prefactors = family
+    mats = _rotated(R, lams)
+    n = R.shape[0]
+    Q, found = joint_eigenbasis(mats)
+    Q = np.eye(n) if Q is None else Q  # an all-diagonal family, such as zero
+    assert np.abs(Q.conj().T @ Q - np.eye(n)).max() <= 1e-12
+    for X, lam in zip(mats, found):
+        assert np.abs(Q.conj().T @ X @ Q - np.diag(lam)).max() <= 1e-12
+    basis = DifferentialBasis([MatElement(X) for X in mats], prefactors=prefactors)
+    a = random_matelement(n, np.random.default_rng(seed))
+    S = D.heat_superoperator(t, basis, n)
+    fast = D.heat_semigroup(a, t, basis).mat
+    assert np.abs(fast - (S @ a.mat.reshape(-1)).reshape(n, n)).max() <= 1e-12
+    C = D.choi_matrix(t, n, basis).mat
+    choi_min = np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0]
+    row, = D.audit_semigroup([t], n, basis, samples=2).results
+    assert abs(row["choi_min_eigenvalue"] - choi_min) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(family=normal_families(), eps=st.sampled_from([1e-6, 1e-3]), data=st.data())
+def test_perturbed_family_is_rejected(family, eps, data):
+    R, lams, _ = family
+    n = R.shape[0]
+    # the pairwise rule sees a Hermitian coupling of eigenvectors a and b at
+    # first order once some element, or the imaginary part of the first, tells
+    # them apart
+    labels = [tuple(lam[i] for lam in lams[1:]) + (lams[0][i].imag,) for i in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a) if labels[a] != labels[b]]
+    assume(pairs)
+    a, b = data.draw(st.sampled_from(pairs))
+    coupling = np.zeros((n, n))
+    coupling[a, b] = coupling[b, a] = eps
+    mats = _rotated(R, lams)
+    mats[0] = R @ (np.diag(lams[0]) + coupling) @ R.conj().T
+    assert not _pairwise_commute(mats)
+    assert joint_eigenbasis(mats) is None
+    with pytest.raises(BasisConditionError, match="mutually commute"):
+        DifferentialBasis([MatElement(X) for X in mats])
+
+
 def test_heat_rejects_bad_input(p_basis2, torus, torus_basis):
     e12 = MatElement.unit(2, 0, 1)
     V = QElement.generator(torus, 2)
@@ -185,13 +271,11 @@ def test_heat_rejects_bad_input(p_basis2, torus, torus_basis):
         D.audit_semigroup([1.0], 2, p_basis2, samples=0)
     with pytest.raises(ValueError):
         D.audit_semigroup([], 2, p_basis2)
-    # a loose construction tolerance lets non-commuting matrices through;
-    # the joint eigenbasis must still refuse them
-    sx = MatElement(np.array([[0, 1], [1, 0]], dtype=complex))
-    sz = MatElement(np.diag([1.0, -1.0]).astype(complex))
-    loose = DifferentialBasis([sx, sz], mode="selfadjoint", tol=10.0)
-    with pytest.raises(ValueError):
-        D.heat_semigroup(e12, 1.0, loose)
+    # the basis must be a matrix basis of the operand's size
+    for call in (lambda: D.heat_semigroup(e12, 1.0, torus_basis),
+                 lambda: D.audit_semigroup([1.0], 3, p_basis2)):
+        with pytest.raises(ValueError, match="does not act on this matrix dimension"):
+            call()
 
 
 def test_trotter(p_basis2, p_basis3):

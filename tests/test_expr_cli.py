@@ -1,10 +1,15 @@
 import cmath
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import ncdiff
 import ncdiff.cli as cli
 import ncdiff.expr as E
 from ncdiff.cli import main
@@ -233,6 +238,10 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
     (None, None, ["eval", "--spec", "{spec}", "(1e200*U)^2"]),
     (None, None, ["eval", "--spec", "{spec}", "[1e200*U, 1e200*V]"]),
     (None, None, ["eval", "--spec", "{spec}", "--basis", "1", "delta(1e200*V*1e200)"]),
+    (None, None, ["eval", "--spec", "{spec}", "1e200*1e200*U - 1e200*1e200*U"]),
+    (None, None, ["eval", "--spec", "{spec}", "(1e200*U)^2 - (1e200*U)^2"]),
+    (None, None, ["eval", "--spec", "{spec}", "--basis", "1",
+                  "delta(1e200*1e200*V - 1e200*1e200*V)"]),
 ], ids=["spec-without-theta-matrix", "config-truncation-string",
         "config-dropped-tolerance", "config-dropped-normalized-trace",
         "config-not-an-object", "spec-theta-matrix-scalar",
@@ -243,7 +252,8 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
         "eval-infinite-literal", "eval-infinite-theta-hat-argument",
         "eval-scalar-product-overflow", "eval-element-scale-overflow",
         "eval-element-power-overflow", "eval-commutator-overflow",
-        "eval-form-coefficient-overflow"])
+        "eval-form-coefficient-overflow", "eval-overflow-difference",
+        "eval-power-overflow-difference", "eval-form-overflow-difference"])
 def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     options = []
     if config is not None:
@@ -289,6 +299,22 @@ def test_cli_selftest():
     rc, out, _ = run_cli(["selftest"])
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_module_entry_points():
+    env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    done = run_module("ncdiff", "selftest")
+    assert done.returncode == 0
+    lines = done.stdout.splitlines()
+    assert lines and all(line.endswith(" PASS") for line in lines)
+    done = run_module("ncdiff.cli", "cohomology", "--carrier", "matrix", "--n", "0")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_cli_config(tmp_path, spec_file):

@@ -25,6 +25,12 @@ def test_basis_validation_rejects_noncommuting(torus):
     V = QElement.generator(torus, 2)
     with pytest.raises(BasisConditionError):
         DifferentialBasis([U, V])
+    # two Hermitian matrices that share no eigenbasis
+    sx = MatElement(np.array([[0, 1], [1, 0]], dtype=complex))
+    sz = MatElement(np.diag([1.0, -1.0]))
+    for mode in ("complex", "selfadjoint"):
+        with pytest.raises(BasisConditionError, match="mutually commute"):
+            DifferentialBasis([sx, sz], mode=mode)
 
 
 def test_basis_validation_rejects_commuting_non_normal_pair():

@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +20,20 @@ from conftest import diamond_graph, graph_corpus, line_graph, loop_graph, star_t
 
 def two_vertex():
     return DirectedGraph(["v", "w"], {"e": ("v", "w")})
+
+
+def test_nan_coefficient_survives_cancellation():
+    g = two_vertex()
+    p, q = (vertex_projection(g, v) for v in g.vertices)
+    x = p.scale(math.inf) + q
+    diff = x - x
+    assert list(diff.terms) == list(p.terms)
+    assert all(cmath.isnan(c) for c in diff.terms.values())
+    assert math.isnan(diff.norm())
+    # the norm sees a nan whatever the term order
+    (kp,), (kq,) = p.terms, q.terms
+    for pairs in ([(kp, math.nan), (kq, 1.0)], [(kq, 1.0), (kp, math.nan)]):
+        assert math.isnan(GraphElement(g, dict(pairs)).norm())
 
 
 def test_parse_and_text_roundtrip():

@@ -79,6 +79,8 @@ def test_laplacian_is_twice_offdiag(rng):
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         MatElement.identity(2) * MatElement.identity(3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        DifferentialBasis([MatElement.identity(2), MatElement.identity(3)])
 
 
 def test_rejects_nonfinite():
