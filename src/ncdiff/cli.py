@@ -3,13 +3,15 @@
 Subcommands: ``eval`` (expression to normal form), ``cohomology``
 (complex-dimension report), ``graph`` (combinatorial reports), ``semigroup``
 (heat-channel audit), ``deform`` (limit sweeps), ``selftest``.  Exit codes:
-0 success, 1 failed check, 2 bad input.
+0 success, 1 failed check, 2 bad input, 141 (128 + SIGPIPE) when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +28,7 @@ from .qlattice import (QElement, element_to_json, heisenberg_spec, spec_from_jso
 
 BAD_INPUT = 2
 FAILED_CHECK = 1
+CLOSED_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
 
 
 @dataclass
@@ -241,7 +244,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = Config.load(args.config)
-        return args.func(args, cfg)
+        rc = args.func(args, cfg)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader closed stdout (``ncdiff selftest | head -1``): stop quietly
+        # and let the flush at interpreter exit write to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -96,7 +96,9 @@ def joint_eigenbasis(mats: list[np.ndarray]):
     when every X_j is diagonal, which keeps them bit-exact.  The Hermitian
     parts X + X^* and i(X - X^*) are diagonalized in turn, each only inside
     the eigenspaces the earlier parts left degenerate (eigenvalue gaps within
-    the tolerance count as degenerate).
+    the tolerance count as degenerate).  A part with Frobenius norm <= tol/2,
+    such as the rounding-level i(X - X^*) of a self-adjoint X, has every
+    eigenvalue within +-tol/2, cannot split an eigenspace, and is skipped.
     """
     if not any((X - np.diag(np.diag(X))).any() for X in mats):
         return None, [np.diag(X) for X in mats]
@@ -104,6 +106,8 @@ def joint_eigenbasis(mats: list[np.ndarray]):
     blocks = [np.eye(len(mats[0]), dtype=complex)]  # bases of the eigenspaces so far
     for X, tol in zip(mats, tols):
         for part in (X + X.conj().T, 1j * (X - X.conj().T)):
+            if np.linalg.norm(part) <= tol / 2:
+                continue
             refined = []
             for B in blocks:
                 if B.shape[1] > 1:

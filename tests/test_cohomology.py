@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncdiff.cohomology as C
 import ncdiff.forms as F
@@ -295,3 +296,82 @@ def test_report_json(m2_setup):
     d = report.to_json()
     assert set(d) == {"basis", "carrier", "truncation", "degrees"}
     assert d["degrees"][0] == {"k": 0, "dim_ker": 2, "rank_prev": 0, "h_dim": 2}
+
+
+# -- rank by connected blocks against the dense rule --------------------------
+
+
+def _dense_rank(M):
+    """The rule on one dense SVD: sigma > max(shape) * eps * sigma_max."""
+    if M.size == 0:
+        return 0
+    s = np.linalg.svd(M, compute_uv=False)
+    return int((s > max(M.shape) * np.finfo(float).eps * s[0]).sum())
+
+
+@st.composite
+def permuted_block_diagonals(draw):
+    """(M, rank) for a row- and column-permuted block-diagonal M.
+
+    Block j is a product of Gaussian factors of inner size r_j <= min(shape),
+    so it has rank r_j (r_j = 0 leaves zero rows and columns), scaled by 1 or
+    1e-6; the first shape repeats so that blocks share a stacked SVD, and zero
+    rows and columns pad the matrix.
+    """
+    dims = st.integers(1, 4)
+    shapes = draw(st.lists(st.tuples(dims, dims), max_size=5))
+    shapes += shapes[:1] * draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pad_rows, pad_cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    M = np.zeros((sum(h for h, _ in shapes) + pad_rows,
+                  sum(w for _, w in shapes) + pad_cols), dtype=complex)
+    i = j = rank = 0
+    for h, w in shapes:
+        r = draw(st.integers(0, min(h, w)))
+        scale = draw(st.sampled_from([1.0, 1e-6]))
+        left = rng.standard_normal((h, r)) + 1j * rng.standard_normal((h, r))
+        right = rng.standard_normal((r, w)) + 1j * rng.standard_normal((r, w))
+        M[i:i + h, j:j + w] = scale * left @ right
+        i, j, rank = i + h, j + w, rank + r
+    return M[rng.permutation(M.shape[0])][:, rng.permutation(M.shape[1])], rank
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=permuted_block_diagonals())
+def test_numeric_rank_matches_dense_rule(case):
+    M, rank = case
+    assert C.numeric_rank(M) == _dense_rank(M) == rank
+
+
+def test_numeric_rank_edge_cases():
+    for shape in [(0, 4), (4, 0), (0, 0), (3, 5)]:
+        assert C.numeric_rank(np.zeros(shape, dtype=complex)) == 0
+    # 1e-12 sits far above the cut 20 * eps * 1 and is kept
+    M = np.zeros((20, 20), dtype=complex)
+    M[3, 17], M[11, 2] = 1.0, 1e-12
+    assert C.numeric_rank(M) == _dense_rank(M) == 2
+    # the cut uses the global sigma_max: a block of its own shape whose only
+    # sigma is 1e-17 still falls below it
+    M[5, [7, 9]] = 1e-17
+    assert C.numeric_rank(M) == _dense_rank(M) == 2
+
+
+def test_m7_projection_closed_form():
+    n = 7
+    basis = DifferentialBasis(projection_basis(n), mode="selfadjoint")
+    report = C.deRham_dims(basis, C.MatrixCarrierBasis(n))
+    assert [row.h_dim for row in report.degrees] == \
+        [n * math.comb(n, k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("case", ["torus theta 0.9 K 12", "heisenberg {W} K 4"])
+def test_truncated_reports_match_dense_rule(case, heisenberg, heisenberg_basis,
+                                            monkeypatch):
+    if case.startswith("torus"):
+        spec = torus_spec(0.9)
+        basis, K = DifferentialBasis([QElement.generator(spec, 1)]), 12
+    else:
+        spec, basis, K = heisenberg, heisenberg_basis, 4
+    blocks = C.deRham_dims_truncated(basis, spec, K).to_json()
+    monkeypatch.setattr(C, "numeric_rank", _dense_rank)
+    assert C.deRham_dims_truncated(basis, spec, K).to_json() == blocks

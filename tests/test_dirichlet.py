@@ -257,6 +257,25 @@ def test_perturbed_family_is_rejected(family, eps, data):
         DifferentialBasis([MatElement(X) for X in mats])
 
 
+def test_rounding_level_parts_skip_eigh(monkeypatch):
+    # i(X - X^*) of a rotated projection is rounding noise, so the only eigh
+    # calls are the n - 1 refinements by X + X^* that split one eigenvector off
+    n = 8
+    R = _random_unitary(n, np.random.default_rng(5))
+    mats = [R @ p.mat @ R.conj().T for p in projection_basis(n)]
+    eigh, norms = np.linalg.eigh, []
+
+    def counting_eigh(a):
+        norms.append(np.linalg.norm(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    Q, found = joint_eigenbasis(mats)
+    assert len(norms) == n - 1 and min(norms) > 1.0
+    for X, lam in zip(mats, found):
+        assert np.abs(Q.conj().T @ X @ Q - np.diag(lam)).max() <= 1e-12
+
+
 def test_heat_rejects_bad_input(p_basis2, torus, torus_basis):
     e12 = MatElement.unit(2, 0, 1)
     V = QElement.generator(torus, 2)

@@ -317,6 +317,24 @@ def test_module_entry_points():
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def test_closed_stdout_exits_quietly():
+    # Unbuffered, so every selftest line is its own write and the lines after
+    # the first meet the closed pipe.
+    env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]),
+               PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-m", "ncdiff", "selftest"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline().endswith(" PASS\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.CLOSED_PIPE == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""  # no "error:" line and no traceback
+
+
 def test_cli_config(tmp_path, spec_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"prune_epsilon": 1e-6}))
