@@ -3,8 +3,8 @@
 Subcommands: ``eval`` (expression to normal form), ``cohomology``
 (complex-dimension report), ``graph`` (combinatorial reports), ``semigroup``
 (heat-channel audit), ``deform`` (limit sweeps), ``selftest``.  Exit codes:
-0 success, 1 failed check, 2 bad input, 141 (128 + SIGPIPE) when the reader
-closes stdout early.
+0 success, 1 failed check, 2 bad input (also an input too large for memory),
+141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         # and let the flush at interpreter exit write to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CLOSED_PIPE
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

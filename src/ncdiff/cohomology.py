@@ -2,16 +2,19 @@
 
 Degree-k forms over a finite-dimensional (or truncated) carrier span a
 vector space with basis {covector index} x {carrier basis element}.  The
-derivative acts by inner derivations, so each map is assembled from the
-matrices A_j of a -> [c_j U_j, a] (and of the starred elements), copied
-with their exterior signs into the covector blocks they reach; the
-degree-zero commutant systems stack the same A_j.  Ranks take one SVD per
-connected component of a map's nonzero pattern (blocks of one shape share a
-stacked SVD) and count singular values above max(shape) * eps * sigma_max,
-with the shape and sigma_max of the whole map.  When every A_j sends a
-carrier key to a single key, as for diagonal matrices, monomials and vertex
-projections, the components are small.  Truncated q-lattice carriers use
-nested exponent balls so the assembled maps never leave their codomain.
+derivative acts by inner derivations, so a complex builds the matrices A_j
+of a -> [c_j U_j, a] (and of the starred elements) once, and each of its
+maps copies them with their exterior signs into the covector blocks they
+reach; the degree-zero commutant systems stack the same A_j, and the
+Fuglede-Putnam check compares the dimensions of two commutants.  Ranks
+take one SVD per connected component of a map's nonzero pattern (blocks of
+one shape share a stacked SVD) and count singular values above
+max(shape) * eps * sigma_max, with the shape and sigma_max of the whole
+map.  When every A_j sends a carrier key to a single key, as for diagonal
+matrices, monomials and vertex projections, the components are small.
+Truncated q-lattice carriers use nested exponent balls so the assembled
+maps never leave their codomain; the inner maps take their blocks as
+slices of the outer ones.
 """
 
 from __future__ import annotations
@@ -127,31 +130,44 @@ def _ad_matrix(x, elems: list, codomain) -> np.ndarray:
     return A
 
 
-def _assemble(families: tuple, out_indices: list, in_indices: list,
-              basis: DifferentialBasis, domain, codomain) -> np.ndarray:
-    """Matrix of the half-derivatives in ``families`` (starred flags).
+def _commutator_blocks(basis: DifferentialBasis, domain, codomain=None,
+                       families: tuple | None = None) -> list:
+    """(covector, A_j) per generator of the half-derivatives in ``families``
+    (starred flags; default: those of delta in the basis's mode).
 
-    Block (out, in) is +-A_j where prepending dU_j (dU_j^* when starred) to
-    covector index ``in`` gives ``out``; each A_j is built only when some
-    block needs it, and dropped before the next generator's.
+    A_j is the matrix of a -> [c_j U_j, a] (a -> [(c_j U_j)^*, a] when
+    starred) from ``domain`` into ``codomain`` (default: the same), and the
+    covector ((j,), ()) or ((), (j,)) is the dU_j or dU_j^* it contributes.
     """
-    rows, cols = codomain.dim, domain.dim
+    if families is None:
+        families = (False,) if basis.mode == "selfadjoint" else (False, True)
+    elems = domain.elements()
+    return [(((), (j,)) if starred else ((j,), ()), _ad_matrix(x, elems, codomain or domain))
+            for starred in families
+            for j, x in enumerate(basis.scaled_star if starred else basis.scaled)]
+
+
+def _assemble(blocks: list, out_indices: list, in_indices: list) -> np.ndarray:
+    """Map from covector indices ``in_indices`` to ``out_indices``.
+
+    Block (out, in) is +-A_j where prepending the covector of A_j to ``in``
+    gives ``out``.
+    """
+    rows, cols = blocks[0][1].shape
     out_pos = {idx: i for i, idx in enumerate(out_indices)}
     M = np.zeros((rows * len(out_indices), cols * len(in_indices)), dtype=complex)
-    elems = domain.elements()
-    for starred in families:
-        for j, x in enumerate(basis.scaled_star if starred else basis.scaled):
-            A = None
-            cov = ((), (j,)) if starred else ((j,), ())
-            for c, (I, J) in enumerate(in_indices):
-                hit = _merge_indices(*cov, I, J)
-                if hit is None:
-                    continue
-                if A is None:
-                    A = _ad_matrix(x, elems, codomain)
-                sign, key = hit
-                r = out_pos[key]
-                M[r * rows:(r + 1) * rows, c * cols:(c + 1) * cols] = A if sign > 0 else -A
+    for cov, A in blocks:
+        for c, (I, J) in enumerate(in_indices):
+            hit = _merge_indices(*cov, I, J)
+            if hit is None:
+                continue
+            sign, key = hit
+            r = out_pos[key]
+            block = M[r * rows:(r + 1) * rows, c * cols:(c + 1) * cols]
+            if sign > 0:
+                block[...] = A
+            else:
+                np.negative(A, out=block)
     return M
 
 
@@ -163,12 +179,9 @@ def boundary_matrix(k: int, basis: DifferentialBasis, carrier_basis,
     (default: the same) must be large enough to hold every image coefficient,
     otherwise a :class:`TruncationError` is raised.
     """
-    codomain = codomain_basis or carrier_basis
     n, mode = basis.size, basis.mode
-    families = (False,) if mode == "selfadjoint" else (False, True)
-    return _assemble(families,
-                     _form_indices(n, k + 1, mode), _form_indices(n, k, mode),
-                     basis, carrier_basis, codomain)
+    return _assemble(_commutator_blocks(basis, carrier_basis, codomain_basis),
+                     _form_indices(n, k + 1, mode), _form_indices(n, k, mode))
 
 
 def dolbeault_matrix(p: int, q: int, basis: DifferentialBasis, carrier_basis,
@@ -176,11 +189,9 @@ def dolbeault_matrix(p: int, q: int, basis: DifferentialBasis, carrier_basis,
     """The starred half-derivative on (p, q) forms as an explicit matrix."""
     if basis.mode != "complex":
         raise BasisModeError("type decomposition needs complex mode")
-    codomain = codomain_basis or carrier_basis
     n = basis.size
-    return _assemble((True,),
-                     _dolbeault_indices(n, p, q + 1), _dolbeault_indices(n, p, q),
-                     basis, carrier_basis, codomain)
+    blocks = _commutator_blocks(basis, carrier_basis, codomain_basis, families=(True,))
+    return _assemble(blocks, _dolbeault_indices(n, p, q + 1), _dolbeault_indices(n, p, q))
 
 
 def _rank(s: np.ndarray, shape: tuple) -> int:
@@ -300,15 +311,20 @@ class ComplexReport:
         }
 
 
-def _chain_report(maps: list[np.ndarray], dims: list[int], basis_label: str,
-                  carrier_description: str, truncation: dict | None) -> ComplexReport:
-    """Cohomology rows from consecutive maps; maps[k] acts on a space of dims[k]."""
-    report = ComplexReport(basis_label, carrier_description, truncation)
-    ranks = [numeric_rank(M) for M in maps]
-    for k in range(len(maps)):
-        dim_ker = dims[k] - ranks[k]
-        rank_prev = ranks[k - 1] if k > 0 else 0
-        report.degrees.append(DegreeRow(k, dim_ker, rank_prev, dim_ker - rank_prev))
+def _ranks(blocks: list, indices: list) -> list[int]:
+    """Rank of each map from covector indices indices[k] to indices[k + 1]."""
+    return [numeric_rank(_assemble(blocks, out, inp))
+            for inp, out in zip(indices, indices[1:])]
+
+
+def _chain_report(basis_label: str, carrier_basis, indices: list, ranks: list,
+                  ranks_in: list, truncation: dict | None = None) -> ComplexReport:
+    """Rows of degrees 0..len(ranks)-1: degree k spans indices[k] x carrier_basis,
+    and its outgoing and incoming maps have ranks ranks[k] and ranks_in[k]."""
+    report = ComplexReport(basis_label, carrier_basis.description, truncation)
+    for k, (rank, rank_in) in enumerate(zip(ranks, ranks_in)):
+        dim_ker = len(indices[k]) * carrier_basis.dim - rank
+        report.degrees.append(DegreeRow(k, dim_ker, rank_in, dim_ker - rank_in))
     return report
 
 
@@ -316,22 +332,20 @@ def deRham_dims(basis: DifferentialBasis, carrier_basis,
                 max_degree: int | None = None) -> ComplexReport:
     """De Rham dimensions over an exact (untruncated) carrier."""
     top = basis.top_degree if max_degree is None else max_degree
-    maps, dims = [], []
-    for k in range(top + 1):
-        n_in = len(_form_indices(basis.size, k, basis.mode)) * carrier_basis.dim
-        dims.append(n_in)
-        maps.append(boundary_matrix(k, basis, carrier_basis))
-    return _chain_report(maps, dims, basis.label, carrier_basis.description, None)
+    if top < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {top}")
+    indices = [_form_indices(basis.size, k, basis.mode) for k in range(top + 2)]
+    ranks = _ranks(_commutator_blocks(basis, carrier_basis), indices)
+    return _chain_report(basis.label, carrier_basis, indices, ranks, [0] + ranks)
 
 
 def dolbeault_dims(p: int, basis: DifferentialBasis, carrier_basis) -> ComplexReport:
     """Dolbeault dimensions of the row at fixed unstarred degree p."""
-    n = basis.size
-    maps, dims = [], []
-    for q in range(n + 1):
-        dims.append(len(_dolbeault_indices(n, p, q)) * carrier_basis.dim)
-        maps.append(dolbeault_matrix(p, q, basis, carrier_basis))
-    return _chain_report(maps, dims, basis.label, carrier_basis.description, None)
+    if basis.mode != "complex":
+        raise BasisModeError("type decomposition needs complex mode")
+    indices = [_dolbeault_indices(basis.size, p, q) for q in range(basis.size + 2)]
+    ranks = _ranks(_commutator_blocks(basis, carrier_basis, families=(True,)), indices)
+    return _chain_report(basis.label, carrier_basis, indices, ranks, [0] + ranks)
 
 
 def _max_basis_degree(basis: DifferentialBasis) -> int:
@@ -350,41 +364,30 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
     most the basis degree d, so the chain uses the nested balls
     K-2d -> K-d -> K: the degree-k kernel is computed on the K-d ball and
     the incoming rank on the K-2d ball, keeping every assembled map inside
-    its stated codomain.  Cohomology numbers inherit the truncation and are
-    reported with that provenance.
+    its stated codomain.  The K-2d -> K-d blocks are the rows and columns of
+    the K-d -> K ones that the smaller balls keep.  Cohomology numbers
+    inherit the truncation and are reported with that provenance.
     """
+    top = basis.top_degree if max_degree is None else max_degree
+    if top < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {top}")
     d = _max_basis_degree(basis)
     if K < 2 * d:
         raise TruncationError(f"truncation K={K} too small for basis degree {d}")
-    ball_mid = QMonomialBasis(spec, K - d)
-    ball_small = QMonomialBasis(spec, K - 2 * d)
-    ball_big = QMonomialBasis(spec, K)
-    top = basis.top_degree if max_degree is None else max_degree
-    report = ComplexReport(basis.label,
-                           ball_mid.description,
-                           {"K": K, "kernel_domain_K": K - d, "image_domain_K": K - 2 * d})
-    for k in range(top + 1):
-        Mk = boundary_matrix(k, basis, ball_mid, ball_big)
-        dim_ker = ball_mid.dim * len(_form_indices(basis.size, k, basis.mode)) \
-            - numeric_rank(Mk)
-        rank_prev = 0
-        if k > 0:
-            Mprev = boundary_matrix(k - 1, basis, ball_small, ball_mid)
-            rank_prev = numeric_rank(Mprev)
-        report.degrees.append(DegreeRow(k, dim_ker, rank_prev, dim_ker - rank_prev))
-    return report
+    small, mid, big = (QMonomialBasis(spec, K - m * d) for m in (2, 1, 0))
+    blocks = _commutator_blocks(basis, mid, big)
+    indices = [_form_indices(basis.size, k, basis.mode) for k in range(top + 2)]
+    ranks = _ranks(blocks, indices)
+    keep = np.ix_([big._index[e] for e in mid.keys], [mid._index[e] for e in small.keys])
+    ranks_in = [0] + _ranks([(cov, A[keep]) for cov, A in blocks], indices[:top + 1])
+    return _chain_report(basis.label, mid, indices, ranks, ranks_in,
+                         {"K": K, "kernel_domain_K": K - d, "image_domain_K": K - 2 * d})
 
 
 # -- direct degree-zero routes ----------------------------------------------
 
-# residual bound for the Fuglede-Putnam containment and the C00 phase test
+# the phase test of c00_membership
 _TOL = 1e-8
-
-
-def _commutant_system(gens: list, carrier_basis) -> np.ndarray:
-    """Matrix of a -> ([x, a])_x: the blocks A_x stacked, one row block per x."""
-    elems = carrier_basis.elements()
-    return np.vstack([_ad_matrix(x, elems, carrier_basis) for x in gens])
 
 
 def commutant_kernel_dimension(basis: DifferentialBasis, carrier_basis,
@@ -396,31 +399,19 @@ def commutant_kernel_dimension(basis: DifferentialBasis, carrier_basis,
     ``include_adjoints`` the starred blocks join it, giving the complex-mode
     degree-zero map up to the order of its row blocks.
     """
-    gens = basis.scaled + (basis.scaled_star if include_adjoints else [])
-    return carrier_basis.dim - numeric_rank(_commutant_system(gens, carrier_basis))
-
-
-def _null_basis(M: np.ndarray) -> np.ndarray:
-    _, s, vh = np.linalg.svd(M)
-    return vh[_rank(s, M.shape):].conj().T
+    blocks = _commutator_blocks(basis, carrier_basis,
+                                families=(False, True) if include_adjoints else (False,))
+    return carrier_basis.dim - numeric_rank(np.vstack([A for _, A in blocks]))
 
 
 def fuglede_putnam_check(basis: DifferentialBasis, carrier_basis) -> bool:
     """Whether commuting with the basis forces commuting with the adjoints.
 
-    Compares the null space of a -> ([U_j, a])_j with the null space of the
-    system extended by the starred commutators: equal dimensions plus mutual
-    containment.
+    The commutant of {U_j, U_j^*} lies inside that of {U_j}, so the two are
+    equal exactly when their dimensions are.
     """
-    L1 = _commutant_system(basis.scaled, carrier_basis)
-    L2 = np.vstack([L1, _commutant_system(basis.scaled_star, carrier_basis)])
-    N1 = _null_basis(L1)
-    N2 = _null_basis(L2)
-    if N1.shape[1] != N2.shape[1]:
-        return False
-    if N1.shape[1] == 0:
-        return True
-    return float(np.abs(L2 @ N1).max()) <= _TOL
+    return (commutant_kernel_dimension(basis, carrier_basis)
+            == commutant_kernel_dimension(basis, carrier_basis, include_adjoints=True))
 
 
 def c00_membership(a: QElement):

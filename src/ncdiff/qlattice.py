@@ -61,6 +61,8 @@ class QAlgebraSpec:
         m = th.shape[0]
         if m < 1:
             raise ValueError("need at least one generator")
+        if not np.isfinite(th).all():
+            raise ValueError("structure angles must be finite")
         if not np.allclose(th, -th.T, atol=1e-12):
             raise ValueError("structure angle matrix must be skew-symmetric")
         np.fill_diagonal(th, 0.0)

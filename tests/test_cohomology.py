@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,6 +253,47 @@ def test_fuglede_putnam_checks(m2_setup, clock7_setup, rng):
     assert C.fuglede_putnam_check(basis4, C.MatrixCarrierBasis(4))
 
 
+def _null_space_fuglede_putnam(basis, carrier):
+    """The null-space route: null bases of a -> ([U_j, a])_j and of the system
+    extended by the starred commutators, by dense SVD with singular vectors;
+    equal dimensions plus the containment L2 N1 = 0."""
+    elems = carrier.elements()
+    L1 = np.vstack([C._ad_matrix(x, elems, carrier) for x in basis.scaled])
+    L2 = np.vstack([L1] + [C._ad_matrix(x, elems, carrier) for x in basis.scaled_star])
+
+    def null_basis(M):
+        _, s, vh = np.linalg.svd(M)
+        return vh[_dense_rank(M):].conj().T
+
+    N1, N2 = null_basis(L1), null_basis(L2)
+    if N1.shape[1] != N2.shape[1]:
+        return False
+    return N1.shape[1] == 0 or float(np.abs(L2 @ N1).max()) <= 1e-8
+
+
+def test_fuglede_putnam_matches_null_space_route(m2_setup, clock7_setup, rng):
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, _ = np.linalg.qr(x)
+    normal = MatElement(q @ np.diag([1.0, 1j, -1.0, 0.5 + 0.5j]) @ q.conj().T)
+    g = star_tree(3)
+    cases = [m2_setup, clock7_setup,
+             (DifferentialBasis([normal], label="random normal"), C.MatrixCarrierBasis(4)),
+             (DifferentialBasis([vertex_projection(g, v) for v in g.vertices],
+                                mode="selfadjoint"), C.GraphCarrierBasis(g, 2))]
+    for basis, carrier in cases:
+        assert C.fuglede_putnam_check(basis, carrier) is \
+            _null_space_fuglede_putnam(basis, carrier) is True
+    # a nilpotent N commutes with span{1, N} but only the scalars commute with
+    # N and N^* too; no DifferentialBasis admits it, so the blocks come bare
+    N = MatElement(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    bare = SimpleNamespace(scaled=[N], scaled_star=[N.adjoint()])
+    carrier = C.MatrixCarrierBasis(2)
+    assert C.commutant_kernel_dimension(bare, carrier) == 2
+    assert C.commutant_kernel_dimension(bare, carrier, include_adjoints=True) == 1
+    assert C.fuglede_putnam_check(bare, carrier) is \
+        _null_space_fuglede_putnam(bare, carrier) is False
+
+
 def test_c00_membership_branches(rng):
     spec = torus_spec(1.0)
     ok, wit = C.c00_membership(QElement(spec, {(2, 0): 3.0, (-1, 0): 1.0}))
@@ -375,3 +417,49 @@ def test_truncated_reports_match_dense_rule(case, heisenberg, heisenberg_basis,
     blocks = C.deRham_dims_truncated(basis, spec, K).to_json()
     monkeypatch.setattr(C, "numeric_rank", _dense_rank)
     assert C.deRham_dims_truncated(basis, spec, K).to_json() == blocks
+
+
+# -- one commutator matrix per generator per complex -------------------------
+
+
+@pytest.mark.parametrize("case", ["torus K 4", "heisenberg {W} K 3"])
+def test_truncated_maps_match_boundary_matrices(case, torus, torus_basis, heisenberg,
+                                                heisenberg_basis, monkeypatch):
+    # both bases have degree 1, so the balls are K-2 -> K-1 -> K
+    spec, basis, K = ((torus, torus_basis, 4) if case.startswith("torus")
+                      else (heisenberg, heisenberg_basis, 3))
+    small, mid, big = (C.QMonomialBasis(spec, K - m) for m in (2, 1, 0))
+    seen = []
+    monkeypatch.setattr(C, "numeric_rank", lambda M: seen.append(M) or 0)
+    C.deRham_dims_truncated(basis, spec, K)
+    # every outgoing map on the K-1 ball, then every incoming map, whose blocks
+    # are slices of the outgoing ones, on the K-2 ball
+    top = basis.top_degree
+    expected = [C.boundary_matrix(k, basis, mid, big) for k in range(top + 1)] \
+        + [C.boundary_matrix(k - 1, basis, small, mid) for k in range(1, top + 1)]
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_one_commutator_matrix_per_generator(torus, torus_basis, monkeypatch):
+    built = []
+    ad_matrix = C._ad_matrix
+    monkeypatch.setattr(C, "_ad_matrix",
+                        lambda *args: built.append(args[0]) or ad_matrix(*args))
+    C.deRham_dims_truncated(torus_basis, torus, 4)
+    assert len(built) == 2  # U and U^*
+    built.clear()
+    C.deRham_dims(DifferentialBasis(projection_basis(4), mode="selfadjoint"),
+                  C.MatrixCarrierBasis(4))
+    assert len(built) == 4  # p_1..p_4, one family in self-adjoint mode
+
+
+def test_negative_max_degree_rejected(m2_setup, torus, torus_basis):
+    with pytest.raises(ValueError, match="max_degree"):
+        C.deRham_dims(*m2_setup, max_degree=-1)
+    with pytest.raises(ValueError, match="max_degree"):
+        C.deRham_dims_truncated(torus_basis, torus, 4, max_degree=-1)
+    # degrees above the top one stay allowed: their rows are zero
+    rows = C.deRham_dims(*m2_setup, max_degree=3).to_json()["degrees"]
+    assert rows[3] == {"k": 3, "dim_ker": 0, "rank_prev": 0, "h_dim": 0}

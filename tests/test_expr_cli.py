@@ -1,6 +1,7 @@
 import cmath
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -242,6 +243,12 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
     (None, None, ["eval", "--spec", "{spec}", "(1e200*U)^2 - (1e200*U)^2"]),
     (None, None, ["eval", "--spec", "{spec}", "--basis", "1",
                   "delta(1e200*1e200*V - 1e200*1e200*V)"]),
+    (None, None, ["cohomology", "--carrier", "torus", "--trunc", "3", "--theta", "inf"]),
+    (None, None, ["cohomology", "--carrier", "heisenberg", "--mu", "inf"]),
+    (None, {"theta_matrix": [[0.0, -math.inf], [math.inf, 0.0]]}, EVAL_U),
+    (None, None, ["deform", "torus", "--params", "inf,1"]),
+    (None, None, ["cohomology", "--carrier", "matrix", "--n", "2", "--max-degree", "-1"]),
+    (None, None, ["cohomology", "--carrier", "torus", "--trunc", "3", "--max-degree", "-1"]),
 ], ids=["spec-without-theta-matrix", "config-truncation-string",
         "config-dropped-tolerance", "config-dropped-normalized-trace",
         "config-not-an-object", "spec-theta-matrix-scalar",
@@ -253,7 +260,10 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
         "eval-scalar-product-overflow", "eval-element-scale-overflow",
         "eval-element-power-overflow", "eval-commutator-overflow",
         "eval-form-coefficient-overflow", "eval-overflow-difference",
-        "eval-power-overflow-difference", "eval-form-overflow-difference"])
+        "eval-power-overflow-difference", "eval-form-overflow-difference",
+        "cohomology-infinite-theta", "cohomology-infinite-mu", "spec-infinite-theta",
+        "deform-infinite-parameter", "cohomology-matrix-negative-max-degree",
+        "cohomology-torus-negative-max-degree"])
 def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     options = []
     if config is not None:
@@ -268,6 +278,19 @@ def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     rc, out, err = run_cli(options + argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_memory_error_exits_2(monkeypatch):
+    # Whether a huge allocation raises or gets the process killed depends on
+    # the host's overcommit policy, so the error is raised by hand.
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(cli.dirichlet, "audit_semigroup", exhausted)
+    rc, out, err = run_cli(["semigroup", "--n", "2", "--t", "1",
+                            "--samples", "100000000000"])
+    assert rc == 2 and out == ""
+    assert err == "error: Unable to allocate 1.46 TiB for an array\n"
 
 
 def test_cli_deform_summary_is_strict_json():

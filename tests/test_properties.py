@@ -3,16 +3,17 @@
 Hypothesis draws q-lattice and graph elements, and forms whose
 coefficients are q-lattice, graph or matrix elements.  Exponents, path
 lengths and coefficients stay small, so every law holds within a tolerance
-relative to the norms involved.
+relative to the norms involved.  Over random commuting matrix bases the
+derivative also squares to zero and obeys the graded Leibniz rule.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdiff.forms import DifferentialBasis, DifferentialForm, delta
+from ncdiff.forms import DifferentialBasis, DifferentialForm, delta, wedge
 from ncdiff.graph_algebra import GraphElement, common_range_pairs, vertex_projection
-from ncdiff.matrix_algebra import projection_basis
+from ncdiff.matrix_algebra import MatElement, projection_basis
 from ncdiff.qlattice import QElement, heisenberg_spec, torus_spec
 from ncdiff.testing import loop_graph, random_matelement, star_tree
 
@@ -101,3 +102,52 @@ def test_delta_is_linear(label, data, c):
     alpha, beta = data.draw(family), data.draw(family)
     assert _close(delta(alpha + beta), delta(alpha) + delta(beta))
     assert _close(delta(alpha.scale(c)), delta(alpha).scale(c))
+
+
+@st.composite
+def commuting_matrix_bases(draw):
+    """Complex-mode bases of 1-3 commuting normal matrices R diag(lambda_j) R^*
+    in M_2..M_4, with complex prefactors.
+
+    Eigenvalues come from a small Gaussian-integer grid, so they repeat
+    within an element and across elements.
+    """
+    n, k = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    R, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    lams = [rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n) for _ in range(k)]
+    prefactors = [complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(k)]
+    return DifferentialBasis([MatElement(R @ np.diag(lam) @ R.conj().T) for lam in lams],
+                             prefactors=prefactors)
+
+
+def _graded_sign(alpha):
+    """sum_k (-1)^k alpha_k over the homogeneous components alpha_k."""
+    return DifferentialForm(alpha.basis, {(I, J): -a if (len(I) + len(J)) % 2 else a
+                                          for (I, J), a in alpha.terms.items()})
+
+
+def _basis_scale(basis) -> float:
+    return 1.0 + max(x.norm() for x in basis.scaled)
+
+
+# a random real-eigenvalue element is self-adjoint, which complex mode allows
+@pytest.mark.filterwarnings("ignore:basis element")
+@PROPERTY
+@given(basis=commuting_matrix_bases(), data=st.data())
+def test_delta_squared_vanishes(basis, data):
+    alpha = data.draw(forms(basis, mat_elements(basis.elements[0].n)))
+    bound = REL_TOL * (1.0 + alpha.norm()) * _basis_scale(basis) ** 2
+    assert delta(delta(alpha)).norm() <= bound
+
+
+@pytest.mark.filterwarnings("ignore:basis element")
+@PROPERTY
+@given(basis=commuting_matrix_bases(), data=st.data())
+def test_graded_leibniz(basis, data):
+    family = forms(basis, mat_elements(basis.elements[0].n))
+    alpha, beta = data.draw(family), data.draw(family)
+    lhs = delta(wedge(alpha, beta))
+    rhs = wedge(delta(alpha), beta) + wedge(_graded_sign(alpha), delta(beta))
+    bound = REL_TOL * (1.0 + alpha.norm() * beta.norm()) * _basis_scale(basis)
+    assert (lhs - rhs).norm() <= bound
