@@ -204,9 +204,10 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     """Run the complete-positivity / symmetry / conservativity / Markov checks.
 
     The channel is applied as the Schur multiplier exp(-t W) in the basis's
-    joint eigenbasis, and the symbol is computed once for all times.  The Choi matrix is unitarily similar (via conj(Q) (x) Q) to the
-    symbol on span{e_i (x) e_i} plus a zero block of size n^2 - n, so its
-    least eigenvalue is read off the n x n symbol.
+    joint eigenbasis, and the symbol is computed once for all times.  The
+    Choi matrix is unitarily similar (via conj(Q) (x) Q) to the symbol on
+    span{e_i (x) e_i} plus a zero block of size n^2 - n, so its least
+    eigenvalue is read off the n x n symbol.
     """
     ts = list(ts)
     if not ts:

@@ -13,13 +13,21 @@ exponentials restricted to an integer lattice, and the three-generator
 presentation of the quantum Heisenberg von Neumann algebra.
 
 Multiplication accumulates exchange phases as floating-point angles and
-exponentiates once per term; coefficients with modulus at or below the
-spec's ``prune_epsilon`` are dropped.
+exponentiates once per term pair; coefficients with modulus at or below the
+spec's ``prune_epsilon`` are dropped.  A product has two routes.  Up to
+``_ARRAY_PAIRS`` term pairs, a Python loop takes the pairs one by one
+(:func:`_pair_product`).  Above that cut, :func:`_array_product` forms the
+same angles on the whole grid of term pairs in numpy, chunk by chunk of rows,
+and sums coefficients by exponent code.  The cut sits above the measured
+crossover (near 7 x 7 terms), so the many short products of the CLI and of
+cohomology assembly never pay numpy's fixed cost.  The loop is the oracle
+that the tests hold the array route to.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -99,6 +107,108 @@ def _adjoint_angle(spec: QAlgebraSpec, e: Monomial) -> float:
     return sum(t * e[j] * e[k] for j, k, t in spec._pairs)
 
 
+# Products with more term pairs than this take the array route.
+_ARRAY_PAIRS = 256
+# Term pairs per chunk of the array route (a chunk is whole rows of the grid).
+_CHUNK_PAIRS = 4096
+# Largest exponent box whose coefficient sums are kept in dense bins.
+_DENSE_BINS = 4 * _CHUNK_PAIRS
+# Exponents of the array route stay below this in modulus, so a sum of two fits in int64.
+_EXPONENT_LIMIT = 2 ** 62
+
+
+def _pair_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> dict:
+    """Unpruned terms of the product, one term pair at a time."""
+    out: dict = {}
+    for e, ca in ta.items():
+        for f, cb in tb.items():
+            ang = _mul_angle(spec, e, f)
+            c = ca * cb
+            if ang != 0.0:
+                c *= cmath.exp(1j * ang)
+            g = tuple(x + y for x, y in zip(e, f))
+            out[g] = out.get(g, 0j) + c
+    return out
+
+
+def _exponent_rows(terms: dict, m: int):
+    """Exponents as an int64 array, or None when one is too large for the array route."""
+    try:
+        rows = np.fromiter(itertools.chain.from_iterable(terms), np.int64,
+                           len(terms) * m).reshape(len(terms), m)
+    except OverflowError:
+        return None
+    return rows if -_EXPONENT_LIMIT < rows.min() and rows.max() < _EXPONENT_LIMIT else None
+
+
+def _sum_by_code(codes: np.ndarray, c: np.ndarray):
+    """Distinct codes and the sum of ``c`` over each."""
+    u, inv = np.unique(codes, return_inverse=True)
+    inv = inv.ravel()  # numpy 2.0 may return it shaped
+    n = len(u)
+    return u, np.bincount(inv, c.real, n) + 1j * np.bincount(inv, c.imag, n)
+
+
+def _array_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> "QElement":
+    """The product of two term dicts on the grid of term pairs, in numpy.
+
+    Angles take the association of :func:`_mul_angle`, and a phase is
+    applied only where the angle is nonzero, as in :func:`_pair_product`.
+    Each product exponent is coded in mixed radix over its box
+    ``[min E + min F, max E + max F]``.  A box of at most ``_DENSE_BINS``
+    codes sums with ``np.bincount`` into dense bins.  A wider box sorts the
+    codes chunk by chunk.  A box with more codes than int64 holds, or an
+    exponent of 2**62 or more, goes to the pair loop.
+    """
+    out = QElement(spec)
+    if not ta or not tb:
+        return out
+    m = spec.generator_count
+    E, F = _exponent_rows(ta, m), _exponent_rows(tb, m)
+    if E is None or F is None:
+        return out._like(_pair_product(spec, ta, tb))
+    loE, loF = E.min(0), F.min(0)
+    ext = [a + b + 1 for a, b in zip((E.max(0) - loE).tolist(), (F.max(0) - loF).tolist())]
+    size = math.prod(ext)
+    if size >= 2 ** 63:
+        return out._like(_pair_product(spec, ta, tb))
+    ca = np.fromiter(ta.values(), complex, len(ta))
+    cb = np.fromiter(tb.values(), complex, len(tb))
+    stride = np.array([math.prod(ext[k + 1:]) for k in range(m)], dtype=np.int64)
+    codeE, codeF = (E - loE) @ stride, (F - loF) @ stride
+    dense = size <= _DENSE_BINS
+    if dense:
+        re, im, hit = np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
+    else:
+        parts = []
+    phases = [(t * E[:, k], F[:, j].astype(float)) for j, k, t in spec._pairs]
+    step = max(1, _CHUNK_PAIRS // len(tb))
+    for r0 in range(0, len(ta), step):
+        rows = slice(r0, r0 + step)
+        c = np.multiply.outer(ca[rows], cb)
+        if phases:
+            ang = sum(np.multiply.outer(te[rows], f) for te, f in phases)
+            np.multiply(c, np.exp(1j * ang), out=c, where=ang != 0.0)
+        c = c.ravel()
+        keys = np.add.outer(codeE[rows], codeF).ravel()
+        if dense:
+            re += np.bincount(keys, c.real, size)
+            im += np.bincount(keys, c.imag, size)
+            hit[keys] = True
+        else:
+            parts.append(_sum_by_code(keys, c))
+    if dense:
+        keys = np.flatnonzero(hit)
+        vals = re[keys] + 1j * im[keys]
+    else:
+        keys, vals = _sum_by_code(np.concatenate([k for k, _ in parts]),
+                                  np.concatenate([v for _, v in parts]))
+    keep = ~(np.abs(vals) <= spec.prune_epsilon)  # keeps a nan
+    cols = [u + l for u, l in zip(np.unravel_index(keys[keep], ext), loE + loF)]
+    out.terms = dict(zip(zip(*[col.tolist() for col in cols]), vals[keep].tolist()))
+    return out
+
+
 class QElement(Terms):
     """Finite complex combination of normal-ordered monomials.
 
@@ -162,17 +272,9 @@ class QElement(Terms):
     def __mul__(self, other):
         if isinstance(other, QElement):
             self._check(other)
-            spec = self.spec
-            out: dict = {}
-            for e, ca in self.terms.items():
-                for f, cb in other.terms.items():
-                    ang = _mul_angle(spec, e, f)
-                    c = ca * cb
-                    if ang != 0.0:
-                        c *= cmath.exp(1j * ang)
-                    g = tuple(x + y for x, y in zip(e, f))
-                    out[g] = out.get(g, 0j) + c
-            return self._like(out)
+            if len(self.terms) * len(other.terms) > _ARRAY_PAIRS:
+                return _array_product(self.spec, self.terms, other.terms)
+            return self._like(_pair_product(self.spec, self.terms, other.terms))
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         return NotImplemented

@@ -11,7 +11,7 @@ import numpy as np
 from . import dirichlet, forms, graph_algebra as ga
 from .forms import DifferentialBasis, DifferentialForm
 from .matrix_algebra import MatElement, projection_basis
-from .qlattice import QAlgebraSpec, QElement, heisenberg_spec, torus_spec
+from .qlattice import QAlgebraSpec, QElement, _pair_product, heisenberg_spec, torus_spec
 
 
 def random_qelement(spec: QAlgebraSpec, rng, max_exp: int = 3,
@@ -22,6 +22,11 @@ def random_qelement(spec: QAlgebraSpec, rng, max_exp: int = 3,
         e = tuple(int(x) for x in rng.integers(-max_exp, max_exp + 1, size=m))
         terms[e] = complex(rng.standard_normal(), rng.standard_normal())
     return QElement(spec, terms)
+
+
+def loop_product(a: QElement, b: QElement) -> QElement:
+    """``a * b`` by the pair loop at any size: the oracle of the array route."""
+    return a._like(_pair_product(a.spec, a.terms, b.terms))
 
 
 def random_matelement(n: int, rng) -> MatElement:

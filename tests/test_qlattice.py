@@ -1,18 +1,20 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ncdiff import qlattice
 from ncdiff.carrier import commutator
 from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError,
-                             clock_shift_rep, element_from_json,
-                             element_to_json, inner,
+                             _array_product, clock_shift_rep, element_from_json,
+                             element_to_json, heisenberg_spec, inner,
                              normal_order, spec_from_json, spec_to_json, tau,
                              theta_hat, torus_spec, torus_spec_2n,
                              weyl_lattice_spec)
-from ncdiff.testing import random_qelement
+from ncdiff.testing import loop_product, random_qelement
 
 from conftest import MU, NU, THETA
 
@@ -316,3 +318,117 @@ def test_pruning():
     spec = torus_spec(0.1)
     a = QElement(spec, {(1, 0): 1e-15, (0, 1): 1.0})
     assert set(a.terms) == {(0, 1)}
+
+
+# -- the array route of the product -------------------------------------------
+
+def _element(spec, rng, max_exp, n_terms):
+    """Element with exactly ``n_terms`` monomials, exponents in [-max_exp, max_exp]."""
+    terms = {}
+    while len(terms) < n_terms:
+        e = tuple(rng.integers(-max_exp, max_exp + 1, spec.generator_count).tolist())
+        terms[e] = complex(*rng.standard_normal(2))
+    return QElement(spec, terms)
+
+
+def _assert_array_matches_loop(a, b):
+    got = _array_product(a.spec, a.terms, b.terms)
+    want = loop_product(a, b)
+    assert set(got.terms) == set(want.terms)
+    assert all(type(x) is int for e in got.terms for x in e)
+    assert all(type(c) is complex for c in got.terms.values())
+    for e, c in want.terms.items():
+        assert abs(got.terms[e] - c) <= 1e-13, e
+    return got
+
+
+NO_ANGLES = QAlgebraSpec(np.zeros((3, 3)), label="commutative")
+
+
+@pytest.mark.parametrize("spec, max_exp, sizes", [
+    (torus_spec(THETA), 6, [(1, 1), (7, 7), (16, 16), (16, 17), (60, 60)]),
+    (heisenberg_spec(MU, NU), 4, [(1, 1), (16, 17), (300, 300)]),
+    (torus_spec_2n([0.3, 1.1]), 3, [(16, 17), (120, 150)]),
+    (NO_ANGLES, 4, [(16, 17), (200, 100)]),
+])
+def test_array_product_matches_loop(spec, max_exp, sizes, rng):
+    for p, r in sizes:
+        a, b = _element(spec, rng, max_exp, p), _element(spec, rng, max_exp, r)
+        _assert_array_matches_loop(a, b)
+        _assert_array_matches_loop(b, a)
+
+
+@pytest.mark.parametrize("prune_epsilon", [1e-12, 0.0, -1.0])
+def test_array_product_prunes_exact_cancellations(prune_epsilon):
+    # (1 + U + ... + U^{n-1})(V - U V) = V - U^n V: every inner term cancels exactly
+    spec = QAlgebraSpec(torus_spec(THETA).theta, prune_epsilon=prune_epsilon)
+    n = 300
+    a = QElement(spec, {(k, 0): 1.0 for k in range(n)})
+    b = QElement(spec, {(0, 1): 1.0, (1, 1): -1.0})
+    got = _assert_array_matches_loop(a, b)
+    want_keys = {(0, 1), (n, 1)} if prune_epsilon >= 0 else {(k, 1) for k in range(n + 1)}
+    assert set(got.terms) == want_keys
+
+
+def test_array_product_keeps_nan(rng):
+    spec = heisenberg_spec(MU, NU)
+    a, b = _element(spec, rng, 3, 20), _element(spec, rng, 3, 20)
+    e0 = next(iter(a.terms))
+    a = QElement(spec, {**a.terms, e0: complex(math.nan, 0.0)})
+    got, want = _array_product(spec, a.terms, b.terms), loop_product(a, b)
+    assert set(got.terms) == set(want.terms)
+    nan_keys = {e for e, c in want.terms.items() if cmath.isnan(c)}
+    assert nan_keys == {tuple(x + y for x, y in zip(e0, f)) for f in b.terms}
+    assert nan_keys == {e for e, c in got.terms.items() if cmath.isnan(c)}
+    assert math.isnan((a * b).norm())
+
+
+def test_array_product_empty_operand(heisenberg, rng):
+    a = _element(heisenberg, rng, 3, 40)
+    zero = QElement.zero(heisenberg)
+    assert _array_product(heisenberg, a.terms, {}).terms == {}
+    assert _array_product(heisenberg, {}, a.terms).terms == {}
+    assert (zero * a).terms == {} and (a * zero).terms == {}
+
+
+@pytest.mark.parametrize("spec, max_exp", [
+    (torus_spec(THETA), 10 ** 6),            # codes fit int64: sorted codes
+    (heisenberg_spec(MU, NU), 10 ** 5),
+    (torus_spec_2n([0.3, 1.1]), 10 ** 3),
+    (heisenberg_spec(MU, NU), 10 ** 6),      # box beyond int64: the pair loop
+    (torus_spec_2n([0.3, 1.1]), 10 ** 6),
+    (torus_spec(THETA), 2 ** 63 - 1),        # exponents beyond int64 sums: the pair loop
+])
+def test_array_product_wide_boxes(spec, max_exp, rng):
+    a, b = _element(spec, rng, max_exp, 40), _element(spec, rng, max_exp, 30)
+    _assert_array_matches_loop(a, b)
+    # terms that merge in a wide box: a progression along the diagonal
+    a = QElement(spec, {(k * max_exp,) * spec.generator_count: 1.0 + 0.5j * k
+                        for k in range(-3, 4)})
+    assert len(_assert_array_matches_loop(a, a).terms) == 13
+
+
+def test_array_product_never_allocates_the_box():
+    # 100 x 100 pairs in a box of 1201^2 codes: dense bins would take ~24 MB
+    spec = torus_spec(THETA)
+    rng = np.random.default_rng(5)
+    a, b = _element(spec, rng, 300, 100), _element(spec, rng, 300, 100)
+    tracemalloc.start()
+    try:
+        _array_product(spec, a.terms, b.terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_small_products_stay_on_the_loop(torus, rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("array route entered")
+    monkeypatch.setattr(qlattice, "_array_product", refuse)
+    U, V = QElement.generator(torus, 1), QElement.generator(torus, 2)
+    assert set((U * V).terms) == {(1, 1)}
+    a, b = _element(torus, rng, 6, 16), _element(torus, rng, 6, 16)
+    a * b  # 256 pairs: at the cut
+    with pytest.raises(AssertionError, match="array route"):
+        a * _element(torus, rng, 6, 17)
