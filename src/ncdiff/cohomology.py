@@ -1,20 +1,19 @@
 """Boundary-map assembly and kernel/rank computation for the form complexes.
 
 Degree-k forms over a finite-dimensional (or truncated) carrier span a
-vector space with basis {covector index} x {carrier basis element}.  The
-derivative acts by inner derivations, so a complex builds the matrices A_j
-of a -> [c_j U_j, a] (and of the starred elements) once, and each of its
-maps copies them with their exterior signs into the covector blocks they
-reach; the degree-zero commutant systems stack the same A_j, and the
-Fuglede-Putnam check compares the dimensions of two commutants.  Ranks
-take one SVD per connected component of a map's nonzero pattern (blocks of
-one shape share a stacked SVD) and count singular values above
-max(shape) * eps * sigma_max, with the shape and sigma_max of the whole
-map.  When every A_j sends a carrier key to a single key, as for diagonal
-matrices, monomials and vertex projections, the components are small.
-Truncated q-lattice carriers use nested exponent balls so the assembled
-maps never leave their codomain; the inner maps take their blocks as
-slices of the outer ones.
+vector space with basis {covector index} x {carrier basis element}.  Every
+map is held as triplets ``(rows, cols, vals, shape)`` of its nonzeros.  A
+complex reads the triplets of each A_j, the map a -> [c_j U_j, a] (and of
+the starred elements), once from the commutators' terms; each of its maps
+offsets them with their exterior signs into the covector blocks they reach,
+and the commutant systems stack them.  Ranks take one SVD per connected
+component of a map's nonzero pattern (blocks of one shape share a stacked
+SVD) and count singular values above max(shape) * eps * sigma_max of the
+whole map.  When every A_j sends a carrier key to a single key, as for
+diagonal matrices, monomials and vertex projections, the components are
+small.  Truncated q-lattice carriers use nested exponent balls so the maps
+never leave their codomain; the inner maps keep the outer triplets inside
+the smaller balls.  The public ``*_matrix`` and ``numeric_rank`` are dense.
 """
 
 from __future__ import annotations
@@ -35,29 +34,9 @@ class TruncationError(ValueError):
     """An element's support left the coordinate truncation."""
 
 
-class MatrixCarrierBasis:
-    """Matrix units of M_n as carrier coordinates."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.description = f"M_{n} matrix units"
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.n
-
-    def elements(self) -> list[MatElement]:
-        return [MatElement.unit(self.n, i, j)
-                for i in range(self.n) for j in range(self.n)]
-
-    def coords(self, a: MatElement) -> np.ndarray:
-        if a.n != self.n:
-            raise ValueError("dimension mismatch")
-        return a.mat.reshape(-1).copy()
-
-
 class _KeyedBasis:
-    """Carrier coordinates over a list of term keys: ``keys[i]`` is coordinate i."""
+    """Carrier coordinates over a list of keys: ``keys[i]`` is coordinate i.
+    ``entries`` gives the indices and values of an element's nonzero ones."""
 
     def __init__(self, keys: list, description: str):
         self.keys = keys
@@ -68,14 +47,36 @@ class _KeyedBasis:
     def dim(self) -> int:
         return len(self.keys)
 
+    def entries(self, x) -> tuple[list, list]:
+        idx = [self._index.get(k) for k in x.terms]
+        if None in idx:
+            raise TruncationError(f"{list(x.terms)[idx.index(None)]} escapes the "
+                                  f"{self.description}")
+        return idx, list(x.terms.values())
+
     def coords(self, x) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
-        for k, c in x.terms.items():
-            i = self._index.get(k)
-            if i is None:
-                raise TruncationError(f"{k} escapes the {self.description}")
-            v[i] = c
+        idx, vals = self.entries(x)
+        v[idx] = vals
         return v
+
+
+class MatrixCarrierBasis(_KeyedBasis):
+    """Matrix units of M_n as carrier coordinates, keyed by (row, column)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        super().__init__(list(itertools.product(range(n), repeat=2)), f"M_{n} matrix units")
+
+    def elements(self) -> list[MatElement]:
+        return [MatElement.unit(self.n, i, j) for i, j in self.keys]
+
+    def entries(self, a: MatElement) -> tuple[list, list]:
+        if a.n != self.n:
+            raise ValueError("dimension mismatch")
+        flat = a.mat.reshape(-1)
+        nz = np.flatnonzero(flat)
+        return nz.tolist(), flat[nz].tolist()
 
 
 class QMonomialBasis(_KeyedBasis):
@@ -122,12 +123,23 @@ def _form_indices(n: int, k: int, mode: str) -> list:
     return [idx for p in range(k + 1) for idx in _dolbeault_indices(n, p, k - p)]
 
 
-def _ad_matrix(x, elems: list, codomain) -> np.ndarray:
-    """Coordinates of a -> [x, a]: column i holds [x, elems[i]] in ``codomain``."""
-    A = np.zeros((codomain.dim, len(elems)), dtype=complex)
-    for i, b in enumerate(elems):
-        A[:, i] = codomain.coords(commutator(x, b))
-    return A
+def _ad_matrix(x, elems: list, codomain) -> tuple:
+    """Triplets of a -> [x, a]: column i holds [x, elems[i]] in ``codomain``.
+    A commutator that overflows raises ValueError, not a numpy warning."""
+    rows, cols, vals = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, b in enumerate(elems):
+            idx, v = codomain.entries(commutator(x, b))
+            rows += idx
+            cols += [i] * len(idx)
+            vals += v
+    vals = np.array(vals, dtype=complex)
+    if not np.isfinite(vals).all():
+        i = np.flatnonzero(~np.isfinite(vals))[0]
+        raise ValueError(f"[{x}, {elems[cols[i]]}] has the non-finite coefficient {vals[i]}")
+    keep = vals != 0
+    return (np.array(rows, dtype=np.intp)[keep], np.array(cols, dtype=np.intp)[keep],
+            vals[keep], (codomain.dim, len(elems)))
 
 
 def _commutator_blocks(basis: DifferentialBasis, domain, codomain=None,
@@ -135,7 +147,7 @@ def _commutator_blocks(basis: DifferentialBasis, domain, codomain=None,
     """(covector, A_j) per generator of the half-derivatives in ``families``
     (starred flags; default: those of delta in the basis's mode).
 
-    A_j is the matrix of a -> [c_j U_j, a] (a -> [(c_j U_j)^*, a] when
+    A_j holds the triplets of a -> [c_j U_j, a] (a -> [(c_j U_j)^*, a] when
     starred) from ``domain`` into ``codomain`` (default: the same), and the
     covector ((j,), ()) or ((), (j,)) is the dU_j or dU_j^* it contributes.
     """
@@ -147,27 +159,26 @@ def _commutator_blocks(basis: DifferentialBasis, domain, codomain=None,
             for j, x in enumerate(basis.scaled_star if starred else basis.scaled)]
 
 
-def _assemble(blocks: list, out_indices: list, in_indices: list) -> np.ndarray:
-    """Map from covector indices ``in_indices`` to ``out_indices``.
-
-    Block (out, in) is +-A_j where prepending the covector of A_j to ``in``
-    gives ``out``.
-    """
-    rows, cols = blocks[0][1].shape
+def _assemble(blocks: list, out_indices: list, in_indices: list) -> tuple:
+    """Triplets of the map from covector indices ``in_indices`` to ``out_indices``:
+    block (out, in) is +-A_j where prepending A_j's covector to ``in`` gives ``out``."""
+    h, w = blocks[0][1][3]
     out_pos = {idx: i for i, idx in enumerate(out_indices)}
-    M = np.zeros((rows * len(out_indices), cols * len(in_indices)), dtype=complex)
-    for cov, A in blocks:
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
+    for cov, (rows, cols, vals, _) in blocks:
         for c, (I, J) in enumerate(in_indices):
             hit = _merge_indices(*cov, I, J)
-            if hit is None:
-                continue
-            sign, key = hit
-            r = out_pos[key]
-            block = M[r * rows:(r + 1) * rows, c * cols:(c + 1) * cols]
-            if sign > 0:
-                block[...] = A
-            else:
-                np.negative(A, out=block)
+            if hit is not None:
+                sign, key = hit
+                parts.append((rows + out_pos[key] * h, cols + c * w,
+                              vals if sign > 0 else -vals))
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return rows, cols, vals, (h * len(out_indices), w * len(in_indices))
+
+
+def _dense(t: tuple) -> np.ndarray:
+    M = np.zeros(t[3], dtype=complex)
+    M[t[0], t[1]] = t[2]
     return M
 
 
@@ -180,8 +191,8 @@ def boundary_matrix(k: int, basis: DifferentialBasis, carrier_basis,
     otherwise a :class:`TruncationError` is raised.
     """
     n, mode = basis.size, basis.mode
-    return _assemble(_commutator_blocks(basis, carrier_basis, codomain_basis),
-                     _form_indices(n, k + 1, mode), _form_indices(n, k, mode))
+    return _dense(_assemble(_commutator_blocks(basis, carrier_basis, codomain_basis),
+                            _form_indices(n, k + 1, mode), _form_indices(n, k, mode)))
 
 
 def dolbeault_matrix(p: int, q: int, basis: DifferentialBasis, carrier_basis,
@@ -191,7 +202,8 @@ def dolbeault_matrix(p: int, q: int, basis: DifferentialBasis, carrier_basis,
         raise BasisModeError("type decomposition needs complex mode")
     n = basis.size
     blocks = _commutator_blocks(basis, carrier_basis, codomain_basis, families=(True,))
-    return _assemble(blocks, _dolbeault_indices(n, p, q + 1), _dolbeault_indices(n, p, q))
+    return _dense(_assemble(blocks, _dolbeault_indices(n, p, q + 1),
+                            _dolbeault_indices(n, p, q)))
 
 
 def _rank(s: np.ndarray, shape: tuple) -> int:
@@ -244,19 +256,18 @@ def _slots(group: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, sizes
 
 
-def numeric_rank(M: np.ndarray) -> int:
-    """Rank by singular values, cut at max(shape) * eps * sigma_max.
+def _triplet_rank(t: tuple) -> int:
+    """Rank of triplets (no repeated (row, col)), cut at max(shape) * eps * sigma_max.
 
     The rows and columns split into the connected components of the
-    bipartite graph of M's nonzeros, so M is block diagonal up to
+    bipartite graph of the entries, so the map is block diagonal up to
     permutations and its singular values are those of the blocks.  Blocks
     of one shape share a stacked SVD; the cut uses the global sigma_max and
-    shape, as a dense SVD of M would.
+    shape, as a dense SVD would.
     """
-    rows, cols = np.nonzero(M)
+    rows, cols, values, (m, n) = t
     if not len(rows):
         return 0
-    m, n = M.shape
     row_ids, row_of = _renumber(rows, m)
     col_ids, col_of = _renumber(cols, n)
     lab = _components(rows, m + cols, m + n)
@@ -268,14 +279,19 @@ def numeric_rank(M: np.ndarray) -> int:
     shapes, group = _renumber(heights * base + widths, (heights.max() + 1) * base)
     slot, counts = _slots(group, len(shapes))
     edge_comp = row_comp[row_of]
-    values = M[rows, cols]
     sigmas = []
     for g, shape in enumerate(shapes):
-        stack = np.zeros((counts[g], *divmod(shape, base)), dtype=M.dtype)
+        stack = np.zeros((counts[g], *divmod(shape, base)), dtype=values.dtype)
         hit = group[edge_comp] == g
         stack[slot[edge_comp[hit]], row_pos[row_of[hit]], col_pos[col_of[hit]]] = values[hit]
         sigmas.append(np.linalg.svd(stack, compute_uv=False).ravel())
-    return _rank(np.concatenate(sigmas), M.shape)
+    return _rank(np.concatenate(sigmas), (m, n))
+
+
+def numeric_rank(M: np.ndarray) -> int:
+    """Rank of a dense matrix by the rule of the triplet rank."""
+    rows, cols = np.nonzero(M)
+    return _triplet_rank((rows, cols, M[rows, cols], M.shape))
 
 
 @dataclass
@@ -313,7 +329,7 @@ class ComplexReport:
 
 def _ranks(blocks: list, indices: list) -> list[int]:
     """Rank of each map from covector indices indices[k] to indices[k + 1]."""
-    return [numeric_rank(_assemble(blocks, out, inp))
+    return [_triplet_rank(_assemble(blocks, out, inp))
             for inp, out in zip(indices, indices[1:])]
 
 
@@ -364,9 +380,10 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
     most the basis degree d, so the chain uses the nested balls
     K-2d -> K-d -> K: the degree-k kernel is computed on the K-d ball and
     the incoming rank on the K-2d ball, keeping every assembled map inside
-    its stated codomain.  The K-2d -> K-d blocks are the rows and columns of
-    the K-d -> K ones that the smaller balls keep.  Cohomology numbers
-    inherit the truncation and are reported with that provenance.
+    its stated codomain.  The K-2d -> K-d blocks keep the entries of the
+    K-d -> K ones inside the smaller balls, found through index maps that
+    send a dropped key to -1.  Cohomology numbers inherit the truncation
+    and are reported with that provenance.
     """
     top = basis.top_degree if max_degree is None else max_degree
     if top < 0:
@@ -378,8 +395,15 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
     blocks = _commutator_blocks(basis, mid, big)
     indices = [_form_indices(basis.size, k, basis.mode) for k in range(top + 2)]
     ranks = _ranks(blocks, indices)
-    keep = np.ix_([big._index[e] for e in mid.keys], [mid._index[e] for e in small.keys])
-    ranks_in = [0] + _ranks([(cov, A[keep]) for cov, A in blocks], indices[:top + 1])
+    row_of, col_of = np.full(big.dim, -1), np.full(mid.dim, -1)
+    row_of[[big._index[e] for e in mid.keys]] = np.arange(mid.dim)
+    col_of[[mid._index[e] for e in small.keys]] = np.arange(small.dim)
+    inner = []
+    for cov, (rows, cols, vals, _) in blocks:
+        rows, cols = row_of[rows], col_of[cols]
+        keep = (rows >= 0) & (cols >= 0)
+        inner.append((cov, (rows[keep], cols[keep], vals[keep], (mid.dim, small.dim))))
+    ranks_in = [0] + _ranks(inner, indices[:top + 1])
     return _chain_report(basis.label, mid, indices, ranks, ranks_in,
                          {"K": K, "kernel_domain_K": K - d, "image_domain_K": K - 2 * d})
 
@@ -401,7 +425,8 @@ def commutant_kernel_dimension(basis: DifferentialBasis, carrier_basis,
     """
     blocks = _commutator_blocks(basis, carrier_basis,
                                 families=(False, True) if include_adjoints else (False,))
-    return carrier_basis.dim - numeric_rank(np.vstack([A for _, A in blocks]))
+    system = _assemble(blocks, [cov for cov, _ in blocks], [((), ())])
+    return carrier_basis.dim - _triplet_rank(system)
 
 
 def fuglede_putnam_check(basis: DifferentialBasis, carrier_basis) -> bool:

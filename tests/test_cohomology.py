@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from ncdiff.forms import DifferentialBasis, DifferentialForm
 from ncdiff.graph_algebra import vertex_projection
 from ncdiff.matrix_algebra import MatElement, projection_basis
 from ncdiff.carrier import commutator
-from ncdiff.qlattice import QElement, clock_shift_rep, torus_spec
+from ncdiff.qlattice import QElement, clock_shift_rep, heisenberg_spec, torus_spec
 from ncdiff.testing import random_qelement
 
 from conftest import star_tree
@@ -258,8 +259,9 @@ def _null_space_fuglede_putnam(basis, carrier):
     extended by the starred commutators, by dense SVD with singular vectors;
     equal dimensions plus the containment L2 N1 = 0."""
     elems = carrier.elements()
-    L1 = np.vstack([C._ad_matrix(x, elems, carrier) for x in basis.scaled])
-    L2 = np.vstack([L1] + [C._ad_matrix(x, elems, carrier) for x in basis.scaled_star])
+    L1 = np.vstack([_densify(C._ad_matrix(x, elems, carrier)) for x in basis.scaled])
+    L2 = np.vstack([L1] + [_densify(C._ad_matrix(x, elems, carrier))
+                           for x in basis.scaled_star])
 
     def null_basis(M):
         _, s, vh = np.linalg.svd(M)
@@ -351,6 +353,14 @@ def _dense_rank(M):
     return int((s > max(M.shape) * np.finfo(float).eps * s[0]).sum())
 
 
+def _densify(t):
+    """The dense matrix of triplets (rows, cols, vals, shape); repeats add up."""
+    rows, cols, vals, shape = t
+    M = np.zeros(shape, dtype=complex)
+    np.add.at(M, (rows, cols), vals)
+    return M
+
+
 @st.composite
 def permuted_block_diagonals(draw):
     """(M, rank) for a row- and column-permuted block-diagonal M.
@@ -385,6 +395,36 @@ def test_numeric_rank_matches_dense_rule(case):
     assert C.numeric_rank(M) == _dense_rank(M) == rank
 
 
+@st.composite
+def block_diagonal_triplets(draw):
+    """(triplets, rank) of a permuted block diagonal, in shuffled order, with
+    explicit zero values at some of its zero positions."""
+    M, rank = draw(permuted_block_diagonals())
+    rows, cols = np.nonzero(M)
+    zr, zc = np.nonzero(M == 0)
+    zeros = draw(st.lists(st.integers(0, max(len(zr) - 1, 0)), unique=True,
+                          max_size=min(len(zr), 8)))
+    rows, cols = np.concatenate([rows, zr[zeros]]), np.concatenate([cols, zc[zeros]])
+    order = np.array(draw(st.permutations(range(len(rows)))), dtype=np.intp)
+    return (rows[order], cols[order], M[rows, cols][order], M.shape), rank
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=block_diagonal_triplets())
+def test_triplet_rank_matches_dense_rule(case):
+    t, rank = case
+    assert C._triplet_rank(t) == _dense_rank(_densify(t)) == rank
+
+
+def test_triplet_rank_edge_cases():
+    empty = np.zeros(0, dtype=np.intp)
+    for shape in [(0, 4), (4, 0), (0, 0), (3, 5)]:
+        assert C._triplet_rank((empty, empty, np.zeros(0, dtype=complex), shape)) == 0
+    # explicit zeros alone have rank 0
+    assert C._triplet_rank((np.array([0, 2]), np.array([1, 1]), np.zeros(2, dtype=complex),
+                            (3, 5))) == 0
+
+
 def test_numeric_rank_edge_cases():
     for shape in [(0, 4), (4, 0), (0, 0), (3, 5)]:
         assert C.numeric_rank(np.zeros(shape, dtype=complex)) == 0
@@ -415,8 +455,12 @@ def test_truncated_reports_match_dense_rule(case, heisenberg, heisenberg_basis,
     else:
         spec, basis, K = heisenberg, heisenberg_basis, 4
     blocks = C.deRham_dims_truncated(basis, spec, K).to_json()
-    monkeypatch.setattr(C, "numeric_rank", _dense_rank)
+    calls = []
+    monkeypatch.setattr(C, "_triplet_rank",
+                        lambda t: calls.append(t) or _dense_rank(_densify(t)))
     assert C.deRham_dims_truncated(basis, spec, K).to_json() == blocks
+    # every outgoing map and every incoming one but the zero map into degree 0
+    assert len(calls) == 2 * basis.top_degree + 1
 
 
 # -- one commutator matrix per generator per complex -------------------------
@@ -430,16 +474,16 @@ def test_truncated_maps_match_boundary_matrices(case, torus, torus_basis, heisen
                       else (heisenberg, heisenberg_basis, 3))
     small, mid, big = (C.QMonomialBasis(spec, K - m) for m in (2, 1, 0))
     seen = []
-    monkeypatch.setattr(C, "numeric_rank", lambda M: seen.append(M) or 0)
+    monkeypatch.setattr(C, "_triplet_rank", lambda t: seen.append(t) or 0)
     C.deRham_dims_truncated(basis, spec, K)
     # every outgoing map on the K-1 ball, then every incoming map, whose blocks
-    # are slices of the outgoing ones, on the K-2 ball
+    # are filtered from the outgoing ones, on the K-2 ball
     top = basis.top_degree
     expected = [C.boundary_matrix(k, basis, mid, big) for k in range(top + 1)] \
         + [C.boundary_matrix(k - 1, basis, small, mid) for k in range(1, top + 1)]
     assert len(seen) == len(expected)
     for got, want in zip(seen, expected):
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got[3] == want.shape and np.array_equal(_densify(got), want)
 
 
 def test_one_commutator_matrix_per_generator(torus, torus_basis, monkeypatch):
@@ -463,3 +507,89 @@ def test_negative_max_degree_rejected(m2_setup, torus, torus_basis):
     # degrees above the top one stay allowed: their rows are zero
     rows = C.deRham_dims(*m2_setup, max_degree=3).to_json()["degrees"]
     assert rows[3] == {"k": 3, "dim_ker": 0, "rank_prev": 0, "h_dim": 0}
+
+
+# -- the sparse maps of the cohomology workload --------------------------------
+
+
+def _clock_dolbeault_row(numerators):
+    """The p = 1 Dolbeault row of the clock images {U_1, U_3} of torus_spec_2n
+    in M_12, with clock orders 3 and 4."""
+    clocks = [clock_shift_rep(pair, QElement.generator(pair, 1)).mat
+              for pair in (torus_spec(2 * math.pi * a / q) for q, a in zip((3, 4), numerators))]
+    basis = DifferentialBasis([MatElement(np.kron(clocks[0], np.eye(4))),
+                               MatElement(np.kron(np.eye(3), clocks[1]))])
+    return C.dolbeault_dims(1, basis, C.MatrixCarrierBasis(12))
+
+
+def _star5_complex():
+    g = star_tree(5)
+    basis = DifferentialBasis([vertex_projection(g, v) for v in g.vertices],
+                              mode="selfadjoint")
+    return C.deRham_dims(basis, C.GraphCarrierBasis(g, 2))
+
+
+WORKLOAD_COMPLEXES = {
+    "M_6 projections": lambda: C.deRham_dims(
+        DifferentialBasis(projection_basis(6), mode="selfadjoint"), C.MatrixCarrierBasis(6)),
+    **{f"torus theta {t} K 12": (lambda t=t: C.deRham_dims_truncated(
+        DifferentialBasis([QElement.generator(torus_spec(t), 1)]), torus_spec(t), 12))
+       for t in (0.7, 0.9, 1.3, 2.1)},
+    **{f"heisenberg ({mu}, {nu}) K 4": (lambda mu=mu, nu=nu: C.deRham_dims_truncated(
+        DifferentialBasis([QElement.generator(heisenberg_spec(mu, nu), 3)]),
+        heisenberg_spec(mu, nu), 4))
+       for mu, nu in ((0.11, 0.07), (0.13, 0.05), (0.17, 0.03))},
+    **{f"clock dolbeault {nums}": (lambda nums=nums: _clock_dolbeault_row(nums))
+       for nums in ((1, 1), (1, 3), (2, 1), (2, 3))},
+    "star5 graph": _star5_complex,
+}
+
+
+@pytest.mark.parametrize("case", list(WORKLOAD_COMPLEXES))
+def test_workload_maps_match_dense_rule(case, monkeypatch):
+    maps = []
+    assemble = C._assemble
+    monkeypatch.setattr(C, "_assemble", lambda *args: maps.append(assemble(*args)) or maps[-1])
+    WORKLOAD_COMPLEXES[case]()
+    assert maps
+    for rows, cols, vals, shape in maps:
+        # no repeated (row, col) and no stored zero: the pattern of the dense map
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+        assert np.all(vals != 0)
+        M = _densify((rows, cols, vals, shape))
+        assert C._triplet_rank((rows, cols, vals, shape)) == _dense_rank(M)
+
+
+# -- memory: no map is ever dense -----------------------------------------------
+
+MIB = 2 ** 20
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_projection_m8_memory_and_closed_form():
+    n = 8
+    basis = DifferentialBasis(projection_basis(n), mode="selfadjoint")
+    report, peak = _peak_bytes(lambda: C.deRham_dims(basis, C.MatrixCarrierBasis(n)))
+    assert [row.h_dim for row in report.degrees] == \
+        [n * math.comb(n, k) for k in range(n + 1)]
+    # a dense degree-4 map alone takes 64 * 56 x 64 * 70 complex entries, 257 MiB
+    assert peak < 16 * MIB
+
+
+@pytest.mark.parametrize("case", ["torus theta 0.9 {U} K 20", "heisenberg {W} K 6"])
+def test_truncated_memory(case, heisenberg, heisenberg_basis):
+    if case.startswith("torus"):
+        spec = torus_spec(0.9)
+        basis, K = DifferentialBasis([QElement.generator(spec, 1)]), 20
+    else:
+        spec, basis, K = heisenberg, heisenberg_basis, 6
+    _, peak = _peak_bytes(lambda: C.deRham_dims_truncated(basis, spec, K))
+    assert peak < 16 * MIB

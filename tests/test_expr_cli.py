@@ -249,6 +249,7 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
     (None, None, ["deform", "torus", "--params", "inf,1"]),
     (None, None, ["cohomology", "--carrier", "matrix", "--n", "2", "--max-degree", "-1"]),
     (None, None, ["cohomology", "--carrier", "torus", "--trunc", "3", "--max-degree", "-1"]),
+    (None, None, ["cohomology", "--carrier", "torus", "--theta", "1e308", "--trunc", "3"]),
 ], ids=["spec-without-theta-matrix", "config-truncation-string",
         "config-dropped-tolerance", "config-dropped-normalized-trace",
         "config-not-an-object", "spec-theta-matrix-scalar",
@@ -263,7 +264,7 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
         "eval-power-overflow-difference", "eval-form-overflow-difference",
         "cohomology-infinite-theta", "cohomology-infinite-mu", "spec-infinite-theta",
         "deform-infinite-parameter", "cohomology-matrix-negative-max-degree",
-        "cohomology-torus-negative-max-degree"])
+        "cohomology-torus-negative-max-degree", "cohomology-huge-theta"])
 def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     options = []
     if config is not None:
@@ -278,6 +279,13 @@ def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     rc, out, err = run_cli(options + argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_huge_theta_names_the_coefficient():
+    # the exchange angles overflow to inf, and their phases to nan
+    rc, _, err = run_cli(["cohomology", "--carrier", "torus", "--theta", "1e308",
+                          "--trunc", "3"])
+    assert rc == 2 and "has the non-finite coefficient (nan+nanj)" in err
 
 
 def test_cli_memory_error_exits_2(monkeypatch):
