@@ -4,11 +4,15 @@ The derivative ``delta a = sum_j [U_j, a] dU_j`` needs only a product, an
 adjoint and a norm from its carrier.  A carrier element supplies ``+``,
 ``-``, unary ``-``, ``scale(c)``, ``*`` (by an element and by a scalar),
 ``adjoint()`` and ``norm()``; :class:`Normed` then adds ``is_zero``,
-``equal_within`` and scalar-on-the-left products.  A carrier whose elements
-are finite combinations of basis keys inherits :class:`Terms` and supplies
-only ``_check``, ``_like``, ``__mul__`` and ``adjoint``; differential forms
-are :class:`Terms` too, over covector keys with carrier-element
-coefficients.
+``equal_within``, scalar-on-the-left products and ``ad()``, the map
+``a -> [self, a]``.  The generic ``ad`` is :func:`commutator`, two products
+and a difference; a carrier overrides it for the elements that act
+diagonally on its own keys (q-lattice monomials, vertex projections,
+diagonal matrices), where the commutator is one weight per key.  A carrier
+whose elements are finite combinations of basis keys inherits :class:`Terms`
+and supplies only ``_check``, ``_like``, ``__mul__`` and ``adjoint``;
+differential forms are :class:`Terms` too, over covector keys with
+carrier-element coefficients.
 
 This module holds the one tolerance policy of the package: elements agree
 when their difference has norm at most ``EQ_TOLERANCE``, and term
@@ -45,6 +49,23 @@ class Normed:
         if isinstance(c, (int, float, complex)):
             return self.scale(c)
         return NotImplemented
+
+    def ad(self):
+        """The map a -> [self, a]; the generic one is :func:`commutator`."""
+        return lambda a: commutator(self, a)
+
+    def _diagonal_ad(self, act):
+        """An ``ad`` map that applies ``act`` to elements of this carrier after
+        ``_check``, and :func:`commutator` to anything else, so that foreign
+        operands raise as they do in a product."""
+        kind = type(self)
+
+        def ad(a):
+            if not isinstance(a, kind):
+                return commutator(self, a)
+            self._check(a)
+            return act(a)
+        return ad
 
     def is_zero(self, tol: float = EQ_TOLERANCE) -> bool:
         return self.norm() <= tol

@@ -4,9 +4,9 @@ Degree-k forms over a finite-dimensional (or truncated) carrier span a
 vector space with basis {covector index} x {carrier basis element}.  Every
 map is held as triplets ``(rows, cols, vals, shape)`` of its nonzeros.  A
 complex reads the triplets of each A_j, the map a -> [c_j U_j, a] (and of
-the starred elements), once from the commutators' terms; each of its maps
-offsets them with their exterior signs into the covector blocks they reach,
-and the commutant systems stack them.  Ranks take one SVD per connected
+the starred elements), once from the terms of the carrier's ``ad`` map; each
+of its maps offsets them with their exterior signs into the covector blocks
+they reach, and the commutant systems stack them.  Ranks take one SVD per connected
 component of a map's nonzero pattern (blocks of one shape share a stacked
 SVD) and count singular values above max(shape) * eps * sigma_max of the
 whole map.  When every A_j sends a carrier key to a single key, as for
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carrier import commutator
 from .forms import BasisModeError, DifferentialBasis, _merge_indices
 from .graph_algebra import DirectedGraph, GraphElement, common_range_pairs
 from .matrix_algebra import MatElement
@@ -124,12 +123,14 @@ def _form_indices(n: int, k: int, mode: str) -> list:
 
 
 def _ad_matrix(x, elems: list, codomain) -> tuple:
-    """Triplets of a -> [x, a]: column i holds [x, elems[i]] in ``codomain``.
-    A commutator that overflows raises ValueError, not a numpy warning."""
+    """Triplets of a -> [x, a] (the map ``x.ad()``): column i holds [x, elems[i]]
+    in ``codomain``.  A commutator that overflows raises ValueError, not a
+    numpy warning."""
+    act = x.ad()
     rows, cols, vals = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, b in enumerate(elems):
-            idx, v = codomain.entries(commutator(x, b))
+            idx, v = codomain.entries(act(b))
             rows += idx
             cols += [i] * len(idx)
             vals += v

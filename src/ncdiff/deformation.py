@@ -24,6 +24,17 @@ from .qlattice import (QElement, heisenberg_spec, torus_spec_2n,
 TWO_PI_I = 2j * math.pi
 
 
+def _check_parameters(values: Sequence[float]) -> None:
+    """A sweep's parameters must be nonempty, positive and strictly decreasing;
+    checked before any sweep divides by them."""
+    if not values:
+        raise ValueError("sweep needs at least one parameter value")
+    if any(v <= 0 for v in values):
+        raise ValueError("parameter values must be positive")
+    if any(a <= b for a, b in zip(values, values[1:])):
+        raise ValueError("parameter values must be strictly decreasing")
+
+
 @dataclass
 class DeformationSweep:
     """Record of a limit experiment.
@@ -39,12 +50,7 @@ class DeformationSweep:
     fitted_order: float = field(init=False)
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("sweep needs at least one parameter value")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("parameter values must be positive")
-        if any(a <= b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("parameter values must be strictly decreasing")
+        _check_parameters(self.values)
         if len(self.errors) != len(self.values):
             raise ValueError("one error per parameter value")
         if any(not np.isfinite(e) for e in self.errors):
@@ -92,8 +98,7 @@ def torus_limit_sweep(coeffs: Mapping[tuple, complex],
     basis theta^{-1} U_{2j-1}; the classical target multiplies each
     coefficient by i*m_j in direction j.
     """
-    if not thetas:
-        raise ValueError("empty parameter list")
+    _check_parameters(thetas)
     monos = list(coeffs)
     if not monos:
         raise ValueError("empty coefficient table")
@@ -123,8 +128,7 @@ def plane_limit_sweep(k: tuple[int, int], coeffs: Mapping[tuple, complex],
     ``coeffs`` maps lattice points (t1, t2) to Fourier weights; the target
     coefficient at exponent t+k is i*step^2*(k1 t2 - k2 t1) times the weight.
     """
-    if not hbars:
-        raise ValueError("empty parameter list")
+    _check_parameters(hbars)
     k1, k2 = k
     errors = []
     for hbar in hbars:
@@ -148,8 +152,7 @@ def plane_partial_sweep(coeffs: Mapping[tuple, complex], hbars: Sequence[float],
     momentum-direction basis hbar^{-1} A_j drives each direction to
     i*step^2*t_j in the limit.
     """
-    if not hbars:
-        raise ValueError("empty parameter list")
+    _check_parameters(hbars)
     monos = list(coeffs)
     if not monos:
         raise ValueError("empty coefficient table")
@@ -186,8 +189,7 @@ def heisenberg_limit_sweep(direction: str, exponents: tuple[int, int, int],
     """
     if direction not in _HEISENBERG_DIRECTIONS:
         raise ValueError(f"direction must be one of {_HEISENBERG_DIRECTIONS}")
-    if not hbars:
-        raise ValueError("empty parameter list")
+    _check_parameters(hbars)
     m, n, k = exponents
     errors = []
     for hbar in hbars:

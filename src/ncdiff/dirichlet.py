@@ -11,7 +11,11 @@ n^2 x n^2 superoperators on row-major vectorized matrices
 (:func:`delta_superoperator`, :func:`heat_superoperator`,
 :func:`choi_matrix`, :func:`trotter_check`) stay as the reference path the
 tests compare against.  On q-lattice carriers Delta acts diagonally on
-monomials, so the semigroup is evaluated exactly with no truncation.
+monomials, so the semigroup is evaluated exactly with no truncation; its
+weight comes from the same exchange angles as the q-lattice ``ad`` map.
+Every first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ,
+the Dirichlet pairing, the locality isometry) goes through the basis's
+``ad`` maps, so a diagonal basis element never forms two products.
 """
 
 from __future__ import annotations
@@ -24,17 +28,16 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .carrier import commutator
 from .forms import BasisModeError, DifferentialBasis
 from .matrix_algebra import MatElement, trace
-from .qlattice import QElement, _mul_angle, tau as q_tau
+from .qlattice import QElement, _exchange_angles, tau as q_tau
 
 
 def laplacian(a, basis: DifferentialBasis):
     """Delta(a) = sum_j [(c_j U_j)^*, [c_j U_j, a]] on any carrier."""
     out = None
-    for x, xs in zip(basis.scaled, basis.scaled_star):
-        term = commutator(xs, commutator(x, a))
+    for ad, ad_star in zip(basis.ad, basis.ad_star):
+        term = ad_star(ad(a))
         out = term if out is None else out + term
     return out
 
@@ -122,22 +125,29 @@ def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
     return Q @ (M * (Qh @ m @ Q)) @ Qh
 
 
-def _q_eigenvalue(basis: DifferentialBasis, spec, exponents: tuple) -> float:
-    """Diagonal action of Delta on a q-lattice monomial.
+def _q_eigenvalues(basis: DifferentialBasis, spec):
+    """The diagonal action of Delta on q-lattice monomials, as e -> lambda(e).
 
     For a single-monomial basis element b = c * U^g one has
-    b x = exp(i phi) x b with phi the exchange angle, and the nested
-    commutator contributes |c|^2 * |1 - exp(i phi)|^2.
+    b U^e = exp(i phi) U^e b with phi the exchange angle of
+    :func:`~ncdiff.qlattice._exchange_angles`, and the nested commutator
+    contributes |c|^2 * |1 - exp(i phi)|^2.
     """
-    lam = 0.0
+    weights = []
     for x in basis.scaled:
         if len(x.terms) != 1:
             raise ValueError("q-carrier semigroup needs single-monomial basis elements")
         if not x.spec.same_as(spec):
             raise ValueError("basis does not act on this presentation")
         (g, c), = x.terms.items()
-        phi = _mul_angle(spec, g, exponents) - _mul_angle(spec, exponents, g)
-        lam += abs(c) ** 2 * abs(1.0 - cmath.exp(1j * phi)) ** 2
+        weights.append((abs(c) ** 2, _exchange_angles(spec, g)))
+
+    def lam(e):
+        total = 0.0
+        for w, angles in weights:
+            phi1, phi2 = angles(e)
+            total += w * abs(1.0 - cmath.exp(1j * (phi1 - phi2))) ** 2
+        return total
     return lam
 
 
@@ -148,8 +158,8 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
         Q, W = _heat_symbol(basis, a.n)
         return MatElement(_schur_heat(Q, np.exp(-t * W), a.mat))
     if isinstance(a, QElement):
-        out = {e: c * float(np.exp(-t * _q_eigenvalue(basis, a.spec, e)))
-               for e, c in a.terms.items()}
+        lam = _q_eigenvalues(basis, a.spec)
+        out = {e: c * float(np.exp(-t * lam(e))) for e, c in a.terms.items()}
         return a._like(out)
     raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
 
@@ -286,9 +296,8 @@ def carre_du_champ_first_order(a, c, basis: DifferentialBasis):
     halves coincide and the sum doubles accordingly.
     """
     out = None
-    for x, xs in zip(basis.scaled, basis.scaled_star):
-        term = commutator(x, a).adjoint() * commutator(x, c) \
-            + commutator(xs, a).adjoint() * commutator(xs, c)
+    for ad, ad_star in zip(basis.ad, basis.ad_star):
+        term = ad(a).adjoint() * ad(c) + ad_star(a).adjoint() * ad_star(c)
         out = term if out is None else out + term
     return out
 
@@ -305,10 +314,10 @@ def dirichlet_form(a, b, basis: DifferentialBasis, trace_fn=None):
     tr = trace_fn or default_trace
     generator_side = tr(a.adjoint() * laplacian(b, basis))
     pairing = None
-    for x, xs in zip(basis.scaled, basis.scaled_star):
-        term = commutator(x, a).adjoint() * commutator(x, b)
+    for ad, ad_star in zip(basis.ad, basis.ad_star):
+        term = ad(a).adjoint() * ad(b)
         if basis.mode == "complex":
-            term = term + commutator(xs, a).adjoint() * commutator(xs, b)
+            term = term + ad_star(a).adjoint() * ad_star(b)
         pairing = term if pairing is None else pairing + term
     return generator_side, tr(pairing)
 
@@ -317,8 +326,8 @@ def locality_isometry(a, b, basis: DifferentialBasis) -> tuple:
     """Image of a (x) b under W: the 2n-tuple ([c_j U_j, a] b, [(c_j U_j)^*, a] b)."""
     if basis.mode != "complex":
         raise BasisModeError("locality isometry needs complex mode")
-    head = tuple(commutator(x, a) * b for x in basis.scaled)
-    tail = tuple(commutator(xs, a) * b for xs in basis.scaled_star)
+    head = tuple(ad(a) * b for ad in basis.ad)
+    tail = tuple(ad_star(a) * b for ad_star in basis.ad_star)
     return head + tail
 
 

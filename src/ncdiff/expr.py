@@ -386,9 +386,12 @@ def evaluate(node, ctx: EvalContext):
         if k == 0:
             return QElement.one(ctx.spec)
         base = v if k > 0 else _mono_inverse(v)
+        # square-and-multiply from the top bit: |k| <= 3 multiplies left to right
         out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
+        for bit in bin(abs(k))[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
     if isinstance(node, (Add, Sub)):
         a = evaluate(node.left, ctx)

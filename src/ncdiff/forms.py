@@ -14,7 +14,10 @@ increasing.  The first-order derivative acts by inner derivations,
     delta a = sum_j [c_j U_j, a] dU_j + sum_j [(c_j U_j)^*, a] dU_j^*,
 
 extended to higher degree by deriving coefficients and wedging the new
-covector in front.  delta^2 = 0 follows from the commuting-basis condition;
+covector in front.  Each bracket goes through the basis's ``ad`` maps, which
+the carrier builds once per element: a q-lattice monomial, a vertex
+projection or a diagonal matrix weights each key of ``a`` once, instead of
+forming two products.  delta^2 = 0 follows from the commuting-basis condition;
 the split delta = partial + partial_star and the star operation need the
 complex (paired-covector) mode.  A self-adjoint basis mode identifies
 dU_j^* with dU_j, halving the complex and disabling the type decomposition.
@@ -58,6 +61,8 @@ class DifferentialBasis:
 
     A matrix family keeps the :func:`~ncdiff.matrix_algebra.joint_eigenbasis`
     that validates it as ``eigenbasis``; it is None on other carriers.
+    ``ad[j]`` and ``ad_star[j]`` are the maps a -> [c_j U_j, a] and
+    a -> [(c_j U_j)^*, a], built once from the carrier's ``ad`` hook.
     """
 
     def __init__(self, elements: Sequence, prefactors: Sequence[complex] | None = None,
@@ -106,6 +111,8 @@ class DifferentialBasis:
         self.scaled = [c * u for c, u in zip(self.prefactors, self.elements)]
         # adjoints also cover self-adjoint mode: only the prefactor conjugates
         self.scaled_star = [x.adjoint() for x in self.scaled]
+        self.ad = [x.ad() for x in self.scaled]
+        self.ad_star = [x.ad() for x in self.scaled_star]
 
     @property
     def size(self) -> int:
@@ -193,14 +200,14 @@ class DifferentialForm(Terms):
 
 
 def _half_delta(alpha: DifferentialForm, starred: bool) -> DifferentialForm:
-    gens = alpha.basis.scaled_star if starred else alpha.basis.scaled
+    acts = alpha.basis.ad_star if starred else alpha.basis.ad
     out: dict = {}
     for (I, J), a in alpha.terms.items():
-        for j, x in enumerate(gens):
+        for j, act in enumerate(acts):
             hit = _merge_indices((), (j,), I, J) if starred else _merge_indices((j,), (), I, J)
             if hit is None:
                 continue
-            c = commutator(x, a)
+            c = act(a)
             if c.norm() == 0.0:
                 continue
             sign, key = hit

@@ -213,6 +213,15 @@ class GraphElement(Terms):
             return self.scale(other)
         return NotImplemented
 
+    def ad(self):
+        """a -> [self, a]: termwise signs (:func:`vertex_commutator`) when self is
+        a scaled vertex projection c p_v, the generic commutator otherwise."""
+        if len(self.terms) == 1:
+            ((mu, nu), c), = self.terms.items()
+            if mu == nu and not mu.edges:
+                return self._diagonal_ad(lambda a: vertex_commutator(mu.source, a, c))
+        return super().ad()
+
     def adjoint(self) -> "GraphElement":
         return self._like({(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()})
 
@@ -276,17 +285,17 @@ def _term_product(t1: CKTerm, t2: CKTerm) -> CKTerm | None:
     return None
 
 
-def vertex_commutator(v: str, x: GraphElement) -> GraphElement:
-    """[p_v, x], computed termwise.
+def vertex_commutator(v: str, x: GraphElement, coeff: complex = 1.0) -> GraphElement:
+    """[coeff p_v, x], computed termwise.
 
     For a term s_mu s_nu^* only the source vertices act:
-    the coefficient picks up +1 at v = s(mu), -1 at v = s(nu).
+    the coefficient picks up +coeff at v = s(mu), -coeff at v = s(nu).
     """
     out: dict = {}
     for (mu, nu), c in x.terms.items():
         sign = (1 if mu.source == v else 0) - (1 if nu.source == v else 0)
         if sign:
-            out[(mu, nu)] = out.get((mu, nu), 0j) + sign * c
+            out[(mu, nu)] = coeff * c if sign > 0 else -(c * coeff)
     return x._like(out)
 
 

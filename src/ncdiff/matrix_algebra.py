@@ -16,7 +16,7 @@ class MatElement(Normed):
         m = np.array(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():  # a complex entry is finite when both parts are
             raise ValueError("matrix entries must be finite")
         m.setflags(write=False)
         self.mat = m
@@ -69,6 +69,15 @@ class MatElement(Normed):
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         return NotImplemented
+
+    def ad(self):
+        """a -> [self, a]: for a diagonal matrix diag(d), the Schur multiplier
+        by D[a, b] = d(a) - d(b); any other matrix takes the two-matmul commutator."""
+        d = np.diag(self.mat)
+        if (self.mat - np.diag(d)).any():
+            return super().ad()
+        D = d[:, None] - d[None, :]
+        return self._diagonal_ad(lambda a: MatElement(D * a.mat))
 
     def adjoint(self) -> "MatElement":
         return MatElement(self.mat.conj().T)

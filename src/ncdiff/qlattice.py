@@ -22,6 +22,12 @@ and sums coefficients by exponent code.  The cut sits above the measured
 crossover (near 7 x 7 terms), so the many short products of the CLI and of
 cohomology assembly never pay numpy's fixed cost.  The loop is the oracle
 that the tests hold the array route to.
+
+A single monomial c U^g acts by ``QElement.ad``: the commutator [c U^g, a]
+multiplies each term a_e U^e by c (exp(i phi_1) - exp(i phi_2)), the two
+exchange phases of :func:`_exchange_angles`, and moves it to U^{g+e}.  Up to
+``_ARRAY_TERMS`` terms a loop forms the two products of the commutator term
+by term, bit for bit; above it numpy weights all terms at once.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -79,8 +86,9 @@ class QAlgebraSpec:
         self.label = label
         self.meta = dict(meta or {})
         self.prune_epsilon = float(prune_epsilon)
-        # nonzero strict-upper entries drive every phase computation
-        self._pairs = tuple((j, k, th[j, k]) for j in range(m)
+        # nonzero strict-upper entries drive every phase computation; Python
+        # floats multiply faster than numpy scalars and overflow without a warning
+        self._pairs = tuple((j, k, float(th[j, k])) for j in range(m)
                             for k in range(j + 1, m) if th[j, k] != 0.0)
 
     @property
@@ -100,6 +108,27 @@ class QAlgebraSpec:
 def _mul_angle(spec: QAlgebraSpec, e: Monomial, f: Monomial) -> float:
     """Exchange angle picked up normal-ordering the product U^e * U^f."""
     return sum(t * e[k] * f[j] for j, k, t in spec._pairs)
+
+
+def _exchange_angles(spec: QAlgebraSpec, g: Monomial):
+    """The function e -> (angle of U^g U^e, angle of U^e U^g), so that
+    U^g U^e = exp(i (phi_1 - phi_2)) U^e U^g.
+
+    Both are summed in the association of :func:`_mul_angle`, so they equal
+    ``_mul_angle(spec, g, e)`` and ``_mul_angle(spec, e, g)`` bit for bit
+    (a zero angle may differ in sign, and a zero angle gives no phase).
+    ``e`` may also be the transposed int64 exponent rows of many terms, which
+    gives arrays of angles.
+    """
+    weights = [(t * g[k], j, t, k, g[j]) for j, k, t in spec._pairs]
+
+    def angles(e):
+        phi1 = phi2 = 0.0
+        for w, j, t, k, h in weights:
+            phi1 += w * e[j]
+            phi2 += t * e[k] * h
+        return phi1, phi2
+    return angles
 
 
 def _adjoint_angle(spec: QAlgebraSpec, e: Monomial) -> float:
@@ -209,6 +238,65 @@ def _array_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> "QElement":
     return out
 
 
+# Commutators [c U^g, a] with more terms in ``a`` than this take the array
+# route; both routes took the same time near 32 terms, for 2 to 4 generators.
+_ARRAY_TERMS = 32
+
+
+def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
+                      angles) -> dict:
+    """Terms of [c U^g, a] before the final prune, one term of ``a`` at a time.
+
+    The term a_e U^e gives p_1 = c a_e exp(i phi_1) and p_2 = a_e c exp(i phi_2),
+    each pruned as the two products of :func:`~ncdiff.carrier.commutator`
+    prune them, and the coefficient p_1 - p_2 on U^{g+e}.  Keys and
+    coefficients are those of the commutator, bit for bit (the product loop
+    stores 0j + p, which can differ only in the sign of a zero part); this
+    loop is the oracle of :func:`_monomial_ad_array`.
+    """
+    eps = spec.prune_epsilon
+    out = {}
+    for e, ae in terms.items():
+        phi1, phi2 = angles(e)
+        p1 = c * ae
+        if phi1 != 0.0:
+            p1 *= cmath.exp(1j * phi1)
+        p2 = ae * c
+        if phi2 != 0.0:
+            p2 *= cmath.exp(1j * phi2)
+        key = tuple(map(operator.add, g, e))
+        if not abs(p1) <= eps:
+            out[key] = p1 if abs(p2) <= eps else p1 - p2
+        elif not abs(p2) <= eps:
+            out[key] = -p2
+    return out
+
+
+def _monomial_ad_array(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
+                       angles) -> "QElement | None":
+    """[c U^g, a] on the int64 exponent rows of ``a``, in numpy, or None when
+    an exponent is 2**62 or more.
+
+    Each term is weighted once, by c (exp(i phi_1) - exp(i phi_2)) with the
+    angles of :func:`_monomial_ad_loop`, so coefficients agree with the
+    loop's up to rounding, and only the result is pruned.  Overflowing angles
+    give nan coefficients without a warning, and the finiteness checks see
+    them.
+    """
+    E = _exponent_rows(terms, spec.generator_count)
+    if E is None or max(map(abs, g)) >= _EXPONENT_LIMIT:
+        return None
+    ca = np.fromiter(terms.values(), complex, len(terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi1, phi2 = angles(E.T)
+        v = c * ca * (np.exp(1j * phi1) - np.exp(1j * phi2))
+        keep = ~(np.abs(v) <= spec.prune_epsilon)  # keeps a nan
+    out = QElement(spec)
+    keys = (E[keep] + np.array(g, dtype=np.int64)).tolist()
+    out.terms = dict(zip(map(tuple, keys), v[keep].tolist()))
+    return out
+
+
 class QElement(Terms):
     """Finite complex combination of normal-ordered monomials.
 
@@ -278,6 +366,24 @@ class QElement(Terms):
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         return NotImplemented
+
+    def ad(self):
+        """a -> [self, a].  A single monomial c U^g weights each term of ``a``
+        by its two exchange phases (:func:`_monomial_ad_loop`, or
+        :func:`_monomial_ad_array` above ``_ARRAY_TERMS`` terms); any other
+        element takes the generic commutator."""
+        if len(self.terms) != 1:
+            return super().ad()
+        (g, c), = self.terms.items()
+        spec, angles = self.spec, _exchange_angles(self.spec, g)
+
+        def act(a):
+            if len(a.terms) > _ARRAY_TERMS:
+                out = _monomial_ad_array(spec, g, c, a.terms, angles)
+                if out is not None:
+                    return out
+            return self._like(_monomial_ad_loop(spec, g, c, a.terms, angles))
+        return self._diagonal_ad(act)
 
     def adjoint(self) -> "QElement":
         out = {}

@@ -1,0 +1,280 @@
+"""The diagonal ``ad`` maps a -> [x, a] against the generic commutator.
+
+A q-lattice monomial, a scaled vertex projection and a diagonal matrix act
+on each key of ``a`` by one weight; every other element keeps
+``carrier.commutator``, which is the oracle here.
+"""
+
+import cmath
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from ncdiff import carrier, cohomology as C, dirichlet, forms, graph_algebra as ga
+from ncdiff import qlattice
+from ncdiff.carrier import Normed, commutator
+from ncdiff.forms import DifferentialBasis, DifferentialForm
+from ncdiff.matrix_algebra import MatElement, projection_basis
+from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError, _ARRAY_TERMS,
+                             heisenberg_spec, torus_spec, torus_spec_2n)
+from ncdiff.testing import (loop_graph, random_form, random_graph_element, random_matelement,
+                            random_qelement, star_tree)
+
+from conftest import MU, NU, THETA
+
+# operand sizes on both sides of the array cut
+LOOP_SIZES = (1, 5, _ARRAY_TERMS)
+ARRAY_SIZES = (_ARRAY_TERMS + 1, 300)
+
+
+def _bits(x):
+    return {k: (v.real.hex(), v.imag.hex()) for k, v in x.terms.items()}
+
+
+def _operand(spec, rng, n, max_exp=12):
+    """An element with exactly n terms."""
+    m = spec.generator_count
+    terms = {}
+    while len(terms) < n:
+        e = tuple(int(v) for v in rng.integers(-max_exp, max_exp + 1, m))
+        terms[e] = complex(*rng.standard_normal(2))
+    return QElement(spec, terms)
+
+
+def _q_bases():
+    """Commuting monomial bases with complex prefactors."""
+    torus, heis, t2n = torus_spec(THETA), heisenberg_spec(MU, NU), torus_spec_2n([0.3, 1.1])
+    return [
+        DifferentialBasis([QElement.generator(torus, 1), QElement.monomial(torus, (-2, 0))],
+                          prefactors=[0.5 - 2j, 1j], label="torus {U, U^-2}"),
+        DifferentialBasis([QElement.generator(heis, 3)], prefactors=[-1.5 + 0.25j],
+                          label="heisenberg {W}"),
+        DifferentialBasis([QElement.generator(heis, 1), QElement.monomial(heis, (1, -2, 0))],
+                          prefactors=[2.0, 0.5j], label="heisenberg {U, U V^-2}"),
+        DifferentialBasis([QElement.generator(t2n, 1), QElement.monomial(t2n, (-1, 0, 2, 0))],
+                          prefactors=[1j, 0.3 + 0.4j], label="torus2n {U1, U1^-1 U3^2}"),
+        DifferentialBasis([QElement.generator(QAlgebraSpec(np.zeros((3, 3))), 2)],
+                          prefactors=[1 - 1j], label="commutative {U2}"),
+    ]
+
+
+def _each_ad(basis):
+    for acts, xs in ((basis.ad, basis.scaled), (basis.ad_star, basis.scaled_star)):
+        yield from zip(acts, xs)
+
+
+@pytest.mark.parametrize("basis", _q_bases(), ids=lambda b: b.label)
+def test_monomial_ad_matches_commutator(basis, rng):
+    spec = basis.scaled[0].spec
+    for act, x in _each_ad(basis):
+        for n in LOOP_SIZES:
+            a = _operand(spec, rng, n)
+            # the keys and every bit of every coefficient, signed zeros too
+            assert _bits(act(a)) == _bits(commutator(x, a))
+        for n in ARRAY_SIZES:
+            a = _operand(spec, rng, n)
+            got, want = act(a), commutator(x, a)
+            assert set(got.terms) == set(want.terms)
+            assert all(type(v) is int for e in got.terms for v in e)
+            for e, c in want.terms.items():
+                assert abs(got.terms[e] - c) <= 1e-13 * max(1.0, abs(c)), e
+
+
+def test_monomial_ad_routes(rng, monkeypatch):
+    spec = torus_spec(THETA)
+    act = QElement.generator(spec, 1).ad()
+    entered = []
+    array_route = qlattice._monomial_ad_array
+    monkeypatch.setattr(qlattice, "_monomial_ad_array",
+                        lambda *args: entered.append(1) or array_route(*args))
+    act(_operand(spec, rng, _ARRAY_TERMS))
+    assert not entered
+    act(_operand(spec, rng, _ARRAY_TERMS + 1))
+    assert entered == [1]
+
+
+@pytest.mark.parametrize("n", [5, 200])
+def test_monomial_ad_keeps_nan(n, rng):
+    spec = heisenberg_spec(MU, NU)
+    x = QElement.monomial(spec, (0, 1, 1), 0.5 + 1j)
+    a = _operand(spec, rng, n)
+    e0 = next(iter(a.terms))
+    a = QElement(spec, {**a.terms, e0: complex(math.nan, 0.0)})
+    got, want = x.ad()(a), commutator(x, a)
+    assert set(got.terms) == set(want.terms)
+    nan_keys = {e for e, c in want.terms.items() if cmath.isnan(c)}
+    assert nan_keys == {e for e, c in got.terms.items() if cmath.isnan(c)}
+    assert nan_keys == {(e0[0], e0[1] + 1, e0[2] + 1)}
+
+
+@pytest.mark.parametrize("n", [5, 200])
+def test_monomial_ad_huge_theta_gives_nan_without_warnings(n, rng):
+    spec = torus_spec(1e308)
+    x = QElement.generator(spec, 2)
+    a = _operand(spec, rng, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = x.ad()(a)
+        want = commutator(x, a)
+    assert set(got.terms) == set(want.terms)
+    assert {e for e, c in got.terms.items() if cmath.isnan(c)} == \
+        {e for e, c in want.terms.items() if cmath.isnan(c)} != set()
+
+
+def test_monomial_ad_exponents_beyond_int64(rng):
+    spec = torus_spec(THETA)
+    big = 2 ** 63
+    x = QElement.monomial(spec, (big, 1), 2j)
+    for n in (3, 100):
+        a = _operand(spec, rng, n)
+        assert _bits(x.ad()(a)) == _bits(commutator(x, a))
+    a = QElement(spec, {(big + k, k): 1.0 + k for k in range(60)})
+    assert _bits(QElement.generator(spec, 2).ad()(a)) == \
+        _bits(commutator(QElement.generator(spec, 2), a))
+
+
+def test_diagonal_matrix_ad(rng):
+    basis = DifferentialBasis(projection_basis(5), mode="selfadjoint")
+    for act, x in _each_ad(basis):
+        a = random_matelement(5, rng)
+        assert np.array_equal(act(a).mat, commutator(x, a).mat)
+    d = MatElement(np.diag(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    a = random_matelement(4, rng)
+    assert d.ad()(a).equal_within(commutator(d, a), tol=1e-14)
+
+
+@pytest.mark.parametrize("graph", [star_tree(5), loop_graph(3)], ids=["star", "loop"])
+def test_vertex_projection_ad(graph, rng):
+    basis = DifferentialBasis([ga.vertex_projection(graph, v) for v in graph.vertices],
+                              prefactors=[1.0, 2 - 1j, 0.5j] + [1.0] * (len(graph.vertices) - 3),
+                              mode="selfadjoint")
+    for act, x in _each_ad(basis):
+        for _ in range(5):
+            a = random_graph_element(graph, rng, n_terms=6)
+            got, want = act(a), commutator(x, a)
+            assert set(got.terms) == set(want.terms)
+            assert (got - want).norm() == 0.0
+
+
+def _rotated_basis(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    mats = [MatElement(q @ np.diag(d) @ q.conj().T)
+            for d in ([1.0, 1j, 0.0, -1j], [0.5, 1j, -1.0, 2.0])]
+    return DifferentialBasis(mats, label="rotated")
+
+
+def test_fallback_elements_take_the_commutator(rng):
+    spec = torus_spec(THETA)
+    U = QElement.generator(spec, 1)
+    for act, x in _each_ad(DifferentialBasis([U + U * U], label="torus {U + U^2}")):
+        a = random_qelement(spec, rng, n_terms=60)
+        assert _bits(act(a)) == _bits(commutator(x, a))
+    for act, x in _each_ad(_rotated_basis(rng)):
+        a = random_matelement(4, rng)
+        assert np.array_equal(act(a).mat, commutator(x, a).mat)
+    # two monomials are diagonal elements, each on its own route
+    basis = DifferentialBasis([U, U * U], label="torus {U, U^2}")
+    for act, x in _each_ad(basis):
+        a = random_qelement(spec, rng, n_terms=8)
+        assert _bits(act(a)) == _bits(commutator(x, a))
+
+
+def _diagonal_setups():
+    """(basis, domain, codomain, sampler) with every [x, a] inside the codomain."""
+    torus, heis = torus_spec(THETA), heisenberg_spec(MU, NU)
+    star, loop = star_tree(4), loop_graph(3)
+    q_bases = _q_bases()
+    star_terms, loop_terms = C.GraphCarrierBasis(star, 1), C.GraphCarrierBasis(loop, 1)
+    return [
+        (q_bases[0], C.QMonomialBasis(torus, 1), C.QMonomialBasis(torus, 3),
+         lambda r: random_qelement(torus, r)),
+        (q_bases[1], C.QMonomialBasis(heis, 1), C.QMonomialBasis(heis, 2),
+         lambda r: random_qelement(heis, r)),
+        (q_bases[2], C.QMonomialBasis(heis, 1), C.QMonomialBasis(heis, 3),
+         lambda r: random_qelement(heis, r)),
+        (DifferentialBasis(projection_basis(4), mode="selfadjoint"), C.MatrixCarrierBasis(4),
+         C.MatrixCarrierBasis(4), lambda r: random_matelement(4, r)),
+        (DifferentialBasis([ga.vertex_projection(star, v) for v in star.vertices],
+                           mode="selfadjoint"),
+         star_terms, star_terms, lambda r: random_graph_element(star, r)),
+        (DifferentialBasis([ga.vertex_projection(loop, v) for v in loop.vertices],
+                           mode="selfadjoint"),
+         loop_terms, loop_terms, lambda r: random_graph_element(loop, r)),
+    ]
+
+
+def _patch_commutator(monkeypatch):
+    calls = []
+
+    def counted(x, a):
+        calls.append(x)
+        return x * a - a * x
+
+    monkeypatch.setattr(carrier, "commutator", counted)
+    for module in (forms, dirichlet, C, ga, qlattice):
+        if hasattr(module, "commutator"):
+            monkeypatch.setattr(module, "commutator", counted)
+    return calls
+
+
+def test_diagonal_bases_never_form_the_commutator(rng, monkeypatch):
+    setups = _diagonal_setups()
+    rotated = _rotated_basis(rng)
+    calls = _patch_commutator(monkeypatch)
+    for basis, domain, codomain, sample in setups:
+        for _ in range(3):
+            forms.delta(random_form(basis, sample, rng))
+            forms.delta(DifferentialForm.from_element(basis, sample(rng)))
+            dirichlet.laplacian(sample(rng), basis)
+        elems = domain.elements()
+        for x in basis.scaled + basis.scaled_star:
+            C._ad_matrix(x, elems, codomain)
+    assert calls == []
+    # the patch sees the generic route
+    dirichlet.laplacian(random_matelement(4, rng), rotated)
+    assert len(calls) == 2 * len(rotated.scaled)
+
+
+def _foreign_operands(rng):
+    """(element, operands over another parent or carrier) per diagonal element kind."""
+    torus = torus_spec(THETA)
+    star = star_tree(4)
+    return [
+        (QElement.generator(torus, 1),
+         [random_qelement(torus_spec(THETA / 2), rng), random_matelement(2, rng),
+          random_graph_element(star, rng)]),
+        (ga.vertex_projection(star, "v1").scale(2j),
+         [random_graph_element(star_tree(4), rng), random_qelement(torus, rng),
+          random_matelement(2, rng)]),
+        (projection_basis(3)[1],
+         [random_matelement(2, rng), random_qelement(torus, rng),
+          random_graph_element(star, rng)]),
+    ]
+
+
+def test_ad_raises_as_the_commutator_does(rng):
+    for x, foreign in _foreign_operands(rng):
+        for a in foreign:
+            with pytest.raises(Exception) as want:
+                commutator(x, a)
+            with pytest.raises(want.type) as got:
+                x.ad()(a)
+            assert str(got.value) == str(want.value)
+    with pytest.raises(SpecMismatchError):
+        QElement.generator(torus_spec(THETA), 1).ad()(random_qelement(torus_spec(1.0), rng))
+    with pytest.raises(TypeError):
+        projection_basis(2)[0].ad()(random_qelement(torus_spec(THETA), rng))
+
+
+def test_huge_theta_ad_matrix_error_matches_the_commutator(monkeypatch):
+    spec = torus_spec(1e308)
+    U = QElement.generator(spec, 1)
+    elems, codomain = C.QMonomialBasis(spec, 2).elements(), C.QMonomialBasis(spec, 3)
+    with pytest.raises(ValueError, match=r"non-finite coefficient \(nan\+nanj\)") as got:
+        C._ad_matrix(U, elems, codomain)
+    monkeypatch.setattr(QElement, "ad", Normed.ad)
+    with pytest.raises(ValueError) as want:
+        C._ad_matrix(U, elems, codomain)
+    assert str(got.value) == str(want.value)

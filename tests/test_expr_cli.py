@@ -213,6 +213,8 @@ def test_cli_deform():
 
 EVAL_U = ["eval", "--spec", "{spec}", "U"]
 SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
+# exchange angles overflow to inf, and their phases to nan
+HUGE_THETA = {"theta_matrix": [[0.0, -1e308], [1e308, 0.0]]}
 
 
 @pytest.mark.parametrize("config, spec, argv", [
@@ -250,6 +252,12 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
     (None, None, ["cohomology", "--carrier", "matrix", "--n", "2", "--max-degree", "-1"]),
     (None, None, ["cohomology", "--carrier", "torus", "--trunc", "3", "--max-degree", "-1"]),
     (None, None, ["cohomology", "--carrier", "torus", "--theta", "1e308", "--trunc", "3"]),
+    (None, HUGE_THETA, ["eval", "--spec", "{spec}", "--basis", "1", "delta(V^3)"]),
+    (None, HUGE_THETA, ["eval", "--spec", "{spec}", "V^3*U^5"]),
+    (None, None, ["deform", "torus", "--params", "0"]),
+    (None, None, ["deform", "plane", "--params", "0.02,0.01,0"]),
+    (None, None, ["deform", "heisenberg", "--params", "0"]),
+    (None, None, ["deform", "torus", "--params", "0.01,0.02"]),
 ], ids=["spec-without-theta-matrix", "config-truncation-string",
         "config-dropped-tolerance", "config-dropped-normalized-trace",
         "config-not-an-object", "spec-theta-matrix-scalar",
@@ -264,7 +272,10 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
         "eval-power-overflow-difference", "eval-form-overflow-difference",
         "cohomology-infinite-theta", "cohomology-infinite-mu", "spec-infinite-theta",
         "deform-infinite-parameter", "cohomology-matrix-negative-max-degree",
-        "cohomology-torus-negative-max-degree", "cohomology-huge-theta"])
+        "cohomology-torus-negative-max-degree", "cohomology-huge-theta",
+        "eval-huge-theta-delta", "eval-huge-theta-product", "deform-torus-zero-parameter",
+        "deform-plane-zero-parameter", "deform-heisenberg-zero-parameter",
+        "deform-increasing-parameters"])
 def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     options = []
     if config is not None:
@@ -279,6 +290,53 @@ def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     rc, out, err = run_cli(options + argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+POWER_BASES = [
+    ("torus", "U + 0.5*V' - 2i*U^2*V"),
+    ("torus", "0.3*U^-1 + V + 1.5i"),
+    ("heisenberg", "U + V + W"),
+    ("heisenberg", "W' - 0.7i*U*V^2 + 0.2*W^2"),
+]
+
+
+@pytest.mark.parametrize("carrier, text", POWER_BASES)
+def test_power_by_squaring_matches_repeated_products(carrier, text, torus, heisenberg):
+    ctx = E.EvalContext(torus if carrier == "torus" else heisenberg)
+    base = E.evaluate(E.parse(text), ctx)
+    want = base
+    for k in range(1, 13):
+        got = E.evaluate(E.parse(f"({text})^{k}"), ctx)
+        assert set(got.terms) == set(want.terms), k
+        assert (got - want).norm() <= 1e-12 * max(1.0, want.norm()), k
+        want = want * base
+
+
+@pytest.mark.parametrize("carrier, text, exact", [
+    ("torus", "2i*V^-3", True),
+    ("heisenberg", "-0.5*W^2", True),
+    ("torus", "2i*U^2*V^-1", False),       # exchange phases round differently
+    ("heisenberg", "0.5*U*V^-2*W^3", False),
+])
+def test_power_of_a_monomial(carrier, text, exact, torus, heisenberg):
+    ctx = E.EvalContext(torus if carrier == "torus" else heisenberg)
+    base = E.evaluate(E.parse(text), ctx)
+    want = base
+    for k in range(1, 13):
+        got = E.evaluate(E.parse(f"({text})^{k}"), ctx)
+        (e, c), = got.terms.items()
+        (f, d), = want.terms.items()
+        assert e == f and (c == d if exact else abs(c - d) <= 1e-12 * abs(d)), k
+        want = want * base
+
+
+def test_huge_powers_take_logarithmically_many_products(spec_file, monkeypatch):
+    products = []
+    mul = QElement.__mul__
+    monkeypatch.setattr(QElement, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    rc, out, _ = run_cli(["eval", "--spec", spec_file, "U^100000000000000000000"])
+    assert rc == 0 and out == "1*U^100000000000000000000\n"
+    assert len(products) <= 2 * (10 ** 20).bit_length()
 
 
 def test_cli_huge_theta_names_the_coefficient():
