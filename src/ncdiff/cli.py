@@ -5,11 +5,17 @@ Subcommands: ``eval`` (expression to normal form), ``cohomology``
 (heat-channel audit), ``deform`` (limit sweeps), ``selftest``.  Exit codes:
 0 success, 1 failed check, 2 bad input (also an input too large for memory),
 141 (128 + SIGPIPE) when the reader closes stdout early.
+
+The argument parser is built on the first call of :func:`main` and reused by
+every later call in the process: each parse returns a fresh namespace, and
+argparse writes help and errors to the ``sys.stdout``/``sys.stderr`` of the
+moment, so redirected output keeps working.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -178,6 +184,7 @@ def _cmd_selftest(args, cfg: Config) -> int:
     return 0 if run_selftest() else FAILED_CHECK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ncdiff",
                                  description="inner-derivation differential "

@@ -17,10 +17,15 @@ extended to higher degree by deriving coefficients and wedging the new
 covector in front.  Each bracket goes through the basis's ``ad`` maps, which
 the carrier builds once per element: a q-lattice monomial, a vertex
 projection or a diagonal matrix weights each key of ``a`` once, instead of
-forming two products.  delta^2 = 0 follows from the commuting-basis condition;
-the split delta = partial + partial_star and the star operation need the
-complex (paired-covector) mode.  A self-adjoint basis mode identifies
-dU_j^* with dU_j, halving the complex and disabling the type decomposition.
+forming two products.  Where each new covector lands, and with which sign,
+comes from the basis's front-merge table, which the basis fills from
+:func:`_merge_indices` the first time a covector index (I, J) is derived.
+So ``delta`` is one pass over the terms of a form into one table of
+coefficients, pruned once.  delta^2 = 0 follows from the commuting-basis
+condition; the split delta = partial + partial_star and the star operation
+need the complex (paired-covector) mode.  A self-adjoint basis mode
+identifies dU_j^* with dU_j, halving the complex and disabling the type
+decomposition.
 
 Carrier elements only need what the protocol in :mod:`ncdiff.carrier`
 lists; the q-lattice, matrix and graph carriers all qualify.
@@ -63,6 +68,8 @@ class DifferentialBasis:
     that validates it as ``eigenbasis``; it is None on other carriers.
     ``ad[j]`` and ``ad_star[j]`` are the maps a -> [c_j U_j, a] and
     a -> [(c_j U_j)^*, a], built once from the carrier's ``ad`` hook.
+    ``families`` lists the covector families, (False,) for dU_j alone and
+    (False, True) when dU_j^* is kept too.
     """
 
     def __init__(self, elements: Sequence, prefactors: Sequence[complex] | None = None,
@@ -113,6 +120,24 @@ class DifferentialBasis:
         self.scaled_star = [x.adjoint() for x in self.scaled]
         self.ad = [x.ad() for x in self.scaled]
         self.ad_star = [x.ad() for x in self.scaled_star]
+        self.families = (False,) if mode == "selfadjoint" else (False, True)
+        self._front: dict = {}
+
+    def front_merges(self, I: tuple, J: tuple) -> tuple:
+        """Where dU_j, or dU_j^*, lands when wedged in front of dU_I ^ dU_J^*.
+
+        One row per family of ``families``, one entry per slot j: the
+        ``(sign, key)`` of :func:`_merge_indices`, or None when the covector
+        repeats.  Rows are filled on first use and kept on this basis, so
+        the table is as large as the set of covector indices derived over it.
+        """
+        rows = self._front.get((I, J))
+        if rows is None:
+            rows = self._front[(I, J)] = tuple(
+                tuple(_merge_indices((), (j,), I, J) if starred
+                      else _merge_indices((j,), (), I, J) for j in range(self.size))
+                for starred in self.families)
+        return rows
 
     @property
     def size(self) -> int:
@@ -199,20 +224,21 @@ class DifferentialForm(Terms):
         return f"DifferentialForm({len(self.terms)} terms, indices {keys[:6]})"
 
 
-def _half_delta(alpha: DifferentialForm, starred: bool) -> DifferentialForm:
-    acts = alpha.basis.ad_star if starred else alpha.basis.ad
+def _derive(alpha: DifferentialForm, families: tuple) -> DifferentialForm:
+    """[x_j, a] wedged in front of every term a dU_I ^ dU_J^*, summed over j and
+    over ``families`` (False for dU_j with x_j = c_j U_j, True for dU_j^*)."""
+    basis = alpha.basis
+    acts = (basis.ad, basis.ad_star)
     out: dict = {}
     for (I, J), a in alpha.terms.items():
-        for j, act in enumerate(acts):
-            hit = _merge_indices((), (j,), I, J) if starred else _merge_indices((j,), (), I, J)
-            if hit is None:
-                continue
-            c = act(a)
-            if c.norm() == 0.0:
-                continue
-            sign, key = hit
-            term = c if sign > 0 else -c
-            out[key] = out[key] + term if key in out else term
+        rows = basis.front_merges(I, J)
+        for starred in families:
+            for hit, act in zip(rows[starred], acts[starred]):
+                if hit is None:
+                    continue
+                sign, key = hit
+                term = act(a) if sign > 0 else -act(a)
+                out[key] = out[key] + term if key in out else term
     return alpha._like(out)
 
 
@@ -222,23 +248,21 @@ def delta(alpha: DifferentialForm) -> DifferentialForm:
     In complex mode both covector families appear; in self-adjoint mode
     only the unstarred half exists.
     """
-    if alpha.basis.mode == "selfadjoint":
-        return _half_delta(alpha, starred=False)
-    return _half_delta(alpha, starred=False) + _half_delta(alpha, starred=True)
+    return _derive(alpha, alpha.basis.families)
 
 
 def partial(alpha: DifferentialForm) -> DifferentialForm:
     """Unstarred half of the derivative (complex mode only)."""
     if alpha.basis.mode != "complex":
         raise BasisModeError("type decomposition needs complex mode")
-    return _half_delta(alpha, starred=False)
+    return _derive(alpha, (False,))
 
 
 def partial_star(alpha: DifferentialForm) -> DifferentialForm:
     """Starred half of the derivative (complex mode only)."""
     if alpha.basis.mode != "complex":
         raise BasisModeError("type decomposition needs complex mode")
-    return _half_delta(alpha, starred=True)
+    return _derive(alpha, (True,))
 
 
 def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:

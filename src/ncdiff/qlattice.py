@@ -210,28 +210,31 @@ def _array_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> "QElement":
         re, im, hit = np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
     else:
         parts = []
-    phases = [(t * E[:, k], F[:, j].astype(float)) for j, k, t in spec._pairs]
-    step = max(1, _CHUNK_PAIRS // len(tb))
-    for r0 in range(0, len(ta), step):
-        rows = slice(r0, r0 + step)
-        c = np.multiply.outer(ca[rows], cb)
-        if phases:
-            ang = sum(np.multiply.outer(te[rows], f) for te, f in phases)
-            np.multiply(c, np.exp(1j * ang), out=c, where=ang != 0.0)
-        c = c.ravel()
-        keys = np.add.outer(codeE[rows], codeF).ravel()
+    # Overflowing angles and coefficients give inf and nan without a warning;
+    # the finiteness checks see them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = [(t * E[:, k], F[:, j].astype(float)) for j, k, t in spec._pairs]
+        step = max(1, _CHUNK_PAIRS // len(tb))
+        for r0 in range(0, len(ta), step):
+            rows = slice(r0, r0 + step)
+            c = np.multiply.outer(ca[rows], cb)
+            if phases:
+                ang = sum(np.multiply.outer(te[rows], f) for te, f in phases)
+                np.multiply(c, np.exp(1j * ang), out=c, where=ang != 0.0)
+            c = c.ravel()
+            keys = np.add.outer(codeE[rows], codeF).ravel()
+            if dense:
+                re += np.bincount(keys, c.real, size)
+                im += np.bincount(keys, c.imag, size)
+                hit[keys] = True
+            else:
+                parts.append(_sum_by_code(keys, c))
         if dense:
-            re += np.bincount(keys, c.real, size)
-            im += np.bincount(keys, c.imag, size)
-            hit[keys] = True
+            keys = np.flatnonzero(hit)
+            vals = re[keys] + 1j * im[keys]
         else:
-            parts.append(_sum_by_code(keys, c))
-    if dense:
-        keys = np.flatnonzero(hit)
-        vals = re[keys] + 1j * im[keys]
-    else:
-        keys, vals = _sum_by_code(np.concatenate([k for k, _ in parts]),
-                                  np.concatenate([v for _, v in parts]))
+            keys, vals = _sum_by_code(np.concatenate([k for k, _ in parts]),
+                                      np.concatenate([v for _, v in parts]))
     keep = ~(np.abs(vals) <= spec.prune_epsilon)  # keeps a nan
     cols = [u + l for u, l in zip(np.unravel_index(keys[keep], ext), loE + loF)]
     out.terms = dict(zip(zip(*[col.tolist() for col in cols]), vals[keep].tolist()))

@@ -16,10 +16,12 @@ from .qlattice import QAlgebraSpec, QElement, _pair_product, heisenberg_spec, to
 
 def random_qelement(spec: QAlgebraSpec, rng, max_exp: int = 3,
                     n_terms: int = 4) -> QElement:
-    m = spec.generator_count
+    # m scalar draws take the same stream as one draw of size m, without np.prod
+    gens = range(spec.generator_count)
+    lo, hi = -max_exp, max_exp + 1
     terms = {}
     for _ in range(n_terms):
-        e = tuple(int(x) for x in rng.integers(-max_exp, max_exp + 1, size=m))
+        e = tuple(int(rng.integers(lo, hi)) for _ in gens)
         terms[e] = complex(rng.standard_normal(), rng.standard_normal())
     return QElement(spec, terms)
 
@@ -34,12 +36,21 @@ def random_matelement(n: int, rng) -> MatElement:
 
 
 def random_graph_element(graph, rng, max_len: int = 2, n_terms: int = 3):
+    return graph_sampler(graph, rng, max_len, n_terms)()
+
+
+def graph_sampler(graph, rng, max_len: int = 2, n_terms: int = 3):
+    """A sampler whose calls draw what successive ``random_graph_element``
+    calls draw, listing the term keys of ``graph`` once."""
     pairs = ga.common_range_pairs(graph, max_len)
-    terms = {}
-    for _ in range(n_terms):
-        mu, nu = pairs[int(rng.integers(len(pairs)))]
-        terms[(mu, nu)] = complex(rng.standard_normal(), rng.standard_normal())
-    return ga.GraphElement(graph, terms)
+
+    def sample():
+        terms = {}
+        for _ in range(n_terms):
+            mu, nu = pairs[int(rng.integers(len(pairs)))]
+            terms[(mu, nu)] = complex(rng.standard_normal(), rng.standard_normal())
+        return ga.GraphElement(graph, terms)
+    return sample
 
 
 def random_form(basis: DifferentialBasis, coeff_factory, rng,
@@ -106,8 +117,8 @@ def default_carriers(seed: int = 11):
         ("matrix M_4", basis_m4, lambda: random_matelement(4, rng)),
         ("torus", basis_torus, lambda: random_qelement(torus, rng, max_exp=6)),
         ("heisenberg", basis_heis, lambda: random_qelement(heis, rng, max_exp=3)),
-        ("graph tree", basis_tree, lambda: random_graph_element(tree, rng)),
-        ("graph loop", basis_loop, lambda: random_graph_element(loop, rng)),
+        ("graph tree", basis_tree, graph_sampler(tree, rng)),
+        ("graph loop", basis_loop, graph_sampler(loop, rng)),
     ]
 
 

@@ -215,6 +215,8 @@ EVAL_U = ["eval", "--spec", "{spec}", "U"]
 SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
 # exchange angles overflow to inf, and their phases to nan
 HUGE_THETA = {"theta_matrix": [[0.0, -1e308], [1e308, 0.0]]}
+# 17 terms, so the square takes the array route of the q-lattice product
+SEVENTEEN = "+".join(f"{g}^{k}" for k in range(1, 9) for g in "UV") + "+U^9"
 
 
 @pytest.mark.parametrize("config, spec, argv", [
@@ -254,6 +256,8 @@ HUGE_THETA = {"theta_matrix": [[0.0, -1e308], [1e308, 0.0]]}
     (None, None, ["cohomology", "--carrier", "torus", "--theta", "1e308", "--trunc", "3"]),
     (None, HUGE_THETA, ["eval", "--spec", "{spec}", "--basis", "1", "delta(V^3)"]),
     (None, HUGE_THETA, ["eval", "--spec", "{spec}", "V^3*U^5"]),
+    (None, HUGE_THETA, ["eval", "--spec", "{spec}", f"({SEVENTEEN})^2"]),
+    (None, None, ["eval", "--spec", "{spec}", f"(1e200*U+{SEVENTEEN})^2"]),
     (None, None, ["deform", "torus", "--params", "0"]),
     (None, None, ["deform", "plane", "--params", "0.02,0.01,0"]),
     (None, None, ["deform", "heisenberg", "--params", "0"]),
@@ -273,7 +277,9 @@ HUGE_THETA = {"theta_matrix": [[0.0, -1e308], [1e308, 0.0]]}
         "cohomology-infinite-theta", "cohomology-infinite-mu", "spec-infinite-theta",
         "deform-infinite-parameter", "cohomology-matrix-negative-max-degree",
         "cohomology-torus-negative-max-degree", "cohomology-huge-theta",
-        "eval-huge-theta-delta", "eval-huge-theta-product", "deform-torus-zero-parameter",
+        "eval-huge-theta-delta", "eval-huge-theta-product",
+        "eval-huge-theta-array-product", "eval-array-product-overflow",
+        "deform-torus-zero-parameter",
         "deform-plane-zero-parameter", "deform-heisenberg-zero-parameter",
         "deform-increasing-parameters"])
 def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
@@ -404,6 +410,65 @@ def test_module_entry_points():
     done = run_module("ncdiff.cli", "cohomology", "--carrier", "matrix", "--n", "0")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_parser_is_built_once_and_lazily():
+    assert cli.build_parser() is cli.build_parser()
+    env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]))
+    code = "import ncdiff.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stdout == "0\n"
+
+
+def test_reused_parser_starts_each_call_afresh(tmp_path):
+    # a rejected command leaves nothing behind for the next one
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["cohomology", "--carrier", "nope"])
+    assert exc.value.code == 2
+    def matrix_dims(argv):
+        rc, out, _ = run_cli(["cohomology", "--carrier", "matrix"] + argv)
+        assert rc == 0
+        return [r["h_dim"] for r in json.loads(out)["degrees"]]
+
+    assert matrix_dims(["--n", "2"]) == [2, 4, 2]
+    # an option of one call is not the default of the next: n falls back to 3
+    assert matrix_dims(["--n", "4"]) == [4 * math.comb(4, k) for k in range(5)]
+    assert matrix_dims([]) == [3, 9, 9, 3]
+    # the config file is read on every call
+    torus = ["cohomology", "--carrier", "torus", "--max-degree", "0"]
+    for K in (2, 3, 2):
+        cfg = tmp_path / f"cfg{K}.json"
+        cfg.write_text(json.dumps({"truncation": K}))
+        rc, out, _ = run_cli(["--config", str(cfg)] + torus)
+        assert json.loads(out)["truncation"]["K"] == K
+    rc, out, _ = run_cli(torus)
+    assert json.loads(out)["truncation"]["K"] == cli.Config().truncation
+    # help goes to the stdout of the moment, call after call
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--help"])
+        assert exc.value.code == 0
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    assert buf.getvalue().startswith("usage: ncdiff eval")
+
+
+def test_reused_parser_matches_a_fresh_process(spec_file, star_file):
+    commands = [
+        ["eval", "--spec", spec_file, "--basis", "1", "delta(V^2 + 0.5*U*V)"],
+        ["graph", "--file", star_file, "h0"],
+        ["semigroup", "--n", "2", "--t", "0.5,1", "--samples", "5"],
+        ["deform", "torus", "--degrees", "1,2"],
+        ["selftest"],
+    ]
+    in_process = [run_cli(argv) for argv in commands]
+    env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]))
+    for argv, (rc, out, _) in zip(commands, in_process):
+        done = subprocess.run([sys.executable, "-m", "ncdiff", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (rc, out) == (done.returncode, done.stdout) == (0, done.stdout), argv
 
 
 def test_closed_stdout_exits_quietly():

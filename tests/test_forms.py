@@ -1,4 +1,6 @@
 import cmath
+import itertools
+import warnings
 from math import comb
 
 import numpy as np
@@ -10,7 +12,8 @@ from ncdiff.forms import (BasisConditionError, BasisModeError, DifferentialBasis
                           grade, partial, partial_star, star, wedge)
 from ncdiff.matrix_algebra import MatElement, projection_basis
 from ncdiff.qlattice import QElement, element_to_json
-from ncdiff.testing import random_form, random_matelement, random_qelement
+from ncdiff.testing import (default_carriers, random_form, random_matelement,
+                            random_qelement)
 
 from conftest import THETA
 
@@ -246,6 +249,60 @@ def test_merge_sign_against_bubble_sort(rng):
                 _bubble_sort_covectors((j,), (), I1, J1)
             assert F._merge_indices((), (j,), I1, J1) == \
                 _bubble_sort_covectors((), (j,), I1, J1)
+
+
+def _complex_twin(basis):
+    """The basis's elements in complex mode (self-adjoint ones warn there)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return DifferentialBasis(basis.elements, basis.prefactors, label=basis.label)
+
+
+def test_delta_is_the_sum_of_its_halves():
+    for label, basis, sample in default_carriers():
+        rng = np.random.default_rng(17)
+        twin = basis if basis.mode == "complex" else _complex_twin(basis)
+        for _ in range(20):
+            alpha = random_form(twin, lambda _: sample(), rng)
+            halves = partial(alpha) + partial_star(alpha)
+            assert (delta(alpha) - halves).norm() <= 1e-13, label
+            if twin is not basis:
+                # self-adjoint mode keeps the unstarred half only
+                flat = DifferentialForm(basis, {(I, ()): a for (I, J), a in alpha.terms.items()
+                                                if not J})
+                want = partial(DifferentialForm(twin, flat.terms))
+                assert set(delta(flat).terms) == set(want.terms), label
+                assert (DifferentialForm(twin, delta(flat).terms) - want).norm() <= 1e-13
+
+
+def _diagonal_unitaries(n):
+    phases = np.arange(1, n + 1)
+    return [MatElement(np.diag(np.exp(0.3j * (j + 1) * phases))) for j in range(n)]
+
+
+def test_front_merge_table_is_the_merge_rule():
+    for n, mode in itertools.product(range(1, 5), ("complex", "selfadjoint")):
+        elements = _diagonal_unitaries(n) if mode == "complex" else \
+            [MatElement.unit(n, j, j) for j in range(n)]
+        basis = DifferentialBasis(elements, mode=mode)
+        subsets = [c for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+        for I, J in itertools.product(subsets, subsets if mode == "complex" else [()]):
+            rows = basis.front_merges(I, J)
+            assert len(rows) == len(basis.families)
+            for row, starred in zip(rows, basis.families):
+                assert row == tuple(F._merge_indices((), (j,), I, J) if starred
+                                    else F._merge_indices((j,), (), I, J)
+                                    for j in range(n))
+            assert basis.front_merges(I, J) is rows  # filled once
+
+
+def test_bases_never_share_a_merge_table(torus):
+    U = QElement.generator(torus, 1)
+    first, second = (DifferentialBasis([U, U * U]) for _ in range(2))
+    alpha = DifferentialForm(first, {((0,), ()): U})
+    delta(alpha)
+    assert first._front and not second._front
+    assert first._front is not second._front
 
 
 def test_form_json(torus, torus_basis):
