@@ -6,9 +6,10 @@ adjoint and a norm from its carrier.  A carrier element supplies ``+``,
 ``adjoint()`` and ``norm()``; :class:`Normed` then adds ``is_zero``,
 ``equal_within``, scalar-on-the-left products and ``ad()``, the map
 ``a -> [self, a]``.  The generic ``ad`` is :func:`commutator`, two products
-and a difference; a carrier overrides it for the elements that act
-diagonally on its own keys (q-lattice monomials, vertex projections,
-diagonal matrices), where the commutator is one weight per key.  A carrier
+and a difference.  The elements that act diagonally on their carrier's
+keys (q-lattice monomials, vertex projections, diagonal matrices) state that
+action once, in ``diagonal_action``: each key lands on one key with one
+weight.  Their ``ad`` and the cohomology maps both read it.  A carrier
 whose elements are finite combinations of basis keys inherits :class:`Terms`
 and supplies only ``_check``, ``_like``, ``__mul__`` and ``adjoint``;
 differential forms are :class:`Terms` too, over covector keys with
@@ -53,6 +54,13 @@ class Normed:
     def ad(self):
         """The map a -> [self, a]; the generic one is :func:`commutator`."""
         return lambda a: commutator(self, a)
+
+    def diagonal_action(self):
+        """None, or the action of a -> [self, a] on an array of the carrier's
+        keys when self acts diagonally: ``keys -> (landing, weights)`` with
+        [self, k_i] = weights[i] landing[i], a zero weight where the image is
+        dropped.  A carrier that has one says what its keys are."""
+        return None
 
     def _diagonal_ad(self, act):
         """An ``ad`` map that applies ``act`` to elements of this carrier after

@@ -3,27 +3,41 @@
 Degree-k forms over a finite-dimensional (or truncated) carrier span a
 vector space with basis {covector index} x {carrier basis element}.  Every
 map is held as triplets ``(rows, cols, vals, shape)`` of its nonzeros.  A
-complex reads the triplets of each A_j, the map a -> [c_j U_j, a] (and of
-the starred elements), once from the terms of the carrier's ``ad`` map; each
-of its maps offsets them with their exterior signs into the covector blocks
-they reach, and the commutant systems stack them.  Ranks take one SVD per connected
-component of a map's nonzero pattern (blocks of one shape share a stacked
-SVD) and count singular values above max(shape) * eps * sigma_max of the
-whole map.  When every A_j sends a carrier key to a single key, as for
-diagonal matrices, monomials and vertex projections, the components are
-small.  Truncated q-lattice carriers use nested exponent balls so the maps
-never leave their codomain; the inner maps keep the outer triplets inside
-the smaller balls.  The public ``*_matrix`` and ``numeric_rank`` are dense.
+complex builds A_j, the map a -> [c_j U_j, a] (and that of each starred
+element), once; each of its maps offsets the A_j with the exterior signs of
+the basis's front-merge table into the covector blocks they reach, and the
+commutant systems stack them.
+
+An element that acts diagonally on its carrier's keys (a q-lattice
+monomial, a diagonal matrix, a scaled vertex projection) gives A_j in one
+pass over the keys of the carrier basis: its ``diagonal_action`` names the
+key each one lands on and its weight, so column i holds at most one entry.
+Any other element takes the commutator of every carrier element, read back
+through the basis's ``entries``.  The rank entry points (``deRham_dims``,
+``dolbeault_dims``, ``commutant_kernel_dimension``) read a rotated matrix
+basis in the coordinates of its joint eigenbasis Q, where A_j is diagonal
+with weight c_j (lambda_j(a) - lambda_j(b)); a -> Q^* a Q is unitary, so the
+singular values are unchanged.  ``boundary_matrix`` and ``dolbeault_matrix``
+stay in matrix units, and with Q = None the two coordinates agree.
+
+Ranks take one SVD per connected component of a map's nonzero pattern
+(blocks of one shape share a stacked SVD) and count singular values above
+max(shape) * eps * sigma_max of the whole map.  When every A_j is diagonal
+the components are small.  Truncated q-lattice carriers use nested exponent
+balls so the maps never leave their codomain; the inner maps keep the outer
+triplets inside the smaller balls.  The public ``*_matrix`` and
+``numeric_rank`` are dense.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import BasisModeError, DifferentialBasis, _merge_indices
+from .forms import BasisModeError, DifferentialBasis
 from .graph_algebra import DirectedGraph, GraphElement, common_range_pairs
 from .matrix_algebra import MatElement
 from .qlattice import QAlgebraSpec, QElement
@@ -34,24 +48,17 @@ class TruncationError(ValueError):
 
 
 class _KeyedBasis:
-    """Carrier coordinates over a list of keys: ``keys[i]`` is coordinate i.
-    ``entries`` gives the indices and values of an element's nonzero ones."""
+    """Carrier coordinates over ``keys``: key i is coordinate i.
 
-    def __init__(self, keys: list, description: str):
-        self.keys = keys
-        self._index = {k: i for i, k in enumerate(keys)}
-        self.description = description
+    ``entries`` gives the indices and values of an element's nonzero
+    coordinates, and ``_rows`` the coordinate of each key of an array of keys
+    (-1 for a key outside).  ``keys`` are held in the form the carrier's
+    ``diagonal_action`` takes, and ``parent`` is an element of the carrier.
+    """
 
     @property
     def dim(self) -> int:
         return len(self.keys)
-
-    def entries(self, x) -> tuple[list, list]:
-        idx = [self._index.get(k) for k in x.terms]
-        if None in idx:
-            raise TruncationError(f"{list(x.terms)[idx.index(None)]} escapes the "
-                                  f"{self.description}")
-        return idx, list(x.terms.values())
 
     def coords(self, x) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -61,14 +68,16 @@ class _KeyedBasis:
 
 
 class MatrixCarrierBasis(_KeyedBasis):
-    """Matrix units of M_n as carrier coordinates, keyed by (row, column)."""
+    """Matrix units of M_n as carrier coordinates, keyed by the flat index i n + j."""
 
     def __init__(self, n: int):
         self.n = n
-        super().__init__(list(itertools.product(range(n), repeat=2)), f"M_{n} matrix units")
+        self.keys = np.arange(n * n)
+        self.description = f"M_{n} matrix units"
+        self.parent = MatElement.zero(n)
 
     def elements(self) -> list[MatElement]:
-        return [MatElement.unit(self.n, i, j) for i, j in self.keys]
+        return [MatElement.unit(self.n, *divmod(k, self.n)) for k in range(self.n * self.n)]
 
     def entries(self, a: MatElement) -> tuple[list, list]:
         if a.n != self.n:
@@ -77,21 +86,48 @@ class MatrixCarrierBasis(_KeyedBasis):
         nz = np.flatnonzero(flat)
         return nz.tolist(), flat[nz].tolist()
 
+    def _rows(self, flat: np.ndarray) -> np.ndarray:
+        return flat
+
 
 class QMonomialBasis(_KeyedBasis):
-    """Monomials with every exponent in [-K, K] as carrier coordinates."""
+    """Monomials with every exponent in [-K, K] as carrier coordinates.
+
+    ``keys`` is the int64 array of exponent rows in ``itertools.product``
+    order, so the coordinate of e is the mixed-radix number of e + K in
+    base 2K + 1.
+    """
 
     def __init__(self, spec: QAlgebraSpec, K: int):
         if K < 0:
             raise ValueError("truncation must be nonnegative")
         self.spec = spec
         self.K = K
-        super().__init__(list(itertools.product(range(-K, K + 1),
-                                                repeat=spec.generator_count)),
-                         f"{spec.label or 'q-lattice'} monomials |e|<={K}")
+        m = spec.generator_count
+        side = 2 * K + 1
+        self.keys = np.indices((side,) * m).reshape(m, -1).T.astype(np.int64) - K
+        self._stride = side ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        self.description = f"{spec.label or 'q-lattice'} monomials |e|<={K}"
+        self.parent = QElement(spec)
 
     def elements(self) -> list[QElement]:
-        return [QElement.monomial(self.spec, e) for e in self.keys]
+        return [QElement.monomial(self.spec, e) for e in self.keys.tolist()]
+
+    def _rows(self, E: np.ndarray) -> np.ndarray:
+        rows = np.full(len(E), -1)
+        if E.shape[1:] == self._stride.shape:
+            inside = (np.abs(E) <= self.K).all(axis=1)
+            rows[inside] = (E[inside] + self.K) @ self._stride
+        return rows
+
+    def entries(self, x: QElement) -> tuple[list, list]:
+        for e in x.terms:
+            if len(e) != len(self._stride) or max(map(abs, e)) > self.K:
+                raise TruncationError(f"{e} escapes the {self.description}")
+        if not x.terms:
+            return [], []
+        E = np.array(list(x.terms), dtype=np.int64)
+        return ((E + self.K) @ self._stride).tolist(), list(x.terms.values())
 
 
 class GraphCarrierBasis(_KeyedBasis):
@@ -100,11 +136,23 @@ class GraphCarrierBasis(_KeyedBasis):
     def __init__(self, graph: DirectedGraph, max_len: int):
         self.graph = graph
         self.max_len = max_len
-        super().__init__(common_range_pairs(graph, max_len),
-                         f"graph terms |mu|,|nu|<={max_len}")
+        self.keys = common_range_pairs(graph, max_len)
+        self._index = {k: i for i, k in enumerate(self.keys)}
+        self.description = f"graph terms |mu|,|nu|<={max_len}"
+        self.parent = GraphElement(graph)
 
     def elements(self) -> list[GraphElement]:
         return [GraphElement.term(self.graph, mu, nu) for mu, nu in self.keys]
+
+    def _rows(self, keys: list) -> np.ndarray:
+        return np.array([self._index.get(k, -1) for k in keys], dtype=np.intp)
+
+    def entries(self, x: GraphElement) -> tuple[list, list]:
+        idx = [self._index.get(k) for k in x.terms]
+        if None in idx:
+            raise TruncationError(f"{list(x.terms)[idx.index(None)]} escapes the "
+                                  f"{self.description}")
+        return idx, list(x.terms.values())
 
 
 def _dolbeault_indices(n: int, p: int, q: int) -> list:
@@ -125,7 +173,7 @@ def _form_indices(n: int, k: int, mode: str) -> list:
 def _ad_matrix(x, elems: list, codomain) -> tuple:
     """Triplets of a -> [x, a] (the map ``x.ad()``): column i holds [x, elems[i]]
     in ``codomain``.  A commutator that overflows raises ValueError, not a
-    numpy warning."""
+    numpy warning.  This per-key route is the oracle of the diagonal one."""
     act = x.ad()
     rows, cols, vals = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -143,36 +191,81 @@ def _ad_matrix(x, elems: list, codomain) -> tuple:
             vals[keep], (codomain.dim, len(elems)))
 
 
+def _commutator_matrix(x, domain, codomain, elements) -> tuple:
+    """Triplets of a -> [x, a] from ``domain`` into ``codomain``.
+
+    When x acts diagonally on the domain's carrier, every key is weighed at
+    once and column i holds at most the one entry of [x, k_i].  Any other x
+    takes :func:`_ad_matrix` on ``elements()``, the domain's elements, and so
+    does a diagonal map with an entry that leaves the codomain or is not
+    finite, so that both raise alike: :class:`TruncationError` when a
+    nonzero entry leaves the codomain, then ValueError for a non-finite one.
+    On a foreign carrier x raises what the commutator raises.
+    """
+    same_kind = isinstance(x, type(domain.parent)) and type(codomain) is type(domain)
+    act = x.diagonal_action() if same_kind else None
+    if act is None:
+        return _ad_matrix(x, elements(), codomain)
+    x._check(domain.parent)  # raises as ad does on a foreign element
+    codomain.entries(domain.parent)  # raises as a codomain of another size does
+    landing, w = act(domain.keys)
+    rows, w = codomain._rows(landing), np.asarray(w, dtype=complex)
+    cols = np.flatnonzero(w)  # keeps a nan
+    if (rows[cols] < 0).any() or not np.isfinite(w[cols]).all():
+        return _ad_matrix(x, elements(), codomain)  # which raises the error
+    return rows[cols], cols, w[cols], (codomain.dim, domain.dim)
+
+
+def _acting(basis, eigen: bool) -> tuple:
+    """The elements c_j U_j and (c_j U_j)^* whose commutators build the maps.
+
+    With ``eigen``, a matrix basis with a joint eigenbasis Q gives them in
+    Q-coordinates, diag(c_j lambda_j) and its adjoint: a -> Q^* a Q is
+    unitary on matrix units, so ranks and singular values do not change.
+    """
+    eig = getattr(basis, "eigenbasis", None) if eigen else None
+    if eig is None or eig[0] is None:
+        return basis.scaled, basis.scaled_star
+    scaled = [MatElement(np.diag(c * lam)) for c, lam in zip(basis.prefactors, eig[1])]
+    return scaled, [x.adjoint() for x in scaled]
+
+
 def _commutator_blocks(basis: DifferentialBasis, domain, codomain=None,
-                       families: tuple | None = None) -> list:
-    """(covector, A_j) per generator of the half-derivatives in ``families``
-    (starred flags; default: those of delta in the basis's mode).
+                       families: tuple | None = None, eigen: bool = False) -> list:
+    """(starred, j, A_j) per generator of the half-derivatives in ``families``
+    (default: ``basis.families``).
 
     A_j holds the triplets of a -> [c_j U_j, a] (a -> [(c_j U_j)^*, a] when
-    starred) from ``domain`` into ``codomain`` (default: the same), and the
-    covector ((j,), ()) or ((), (j,)) is the dU_j or dU_j^* it contributes.
+    starred) from ``domain`` into ``codomain`` (default: the same), in the
+    eigen-coordinates of :func:`_acting` when ``eigen`` is set.
     """
-    if families is None:
-        families = (False,) if basis.mode == "selfadjoint" else (False, True)
-    elems = domain.elements()
-    return [(((), (j,)) if starred else ((j,), ()), _ad_matrix(x, elems, codomain or domain))
-            for starred in families
-            for j, x in enumerate(basis.scaled_star if starred else basis.scaled)]
+    elements = functools.cache(domain.elements)
+    acting = _acting(basis, eigen)
+    return [(starred, j, _commutator_matrix(x, domain, codomain or domain, elements))
+            for starred in families or basis.families
+            for j, x in enumerate(acting[starred])]
 
 
-def _assemble(blocks: list, out_indices: list, in_indices: list) -> tuple:
+def _assemble(basis: DifferentialBasis, blocks: list, out_indices: list,
+              in_indices: list) -> tuple:
     """Triplets of the map from covector indices ``in_indices`` to ``out_indices``:
-    block (out, in) is +-A_j where prepending A_j's covector to ``in`` gives ``out``."""
-    h, w = blocks[0][1][3]
+    block (out, in) is +-A_j where wedging A_j's covector in front of ``in``
+    gives ``out``, as ``basis.front_merges`` records it."""
+    h, w = blocks[0][2][3]
     out_pos = {idx: i for i, idx in enumerate(out_indices)}
+    merges = [basis.front_merges(I, J) for I, J in in_indices]
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
-    for cov, (rows, cols, vals, _) in blocks:
-        for c, (I, J) in enumerate(in_indices):
-            hit = _merge_indices(*cov, I, J)
-            if hit is not None:
-                sign, key = hit
-                parts.append((rows + out_pos[key] * h, cols + c * w,
-                              vals if sign > 0 else -vals))
+    for starred, j, (rows, cols, vals, _) in blocks:
+        hits = [(c, out_pos[hit[1]], hit[0]) for c, merge in enumerate(merges)
+                if (hit := merge[starred][j]) is not None]
+        if not hits:
+            continue
+        c_in, c_out, sign = np.array(hits).T
+        k = len(vals)
+        v = np.tile(vals, len(hits))
+        np.negative(v, out=v, where=np.repeat(sign < 0, k))
+        parts.append((np.tile(rows, len(hits)) + np.repeat(c_out * h, k),
+                      np.tile(cols, len(hits)) + np.repeat(c_in * w, k), v))
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
     return rows, cols, vals, (h * len(out_indices), w * len(in_indices))
 
@@ -192,7 +285,7 @@ def boundary_matrix(k: int, basis: DifferentialBasis, carrier_basis,
     otherwise a :class:`TruncationError` is raised.
     """
     n, mode = basis.size, basis.mode
-    return _dense(_assemble(_commutator_blocks(basis, carrier_basis, codomain_basis),
+    return _dense(_assemble(basis, _commutator_blocks(basis, carrier_basis, codomain_basis),
                             _form_indices(n, k + 1, mode), _form_indices(n, k, mode)))
 
 
@@ -203,7 +296,7 @@ def dolbeault_matrix(p: int, q: int, basis: DifferentialBasis, carrier_basis,
         raise BasisModeError("type decomposition needs complex mode")
     n = basis.size
     blocks = _commutator_blocks(basis, carrier_basis, codomain_basis, families=(True,))
-    return _dense(_assemble(blocks, _dolbeault_indices(n, p, q + 1),
+    return _dense(_assemble(basis, blocks, _dolbeault_indices(n, p, q + 1),
                             _dolbeault_indices(n, p, q)))
 
 
@@ -328,9 +421,9 @@ class ComplexReport:
         }
 
 
-def _ranks(blocks: list, indices: list) -> list[int]:
+def _ranks(basis: DifferentialBasis, blocks: list, indices: list) -> list[int]:
     """Rank of each map from covector indices indices[k] to indices[k + 1]."""
-    return [_triplet_rank(_assemble(blocks, out, inp))
+    return [_triplet_rank(_assemble(basis, blocks, out, inp))
             for inp, out in zip(indices, indices[1:])]
 
 
@@ -347,12 +440,13 @@ def _chain_report(basis_label: str, carrier_basis, indices: list, ranks: list,
 
 def deRham_dims(basis: DifferentialBasis, carrier_basis,
                 max_degree: int | None = None) -> ComplexReport:
-    """De Rham dimensions over an exact (untruncated) carrier."""
+    """De Rham dimensions over an exact (untruncated) carrier; a rotated matrix
+    basis is read in the coordinates of its eigenbasis."""
     top = basis.top_degree if max_degree is None else max_degree
     if top < 0:
         raise ValueError(f"max_degree must be nonnegative, got {top}")
     indices = [_form_indices(basis.size, k, basis.mode) for k in range(top + 2)]
-    ranks = _ranks(_commutator_blocks(basis, carrier_basis), indices)
+    ranks = _ranks(basis, _commutator_blocks(basis, carrier_basis, eigen=True), indices)
     return _chain_report(basis.label, carrier_basis, indices, ranks, [0] + ranks)
 
 
@@ -361,7 +455,8 @@ def dolbeault_dims(p: int, basis: DifferentialBasis, carrier_basis) -> ComplexRe
     if basis.mode != "complex":
         raise BasisModeError("type decomposition needs complex mode")
     indices = [_dolbeault_indices(basis.size, p, q) for q in range(basis.size + 2)]
-    ranks = _ranks(_commutator_blocks(basis, carrier_basis, families=(True,)), indices)
+    blocks = _commutator_blocks(basis, carrier_basis, families=(True,), eigen=True)
+    ranks = _ranks(basis, blocks, indices)
     return _chain_report(basis.label, carrier_basis, indices, ranks, [0] + ranks)
 
 
@@ -395,16 +490,16 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
     small, mid, big = (QMonomialBasis(spec, K - m * d) for m in (2, 1, 0))
     blocks = _commutator_blocks(basis, mid, big)
     indices = [_form_indices(basis.size, k, basis.mode) for k in range(top + 2)]
-    ranks = _ranks(blocks, indices)
+    ranks = _ranks(basis, blocks, indices)
     row_of, col_of = np.full(big.dim, -1), np.full(mid.dim, -1)
-    row_of[[big._index[e] for e in mid.keys]] = np.arange(mid.dim)
-    col_of[[mid._index[e] for e in small.keys]] = np.arange(small.dim)
+    row_of[big._rows(mid.keys)] = np.arange(mid.dim)
+    col_of[mid._rows(small.keys)] = np.arange(small.dim)
     inner = []
-    for cov, (rows, cols, vals, _) in blocks:
+    for starred, j, (rows, cols, vals, _) in blocks:
         rows, cols = row_of[rows], col_of[cols]
         keep = (rows >= 0) & (cols >= 0)
-        inner.append((cov, (rows[keep], cols[keep], vals[keep], (mid.dim, small.dim))))
-    ranks_in = [0] + _ranks(inner, indices[:top + 1])
+        inner.append((starred, j, (rows[keep], cols[keep], vals[keep], (mid.dim, small.dim))))
+    ranks_in = [0] + _ranks(basis, inner, indices[:top + 1])
     return _chain_report(basis.label, mid, indices, ranks, ranks_in,
                          {"K": K, "kernel_domain_K": K - d, "image_domain_K": K - 2 * d})
 
@@ -420,14 +515,17 @@ def commutant_kernel_dimension(basis: DifferentialBasis, carrier_basis,
     """Dimension of {a : [U_j, a] = 0 for all j}.
 
     The system stacks the commutator blocks A_j that build the boundary
-    maps, so it is the unstarred half of the degree-zero map.  With
-    ``include_adjoints`` the starred blocks join it, giving the complex-mode
-    degree-zero map up to the order of its row blocks.
+    maps (in eigen-coordinates for a rotated matrix basis), so it is the
+    unstarred half of the degree-zero map.  With ``include_adjoints`` the
+    starred blocks join it, giving the complex-mode degree-zero map up to the
+    order of its row blocks.
     """
-    blocks = _commutator_blocks(basis, carrier_basis,
-                                families=(False, True) if include_adjoints else (False,))
-    system = _assemble(blocks, [cov for cov, _ in blocks], [((), ())])
-    return carrier_basis.dim - _triplet_rank(system)
+    families = (False, True) if include_adjoints else (False,)
+    blocks = _commutator_blocks(basis, carrier_basis, families=families, eigen=True)
+    h, w = blocks[0][2][3]
+    rows, cols, vals = (np.concatenate(p) for p in zip(*[
+        (r + i * h, c, v) for i, (_, _, (r, c, v, _)) in enumerate(blocks)]))
+    return carrier_basis.dim - _triplet_rank((rows, cols, vals, (h * len(blocks), w)))
 
 
 def fuglede_putnam_check(basis: DifferentialBasis, carrier_basis) -> bool:

@@ -12,7 +12,7 @@ n^2 x n^2 superoperators on row-major vectorized matrices
 :func:`choi_matrix`, :func:`trotter_check`) stay as the reference path the
 tests compare against.  On q-lattice carriers Delta acts diagonally on
 monomials, so the semigroup is evaluated exactly with no truncation; its
-weight comes from the same exchange angles as the q-lattice ``ad`` map.
+weight comes from the same monomial weights as the q-lattice ``ad`` map.
 Every first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ,
 the Dirichlet pairing, the locality isometry) goes through the basis's
 ``ad`` maps, so a diagonal basis element never forms two products.
@@ -20,7 +20,6 @@ the Dirichlet pairing, the locality isometry) goes through the basis's
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -30,7 +29,7 @@ import scipy.linalg
 
 from .forms import BasisModeError, DifferentialBasis
 from .matrix_algebra import MatElement, trace
-from .qlattice import QElement, _exchange_angles, tau as q_tau
+from .qlattice import QElement, _monomial_weights, tau as q_tau
 
 
 def laplacian(a, basis: DifferentialBasis):
@@ -126,12 +125,12 @@ def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _q_eigenvalues(basis: DifferentialBasis, spec):
-    """The diagonal action of Delta on q-lattice monomials, as e -> lambda(e).
+    """The diagonal action of Delta on q-lattice monomials, as exponent rows
+    E -> lambda(E).
 
-    For a single-monomial basis element b = c * U^g one has
-    b U^e = exp(i phi) U^e b with phi the exchange angle of
-    :func:`~ncdiff.qlattice._exchange_angles`, and the nested commutator
-    contributes |c|^2 * |1 - exp(i phi)|^2.
+    A single-monomial basis element c U^g sends U^e to w(e) U^{g+e}, with w
+    the weight of :func:`~ncdiff.qlattice._monomial_weights`, and its adjoint
+    sends that back to -conj(w(e)) U^e, so lambda(e) = sum_j |w_j(e)|^2.
     """
     weights = []
     for x in basis.scaled:
@@ -140,15 +139,8 @@ def _q_eigenvalues(basis: DifferentialBasis, spec):
         if not x.spec.same_as(spec):
             raise ValueError("basis does not act on this presentation")
         (g, c), = x.terms.items()
-        weights.append((abs(c) ** 2, _exchange_angles(spec, g)))
-
-    def lam(e):
-        total = 0.0
-        for w, angles in weights:
-            phi1, phi2 = angles(e)
-            total += w * abs(1.0 - cmath.exp(1j * (phi1 - phi2))) ** 2
-        return total
-    return lam
+        weights.append(_monomial_weights(spec, g, c))
+    return lambda E: sum(np.abs(weigh(E)) ** 2 for weigh in weights)
 
 
 def heat_semigroup(a, t: float, basis: DifferentialBasis):
@@ -159,8 +151,9 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
         return MatElement(_schur_heat(Q, np.exp(-t * W), a.mat))
     if isinstance(a, QElement):
         lam = _q_eigenvalues(basis, a.spec)
-        out = {e: c * float(np.exp(-t * lam(e))) for e, c in a.terms.items()}
-        return a._like(out)
+        E = np.array(list(a.terms), dtype=float).reshape(len(a.terms), a.spec.generator_count)
+        decay = np.exp(-t * lam(E)).tolist()
+        return a._like({e: c * d for (e, c), d in zip(a.terms.items(), decay)})
     raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
 
 

@@ -213,14 +213,31 @@ class GraphElement(Terms):
             return self.scale(other)
         return NotImplemented
 
-    def ad(self):
-        """a -> [self, a]: termwise signs (:func:`vertex_commutator`) when self is
-        a scaled vertex projection c p_v, the generic commutator otherwise."""
+    def _vertex(self):
+        """(v, c) when self is the scaled vertex projection c p_v, else None."""
         if len(self.terms) == 1:
             ((mu, nu), c), = self.terms.items()
             if mu == nu and not mu.edges:
-                return self._diagonal_ad(lambda a: vertex_commutator(mu.source, a, c))
-        return super().ad()
+                return mu.source, c
+        return None
+
+    def diagonal_action(self):
+        """For c p_v: each term key s_mu s_nu^* stays put, weighted by c times
+        its sign (:func:`_vertex_signs`).  None for any other element."""
+        vertex = self._vertex()
+        if vertex is None:
+            return None
+        v, c = vertex
+        return lambda keys: (keys, [c * s for s in _vertex_signs(v, keys)])
+
+    def ad(self):
+        """a -> [self, a]: termwise signs (:func:`vertex_commutator`) when self is
+        a scaled vertex projection c p_v, the generic commutator otherwise."""
+        vertex = self._vertex()
+        if vertex is None:
+            return super().ad()
+        v, c = vertex
+        return self._diagonal_ad(lambda a: vertex_commutator(v, a, c))
 
     def adjoint(self) -> "GraphElement":
         return self._like({(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()})
@@ -285,17 +302,18 @@ def _term_product(t1: CKTerm, t2: CKTerm) -> CKTerm | None:
     return None
 
 
-def vertex_commutator(v: str, x: GraphElement, coeff: complex = 1.0) -> GraphElement:
-    """[coeff p_v, x], computed termwise.
+def _vertex_signs(v: str, keys) -> list[int]:
+    """[p_v, s_mu s_nu^*] = sign s_mu s_nu^* per term key (mu, nu): only the
+    source vertices act, +1 at v = s(mu) and -1 at v = s(nu)."""
+    return [(mu.source == v) - (nu.source == v) for mu, nu in keys]
 
-    For a term s_mu s_nu^* only the source vertices act:
-    the coefficient picks up +coeff at v = s(mu), -coeff at v = s(nu).
-    """
+
+def vertex_commutator(v: str, x: GraphElement, coeff: complex = 1.0) -> GraphElement:
+    """[coeff p_v, x], computed termwise by the signs of :func:`_vertex_signs`."""
     out: dict = {}
-    for (mu, nu), c in x.terms.items():
-        sign = (1 if mu.source == v else 0) - (1 if nu.source == v else 0)
+    for (t, c), sign in zip(x.terms.items(), _vertex_signs(v, x.terms)):
         if sign:
-            out[(mu, nu)] = coeff * c if sign > 0 else -(c * coeff)
+            out[t] = coeff * c if sign > 0 else -(c * coeff)
     return x._like(out)
 
 

@@ -70,13 +70,25 @@ class MatElement(Normed):
             return self.scale(other)
         return NotImplemented
 
-    def ad(self):
-        """a -> [self, a]: for a diagonal matrix diag(d), the Schur multiplier
-        by D[a, b] = d(a) - d(b); any other matrix takes the two-matmul commutator."""
+    def diagonal_action(self):
+        """For a diagonal matrix diag(d): the matrix unit e_ab, keyed by its
+        flat index a n + b, stays put with weight d(a) - d(b).  None for any
+        other matrix."""
         d = np.diag(self.mat)
         if (self.mat - np.diag(d)).any():
+            return None
+        n = self.n
+        return lambda flat: (flat, d[flat // n] - d[flat % n])
+
+    def ad(self):
+        """a -> [self, a]: for a diagonal matrix, the Schur multiplier by the
+        weights of ``diagonal_action``; any other matrix takes the two-matmul
+        commutator."""
+        act = self.diagonal_action()
+        if act is None:
             return super().ad()
-        D = d[:, None] - d[None, :]
+        n = self.n
+        D = act(np.arange(n * n))[1].reshape(n, n)
         return self._diagonal_ad(lambda a: MatElement(D * a.mat))
 
     def adjoint(self) -> "MatElement":

@@ -27,7 +27,9 @@ A single monomial c U^g acts by ``QElement.ad``: the commutator [c U^g, a]
 multiplies each term a_e U^e by c (exp(i phi_1) - exp(i phi_2)), the two
 exchange phases of :func:`_exchange_angles`, and moves it to U^{g+e}.  Up to
 ``_ARRAY_TERMS`` terms a loop forms the two products of the commutator term
-by term, bit for bit; above it numpy weights all terms at once.
+by term, bit for bit; above it numpy weights all terms at once by the same
+rule, up to rounding (:func:`_monomial_weights`).  Those weights are also the
+monomial's diagonal action on the exponent rows of a carrier basis.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
     prune them, and the coefficient p_1 - p_2 on U^{g+e}.  Keys and
     coefficients are those of the commutator, bit for bit (the product loop
     stores 0j + p, which can differ only in the sign of a zero part); this
-    loop is the oracle of :func:`_monomial_ad_array`.
+    loop is the oracle of :func:`_monomial_weights`.
     """
     eps = spec.prune_epsilon
     out = {}
@@ -275,25 +277,45 @@ def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
     return out
 
 
-def _monomial_ad_array(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
-                       angles) -> "QElement | None":
-    """[c U^g, a] on the int64 exponent rows of ``a``, in numpy, or None when
-    an exponent is 2**62 or more.
+def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
+    """The weights of [c U^g, .]: ``weigh(E, coeffs=1.0)`` gives, for exponent
+    rows E (one row per term, int64 or float) and term coefficients a_e, the
+    coefficient of U^{g+e} in [c U^g, sum_e a_e U^e].
 
-    Each term is weighted once, by c (exp(i phi_1) - exp(i phi_2)) with the
-    angles of :func:`_monomial_ad_loop`, so coefficients agree with the
-    loop's up to rounding, and only the result is pruned.  Overflowing angles
-    give nan coefficients without a warning, and the finiteness checks see
-    them.
+    They follow :func:`_monomial_ad_loop` up to the rounding of numpy's
+    complex products (exactly when c a_e = 1): the products
+    p_1 = c a_e exp(i phi_1) and p_2 = c a_e exp(i phi_2) are each dropped at
+    ``prune_epsilon``, a phase is applied only where its angle is nonzero,
+    and p_1 - p_2 is dropped at ``prune_epsilon`` too; a dropped term weighs
+    0.  Overflowing angles give nan weights without a warning.
     """
+    angles = _exchange_angles(spec, g)
+    eps = spec.prune_epsilon
+
+    def weigh(E, coeffs=1.0):
+        p = np.empty(len(E), dtype=complex)
+        p[:] = c * coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi1, phi2 = angles(E.T)
+            p1 = np.multiply(p, np.exp(1j * phi1), out=p.copy(), where=phi1 != 0.0)
+            p2 = np.multiply(p, np.exp(1j * phi2), out=p, where=phi2 != 0.0)
+            p1[np.abs(p1) <= eps] = 0.0
+            p2[np.abs(p2) <= eps] = 0.0
+            v = p1 - p2
+            v[np.abs(v) <= eps] = 0.0
+        return v
+    return weigh
+
+
+def _monomial_ad_array(spec: QAlgebraSpec, g: Monomial, weigh,
+                       terms: dict) -> "QElement | None":
+    """[c U^g, a] on the int64 exponent rows of ``a``, weighted by
+    :func:`_monomial_weights`, or None when an exponent is 2**62 or more."""
     E = _exponent_rows(terms, spec.generator_count)
     if E is None or max(map(abs, g)) >= _EXPONENT_LIMIT:
         return None
-    ca = np.fromiter(terms.values(), complex, len(terms))
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi1, phi2 = angles(E.T)
-        v = c * ca * (np.exp(1j * phi1) - np.exp(1j * phi2))
-        keep = ~(np.abs(v) <= spec.prune_epsilon)  # keeps a nan
+    v = weigh(E, np.fromiter(terms.values(), complex, len(terms)))
+    keep = v != 0  # keeps a nan
     out = QElement(spec)
     keys = (E[keep] + np.array(g, dtype=np.int64)).tolist()
     out.terms = dict(zip(map(tuple, keys), v[keep].tolist()))
@@ -370,6 +392,18 @@ class QElement(Terms):
             return self.scale(other)
         return NotImplemented
 
+    def diagonal_action(self):
+        """For a single monomial c U^g: int64 exponent rows E land on E + g,
+        weighted by :func:`_monomial_weights`.  None for any other element,
+        and when g is too large for int64 rows."""
+        if len(self.terms) != 1:
+            return None
+        (g, c), = self.terms.items()
+        if max(map(abs, g)) >= _EXPONENT_LIMIT:
+            return None
+        weigh, shift = _monomial_weights(self.spec, g, c), np.array(g, dtype=np.int64)
+        return lambda E: (E + shift, weigh(E))
+
     def ad(self):
         """a -> [self, a].  A single monomial c U^g weights each term of ``a``
         by its two exchange phases (:func:`_monomial_ad_loop`, or
@@ -379,10 +413,11 @@ class QElement(Terms):
             return super().ad()
         (g, c), = self.terms.items()
         spec, angles = self.spec, _exchange_angles(self.spec, g)
+        weigh = _monomial_weights(spec, g, c)
 
         def act(a):
             if len(a.terms) > _ARRAY_TERMS:
-                out = _monomial_ad_array(spec, g, c, a.terms, angles)
+                out = _monomial_ad_array(spec, g, weigh, a.terms)
                 if out is not None:
                     return out
             return self._like(_monomial_ad_loop(spec, g, c, a.terms, angles))

@@ -19,8 +19,8 @@ from ncdiff.forms import DifferentialBasis, DifferentialForm
 from ncdiff.matrix_algebra import MatElement, projection_basis
 from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError, _ARRAY_TERMS,
                              heisenberg_spec, torus_spec, torus_spec_2n)
-from ncdiff.testing import (loop_graph, random_form, random_graph_element, random_matelement,
-                            random_qelement, star_tree)
+from ncdiff.testing import (default_carriers, loop_graph, random_form, random_graph_element,
+                            random_matelement, random_qelement, star_tree)
 
 from conftest import MU, NU, THETA
 
@@ -271,10 +271,146 @@ def test_ad_raises_as_the_commutator_does(rng):
 def test_huge_theta_ad_matrix_error_matches_the_commutator(monkeypatch):
     spec = torus_spec(1e308)
     U = QElement.generator(spec, 1)
-    elems, codomain = C.QMonomialBasis(spec, 2).elements(), C.QMonomialBasis(spec, 3)
+    domain, codomain = C.QMonomialBasis(spec, 2), C.QMonomialBasis(spec, 3)
+    elems = domain.elements()
     with pytest.raises(ValueError, match=r"non-finite coefficient \(nan\+nanj\)") as got:
         C._ad_matrix(U, elems, codomain)
+    with pytest.raises(ValueError) as diagonal:
+        C._commutator_matrix(U, domain, codomain, domain.elements)
     monkeypatch.setattr(QElement, "ad", Normed.ad)
     with pytest.raises(ValueError) as want:
         C._ad_matrix(U, elems, codomain)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == str(diagonal.value) == str(want.value)
+
+
+# -- cohomology maps from the diagonal action ---------------------------------
+
+
+def _diagonal_map(x, domain, codomain):
+    """The triplets of a -> [x, a] on the diagonal route, checked to be taken."""
+    assert x.diagonal_action() is not None
+    return C._commutator_matrix(x, domain, codomain, domain.elements)
+
+
+def _assert_same_map(x, domain, codomain):
+    rows, cols, vals, shape = _diagonal_map(x, domain, codomain)
+    want_rows, want_cols, want_vals, want_shape = C._ad_matrix(x, domain.elements(), codomain)
+    assert shape == want_shape
+    got = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+    want = dict(zip(zip(want_rows.tolist(), want_cols.tolist()), want_vals.tolist()))
+    assert len(got) == len(rows) and set(got) == set(want)
+    scale = max(map(abs, want.values()), default=0.0)
+    assert all(abs(got[k] - v) <= 1e-14 * scale for k, v in want.items())
+
+
+def _carrier_coordinates(label, basis):
+    """(domain, codomain) for a default carrier family: the q-lattice ones on
+    nested balls K -> K + 1, since their basis elements have degree 1."""
+    x = basis.elements[0]
+    if label.startswith("matrix"):
+        return C.MatrixCarrierBasis(x.n), C.MatrixCarrierBasis(x.n)
+    if label.startswith("graph"):
+        terms = C.GraphCarrierBasis(x.graph, 2)
+        return terms, terms
+    K = 4 if label == "torus" else 2
+    return C.QMonomialBasis(x.spec, K), C.QMonomialBasis(x.spec, K + 1)
+
+
+@pytest.mark.parametrize("family", range(5))
+def test_diagonal_maps_match_the_per_key_route(family):
+    label, basis, _ = default_carriers()[family]
+    domain, codomain = _carrier_coordinates(label, basis)
+    for x in basis.scaled + basis.scaled_star:
+        _assert_same_map(x, domain, codomain)
+
+
+@pytest.mark.parametrize("basis", _q_bases(), ids=lambda b: b.label)
+def test_diagonal_maps_with_prefactors_on_nested_balls(basis):
+    spec = basis.elements[0].spec
+    d = C._max_basis_degree(basis)
+    for K in (1, 3):
+        domain, codomain = C.QMonomialBasis(spec, K), C.QMonomialBasis(spec, K + d)
+        for x in basis.scaled + basis.scaled_star:
+            _assert_same_map(x, domain, codomain)
+
+
+def test_diagonal_maps_drop_exactly_trivial_phases():
+    # at theta = 2 pi / 3, U^3 commutes with everything and U with every
+    # monomial whose V-exponent is a multiple of 3: those phases round to
+    # about 1e-16 and are dropped on both routes
+    spec = torus_spec(2 * math.pi / 3)
+    domain, codomain = C.QMonomialBasis(spec, 4), C.QMonomialBasis(spec, 7)
+    for g in ((1, 0), (3, 0), (0, 1), (2, -3)):
+        x = QElement.monomial(spec, g, 1.5 - 0.5j)
+        for y in (x, x.adjoint()):
+            _assert_same_map(y, domain, codomain)
+    _, cols, _, _ = _diagonal_map(QElement.generator(spec, 1), domain, codomain)
+    V_exponents = domain.keys[cols, 1]
+    assert len(cols) and not (V_exponents % 3 == 0).any()
+    assert len(_diagonal_map(QElement.monomial(spec, (3, 0)), domain, codomain)[0]) == 0
+
+
+def test_diagonal_maps_escape_only_with_a_nonzero_entry():
+    flat = QAlgebraSpec(np.zeros((2, 2)))
+    ball = C.QMonomialBasis(flat, 1)
+    # every image of U leaves the K = 1 ball for e_1 = 1, but a commutative
+    # presentation makes every entry zero
+    for route in (lambda x: C._commutator_matrix(x, ball, ball, ball.elements),
+                  lambda x: C._ad_matrix(x, ball.elements(), ball)):
+        assert len(route(QElement.generator(flat, 1))[0]) == 0
+    spec = torus_spec(2 * math.pi / 3)
+    ball = C.QMonomialBasis(spec, 1)
+    assert len(_diagonal_map(QElement.monomial(spec, (3, 0)), ball, ball)[0]) == 0
+    for x in (QElement.generator(spec, 1), QElement.monomial(spec, (0, -2))):
+        with pytest.raises(C.TruncationError) as got:
+            C._commutator_matrix(x, ball, ball, ball.elements)
+        with pytest.raises(C.TruncationError) as want:
+            C._ad_matrix(x, ball.elements(), ball)
+        assert str(got.value) == str(want.value)
+
+
+def _foreign_carriers():
+    """(x, domain, codomain) where x or the codomain is foreign to the domain."""
+    torus, star = torus_spec(THETA), star_tree(4)
+    q, m4, g = C.QMonomialBasis(torus, 1), C.MatrixCarrierBasis(4), C.GraphCarrierBasis(star, 1)
+    return [
+        (QElement.generator(torus_spec(THETA / 2), 1), q, q),
+        (projection_basis(3)[0], m4, m4),
+        (projection_basis(4)[0], m4, C.MatrixCarrierBasis(3)),
+        (ga.vertex_projection(star_tree(4), "v1"), g, g),
+        (QElement.generator(torus, 1), m4, m4),
+        (projection_basis(4)[1], g, g),
+        (ga.vertex_projection(star, "root").scale(2j), q, q),
+    ]
+
+
+def test_foreign_carriers_raise_as_the_per_key_route():
+    messages = []
+    for x, domain, codomain in _foreign_carriers():
+        with pytest.raises(Exception) as want:
+            C._ad_matrix(x, domain.elements(), codomain)
+        with pytest.raises(want.type) as got:
+            C._commutator_matrix(x, domain, codomain, domain.elements)
+        assert str(got.value) == str(want.value)
+        messages.append(str(got.value))
+    assert messages[:4] == ["elements live over different presentations",
+                            "dimension mismatch: 3 vs 4", "dimension mismatch",
+                            "elements live over different graphs"]
+
+
+def test_diagonal_cohomology_never_takes_the_per_key_route(monkeypatch):
+    setups = _diagonal_setups()
+    per_key = []
+    ad_matrix = C._ad_matrix
+    monkeypatch.setattr(C, "_ad_matrix", lambda *args: per_key.append(args[0]) or ad_matrix(*args))
+    calls = _patch_commutator(monkeypatch)
+    for basis, domain, codomain, _ in setups:
+        for x in basis.scaled + basis.scaled_star:
+            C._commutator_matrix(x, domain, codomain, domain.elements)
+    assert per_key == [] and calls == []
+    # an element without a diagonal action takes it
+    spec = torus_spec(THETA)
+    U = QElement.generator(spec, 1)
+    ball = C.QMonomialBasis(spec, 1)
+    C._commutator_matrix(U + U * U, ball, C.QMonomialBasis(spec, 3), ball.elements)
+    assert len(per_key) == 1 and len(calls) == ball.dim

@@ -488,9 +488,9 @@ def test_truncated_maps_match_boundary_matrices(case, torus, torus_basis, heisen
 
 def test_one_commutator_matrix_per_generator(torus, torus_basis, monkeypatch):
     built = []
-    ad_matrix = C._ad_matrix
-    monkeypatch.setattr(C, "_ad_matrix",
-                        lambda *args: built.append(args[0]) or ad_matrix(*args))
+    commutator_matrix = C._commutator_matrix
+    monkeypatch.setattr(C, "_commutator_matrix",
+                        lambda *args: built.append(args[0]) or commutator_matrix(*args))
     C.deRham_dims_truncated(torus_basis, torus, 4)
     assert len(built) == 2  # U and U^*
     built.clear()
@@ -593,3 +593,128 @@ def test_truncated_memory(case, heisenberg, heisenberg_basis):
         spec, basis, K = heisenberg, heisenberg_basis, 6
     _, peak = _peak_bytes(lambda: C.deRham_dims_truncated(basis, spec, K))
     assert peak < 16 * MIB
+
+
+# -- covector merges from the basis's table -------------------------------------
+
+
+def _assemble_by_merges(blocks, out_indices, in_indices):
+    """The map of covector blocks, one _merge_indices call per (A_j, input covector)."""
+    h, w = blocks[0][2][3]
+    out_pos = {idx: i for i, idx in enumerate(out_indices)}
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
+    for starred, j, (rows, cols, vals, _) in blocks:
+        cov = ((), (j,)) if starred else ((j,), ())
+        for c, (I, J) in enumerate(in_indices):
+            hit = F._merge_indices(*cov, I, J)
+            if hit is not None:
+                sign, key = hit
+                parts.append((rows + out_pos[key] * h, cols + c * w, vals if sign > 0 else -vals))
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return rows, cols, vals, (h * len(out_indices), w * len(in_indices))
+
+
+def _sorted_triplets(t):
+    rows, cols, vals, shape = t
+    order = np.lexsort((cols, rows))
+    return rows[order].tolist(), cols[order].tolist(), vals[order].tolist(), shape
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["selfadjoint", "complex"])
+def test_assemble_reads_the_merge_table(n, mode):
+    rng = np.random.default_rng(n)
+    if mode == "selfadjoint":
+        elements = [MatElement(np.diag(rng.standard_normal(3))) for _ in range(n)]
+    else:
+        elements = [MatElement(np.diag(np.exp(1j * rng.uniform(0, 6, 3)))) for _ in range(n)]
+    basis = DifferentialBasis(elements, mode=mode)
+    carrier = C.MatrixCarrierBasis(3)
+    rows = [(C._commutator_blocks(basis, carrier),
+             [C._form_indices(n, k, mode) for k in range(basis.top_degree + 2)])]
+    if mode == "complex":
+        starred = C._commutator_blocks(basis, carrier, families=(True,))
+        rows += [(starred, [C._dolbeault_indices(n, p, q) for q in range(n + 2)])
+                 for p in range(n + 1)]
+    for blocks, indices in rows:
+        for inp, out in zip(indices, indices[1:]):
+            got = C._assemble(basis, blocks, out, inp)
+            assert _sorted_triplets(got) == \
+                _sorted_triplets(_assemble_by_merges(blocks, out, inp))
+
+
+# -- rotated matrix bases through their eigenbasis ------------------------------
+
+
+def _unitary(n, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _rotated_projections(n):
+    q = _unitary(n, np.random.default_rng(100 + n))
+    return DifferentialBasis([MatElement(q @ p.mat @ q.conj().T) for p in projection_basis(n)],
+                             mode="selfadjoint", label=f"rotated M_{n} projections")
+
+
+def _rotated_unitary_pair(n):
+    rng = np.random.default_rng(200 + n)
+    q = _unitary(n, rng)
+    # a repeated phase keeps some eigenspaces degenerate
+    phases = rng.uniform(0, 2 * math.pi, (2, n))
+    phases[0, 1] = phases[0, 0]
+    mats = [MatElement(q @ np.diag(np.exp(1j * ph)) @ q.conj().T) for ph in phases]
+    return DifferentialBasis(mats, prefactors=[1.0, 0.5 - 1j], label=f"rotated M_{n} unitaries")
+
+
+def _dense_deRham(basis, carrier):
+    """The report of the dense rule: explicit matrix-unit maps and numeric_rank."""
+    n, mode = basis.size, basis.mode
+    indices = [C._form_indices(n, k, mode) for k in range(basis.top_degree + 2)]
+    ranks = [C.numeric_rank(C.boundary_matrix(k, basis, carrier))
+             for k in range(basis.top_degree + 1)]
+    return C._chain_report(basis.label, carrier, indices, ranks, [0] + ranks).to_json()
+
+
+def _dense_dolbeault(p, basis, carrier):
+    n = basis.size
+    indices = [C._dolbeault_indices(n, p, q) for q in range(n + 2)]
+    ranks = [C.numeric_rank(C.dolbeault_matrix(p, q, basis, carrier)) for q in range(n + 1)]
+    return C._chain_report(basis.label, carrier, indices, ranks, [0] + ranks).to_json()
+
+
+ROTATED = {**{f"rotated M_{n} projections": (lambda n=n: _rotated_projections(n))
+              for n in (3, 4, 5, 6)},
+           **{f"rotated M_{n} unitary pair": (lambda n=n: _rotated_unitary_pair(n))
+              for n in (4, 5, 6, 7)}}
+
+
+@pytest.mark.parametrize("case", list(ROTATED) + ["M_7 clock"])
+def test_rotated_bases_match_the_dense_rule(case, clock7_setup):
+    if case == "M_7 clock":
+        basis, carrier = clock7_setup
+    else:
+        basis = ROTATED[case]()
+        carrier = C.MatrixCarrierBasis(basis.elements[0].n)
+        assert basis.eigenbasis[0] is not None
+    assert C.deRham_dims(basis, carrier).to_json() == _dense_deRham(basis, carrier)
+    if basis.mode == "complex":
+        for p in range(basis.size + 1):
+            assert C.dolbeault_dims(p, basis, carrier).to_json() == \
+                _dense_dolbeault(p, basis, carrier)
+    assert C.fuglede_putnam_check(basis, carrier) is \
+        _null_space_fuglede_putnam(basis, carrier) is True
+    for adjoints in (False, True):
+        acting = basis.scaled + (basis.scaled_star if adjoints else [])
+        system = np.vstack([_densify(C._ad_matrix(x, carrier.elements(), carrier))
+                            for x in acting])
+        assert C.commutant_kernel_dimension(basis, carrier, include_adjoints=adjoints) == \
+            carrier.dim - C.numeric_rank(system)
+
+
+def test_rotated_m8_projections_closed_form():
+    n = 8
+    basis = _rotated_projections(n)
+    assert basis.eigenbasis[0] is not None
+    report = C.deRham_dims(basis, C.MatrixCarrierBasis(n))
+    assert [row.h_dim for row in report.degrees] == [n * math.comb(n, k) for k in range(n + 1)]

@@ -9,7 +9,7 @@ import ncdiff.dirichlet as D
 from ncdiff.carrier import EQ_TOLERANCE
 from ncdiff.forms import BasisConditionError, BasisModeError, DifferentialBasis
 from ncdiff.matrix_algebra import MatElement, joint_eigenbasis, projection_basis, trace
-from ncdiff.qlattice import QElement, tau
+from ncdiff.qlattice import QElement, tau, torus_spec
 from ncdiff.testing import random_matelement, random_qelement
 
 from conftest import THETA
@@ -409,3 +409,21 @@ def test_locality_needs_complex_mode(p_basis2):
     e = MatElement.identity(2)
     with pytest.raises(BasisModeError):
         D.locality_isometry(e, e, p_basis2)
+
+
+@pytest.mark.parametrize("case", ["torus {U}", "heisenberg {W}"])
+def test_q_eigenvalues_match_the_laplacian(case, torus, torus_basis, heisenberg,
+                                           heisenberg_basis, rng):
+    spec, basis = (torus, torus_basis) if case == "torus {U}" else (heisenberg, heisenberg_basis)
+    scaled = DifferentialBasis([x.scale(c) for x, c in zip(basis.elements, [0.5 - 2j])])
+    m = spec.generator_count
+    E = rng.integers(-9, 10, size=(40, m))
+    for b in (basis, scaled):
+        lam = D._q_eigenvalues(b, spec)(E.astype(float))
+        for e, value in zip(map(tuple, E.tolist()), lam):
+            want = D.laplacian(QElement.monomial(spec, e), b).terms.get(e, 0j)
+            assert abs(value - want) <= 1e-12
+    with pytest.raises(ValueError, match="single-monomial"):
+        D._q_eigenvalues(DifferentialBasis([basis.elements[0] + QElement.one(spec)]), spec)
+    with pytest.raises(ValueError, match="does not act on this presentation"):
+        D._q_eigenvalues(basis, torus_spec(0.3) if case == "torus {U}" else torus)
