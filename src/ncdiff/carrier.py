@@ -5,15 +5,16 @@ adjoint and a norm from its carrier.  A carrier element supplies ``+``,
 ``-``, unary ``-``, ``scale(c)``, ``*`` (by an element and by a scalar),
 ``adjoint()`` and ``norm()``; :class:`Normed` then adds ``is_zero``,
 ``equal_within``, scalar-on-the-left products and ``ad()``, the map
-``a -> [self, a]``.  The generic ``ad`` is :func:`commutator`, two products
-and a difference.  The elements that act diagonally on their carrier's
-keys (q-lattice monomials, vertex projections, diagonal matrices) state that
-action once, in ``diagonal_action``: each key lands on one key with one
-weight.  Their ``ad`` and the cohomology maps both read it.  A carrier
-whose elements are finite combinations of basis keys inherits :class:`Terms`
-and supplies only ``_check``, ``_like``, ``__mul__`` and ``adjoint``;
-differential forms are :class:`Terms` too, over covector keys with
-carrier-element coefficients.
+``a -> [self, a]``.  A carrier with keys (exponent rows, matrix-unit
+indices, term keys) gives them as ``keyed()``, builds elements back with
+``_from_keys``, and states in ``diagonal_action`` how an element that acts
+diagonally on them (a q-lattice monomial, a vertex projection, a diagonal
+matrix) moves each key, with one weight.  ``ad``, the carrier coordinates,
+the cohomology maps and the heat flow all read it; any other ``ad`` is
+:func:`commutator`.  A carrier whose elements are finite combinations of
+basis keys inherits :class:`Terms` and supplies only ``_check``, ``_like``,
+``__mul__`` and ``adjoint``; differential forms are :class:`Terms` too,
+over covector keys with carrier-element coefficients.
 
 This module holds the one tolerance policy of the package: elements agree
 when their difference has norm at most ``EQ_TOLERANCE``, and term
@@ -51,28 +52,32 @@ class Normed:
             return self.scale(c)
         return NotImplemented
 
-    def ad(self):
-        """The map a -> [self, a]; the generic one is :func:`commutator`."""
-        return lambda a: commutator(self, a)
-
-    def diagonal_action(self):
-        """None, or the action of a -> [self, a] on an array of the carrier's
-        keys when self acts diagonally: ``keys -> (landing, weights)`` with
-        [self, k_i] = weights[i] landing[i], a zero weight where the image is
-        dropped.  A carrier that has one says what its keys are."""
+    def keyed(self):
+        """None, or ``(keys, coeffs)``: the keys of self in the form that
+        ``diagonal_action`` takes, and their coefficients."""
         return None
 
-    def _diagonal_ad(self, act):
-        """An ``ad`` map that applies ``act`` to elements of this carrier after
-        ``_check``, and :func:`commutator` to anything else, so that foreign
-        operands raise as they do in a product."""
-        kind = type(self)
+    def diagonal_action(self):
+        """None, or the action of a -> [self, a] on keys when self acts
+        diagonally: ``(keys, coeffs) -> (landing, weights)`` with
+        [self, sum_i coeffs[i] k_i] = sum_i weights[i] landing[i], a zero
+        weight where the image is dropped."""
+        return None
+
+    def ad(self):
+        """The map a -> [self, a]: ``diagonal_action`` on the keys of an
+        operand of this carrier after ``_check``, else :func:`commutator`,
+        so that foreign operands raise as they do in a product."""
+        act = self.diagonal_action()
+        if act is None:
+            return lambda a: commutator(self, a)
 
         def ad(a):
-            if not isinstance(a, kind):
+            if not isinstance(a, type(self)):
                 return commutator(self, a)
             self._check(a)
-            return act(a)
+            keyed = a.keyed()
+            return commutator(self, a) if keyed is None else a._from_keys(*act(*keyed))
         return ad
 
     def is_zero(self, tol: float = EQ_TOLERANCE) -> bool:

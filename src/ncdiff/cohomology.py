@@ -15,9 +15,9 @@ key each one lands on and its weight, so column i holds at most one entry.
 Any other element takes the commutator of every carrier element, read back
 through the basis's ``entries``.  The rank entry points (``deRham_dims``,
 ``dolbeault_dims``, ``commutant_kernel_dimension``) read a rotated matrix
-basis in the coordinates of its joint eigenbasis Q, where A_j is diagonal
-with weight c_j (lambda_j(a) - lambda_j(b)); a -> Q^* a Q is unitary, so the
-singular values are unchanged.  ``boundary_matrix`` and ``dolbeault_matrix``
+basis as ``basis.diagonal``, diag(c_j lambda_j) in its joint eigenbasis Q,
+where A_j is diagonal too; a -> Q^* a Q is unitary, so the singular values
+are unchanged.  ``boundary_matrix`` and ``dolbeault_matrix``
 stay in matrix units, and with Q = None the two coordinates agree.
 
 Ranks take one SVD per connected component of a map's nonzero pattern
@@ -50,15 +50,39 @@ class TruncationError(ValueError):
 class _KeyedBasis:
     """Carrier coordinates over ``keys``: key i is coordinate i.
 
-    ``entries`` gives the indices and values of an element's nonzero
-    coordinates, and ``_rows`` the coordinate of each key of an array of keys
-    (-1 for a key outside).  ``keys`` are held in the form the carrier's
-    ``diagonal_action`` takes, and ``parent`` is an element of the carrier.
+    ``keys`` are held in the form the carrier's ``keyed()`` and
+    ``diagonal_action`` take, and ``parent`` is an element of the carrier.
+    ``_rows`` gives the coordinate of each key of an array of keys (-1 for a
+    key outside), and ``_check`` raises for an element it cannot hold.
     """
 
     @property
     def dim(self) -> int:
         return len(self.keys)
+
+    def elements(self) -> list:
+        """The carrier element of each key, with coefficient 1."""
+        return [self.parent._from_keys(self.keys[i:i + 1], [1 + 0j]) for i in range(self.dim)]
+
+    def _check(self, x) -> None:
+        pass
+
+    def entries(self, x) -> tuple[list, list]:
+        """Coordinates and values of x's nonzero terms; TruncationError for one outside."""
+        self._check(x)
+        keyed = x.keyed()
+        if keyed is None:
+            raise TruncationError(f"{x} escapes the {self.description}")
+        keys, coeffs = keyed
+        coeffs = np.asarray(coeffs, dtype=complex)
+        rows = self._rows(keys)
+        nz = np.flatnonzero(coeffs)  # keeps a nan
+        out = nz[rows[nz] < 0]
+        if len(out):
+            key = keys[out[0]]
+            key = tuple(key.tolist()) if isinstance(key, np.ndarray) else key
+            raise TruncationError(f"{key} escapes the {self.description}")
+        return rows[nz].tolist(), coeffs[nz].tolist()
 
     def coords(self, x) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -76,15 +100,9 @@ class MatrixCarrierBasis(_KeyedBasis):
         self.description = f"M_{n} matrix units"
         self.parent = MatElement.zero(n)
 
-    def elements(self) -> list[MatElement]:
-        return [MatElement.unit(self.n, *divmod(k, self.n)) for k in range(self.n * self.n)]
-
-    def entries(self, a: MatElement) -> tuple[list, list]:
+    def _check(self, a: MatElement) -> None:
         if a.n != self.n:
             raise ValueError("dimension mismatch")
-        flat = a.mat.reshape(-1)
-        nz = np.flatnonzero(flat)
-        return nz.tolist(), flat[nz].tolist()
 
     def _rows(self, flat: np.ndarray) -> np.ndarray:
         return flat
@@ -110,24 +128,12 @@ class QMonomialBasis(_KeyedBasis):
         self.description = f"{spec.label or 'q-lattice'} monomials |e|<={K}"
         self.parent = QElement(spec)
 
-    def elements(self) -> list[QElement]:
-        return [QElement.monomial(self.spec, e) for e in self.keys.tolist()]
-
     def _rows(self, E: np.ndarray) -> np.ndarray:
         rows = np.full(len(E), -1)
         if E.shape[1:] == self._stride.shape:
             inside = (np.abs(E) <= self.K).all(axis=1)
             rows[inside] = (E[inside] + self.K) @ self._stride
         return rows
-
-    def entries(self, x: QElement) -> tuple[list, list]:
-        for e in x.terms:
-            if len(e) != len(self._stride) or max(map(abs, e)) > self.K:
-                raise TruncationError(f"{e} escapes the {self.description}")
-        if not x.terms:
-            return [], []
-        E = np.array(list(x.terms), dtype=np.int64)
-        return ((E + self.K) @ self._stride).tolist(), list(x.terms.values())
 
 
 class GraphCarrierBasis(_KeyedBasis):
@@ -141,18 +147,8 @@ class GraphCarrierBasis(_KeyedBasis):
         self.description = f"graph terms |mu|,|nu|<={max_len}"
         self.parent = GraphElement(graph)
 
-    def elements(self) -> list[GraphElement]:
-        return [GraphElement.term(self.graph, mu, nu) for mu, nu in self.keys]
-
     def _rows(self, keys: list) -> np.ndarray:
         return np.array([self._index.get(k, -1) for k in keys], dtype=np.intp)
-
-    def entries(self, x: GraphElement) -> tuple[list, list]:
-        idx = [self._index.get(k) for k in x.terms]
-        if None in idx:
-            raise TruncationError(f"{list(x.terms)[idx.index(None)]} escapes the "
-                                  f"{self.description}")
-        return idx, list(x.terms.values())
 
 
 def _dolbeault_indices(n: int, p: int, q: int) -> list:
@@ -207,27 +203,13 @@ def _commutator_matrix(x, domain, codomain, elements) -> tuple:
     if act is None:
         return _ad_matrix(x, elements(), codomain)
     x._check(domain.parent)  # raises as ad does on a foreign element
-    codomain.entries(domain.parent)  # raises as a codomain of another size does
-    landing, w = act(domain.keys)
+    codomain._check(domain.parent)  # raises as a codomain of another size does
+    landing, w = act(domain.keys, np.ones(domain.dim))
     rows, w = codomain._rows(landing), np.asarray(w, dtype=complex)
     cols = np.flatnonzero(w)  # keeps a nan
     if (rows[cols] < 0).any() or not np.isfinite(w[cols]).all():
         return _ad_matrix(x, elements(), codomain)  # which raises the error
     return rows[cols], cols, w[cols], (codomain.dim, domain.dim)
-
-
-def _acting(basis, eigen: bool) -> tuple:
-    """The elements c_j U_j and (c_j U_j)^* whose commutators build the maps.
-
-    With ``eigen``, a matrix basis with a joint eigenbasis Q gives them in
-    Q-coordinates, diag(c_j lambda_j) and its adjoint: a -> Q^* a Q is
-    unitary on matrix units, so ranks and singular values do not change.
-    """
-    eig = getattr(basis, "eigenbasis", None) if eigen else None
-    if eig is None or eig[0] is None:
-        return basis.scaled, basis.scaled_star
-    scaled = [MatElement(np.diag(c * lam)) for c, lam in zip(basis.prefactors, eig[1])]
-    return scaled, [x.adjoint() for x in scaled]
 
 
 def _commutator_blocks(basis: DifferentialBasis, domain, codomain=None,
@@ -236,14 +218,16 @@ def _commutator_blocks(basis: DifferentialBasis, domain, codomain=None,
     (default: ``basis.families``).
 
     A_j holds the triplets of a -> [c_j U_j, a] (a -> [(c_j U_j)^*, a] when
-    starred) from ``domain`` into ``codomain`` (default: the same), in the
-    eigen-coordinates of :func:`_acting` when ``eigen`` is set.
+    starred) from ``domain`` into ``codomain`` (default: the same), with the
+    elements of ``basis.diagonal`` when ``eigen`` is set (a bare object with
+    only ``scaled`` is read in those coordinates).
     """
     elements = functools.cache(domain.elements)
-    acting = _acting(basis, eigen)
-    return [(starred, j, _commutator_matrix(x, domain, codomain or domain, elements))
+    acting = getattr(basis, "diagonal", basis.scaled) if eigen else basis.scaled
+    return [(starred, j, _commutator_matrix(x.adjoint() if starred else x, domain,
+                                            codomain or domain, elements))
             for starred in families or basis.families
-            for j, x in enumerate(acting[starred])]
+            for j, x in enumerate(acting)]
 
 
 def _assemble(basis: DifferentialBasis, blocks: list, out_indices: list,

@@ -18,8 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .carrier import commutator
-from .qlattice import (QElement, heisenberg_spec, torus_spec_2n,
-                       weyl_lattice_spec)
+from .qlattice import QElement, heisenberg_spec, weyl_lattice_spec
 
 TWO_PI_I = 2j * math.pi
 
@@ -93,32 +92,11 @@ def torus_limit_sweep(coeffs: Mapping[tuple, complex],
     """Finite difference vs derivative on the commutative torus directions.
 
     ``coeffs`` is a trigonometric polynomial over the even-slot generators:
-    keys are exponent tuples (m_1..m_n).  Per theta the 2n-generator
-    presentation is built with every block angle theta and the derivative
-    basis theta^{-1} U_{2j-1}; the classical target multiplies each
-    coefficient by i*m_j in direction j.
+    keys are exponent tuples (m_1..m_n).  This is :func:`plane_partial_sweep`
+    at step 1 with theta for hbar: every block angle is theta, the basis is
+    theta^{-1} U_{2j-1}, and the target multiplies each coefficient by i*m_j.
     """
-    _check_parameters(thetas)
-    monos = list(coeffs)
-    if not monos:
-        raise ValueError("empty coefficient table")
-    n = len(monos[0])
-    errors = []
-    for theta in thetas:
-        spec = torus_spec_2n([theta] * n)
-        f = QElement(spec, {_embed_even(m, n): c for m, c in coeffs.items()})
-        worst = 0.0
-        for j in range(n):
-            Uj = QElement.generator(spec, 2 * j + 1)
-            g = commutator(Uj, f).scale(1.0 / theta)
-            target = QElement(spec, {
-                tuple(x + (1 if i == 2 * j else 0) for i, x in enumerate(_embed_even(m, n))):
-                1j * m[j] * c
-                for m, c in coeffs.items()})
-            worst = max(worst, (g - target).norm())
-        errors.append(worst)
-    return DeformationSweep("theta", list(thetas), errors,
-                            "coefficientwise i*m_j per direction")
+    return _partial_sweep(coeffs, thetas, 1.0, "theta", "coefficientwise i*m_j per direction")
 
 
 def plane_limit_sweep(k: tuple[int, int], coeffs: Mapping[tuple, complex],
@@ -152,6 +130,13 @@ def plane_partial_sweep(coeffs: Mapping[tuple, complex], hbars: Sequence[float],
     momentum-direction basis hbar^{-1} A_j drives each direction to
     i*step^2*t_j in the limit.
     """
+    return _partial_sweep(coeffs, hbars, step, "hbar",
+                          "coefficientwise i*step^2*t_j per direction")
+
+
+def _partial_sweep(coeffs, hbars, step: float, name: str,
+                   description: str) -> DeformationSweep:
+    """The sweep of :func:`plane_partial_sweep`, recorded under ``name`` and ``description``."""
     _check_parameters(hbars)
     monos = list(coeffs)
     if not monos:
@@ -171,8 +156,7 @@ def plane_partial_sweep(coeffs: Mapping[tuple, complex], hbars: Sequence[float],
                 for t, c in coeffs.items()})
             worst = max(worst, (g - target).norm())
         errors.append(worst)
-    return DeformationSweep("hbar", list(hbars), errors,
-                            "coefficientwise i*step^2*t_j per direction")
+    return DeformationSweep(name, list(hbars), errors, description)
 
 
 _HEISENBERG_DIRECTIONS = ("U", "V", "W")

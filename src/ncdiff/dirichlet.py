@@ -1,21 +1,21 @@
 """Laplacian, heat semigroup and Dirichlet-form machinery over a differential basis.
 
-The generator is Delta = sum_j [(c_j U_j)^*, [c_j U_j, .]].  A differential
-basis is commuting and normal, so on a matrix carrier its elements are
-U_j = Q diag(lambda_j) Q^* in one eigenbasis Q, which the basis keeps; Delta acts
-as the Schur (entrywise) multiplier with symbol
-W[a, b] = sum_j |c_j|^2 |lambda_j(a) - lambda_j(b)|^2 on Q^* a Q.  The heat channel
-is then Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is completely
-positive exactly when its symbol exp(-t W) is positive semidefinite.  The
-n^2 x n^2 superoperators on row-major vectorized matrices
-(:func:`delta_superoperator`, :func:`heat_superoperator`,
-:func:`choi_matrix`, :func:`trotter_check`) stay as the reference path the
-tests compare against.  On q-lattice carriers Delta acts diagonally on
-monomials, so the semigroup is evaluated exactly with no truncation; its
-weight comes from the same monomial weights as the q-lattice ``ad`` map.
-Every first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ,
-the Dirichlet pairing, the locality isometry) goes through the basis's
-``ad`` maps, so a diagonal basis element never forms two products.
+The generator is Delta = sum_j [(c_j U_j)^*, [c_j U_j, .]].  Each element x_j
+of the basis's ``diagonal`` coordinates sends a key k of its carrier to
+w_j(k) times one key (its ``diagonal_action``) and x_j^* sends that back, so
+Delta multiplies key k by the heat symbol lambda(k) = sum_j |w_j(k)|^2, and
+the semigroup is one decay per term on q-lattices and graphs, exact with no
+truncation.  A matrix basis acts in its joint eigenbasis Q as
+diag(c_j lambda_j): the symbol is W[a, b] = sum_j |c_j lambda_j(a) -
+c_j lambda_j(b)|^2, the heat channel is the Schur multiplier
+Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is completely positive exactly
+when exp(-t W) is positive semidefinite.  The n^2 x n^2 superoperators on
+row-major vectorized matrices (:func:`delta_superoperator`,
+:func:`heat_superoperator`, :func:`choi_matrix`, :func:`trotter_check`) stay
+as the reference path the tests compare against.  Every first-order bracket
+[c_j U_j, a] (the Laplacian, the carre du champ, the Dirichlet pairing, the
+locality isometry) goes through the basis's ``ad`` maps, so a diagonal basis
+element never forms two products.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import scipy.linalg
 
 from .forms import BasisModeError, DifferentialBasis
 from .matrix_algebra import MatElement, trace
-from .qlattice import QElement, _monomial_weights, tau as q_tau
+from .graph_algebra import GraphElement
+from .qlattice import QElement, tau as q_tau
 
 
 def laplacian(a, basis: DifferentialBasis):
@@ -65,9 +66,7 @@ def _comm_superop(X: np.ndarray, n: int) -> np.ndarray:
 
 
 def _basis_mats(basis: DifferentialBasis, n: int) -> list[np.ndarray]:
-    # only a validated matrix basis has an eigenbasis, and its elements share one size
-    if basis.eigenbasis is None or basis.elements[0].n != n:
-        raise ValueError("basis does not act on this matrix dimension")
+    _heat_symbol(basis, MatElement.zero(n))  # raises unless the basis acts on M_n
     return [x.mat for x in basis.scaled]
 
 
@@ -107,13 +106,33 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
 
 
-def _heat_symbol(basis: DifferentialBasis, n: int):
-    """(Q, W) with Delta(a) = Q (W o Q^* a Q) Q^*, from the basis's eigenbasis."""
-    _basis_mats(basis, n)
-    Q, lams = basis.eigenbasis
-    W = sum(abs(c) ** 2 * np.abs(lam[:, None] - lam[None, :]) ** 2
-            for c, lam in zip(basis.prefactors, lams))
-    return Q, W
+_PARENT_NAMES = {MatElement: "matrix dimension", QElement: "presentation", GraphElement: "graph"}
+
+
+def _heat_symbol(basis: DifferentialBasis, a):
+    """keys -> lambda(keys) = sum_j |w_j(keys)|^2, the eigenvalues of Delta on
+    a's carrier: x_j of ``basis.diagonal`` sends key k to w_j(k) times a key,
+    and x_j^* sends that back to k."""
+    if type(a) not in _PARENT_NAMES:
+        raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
+    try:
+        for x in basis.diagonal:
+            if type(x) is not type(a):
+                raise ValueError
+            x._check(a)
+    except ValueError:
+        raise ValueError(f"basis does not act on this {_PARENT_NAMES[type(a)]}") from None
+    acts = [x.diagonal_action() for x in basis.diagonal]
+    if None in acts:
+        raise ValueError("the heat flow needs diagonally acting (single-monomial) elements")
+    return lambda keys: sum(np.abs(act(keys, np.ones(len(keys)))[1]) ** 2 for act in acts)
+
+
+def _schur_symbol(basis: DifferentialBasis, n: int):
+    """(Q, W) with Delta(a) = Q (W o Q^* a Q) Q^*: the eigenbasis the basis
+    keeps, and the heat symbol on the matrix units of its coordinates."""
+    W = _heat_symbol(basis, MatElement.zero(n))(np.arange(n * n)).reshape(n, n)
+    return basis.eigenbasis[0], W
 
 
 def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -124,37 +143,19 @@ def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
     return Q @ (M * (Qh @ m @ Q)) @ Qh
 
 
-def _q_eigenvalues(basis: DifferentialBasis, spec):
-    """The diagonal action of Delta on q-lattice monomials, as exponent rows
-    E -> lambda(E).
-
-    A single-monomial basis element c U^g sends U^e to w(e) U^{g+e}, with w
-    the weight of :func:`~ncdiff.qlattice._monomial_weights`, and its adjoint
-    sends that back to -conj(w(e)) U^e, so lambda(e) = sum_j |w_j(e)|^2.
-    """
-    weights = []
-    for x in basis.scaled:
-        if len(x.terms) != 1:
-            raise ValueError("q-carrier semigroup needs single-monomial basis elements")
-        if not x.spec.same_as(spec):
-            raise ValueError("basis does not act on this presentation")
-        (g, c), = x.terms.items()
-        weights.append(_monomial_weights(spec, g, c))
-    return lambda E: sum(np.abs(weigh(E)) ** 2 for weigh in weights)
-
-
 def heat_semigroup(a, t: float, basis: DifferentialBasis):
-    """Apply exp(-t Delta) to a matrix or q-lattice element."""
+    """Apply exp(-t Delta) to an element: on a matrix the Schur multiplier in
+    the basis's eigenbasis, on a carrier with keys one decay per key."""
     _check_time(t)
     if isinstance(a, MatElement):
-        Q, W = _heat_symbol(basis, a.n)
+        Q, W = _schur_symbol(basis, a.n)
         return MatElement(_schur_heat(Q, np.exp(-t * W), a.mat))
-    if isinstance(a, QElement):
-        lam = _q_eigenvalues(basis, a.spec)
-        E = np.array(list(a.terms), dtype=float).reshape(len(a.terms), a.spec.generator_count)
-        decay = np.exp(-t * lam(E)).tolist()
-        return a._like({e: c * d for (e, c), d in zip(a.terms.items(), decay)})
-    raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
+    symbol = _heat_symbol(basis, a)
+    keyed = a.keyed()
+    if keyed is None:
+        raise ValueError("exponents of 2**62 or more are too large for the heat flow")
+    keys, coeffs = keyed
+    return a._from_keys(keys, (np.exp(-t * symbol(keys)) * coeffs).tolist())
 
 
 def choi_matrix(t: float, n: int, basis: DifferentialBasis) -> MatElement:
@@ -219,7 +220,7 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
         _check_time(t)
     if samples < 1:
         raise ValueError("need at least one sample")
-    Q, W = _heat_symbol(basis, n)
+    Q, W = _schur_symbol(basis, n)
     rng = np.random.default_rng(seed)
     audit = SemigroupAudit(n=n, basis_label=basis.label)
     # one batched draw gives the same samples as drawing pair by pair

@@ -37,6 +37,8 @@ import warnings
 from math import comb
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .carrier import EQ_TOLERANCE, Terms, commutator, largest
 from .matrix_algebra import MatElement, joint_eigenbasis
 
@@ -66,6 +68,8 @@ class DifferentialBasis:
 
     A matrix family keeps the :func:`~ncdiff.matrix_algebra.joint_eigenbasis`
     that validates it as ``eigenbasis``; it is None on other carriers.
+    ``diagonal`` is diag(c_j lambda_j) for a rotated eigenbasis Q (in the
+    coordinates of the unitary a -> Q^* a Q), and ``scaled`` otherwise.
     ``ad[j]`` and ``ad_star[j]`` are the maps a -> [c_j U_j, a] and
     a -> [(c_j U_j)^*, a], built once from the carrier's ``ad`` hook.
     ``families`` lists the covector families, (False,) for dU_j alone and
@@ -118,6 +122,9 @@ class DifferentialBasis:
         self.scaled = [c * u for c, u in zip(self.prefactors, self.elements)]
         # adjoints also cover self-adjoint mode: only the prefactor conjugates
         self.scaled_star = [x.adjoint() for x in self.scaled]
+        Q, lams = self.eigenbasis or (None, None)
+        self.diagonal = self.scaled if Q is None else [
+            MatElement(np.diag(c * lam)) for c, lam in zip(self.prefactors, lams)]
         self.ad = [x.ad() for x in self.scaled]
         self.ad_star = [x.ad() for x in self.scaled_star]
         self.families = (False,) if mode == "selfadjoint" else (False, True)

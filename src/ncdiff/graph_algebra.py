@@ -213,31 +213,23 @@ class GraphElement(Terms):
             return self.scale(other)
         return NotImplemented
 
-    def _vertex(self):
-        """(v, c) when self is the scaled vertex projection c p_v, else None."""
+    def keyed(self):
+        """The term keys (mu, nu) and their coefficients, as lists."""
+        return list(self.terms), list(self.terms.values())
+
+    def _from_keys(self, keys, coeffs) -> "GraphElement":
+        out = self._like({})  # one pass over the keys, pruned as by ``_like``
+        out.terms = {k: c for k, c in zip(keys, coeffs) if not abs(c) <= PRUNE_EPSILON}
+        return out
+
+    def diagonal_action(self):
+        """For a scaled vertex projection c p_v: :func:`_vertex_action`.
+        None for any other element."""
         if len(self.terms) == 1:
             ((mu, nu), c), = self.terms.items()
             if mu == nu and not mu.edges:
-                return mu.source, c
+                return _vertex_action(mu.source, c)
         return None
-
-    def diagonal_action(self):
-        """For c p_v: each term key s_mu s_nu^* stays put, weighted by c times
-        its sign (:func:`_vertex_signs`).  None for any other element."""
-        vertex = self._vertex()
-        if vertex is None:
-            return None
-        v, c = vertex
-        return lambda keys: (keys, [c * s for s in _vertex_signs(v, keys)])
-
-    def ad(self):
-        """a -> [self, a]: termwise signs (:func:`vertex_commutator`) when self is
-        a scaled vertex projection c p_v, the generic commutator otherwise."""
-        vertex = self._vertex()
-        if vertex is None:
-            return super().ad()
-        v, c = vertex
-        return self._diagonal_ad(lambda a: vertex_commutator(v, a, c))
 
     def adjoint(self) -> "GraphElement":
         return self._like({(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()})
@@ -302,19 +294,19 @@ def _term_product(t1: CKTerm, t2: CKTerm) -> CKTerm | None:
     return None
 
 
-def _vertex_signs(v: str, keys) -> list[int]:
-    """[p_v, s_mu s_nu^*] = sign s_mu s_nu^* per term key (mu, nu): only the
-    source vertices act, +1 at v = s(mu) and -1 at v = s(nu)."""
-    return [(mu.source == v) - (nu.source == v) for mu, nu in keys]
+def _vertex_action(v: str, c: complex):
+    """(keys, coeffs) -> (keys, weights) of [c p_v, .] on term keys (mu, nu): only
+    sources act, so a term a s_mu s_nu^* weighs ([v = s(mu)] - [v = s(nu)]) c a."""
+    def act(keys, coeffs):
+        return keys, [(c * a if mu.source == v else -(a * c))
+                      if (mu.source == v) != (nu.source == v) else 0j
+                      for (mu, nu), a in zip(keys, coeffs)]
+    return act
 
 
 def vertex_commutator(v: str, x: GraphElement, coeff: complex = 1.0) -> GraphElement:
-    """[coeff p_v, x], computed termwise by the signs of :func:`_vertex_signs`."""
-    out: dict = {}
-    for (t, c), sign in zip(x.terms.items(), _vertex_signs(v, x.terms)):
-        if sign:
-            out[t] = coeff * c if sign > 0 else -(c * coeff)
-    return x._like(out)
+    """[coeff p_v, x], computed termwise by :func:`_vertex_action`."""
+    return x._from_keys(*_vertex_action(v, coeff)(*x.keyed()))
 
 
 def is_closed(t: CKTerm) -> bool:

@@ -70,26 +70,23 @@ class MatElement(Normed):
             return self.scale(other)
         return NotImplemented
 
+    def keyed(self):
+        """Every matrix unit e_ab, keyed by its flat index a n + b, and the entries."""
+        return np.arange(self.n * self.n), self.mat.reshape(-1)
+
+    def _from_keys(self, flat, coeffs) -> "MatElement":
+        m = np.zeros(self.n * self.n, dtype=complex)
+        m[flat] = coeffs
+        return MatElement(m.reshape(self.n, self.n))
+
     def diagonal_action(self):
-        """For a diagonal matrix diag(d): the matrix unit e_ab, keyed by its
-        flat index a n + b, stays put with weight d(a) - d(b).  None for any
-        other matrix."""
+        """For diag(d): the unit with flat index a n + b stays put with weight
+        d(a) - d(b), computed once for all units.  None for any other matrix."""
         d = np.diag(self.mat)
         if (self.mat - np.diag(d)).any():
             return None
-        n = self.n
-        return lambda flat: (flat, d[flat // n] - d[flat % n])
-
-    def ad(self):
-        """a -> [self, a]: for a diagonal matrix, the Schur multiplier by the
-        weights of ``diagonal_action``; any other matrix takes the two-matmul
-        commutator."""
-        act = self.diagonal_action()
-        if act is None:
-            return super().ad()
-        n = self.n
-        D = act(np.arange(n * n))[1].reshape(n, n)
-        return self._diagonal_ad(lambda a: MatElement(D * a.mat))
+        W = (d[:, None] - d[None, :]).reshape(-1)
+        return lambda flat, coeffs: (flat, W[flat] * coeffs)
 
     def adjoint(self) -> "MatElement":
         return MatElement(self.mat.conj().T)

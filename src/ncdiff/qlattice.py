@@ -27,9 +27,10 @@ A single monomial c U^g acts by ``QElement.ad``: the commutator [c U^g, a]
 multiplies each term a_e U^e by c (exp(i phi_1) - exp(i phi_2)), the two
 exchange phases of :func:`_exchange_angles`, and moves it to U^{g+e}.  Up to
 ``_ARRAY_TERMS`` terms a loop forms the two products of the commutator term
-by term, bit for bit; above it numpy weights all terms at once by the same
-rule, up to rounding (:func:`_monomial_weights`).  Those weights are also the
-monomial's diagonal action on the exponent rows of a carrier basis.
+by term, bit for bit.  Above it the monomial's ``diagonal_action`` weights
+the int64 exponent rows of ``a.keyed()`` all at once by the same rule, up to
+rounding (:func:`_monomial_weights`); the cohomology maps and the heat flow
+read the same action.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def _exponent_rows(terms: dict, m: int):
                            len(terms) * m).reshape(len(terms), m)
     except OverflowError:
         return None
-    return rows if -_EXPONENT_LIMIT < rows.min() and rows.max() < _EXPONENT_LIMIT else None
+    fits = not rows.size or -_EXPONENT_LIMIT < rows.min() and rows.max() < _EXPONENT_LIMIT
+    return rows if fits else None
 
 
 def _sum_by_code(codes: np.ndarray, c: np.ndarray):
@@ -278,8 +280,8 @@ def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
 
 
 def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
-    """The weights of [c U^g, .]: ``weigh(E, coeffs=1.0)`` gives, for exponent
-    rows E (one row per term, int64 or float) and term coefficients a_e, the
+    """The weights of [c U^g, .]: ``weigh(E, coeffs)`` gives, for int64
+    exponent rows E (one row per term) and term coefficients a_e, the
     coefficient of U^{g+e} in [c U^g, sum_e a_e U^e].
 
     They follow :func:`_monomial_ad_loop` up to the rounding of numpy's
@@ -292,9 +294,8 @@ def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
     angles = _exchange_angles(spec, g)
     eps = spec.prune_epsilon
 
-    def weigh(E, coeffs=1.0):
-        p = np.empty(len(E), dtype=complex)
-        p[:] = c * coeffs
+    def weigh(E, coeffs):
+        p = c * np.asarray(coeffs, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             phi1, phi2 = angles(E.T)
             p1 = np.multiply(p, np.exp(1j * phi1), out=p.copy(), where=phi1 != 0.0)
@@ -305,21 +306,6 @@ def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
             v[np.abs(v) <= eps] = 0.0
         return v
     return weigh
-
-
-def _monomial_ad_array(spec: QAlgebraSpec, g: Monomial, weigh,
-                       terms: dict) -> "QElement | None":
-    """[c U^g, a] on the int64 exponent rows of ``a``, weighted by
-    :func:`_monomial_weights`, or None when an exponent is 2**62 or more."""
-    E = _exponent_rows(terms, spec.generator_count)
-    if E is None or max(map(abs, g)) >= _EXPONENT_LIMIT:
-        return None
-    v = weigh(E, np.fromiter(terms.values(), complex, len(terms)))
-    keep = v != 0  # keeps a nan
-    out = QElement(spec)
-    keys = (E[keep] + np.array(g, dtype=np.int64)).tolist()
-    out.terms = dict(zip(map(tuple, keys), v[keep].tolist()))
-    return out
 
 
 class QElement(Terms):
@@ -392,6 +378,20 @@ class QElement(Terms):
             return self.scale(other)
         return NotImplemented
 
+    def keyed(self):
+        """The exponents as int64 rows and the coefficients as an array, or
+        None when an exponent is 2**62 or more."""
+        E = _exponent_rows(self.terms, self.spec.generator_count)
+        return None if E is None else (E, np.fromiter(self.terms.values(), complex, len(E)))
+
+    def _from_keys(self, E, coeffs) -> "QElement":
+        """``coeffs[i]`` on the distinct exponent rows ``E[i]``, pruned as by ``_like``."""
+        coeffs = np.asarray(coeffs)
+        keep = ~(np.abs(coeffs) <= self.spec.prune_epsilon)  # keeps a nan
+        out = self._like({})
+        out.terms = dict(zip(map(tuple, E[keep].tolist()), coeffs[keep].tolist()))
+        return out
+
     def diagonal_action(self):
         """For a single monomial c U^g: int64 exponent rows E land on E + g,
         weighted by :func:`_monomial_weights`.  None for any other element,
@@ -402,26 +402,24 @@ class QElement(Terms):
         if max(map(abs, g)) >= _EXPONENT_LIMIT:
             return None
         weigh, shift = _monomial_weights(self.spec, g, c), np.array(g, dtype=np.int64)
-        return lambda E: (E + shift, weigh(E))
+        return lambda E, coeffs: (E + shift, weigh(E, coeffs))
 
     def ad(self):
-        """a -> [self, a].  A single monomial c U^g weights each term of ``a``
-        by its two exchange phases (:func:`_monomial_ad_loop`, or
-        :func:`_monomial_ad_array` above ``_ARRAY_TERMS`` terms); any other
-        element takes the generic commutator."""
+        """a -> [self, a].  A single monomial c U^g takes the loop
+        :func:`_monomial_ad_loop` on operands of up to ``_ARRAY_TERMS`` terms,
+        bit for bit; everything else goes to :meth:`Normed.ad`."""
+        act = super().ad()
         if len(self.terms) != 1:
-            return super().ad()
+            return act
         (g, c), = self.terms.items()
         spec, angles = self.spec, _exchange_angles(self.spec, g)
-        weigh = _monomial_weights(spec, g, c)
 
-        def act(a):
-            if len(a.terms) > _ARRAY_TERMS:
-                out = _monomial_ad_array(spec, g, weigh, a.terms)
-                if out is not None:
-                    return out
-            return self._like(_monomial_ad_loop(spec, g, c, a.terms, angles))
-        return self._diagonal_ad(act)
+        def ad(a):
+            if isinstance(a, QElement) and len(a.terms) <= _ARRAY_TERMS:
+                self._check(a)
+                return self._like(_monomial_ad_loop(spec, g, c, a.terms, angles))
+            return act(a)
+        return ad
 
     def adjoint(self) -> "QElement":
         out = {}

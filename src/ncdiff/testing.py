@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dirichlet, forms, graph_algebra as ga
+from .carrier import EQ_TOLERANCE
 from .forms import DifferentialBasis, DifferentialForm
 from .matrix_algebra import MatElement, projection_basis
 from .qlattice import QAlgebraSpec, QElement, _pair_product, heisenberg_spec, torus_spec
@@ -122,7 +123,7 @@ def default_carriers(seed: int = 11):
     ]
 
 
-def check_delta_squared(samples: int = 50, tol: float = 1e-10) -> list[tuple[str, float]]:
+def check_delta_squared(samples: int = 50) -> list[tuple[str, float]]:
     """Max |delta(delta(a))| per carrier over random 0-forms and forms."""
     out = []
     for label, basis, sample in default_carriers():
@@ -171,22 +172,22 @@ def run_selftest(out=print) -> bool:
     ok = True
 
     for label, worst in check_delta_squared():
-        good = worst <= 1e-10
+        good = worst <= EQ_TOLERANCE
         ok &= good
         out(f"delta^2 = 0 [{label}]: max residual {worst:.3e} "
             f"{'PASS' if good else 'FAIL'}")
 
     for label, worst in check_leibniz():
-        good = worst <= 1e-10
+        good = worst <= EQ_TOLERANCE
         ok &= good
         out(f"graded Leibniz [{label}]: max defect {worst:.3e} "
             f"{'PASS' if good else 'FAIL'}")
 
     row = check_semigroup_audit()
-    good = (row["choi_min_eigenvalue"] >= -1e-10
-            and row["symmetry_error"] <= 1e-10
+    good = (row["choi_min_eigenvalue"] >= -EQ_TOLERANCE
+            and row["symmetry_error"] <= EQ_TOLERANCE
             and row["conservativity_error"] == 0.0
-            and row["markov_min"] >= -1e-10 and row["markov_max"] <= 1 + 1e-10)
+            and row["markov_min"] >= -EQ_TOLERANCE and row["markov_max"] <= 1 + EQ_TOLERANCE)
     ok &= good
     out(f"semigroup audit [M_3, t=1]: choi_min {row['choi_min_eigenvalue']:.3e}, "
         f"symmetry {row['symmetry_error']:.3e}, conservativity "
@@ -202,7 +203,7 @@ def run_selftest(out=print) -> bool:
         lhs = dirichlet.carre_du_champ(a, c, basis)
         rhs = dirichlet.carre_du_champ_first_order(a, c, basis)
         worst = max(worst, (lhs - rhs).norm())
-    good = worst <= 1e-10
+    good = worst <= EQ_TOLERANCE
     ok &= good
     out(f"carre du champ identity [torus]: max defect {worst:.3e} "
         f"{'PASS' if good else 'FAIL'}")

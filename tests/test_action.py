@@ -14,7 +14,7 @@ import pytest
 
 from ncdiff import carrier, cohomology as C, dirichlet, forms, graph_algebra as ga
 from ncdiff import qlattice
-from ncdiff.carrier import Normed, commutator
+from ncdiff.carrier import commutator
 from ncdiff.forms import DifferentialBasis, DifferentialForm
 from ncdiff.matrix_algebra import MatElement, projection_basis
 from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError, _ARRAY_TERMS,
@@ -86,9 +86,9 @@ def test_monomial_ad_routes(rng, monkeypatch):
     spec = torus_spec(THETA)
     act = QElement.generator(spec, 1).ad()
     entered = []
-    array_route = qlattice._monomial_ad_array
-    monkeypatch.setattr(qlattice, "_monomial_ad_array",
-                        lambda *args: entered.append(1) or array_route(*args))
+    # the array route reads the operand's keys
+    keyed = QElement.keyed
+    monkeypatch.setattr(QElement, "keyed", lambda a: entered.append(1) or keyed(a))
     act(_operand(spec, rng, _ARRAY_TERMS))
     assert not entered
     act(_operand(spec, rng, _ARRAY_TERMS + 1))
@@ -133,6 +133,16 @@ def test_monomial_ad_exponents_beyond_int64(rng):
     a = QElement(spec, {(big + k, k): 1.0 + k for k in range(60)})
     assert _bits(QElement.generator(spec, 2).ad()(a)) == \
         _bits(commutator(QElement.generator(spec, 2), a))
+
+
+def test_exponents_beyond_int64_have_no_keys(torus_basis):
+    spec = torus_basis.elements[0].spec
+    a = QElement(spec, {(2 ** 63, 0): 1.0, (1, 0): 2.0})
+    assert a.keyed() is None
+    with pytest.raises(C.TruncationError, match="escapes"):
+        C.QMonomialBasis(spec, 2).entries(a)
+    with pytest.raises(ValueError, match="too large"):
+        dirichlet.heat_semigroup(a, 1.0, torus_basis)
 
 
 def test_diagonal_matrix_ad(rng):
@@ -277,7 +287,7 @@ def test_huge_theta_ad_matrix_error_matches_the_commutator(monkeypatch):
         C._ad_matrix(U, elems, codomain)
     with pytest.raises(ValueError) as diagonal:
         C._commutator_matrix(U, domain, codomain, domain.elements)
-    monkeypatch.setattr(QElement, "ad", Normed.ad)
+    monkeypatch.setattr(QElement, "ad", lambda x: lambda a: commutator(x, a))
     with pytest.raises(ValueError) as want:
         C._ad_matrix(U, elems, codomain)
     assert str(got.value) == str(diagonal.value) == str(want.value)

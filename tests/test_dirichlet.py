@@ -6,11 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import ncdiff.dirichlet as D
+import ncdiff.graph_algebra as ga
 from ncdiff.carrier import EQ_TOLERANCE
-from ncdiff.forms import BasisConditionError, BasisModeError, DifferentialBasis
+from ncdiff.forms import (BasisConditionError, BasisModeError, DifferentialBasis,
+                          DifferentialForm)
 from ncdiff.matrix_algebra import MatElement, joint_eigenbasis, projection_basis, trace
 from ncdiff.qlattice import QElement, tau, torus_spec
-from ncdiff.testing import random_matelement, random_qelement
+from ncdiff.testing import (loop_graph, random_graph_element, random_matelement,
+                            random_qelement, star_tree)
 
 from conftest import THETA
 
@@ -411,19 +414,48 @@ def test_locality_needs_complex_mode(p_basis2):
         D.locality_isometry(e, e, p_basis2)
 
 
-@pytest.mark.parametrize("case", ["torus {U}", "heisenberg {W}"])
-def test_q_eigenvalues_match_the_laplacian(case, torus, torus_basis, heisenberg,
+@pytest.mark.parametrize("case", ["torus {U}", "heisenberg {W}", "star tree", "loop"])
+def test_heat_symbol_matches_the_laplacian(case, torus, torus_basis, heisenberg,
                                            heisenberg_basis, rng):
-    spec, basis = (torus, torus_basis) if case == "torus {U}" else (heisenberg, heisenberg_basis)
-    scaled = DifferentialBasis([x.scale(c) for x, c in zip(basis.elements, [0.5 - 2j])])
-    m = spec.generator_count
-    E = rng.integers(-9, 10, size=(40, m))
-    for b in (basis, scaled):
-        lam = D._q_eigenvalues(b, spec)(E.astype(float))
-        for e, value in zip(map(tuple, E.tolist()), lam):
-            want = D.laplacian(QElement.monomial(spec, e), b).terms.get(e, 0j)
-            assert abs(value - want) <= 1e-12
-    with pytest.raises(ValueError, match="single-monomial"):
-        D._q_eigenvalues(DifferentialBasis([basis.elements[0] + QElement.one(spec)]), spec)
-    with pytest.raises(ValueError, match="does not act on this presentation"):
-        D._q_eigenvalues(basis, torus_spec(0.3) if case == "torus {U}" else torus)
+    # one symbol, sum_j |w_j|^2 over the diagonal actions, on every carrier with keys
+    if case in ("torus {U}", "heisenberg {W}"):
+        spec, basis = ((torus, torus_basis) if case == "torus {U}"
+                       else (heisenberg, heisenberg_basis))
+        bases = [basis, DifferentialBasis([x.scale(c) for x, c in zip(basis.elements, [0.5 - 2j])])]
+        zero = QElement(spec)
+        keys = rng.integers(-9, 10, size=(40, spec.generator_count))
+        elements = [QElement.monomial(spec, e) for e in keys.tolist()]
+        fixed = [QElement.one(spec)]
+        sample = lambda: random_qelement(spec, rng)
+        undiagonal = DifferentialBasis([basis.elements[0] + QElement.one(spec)])
+        foreign = QElement(torus_spec(0.3) if case == "torus {U}" else torus)
+        messages = ("single-monomial", "does not act on this presentation")
+    else:
+        graph = star_tree(5) if case == "star tree" else loop_graph(3)
+        fixed = [ga.vertex_projection(graph, v) for v in graph.vertices]
+        prefactors = [0.5 - 2j, 1j, 1.5] + [2.0 + 1j] * (len(fixed) - 3)
+        bases = [DifferentialBasis(fixed, prefactors=prefactors, mode="selfadjoint")]
+        zero = ga.GraphElement(graph)
+        keys = ga.common_range_pairs(graph, 2)
+        elements = [ga.GraphElement.term(graph, mu, nu) for mu, nu in keys]
+        sample = lambda: random_graph_element(graph, rng, n_terms=6)
+        undiagonal = DifferentialBasis([fixed[0] + fixed[1]], mode="selfadjoint")
+        foreign = ga.GraphElement(star_tree(5))
+        messages = ("diagonally acting", "does not act on this graph")
+    for b in bases:
+        lam = D._heat_symbol(b, zero)(keys)
+        for x, value in zip(elements, lam):
+            key, = x.terms
+            assert abs(value - D.laplacian(x, b).terms.get(key, 0j)) <= 1e-12
+        a = sample()
+        lhs = D.heat_semigroup(D.heat_semigroup(a, 0.4, b), 1.1, b)
+        assert (lhs - D.heat_semigroup(a, 1.5, b)).norm() <= 1e-12
+        for x in fixed:
+            assert (D.heat_semigroup(x, 2.0, b) - x).norm() == 0.0
+    with pytest.raises(ValueError, match=messages[0]):
+        D._heat_symbol(undiagonal, zero)
+    with pytest.raises(ValueError, match=messages[1]):
+        D._heat_symbol(bases[0], foreign)
+    # a carrier without keys, such as the forms, has no heat flow here
+    with pytest.raises(TypeError, match="no semigroup evaluation"):
+        D.heat_semigroup(DifferentialForm.from_element(bases[0], fixed[0]), 1.0, bases[0])

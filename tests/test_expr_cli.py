@@ -1,4 +1,5 @@
 import cmath
+import importlib.util
 import io
 import json
 import math
@@ -396,17 +397,38 @@ def test_cli_selftest():
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_module_entry_points():
+def _benchmark_workloads(monkeypatch):
+    """The benchmark's ``workloads`` module, loaded from its file."""
+    path = Path(__file__).parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_module_entry_points(monkeypatch):
     env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]))
 
     def run_module(*argv):
-        return subprocess.run([sys.executable, "-m", *argv], capture_output=True,
-                              text=True, env=env, timeout=120)
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
 
     done = run_module("ncdiff", "selftest")
     assert done.returncode == 0
     lines = done.stdout.splitlines()
     assert lines and all(line.endswith(" PASS") for line in lines)
+    # stdout equals the frozen selftest of benchmarks/reference.json byte for
+    # byte, except the numbers of the semigroup audit line: they are
+    # rounding-level (about 1e-16) and vary with the LAPACK build, so they get
+    # the benchmark's own text tolerance
+    reference = Path(__file__).parents[1] / "benchmarks" / "reference.json"
+    want = json.loads(reference.read_text())["selftest"].splitlines(True)
+    got = done.stdout.splitlines(True)
+    text_matches = _benchmark_workloads(monkeypatch).text_matches
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w and not (
+        w.startswith("semigroup audit") and text_matches(g, w))] == []
     done = run_module("ncdiff.cli", "cohomology", "--carrier", "matrix", "--n", "0")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
