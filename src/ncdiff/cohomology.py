@@ -1,32 +1,46 @@
 """Boundary-map assembly and kernel/rank computation for the form complexes.
 
 Degree-k forms over a finite-dimensional (or truncated) carrier span a
-vector space with basis {covector index} x {carrier basis element}.  Every
-map is held as triplets ``(rows, cols, vals, shape)`` of its nonzeros.  A
-complex builds A_j, the map a -> [c_j U_j, a] (and that of each starred
-element), once; each of its maps offsets the A_j with the exterior signs of
-the basis's front-merge table into the covector blocks they reach, and the
-commutant systems stack them.
+vector space with basis {covector index} x {carrier basis element}.  The
+rank entry points (``deRham_dims``, ``dolbeault_dims``,
+``commutant_kernel_dimension``) take one of two routes; both read a rotated
+matrix basis as ``basis.diagonal``, diag(c_j lambda_j) in its joint
+eigenbasis Q, since a -> Q^* a Q is unitary and keeps every singular value.
 
-An element that acts diagonally on its carrier's keys (a q-lattice
-monomial, a diagonal matrix, a scaled vertex projection) gives A_j in one
-pass over the keys of the carrier basis: its ``diagonal_action`` names the
-key each one lands on and its weight, so column i holds at most one entry.
-Any other element takes the commutator of every carrier element, read back
-through the basis's ``entries``.  The rank entry points (``deRham_dims``,
-``dolbeault_dims``, ``commutant_kernel_dimension``) read a rotated matrix
-basis as ``basis.diagonal``, diag(c_j lambda_j) in its joint eigenbasis Q,
-where A_j is diagonal too; a -> Q^* a Q is unitary, so the singular values
-are unchanged.  ``boundary_matrix`` and ``dolbeault_matrix``
-stay in matrix units, and with Q = None the two coordinates agree.
+The symbol route.  When every acting element (``basis.diagonal``, and the
+adjoints for starred covectors) is of the carrier's kind and its
+``diagonal_action`` lands each key on itself (diagonal matrices, scaled
+vertex projections), key k carries one weight vector v(k) in C^N, one entry
+per covector.  On the forms over k the degree-k map is the exterior product
+v(k) ^ . on Lambda^k C^N, whose nonzero singular values all equal |v(k)|,
+with multiplicity C(N-1, k): its Hodge Laplacian is |v(k)|^2, the heat
+symbol, times the identity (Eckmann's combinatorial Hodge theorem for a
+Koszul complex).  So rank d_k = C(N-1, k) #{k : |v(k)| > cut}, the degree
+dimensions are binomials times the carrier dimension, and neither a
+covector index nor a map is built.  The cut is N D eps max|v|, the rule of
+the degree-0 map a -> (x_j a)_j on a D-dimensional carrier, which is the
+symbol itself.  The rule of the whole degree-k map, max(shape) eps max|v|,
+grows with the form space: for the M_64 projections max(shape) reaches
+C(64, 32) 4096 = 7.5e21, a cut of 1.7e6 max|v|, above every weight, which
+would report the middle ranks as 0.
 
-Ranks take one SVD per connected component of a map's nonzero pattern
-(blocks of one shape share a stacked SVD) and count singular values above
-max(shape) * eps * sigma_max of the whole map.  When every A_j is diagonal
-the components are small.  Truncated q-lattice carriers use nested exponent
-balls so the maps never leave their codomain; the inner maps keep the outer
-triplets inside the smaller balls.  The public ``*_matrix`` and
-``numeric_rank`` are dense.
+The triplet route, for every other basis and the oracle of the first.
+Every map is held as triplets ``(rows, cols, vals, shape)`` of its
+nonzeros.  A complex builds A_j, the map a -> [c_j U_j, a] (and that of
+each starred element), once; each of its maps offsets the A_j with the
+exterior signs of the basis's front-merge table into the covector blocks
+they reach, and the commutant systems stack them.  An element that acts
+diagonally on its carrier's keys (a q-lattice monomial, a diagonal matrix,
+a scaled vertex projection) gives A_j in one pass over the keys of the
+carrier basis; any other element takes the commutator of every carrier
+element, read back through the basis's ``entries``.  Ranks take one SVD
+per connected component of a map's nonzero pattern (blocks of one shape
+share a stacked SVD) and count singular values above max(shape) * eps *
+sigma_max of the whole map.  Truncated q-lattice carriers, whose monomials
+shift keys, always take it, with nested exponent balls so the maps never
+leave their codomain; the inner maps keep the outer triplets inside the
+smaller balls.  ``boundary_matrix`` and ``dolbeault_matrix`` stay in matrix
+units and, like ``numeric_rank``, are dense.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -96,9 +111,9 @@ class MatrixCarrierBasis(_KeyedBasis):
 
     def __init__(self, n: int):
         self.n = n
-        self.keys = np.arange(n * n)
         self.description = f"M_{n} matrix units"
         self.parent = MatElement.zero(n)
+        self.keys = self.parent.keyed()[0]
 
     def _check(self, a: MatElement) -> None:
         if a.n != self.n:
@@ -411,37 +426,107 @@ def _ranks(basis: DifferentialBasis, blocks: list, indices: list) -> list[int]:
             for inp, out in zip(indices, indices[1:])]
 
 
-def _chain_report(basis_label: str, carrier_basis, indices: list, ranks: list,
+def _chain_report(basis_label: str, carrier_basis, sizes: list, ranks: list,
                   ranks_in: list, truncation: dict | None = None) -> ComplexReport:
-    """Rows of degrees 0..len(ranks)-1: degree k spans indices[k] x carrier_basis,
-    and its outgoing and incoming maps have ranks ranks[k] and ranks_in[k]."""
+    """Rows of degrees 0..len(ranks)-1: degree k spans sizes[k] covector indices
+    x carrier_basis, and its outgoing and incoming maps have ranks ranks[k]
+    and ranks_in[k]."""
     report = ComplexReport(basis_label, carrier_basis.description, truncation)
     for k, (rank, rank_in) in enumerate(zip(ranks, ranks_in)):
-        dim_ker = len(indices[k]) * carrier_basis.dim - rank
+        dim_ker = sizes[k] * carrier_basis.dim - rank
         report.degrees.append(DegreeRow(k, dim_ker, rank_in, dim_ker - rank_in))
     return report
+
+
+def _top_degree(basis: DifferentialBasis, max_degree: int | None) -> int:
+    top = basis.top_degree if max_degree is None else max_degree
+    if top < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {top}")
+    return top
+
+
+def _symbol(basis: DifferentialBasis, carrier_basis, families: tuple):
+    """``(|v|, cut)`` over the keys of ``carrier_basis``, or None off the symbol route.
+
+    v(k) holds the weight on key k of each element of ``basis.diagonal`` (a
+    bare object with only ``scaled`` is read in those coordinates), and of
+    its adjoint when ``families`` has True.  The route needs each one to be
+    of the carrier's kind, to land every key on itself and to give a finite
+    |v|; otherwise the triplet route builds the maps and raises what they
+    raise.  An element over another carrier of the same kind raises here as
+    it does there.  The cut is N D eps max|v| for N acting elements on D keys.
+    """
+    parent, keys, dim = carrier_basis.parent, carrier_basis.keys, carrier_basis.dim
+    acting = getattr(basis, "diagonal", basis.scaled)
+    own, v = np.arange(dim), np.zeros(dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for starred in families:
+            for x in acting:
+                x = x.adjoint() if starred else x
+                act = x.diagonal_action() if isinstance(x, type(parent)) else None
+                if act is None:
+                    return None
+                x._check(parent)
+                landing, w = act(keys, np.ones(dim))
+                if not np.array_equal(carrier_basis._rows(landing), own):
+                    return None
+                v = np.hypot(v, np.abs(np.asarray(w, dtype=complex)))
+    if not np.isfinite(v).all():
+        return None
+    return v, len(families) * len(acting) * dim * np.finfo(float).eps * v.max(initial=0.0)
+
+
+def _symbol_rank(basis: DifferentialBasis, carrier_basis, families: tuple) -> int | None:
+    """#{k : |v(k)| > cut} of :func:`_symbol`, or None off the symbol route."""
+    symbol = _symbol(basis, carrier_basis, families)
+    return None if symbol is None else int((symbol[0] > symbol[1]).sum())
 
 
 def deRham_dims(basis: DifferentialBasis, carrier_basis,
                 max_degree: int | None = None) -> ComplexReport:
     """De Rham dimensions over an exact (untruncated) carrier; a rotated matrix
     basis is read in the coordinates of its eigenbasis."""
-    top = basis.top_degree if max_degree is None else max_degree
-    if top < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {top}")
+    top = _top_degree(basis, max_degree)
+    r = _symbol_rank(basis, carrier_basis, basis.families)
+    if r is None:
+        return _triplet_deRham(basis, carrier_basis, top)
+    N = basis.size * len(basis.families)
+    ranks = [comb(N - 1, k) * r for k in range(top + 1)]
+    return _chain_report(basis.label, carrier_basis, [comb(N, k) for k in range(top + 2)],
+                         ranks, [0] + ranks)
+
+
+def _triplet_deRham(basis: DifferentialBasis, carrier_basis,
+                    max_degree: int | None = None) -> ComplexReport:
+    """:func:`deRham_dims` by assembled maps and block SVDs."""
+    top = _top_degree(basis, max_degree)
     indices = [_form_indices(basis.size, k, basis.mode) for k in range(top + 2)]
     ranks = _ranks(basis, _commutator_blocks(basis, carrier_basis, eigen=True), indices)
-    return _chain_report(basis.label, carrier_basis, indices, ranks, [0] + ranks)
+    return _chain_report(basis.label, carrier_basis, [len(i) for i in indices],
+                         ranks, [0] + ranks)
 
 
 def dolbeault_dims(p: int, basis: DifferentialBasis, carrier_basis) -> ComplexReport:
     """Dolbeault dimensions of the row at fixed unstarred degree p."""
     if basis.mode != "complex":
         raise BasisModeError("type decomposition needs complex mode")
+    r = _symbol_rank(basis, carrier_basis, (True,))
+    if r is None:
+        return _triplet_dolbeault(p, basis, carrier_basis)
+    n = basis.size
+    unstarred = comb(n, p) if p >= 0 else 0  # covector sets I of size p
+    ranks = [unstarred * comb(n - 1, q) * r for q in range(n + 1)]
+    return _chain_report(basis.label, carrier_basis,
+                         [unstarred * comb(n, q) for q in range(n + 2)], ranks, [0] + ranks)
+
+
+def _triplet_dolbeault(p: int, basis: DifferentialBasis, carrier_basis) -> ComplexReport:
+    """:func:`dolbeault_dims` by assembled maps and block SVDs (complex mode)."""
     indices = [_dolbeault_indices(basis.size, p, q) for q in range(basis.size + 2)]
     blocks = _commutator_blocks(basis, carrier_basis, families=(True,), eigen=True)
     ranks = _ranks(basis, blocks, indices)
-    return _chain_report(basis.label, carrier_basis, indices, ranks, [0] + ranks)
+    return _chain_report(basis.label, carrier_basis, [len(i) for i in indices],
+                         ranks, [0] + ranks)
 
 
 def _max_basis_degree(basis: DifferentialBasis) -> int:
@@ -465,9 +550,7 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
     send a dropped key to -1.  Cohomology numbers inherit the truncation
     and are reported with that provenance.
     """
-    top = basis.top_degree if max_degree is None else max_degree
-    if top < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {top}")
+    top = _top_degree(basis, max_degree)
     d = _max_basis_degree(basis)
     if K < 2 * d:
         raise TruncationError(f"truncation K={K} too small for basis degree {d}")
@@ -484,7 +567,7 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
         keep = (rows >= 0) & (cols >= 0)
         inner.append((starred, j, (rows[keep], cols[keep], vals[keep], (mid.dim, small.dim))))
     ranks_in = [0] + _ranks(basis, inner, indices[:top + 1])
-    return _chain_report(basis.label, mid, indices, ranks, ranks_in,
+    return _chain_report(basis.label, mid, [len(i) for i in indices], ranks, ranks_in,
                          {"K": K, "kernel_domain_K": K - d, "image_domain_K": K - 2 * d})
 
 
@@ -498,13 +581,22 @@ def commutant_kernel_dimension(basis: DifferentialBasis, carrier_basis,
                                include_adjoints: bool = False) -> int:
     """Dimension of {a : [U_j, a] = 0 for all j}.
 
-    The system stacks the commutator blocks A_j that build the boundary
-    maps (in eigen-coordinates for a rotated matrix basis), so it is the
-    unstarred half of the degree-zero map.  With ``include_adjoints`` the
-    starred blocks join it, giving the complex-mode degree-zero map up to the
-    order of its row blocks.
+    The system is the unstarred half of the degree-zero map (in
+    eigen-coordinates for a rotated matrix basis), and with
+    ``include_adjoints`` the starred half joins it, giving the complex-mode
+    degree-zero map up to the order of its row blocks.  On the symbol route
+    its rank is #{k : |v(k)| > cut}, with the cut of that map.
     """
     families = (False, True) if include_adjoints else (False,)
+    r = _symbol_rank(basis, carrier_basis, families)
+    if r is None:
+        return _triplet_commutant(basis, carrier_basis, families)
+    return carrier_basis.dim - r
+
+
+def _triplet_commutant(basis: DifferentialBasis, carrier_basis, families: tuple) -> int:
+    """:func:`commutant_kernel_dimension` from the stacked commutator blocks A_j
+    that build the boundary maps."""
     blocks = _commutator_blocks(basis, carrier_basis, families=families, eigen=True)
     h, w = blocks[0][2][3]
     rows, cols, vals = (np.concatenate(p) for p in zip(*[

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .carrier import EQ_TOLERANCE, Normed
@@ -71,10 +73,13 @@ class MatElement(Normed):
         return NotImplemented
 
     def keyed(self):
-        """Every matrix unit e_ab, keyed by its flat index a n + b, and the entries."""
-        return np.arange(self.n * self.n), self.mat.reshape(-1)
+        """Every matrix unit e_ab, keyed by its flat index a n + b (the shared
+        array of :func:`_unit_keys`), and the entries."""
+        return _unit_keys(self.n), self.mat.reshape(-1)
 
     def _from_keys(self, flat, coeffs) -> "MatElement":
+        if flat is _unit_keys(self.n):  # every unit in order: coeffs is the matrix
+            return MatElement(np.reshape(coeffs, (self.n, self.n)))
         m = np.zeros(self.n * self.n, dtype=complex)
         m[flat] = coeffs
         return MatElement(m.reshape(self.n, self.n))
@@ -86,7 +91,8 @@ class MatElement(Normed):
         if (self.mat - np.diag(d)).any():
             return None
         W = (d[:, None] - d[None, :]).reshape(-1)
-        return lambda flat, coeffs: (flat, W[flat] * coeffs)
+        units = _unit_keys(self.n)
+        return lambda flat, coeffs: (flat, (W if flat is units else W[flat]) * coeffs)
 
     def adjoint(self) -> "MatElement":
         return MatElement(self.mat.conj().T)
@@ -97,6 +103,15 @@ class MatElement(Normed):
 
     def __repr__(self):
         return f"MatElement(n={self.n})"
+
+
+@functools.cache
+def _unit_keys(n: int) -> np.ndarray:
+    """The flat indices 0..n^2 - 1 of the matrix units of M_n, one read-only
+    array per n."""
+    flat = np.arange(n * n)
+    flat.setflags(write=False)
+    return flat
 
 
 def projection_basis(n: int) -> list[MatElement]:

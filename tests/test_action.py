@@ -155,7 +155,29 @@ def test_diagonal_matrix_ad(rng):
     assert d.ad()(a).equal_within(commutator(d, a), tol=1e-14)
 
 
-@pytest.mark.parametrize("graph", [star_tree(5), loop_graph(3)], ids=["star", "loop"])
+def test_matrix_ad_reads_the_shared_unit_keys(rng):
+    # keyed() hands out one read-only unit array per n; _from_keys and the
+    # diagonal action take it whole, and scatter any other key array
+    keys, coeffs = random_matelement(4, rng).keyed()
+    assert keys is MatElement.zero(4).keyed()[0] is C.MatrixCarrierBasis(4).keys
+    assert np.array_equal(keys, np.arange(16)) and not keys.flags.writeable
+    a = random_matelement(4, rng)
+    assert np.array_equal(a._from_keys(*a.keyed()).mat, a.mat)
+    assert np.array_equal(a._from_keys(keys[[6, 1]], [2.0, 1j]).mat,
+                          2.0 * MatElement.unit(4, 1, 2).mat + 1j * MatElement.unit(4, 0, 1).mat)
+    with pytest.raises(ValueError, match="finite"):
+        a._from_keys(keys, np.full(16, np.nan))
+    diagonal = MatElement(np.diag(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    for x in (diagonal, projection_basis(4)[2], random_matelement(4, rng)):
+        for b in (random_matelement(4, rng), diagonal.adjoint(), MatElement.identity(4)):
+            assert x.ad()(b).equal_within(commutator(x, b), tol=1e-14)
+    landing, w = diagonal.diagonal_action()(keys[[3, 12]], np.array([1.0, 2.0]))
+    assert landing.tolist() == [3, 12]
+    assert w.tolist() == [commutator(diagonal, MatElement.unit(4, 0, 3)).mat[0, 3],
+                          2.0 * commutator(diagonal, MatElement.unit(4, 3, 0)).mat[3, 0]]
+
+
+@pytest.mark.parametrize("graph",[star_tree(5), loop_graph(3)], ids=["star", "loop"])
 def test_vertex_projection_ad(graph, rng):
     basis = DifferentialBasis([ga.vertex_projection(graph, v) for v in graph.vertices],
                               prefactors=[1.0, 2 - 1j, 0.5j] + [1.0] * (len(graph.vertices) - 3),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -494,9 +495,12 @@ def test_one_commutator_matrix_per_generator(torus, torus_basis, monkeypatch):
     C.deRham_dims_truncated(torus_basis, torus, 4)
     assert len(built) == 2  # U and U^*
     built.clear()
-    C.deRham_dims(DifferentialBasis(projection_basis(4), mode="selfadjoint"),
-                  C.MatrixCarrierBasis(4))
+    basis = DifferentialBasis(projection_basis(4), mode="selfadjoint")
+    C._triplet_deRham(basis, C.MatrixCarrierBasis(4))
     assert len(built) == 4  # p_1..p_4, one family in self-adjoint mode
+    built.clear()
+    C.deRham_dims(basis, C.MatrixCarrierBasis(4))
+    assert built == []  # the symbol route builds no map
 
 
 def test_negative_max_degree_rejected(m2_setup, torus, torus_basis):
@@ -512,37 +516,44 @@ def test_negative_max_degree_rejected(m2_setup, torus, torus_basis):
 # -- the sparse maps of the cohomology workload --------------------------------
 
 
-def _clock_dolbeault_row(numerators):
-    """The p = 1 Dolbeault row of the clock images {U_1, U_3} of torus_spec_2n
-    in M_12, with clock orders 3 and 4."""
+CLOCK_NUMERATORS = ((1, 1), (1, 3), (2, 1), (2, 3))
+
+
+def _clock_basis(numerators):
+    """The clock images {U_1, U_3} of torus_spec_2n in M_12, with clock orders 3 and 4."""
     clocks = [clock_shift_rep(pair, QElement.generator(pair, 1)).mat
               for pair in (torus_spec(2 * math.pi * a / q) for q, a in zip((3, 4), numerators))]
-    basis = DifferentialBasis([MatElement(np.kron(clocks[0], np.eye(4))),
-                               MatElement(np.kron(np.eye(3), clocks[1]))])
-    return C.dolbeault_dims(1, basis, C.MatrixCarrierBasis(12))
+    return DifferentialBasis([MatElement(np.kron(clocks[0], np.eye(4))),
+                              MatElement(np.kron(np.eye(3), clocks[1]))])
 
 
-def _star5_complex():
+def _star5_basis():
     g = star_tree(5)
     basis = DifferentialBasis([vertex_projection(g, v) for v in g.vertices],
                               mode="selfadjoint")
-    return C.deRham_dims(basis, C.GraphCarrierBasis(g, 2))
+    return basis, C.GraphCarrierBasis(g, 2)
 
 
+# each case gives a report entry point and its arguments
 WORKLOAD_COMPLEXES = {
-    "M_6 projections": lambda: C.deRham_dims(
-        DifferentialBasis(projection_basis(6), mode="selfadjoint"), C.MatrixCarrierBasis(6)),
-    **{f"torus theta {t} K 12": (lambda t=t: C.deRham_dims_truncated(
-        DifferentialBasis([QElement.generator(torus_spec(t), 1)]), torus_spec(t), 12))
+    "M_6 projections": lambda: (C.deRham_dims, (
+        DifferentialBasis(projection_basis(6), mode="selfadjoint"), C.MatrixCarrierBasis(6))),
+    **{f"torus theta {t} K 12": (lambda t=t: (C.deRham_dims_truncated, (
+        DifferentialBasis([QElement.generator(torus_spec(t), 1)]), torus_spec(t), 12)))
        for t in (0.7, 0.9, 1.3, 2.1)},
-    **{f"heisenberg ({mu}, {nu}) K 4": (lambda mu=mu, nu=nu: C.deRham_dims_truncated(
+    **{f"heisenberg ({mu}, {nu}) K 4": (lambda mu=mu, nu=nu: (C.deRham_dims_truncated, (
         DifferentialBasis([QElement.generator(heisenberg_spec(mu, nu), 3)]),
-        heisenberg_spec(mu, nu), 4))
+        heisenberg_spec(mu, nu), 4)))
        for mu, nu in ((0.11, 0.07), (0.13, 0.05), (0.17, 0.03))},
-    **{f"clock dolbeault {nums}": (lambda nums=nums: _clock_dolbeault_row(nums))
-       for nums in ((1, 1), (1, 3), (2, 1), (2, 3))},
-    "star5 graph": _star5_complex,
+    **{f"clock dolbeault {nums}": (lambda nums=nums: (C.dolbeault_dims, (
+        1, _clock_basis(nums), C.MatrixCarrierBasis(12))))
+       for nums in CLOCK_NUMERATORS},
+    "star5 graph": lambda: (C.deRham_dims, _star5_basis()),
 }
+
+# the triplet route of each entry point; truncated carriers have no other
+TRIPLET_ROUTE = {C.deRham_dims: C._triplet_deRham, C.dolbeault_dims: C._triplet_dolbeault,
+                 C.deRham_dims_truncated: C.deRham_dims_truncated}
 
 
 @pytest.mark.parametrize("case", list(WORKLOAD_COMPLEXES))
@@ -550,7 +561,8 @@ def test_workload_maps_match_dense_rule(case, monkeypatch):
     maps = []
     assemble = C._assemble
     monkeypatch.setattr(C, "_assemble", lambda *args: maps.append(assemble(*args)) or maps[-1])
-    WORKLOAD_COMPLEXES[case]()
+    report, args = WORKLOAD_COMPLEXES[case]()
+    TRIPLET_ROUTE[report](*args)
     assert maps
     for rows, cols, vals, shape in maps:
         # no repeated (row, col) and no stored zero: the pattern of the dense map
@@ -673,14 +685,16 @@ def _dense_deRham(basis, carrier):
     indices = [C._form_indices(n, k, mode) for k in range(basis.top_degree + 2)]
     ranks = [C.numeric_rank(C.boundary_matrix(k, basis, carrier))
              for k in range(basis.top_degree + 1)]
-    return C._chain_report(basis.label, carrier, indices, ranks, [0] + ranks).to_json()
+    return C._chain_report(basis.label, carrier, [len(i) for i in indices], ranks,
+                           [0] + ranks).to_json()
 
 
 def _dense_dolbeault(p, basis, carrier):
     n = basis.size
     indices = [C._dolbeault_indices(n, p, q) for q in range(n + 2)]
     ranks = [C.numeric_rank(C.dolbeault_matrix(p, q, basis, carrier)) for q in range(n + 1)]
-    return C._chain_report(basis.label, carrier, indices, ranks, [0] + ranks).to_json()
+    return C._chain_report(basis.label, carrier, [len(i) for i in indices], ranks,
+                           [0] + ranks).to_json()
 
 
 ROTATED = {**{f"rotated M_{n} projections": (lambda n=n: _rotated_projections(n))
@@ -718,3 +732,133 @@ def test_rotated_m8_projections_closed_form():
     assert basis.eigenbasis[0] is not None
     report = C.deRham_dims(basis, C.MatrixCarrierBasis(n))
     assert [row.h_dim for row in report.degrees] == [n * math.comb(n, k) for k in range(n + 1)]
+
+
+# -- ranks from the heat symbol ---------------------------------------------------
+
+
+@pytest.mark.parametrize("case", list(WORKLOAD_COMPLEXES))
+def test_workload_symbol_reports_match_the_triplet_route(case):
+    report, args = WORKLOAD_COMPLEXES[case]()
+    if report is C.deRham_dims_truncated:  # monomials shift their keys
+        basis, spec, K = args
+        assert C._symbol(basis, C.QMonomialBasis(spec, K), basis.families) is None
+    else:
+        basis, carrier = args[-2:]
+        assert C._symbol(basis, carrier, basis.families) is not None
+    assert report(*args).to_json() == TRIPLET_ROUTE[report](*args).to_json()
+
+
+def _assert_routes_agree(basis, carrier):
+    """Every report of the symbol route equals that of the triplet route."""
+    assert C._symbol(basis, carrier, basis.families) is not None
+    assert C.deRham_dims(basis, carrier).to_json() == C._triplet_deRham(basis, carrier).to_json()
+    if basis.mode == "complex":
+        for p in range(-1, basis.size + 2):  # rows outside 0..n are empty
+            assert C.dolbeault_dims(p, basis, carrier).to_json() == \
+                C._triplet_dolbeault(p, basis, carrier).to_json()
+    for families in ((False,), (False, True)):
+        assert C.commutant_kernel_dimension(basis, carrier, include_adjoints=True in families) \
+            == C._triplet_commutant(basis, carrier, families)
+
+
+def _on_matrix_units(basis):
+    return basis, C.MatrixCarrierBasis(basis.elements[0].n)
+
+
+@pytest.mark.parametrize("case", list(ROTATED))
+def test_rotated_symbol_reports_match_the_triplet_route(case):
+    _assert_routes_agree(*_on_matrix_units(ROTATED[case]()))
+
+
+SYMBOL_FAMILIES = {
+    **{f"M_{n} projections": (lambda n=n: _on_matrix_units(
+        DifferentialBasis(projection_basis(n), mode="selfadjoint"))) for n in range(2, 11)},
+    **{case: (lambda case=case: _on_matrix_units(ROTATED[case]())) for case in ROTATED},
+    "rotated M_8 projections": lambda: _on_matrix_units(_rotated_projections(8)),
+    "star5 graph": _star5_basis,
+    **{f"clock {nums}": (lambda nums=nums: _on_matrix_units(_clock_basis(nums)))
+       for nums in CLOCK_NUMERATORS},
+}
+
+
+@pytest.mark.parametrize("case", list(SYMBOL_FAMILIES))
+def test_no_weight_between_the_degree0_and_whole_map_cuts(case):
+    # the symbol route cuts at N D eps max|v|, the rule of the degree-0 map; the
+    # triplet route cuts each degree at max(shape) eps sigma_max, up to the
+    # widest form space; no |v| between the two, so both count alike
+    basis, carrier = SYMBOL_FAMILIES[case]()
+    n, eps = basis.size, np.finfo(float).eps
+    N = n * len(basis.families)
+    rows = [(basis.families, math.comb(N, N // 2))]
+    if basis.mode == "complex":  # Dolbeault maps: C(n, p) C(n, q) covector indices
+        rows.append(((True,), math.comb(n, n // 2) ** 2))
+    for families, widest in rows:
+        v, cut = C._symbol(basis, carrier, families)
+        top = widest * carrier.dim * eps * v.max()
+        assert cut == len(families) * n * carrier.dim * eps * v.max() <= top
+        assert not ((v > cut) & (v <= top)).any()
+
+
+@st.composite
+def repeated_diagonal_bases(draw):
+    """A diagonal matrix basis whose entries repeat exactly, so that some
+    weights d(a) - d(b) are exactly zero, over its matrix units."""
+    mode = draw(st.sampled_from(["selfadjoint", "complex"]))
+    values = [0.0, 1.0, -1.0, 2.5] if mode == "selfadjoint" else [0.0, 1.0, 1j, -1.0, 2 + 1j]
+    n, m = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    diags = draw(st.lists(st.lists(st.sampled_from(values), min_size=m, max_size=m),
+                          min_size=n, max_size=n))
+    prefactors = draw(st.lists(st.sampled_from([1.0, -2.0, 0.5 - 1j]), min_size=n, max_size=n))
+    with warnings.catch_warnings():  # a self-adjoint element in complex mode warns
+        warnings.simplefilter("ignore")
+        basis = DifferentialBasis([MatElement(np.diag(d)) for d in diags], prefactors, mode)
+    return basis, C.MatrixCarrierBasis(m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=repeated_diagonal_bases())
+def test_symbol_route_matches_triplet_route_on_repeated_entries(case):
+    _assert_routes_agree(*case)
+
+
+def _raised(route, *args):
+    with pytest.raises(Exception) as info:
+        route(*args)
+    return info.type, str(info.value)
+
+
+def test_symbol_route_raises_as_the_triplet_route():
+    m3 = DifferentialBasis(projection_basis(3), mode="selfadjoint")
+    clock = _clock_basis((1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # d(a) - d(b) overflows to inf
+        huge = DifferentialBasis([MatElement(np.diag([1e308, -1e308]))], mode="selfadjoint")
+    routes = [(C.deRham_dims, C._triplet_deRham)]
+    routes += [(lambda b, c, a=a: C.commutant_kernel_dimension(b, c, include_adjoints=a),
+                lambda b, c, a=a: C._triplet_commutant(b, c, (False, True)[:1 + a]))
+               for a in (False, True)]
+    dolbeault = (lambda b, c: C.dolbeault_dims(1, b, c),
+                 lambda b, c: C._triplet_dolbeault(1, b, c))
+    cases = [(m3, C.MatrixCarrierBasis(4), ValueError, "dimension mismatch: 3 vs 4"),
+             (clock, C.MatrixCarrierBasis(5), ValueError, "dimension mismatch: 12 vs 5"),
+             (m3, C.GraphCarrierBasis(star_tree(3), 1), TypeError, "unsupported operand"),
+             (huge, C.MatrixCarrierBasis(2), ValueError, "matrix entries must be finite")]
+    for basis, carrier, error, message in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for route, triplet in routes + [dolbeault] * (basis.mode == "complex"):
+                want = _raised(triplet, basis, carrier)
+                assert want[0] is error and message in want[1]
+                assert _raised(route, basis, carrier) == want
+
+
+def test_projection_m64_closed_form_without_maps(monkeypatch):
+    n = 64
+    basis = DifferentialBasis(projection_basis(n), mode="selfadjoint")
+
+    def refuse(*args):
+        raise AssertionError("the symbol route builds no covector index and no map")
+    for name in ("_form_indices", "_dolbeault_indices", "_assemble", "_commutator_matrix"):
+        monkeypatch.setattr(C, name, refuse)
+    report, peak = _peak_bytes(lambda: C.deRham_dims(basis, C.MatrixCarrierBasis(n)))
+    assert [row.h_dim for row in report.degrees] == [n * math.comb(n, k) for k in range(n + 1)]
+    assert peak < 16 * MIB
