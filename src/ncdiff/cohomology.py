@@ -2,45 +2,50 @@
 
 Degree-k forms over a finite-dimensional (or truncated) carrier span a
 vector space with basis {covector index} x {carrier basis element}.  The
-rank entry points (``deRham_dims``, ``dolbeault_dims``,
-``commutant_kernel_dimension``) take one of two routes; both read a rotated
-matrix basis as ``basis.diagonal``, diag(c_j lambda_j) in its joint
-eigenbasis Q, since a -> Q^* a Q is unitary and keeps every singular value.
+derivative is a sum of inner derivations, so every rank report is a rank of
+one Koszul complex over a chosen set of covector families, which
+:func:`_koszul_ranks` computes: ``deRham_dims`` takes all the families; a
+Dolbeault row at unstarred degree p is C(n, p) copies of the complex over
+the starred family, since the starred half-derivative carries dU_I along
+with the sign (-1)^p; the commutant dimension is D minus the rank of its
+degree-0 map.  The acting elements are ``basis.diagonal``, which reads a
+rotated matrix basis as diag(c_j lambda_j) in its joint eigenbasis Q, since
+a -> Q^* a Q is unitary and keeps every singular value.
 
-The symbol route.  When every acting element (``basis.diagonal``, and the
-adjoints for starred covectors) is of the carrier's kind and its
-``diagonal_action`` lands each key on itself (diagonal matrices, scaled
-vertex projections), key k carries one weight vector v(k) in C^N, one entry
-per covector.  On the forms over k the degree-k map is the exterior product
-v(k) ^ . on Lambda^k C^N, whose nonzero singular values all equal |v(k)|,
-with multiplicity C(N-1, k): its Hodge Laplacian is |v(k)|^2, the heat
-symbol, times the identity (Eckmann's combinatorial Hodge theorem for a
-Koszul complex).  So rank d_k = C(N-1, k) #{k : |v(k)| > cut}, the degree
-dimensions are binomials times the carrier dimension, and neither a
-covector index nor a map is built.  The cut is N D eps max|v|, the rule of
-the degree-0 map a -> (x_j a)_j on a D-dimensional carrier, which is the
-symbol itself.  The rule of the whole degree-k map, max(shape) eps max|v|,
-grows with the form space: for the M_64 projections max(shape) reaches
-C(64, 32) 4096 = 7.5e21, a cut of 1.7e6 max|v|, above every weight, which
-would report the middle ranks as 0.
+The symbol route.  When every acting element (and its adjoint for starred
+covectors) is of the carrier's kind and its ``diagonal_action`` lands each
+key on itself (diagonal matrices, scaled vertex projections), key k carries
+one weight vector v(k) in C^N, one entry per covector.  On the forms over k
+the degree-k map is the exterior product v(k) ^ . on Lambda^k C^N, whose
+nonzero singular values all equal |v(k)|, with multiplicity C(N-1, k): its
+Hodge Laplacian is |v(k)|^2, the heat symbol, times the identity (Eckmann's
+combinatorial Hodge theorem for a Koszul complex).  So rank d_k =
+C(N-1, k) #{k : |v(k)| > cut}, and neither a covector index nor a map is
+built.  The cut is N D eps max|v|, the rule of the degree-0 map
+a -> (x_j a)_j on a D-dimensional carrier, which is the symbol itself, and
+so it is the same for every Dolbeault row.  The rule of the whole degree-k
+map, max(shape) eps max|v|, grows with the form space: for the M_64
+projections max(shape) reaches C(64, 32) 4096 = 7.5e21, a cut of 1.7e6
+max|v|, above every weight, which would report the middle ranks as 0.
 
 The triplet route, for every other basis and the oracle of the first.
 Every map is held as triplets ``(rows, cols, vals, shape)`` of its
-nonzeros.  A complex builds A_j, the map a -> [c_j U_j, a] (and that of
-each starred element), once; each of its maps offsets the A_j with the
-exterior signs of the basis's front-merge table into the covector blocks
-they reach, and the commutant systems stack them.  An element that acts
-diagonally on its carrier's keys (a q-lattice monomial, a diagonal matrix,
-a scaled vertex projection) gives A_j in one pass over the keys of the
-carrier basis; any other element takes the commutator of every carrier
-element, read back through the basis's ``entries``.  Ranks take one SVD
-per connected component of a map's nonzero pattern (blocks of one shape
-share a stacked SVD) and count singular values above max(shape) * eps *
-sigma_max of the whole map.  Truncated q-lattice carriers, whose monomials
-shift keys, always take it, with nested exponent balls so the maps never
-leave their codomain; the inner maps keep the outer triplets inside the
-smaller balls.  ``boundary_matrix`` and ``dolbeault_matrix`` stay in matrix
-units and, like ``numeric_rank``, are dense.
+nonzeros.  A complex builds A_j, the map a -> [x_j, a] (and that of each
+starred element), once; each of its maps offsets the A_j with the exterior
+signs of the basis's front-merge table into the covector blocks they reach.
+An element that acts diagonally on its carrier's keys (a q-lattice
+monomial, a diagonal matrix, a scaled vertex projection) gives A_j in one
+pass over the keys of the carrier basis; any other element takes the
+commutator of every carrier element, read back through the basis's
+``entries``.  Ranks take one SVD per connected component of a map's nonzero
+pattern (blocks of one shape share a stacked SVD) and count singular values
+above max(shape) * eps * sigma_max of the whole map; a Dolbeault row is
+ranked as one copy, so its cut is C(n, p) times smaller than that of the
+whole row map.  Truncated q-lattice carriers, whose monomials shift keys,
+always take it, with nested exponent balls so the maps never leave their
+codomain; the inner maps keep the outer triplets inside the smaller balls.
+``boundary_matrix`` and ``dolbeault_matrix`` stay in matrix units and, like
+``numeric_rank``, are dense.
 """
 
 from __future__ import annotations
@@ -174,11 +179,11 @@ def _dolbeault_indices(n: int, p: int, q: int) -> list:
             for J in itertools.combinations(range(n), q)]
 
 
-def _form_indices(n: int, k: int, mode: str) -> list:
-    """Covector indices of total degree k, canonical order."""
-    if mode == "selfadjoint":
-        return _dolbeault_indices(n, k, 0)
-    return [idx for p in range(k + 1) for idx in _dolbeault_indices(n, p, k - p)]
+def _form_indices(n: int, k: int, families: tuple) -> list:
+    """Covector indices of total degree k over ``families``, canonical order."""
+    if len(families) == 2:
+        return [idx for p in range(k + 1) for idx in _dolbeault_indices(n, p, k - p)]
+    return _dolbeault_indices(n, 0, k) if families[0] else _dolbeault_indices(n, k, 0)
 
 
 def _ad_matrix(x, elems: list, codomain) -> tuple:
@@ -227,22 +232,16 @@ def _commutator_matrix(x, domain, codomain, elements) -> tuple:
     return rows[cols], cols, w[cols], (codomain.dim, domain.dim)
 
 
-def _commutator_blocks(basis: DifferentialBasis, domain, codomain=None,
-                       families: tuple | None = None, eigen: bool = False) -> list:
-    """(starred, j, A_j) per generator of the half-derivatives in ``families``
-    (default: ``basis.families``).
+def _commutator_blocks(acting: list, families: tuple, domain, codomain=None) -> list:
+    """(starred, j, A_j) per element x_j of ``acting`` and per family of ``families``.
 
-    A_j holds the triplets of a -> [c_j U_j, a] (a -> [(c_j U_j)^*, a] when
-    starred) from ``domain`` into ``codomain`` (default: the same), with the
-    elements of ``basis.diagonal`` when ``eigen`` is set (a bare object with
-    only ``scaled`` is read in those coordinates).
+    A_j holds the triplets of a -> [x_j, a] (a -> [x_j^*, a] when starred)
+    from ``domain`` into ``codomain`` (default: the same).
     """
     elements = functools.cache(domain.elements)
-    acting = getattr(basis, "diagonal", basis.scaled) if eigen else basis.scaled
     return [(starred, j, _commutator_matrix(x.adjoint() if starred else x, domain,
                                             codomain or domain, elements))
-            for starred in families or basis.families
-            for j, x in enumerate(acting)]
+            for starred in families for j, x in enumerate(acting)]
 
 
 def _assemble(basis: DifferentialBasis, blocks: list, out_indices: list,
@@ -283,9 +282,10 @@ def boundary_matrix(k: int, basis: DifferentialBasis, carrier_basis,
     (default: the same) must be large enough to hold every image coefficient,
     otherwise a :class:`TruncationError` is raised.
     """
-    n, mode = basis.size, basis.mode
-    return _dense(_assemble(basis, _commutator_blocks(basis, carrier_basis, codomain_basis),
-                            _form_indices(n, k + 1, mode), _form_indices(n, k, mode)))
+    n, families = basis.size, basis.families
+    blocks = _commutator_blocks(basis.scaled, families, carrier_basis, codomain_basis)
+    return _dense(_assemble(basis, blocks, _form_indices(n, k + 1, families),
+                            _form_indices(n, k, families)))
 
 
 def dolbeault_matrix(p: int, q: int, basis: DifferentialBasis, carrier_basis,
@@ -294,7 +294,7 @@ def dolbeault_matrix(p: int, q: int, basis: DifferentialBasis, carrier_basis,
     if basis.mode != "complex":
         raise BasisModeError("type decomposition needs complex mode")
     n = basis.size
-    blocks = _commutator_blocks(basis, carrier_basis, codomain_basis, families=(True,))
+    blocks = _commutator_blocks(basis.scaled, (True,), carrier_basis, codomain_basis)
     return _dense(_assemble(basis, blocks, _dolbeault_indices(n, p, q + 1),
                             _dolbeault_indices(n, p, q)))
 
@@ -448,20 +448,19 @@ def _top_degree(basis: DifferentialBasis, max_degree: int | None) -> int:
 def _symbol(basis: DifferentialBasis, carrier_basis, families: tuple):
     """``(|v|, cut)`` over the keys of ``carrier_basis``, or None off the symbol route.
 
-    v(k) holds the weight on key k of each element of ``basis.diagonal`` (a
-    bare object with only ``scaled`` is read in those coordinates), and of
-    its adjoint when ``families`` has True.  The route needs each one to be
-    of the carrier's kind, to land every key on itself and to give a finite
-    |v|; otherwise the triplet route builds the maps and raises what they
-    raise.  An element over another carrier of the same kind raises here as
-    it does there.  The cut is N D eps max|v| for N acting elements on D keys.
+    v(k) holds the weight on key k of each element of ``basis.diagonal``, and
+    of its adjoint when ``families`` has True.  The route needs each one to
+    be of the carrier's kind, to land every key on itself and to give a
+    finite |v|; otherwise the triplet route builds the maps and raises what
+    they raise.  An element over another carrier of the same kind raises
+    here as it does there.  The cut is N D eps max|v| for N acting elements
+    on D keys.
     """
     parent, keys, dim = carrier_basis.parent, carrier_basis.keys, carrier_basis.dim
-    acting = getattr(basis, "diagonal", basis.scaled)
     own, v = np.arange(dim), np.zeros(dim)
     with np.errstate(over="ignore", invalid="ignore"):
         for starred in families:
-            for x in acting:
+            for x in basis.diagonal:
                 x = x.adjoint() if starred else x
                 act = x.diagonal_action() if isinstance(x, type(parent)) else None
                 if act is None:
@@ -473,13 +472,23 @@ def _symbol(basis: DifferentialBasis, carrier_basis, families: tuple):
                 v = np.hypot(v, np.abs(np.asarray(w, dtype=complex)))
     if not np.isfinite(v).all():
         return None
-    return v, len(families) * len(acting) * dim * np.finfo(float).eps * v.max(initial=0.0)
+    return v, len(families) * len(basis.diagonal) * dim * np.finfo(float).eps * v.max(initial=0.0)
 
 
-def _symbol_rank(basis: DifferentialBasis, carrier_basis, families: tuple) -> int | None:
-    """#{k : |v(k)| > cut} of :func:`_symbol`, or None off the symbol route."""
+def _koszul_ranks(basis: DifferentialBasis, carrier_basis, families: tuple,
+                  top: int) -> list[int]:
+    """Ranks of d_0..d_top of the complex of forms over the covectors of
+    ``families``, with the elements of ``basis.diagonal`` acting: by the
+    symbol when :func:`_symbol` applies, else by assembled maps and block
+    SVDs."""
+    n = len(basis.diagonal)
     symbol = _symbol(basis, carrier_basis, families)
-    return None if symbol is None else int((symbol[0] > symbol[1]).sum())
+    if symbol is not None:
+        v, cut = symbol
+        r = int((v > cut).sum())
+        return [comb(n * len(families) - 1, k) * r for k in range(top + 1)]
+    indices = [_form_indices(n, k, families) for k in range(top + 2)]
+    return _ranks(basis, _commutator_blocks(basis.diagonal, families, carrier_basis), indices)
 
 
 def deRham_dims(basis: DifferentialBasis, carrier_basis,
@@ -487,46 +496,25 @@ def deRham_dims(basis: DifferentialBasis, carrier_basis,
     """De Rham dimensions over an exact (untruncated) carrier; a rotated matrix
     basis is read in the coordinates of its eigenbasis."""
     top = _top_degree(basis, max_degree)
-    r = _symbol_rank(basis, carrier_basis, basis.families)
-    if r is None:
-        return _triplet_deRham(basis, carrier_basis, top)
+    ranks = _koszul_ranks(basis, carrier_basis, basis.families, top)
     N = basis.size * len(basis.families)
-    ranks = [comb(N - 1, k) * r for k in range(top + 1)]
     return _chain_report(basis.label, carrier_basis, [comb(N, k) for k in range(top + 2)],
                          ranks, [0] + ranks)
 
 
-def _triplet_deRham(basis: DifferentialBasis, carrier_basis,
-                    max_degree: int | None = None) -> ComplexReport:
-    """:func:`deRham_dims` by assembled maps and block SVDs."""
-    top = _top_degree(basis, max_degree)
-    indices = [_form_indices(basis.size, k, basis.mode) for k in range(top + 2)]
-    ranks = _ranks(basis, _commutator_blocks(basis, carrier_basis, eigen=True), indices)
-    return _chain_report(basis.label, carrier_basis, [len(i) for i in indices],
-                         ranks, [0] + ranks)
-
-
 def dolbeault_dims(p: int, basis: DifferentialBasis, carrier_basis) -> ComplexReport:
-    """Dolbeault dimensions of the row at fixed unstarred degree p."""
+    """Dolbeault dimensions of the row at fixed unstarred degree p.
+
+    The starred half-derivative carries dU_I along with the sign (-1)^p, so
+    the row is C(n, p) copies of the complex over the starred covectors.
+    """
     if basis.mode != "complex":
         raise BasisModeError("type decomposition needs complex mode")
-    r = _symbol_rank(basis, carrier_basis, (True,))
-    if r is None:
-        return _triplet_dolbeault(p, basis, carrier_basis)
     n = basis.size
     unstarred = comb(n, p) if p >= 0 else 0  # covector sets I of size p
-    ranks = [unstarred * comb(n - 1, q) * r for q in range(n + 1)]
+    ranks = [unstarred * r for r in _koszul_ranks(basis, carrier_basis, (True,), n)]
     return _chain_report(basis.label, carrier_basis,
                          [unstarred * comb(n, q) for q in range(n + 2)], ranks, [0] + ranks)
-
-
-def _triplet_dolbeault(p: int, basis: DifferentialBasis, carrier_basis) -> ComplexReport:
-    """:func:`dolbeault_dims` by assembled maps and block SVDs (complex mode)."""
-    indices = [_dolbeault_indices(basis.size, p, q) for q in range(basis.size + 2)]
-    blocks = _commutator_blocks(basis, carrier_basis, families=(True,), eigen=True)
-    ranks = _ranks(basis, blocks, indices)
-    return _chain_report(basis.label, carrier_basis, [len(i) for i in indices],
-                         ranks, [0] + ranks)
 
 
 def _max_basis_degree(basis: DifferentialBasis) -> int:
@@ -555,8 +543,8 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
     if K < 2 * d:
         raise TruncationError(f"truncation K={K} too small for basis degree {d}")
     small, mid, big = (QMonomialBasis(spec, K - m * d) for m in (2, 1, 0))
-    blocks = _commutator_blocks(basis, mid, big)
-    indices = [_form_indices(basis.size, k, basis.mode) for k in range(top + 2)]
+    blocks = _commutator_blocks(basis.scaled, basis.families, mid, big)
+    indices = [_form_indices(basis.size, k, basis.families) for k in range(top + 2)]
     ranks = _ranks(basis, blocks, indices)
     row_of, col_of = np.full(big.dim, -1), np.full(mid.dim, -1)
     row_of[big._rows(mid.keys)] = np.arange(mid.dim)
@@ -581,27 +569,13 @@ def commutant_kernel_dimension(basis: DifferentialBasis, carrier_basis,
                                include_adjoints: bool = False) -> int:
     """Dimension of {a : [U_j, a] = 0 for all j}.
 
-    The system is the unstarred half of the degree-zero map (in
-    eigen-coordinates for a rotated matrix basis), and with
-    ``include_adjoints`` the starred half joins it, giving the complex-mode
-    degree-zero map up to the order of its row blocks.  On the symbol route
-    its rank is #{k : |v(k)| > cut}, with the cut of that map.
+    The system is the degree-zero map of the complex over the unstarred
+    covectors (in eigen-coordinates for a rotated matrix basis), and with
+    ``include_adjoints`` over both families, the complex-mode degree-zero
+    map.
     """
     families = (False, True) if include_adjoints else (False,)
-    r = _symbol_rank(basis, carrier_basis, families)
-    if r is None:
-        return _triplet_commutant(basis, carrier_basis, families)
-    return carrier_basis.dim - r
-
-
-def _triplet_commutant(basis: DifferentialBasis, carrier_basis, families: tuple) -> int:
-    """:func:`commutant_kernel_dimension` from the stacked commutator blocks A_j
-    that build the boundary maps."""
-    blocks = _commutator_blocks(basis, carrier_basis, families=families, eigen=True)
-    h, w = blocks[0][2][3]
-    rows, cols, vals = (np.concatenate(p) for p in zip(*[
-        (r + i * h, c, v) for i, (_, _, (r, c, v, _)) in enumerate(blocks)]))
-    return carrier_basis.dim - _triplet_rank((rows, cols, vals, (h * len(blocks), w)))
+    return carrier_basis.dim - _koszul_ranks(basis, carrier_basis, families, 0)[0]
 
 
 def fuglede_putnam_check(basis: DifferentialBasis, carrier_basis) -> bool:

@@ -133,17 +133,18 @@ class DifferentialBasis:
     def front_merges(self, I: tuple, J: tuple) -> tuple:
         """Where dU_j, or dU_j^*, lands when wedged in front of dU_I ^ dU_J^*.
 
-        One row per family of ``families``, one entry per slot j: the
-        ``(sign, key)`` of :func:`_merge_indices`, or None when the covector
-        repeats.  Rows are filled on first use and kept on this basis, so
-        the table is as large as the set of covector indices derived over it.
+        Row ``starred`` for each family, dU_j (False) and dU_j^* (True), in
+        either mode, one entry per slot j: the ``(sign, key)`` of
+        :func:`_merge_indices`, or None when the covector repeats.  Rows are
+        filled on first use and kept on this basis, so the table is as large
+        as the set of covector indices derived over it.
         """
         rows = self._front.get((I, J))
         if rows is None:
             rows = self._front[(I, J)] = tuple(
                 tuple(_merge_indices((), (j,), I, J) if starred
                       else _merge_indices((j,), (), I, J) for j in range(self.size))
-                for starred in self.families)
+                for starred in (False, True))
         return rows
 
     @property

@@ -86,11 +86,16 @@ class MatElement(Normed):
 
     def diagonal_action(self):
         """For diag(d): the unit with flat index a n + b stays put with weight
-        d(a) - d(b), computed once for all units.  None for any other matrix."""
+        d(a) - d(b) (nan where that overflows), computed once for all units.
+        None for any other matrix."""
         d = np.diag(self.mat)
         if (self.mat - np.diag(d)).any():
             return None
-        W = (d[:, None] - d[None, :]).reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = (d[:, None] - d[None, :]).reshape(-1)
+        # a quiet nan weighs without a warning, and ad's result then fails the
+        # constructor's finiteness check
+        W[~np.isfinite(W)] = np.nan
         units = _unit_keys(self.n)
         return lambda flat, coeffs: (flat, (W if flat is units else W[flat]) * coeffs)
 

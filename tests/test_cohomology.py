@@ -34,6 +34,16 @@ def clock7_setup():
     return basis, C.MatrixCarrierBasis(7)
 
 
+def _triplet(report):
+    """``report`` with ``_symbol`` refusing every basis, so that it takes the
+    triplet route."""
+    def run(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(C, "_symbol", lambda *_: None)
+            return report(*args, **kwargs)
+    return run
+
+
 def test_boundary_degree0_rank(m2_setup):
     basis, carrier = m2_setup
     m0 = C.boundary_matrix(0, basis, carrier)
@@ -193,10 +203,10 @@ def _oracle_case(case, fixture):
 def test_boundary_matrix_matches_symbolic_delta(case, request):
     # the commutator-block assembly against delta applied column by column
     basis, domain, codomain = _oracle_case(case, request.getfixturevalue)
-    n, mode = basis.size, basis.mode
+    n, families = basis.size, basis.families
     for k in range(basis.top_degree + 1):
-        expected = _symbolic_matrix(F.delta, C._form_indices(n, k + 1, mode),
-                                    C._form_indices(n, k, mode), basis, domain, codomain)
+        expected = _symbolic_matrix(F.delta, C._form_indices(n, k + 1, families),
+                                    C._form_indices(n, k, families), basis, domain, codomain)
         got = C.boundary_matrix(k, basis, domain, codomain)
         assert got.shape == expected.shape and np.array_equal(got, expected), k
     assert np.abs(C.boundary_matrix(0, basis, domain, codomain)).max() > 0.0
@@ -287,9 +297,12 @@ def test_fuglede_putnam_matches_null_space_route(m2_setup, clock7_setup, rng):
         assert C.fuglede_putnam_check(basis, carrier) is \
             _null_space_fuglede_putnam(basis, carrier) is True
     # a nilpotent N commutes with span{1, N} but only the scalars commute with
-    # N and N^* too; no DifferentialBasis admits it, so the blocks come bare
+    # N and N^* too; no DifferentialBasis admits it, so it comes bare, with
+    # the merge table of a one-element basis
     N = MatElement(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    bare = SimpleNamespace(scaled=[N], scaled_star=[N.adjoint()])
+    one = DifferentialBasis([MatElement.identity(2)], mode="selfadjoint")
+    bare = SimpleNamespace(scaled=[N], scaled_star=[N.adjoint()], diagonal=[N],
+                           front_merges=one.front_merges)
     carrier = C.MatrixCarrierBasis(2)
     assert C.commutant_kernel_dimension(bare, carrier) == 2
     assert C.commutant_kernel_dimension(bare, carrier, include_adjoints=True) == 1
@@ -496,7 +509,7 @@ def test_one_commutator_matrix_per_generator(torus, torus_basis, monkeypatch):
     assert len(built) == 2  # U and U^*
     built.clear()
     basis = DifferentialBasis(projection_basis(4), mode="selfadjoint")
-    C._triplet_deRham(basis, C.MatrixCarrierBasis(4))
+    _triplet(C.deRham_dims)(basis, C.MatrixCarrierBasis(4))
     assert len(built) == 4  # p_1..p_4, one family in self-adjoint mode
     built.clear()
     C.deRham_dims(basis, C.MatrixCarrierBasis(4))
@@ -551,18 +564,13 @@ WORKLOAD_COMPLEXES = {
     "star5 graph": lambda: (C.deRham_dims, _star5_basis()),
 }
 
-# the triplet route of each entry point; truncated carriers have no other
-TRIPLET_ROUTE = {C.deRham_dims: C._triplet_deRham, C.dolbeault_dims: C._triplet_dolbeault,
-                 C.deRham_dims_truncated: C.deRham_dims_truncated}
-
-
 @pytest.mark.parametrize("case", list(WORKLOAD_COMPLEXES))
 def test_workload_maps_match_dense_rule(case, monkeypatch):
     maps = []
     assemble = C._assemble
     monkeypatch.setattr(C, "_assemble", lambda *args: maps.append(assemble(*args)) or maps[-1])
     report, args = WORKLOAD_COMPLEXES[case]()
-    TRIPLET_ROUTE[report](*args)
+    _triplet(report)(*args)  # truncated carriers have no other route
     assert maps
     for rows, cols, vals, shape in maps:
         # no repeated (row, col) and no stored zero: the pattern of the dense map
@@ -642,10 +650,10 @@ def test_assemble_reads_the_merge_table(n, mode):
         elements = [MatElement(np.diag(np.exp(1j * rng.uniform(0, 6, 3)))) for _ in range(n)]
     basis = DifferentialBasis(elements, mode=mode)
     carrier = C.MatrixCarrierBasis(3)
-    rows = [(C._commutator_blocks(basis, carrier),
-             [C._form_indices(n, k, mode) for k in range(basis.top_degree + 2)])]
+    rows = [(C._commutator_blocks(basis.scaled, basis.families, carrier),
+             [C._form_indices(n, k, basis.families) for k in range(basis.top_degree + 2)])]
     if mode == "complex":
-        starred = C._commutator_blocks(basis, carrier, families=(True,))
+        starred = C._commutator_blocks(basis.scaled, (True,), carrier)
         rows += [(starred, [C._dolbeault_indices(n, p, q) for q in range(n + 2)])
                  for p in range(n + 1)]
     for blocks, indices in rows:
@@ -681,8 +689,8 @@ def _rotated_unitary_pair(n):
 
 def _dense_deRham(basis, carrier):
     """The report of the dense rule: explicit matrix-unit maps and numeric_rank."""
-    n, mode = basis.size, basis.mode
-    indices = [C._form_indices(n, k, mode) for k in range(basis.top_degree + 2)]
+    n, families = basis.size, basis.families
+    indices = [C._form_indices(n, k, families) for k in range(basis.top_degree + 2)]
     ranks = [C.numeric_rank(C.boundary_matrix(k, basis, carrier))
              for k in range(basis.top_degree + 1)]
     return C._chain_report(basis.label, carrier, [len(i) for i in indices], ranks,
@@ -746,20 +754,21 @@ def test_workload_symbol_reports_match_the_triplet_route(case):
     else:
         basis, carrier = args[-2:]
         assert C._symbol(basis, carrier, basis.families) is not None
-    assert report(*args).to_json() == TRIPLET_ROUTE[report](*args).to_json()
+    assert report(*args).to_json() == _triplet(report)(*args).to_json()
 
 
 def _assert_routes_agree(basis, carrier):
     """Every report of the symbol route equals that of the triplet route."""
     assert C._symbol(basis, carrier, basis.families) is not None
-    assert C.deRham_dims(basis, carrier).to_json() == C._triplet_deRham(basis, carrier).to_json()
+    assert C.deRham_dims(basis, carrier).to_json() == \
+        _triplet(C.deRham_dims)(basis, carrier).to_json()
     if basis.mode == "complex":
         for p in range(-1, basis.size + 2):  # rows outside 0..n are empty
             assert C.dolbeault_dims(p, basis, carrier).to_json() == \
-                C._triplet_dolbeault(p, basis, carrier).to_json()
-    for families in ((False,), (False, True)):
-        assert C.commutant_kernel_dimension(basis, carrier, include_adjoints=True in families) \
-            == C._triplet_commutant(basis, carrier, families)
+                _triplet(C.dolbeault_dims)(p, basis, carrier).to_json()
+    for adjoints in (False, True):
+        assert C.commutant_kernel_dimension(basis, carrier, include_adjoints=adjoints) \
+            == _triplet(C.commutant_kernel_dimension)(basis, carrier, include_adjoints=adjoints)
 
 
 def _on_matrix_units(basis):
@@ -769,6 +778,52 @@ def _on_matrix_units(basis):
 @pytest.mark.parametrize("case", list(ROTATED))
 def test_rotated_symbol_reports_match_the_triplet_route(case):
     _assert_routes_agree(*_on_matrix_units(ROTATED[case]()))
+
+
+DOLBEAULT_CASES = {
+    **{case: (lambda case=case: _on_matrix_units(ROTATED[case]()))
+       for case in ROTATED if "unitary" in case},  # the complex-mode cases
+    **{f"clock {nums}": (lambda nums=nums: _on_matrix_units(_clock_basis(nums)))
+       for nums in CLOCK_NUMERATORS},
+}
+
+
+@pytest.mark.parametrize("case", list(DOLBEAULT_CASES) + ["M_7 clock"])
+def test_triplet_dolbeault_rows_match_the_dense_rule(case, clock7_setup):
+    # a row is C(n, p) copies of the starred complex; the dense rule ranks the
+    # whole row map of dolbeault_matrix, in matrix units
+    basis, carrier = clock7_setup if case == "M_7 clock" else DOLBEAULT_CASES[case]()
+    for p in range(basis.size + 1):
+        assert _triplet(C.dolbeault_dims)(p, basis, carrier).to_json() == \
+            _dense_dolbeault(p, basis, carrier)
+
+
+def _star3_projections():
+    g = star_tree(3)
+    return [vertex_projection(g, v) for v in g.vertices], C.GraphCarrierBasis(g, 2)
+
+
+# self-adjoint elements and their carrier
+SELFADJOINT_ELEMENTS = {
+    "M_3 projections": lambda: (projection_basis(3), C.MatrixCarrierBasis(3)),
+    "rotated M_4 projections": lambda: (_rotated_projections(4).elements,
+                                        C.MatrixCarrierBasis(4)),
+    "star3 graph": _star3_projections,
+}
+
+
+@pytest.mark.parametrize("case", list(SELFADJOINT_ELEMENTS))
+def test_triplet_commutant_with_adjoints_in_selfadjoint_mode(case):
+    # the degree-0 map over both families reads the starred merge rows, which
+    # a self-adjoint basis keeps although its forms never use them; complex
+    # prefactors make c_j U_j and its adjoint differ
+    elements, carrier = SELFADJOINT_ELEMENTS[case]()
+    prefactors = [0.5 - 1j, 2j, -1.5, 1 + 1j][:len(elements)]
+    basis = DifferentialBasis(elements, prefactors, mode="selfadjoint")
+    system = np.vstack([_densify(C._ad_matrix(x, carrier.elements(), carrier))
+                        for x in basis.scaled + basis.scaled_star])
+    assert _triplet(C.commutant_kernel_dimension)(basis, carrier, include_adjoints=True) == \
+        carrier.dim - C.numeric_rank(system)
 
 
 SYMBOL_FAMILIES = {
@@ -831,24 +886,22 @@ def _raised(route, *args):
 def test_symbol_route_raises_as_the_triplet_route():
     m3 = DifferentialBasis(projection_basis(3), mode="selfadjoint")
     clock = _clock_basis((1, 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # d(a) - d(b) overflows to inf
-        huge = DifferentialBasis([MatElement(np.diag([1e308, -1e308]))], mode="selfadjoint")
-    routes = [(C.deRham_dims, C._triplet_deRham)]
-    routes += [(lambda b, c, a=a: C.commutant_kernel_dimension(b, c, include_adjoints=a),
-                lambda b, c, a=a: C._triplet_commutant(b, c, (False, True)[:1 + a]))
+    huge = DifferentialBasis([MatElement(np.diag([1e308, -1e308]))], mode="selfadjoint")
+    routes = [C.deRham_dims]
+    routes += [lambda b, c, a=a: C.commutant_kernel_dimension(b, c, include_adjoints=a)
                for a in (False, True)]
-    dolbeault = (lambda b, c: C.dolbeault_dims(1, b, c),
-                 lambda b, c: C._triplet_dolbeault(1, b, c))
+
+    def dolbeault(b, c):
+        return C.dolbeault_dims(1, b, c)
     cases = [(m3, C.MatrixCarrierBasis(4), ValueError, "dimension mismatch: 3 vs 4"),
              (clock, C.MatrixCarrierBasis(5), ValueError, "dimension mismatch: 12 vs 5"),
              (m3, C.GraphCarrierBasis(star_tree(3), 1), TypeError, "unsupported operand"),
              (huge, C.MatrixCarrierBasis(2), ValueError, "matrix entries must be finite")]
     for basis, carrier, error, message in cases:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for route, triplet in routes + [dolbeault] * (basis.mode == "complex"):
-                want = _raised(triplet, basis, carrier)
-                assert want[0] is error and message in want[1]
-                assert _raised(route, basis, carrier) == want
+        for route in routes + [dolbeault] * (basis.mode == "complex"):
+            want = _raised(_triplet(route), basis, carrier)
+            assert want[0] is error and message in want[1]
+            assert _raised(route, basis, carrier) == want
 
 
 def test_projection_m64_closed_form_without_maps(monkeypatch):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 import ncdiff.dirichlet as D
@@ -146,21 +147,24 @@ def _rotated_unitary_basis(n, seed):
                              label=f"rotated M_{n} unitaries")
 
 
+def _matrix_basis(kind, n):
+    if kind == "projection":
+        return DifferentialBasis(projection_basis(n), mode="selfadjoint")
+    if kind == "rotated":
+        return _rotated_unitary_basis(n, seed=n)
+    # each rotated projection splits one eigenvector off a degenerate rest,
+    # so the eigenbasis comes from refining one element at a time
+    q = _random_unitary(n, np.random.default_rng(n))
+    return DifferentialBasis([MatElement(q @ p.mat @ q.conj().T)
+                              for p in projection_basis(n)], mode="selfadjoint")
+
+
 @pytest.mark.parametrize("kind, n", [("projection", n) for n in (2, 3, 4, 5)]
                          + [("rotated", 7), ("rotated", 12),
                             ("rotated-projection", 6)],
                          ids=lambda v: str(v))
 def test_schur_heat_matches_superoperator(kind, n, rng):
-    if kind == "projection":
-        basis = DifferentialBasis(projection_basis(n), mode="selfadjoint")
-    elif kind == "rotated":
-        basis = _rotated_unitary_basis(n, seed=n)
-    else:
-        # each rotated projection splits one eigenvector off a degenerate rest,
-        # so the eigenbasis comes from refining one element at a time
-        q = _random_unitary(n, np.random.default_rng(n))
-        basis = DifferentialBasis([MatElement(q @ p.mat @ q.conj().T)
-                                   for p in projection_basis(n)], mode="selfadjoint")
+    basis = _matrix_basis(kind, n)
     ts = (0.0, 0.1, 1.0, 10.0)
     for t in ts:
         S = D.heat_superoperator(t, basis, n)
@@ -312,17 +316,41 @@ def test_trotter(p_basis2, p_basis3):
         D.trotter_check(1.0, 0, 2, p_basis2)
 
 
-def test_trotter_split_reassembles_generator(p_basis3):
-    # -Delta = K1 + K2 for the projection basis
-    n = 3
+def _trotter_split(basis, n):
+    """K1 = sum (U^* . U + U . U^*) and K2 = A . + . A with A = -sum U^* U, as
+    n^2 x n^2 superoperators on row-major vectorized matrices."""
     K1 = np.zeros((n * n, n * n), dtype=complex)
     A = np.zeros((n, n), dtype=complex)
-    for x in p_basis3.scaled:
+    for x in basis.scaled:
         X = x.mat
         Xs = X.conj().T
         K1 += np.kron(Xs, X.T) + np.kron(X, Xs.T)
         A -= Xs @ X
-    K2 = np.kron(A, np.eye(n)) + np.kron(np.eye(n), A.T)
+    return K1, np.kron(A, np.eye(n)) + np.kron(np.eye(n), A.T)
+
+
+def _superoperator_trotter(t, steps, n, basis):
+    """The splitting error of :func:`trotter_check` by ``expm`` of the superoperators."""
+    K1, K2 = _trotter_split(basis, n)
+    h = t / steps
+    step = scipy.linalg.expm(h * K1) @ scipy.linalg.expm(h * K2)
+    approx = np.linalg.matrix_power(step, steps)
+    return float(np.linalg.norm(approx - scipy.linalg.expm(t * (K1 + K2)), 2))
+
+
+@pytest.mark.parametrize("kind, n", [("projection", 2), ("projection", 3), ("rotated", 5),
+                                     ("rotated-projection", 6)], ids=lambda v: str(v))
+def test_trotter_matches_superoperator_oracle(kind, n):
+    basis = _matrix_basis(kind, n)
+    for t, steps in ((0.0, 8), (0.3, 1), (1.0, 8), (1.0, 64), (1.0, 4096)):
+        fast = D.trotter_check(t, steps, n, basis)
+        assert abs(fast - _superoperator_trotter(t, steps, n, basis)) <= 1e-12, (t, steps)
+
+
+def test_trotter_split_reassembles_generator(p_basis3):
+    # -Delta = K1 + K2 for the projection basis
+    n = 3
+    K1, K2 = _trotter_split(p_basis3, n)
     Ds = D.delta_superoperator(p_basis3, n)
     assert np.abs(K1 + K2 + Ds).max() < 1e-13
 

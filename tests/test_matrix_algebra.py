@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,17 @@ def test_rejects_nonfinite():
         MatElement(np.array([[np.nan, 0], [0, 1]], dtype=complex))
     with pytest.raises(ValueError):
         MatElement(np.ones((2, 3)))
+
+
+def test_diagonal_weights_that_overflow_raise_in_ad():
+    # d(a) - d(b) overflows to inf: the basis builds its ad maps without a
+    # warning, and ad refuses the non-finite commutator it would return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = DifferentialBasis([MatElement(np.diag([1e308, -1e308]))], mode="selfadjoint")
+        for a in (MatElement(np.ones((2, 2))), MatElement.identity(2)):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                basis.ad[0](a)
 
 
 def test_json_roundtrip(rng):
