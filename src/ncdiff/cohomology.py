@@ -506,13 +506,15 @@ def dolbeault_dims(p: int, basis: DifferentialBasis, carrier_basis) -> ComplexRe
     """Dolbeault dimensions of the row at fixed unstarred degree p.
 
     The starred half-derivative carries dU_I along with the sign (-1)^p, so
-    the row is C(n, p) copies of the complex over the starred covectors.
+    the row is C(n, p) copies of the complex over the starred covectors: none
+    when p lies outside 0..n.
     """
     if basis.mode != "complex":
         raise BasisModeError("type decomposition needs complex mode")
     n = basis.size
     unstarred = comb(n, p) if p >= 0 else 0  # covector sets I of size p
-    ranks = [unstarred * r for r in _koszul_ranks(basis, carrier_basis, (True,), n)]
+    ranks = ([unstarred * r for r in _koszul_ranks(basis, carrier_basis, (True,), n)]
+             if unstarred else [0] * (n + 1))
     return _chain_report(basis.label, carrier_basis,
                          [unstarred * comb(n, q) for q in range(n + 2)], ranks, [0] + ranks)
 

@@ -11,12 +11,14 @@ c_j lambda_j(b)|^2, the heat channel is the Schur multiplier
 Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is completely positive exactly
 when exp(-t W) is positive semidefinite.  The n^2 x n^2 superoperators on
 row-major vectorized matrices (:func:`delta_superoperator`,
-:func:`heat_superoperator`, :func:`choi_matrix`) stay as the reference path
-the tests compare against; :func:`trotter_check` splits the symbol itself
-into its conjugation and anticommutator multipliers.  Every first-order bracket
-[c_j U_j, a] (the Laplacian, the carre du champ, the Dirichlet pairing, the
-locality isometry) goes through the basis's ``ad`` maps, so a diagonal basis
-element never forms two products.
+:func:`heat_superoperator`, and :func:`choi_matrix` by reshuffling) write
+that multiplier out as V diag(vec M) V^* with V = Q (x) conj(Q) and M = W or
+exp(-t W), and :func:`trotter_check` splits the symbol into its conjugation
+and anticommutator multipliers; the Kronecker-product and ``expm`` builders
+these replace are the tests' oracles, in ``tests/oracles.py``.  Every
+first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
+Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
+maps, so a diagonal basis element never forms two products.
 """
 
 from __future__ import annotations
@@ -49,46 +51,6 @@ def default_trace(a):
     if isinstance(a, QElement):
         return q_tau(a)
     raise TypeError(f"no trace available for {type(a).__name__}")
-
-
-# -- matrix superoperators (reference path) ----------------------------------
-
-def _comm_superop(X: np.ndarray, n: int) -> np.ndarray:
-    return np.kron(X, np.eye(n)) - np.kron(np.eye(n), X.T)
-
-
-def _basis_mats(basis: DifferentialBasis, n: int) -> list[np.ndarray]:
-    _heat_symbol(basis, MatElement.zero(n))  # raises unless the basis acts on M_n
-    return [x.mat for x in basis.scaled]
-
-
-def delta_superoperator(basis: DifferentialBasis, n: int) -> np.ndarray:
-    """Delta as an n^2 x n^2 matrix on vectorized matrices; Hermitian PSD."""
-    D = np.zeros((n * n, n * n), dtype=complex)
-    for X in _basis_mats(basis, n):
-        M = _comm_superop(X, n)
-        Ms = _comm_superop(X.conj().T, n)
-        D += Ms @ M
-    return D
-
-
-def _expm_negative(D: np.ndarray, t: float) -> np.ndarray:
-    """exp(-t D) for the Hermitian D = sum_j M_j^* M_j, via ``eigh``.
-
-    Exactly diagonal generators (the projection basis) exponentiate
-    entrywise, keeping fixed points bit-exact.
-    """
-    diag = np.diag(D)
-    if not (D - np.diag(diag)).any():
-        return np.diag(np.exp(-t * diag.real))
-    lam, V = np.linalg.eigh(D)
-    return (V * np.exp(-t * lam)) @ V.conj().T
-
-
-def heat_superoperator(t: float, basis: DifferentialBasis, n: int) -> np.ndarray:
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return _expm_negative(delta_superoperator(basis, n), t)
 
 
 # -- matrix Schur-multiplier route -------------------------------------------
@@ -148,6 +110,27 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
         raise ValueError("exponents of 2**62 or more are too large for the heat flow")
     keys, coeffs = keyed
     return a._from_keys(keys, (np.exp(-t * symbol(keys)) * coeffs).tolist())
+
+
+def _schur_superoperator(Q, M: np.ndarray) -> np.ndarray:
+    """The Schur multiplier m -> Q (M o Q^* m Q) Q^* as the n^2 x n^2 matrix
+    V diag(vec M) V^* on row-major vectorized matrices, V = Q (x) conj(Q)."""
+    if Q is None:
+        return np.diag(M.reshape(-1))
+    V = np.kron(Q, Q.conj())
+    return (V * M.reshape(-1)) @ V.conj().T
+
+
+def delta_superoperator(basis: DifferentialBasis, n: int) -> np.ndarray:
+    """Delta as an n^2 x n^2 matrix on vectorized matrices; Hermitian PSD."""
+    return _schur_superoperator(*_schur_symbol(basis, n))
+
+
+def heat_superoperator(t: float, basis: DifferentialBasis, n: int) -> np.ndarray:
+    """exp(-t Delta) as an n^2 x n^2 matrix on vectorized matrices."""
+    _check_time(t)
+    Q, W = _schur_symbol(basis, n)
+    return _schur_superoperator(Q, np.exp(-t * W))
 
 
 def choi_matrix(t: float, n: int, basis: DifferentialBasis) -> MatElement:
@@ -255,6 +238,7 @@ def trotter_check(t: float, steps: int, n: int, basis: DifferentialBasis) -> flo
     the eigenbasis is unitary, so the error is the largest entry of
     |(e^{h S1} e^{h S2})^m - e^{-t W}| with h = t / m.
     """
+    _check_time(t)
     if steps < 1:
         raise ValueError("need at least one step")
     _, W = _schur_symbol(basis, n)

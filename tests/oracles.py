@@ -1,0 +1,85 @@
+"""Slow reference paths, kept as the oracles of the library's fast routes.
+
+Each function here computes a result the library now gets another way: the
+q-lattice product by the pair loop at any size (the library switches to the
+array route above a cut), the Laplacian and heat channel of a matrix basis as
+n^2 x n^2 Kronecker superoperators with an ``eigh`` (the library reads the
+Schur symbol in the basis's eigenbasis), and the Trotter splitting error by
+``expm`` of those superoperators (the library reads two Schur symbols).
+Superoperators act on row-major vectorized matrices.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg
+
+from ncdiff.matrix_algebra import MatElement
+from ncdiff.qlattice import QElement, _pair_product
+
+
+def loop_product(a: QElement, b: QElement) -> QElement:
+    """``a * b`` by the pair loop at any size: the oracle of the array route."""
+    return a._like(_pair_product(a.spec, a.terms, b.terms))
+
+
+def _comm_superop(X: np.ndarray, n: int) -> np.ndarray:
+    return np.kron(X, np.eye(n)) - np.kron(np.eye(n), X.T)
+
+
+def delta_superoperator(basis, n: int) -> np.ndarray:
+    """Delta = sum_j M_j^* M_j with M_j the commutator superoperator of c_j U_j."""
+    D = np.zeros((n * n, n * n), dtype=complex)
+    for X in (x.mat for x in basis.scaled):
+        M = _comm_superop(X, n)
+        Ms = _comm_superop(X.conj().T, n)
+        D += Ms @ M
+    return D
+
+
+def _expm_negative(D: np.ndarray, t: float) -> np.ndarray:
+    """exp(-t D) for the Hermitian D = sum_j M_j^* M_j, via ``eigh``.
+
+    Exactly diagonal generators (the projection basis) exponentiate
+    entrywise, keeping fixed points bit-exact.
+    """
+    diag = np.diag(D)
+    if not (D - np.diag(diag)).any():
+        return np.diag(np.exp(-t * diag.real))
+    lam, V = np.linalg.eigh(D)
+    return (V * np.exp(-t * lam)) @ V.conj().T
+
+
+def heat_superoperator(t: float, basis, n: int) -> np.ndarray:
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    return _expm_negative(delta_superoperator(basis, n), t)
+
+
+def choi_matrix(t: float, n: int, basis) -> MatElement:
+    """Choi matrix sum_{ij} e_ij (x) Phi_t(e_ij) of the heat channel."""
+    S = heat_superoperator(t, basis, n)
+    C = S.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
+    return MatElement(C)
+
+
+def trotter_split(basis, n):
+    """K1 = sum (U^* . U + U . U^*) and K2 = A . + . A with A = -sum U^* U, as
+    n^2 x n^2 superoperators on row-major vectorized matrices."""
+    K1 = np.zeros((n * n, n * n), dtype=complex)
+    A = np.zeros((n, n), dtype=complex)
+    for x in basis.scaled:
+        X = x.mat
+        Xs = X.conj().T
+        K1 += np.kron(Xs, X.T) + np.kron(X, Xs.T)
+        A -= Xs @ X
+    return K1, np.kron(A, np.eye(n)) + np.kron(np.eye(n), A.T)
+
+
+def superoperator_trotter(t, steps, n, basis):
+    """The splitting error of ``trotter_check`` by ``expm`` of the superoperators."""
+    K1, K2 = trotter_split(basis, n)
+    h = t / steps
+    step = scipy.linalg.expm(h * K1) @ scipy.linalg.expm(h * K2)
+    approx = np.linalg.matrix_power(step, steps)
+    return float(np.linalg.norm(approx - scipy.linalg.expm(t * (K1 + K2)), 2))

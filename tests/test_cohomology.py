@@ -243,6 +243,21 @@ def test_dolbeault_rows(clock7_setup):
         assert report.degrees[0].dim_ker == 7
 
 
+def test_dolbeault_rows_outside_0_to_n_are_zero(clock7_setup, monkeypatch):
+    # C(n, p) = 0 copies of the starred complex: nothing is ranked
+    def refuse(*_):
+        raise AssertionError("the starred complex was built")
+
+    monkeypatch.setattr(C, "_koszul_ranks", refuse)
+    for basis, carrier in (clock7_setup, (_clock_basis((1, 1)), C.MatrixCarrierBasis(12))):
+        n = basis.size
+        zero = [{"k": k, "dim_ker": 0, "rank_prev": 0, "h_dim": 0} for k in range(n + 1)]
+        for p in (-1, n + 1):
+            assert C.dolbeault_dims(p, basis, carrier).to_json() == {
+                "basis": basis.label, "carrier": carrier.description,
+                "truncation": None, "degrees": zero}
+
+
 def test_commutant_dimension_coincidence(clock7_setup):
     # dim C00 = dim HC00 = dim H^0 for a normal finite-dimensional basis
     basis, carrier = clock7_setup

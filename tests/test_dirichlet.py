@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 import ncdiff.dirichlet as D
@@ -16,6 +15,7 @@ from ncdiff.qlattice import QElement, tau, torus_spec
 from ncdiff.testing import (loop_graph, random_graph_element, random_matelement,
                             random_qelement, star_tree)
 
+import oracles
 from conftest import THETA
 
 
@@ -159,25 +159,44 @@ def _matrix_basis(kind, n):
                               for p in projection_basis(n)], mode="selfadjoint")
 
 
-@pytest.mark.parametrize("kind, n", [("projection", n) for n in (2, 3, 4, 5)]
-                         + [("rotated", 7), ("rotated", 12),
-                            ("rotated-projection", 6)],
-                         ids=lambda v: str(v))
+MATRIX_CASES = pytest.mark.parametrize(
+    "kind, n", [("projection", n) for n in (2, 3, 4, 5)]
+    + [("rotated", 7), ("rotated", 12), ("rotated-projection", 6)], ids=lambda v: str(v))
+
+
+@MATRIX_CASES
 def test_schur_heat_matches_superoperator(kind, n, rng):
     basis = _matrix_basis(kind, n)
     ts = (0.0, 0.1, 1.0, 10.0)
     for t in ts:
-        S = D.heat_superoperator(t, basis, n)
+        S = oracles.heat_superoperator(t, basis, n)
         a = random_matelement(n, rng)
         fast = D.heat_semigroup(a, t, basis).mat
         assert np.abs(fast - (S @ a.mat.reshape(-1)).reshape(n, n)).max() <= 1e-12
     audit = D.audit_semigroup(ts, n, basis, samples=10)
     for t, row in zip(ts, audit.results):
-        C = D.choi_matrix(t, n, basis).mat
+        C = oracles.choi_matrix(t, n, basis).mat
         choi_min = np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0]
         assert abs(row["choi_min_eigenvalue"] - choi_min) <= 1e-12
         if kind == "projection":
             assert row["conservativity_error"] == 0.0
+
+
+@MATRIX_CASES
+def test_superoperators_match_the_kron_oracles(kind, n):
+    # V diag(vec M) V^* from the symbol against Kronecker products and eigh;
+    # with no eigenbasis to rotate through, both are exactly diagonal
+    basis = _matrix_basis(kind, n)
+    pairs = [(D.delta_superoperator(basis, n), oracles.delta_superoperator(basis, n))]
+    for t in (0.0, 0.1, 1.0, 10.0):
+        pairs.append((D.heat_superoperator(t, basis, n),
+                      oracles.heat_superoperator(t, basis, n)))
+        pairs.append((D.choi_matrix(t, n, basis).mat, oracles.choi_matrix(t, n, basis).mat))
+    for got, want in pairs:
+        if kind == "projection":
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12
 
 
 # -- joint eigenbasis against the superoperator oracle ------------------------
@@ -233,10 +252,10 @@ def test_joint_eigenbasis_matches_superoperator(family, t, seed):
         assert np.abs(Q.conj().T @ X @ Q - np.diag(lam)).max() <= 1e-12
     basis = DifferentialBasis([MatElement(X) for X in mats], prefactors=prefactors)
     a = random_matelement(n, np.random.default_rng(seed))
-    S = D.heat_superoperator(t, basis, n)
+    S = oracles.heat_superoperator(t, basis, n)
     fast = D.heat_semigroup(a, t, basis).mat
     assert np.abs(fast - (S @ a.mat.reshape(-1)).reshape(n, n)).max() <= 1e-12
-    C = D.choi_matrix(t, n, basis).mat
+    C = oracles.choi_matrix(t, n, basis).mat
     choi_min = np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0]
     row, = D.audit_semigroup([t], n, basis, samples=2).results
     assert abs(row["choi_min_eigenvalue"] - choi_min) <= 1e-12
@@ -283,16 +302,21 @@ def test_rounding_level_parts_skip_eigh(monkeypatch):
         assert np.abs(Q.conj().T @ X @ Q - np.diag(lam)).max() <= 1e-12
 
 
-def test_heat_rejects_bad_input(p_basis2, torus, torus_basis):
+def test_heat_rejects_bad_input(p_basis2, p_basis3, torus, torus_basis):
     e12 = MatElement.unit(2, 0, 1)
     V = QElement.generator(torus, 2)
-    for t in (math.inf, math.nan):
+    for t in (math.inf, math.nan, -1.0):
         with pytest.raises(ValueError):
             D.heat_semigroup(e12, t, p_basis2)
         with pytest.raises(ValueError):
             D.heat_semigroup(V, t, torus_basis)
         with pytest.raises(ValueError):
             D.audit_semigroup([1.0, t], 2, p_basis2)
+        for call in (lambda: D.heat_superoperator(t, p_basis3, 3),
+                     lambda: D.choi_matrix(t, 3, p_basis3),
+                     lambda: D.trotter_check(t, 4, 3, p_basis3)):
+            with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+                call()
     with pytest.raises(ValueError):
         D.audit_semigroup([1.0], 2, p_basis2, samples=0)
     with pytest.raises(ValueError):
@@ -316,41 +340,19 @@ def test_trotter(p_basis2, p_basis3):
         D.trotter_check(1.0, 0, 2, p_basis2)
 
 
-def _trotter_split(basis, n):
-    """K1 = sum (U^* . U + U . U^*) and K2 = A . + . A with A = -sum U^* U, as
-    n^2 x n^2 superoperators on row-major vectorized matrices."""
-    K1 = np.zeros((n * n, n * n), dtype=complex)
-    A = np.zeros((n, n), dtype=complex)
-    for x in basis.scaled:
-        X = x.mat
-        Xs = X.conj().T
-        K1 += np.kron(Xs, X.T) + np.kron(X, Xs.T)
-        A -= Xs @ X
-    return K1, np.kron(A, np.eye(n)) + np.kron(np.eye(n), A.T)
-
-
-def _superoperator_trotter(t, steps, n, basis):
-    """The splitting error of :func:`trotter_check` by ``expm`` of the superoperators."""
-    K1, K2 = _trotter_split(basis, n)
-    h = t / steps
-    step = scipy.linalg.expm(h * K1) @ scipy.linalg.expm(h * K2)
-    approx = np.linalg.matrix_power(step, steps)
-    return float(np.linalg.norm(approx - scipy.linalg.expm(t * (K1 + K2)), 2))
-
-
 @pytest.mark.parametrize("kind, n", [("projection", 2), ("projection", 3), ("rotated", 5),
                                      ("rotated-projection", 6)], ids=lambda v: str(v))
 def test_trotter_matches_superoperator_oracle(kind, n):
     basis = _matrix_basis(kind, n)
     for t, steps in ((0.0, 8), (0.3, 1), (1.0, 8), (1.0, 64), (1.0, 4096)):
         fast = D.trotter_check(t, steps, n, basis)
-        assert abs(fast - _superoperator_trotter(t, steps, n, basis)) <= 1e-12, (t, steps)
+        assert abs(fast - oracles.superoperator_trotter(t, steps, n, basis)) <= 1e-12, (t, steps)
 
 
 def test_trotter_split_reassembles_generator(p_basis3):
     # -Delta = K1 + K2 for the projection basis
     n = 3
-    K1, K2 = _trotter_split(p_basis3, n)
+    K1, K2 = oracles.trotter_split(p_basis3, n)
     Ds = D.delta_superoperator(p_basis3, n)
     assert np.abs(K1 + K2 + Ds).max() < 1e-13
 

@@ -434,6 +434,18 @@ def test_module_entry_points(monkeypatch):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def test_selftest_runs_without_scipy():
+    # scipy is a test dependency only: the package and its battery run without it
+    env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]))
+    code = ("import sys; sys.modules['scipy'] = None; sys.argv = ['ncdiff', 'selftest']; "
+            "import ncdiff.cli; ncdiff.cli.run()")
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines and all(line.endswith(" PASS") for line in lines)
+
+
 def test_parser_is_built_once_and_lazily():
     assert cli.build_parser() is cli.build_parser()
     env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]))

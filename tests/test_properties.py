@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdiff.carrier import EQ_TOLERANCE
-from ncdiff.dirichlet import audit_semigroup, choi_matrix, heat_semigroup
+from ncdiff.dirichlet import audit_semigroup, heat_semigroup
 from ncdiff.forms import DifferentialBasis, DifferentialForm, delta, wedge
 from ncdiff.graph_algebra import GraphElement, common_range_pairs, vertex_projection
 from ncdiff.matrix_algebra import MatElement, projection_basis
 from ncdiff.qlattice import _ARRAY_PAIRS, QElement, heisenberg_spec, torus_spec
-from ncdiff.testing import loop_graph, loop_product, random_matelement, star_tree
+from ncdiff.testing import loop_graph, random_matelement, star_tree
+
+from oracles import choi_matrix, loop_product
 
 REL_TOL = 1e-12
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)

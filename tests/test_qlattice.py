@@ -14,9 +14,10 @@ from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError,
                              normal_order, spec_from_json, spec_to_json, tau,
                              theta_hat, torus_spec, torus_spec_2n,
                              weyl_lattice_spec)
-from ncdiff.testing import loop_product, random_qelement
+from ncdiff.testing import random_qelement
 
 from conftest import MU, NU, THETA
+from oracles import loop_product
 
 
 def test_spec_validation():
