@@ -21,11 +21,16 @@ when their difference has norm at most ``EQ_TOLERANCE``, and term
 coefficients at or below ``PRUNE_EPSILON`` in modulus are dropped.  A nan
 coefficient is never dropped and makes the norm nan, so the finiteness
 checks of :mod:`ncdiff.expr` see it.
+
+The array routes of the q-lattice and graph products both sum their
+coefficients by int64 term code through :func:`sum_by_code`.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 EQ_TOLERANCE = 1e-10
 PRUNE_EPSILON = 1e-12
@@ -35,6 +40,14 @@ def largest(norms) -> float:
     """Largest of some norms: 0.0 when there are none, nan when any is nan."""
     norms = list(norms)
     return math.nan if math.isnan(sum(norms)) else max(norms, default=0.0)
+
+
+def sum_by_code(codes: np.ndarray, c: np.ndarray):
+    """Distinct codes and the sum of the complex ``c`` over each."""
+    u, inv = np.unique(codes, return_inverse=True)
+    inv = inv.ravel()  # numpy 2.0 may return it shaped
+    n = len(u)
+    return u, np.bincount(inv, c.real, n) + 1j * np.bincount(inv, c.imag, n)
 
 
 def commutator(x, a):

@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, Terms
+from .carrier import PRUNE_EPSILON, Terms, sum_by_code
 
 Monomial = tuple  # exponent tuple (e_1, ..., e_m)
 
@@ -174,14 +174,6 @@ def _exponent_rows(terms: dict, m: int):
     return rows if fits else None
 
 
-def _sum_by_code(codes: np.ndarray, c: np.ndarray):
-    """Distinct codes and the sum of ``c`` over each."""
-    u, inv = np.unique(codes, return_inverse=True)
-    inv = inv.ravel()  # numpy 2.0 may return it shaped
-    n = len(u)
-    return u, np.bincount(inv, c.real, n) + 1j * np.bincount(inv, c.imag, n)
-
-
 def _array_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> "QElement":
     """The product of two term dicts on the grid of term pairs, in numpy.
 
@@ -232,13 +224,13 @@ def _array_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> "QElement":
                 im += np.bincount(keys, c.imag, size)
                 hit[keys] = True
             else:
-                parts.append(_sum_by_code(keys, c))
+                parts.append(sum_by_code(keys, c))
         if dense:
             keys = np.flatnonzero(hit)
             vals = re[keys] + 1j * im[keys]
         else:
-            keys, vals = _sum_by_code(np.concatenate([k for k, _ in parts]),
-                                      np.concatenate([v for _, v in parts]))
+            keys, vals = sum_by_code(np.concatenate([k for k, _ in parts]),
+                                     np.concatenate([v for _, v in parts]))
     keep = ~(np.abs(vals) <= spec.prune_epsilon)  # keeps a nan
     cols = [u + l for u, l in zip(np.unravel_index(keys[keep], ext), loE + loF)]
     out.terms = dict(zip(zip(*[col.tolist() for col in cols]), vals[keep].tolist()))

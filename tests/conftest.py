@@ -58,6 +58,11 @@ def loop_with_exit():
          "x": ("c0", "out")})
 
 
+def o2_graph():
+    """One vertex and two loops: the Cuntz algebra O_2."""
+    return DirectedGraph(["o"], {"a": ("o", "o"), "b": ("o", "o")})
+
+
 def graph_corpus():
     return {
         "star5": star_tree(5),

@@ -1,11 +1,12 @@
 """Slow reference paths, kept as the oracles of the library's fast routes.
 
 Each function here computes a result the library now gets another way: the
-q-lattice product by the pair loop at any size (the library switches to the
-array route above a cut), the Laplacian and heat channel of a matrix basis as
-n^2 x n^2 Kronecker superoperators with an ``eigh`` (the library reads the
-Schur symbol in the basis's eigenbasis), and the Trotter splitting error by
-``expm`` of those superoperators (the library reads two Schur symbols).
+q-lattice and graph-algebra products by the pair loop at any size (the
+library switches to an array route above a cut), the Laplacian and heat
+channel of a matrix basis as n^2 x n^2 Kronecker superoperators with an
+``eigh`` (the library reads the Schur symbol in the basis's eigenbasis), and
+the Trotter splitting error by ``expm`` of those superoperators (the library
+reads two Schur symbols).
 Superoperators act on row-major vectorized matrices.
 """
 
@@ -14,13 +15,20 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from ncdiff import graph_algebra, qlattice
+from ncdiff.graph_algebra import GraphElement
 from ncdiff.matrix_algebra import MatElement
-from ncdiff.qlattice import QElement, _pair_product
+from ncdiff.qlattice import QElement
 
 
 def loop_product(a: QElement, b: QElement) -> QElement:
     """``a * b`` by the pair loop at any size: the oracle of the array route."""
-    return a._like(_pair_product(a.spec, a.terms, b.terms))
+    return a._like(qlattice._pair_product(a.spec, a.terms, b.terms))
+
+
+def graph_loop_product(a: GraphElement, b: GraphElement) -> GraphElement:
+    """``a * b`` by the pair loop at any size: the oracle of the graph array route."""
+    return a._like(graph_algebra._pair_product(a.terms, b.terms))
 
 
 def _comm_superop(X: np.ndarray, n: int) -> np.ndarray:

@@ -263,6 +263,9 @@ SEVENTEEN = "+".join(f"{g}^{k}" for k in range(1, 9) for g in "UV") + "+U^9"
     (None, None, ["deform", "plane", "--params", "0.02,0.01,0"]),
     (None, None, ["deform", "heisenberg", "--params", "0"]),
     (None, None, ["deform", "torus", "--params", "0.01,0.02"]),
+    # a spec given as a string is written as it is, here as a graph file
+    (None, "vertex a\nvertex b\nedge e a b\nedge e b a\n",
+     ["graph", "--file", "{spec}", "h0"]),
 ], ids=["spec-without-theta-matrix", "config-truncation-string",
         "config-dropped-tolerance", "config-dropped-normalized-trace",
         "config-not-an-object", "spec-theta-matrix-scalar",
@@ -282,7 +285,7 @@ SEVENTEEN = "+".join(f"{g}^{k}" for k in range(1, 9) for g in "UV") + "+U^9"
         "eval-huge-theta-array-product", "eval-array-product-overflow",
         "deform-torus-zero-parameter",
         "deform-plane-zero-parameter", "deform-heisenberg-zero-parameter",
-        "deform-increasing-parameters"])
+        "deform-increasing-parameters", "graph-duplicate-edge"])
 def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     options = []
     if config is not None:
@@ -291,7 +294,7 @@ def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
         options += ["--config", str(path)]
     if spec is not None:
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         spec_file = str(path)
     argv = [spec_file if a == "{spec}" else a for a in argv]
     rc, out, err = run_cli(options + argv)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import ncdiff.forms as F
+from ncdiff import graph_algebra as ga
 from ncdiff.forms import DifferentialBasis, DifferentialForm
-from ncdiff.graph_algebra import (DirectedGraph, GraphElement, edge_isometry,
+from ncdiff.graph_algebra import (DirectedGraph, GraphElement, Path,
+                                  _ARRAY_PAIRS, _array_product,
+                                  common_range_pairs, edge_isometry,
                                   expand_projection_check,
                                   full_isometry_criterion, graph_to_text,
                                   h0_report, h0_report_json, is_closed,
@@ -15,7 +18,9 @@ from ncdiff.graph_algebra import (DirectedGraph, GraphElement, edge_isometry,
                                   vertex_commutator, vertex_projection)
 from ncdiff.testing import random_graph_element
 
-from conftest import diamond_graph, graph_corpus, line_graph, loop_graph, star_tree
+from conftest import (diamond_graph, graph_corpus, line_graph, loop_graph, o2_graph,
+                      star_tree)
+from oracles import graph_loop_product
 
 
 def two_vertex():
@@ -50,6 +55,11 @@ def test_parse_errors():
         parse_graph("vertex v\nedge e v missing\n")
     with pytest.raises(ValueError):
         parse_graph("gibberish line\n")
+
+
+def test_parse_rejects_duplicate_edge():
+    with pytest.raises(ValueError, match="^line 4: duplicate edge 'e'$"):
+        parse_graph("vertex a\nvertex b\nedge e a b\nedge e b a\n")
 
 
 def test_path_validation():
@@ -268,3 +278,159 @@ def test_path_isometry_consistency():
     t2 = list((smu * smu.adjoint()).terms)[0]
     product = GraphElement.term(g, *t1) * GraphElement.term(g, t1[1], t1[0])
     assert product.terms == {t2: 1.0 + 0j}
+
+
+# -- the array route of the product, held to the pair loop -------------------------
+
+ORACLE_GRAPHS = {**graph_corpus(), "O2": o2_graph(), "loop4": loop_graph(4)}
+
+
+def _operand(graph, rng, n: int, max_len: int = 4) -> GraphElement:
+    """Every vertex-only term, then distinct random term keys: n terms, or
+    every key of length at most ``max_len`` when there are fewer."""
+    pairs = common_range_pairs(graph, max_len)
+    vertex_only = [i for i, (mu, nu) in enumerate(pairs) if not mu.edges and not nu.edges]
+    rest = [i for i in range(len(pairs)) if i not in vertex_only]
+    n = min(n, len(pairs))
+    idx = vertex_only[:n] + list(rng.choice(rest, n - len(vertex_only[:n]), replace=False))
+    coeffs = rng.standard_normal((n, 2))
+    return GraphElement(graph, {pairs[i]: complex(*c) for i, c in zip(idx, coeffs)})
+
+
+def _assert_array_matches_loop(x, y):
+    """Same key set as the pair loop, coefficients within 1e-13 relative (or
+    1e-13 of the largest possible summand, for a coefficient that cancels)."""
+    got, want = _array_product(x.graph, x.terms, y.terms), graph_loop_product(x, y)
+    assert set(got.terms) == set(want.terms)
+    scale = x.norm() * y.norm()
+    for t, c in want.terms.items():
+        assert cmath.isclose(got.terms[t], c, rel_tol=1e-13, abs_tol=1e-13 * scale), t
+    return got
+
+
+def _count_loop_pairs(monkeypatch):
+    calls = []
+    term_product = ga._term_product
+
+    def counted(t1, t2):
+        calls.append(1)
+        return term_product(t1, t2)
+    monkeypatch.setattr(ga, "_term_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+@pytest.mark.parametrize("sizes", [(16, 17), (40, 40), (100, 100)])
+def test_array_product_matches_loop(name, sizes, rng, monkeypatch):
+    g = ORACLE_GRAPHS[name]
+    calls = _count_loop_pairs(monkeypatch)
+    x, y = (_operand(g, rng, n) for n in sizes)
+    assert len(x.terms) * len(y.terms) > _ARRAY_PAIRS
+    assert all((g.vertex_path(v),) * 2 in x.terms for v in g.vertices)
+    for a, b in ((x, y), (y, x)):
+        got = _assert_array_matches_loop(a, b)
+        n_loop = len(calls)
+        assert (a * b).terms == got.terms and len(calls) == n_loop  # the array route
+        assert all(mu.range == nu.range for mu, nu in got.terms)
+
+
+def test_array_product_empty_operand(rng):
+    g = loop_graph(4)
+    x = _operand(g, rng, 40)
+    zero = GraphElement.zero(g)
+    assert _array_product(g, x.terms, {}).terms == {}
+    assert _array_product(g, {}, x.terms).terms == {}
+    assert (zero * x).terms == {} and (x * zero).terms == {}
+
+
+@pytest.mark.parametrize("prune_epsilon", [ga.PRUNE_EPSILON, 0.0, -1.0])
+def test_array_product_prunes_exact_cancellations(prune_epsilon, rng, monkeypatch):
+    # (sum_k s_a^k)(sum_w c_w (s_w - s_aw)) = sum_w c_w (s_w - s_{a^10 w}) on O_2,
+    # over the 15 words w in a, b that start with b: every inner term cancels exactly
+    monkeypatch.setattr(ga, "PRUNE_EPSILON", prune_epsilon)
+    g = o2_graph()
+    o = g.vertex_path("o")
+    words = [("b",) + tail for n in range(4) for tail in itertools.product("ab", repeat=n)]
+    x = GraphElement(g, {(g.path(["a"] * k) if k else o, o): 1.0 for k in range(10)})
+    y = GraphElement(g, {})
+    for w in words:
+        c = complex(*rng.standard_normal(2))
+        y = y + GraphElement(g, {(g.path(w), o): c, (g.path(("a",) + w), o): -c})
+    kept = range(11) if prune_epsilon < 0 else (0, 10)
+    want = {g.path(["a"] * k + list(w)) for k in kept for w in words}
+    for a, b, side in ((x, y, 0), (y.adjoint(), x.adjoint(), 1)):
+        got = _assert_array_matches_loop(a, b)
+        assert {t[side] for t in got.terms} == want
+        assert all(t[1 - side] == o for t in got.terms)
+
+
+def test_array_product_keeps_nan(rng):
+    g = loop_graph(4)
+    x, y = _operand(g, rng, 40), _operand(g, rng, 40)
+    t0 = next(iter(x.terms))
+    x = GraphElement(g, {**x.terms, t0: complex(math.nan, 0.0)})
+    got, want = _array_product(g, x.terms, y.terms), graph_loop_product(x, y)
+    assert set(got.terms) == set(want.terms)
+    nan_keys = {t for t, c in want.terms.items() if cmath.isnan(c)}
+    assert nan_keys and nan_keys == {t for t, c in got.terms.items() if cmath.isnan(c)}
+    assert math.isnan((x * y).norm())
+
+
+def _wide_operand(g, rng, n, max_len):
+    """n terms (mu, nu) of random words of length 0..max_len in the edges 61-63."""
+    o = g.vertex_path("o")
+    terms = {}
+    while len(terms) < n:
+        mu, nu = (g.path([f"e{e}" for e in rng.integers(61, 64, k)]) if k else o
+                  for k in rng.integers(0, max_len + 1, 2))
+        terms[(mu, nu)] = complex(*rng.standard_normal(2))
+    return GraphElement(g, terms)
+
+
+@pytest.mark.parametrize("len_x, len_y, takes_loop", [
+    (2, 3, False),    # codes up to length 5 in base 64: about 2**60 terms fit in int64
+    (3, 3, True),     # length 6: about 2**72 terms do not, so the pair loop runs
+    (11, 11, True),   # a path's digits reach 2**62: the pair loop runs
+])
+def test_array_product_falls_back_beyond_int64(len_x, len_y, takes_loop, rng, monkeypatch):
+    g = DirectedGraph(["o"], {f"e{i}": ("o", "o") for i in range(64)})
+    x, y = _wide_operand(g, rng, 20, len_x), _wide_operand(g, rng, 20, len_y)
+    if len_x == 11:
+        x = x + GraphElement(g, {(g.path(["e63"] * 11), g.vertex_path("o")): 1.0})
+        assert ga._path_rows(g, x.terms) is None
+    calls = _count_loop_pairs(monkeypatch)
+    got = x * y
+    assert len(calls) == (len(x.terms) * len(y.terms) if takes_loop else 0)
+    assert got.terms == _assert_array_matches_loop(x, y).terms
+    assert len(got.terms) > 20
+
+
+@pytest.mark.parametrize("foreign", [
+    Path("zz", (), "zz"),                      # a vertex not in the graph
+    Path("c0", ("zz",), "c1"),                 # an edge not in the graph
+    Path("c0", ("l1",), "c2"),                 # an edge from another vertex
+    Path("c0", ("l0", "l2"), "c3"),            # edges that do not compose
+    Path("c0", ("l0",), "c2"),                 # a range that is not the edge's
+])
+def test_array_product_foreign_paths_take_the_loop(foreign, rng, monkeypatch):
+    g = loop_graph(4)
+    x, y = _operand(g, rng, 30), _operand(g, rng, 30)
+    x = GraphElement(g, {**x.terms, (foreign, foreign): 2.0})
+    calls = _count_loop_pairs(monkeypatch)
+    got = x * y
+    assert len(calls) == len(x.terms) * len(y.terms)
+    assert got.terms == graph_loop_product(x, y).terms
+    assert (y * x).terms == graph_loop_product(y, x).terms
+
+
+def test_small_products_stay_on_the_loop(rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("array route entered")
+    monkeypatch.setattr(ga, "_array_product", refuse)
+    g = loop_graph(4)
+    se = edge_isometry(g, "l0")
+    assert set((se * se.adjoint()).terms) == {(g.path(["l0"]),) * 2}
+    x, y = _operand(g, rng, 16), _operand(g, rng, 16)
+    x * y  # 256 pairs: at the cut
+    with pytest.raises(AssertionError, match="array route"):
+        x * _operand(g, rng, 17)

@@ -5,26 +5,28 @@ coefficients are q-lattice, graph or matrix elements.  Exponents, path
 lengths and coefficients stay small, so every law holds within a tolerance
 relative to the norms involved.  Over random commuting matrix bases the
 derivative also squares to zero and obeys the graded Leibniz rule, and the
-heat flow is completely positive and conservative.  Q-lattice products above
-the array-route cut are associative and reverse under the adjoint, against
-the pair loop.
+heat flow is completely positive and conservative.  Q-lattice and graph
+products above the array-route cuts are associative and reverse under the
+adjoint, against the pair loop.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from ncdiff.carrier import EQ_TOLERANCE
 from ncdiff.dirichlet import audit_semigroup, heat_semigroup
 from ncdiff.forms import DifferentialBasis, DifferentialForm, delta, wedge
+from ncdiff import graph_algebra
 from ncdiff.graph_algebra import GraphElement, common_range_pairs, vertex_projection
 from ncdiff.matrix_algebra import MatElement, projection_basis
 from ncdiff.qlattice import _ARRAY_PAIRS, QElement, heisenberg_spec, torus_spec
 from ncdiff.testing import loop_graph, random_matelement, star_tree
 
-from oracles import choi_matrix, loop_product
+from conftest import diamond_graph, o2_graph
+from oracles import choi_matrix, graph_loop_product, loop_product
 
 REL_TOL = 1e-12
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
@@ -39,9 +41,10 @@ def q_elements(spec, max_exp: int = 3, max_terms: int = 5, min_terms: int = 0,
         lambda t: QElement(spec, t))
 
 
-def graph_elements(graph, max_len: int = 2, max_terms: int = 5):
+def graph_elements(graph, max_len: int = 2, max_terms: int = 5, min_terms: int = 0,
+                   coeffs=scalars):
     keys = st.sampled_from(common_range_pairs(graph, max_len))
-    return st.dictionaries(keys, scalars, max_size=max_terms).map(
+    return st.dictionaries(keys, coeffs, min_size=min_terms, max_size=max_terms).map(
         lambda t: GraphElement(graph, t))
 
 
@@ -133,6 +136,31 @@ def test_large_products_associate_and_reverse_under_adjoint(label, data):
     assert (loop_product(loop_product(x, y), z) - x * (y * z)).norm() <= EQ_TOLERANCE
     assert ((x * y).adjoint() - loop_product(y.adjoint(), x.adjoint())).norm() <= EQ_TOLERANCE
     assert (loop_product(x, y).adjoint() - y.adjoint() * x.adjoint()).norm() <= EQ_TOLERANCE
+
+
+# more than sqrt(graph_algebra._ARRAY_PAIRS) terms per operand, none pruned,
+# so every product of two operands takes the graph array route
+nonzero_scalars = st.builds(complex, st.floats(-0.7, -0.1) | st.floats(0.1, 0.7),
+                            st.floats(-0.7, 0.7))
+LARGE_GRAPHS = {label: graph_elements(graph, max_len=3, coeffs=nonzero_scalars, max_terms=24,
+                                      min_terms=math.isqrt(graph_algebra._ARRAY_PAIRS) + 1)
+                for label, graph in (("loop4", loop_graph(4)), ("diamond", diamond_graph()),
+                                     ("O2", o2_graph()))}
+
+
+@pytest.mark.parametrize("label", list(LARGE_GRAPHS))
+# no shrinking: it took minutes on a failing example and cannot make the
+# three operands of 17 or more terms much smaller
+@settings(PROPERTY, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_large_graph_products_associate_and_reverse_under_adjoint(label, data):
+    x, y, z = (data.draw(LARGE_GRAPHS[label]) for _ in range(3))
+    loop = graph_loop_product
+    # array-route bracketings against loop bracketings
+    assert ((x * y) * z - loop(x, loop(y, z))).norm() <= EQ_TOLERANCE
+    assert (loop(loop(x, y), z) - x * (y * z)).norm() <= EQ_TOLERANCE
+    assert ((x * y).adjoint() - loop(y.adjoint(), x.adjoint())).norm() <= EQ_TOLERANCE
+    assert (loop(x, y).adjoint() - y.adjoint() * x.adjoint()).norm() <= EQ_TOLERANCE
 
 
 @st.composite
