@@ -3,7 +3,8 @@
 Subcommands: ``eval`` (expression to normal form), ``cohomology``
 (complex-dimension report), ``graph`` (combinatorial reports), ``semigroup``
 (heat-channel audit), ``deform`` (limit sweeps), ``selftest``.  Exit codes:
-0 success, 1 failed check, 2 bad input (also an input too large for memory),
+0 success, 1 failed check, 2 bad input (also an input too large for memory,
+an integer too large for a float, or an expression nested too deeply),
 141 (128 + SIGPIPE) when the reader closes stdout early.
 
 The argument parser is built on the first call of :func:`main` and reused by
@@ -259,7 +260,8 @@ def main(argv=None) -> int:
         # and let the flush at interpreter exit write to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CLOSED_PIPE
-    except (OSError, ValueError, json.JSONDecodeError, MemoryError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, MemoryError, OverflowError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

@@ -2,10 +2,13 @@
 classical derivatives.
 
 Each sweep drives a one-parameter family of presentations toward the
-commutative limit, measures the coefficientwise gap between the scaled
-commutator and its classical target on normal-ordered output, and fits the
-convergence order as the log-log slope over a descending geometric
-parameter sequence.  Also houses the three canonical derivations of the
+commutative limit and fits the convergence order as the log-log slope over
+a descending geometric parameter sequence.  All four sweeps run one loop,
+:func:`_limit_sweep`: a family gives ``cases(p)``, the ``(x, f, target)``
+triples at parameter p, and the error at p is the largest coefficientwise
+gap |(1/p)[x, f] - target| over them.  A nan gap stays nan in that fold and
+:class:`DeformationSweep` rejects it, so an overflowing angle is an error,
+never a zero.  Also houses the three canonical derivations of the
 Heisenberg generators.
 """
 
@@ -17,17 +20,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .carrier import commutator
+from .carrier import commutator, largest
 from .qlattice import QElement, heisenberg_spec, weyl_lattice_spec
 
 TWO_PI_I = 2j * math.pi
 
 
 def _check_parameters(values: Sequence[float]) -> None:
-    """A sweep's parameters must be nonempty, positive and strictly decreasing;
-    checked before any sweep divides by them."""
+    """A sweep's parameters must be nonempty, finite, positive and strictly
+    decreasing; checked before any sweep divides by them."""
     if not values:
         raise ValueError("sweep needs at least one parameter value")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("parameter values must be finite")
     if any(v <= 0 for v in values):
         raise ValueError("parameter values must be positive")
     if any(a <= b for a, b in zip(values, values[1:])):
@@ -38,9 +43,9 @@ def _check_parameters(values: Sequence[float]) -> None:
 class DeformationSweep:
     """Record of a limit experiment.
 
-    ``values`` must be positive and strictly decreasing; ``errors`` are the
-    max coefficient deviations from the classical target; ``fitted_order``
-    is the log-log least-squares slope (NaN when an error vanishes).
+    ``values`` must be finite, positive and strictly decreasing; ``errors``
+    are the finite max coefficient deviations from the classical target;
+    ``fitted_order`` is the log-log least-squares slope (NaN when an error vanishes).
     """
     parameter_name: str
     values: list
@@ -79,12 +84,38 @@ class DeformationSweep:
                 "target_description": self.target_description}
 
 
-def _embed_even(mono, n: int) -> tuple:
-    """Exponents over the commutative generators into the full 2n tuple."""
-    full = [0] * (2 * n)
-    for j, m in enumerate(mono):
-        full[2 * j + 1] = m
-    return tuple(full)
+def _limit_sweep(name: str, params, description: str, cases) -> DeformationSweep:
+    """The sweep of every family; see the module docstring."""
+    _check_parameters(params)
+    errors = [largest((commutator(x, f).scale(1.0 / p) - target).norm()
+                      for x, f, target in cases(p))
+              for p in params]
+    return DeformationSweep(name, list(params), errors, description)
+
+
+def _weyl_sweep(directions, coeffs, hbars, step, name, description) -> DeformationSweep:
+    """(1/hbar)[A^k, f] against i*step^2*omega(k, t)*c at t + k, per direction k: k and the
+    keys t of ``coeffs`` are exponents of all 2n Weyl generators, and omega(k, t) =
+    sum_j (k_{2j-1} t_{2j} - k_{2j} t_{2j-1}) is their symplectic pairing, in integers."""
+    def cases(hbar):
+        if not coeffs:
+            raise ValueError("empty coefficient table")
+        spec = weyl_lattice_spec(hbar, pairs=len(next(iter(coeffs))) // 2, step=step)
+        f = QElement(spec, dict(coeffs))
+        return [(QElement.monomial(spec, k), f, QElement(spec, {
+            tuple(a + b for a, b in zip(t, k)):
+                1j * step * step * sum(k[i] * t[i + 1] - k[i + 1] * t[i]
+                                       for i in range(0, len(k), 2)) * c
+            for t, c in coeffs.items()})) for k in directions]
+
+    return _limit_sweep(name, hbars, description, cases)
+
+
+def _momentum_data(coeffs):
+    """Every momentum direction, and ``coeffs`` moved onto the position slots."""
+    n = len(next(iter(coeffs), ()))
+    return ([tuple(int(i == 2 * j) for i in range(2 * n)) for j in range(n)],
+            {tuple(x for m in t for x in (0, m)): c for t, c in coeffs.items()})
 
 
 def torus_limit_sweep(coeffs: Mapping[tuple, complex],
@@ -96,7 +127,8 @@ def torus_limit_sweep(coeffs: Mapping[tuple, complex],
     at step 1 with theta for hbar: every block angle is theta, the basis is
     theta^{-1} U_{2j-1}, and the target multiplies each coefficient by i*m_j.
     """
-    return _partial_sweep(coeffs, thetas, 1.0, "theta", "coefficientwise i*m_j per direction")
+    return _weyl_sweep(*_momentum_data(coeffs), thetas, 1.0, "theta",
+                       "coefficientwise i*m_j per direction")
 
 
 def plane_limit_sweep(k: tuple[int, int], coeffs: Mapping[tuple, complex],
@@ -106,20 +138,8 @@ def plane_limit_sweep(k: tuple[int, int], coeffs: Mapping[tuple, complex],
     ``coeffs`` maps lattice points (t1, t2) to Fourier weights; the target
     coefficient at exponent t+k is i*step^2*(k1 t2 - k2 t1) times the weight.
     """
-    _check_parameters(hbars)
-    k1, k2 = k
-    errors = []
-    for hbar in hbars:
-        spec = weyl_lattice_spec(hbar, pairs=1, step=step)
-        f = QElement(spec, dict(coeffs))
-        x = QElement.monomial(spec, (k1, k2))
-        g = commutator(x, f).scale(1.0 / hbar)
-        target = QElement(spec, {
-            (t[0] + k1, t[1] + k2): 1j * step * step * (k1 * t[1] - k2 * t[0]) * c
-            for t, c in coeffs.items()})
-        errors.append((g - target).norm())
-    return DeformationSweep("hbar", list(hbars), errors,
-                            "coefficientwise i*step^2*(k1 t2 - k2 t1)")
+    return _weyl_sweep([k], coeffs, hbars, step, "hbar",
+                       "coefficientwise i*step^2*(k1 t2 - k2 t1)")
 
 
 def plane_partial_sweep(coeffs: Mapping[tuple, complex], hbars: Sequence[float],
@@ -130,36 +150,16 @@ def plane_partial_sweep(coeffs: Mapping[tuple, complex], hbars: Sequence[float],
     momentum-direction basis hbar^{-1} A_j drives each direction to
     i*step^2*t_j in the limit.
     """
-    return _partial_sweep(coeffs, hbars, step, "hbar",
-                          "coefficientwise i*step^2*t_j per direction")
+    return _weyl_sweep(*_momentum_data(coeffs), hbars, step, "hbar",
+                       "coefficientwise i*step^2*t_j per direction")
 
 
-def _partial_sweep(coeffs, hbars, step: float, name: str,
-                   description: str) -> DeformationSweep:
-    """The sweep of :func:`plane_partial_sweep`, recorded under ``name`` and ``description``."""
-    _check_parameters(hbars)
-    monos = list(coeffs)
-    if not monos:
-        raise ValueError("empty coefficient table")
-    n = len(monos[0])
-    errors = []
-    for hbar in hbars:
-        spec = weyl_lattice_spec(hbar, pairs=n, step=step)
-        f = QElement(spec, {_embed_even(t, n): c for t, c in coeffs.items()})
-        worst = 0.0
-        for j in range(n):
-            Aj = QElement.generator(spec, 2 * j + 1)
-            g = commutator(Aj, f).scale(1.0 / hbar)
-            target = QElement(spec, {
-                tuple(x + (1 if i == 2 * j else 0) for i, x in enumerate(_embed_even(t, n))):
-                1j * step * step * t[j] * c
-                for t, c in coeffs.items()})
-            worst = max(worst, (g - target).norm())
-        errors.append(worst)
-    return DeformationSweep(name, list(hbars), errors, description)
-
-
-_HEISENBERG_DIRECTIONS = ("U", "V", "W")
+# Direction -> (generator G, the limit of (1/hbar)[G, U^m V^n W^k] as {exponent: factor}).
+_HEISENBERG_LIMITS = {
+    "U": (1, lambda m, n, k, mu, nu: {(m + 1, n, k): -4j * math.pi * k * mu}),
+    "V": (2, lambda m, n, k, mu, nu: {(m, n + 1, k): -4j * math.pi * k * nu}),
+    "W": (3, lambda m, n, k, mu, nu: {(m, n, k + 1): 4j * math.pi * (m * mu + n * nu)}),
+}
 
 
 def heisenberg_limit_sweep(direction: str, exponents: tuple[int, int, int],
@@ -171,30 +171,18 @@ def heisenberg_limit_sweep(direction: str, exponents: tuple[int, int, int],
     W power; directions U and V multiply by -4*pi*i*k*mu resp. -4*pi*i*k*nu
     and raise their own power.
     """
-    if direction not in _HEISENBERG_DIRECTIONS:
-        raise ValueError(f"direction must be one of {_HEISENBERG_DIRECTIONS}")
-    _check_parameters(hbars)
-    m, n, k = exponents
-    errors = []
-    for hbar in hbars:
+    if direction not in _HEISENBERG_LIMITS:
+        raise ValueError(f"direction must be one of {tuple(_HEISENBERG_LIMITS)}")
+    generator, limit = _HEISENBERG_LIMITS[direction]
+
+    def cases(hbar):
         spec = heisenberg_spec(mu, nu, hbar=hbar)
-        mono = QElement.monomial(spec, (m, n, k))
-        gi = _HEISENBERG_DIRECTIONS.index(direction)
-        G = QElement.generator(spec, gi + 1)
-        g = commutator(G, mono).scale(1.0 / hbar)
-        if direction == "W":
-            factor = 4j * math.pi * (m * mu + n * nu)
-            out_e = (m, n, k + 1)
-        elif direction == "U":
-            factor = -4j * math.pi * k * mu
-            out_e = (m + 1, n, k)
-        else:
-            factor = -4j * math.pi * k * nu
-            out_e = (m, n + 1, k)
-        target = QElement(spec, {out_e: factor})
-        errors.append((g - target).norm())
-    return DeformationSweep("hbar", list(hbars), errors,
-                            f"direction {direction}: coefficientwise limit factor")
+        m, n, k = exponents
+        return [(QElement.generator(spec, generator), QElement.monomial(spec, (m, n, k)),
+                 QElement(spec, limit(m, n, k, mu, nu)))]
+
+    return _limit_sweep("hbar", hbars, f"direction {direction}: coefficientwise limit factor",
+                        cases)
 
 
 # -- canonical derivations ---------------------------------------------------

@@ -165,11 +165,33 @@ def test_sweep_validation():
         DF.DeformationSweep("h", [1e-2, -1e-3], [1.0, 1.0], "x")
     with pytest.raises(ValueError):
         DF.DeformationSweep("h", [1e-2, 5e-3], [1.0], "x")
+    for values in ([math.nan, 1e-3], [1e-2, math.nan], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="parameter values must be finite"):
+            DF.DeformationSweep("h", values, [1.0, 0.5], "x")
     sweep = DF.DeformationSweep("h", [1e-2, 5e-3], [1e-3, 5e-4], "halving")
     assert abs(sweep.fitted_order - 1.0) < 1e-12
     csv = sweep.to_csv()
     assert csv.splitlines()[0] == "parameter,error"
     assert set(sweep.summary_json()) == {"fitted_order", "target_description"}
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda p: DF.torus_limit_sweep({(10 ** 10,): 1.0}, p),
+    lambda p: DF.plane_partial_sweep({(1, 10 ** 10): 1.0}, p),
+    lambda p: DF.plane_limit_sweep((1, 0), {(0, 10 ** 10): 1.0}, p),
+    lambda p: DF.heisenberg_limit_sweep("W", (10 ** 10, 0, 1), p, mu=MU, nu=NU),
+], ids=["torus", "plane-partial", "plane", "heisenberg"])
+def test_overflowing_angles_are_errors(sweep):
+    # the exchange angles overflow, so the gaps are nan: never folded to 0.0
+    with pytest.raises(ValueError, match="errors must be finite"):
+        sweep([1e300, 1e299])
+
+
+def test_empty_coefficient_tables():
+    for sweep in (DF.torus_limit_sweep, DF.plane_partial_sweep,
+                  lambda coeffs, p: DF.plane_limit_sweep((1, 0), coeffs, p)):
+        with pytest.raises(ValueError, match="empty coefficient table"):
+            sweep({}, PARAMS)
 
 
 # -- canonical derivations ----------------------------------------------------

@@ -218,6 +218,8 @@ SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
 HUGE_THETA = {"theta_matrix": [[0.0, -1e308], [1e308, 0.0]]}
 # 17 terms, so the square takes the array route of the q-lattice product
 SEVENTEEN = "+".join(f"{g}^{k}" for k in range(1, 9) for g in "UV") + "+U^9"
+# 401 digits: too large to convert to a float
+HUGE = "9" * 401
 
 
 @pytest.mark.parametrize("config, spec, argv", [
@@ -263,6 +265,13 @@ SEVENTEEN = "+".join(f"{g}^{k}" for k in range(1, 9) for g in "UV") + "+U^9"
     (None, None, ["deform", "plane", "--params", "0.02,0.01,0"]),
     (None, None, ["deform", "heisenberg", "--params", "0"]),
     (None, None, ["deform", "torus", "--params", "0.01,0.02"]),
+    (None, None, ["eval", "--spec", "{spec}", f"U^{HUGE} * V"]),
+    (None, None, ["deform", "torus", "--degrees", HUGE]),
+    (None, None, ["deform", "plane", "--k", f"{HUGE},0"]),
+    (None, None, ["deform", "heisenberg", "--exponents", f"{HUGE},0,0"]),
+    (None, None, ["eval", "--spec", "{spec}", "(" * 3000 + "U" + ")" * 3000]),
+    (None, None, ["eval", "--spec", "{spec}", "U" + "'" * 100000]),
+    (None, None, ["deform", "torus", "--params", "1e300,1e299", "--degrees", "10000000000"]),
     # a spec given as a string is written as it is, here as a graph file
     (None, "vertex a\nvertex b\nedge e a b\nedge e b a\n",
      ["graph", "--file", "{spec}", "h0"]),
@@ -285,7 +294,10 @@ SEVENTEEN = "+".join(f"{g}^{k}" for k in range(1, 9) for g in "UV") + "+U^9"
         "eval-huge-theta-array-product", "eval-array-product-overflow",
         "deform-torus-zero-parameter",
         "deform-plane-zero-parameter", "deform-heisenberg-zero-parameter",
-        "deform-increasing-parameters", "graph-duplicate-edge"])
+        "deform-increasing-parameters", "eval-huge-exponent", "deform-torus-huge-degree",
+        "deform-plane-huge-exponent", "deform-heisenberg-huge-exponent",
+        "eval-deep-parentheses", "eval-many-adjoints", "deform-torus-overflowing-angle",
+        "graph-duplicate-edge"])
 def test_cli_bad_input_exits_2(tmp_path, spec_file, config, spec, argv):
     options = []
     if config is not None:
@@ -378,6 +390,17 @@ def test_cli_deform_summary_is_strict_json():
     assert json.loads(out, parse_constant=reject)["fitted_order"] is None
     with pytest.raises(ValueError):
         cli._emit({"value": float("nan")})
+
+
+@pytest.mark.parametrize("argv", [
+    "deform torus --degrees 1,3 --summary",
+    "deform heisenberg --direction W --exponents 2,1,0 --summary",
+    "deform plane --summary",
+])
+def test_cli_deform_summaries_match_the_frozen_reference(argv):
+    reference = Path(__file__).parents[1] / "benchmarks" / "reference.json"
+    rc, out, _ = run_cli(argv.split())
+    assert rc == 0 and out == json.loads(reference.read_text())[argv]
 
 
 def test_cli_cohomology():

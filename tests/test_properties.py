@@ -118,30 +118,38 @@ def test_delta_is_linear(label, data, c):
     assert _close(delta(alpha.scale(c)), delta(alpha).scale(c))
 
 
-# unit-disk coefficients and more than sqrt(_ARRAY_PAIRS) terms per operand,
-# so every product of two operands takes the array route
-unit_scalars = st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
+# coefficients of modulus at least 0.1, so none is pruned
+nonzero_scalars = st.builds(complex, st.floats(-0.7, -0.1) | st.floats(0.1, 0.7),
+                            st.floats(-0.7, 0.7))
+# more than sqrt(_ARRAY_PAIRS) terms per operand, so every product of two
+# operands takes the array route
 LARGE = {label: q_elements(spec, max_exp=50, min_terms=math.isqrt(_ARRAY_PAIRS) + 1,
-                           max_terms=24, coeffs=unit_scalars)
+                           max_terms=24, coeffs=nonzero_scalars)
          for label, spec in (("torus", TORUS), ("heisenberg", HEIS))}
+# no shrinking: it took minutes on a failing example and cannot make the
+# three operands of 17 or more terms much smaller
+LARGE_PROPERTY = settings(PROPERTY, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.mark.parametrize("label", list(LARGE))
-@PROPERTY
+@LARGE_PROPERTY
 @given(data=st.data())
 def test_large_products_associate_and_reverse_under_adjoint(label, data):
     x, y, z = (data.draw(LARGE[label]) for _ in range(3))
+
+    def mul(a, b):
+        assert len(a.terms) * len(b.terms) > _ARRAY_PAIRS  # the array route
+        return a * b
+
     # array-route bracketings against loop bracketings
-    assert ((x * y) * z - loop_product(x, loop_product(y, z))).norm() <= EQ_TOLERANCE
-    assert (loop_product(loop_product(x, y), z) - x * (y * z)).norm() <= EQ_TOLERANCE
-    assert ((x * y).adjoint() - loop_product(y.adjoint(), x.adjoint())).norm() <= EQ_TOLERANCE
-    assert (loop_product(x, y).adjoint() - y.adjoint() * x.adjoint()).norm() <= EQ_TOLERANCE
+    assert (mul(mul(x, y), z) - loop_product(x, loop_product(y, z))).norm() <= EQ_TOLERANCE
+    assert (loop_product(loop_product(x, y), z) - mul(x, mul(y, z))).norm() <= EQ_TOLERANCE
+    assert (mul(x, y).adjoint() - loop_product(y.adjoint(), x.adjoint())).norm() <= EQ_TOLERANCE
+    assert (loop_product(x, y).adjoint() - mul(y.adjoint(), x.adjoint())).norm() <= EQ_TOLERANCE
 
 
 # more than sqrt(graph_algebra._ARRAY_PAIRS) terms per operand, none pruned,
 # so every product of two operands takes the graph array route
-nonzero_scalars = st.builds(complex, st.floats(-0.7, -0.1) | st.floats(0.1, 0.7),
-                            st.floats(-0.7, 0.7))
 LARGE_GRAPHS = {label: graph_elements(graph, max_len=3, coeffs=nonzero_scalars, max_terms=24,
                                       min_terms=math.isqrt(graph_algebra._ARRAY_PAIRS) + 1)
                 for label, graph in (("loop4", loop_graph(4)), ("diamond", diamond_graph()),
@@ -149,9 +157,7 @@ LARGE_GRAPHS = {label: graph_elements(graph, max_len=3, coeffs=nonzero_scalars, 
 
 
 @pytest.mark.parametrize("label", list(LARGE_GRAPHS))
-# no shrinking: it took minutes on a failing example and cannot make the
-# three operands of 17 or more terms much smaller
-@settings(PROPERTY, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@LARGE_PROPERTY
 @given(data=st.data())
 def test_large_graph_products_associate_and_reverse_under_adjoint(label, data):
     x, y, z = (data.draw(LARGE_GRAPHS[label]) for _ in range(3))
