@@ -115,7 +115,9 @@ class Terms(Normed):
     __slots__ = ()
 
     def __add__(self, other):
-        if not isinstance(other, type(self)):
+        # either class may be the other's subclass, such as a q-lattice
+        # element held as arrays only
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
@@ -124,7 +126,7 @@ class Terms(Normed):
         return self._like(out)
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)

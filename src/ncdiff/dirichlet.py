@@ -67,15 +67,16 @@ def _heat_symbol(basis: DifferentialBasis, a):
     """keys -> lambda(keys) = sum_j |w_j(keys)|^2, the eigenvalues of Delta on
     a's carrier: x_j of ``basis.diagonal`` sends key k to w_j(k) times a key,
     and x_j^* sends that back to k."""
-    if type(a) not in _PARENT_NAMES:
+    kind = next((k for k in _PARENT_NAMES if isinstance(a, k)), None)
+    if kind is None:
         raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
     try:
         for x in basis.diagonal:
-            if type(x) is not type(a):
+            if not isinstance(x, kind):
                 raise ValueError
             x._check(a)
     except ValueError:
-        raise ValueError(f"basis does not act on this {_PARENT_NAMES[type(a)]}") from None
+        raise ValueError(f"basis does not act on this {_PARENT_NAMES[kind]}") from None
     acts = [x.diagonal_action() for x in basis.diagonal]
     if None in acts:
         raise ValueError("the heat flow needs diagonally acting (single-monomial) elements")
@@ -109,7 +110,7 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
     if keyed is None:
         raise ValueError("exponents of 2**62 or more are too large for the heat flow")
     keys, coeffs = keyed
-    return a._from_keys(keys, (np.exp(-t * symbol(keys)) * coeffs).tolist())
+    return a._from_keys(keys, np.exp(-t * symbol(keys)) * coeffs)
 
 
 def _schur_superoperator(Q, M: np.ndarray) -> np.ndarray:

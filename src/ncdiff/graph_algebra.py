@@ -36,11 +36,24 @@ class Path:
     """Directed path: source vertex, edge-name sequence, range vertex.
 
     Build through :meth:`DirectedGraph.path` / :meth:`DirectedGraph.vertex_path`
-    so composability is checked.
+    so composability is checked.  The hash is that of the field tuple,
+    computed once when the path is built: term dicts keyed by pairs of paths
+    hash every key on each insertion and lookup.
     """
     source: str
     edges: tuple
     range: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.source, self.edges, self.range)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a path unpickled in another process
+        # hashes with that process's string hashes
+        return Path, (self.source, self.edges, self.range)
 
     def __len__(self):
         return len(self.edges)

@@ -12,6 +12,13 @@ This single presentation covers rotation algebras (quantum tori), Weyl
 exponentials restricted to an integer lattice, and the three-generator
 presentation of the quantum Heisenberg von Neumann algebra.
 
+An element holds its terms as a dict, as keyed arrays (int64 exponent rows
+and complex coefficients, see ``QElement.keyed``), or as both, and builds
+the missing one once, on demand, and keeps it.  Elements built from dicts
+hold dicts; the array routes below return elements held as arrays, which
+pass them on to the next array route without building a dict.  Exponents of
+2**62 or more are held only as dicts and always take the loops.
+
 Multiplication accumulates exchange phases as floating-point angles and
 exponentiates once per term pair; coefficients with modulus at or below the
 spec's ``prune_epsilon`` are dropped.  A product has two routes.  Up to
@@ -31,6 +38,17 @@ by term, bit for bit.  Above it the monomial's ``diagonal_action`` weights
 the int64 exponent rows of ``a.keyed()`` all at once by the same rule, up to
 rounding (:func:`_monomial_weights`); the cohomology maps and the heat flow
 read the same action.
+
+Sums, differences, negation, scaling, adjoints and norms take the array
+route when every operand already holds arrays.  Adjoints of more than
+``_ARRAY_TERMS`` terms take it too, and so do sums with more than
+``_ARRAY_TERMS`` terms in an operand when the other holds arrays; the dict
+operand then builds its arrays (see ``QElement._array_merge``).
+:func:`_array_sum` merges sorted exponent codes and gives the loop's
+coefficients bit for bit; :func:`_array_adjoint` takes the angles of
+:func:`_adjoint_angle` in its association.  Elements built from dicts with
+at most ``_ARRAY_TERMS`` terms, such as every operand of ``selftest`` and of
+the CLI's ``eval``, keep the loops and their results bit for bit.
 """
 
 from __future__ import annotations
@@ -135,7 +153,11 @@ def _exchange_angles(spec: QAlgebraSpec, g: Monomial):
 
 
 def _adjoint_angle(spec: QAlgebraSpec, e: Monomial) -> float:
-    """Exchange angle picked up normal-ordering (U^e)^* = U_m^{-e_m}..U_1^{-e_1}."""
+    """Exchange angle picked up normal-ordering (U^e)^* = U_m^{-e_m}..U_1^{-e_1}.
+
+    ``e`` may also be the transposed int64 exponent rows of many terms, which
+    gives an array of angles in the same association.
+    """
     return sum(t * e[j] * e[k] for j, k, t in spec._pairs)
 
 
@@ -147,6 +169,12 @@ _CHUNK_PAIRS = 4096
 _DENSE_BINS = 4 * _CHUNK_PAIRS
 # Exponents of the array route stay below this in modulus, so a sum of two fits in int64.
 _EXPONENT_LIMIT = 2 ** 62
+# Commutators [c U^g, a] with more terms in ``a`` than this take the array
+# route; both routes took the same time near 32 terms, for 2 to 4 generators.
+# So do adjoints, whose routes cross near 16 terms even when the arrays must
+# first be built from a dict, and sums with an operand held as arrays (see
+# QElement._array_merge).
+_ARRAY_TERMS = 32
 
 
 def _pair_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> dict:
@@ -164,18 +192,59 @@ def _pair_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> dict:
 
 
 def _exponent_rows(terms: dict, m: int):
-    """Exponents as an int64 array, or None when one is too large for the array route."""
+    """Exponents as int64 rows in column-major order, or None when one is too
+    large for the array route."""
     try:
         rows = np.fromiter(itertools.chain.from_iterable(terms), np.int64,
                            len(terms) * m).reshape(len(terms), m)
     except OverflowError:
         return None
-    fits = not rows.size or -_EXPONENT_LIMIT < rows.min() and rows.max() < _EXPONENT_LIMIT
-    return rows if fits else None
+    return np.asfortranarray(rows) if _fits(rows) else None
 
 
-def _array_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> "QElement":
-    """The product of two term dicts on the grid of term pairs, in numpy.
+def _fits(rows: np.ndarray) -> bool:
+    """Whether every exponent is below ``_EXPONENT_LIMIT`` in modulus."""
+    return not rows.size or -_EXPONENT_LIMIT < rows.min() and rows.max() < _EXPONENT_LIMIT
+
+
+def _frozen(E: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """Keyed arrays made read-only, so that elements may share them."""
+    E.setflags(write=False)
+    coeffs.setflags(write=False)
+    return E, coeffs
+
+
+def _box(lo: list, hi: list):
+    """Extents and int64 strides of the row-major mixed radix over the
+    exponent box [lo, hi], or None when the box has more codes than int64 holds."""
+    ext = [b - a + 1 for a, b in zip(lo, hi)]
+    if math.prod(ext) >= 2 ** 63:
+        return None
+    return ext, np.array([math.prod(ext[k + 1:]) for k in range(len(ext))], dtype=np.int64)
+
+
+def _keyed_element(spec: QAlgebraSpec, E: np.ndarray, coeffs: np.ndarray) -> "QElement":
+    """The element with ``coeffs[i]`` on the distinct int64 exponent rows
+    ``E[i]``, all below 2**62 in modulus, pruned as by ``QElement._like`` (a
+    nan is kept) and held as arrays.  ``E`` and ``coeffs`` become read-only.
+
+    Rows are held in column-major order: numpy reduces and slices the
+    exponents of one generator many times faster there.
+    """
+    keep = ~(np.abs(coeffs) <= spec.prune_epsilon)
+    if not keep.all():
+        E, coeffs = E.T[:, keep].T, coeffs[keep]
+    E = np.asfortranarray(E)
+    out = object.__new__(_ArraysOnly)
+    out.spec = spec
+    out._keyed = _frozen(E, coeffs)
+    return out
+
+
+def _array_product(spec: QAlgebraSpec, a, b) -> "QElement":
+    """The product of two elements (or two term dicts) on the grid of term
+    pairs, in numpy; the result is held as arrays unless an exponent
+    reaches 2**62.
 
     Angles take the association of :func:`_mul_angle`, and a phase is
     applied only where the angle is nonzero, as in :func:`_pair_product`.
@@ -185,22 +254,20 @@ def _array_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> "QElement":
     codes chunk by chunk.  A box with more codes than int64 holds, or an
     exponent of 2**62 or more, goes to the pair loop.
     """
-    out = QElement(spec)
-    if not ta or not tb:
-        return out
-    m = spec.generator_count
-    E, F = _exponent_rows(ta, m), _exponent_rows(tb, m)
-    if E is None or F is None:
-        return out._like(_pair_product(spec, ta, tb))
-    loE, loF = E.min(0), F.min(0)
-    ext = [a + b + 1 for a, b in zip((E.max(0) - loE).tolist(), (F.max(0) - loF).tolist())]
+    a, b = (x if isinstance(x, QElement) else QElement(spec)._like(x) for x in (a, b))
+    ka, kb = a.keyed(), b.keyed()
+    box = None
+    if ka is not None and kb is not None:
+        (E, ca), (F, cb) = ka, kb
+        if not len(E) or not len(F):
+            return QElement(spec)
+        loE, loF = E.min(0), F.min(0)
+        box = _box((loE + loF).tolist(), (E.max(0) + F.max(0)).tolist())
+    if box is None:
+        return a._like(_pair_product(spec, a.terms, b.terms))
+    ext, stride = box
     size = math.prod(ext)
-    if size >= 2 ** 63:
-        return out._like(_pair_product(spec, ta, tb))
-    ca = np.fromiter(ta.values(), complex, len(ta))
-    cb = np.fromiter(tb.values(), complex, len(tb))
-    stride = np.array([math.prod(ext[k + 1:]) for k in range(m)], dtype=np.int64)
-    codeE, codeF = (E - loE) @ stride, (F - loF) @ stride
+    codeE, codeF = stride @ (E.T - loE[:, None]), stride @ (F.T - loF[:, None])
     dense = size <= _DENSE_BINS
     if dense:
         re, im, hit = np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
@@ -210,8 +277,8 @@ def _array_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> "QElement":
     # the finiteness checks see them.
     with np.errstate(over="ignore", invalid="ignore"):
         phases = [(t * E[:, k], F[:, j].astype(float)) for j, k, t in spec._pairs]
-        step = max(1, _CHUNK_PAIRS // len(tb))
-        for r0 in range(0, len(ta), step):
+        step = max(1, _CHUNK_PAIRS // len(F))
+        for r0 in range(0, len(E), step):
             rows = slice(r0, r0 + step)
             c = np.multiply.outer(ca[rows], cb)
             if phases:
@@ -231,15 +298,48 @@ def _array_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> "QElement":
         else:
             keys, vals = sum_by_code(np.concatenate([k for k, _ in parts]),
                                      np.concatenate([v for _, v in parts]))
-    keep = ~(np.abs(vals) <= spec.prune_epsilon)  # keeps a nan
-    cols = [u + l for u, l in zip(np.unravel_index(keys[keep], ext), loE + loF)]
-    out.terms = dict(zip(zip(*[col.tolist() for col in cols]), vals[keep].tolist()))
-    return out
+    return a._from_keys((np.stack(np.unravel_index(keys, ext)) + (loE + loF)[:, None]).T, vals)
 
 
-# Commutators [c U^g, a] with more terms in ``a`` than this take the array
-# route; both routes took the same time near 32 terms, for 2 to 4 generators.
-_ARRAY_TERMS = 32
+def _array_sum(a: "QElement", b: "QElement", sign: int):
+    """a + b (sign 1) or a - b (sign -1) by a merge of the exponent rows; the
+    result is held as arrays.  None when the common box of the rows has more
+    codes than int64 holds.
+
+    The rows of both operands are coded over their common box and sorted
+    stably, so an exponent held by both is the run a_e, +-b_e, summed as the
+    loop of :class:`~ncdiff.carrier.Terms` sums it (x - y is x + (-y) in
+    floating point), and every other coefficient stays as it is, negated for
+    b when sign is -1: the coefficients are the loop's bit for bit.
+    """
+    (E, ca), (F, cb) = a.keyed(), b.keyed()
+    if not len(E) + len(F):
+        return QElement(a.spec)
+    cols = np.concatenate([E.T, F.T], axis=1)  # one row per generator
+    vals = np.concatenate([ca, cb if sign > 0 else -cb])
+    lo = cols.min(1)
+    box = _box(lo.tolist(), cols.max(1).tolist())
+    if box is None:
+        return None
+    codes = box[1] @ (cols - lo[:, None])
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return _keyed_element(a.spec, cols[:, order[starts]].T,
+                          np.add.reduceat(vals[order], starts))
+
+
+def _array_adjoint(a: "QElement") -> "QElement":
+    """a^* held as arrays: conjugate coefficients on the negated exponent
+    rows, times exp(i phi) where the angle phi of :func:`_adjoint_angle`,
+    taken in its association, is nonzero."""
+    E, c = a.keyed()
+    v = c.conj()
+    if a.spec._pairs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ang = _adjoint_angle(a.spec, E.T)
+            np.multiply(v, np.exp(1j * ang), out=v, where=ang != 0.0)
+    return _keyed_element(a.spec, -E, v)
 
 
 def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
@@ -304,10 +404,13 @@ class QElement(Terms):
     """Finite complex combination of normal-ordered monomials.
 
     Immutable; all operations return new elements.  Use ``QElement.monomial``
-    or :func:`normal_order` to construct non-trivial elements.
+    or :func:`normal_order` to construct non-trivial elements.  The terms
+    are held as the dict ``terms``, the arrays of :meth:`keyed` or both (see
+    the module docstring); ``_keyed`` is None before the arrays are built
+    and False when an exponent is too large for them.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "terms", "_keyed")
 
     def __init__(self, spec: QAlgebraSpec, terms: Mapping[Monomial, complex] | None = None):
         m = spec.generator_count
@@ -321,6 +424,7 @@ class QElement(Terms):
                 tt[tuple(int(x) for x in mono)] = c
         self.spec = spec
         self.terms = tt
+        self._keyed = None
 
     def _like(self, terms: dict) -> "QElement":
         """Element over the same presentation: terms already canonical, only prunes."""
@@ -328,6 +432,7 @@ class QElement(Terms):
         out.spec = self.spec
         eps = self.spec.prune_epsilon
         out.terms = {e: c for e, c in terms.items() if not abs(c) <= eps}
+        out._keyed = None
         return out
 
     # -- constructors ------------------------------------------------------
@@ -360,35 +465,105 @@ class QElement(Terms):
         if not self.spec.same_as(other.spec):
             raise SpecMismatchError("elements live over different presentations")
 
+    def _size(self) -> int:
+        keyed = self._keyed
+        return len(keyed[0]) if keyed else len(self.terms)
+
+    def _array_merge(self, other, sign: int):
+        """``self + sign * other`` by :func:`_array_sum`, or None for the loop;
+        one of the two elements holds arrays.
+
+        The array route runs when both operands hold arrays, or when one
+        has more than ``_ARRAY_TERMS`` terms; the other then builds its
+        arrays, unless an exponent is 2**62 or more.  Two operands held as
+        dicts keep the loop: building both their arrays costs as much as the
+        loop itself up to about 1,000 terms.
+        """
+        if not (self._keyed and other._keyed
+                or max(self._size(), other._size()) > _ARRAY_TERMS
+                and self.keyed() is not None and other.keyed() is not None):
+            return None
+        self._check(other)
+        return _array_sum(self, other, sign)
+
+    # The operations below test the held arrays inline and call the loops of
+    # Terms directly: the many small operands of the loops pay no extra call.
+
+    def __add__(self, other):
+        if isinstance(other, QElement) and (self._keyed or other._keyed):
+            out = self._array_merge(other, 1)
+            if out is not None:
+                return out
+        return Terms.__add__(self, other)
+
+    def __sub__(self, other):
+        if isinstance(other, QElement) and (self._keyed or other._keyed):
+            out = self._array_merge(other, -1)
+            if out is not None:
+                return out
+        return Terms.__sub__(self, other)
+
+    # Negation, scaling and norms read arrays only when they are held: built
+    # from a dict first, they cost more than the loops up to several hundred terms.
+
+    def __neg__(self):
+        if self._keyed:
+            E, coeffs = self._keyed
+            return _keyed_element(self.spec, E, -coeffs)
+        return Terms.__neg__(self)
+
+    def scale(self, c: complex) -> "QElement":
+        if self._keyed:
+            E, coeffs = self._keyed
+            return _keyed_element(self.spec, E, complex(c) * coeffs)
+        return Terms.scale(self, c)
+
+    def norm(self) -> float:
+        if self._keyed:
+            coeffs = self._keyed[1]
+            return float(np.abs(coeffs).max()) if len(coeffs) else 0.0  # nan if any is nan
+        return Terms.norm(self)
+
     def __mul__(self, other):
         if isinstance(other, QElement):
             self._check(other)
-            if len(self.terms) * len(other.terms) > _ARRAY_PAIRS:
-                return _array_product(self.spec, self.terms, other.terms)
+            if self._keyed or other._keyed:
+                pairs = self._size() * other._size()
+            else:
+                pairs = len(self.terms) * len(other.terms)
+            if pairs > _ARRAY_PAIRS:
+                return _array_product(self.spec, self, other)
             return self._like(_pair_product(self.spec, self.terms, other.terms))
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         return NotImplemented
 
     def keyed(self):
-        """The exponents as int64 rows and the coefficients as an array, or
-        None when an exponent is 2**62 or more."""
-        E = _exponent_rows(self.terms, self.spec.generator_count)
-        return None if E is None else (E, np.fromiter(self.terms.values(), complex, len(E)))
+        """The exponents as int64 rows and the coefficients as an array, both
+        read-only, or None when an exponent is 2**62 or more.  Built once and
+        kept."""
+        keyed = self._keyed
+        if keyed is None:
+            E = _exponent_rows(self.terms, self.spec.generator_count)
+            keyed = self._keyed = False if E is None else _frozen(
+                E, np.fromiter(self.terms.values(), complex, len(E)))
+        return keyed or None
 
     def _from_keys(self, E, coeffs) -> "QElement":
-        """``coeffs[i]`` on the distinct exponent rows ``E[i]``, pruned as by ``_like``."""
-        coeffs = np.asarray(coeffs)
-        keep = ~(np.abs(coeffs) <= self.spec.prune_epsilon)  # keeps a nan
-        out = self._like({})
-        out.terms = dict(zip(map(tuple, E[keep].tolist()), coeffs[keep].tolist()))
-        return out
+        """``coeffs[i]`` on the distinct exponent rows ``E[i]``, pruned as by
+        ``_like``; held as arrays (copies of them) unless an exponent is
+        2**62 or more."""
+        E = np.array(E, dtype=np.int64, order="F")
+        coeffs = np.array(coeffs, dtype=complex)
+        if _fits(E):
+            return _keyed_element(self.spec, E, coeffs)
+        return self._like(dict(zip(map(tuple, E.tolist()), coeffs.tolist())))
 
     def diagonal_action(self):
         """For a single monomial c U^g: int64 exponent rows E land on E + g,
         weighted by :func:`_monomial_weights`.  None for any other element,
         and when g is too large for int64 rows."""
-        if len(self.terms) != 1:
+        if self._size() != 1:
             return None
         (g, c), = self.terms.items()
         if max(map(abs, g)) >= _EXPONENT_LIMIT:
@@ -398,22 +573,25 @@ class QElement(Terms):
 
     def ad(self):
         """a -> [self, a].  A single monomial c U^g takes the loop
-        :func:`_monomial_ad_loop` on operands of up to ``_ARRAY_TERMS`` terms,
-        bit for bit; everything else goes to :meth:`Normed.ad`."""
+        :func:`_monomial_ad_loop` on operands held as dicts of up to
+        ``_ARRAY_TERMS`` terms, bit for bit; everything else goes to
+        :meth:`Normed.ad`."""
         act = super().ad()
-        if len(self.terms) != 1:
+        if self._size() != 1:
             return act
         (g, c), = self.terms.items()
         spec, angles = self.spec, _exchange_angles(self.spec, g)
 
         def ad(a):
-            if isinstance(a, QElement) and len(a.terms) <= _ARRAY_TERMS:
+            if isinstance(a, QElement) and not a._keyed and len(a.terms) <= _ARRAY_TERMS:
                 self._check(a)
                 return self._like(_monomial_ad_loop(spec, g, c, a.terms, angles))
             return act(a)
         return ad
 
     def adjoint(self) -> "QElement":
+        if self._keyed or len(self.terms) > _ARRAY_TERMS and self.keyed() is not None:
+            return _array_adjoint(self)
         out = {}
         for e, c in self.terms.items():
             ang = _adjoint_angle(self.spec, e)
@@ -437,6 +615,27 @@ class QElement(Terms):
             mono = "".join(f"U{j + 1}^{x}" for j, x in enumerate(e) if x != 0) or "1"
             parts.append(f"({c:.6g})*{mono}")
         return "QElement(" + " + ".join(parts) + ")"
+
+
+class _ArraysOnly(QElement):
+    """A QElement held as arrays only, with its ``terms`` slot unset.
+
+    The first read of ``terms`` reaches ``__getattr__``, which decodes the
+    arrays into the dict and makes the element a plain :class:`QElement`.
+    The hook lives on this subclass alone: a class with ``__getattr__``
+    reads every attribute about three times slower, which elements built
+    from dicts, the many small operands of the loops, must not pay.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(name)
+        E, coeffs = self._keyed
+        self.terms = terms = dict(zip(map(tuple, E.tolist()), coeffs.tolist()))
+        self.__class__ = QElement
+        return terms
 
 
 # -- presentation builders -------------------------------------------------

@@ -561,3 +561,31 @@ def test_cli_config(tmp_path, spec_file):
     bad.write_text(json.dumps({"mystery": 1}))
     rc, _, err = run_cli(["--config", str(bad), "eval", "--spec", spec_file, "U"])
     assert rc == 2
+
+
+def test_small_operands_never_take_the_array_routes(monkeypatch, tmp_path):
+    # selftest and the benchmark's interactive eval commands work on at most
+    # 32 terms, so they keep the loops (and their stdout) bit for bit
+    from ncdiff import qlattice
+
+    def refuse(*args):
+        raise AssertionError("array route entered")
+    for name in ("_array_sum", "_array_adjoint", "_array_product", "_keyed_element"):
+        monkeypatch.setattr(qlattice, name, refuse)
+    rc, out, err = run_cli(["selftest"])
+    assert rc == 0 and err == "" and out.count(" PASS\n") == len(out.splitlines())
+    workloads = _benchmark_workloads(monkeypatch)
+    names = workloads.write_interactive_files(workloads.load_ncdiff(), tmp_path)
+    files = {"{torus}": [names[f"torus-{theta}"] for theta in workloads.INTERACTIVE_THETAS],
+             "{heis}": [names[f"heis-{mu}-{nu}"] for mu, nu in workloads.INTERACTIVE_HEIS]}
+    ran = 0
+    for template in workloads.TORUS_COMMANDS + workloads.HEIS_COMMANDS:
+        if template[0] != "eval":
+            continue
+        slot = next(a for a in template if a in files)
+        for name in files[slot]:
+            argv = [str(tmp_path / name) if a == slot else a for a in template]
+            rc, out, err = run_cli(argv)
+            assert rc == 0 and err == "" and out, argv
+            ran += 1
+    assert ran == 8 * 3 + 6 * 2

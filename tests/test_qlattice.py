@@ -433,3 +433,244 @@ def test_small_products_stay_on_the_loop(torus, rng, monkeypatch):
     a * b  # 256 pairs: at the cut
     with pytest.raises(AssertionError, match="array route"):
         a * _element(torus, rng, 6, 17)
+
+
+# -- the array routes of sums, negation, scaling, adjoints and norms ----------
+
+ROUTE_SPECS = [torus_spec(THETA), heisenberg_spec(MU, NU), torus_spec_2n([0.3, 1.1])]
+ROUTE_SIZES = [qlattice._ARRAY_TERMS + 1, 100, 500, 2000]
+LIFTED = 10 ** 9
+
+
+def _box_for(spec, n_terms):
+    """Largest exponent K whose box [-K, K]^m holds about twice ``n_terms``
+    exponents, so that two random operands share many of them."""
+    return max(1, math.ceil(((2 * n_terms) ** (1 / spec.generator_count) - 1) / 2))
+
+
+def _held(x):
+    """A copy of x held as arrays only, as the array routes return elements."""
+    return x._from_keys(*x.keyed())
+
+
+def _dict_only(x):
+    """A copy of x held as a dict only."""
+    return QElement(x.spec, x.terms)
+
+
+def _loop_route(f, *xs):
+    """f on dict-only copies of xs with every cut lifted: the loops, the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlattice, "_ARRAY_TERMS", LIFTED)
+        mp.setattr(qlattice, "_ARRAY_PAIRS", LIFTED)
+        return f(*(_dict_only(x) for x in xs))
+
+
+def _assert_python_terms(x):
+    assert all(type(e) is tuple and all(type(v) is int for v in e) for e in x.terms)
+    assert all(type(c) is complex for c in x.terms.values())
+
+
+def _assert_same_terms(got, want):
+    """Equal keys and exactly equal coefficients (== ignores a zero's sign);
+    a nan stands where the oracle has one."""
+    _assert_python_terms(got)
+    assert set(got.terms) == set(want.terms)
+    for e, c in want.terms.items():
+        assert got.terms[e] == c or cmath.isnan(c) and cmath.isnan(got.terms[e]), e
+
+
+def _assert_close_terms(got, want, tol=1e-13):
+    """Equal keys and coefficients within ``tol`` (relative above modulus 1)."""
+    _assert_python_terms(got)
+    assert set(got.terms) == set(want.terms)
+    for e, c in want.terms.items():
+        if cmath.isnan(c):
+            assert cmath.isnan(got.terms[e]), e
+        else:
+            assert abs(got.terms[e] - c) <= tol * max(1.0, abs(c)), e
+
+
+def _operand_pair(spec, rng, n_terms):
+    """Two operands of ``n_terms`` terms sharing many exponents; on a quarter
+    of the shared ones, b is exactly -a, so a + b cancels there."""
+    K = _box_for(spec, n_terms)
+    a, b = _element(spec, rng, K, n_terms), _element(spec, rng, K, n_terms)
+    shared = sorted(set(a.terms) & set(b.terms))
+    cancel = {e: -a.terms[e] for e in shared[::4]}
+    return a, QElement(spec, {**b.terms, **cancel})
+
+
+def _route_cases(a, b):
+    """(a, b) held as arrays, as dicts, and mixed."""
+    return [(_held(a), _held(b)), (_dict_only(a), _dict_only(b)),
+            (_held(a), _dict_only(b)), (_dict_only(a), _held(b))]
+
+
+@pytest.mark.parametrize("n_terms", ROUTE_SIZES)
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
+def test_array_sums_match_the_loop(spec, n_terms, rng):
+    a, b = _operand_pair(spec, rng, n_terms)
+    want = {"a+b": _loop_route(lambda x, y: x + y, a, b),
+            "a-b": _loop_route(lambda x, y: x - y, a, b),
+            "b-a": _loop_route(lambda x, y: y - x, a, b)}
+    assert len(want["a+b"].terms) < len(set(a.terms) | set(b.terms))  # some cancel
+    for x, y in _route_cases(a, b):
+        got = {"a+b": x + y, "a-b": x - y, "b-a": y - x}
+        for key, out in got.items():
+            # an operand held as arrays sends the sum to the array route
+            assert bool(out._keyed) == bool(x._keyed or y._keyed)
+            _assert_same_terms(out, want[key])
+
+
+@pytest.mark.parametrize("n_terms", ROUTE_SIZES)
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
+def test_array_unary_routes_match_the_loop(spec, n_terms, rng):
+    a = _element(spec, rng, _box_for(spec, n_terms), n_terms)
+    neg = _loop_route(lambda x: -x, a)
+    scaled = [_loop_route(lambda x: x.scale(c), a) for c in (0.3 - 1.7j, 2, -1e-13)]
+    adj = _loop_route(lambda x: x.adjoint(), a)
+    norm = _loop_route(lambda x: x.norm(), a)
+    for x in (_held(a), _dict_only(a)):
+        _assert_same_terms(-x, neg)
+        for c, want in zip((0.3 - 1.7j, 2, -1e-13), scaled):
+            _assert_close_terms(x.scale(c), want)
+        got = x.adjoint()
+        assert got._keyed  # the array route ran
+        _assert_close_terms(got, adj)
+        _assert_close_terms(got.adjoint(), a)
+        assert abs(x.norm() - norm) <= 1e-13 * norm
+    assert len(scaled[2].terms) < n_terms  # the small scale prunes some terms
+
+
+@pytest.mark.parametrize("spec, gens", [
+    (torus_spec(THETA), [1]),
+    (heisenberg_spec(MU, NU), [1, 2]),
+    (torus_spec_2n([0.3, 1.1]), [1, 3]),
+], ids=["torus", "heisenberg", "torus2n"])
+def test_array_laplacian_and_heat_match_the_loop(spec, gens, rng):
+    from ncdiff.dirichlet import heat_semigroup, laplacian
+    from ncdiff.forms import DifferentialBasis
+
+    basis = DifferentialBasis([QElement.generator(spec, g).scale(0.8 + 0.3j) for g in gens])
+    for n_terms in ROUTE_SIZES:
+        a = _element(spec, rng, _box_for(spec, n_terms), n_terms)
+        want = _loop_route(lambda x: laplacian(x, basis), a)
+        for x in (_held(a), _dict_only(a)):
+            got = laplacian(x, basis)
+            assert got.keyed() is not None
+            _assert_close_terms(got, want)
+            heat = heat_semigroup(x, 0.3, basis)
+            # Delta is diagonal on monomials: e^{-t Delta} decays each term alone
+            decay = {e: c * math.exp(-0.3 * (want.terms.get(e, 0j) / c).real)
+                     for e, c in a.terms.items()}
+            _assert_close_terms(heat, QElement(spec, decay))
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
+def test_mixed_representation_chains_match_the_loop(spec, rng):
+    K = _box_for(spec, 60)
+    x = _element(spec, rng, K, 40)               # a dict, above the cut
+    y = _held(_element(spec, rng, K, 60))        # arrays
+    z = _element(spec, rng, K, 5)                # a small dict
+    w = _held(_element(spec, rng, K, 3))         # small arrays
+
+    def chain(x, y, z, w):
+        xy = x * y
+        return ((xy * z - y.adjoint() * x.scale(0.5j) + (w * z) * (x + y)).adjoint()
+                - (z * w) * xy + w * w)
+    _assert_close_terms(chain(x, y, z, w), _loop_route(chain, x, y, z, w))
+
+
+@pytest.mark.parametrize("prune_epsilon", [1e-12, 0.0, -1.0])
+def test_array_routes_prune_as_the_loop(prune_epsilon, rng):
+    spec = QAlgebraSpec(torus_spec(THETA).theta, prune_epsilon=prune_epsilon)
+    a = QElement(spec, {(k, k % 3): complex(k + 1, -k) for k in range(50)})
+    b = QElement(spec, {(k, k % 3): complex(-k - 1, k + (k % 2) * 1e-13) for k in range(50)})
+    cases = {"sum": lambda x, y: x + y, "difference": lambda x, y: x - y,
+             "zero scale": lambda x, y: x.scale(0), "tiny scale": lambda x, y: y.scale(1e-12),
+             "adjoint": lambda x, y: (x + y).adjoint()}
+    for name, f in cases.items():
+        want = _loop_route(f, a, b)
+        for x, y in _route_cases(a, b):
+            _assert_close_terms(f(x, y), want)
+    kept = len((_held(a) + _held(b)).terms)
+    assert kept == {1e-12: 0, 0.0: 25, -1.0: 50}[prune_epsilon]
+
+
+def test_array_routes_keep_nan(rng):
+    spec = heisenberg_spec(MU, NU)
+    a = _element(spec, rng, 4, 60)
+    e0 = next(iter(a.terms))
+    a = QElement(spec, {**a.terms, e0: complex(math.nan, 1.0)})
+    b = _element(spec, rng, 4, 60)
+    for x in (_held(a), _dict_only(a)):
+        assert math.isnan(x.norm())
+        assert cmath.isnan((x + _held(b)).terms[e0])
+        assert cmath.isnan(x.adjoint().terms[tuple(-v for v in e0)])
+        assert cmath.isnan(x.scale(2j).terms[e0]) and cmath.isnan((-x).terms[e0])
+    _assert_same_terms(_held(a) - _held(b), _loop_route(lambda x, y: x - y, a, b))
+
+
+def test_array_routes_on_empty_operands(heisenberg, rng):
+    a = _held(_element(heisenberg, rng, 4, 60))
+    zero = QElement.zero(heisenberg)
+    held_zero = zero._from_keys(np.zeros((0, 3), np.int64), [])
+    for z in (zero, held_zero):
+        _assert_same_terms(a + z, a)
+        _assert_same_terms(z + a, a)
+        _assert_same_terms(z - a, -a)
+        assert (a - a).terms == {}
+        assert (z * a).terms == {} and (a * z).terms == {}
+    assert (held_zero + held_zero).terms == {} and held_zero.adjoint().terms == {}
+    assert held_zero.norm() == 0.0 and (-held_zero).norm() == 0.0
+    assert held_zero.scale(3).terms == {}
+
+
+def test_huge_exponents_stay_dicts():
+    spec = torus_spec(THETA)
+    big = QElement(spec, {(2 ** 62 + k, 1): 1.0 + k for k in range(40)})
+    huge = QElement(spec, {(2 ** 63 + k, -1): 1j * k for k in range(1, 41)})
+    small = QElement(spec, {(k, 1): 1.0 for k in range(40)})
+    for x in (big, huge):
+        assert x.keyed() is None and x._keyed is False
+        for f in (lambda x: x + small, lambda x: small - x, lambda x: -x,
+                  lambda x: x.scale(2), lambda x: x.adjoint(), lambda x: x * small):
+            got = f(x)
+            assert got.keyed() is None
+            _assert_close_terms(got, _loop_route(f, x))
+        assert x.norm() == _loop_route(lambda x: x.norm(), x)
+    # exponents that fit int64 but reach 2**62 come back as a dict
+    rows = np.array([[2 ** 62 + 5, 0]], dtype=np.int64)
+    assert small._from_keys(rows, [2.0]).terms == {(2 ** 62 + 5, 0): 2 + 0j}
+    assert small._from_keys(rows, [2.0]).keyed() is None
+    half = QElement(spec, {(2 ** 61 + k, 0): 1.0 for k in range(20)})
+    square = half * half  # 400 pairs, products reach 2**62
+    assert square.keyed() is None
+    _assert_close_terms(square, loop_product(half, half))
+
+
+def test_terms_decoded_from_arrays_are_python_scalars(torus, rng):
+    a = _element(torus, rng, 6, 60)
+    x = _held(a)
+    assert type(x) is qlattice._ArraysOnly and isinstance(x, QElement)
+    with pytest.raises(AttributeError):
+        QElement.terms.__get__(x)  # held as arrays only
+    assert x.terms == a.terms and x.terms is x.terms  # decoded once, then kept
+    assert type(x) is QElement  # and a plain element from then on
+    _assert_python_terms(x)
+    assert x.keyed()[0].flags.writeable is False and x.keyed()[1].flags.writeable is False
+    with pytest.raises(AttributeError):
+        x.no_such_attribute
+
+
+def test_small_sums_mix_arrays_and_dicts(heisenberg, rng):
+    # an operand held as arrays and a small dict take the loop, in either order
+    a, b = _element(heisenberg, rng, 2, 5), _element(heisenberg, rng, 2, 7)
+    for x, y in _route_cases(a, b):
+        _assert_same_terms(x + y, _loop_route(lambda u, v: u + v, a, b))
+        _assert_same_terms(y - x, _loop_route(lambda u, v: v - u, a, b))
+    from ncdiff.matrix_algebra import MatElement
+    with pytest.raises(TypeError):
+        _held(a) + MatElement(np.eye(2))
+    assert _held(a).__add__(1.5) is NotImplemented
