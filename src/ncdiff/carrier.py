@@ -22,8 +22,12 @@ coefficients at or below ``PRUNE_EPSILON`` in modulus are dropped.  A nan
 coefficient is never dropped and makes the norm nan, so the finiteness
 checks of :mod:`ncdiff.expr` see it.
 
-The array routes of the q-lattice and graph products both sum their
-coefficients by int64 term code through :func:`sum_by_code`.
+The q-lattice and graph carriers may also hold their terms as keyed arrays
+(:class:`HeldTerms`): int64 keys, one row per term, and complex coefficients.
+Their array products sum coefficients by int64 term code through
+:func:`sum_by_code`; their sums merge sorted term codes, negation, scaling
+and norms read the held arrays, and an element held as arrays only builds
+its dict on first read (:func:`arrays_only`), all here, for both carriers.
 """
 
 from __future__ import annotations
@@ -48,6 +52,53 @@ def sum_by_code(codes: np.ndarray, c: np.ndarray):
     inv = inv.ravel()  # numpy 2.0 may return it shaped
     n = len(u)
     return u, np.bincount(inv, c.real, n) + 1j * np.bincount(inv, c.imag, n)
+
+
+def exact_product(c: complex, v: np.ndarray) -> np.ndarray:
+    """c * v as Python multiplies complex numbers, bit for bit: numpy's own
+    complex product may fuse a multiply and an add, and round differently."""
+    out = np.empty_like(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in Python
+        out.real = c.real * v.real - c.imag * v.imag
+        out.imag = c.real * v.imag + c.imag * v.real
+    return out
+
+
+def frozen(keys: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """Keyed arrays made read-only, so that elements may share them."""
+    keys.setflags(write=False)
+    coeffs.setflags(write=False)
+    return keys, coeffs
+
+
+def held_arrays(keys: np.ndarray, coeffs: np.ndarray, eps: float) -> tuple:
+    """Key rows and coefficients without the coefficients at or below ``eps``
+    in modulus (a nan is kept), rows in column-major order, read-only."""
+    keep = ~(np.abs(coeffs) <= eps)
+    if not keep.all():
+        keys, coeffs = keys.T[:, keep].T, coeffs[keep]
+    return frozen(np.asfortranarray(keys), coeffs)
+
+
+def arrays_only(plain: type) -> type:
+    """The subclass of ``plain`` for elements held as arrays only, with the
+    ``terms`` slot unset.
+
+    The first read of ``terms`` reaches ``__getattr__``, which decodes the
+    held arrays with ``_decode`` and makes the element a plain one.  The hook
+    lives on this subclass alone: a class with ``__getattr__`` reads every
+    attribute about three times slower, which elements built from dicts, the
+    many small operands of the loops, must not pay.
+    """
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = terms = self._decode()
+        self.__class__ = plain
+        return terms
+    return type("_ArraysOnly", (plain,), {"__slots__": (), "__getattr__": __getattr__,
+                                          "__module__": plain.__module__,
+                                          "__doc__": arrays_only.__doc__})
 
 
 def commutator(x, a):
@@ -144,3 +195,102 @@ class Terms(Normed):
     def norm(self) -> float:
         """Largest coefficient modulus (0.0 for the zero element, nan if any is nan)."""
         return largest(abs(c) for c in self.terms.values())
+
+
+class HeldTerms(Terms):
+    """Terms held as the dict ``terms``, as keyed arrays or as both.
+
+    ``_keyed`` is None before the arrays are built, False when the terms
+    cannot be coded, else ``(keys, coeffs)``: read-only int64 key rows, one
+    per term in column-major order, and complex coefficients.  Elements built
+    from dicts hold dicts; the array routes return elements held as arrays
+    (``arrays_only``), which pass them on to the next array route.  A
+    subclass supplies ``_encode()`` (the arrays of ``terms``, or None),
+    ``_decode()`` (the dict of the held arrays), ``_held(keys, coeffs)``
+    (an element held as arrays, pruned), ``_sum_codes(cols)`` (int64 codes of
+    the key columns ``cols``, equal for equal keys, or None) and
+    ``_merge_terms``, the sum cut of :meth:`_array_merge`.
+    """
+
+    __slots__ = ()
+
+    def _arrays(self):
+        """The held arrays, built once and kept; None when the terms cannot be coded."""
+        keyed = self._keyed
+        if keyed is None:
+            keyed = self._keyed = self._encode() or False
+        return keyed or None
+
+    def _size(self) -> int:
+        keyed = self._keyed
+        return len(keyed[1]) if keyed else len(self.terms)
+
+    def _array_merge(self, other, sign: int):
+        """``self + sign * other`` by a merge of sorted term codes, or None
+        for the loop; one of the two elements holds arrays.
+
+        The merge runs when both operands hold arrays, or when one has more
+        than ``_merge_terms`` terms; the other then builds its arrays, unless
+        it cannot be coded.  The codes of both operands are sorted stably, so
+        a key held by both is the run a_k, +-b_k, summed as the loop of
+        :class:`Terms` sums it (x - y is x + (-y) in floating point), and
+        every other coefficient stays as it is, negated for b when sign is -1:
+        the coefficients are the loop's bit for bit.
+        """
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
+            return None
+        if not (self._keyed and other._keyed
+                or max(self._size(), other._size()) > self._merge_terms
+                and self._arrays() is not None and other._arrays() is not None):
+            return None
+        self._check(other)
+        (A, ca), (B, cb) = self._keyed, other._keyed
+        cols = np.concatenate([A.T, B.T], axis=1)  # one row per key column
+        if not cols.shape[1]:
+            return self._held(A, ca)
+        codes = self._sum_codes(cols)
+        if codes is None:
+            return None
+        vals = np.concatenate([ca, cb if sign > 0 else -cb])
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        return self._held(cols[:, order[starts]].T, np.add.reduceat(vals[order], starts))
+
+    # The operations below test the held arrays inline and call the loops of
+    # Terms directly: the many small operands of the loops pay no extra call.
+
+    def __add__(self, other):
+        if isinstance(other, HeldTerms) and (self._keyed or other._keyed):
+            out = self._array_merge(other, 1)
+            if out is not None:
+                return out
+        return Terms.__add__(self, other)
+
+    def __sub__(self, other):
+        if isinstance(other, HeldTerms) and (self._keyed or other._keyed):
+            out = self._array_merge(other, -1)
+            if out is not None:
+                return out
+        return Terms.__sub__(self, other)
+
+    # Negation, scaling and norms read arrays only when they are held: built
+    # from a dict first, they cost more than the loops up to several hundred terms.
+
+    def __neg__(self):
+        if self._keyed:
+            keys, coeffs = self._keyed
+            return self._held(keys, -coeffs)
+        return Terms.__neg__(self)
+
+    def scale(self, c: complex):
+        if self._keyed:
+            keys, coeffs = self._keyed
+            return self._held(keys, exact_product(complex(c), coeffs))
+        return Terms.scale(self, c)
+
+    def norm(self) -> float:
+        if self._keyed:
+            coeffs = self._keyed[1]
+            return float(np.abs(coeffs).max()) if len(coeffs) else 0.0  # nan if any is nan
+        return Terms.norm(self)

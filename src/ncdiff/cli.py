@@ -63,12 +63,16 @@ class Config:
         return cfg
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_list(text: str, option: str, kind=int) -> list:
+    """The comma-separated ints (or floats) of an option; ValueError names a bad item."""
+    out = []
+    for x in filter(str.strip, text.split(",")):
+        try:
+            out.append(kind(x))
+        except ValueError:
+            raise ValueError(f"{option} takes comma-separated {kind.__name__}s, "
+                             f"got {x.strip()!r}") from None
+    return out
 
 
 def _emit(obj) -> None:
@@ -81,7 +85,7 @@ def _cmd_eval(args, cfg: Config) -> int:
     spec.prune_epsilon = cfg.prune_epsilon
     basis = None
     if args.basis:
-        gens = [QElement.generator(spec, i) for i in _parse_int_list(args.basis)]
+        gens = [QElement.generator(spec, i) for i in _parse_list(args.basis, "--basis")]
         basis = DifferentialBasis(gens, label=f"generators {args.basis}")
     ctx = expr.EvalContext(spec, basis)
     ast = expr.parse(args.expression)
@@ -137,8 +141,7 @@ def _cmd_graph(args, cfg: Config) -> int:
         _emit({"closed_terms": ga.h0_report_json(report)["closed_terms"]})
         return 0
     if not args.path:
-        print("criterion needs a comma-separated edge path", file=sys.stderr)
-        return BAD_INPUT
+        raise ValueError("criterion needs a comma-separated edge path")
     mu = graph.path(args.path.split(","))
     flag = ga.full_isometry_criterion(graph, mu)
     verified = ga.expand_projection_check(graph, mu) if flag else None
@@ -151,7 +154,7 @@ def _cmd_semigroup(args, cfg: Config) -> int:
     n = args.n
     basis = DifferentialBasis(projection_basis(n), mode="selfadjoint",
                               label=f"M_{n} projections")
-    ts = _parse_float_list(args.t)
+    ts = _parse_list(args.t, "--t", float)
     audit = dirichlet.audit_semigroup(ts, n, basis, samples=args.samples)
     if args.csv:
         sys.stdout.write(audit.to_csv())
@@ -161,16 +164,16 @@ def _cmd_semigroup(args, cfg: Config) -> int:
 
 
 def _cmd_deform(args, cfg: Config) -> int:
-    params = _parse_float_list(args.params)
+    params = _parse_list(args.params, "--params", float)
     if args.family == "torus":
-        coeffs = {(d,): 1.0 for d in _parse_int_list(args.degrees)}
+        coeffs = {(d,): 1.0 for d in _parse_list(args.degrees, "--degrees")}
         sweep = dfm.torus_limit_sweep(coeffs, params)
     elif args.family == "plane":
-        k = tuple(_parse_int_list(args.k))
-        t = tuple(_parse_int_list(args.t))
+        k = tuple(_parse_list(args.k, "--k"))
+        t = tuple(_parse_list(args.t, "--t"))
         sweep = dfm.plane_limit_sweep(k, {t: 1.0}, params, step=args.step)
     else:
-        e = tuple(_parse_int_list(args.exponents))
+        e = tuple(_parse_list(args.exponents, "--exponents"))
         sweep = dfm.heisenberg_limit_sweep(args.direction, e, params,
                                            mu=args.mu, nu=args.nu)
     if args.summary:

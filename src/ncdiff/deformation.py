@@ -177,9 +177,9 @@ def heisenberg_limit_sweep(direction: str, exponents: tuple[int, int, int],
 
     def cases(hbar):
         spec = heisenberg_spec(mu, nu, hbar=hbar)
+        x = QElement.monomial(spec, exponents)  # raises on a wrong arity
         m, n, k = exponents
-        return [(QElement.generator(spec, generator), QElement.monomial(spec, (m, n, k)),
-                 QElement(spec, limit(m, n, k, mu, nu)))]
+        return [(QElement.generator(spec, generator), x, QElement(spec, limit(m, n, k, mu, nu)))]
 
     return _limit_sweep("hbar", hbars, f"direction {direction}: coefficientwise limit factor",
                         cases)

@@ -8,27 +8,48 @@ p_{r(e)}``); the completeness relation ``p_v = sum s_e s_e^*`` is applied
 only on demand with a bounded expansion depth, since unrestricted rewriting
 does not terminate on graphs with loops.
 
+An element holds its terms as a dict keyed by pairs of paths, as int64
+path codes (the codes of mu and nu of each term, see :func:`_term_codes`,
+and complex coefficients), or as both, and builds the missing one once, on
+demand, and keeps it.  Elements built from dicts hold dicts; the array
+routes below return elements held as codes, which pass them on to the next
+array route without building a path.  Paths come back from codes only when
+``terms`` is read, for I/O and for the loops.  An element with a path
+foreign to the graph, or with a path too long for int64 codes, is held only
+as a dict and always takes the loops.
+
 A product has two routes.  Up to ``_ARRAY_PAIRS`` term pairs, a Python loop
 takes the pairs one by one (:func:`_pair_product` over
-:func:`_term_product`).  Above that cut, :func:`_array_product` codes each
-path as an integer (length, source index, edge digits), matches the codes of
-nu against the prefixes of every alpha and the prefixes of every nu against
-alpha in numpy, and sums the coefficients by term code.  The cut sits near
-the measured crossover (16 x 16 terms on the 4-cycle).  Operands whose codes
-would not fit in int64, or that hold a path foreign to the graph, take the
-loop at any size.  The loop is the oracle that the tests hold the array
-route to.
+:func:`_term_product`).  Above that cut, :func:`_array_product` matches the
+codes of nu against the prefixes of every alpha and the prefixes of every nu
+against alpha in numpy, and sums the coefficients by term code.  The cut
+sits near the measured crossover (16 x 16 terms on the 4-cycle).  Operands
+that cannot be coded, or whose product codes would not fit in int64, take
+the loop at any size.
+
+Sums, differences, negation, scaling, norms and the commutator with a
+scaled vertex projection take the array routes when an operand holds codes,
+and the loops otherwise: coding a dict costs more than these loops, and
+decoding codes more than coding.  Adjoints of dicts with more than
+``_ARRAY_TERMS`` terms take the array route too.  Sums merge sorted term
+codes (``HeldTerms._array_merge`` in :mod:`ncdiff.carrier`), the adjoint
+swaps the two codes of each term, and the vertex action weighs each term by
+the source index of its codes: all three give the loops' coefficients bit
+for bit.  Elements built from dicts, such as every operand of ``selftest``
+and of the CLI's graph commands, keep the loops and their results bit for
+bit up to these cuts.  The loops are the oracle that the tests hold the
+array routes to.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, Terms, sum_by_code
+from .carrier import (PRUNE_EPSILON, HeldTerms, arrays_only, exact_product, frozen,
+                      held_arrays, sum_by_code)
 
 
 @dataclass(frozen=True)
@@ -79,10 +100,20 @@ class DirectedGraph:
             self.edges[name] = (str(src), str(rng))
         self._out = {v: tuple(e for e, (s, _) in self.edges.items() if s == v)
                      for v in self.vertices}
-        # integer codes of the array product (see _path_rows)
+        # int64 path codes (see _term_codes): pw[L] = base**L and off[L], the
+        # number of codes of the paths shorter than L, for the lengths whose
+        # codes stay below _CODE_LIMIT
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._edge_rows = {e: (i, s, r) for i, (e, (s, r)) in enumerate(self.edges.items())}
         self._edge_names = tuple(self.edges)
+        self._base = base = max(len(self.edges), 1)
+        n = len(self.vertices)
+        pw, off = [1], [0, n]
+        while len(pw) < _CODED_LENGTHS and off[-1] + n * pw[-1] * base <= _CODE_LIMIT:
+            pw.append(pw[-1] * base)
+            off.append(off[-1] + n * pw[-1])
+        self._pw, self._off = pw, off
+        self._pw_a, self._off_a = np.array(pw, np.int64), np.array(off, np.int64)
 
     def source(self, edge: str) -> str:
         return self.edges[edge][0]
@@ -196,10 +227,28 @@ def graph_to_text(g: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-class GraphElement(Terms):
-    """Complex combination of terms s_mu s_nu^* over a fixed graph."""
+# Products with more term pairs than this take the array route; both routes
+# took the same time near 16 x 16 terms on the 4-cycle.
+_ARRAY_PAIRS = 256
+# Adjoints of dict operands with more terms than this take the array route;
+# both routes took the same time near 192 terms.  Coding a dict costs more
+# than the loops of sums and vertex commutators at every size measured (up
+# to 900 terms), and decoding costs more than coding: these take the array
+# routes when an operand holds arrays, and the loops otherwise.
+_ARRAY_TERMS = 192
+# Path codes stay below this, and coded paths have fewer edges than
+# _CODED_LENGTHS (which bounds the tables of a graph with one edge).
+_CODE_LIMIT = 2 ** 62
+_CODED_LENGTHS = 64
 
-    __slots__ = ("graph", "terms")
+
+class GraphElement(HeldTerms):
+    """Complex combination of terms s_mu s_nu^* over a fixed graph, held as
+    the dict ``terms``, as int64 path codes or as both (see the module
+    docstring and :class:`~ncdiff.carrier.HeldTerms`)."""
+
+    __slots__ = ("graph", "terms", "_keyed")
+    _merge_terms = 0
 
     def __init__(self, graph: DirectedGraph,
                  terms: Mapping[CKTerm, complex] | None = None):
@@ -212,12 +261,14 @@ class GraphElement(Terms):
                 tt[(mu, nu)] = c
         self.graph = graph
         self.terms = tt
+        self._keyed = None
 
     def _like(self, terms: dict) -> "GraphElement":
         """Element over the same graph: terms already canonical, only prunes."""
         out = object.__new__(GraphElement)
         out.graph = self.graph
         out.terms = {t: c for t, c in terms.items() if not abs(c) <= PRUNE_EPSILON}
+        out._keyed = None
         return out
 
     @classmethod
@@ -235,8 +286,12 @@ class GraphElement(Terms):
     def __mul__(self, other):
         if isinstance(other, GraphElement):
             self._check(other)
-            if len(self.terms) * len(other.terms) > _ARRAY_PAIRS:
-                return _array_product(self.graph, self.terms, other.terms)
+            if self._keyed or other._keyed:
+                pairs = self._size() * other._size()
+            else:
+                pairs = len(self.terms) * len(other.terms)
+            if pairs > _ARRAY_PAIRS:
+                return _array_product(self.graph, self, other)
             return self._like(_pair_product(self.terms, other.terms))
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
@@ -251,16 +306,62 @@ class GraphElement(Terms):
         out.terms = {k: c for k, c in zip(keys, coeffs) if not abs(c) <= PRUNE_EPSILON}
         return out
 
+    def _encode(self):
+        K = _term_codes(self.graph, self.terms)
+        return None if K is None else frozen(K, np.fromiter(self.terms.values(), complex, len(K)))
+
+    def _decode(self) -> dict:
+        """The terms of the held codes, each distinct path built once."""
+        K, coeffs = self._keyed
+        graph, codes = self.graph, np.unique(K)
+        L, S, D = _split(graph, codes)
+        k = np.arange(int(L.max()) if len(L) else 0)
+        # edge k of a path of length L (k < L) is the digit D // base**(L-1-k) % base
+        digits = D[:, None] // graph._pw_a[np.maximum(L[:, None] - 1 - k, 0)] % graph._base
+        paths = []
+        for n, s, row in zip(L.tolist(), S.tolist(), digits.tolist()):
+            edges = tuple(graph._edge_names[e] for e in row[:n])
+            source = graph.vertices[s]
+            paths.append(Path(source, edges, graph.edges[edges[-1]][1] if n else source))
+        mu, nu = np.searchsorted(codes, K.T).tolist()
+        return {(paths[i], paths[j]): c for i, j, c in zip(mu, nu, coeffs.tolist())}
+
+    def _held(self, K, coeffs) -> "GraphElement":
+        return _held_element(self.graph, K, coeffs)
+
+    def _sum_codes(self, cols):
+        """code(mu) size + code(nu), with ``size`` one more than the largest
+        path code, or None when that does not fit in int64."""
+        size = int(cols.max()) + 1
+        return None if size * size > 2 ** 63 else cols[0] * size + cols[1]
+
     def diagonal_action(self):
         """For a scaled vertex projection c p_v: :func:`_vertex_action`.
         None for any other element."""
-        if len(self.terms) == 1:
+        if self._size() == 1:
             ((mu, nu), c), = self.terms.items()
             if mu == nu and not mu.edges:
                 return _vertex_action(mu.source, c)
         return None
 
+    def ad(self):
+        """a -> [self, a].  A scaled vertex projection c p_v weighs the path
+        codes of an operand that holds them by :func:`_array_vertex_action`;
+        everything else goes to :meth:`Normed.ad`."""
+        act = super().ad()
+        if self._size() != 1:
+            return act
+        ((mu, nu), c), = self.terms.items()
+        v = self.graph._vertex_index.get(mu.source)
+        if mu != nu or mu.edges or v is None:
+            return act
+        return lambda a: (_array_vertex_action(self, a, v, c)
+                          if isinstance(a, GraphElement) and a._keyed else act(a))
+
     def adjoint(self) -> "GraphElement":
+        if self._keyed or len(self.terms) > _ARRAY_TERMS and self._arrays() is not None:
+            K, coeffs = self._keyed
+            return _held_element(self.graph, K[:, ::-1], coeffs.conj())
         return self._like({(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()})
 
     def __repr__(self):
@@ -272,6 +373,18 @@ class GraphElement(Terms):
                         f"s[{'.'.join(nu.edges) or nu.source}]*")
         more = "..." if len(self.terms) > 6 else ""
         return "GraphElement(" + " + ".join(bits) + more + ")"
+
+
+_ArraysOnly = arrays_only(GraphElement)
+
+
+def _held_element(graph: DirectedGraph, K: np.ndarray, coeffs: np.ndarray) -> GraphElement:
+    """The element with ``coeffs[i]`` on the term with path codes ``K[i]``,
+    pruned as by ``GraphElement._like`` and held as arrays."""
+    out = object.__new__(_ArraysOnly)
+    out.graph = graph
+    out._keyed = held_arrays(K, coeffs, PRUNE_EPSILON)
+    return out
 
 
 def vertex_projection(graph: DirectedGraph, v: str) -> GraphElement:
@@ -334,43 +447,95 @@ def _pair_product(ta: dict, tb: dict) -> dict:
     return out
 
 
-# Products with more term pairs than this take the array route; both routes
-# took the same time near 16 x 16 terms on the 4-cycle.
-_ARRAY_PAIRS = 256
-# Edge digits of an array-product operand stay below this, so they fit in int64.
-_DIGIT_LIMIT = 2 ** 62
+def _term_codes(graph: DirectedGraph, terms) -> np.ndarray | None:
+    """The codes of mu and nu in each term key, as int64 rows in column-major
+    order, or None when a path is not a path of ``graph`` or has
+    ``_CODED_LENGTHS`` edges or more.
 
-
-def _path_rows(graph: DirectedGraph, terms: dict):
-    """Length, source index and edge digits of mu and nu in each term key,
-    as three int64 arrays of shape (2, len(terms)), or None when a path is
-    not a path of ``graph`` or its digits reach ``_DIGIT_LIMIT``.
-
-    The digits are the edge indices in base ``max(|E|, 1)``, first edge
-    most significant, so a prefix of length k has digits ``D // base**(L-k)``.
+    A path of length L from the vertex of index s has the code
+    ``off[L] + s base**L + D``, where ``base = max(|E|, 1)``, ``off[L]`` is
+    the number of codes of the shorter paths and the digits D are its edge
+    indices in base ``base``, first edge most significant: its prefix of
+    length k has digits ``D // base**(L-k)``.
     """
-    vertex_index, edge_rows = graph._vertex_index, graph._edge_rows
-    base = max(len(edge_rows), 1)
-    paths = [p for t in terms for p in t]
-    rows: dict = {}  # keyed by id, which is unique while ``terms`` holds the paths
-    for p in paths:
-        if id(p) in rows:
-            continue
-        s = vertex_index.get(p.source)
-        if s is None:
-            return None
-        v, d = p.source, 0
-        for e in p.edges:
-            row = edge_rows.get(e)
-            if row is None or row[1] != v:
-                return None
-            d = d * base + row[0]
-            v = row[2]
-        if v != p.range or d >= _DIGIT_LIMIT:
-            return None
-        rows[id(p)] = (len(p.edges), s, d)
-    rows = np.array([rows[id(p)] for p in paths], np.int64)
-    return rows.reshape(-1, 2, 3).transpose(2, 1, 0)
+    vertex_index, edge_rows, base = graph._vertex_index, graph._edge_rows, graph._base
+    pw, off = graph._pw, graph._off
+    codes: dict = {}  # keyed by id, which is unique while ``terms`` holds the paths
+    out = []
+    for t in terms:
+        for p in t:
+            code = codes.get(id(p))
+            if code is None:
+                s, L = vertex_index.get(p.source), len(p.edges)
+                if s is None or L >= len(pw):
+                    return None
+                v, d = p.source, 0
+                for e in p.edges:
+                    row = edge_rows.get(e)
+                    if row is None or row[1] != v:
+                        return None
+                    d = d * base + row[0]
+                    v = row[2]
+                if v != p.range:
+                    return None
+                code = codes[id(p)] = off[L] + s * pw[L] + d
+            out.append(code)
+    return np.asfortranarray(np.array(out, np.int64).reshape(-1, 2))
+
+
+def _split(graph: DirectedGraph, codes: np.ndarray):
+    """Length, source index and digits of the paths with int64 ``codes``."""
+    L = np.searchsorted(graph._off_a, codes, "right") - 1
+    S, D = np.divmod(codes - graph._off_a[L], graph._pw_a[L])
+    return L, S, D
+
+
+def _array_product(graph: DirectedGraph, a, b) -> GraphElement:
+    """The product of two elements (or two term dicts) by a prefix join, in
+    numpy; the result is held as arrays.
+
+    A term s_mu s_nu^* of (s_mu s_nu^*)(s_alpha s_beta^*) arises when nu is
+    a prefix of alpha, giving s_{mu (alpha - nu)} s_beta^*, and when alpha is
+    a proper prefix of nu, giving s_mu s_{beta (nu - alpha)}^*: each case
+    joins the codes (:func:`_term_codes`) of one side's prefixes to the codes
+    of the other side's paths.  A term is coded as ``code(mu) size +
+    code(nu)``, with ``size`` the number of path codes up to the longest
+    output length.  When ``size**2`` exceeds int64, or an operand cannot be
+    coded, the pair loop runs instead.
+    """
+    a, b = (x if isinstance(x, GraphElement) else GraphElement(graph)._like(x) for x in (a, b))
+    ka, kb = a._arrays(), b._arrays()
+    if ka is None or kb is None:
+        return a._like(_pair_product(a.terms, b.terms))
+    (A, ca), (B, cb) = ka, kb
+    if not len(ca) or not len(cb):
+        return GraphElement(graph)
+    (Lm, Ln), (Sm, Sn), (Dm, Dn) = _split(graph, A.T)
+    (La, Lb), (Sa, Sb), (Da, Db) = _split(graph, B.T)
+    longest = int(max(Lm.max() + La.max(), Lb.max() + Ln.max()))
+    if longest >= len(graph._pw) or graph._off[longest + 1] ** 2 > 2 ** 63:
+        return a._like(_pair_product(a.terms, b.terms))
+    size = graph._off[longest + 1]
+    pw_a, off_a = graph._pw_a, graph._off_a
+
+    def code(L, S, D):
+        return off_a[L] + S * pw_a[L] + D
+
+    # nu a prefix of alpha: s_{mu (alpha - nu)} s_beta^*
+    j, k, Dp = _prefixes(La, Da, pw_a, proper=False)
+    I1, m = _join(code(k, Sa[j], Dp), A[:, 1])
+    J1, r = j[m], La[j[m]] - k[m]
+    codes1 = code(Lm[I1] + r, Sm[I1], Dm[I1] * pw_a[r] + Da[J1] % pw_a[r]) * size + B[J1, 1]
+    # alpha a proper prefix of nu: s_mu s_{beta (nu - alpha)}^*
+    i, k, Dp = _prefixes(Ln, Dn, pw_a, proper=True)
+    m, J2 = _join(B[:, 0], code(k, Sn[i], Dp))
+    I2, r = i[m], Ln[i[m]] - k[m]
+    codes2 = A[I2, 0] * size + code(Lb[J2] + r, Sb[J2], Db[J2] * pw_a[r] + Dn[I2] % pw_a[r])
+    I, J = np.concatenate([I1, I2]), np.concatenate([J1, J2])
+    # overflowing coefficients give inf and nan without a warning, as in the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes, vals = sum_by_code(np.concatenate([codes1, codes2]), ca[I] * cb[J])
+    return _held_element(graph, np.stack(np.divmod(codes, size)).T, vals)
 
 
 def _prefixes(L, D, pw, proper: bool):
@@ -392,81 +557,6 @@ def _join(keys, probes):
     return p, order[np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(p))]
 
 
-def _decode(graph: DirectedGraph, code: int, off: list, pw: list) -> Path:
-    """The path with code ``code`` in the numbering of :func:`_array_product`."""
-    L = bisect.bisect_right(off, code) - 1
-    s, d = divmod(code - off[L], pw[L])
-    base = max(len(graph._edge_names), 1)
-    digits = []
-    for _ in range(L):
-        d, e = divmod(d, base)
-        digits.append(graph._edge_names[e])
-    source = graph.vertices[s]
-    edges = tuple(reversed(digits))
-    return Path(source, edges, graph.edges[edges[-1]][1] if edges else source)
-
-
-def _array_product(graph: DirectedGraph, ta: dict, tb: dict) -> GraphElement:
-    """The product of two term dicts by a prefix join, in numpy.
-
-    A path (L, s, D) of :func:`_path_rows` has code ``off[L] + s base**L + D``
-    with ``off[L] = |V| (1 + base + ... + base**(L-1))``.  A term s_mu s_nu^*
-    of (s_mu s_nu^*)(s_alpha s_beta^*) arises when nu is a prefix of alpha,
-    giving s_{mu (alpha - nu)} s_beta^*, and when alpha is a proper prefix of
-    nu, giving s_mu s_{beta (nu - alpha)}^*: each case joins the codes of
-    one side's prefixes to the codes of the other side's paths.  A term is
-    coded as ``code(mu) size + code(nu)``, with ``size`` the number of path
-    codes up to the longest output length.  When ``size**2`` exceeds int64,
-    or a term holds a path foreign to the graph, the pair loop runs instead.
-    """
-    out = GraphElement(graph)
-    if not ta or not tb:
-        return out
-    left, right = _path_rows(graph, ta), _path_rows(graph, tb)
-    if left is None or right is None:
-        return out._like(_pair_product(ta, tb))
-    (Lm, Ln), (Sm, Sn), (Dm, Dn) = left
-    (La, Lb), (Sa, Sb), (Da, Db) = right
-    longest = int(max(Lm.max() + La.max(), Lb.max() + Ln.max()))
-    base = max(len(graph.edges), 1)
-    pw = [base ** k for k in range(longest + 1)]
-    off = [0]
-    for p in pw:
-        off.append(off[-1] + len(graph.vertices) * p)
-    size = off[-1]
-    if size * size > 2 ** 63:
-        return out._like(_pair_product(ta, tb))
-    pw_a, off_a = np.array(pw, np.int64), np.array(off, np.int64)
-
-    def code(L, S, D):
-        return off_a[L] + S * pw_a[L] + D
-
-    # nu a prefix of alpha: s_{mu (alpha - nu)} s_beta^*
-    j, k, Dp = _prefixes(La, Da, pw_a, proper=False)
-    I1, m = _join(code(k, Sa[j], Dp), code(Ln, Sn, Dn))
-    J1, r = j[m], La[j[m]] - k[m]
-    codes1 = code(Lm[I1] + r, Sm[I1], Dm[I1] * pw_a[r] + Da[J1] % pw_a[r]) * size \
-        + code(Lb, Sb, Db)[J1]
-    # alpha a proper prefix of nu: s_mu s_{beta (nu - alpha)}^*
-    i, k, Dp = _prefixes(Ln, Dn, pw_a, proper=True)
-    m, J2 = _join(code(La, Sa, Da), code(k, Sn[i], Dp))
-    I2, r = i[m], Ln[i[m]] - k[m]
-    codes2 = code(Lm, Sm, Dm)[I2] * size \
-        + code(Lb[J2] + r, Sb[J2], Db[J2] * pw_a[r] + Dn[I2] % pw_a[r])
-    ca = np.fromiter(ta.values(), complex, len(ta))
-    cb = np.fromiter(tb.values(), complex, len(tb))
-    I, J = np.concatenate([I1, I2]), np.concatenate([J1, J2])
-    # overflowing coefficients give inf and nan without a warning, as in the loop
-    with np.errstate(over="ignore", invalid="ignore"):
-        codes, vals = sum_by_code(np.concatenate([codes1, codes2]), ca[I] * cb[J])
-    keep = ~(np.abs(vals) <= PRUNE_EPSILON)  # keeps a nan
-    mus, nus = np.divmod(codes[keep], size)
-    paths = {c: _decode(graph, c, off, pw) for c in np.union1d(mus, nus).tolist()}
-    out.terms = {(paths[a], paths[b]): c
-                 for a, b, c in zip(mus.tolist(), nus.tolist(), vals[keep].tolist())}
-    return out
-
-
 def _vertex_action(v: str, c: complex):
     """(keys, coeffs) -> (keys, weights) of [c p_v, .] on term keys (mu, nu): only
     sources act, so a term a s_mu s_nu^* weighs ([v = s(mu)] - [v = s(nu)]) c a."""
@@ -475,6 +565,20 @@ def _vertex_action(v: str, c: complex):
                       if (mu.source == v) != (nu.source == v) else 0j
                       for (mu, nu), a in zip(keys, coeffs)]
     return act
+
+
+def _array_vertex_action(p: GraphElement, a: GraphElement, v: int, c: complex) -> GraphElement:
+    """[p, a] for p = c p_v, on the path codes of ``a``, held as arrays: the
+    weights of :func:`_vertex_action`, bit for bit, with the source index of
+    each code in place of its source vertex."""
+    p._check(a)
+    K, coeffs = a._keyed
+    _, S, _ = _split(a.graph, K.T)
+    at_mu, at_nu = S == v
+    w = exact_product(c, coeffs)
+    np.negative(w, out=w, where=at_nu)
+    w[at_mu == at_nu] = 0j
+    return _held_element(a.graph, K, w)
 
 
 def vertex_commutator(v: str, x: GraphElement, coeff: complex = 1.0) -> GraphElement:

@@ -43,8 +43,8 @@ Sums, differences, negation, scaling, adjoints and norms take the array
 route when every operand already holds arrays.  Adjoints of more than
 ``_ARRAY_TERMS`` terms take it too, and so do sums with more than
 ``_ARRAY_TERMS`` terms in an operand when the other holds arrays; the dict
-operand then builds its arrays (see ``QElement._array_merge``).
-:func:`_array_sum` merges sorted exponent codes and gives the loop's
+operand then builds its arrays.  Sums merge sorted exponent codes
+(``HeldTerms._array_merge`` in :mod:`ncdiff.carrier`) and give the loop's
 coefficients bit for bit; :func:`_array_adjoint` takes the angles of
 :func:`_adjoint_angle` in its association.  Elements built from dicts with
 at most ``_ARRAY_TERMS`` terms, such as every operand of ``selftest`` and of
@@ -62,7 +62,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, Terms, sum_by_code
+from .carrier import (PRUNE_EPSILON, HeldTerms, arrays_only, frozen, held_arrays,
+                      sum_by_code)
 
 Monomial = tuple  # exponent tuple (e_1, ..., e_m)
 
@@ -173,7 +174,7 @@ _EXPONENT_LIMIT = 2 ** 62
 # route; both routes took the same time near 32 terms, for 2 to 4 generators.
 # So do adjoints, whose routes cross near 16 terms even when the arrays must
 # first be built from a dict, and sums with an operand held as arrays (see
-# QElement._array_merge).
+# HeldTerms._array_merge).
 _ARRAY_TERMS = 32
 
 
@@ -207,13 +208,6 @@ def _fits(rows: np.ndarray) -> bool:
     return not rows.size or -_EXPONENT_LIMIT < rows.min() and rows.max() < _EXPONENT_LIMIT
 
 
-def _frozen(E: np.ndarray, coeffs: np.ndarray) -> tuple:
-    """Keyed arrays made read-only, so that elements may share them."""
-    E.setflags(write=False)
-    coeffs.setflags(write=False)
-    return E, coeffs
-
-
 def _box(lo: list, hi: list):
     """Extents and int64 strides of the row-major mixed radix over the
     exponent box [lo, hi], or None when the box has more codes than int64 holds."""
@@ -231,13 +225,9 @@ def _keyed_element(spec: QAlgebraSpec, E: np.ndarray, coeffs: np.ndarray) -> "QE
     Rows are held in column-major order: numpy reduces and slices the
     exponents of one generator many times faster there.
     """
-    keep = ~(np.abs(coeffs) <= spec.prune_epsilon)
-    if not keep.all():
-        E, coeffs = E.T[:, keep].T, coeffs[keep]
-    E = np.asfortranarray(E)
     out = object.__new__(_ArraysOnly)
     out.spec = spec
-    out._keyed = _frozen(E, coeffs)
+    out._keyed = held_arrays(E, coeffs, spec.prune_epsilon)
     return out
 
 
@@ -299,34 +289,6 @@ def _array_product(spec: QAlgebraSpec, a, b) -> "QElement":
             keys, vals = sum_by_code(np.concatenate([k for k, _ in parts]),
                                      np.concatenate([v for _, v in parts]))
     return a._from_keys((np.stack(np.unravel_index(keys, ext)) + (loE + loF)[:, None]).T, vals)
-
-
-def _array_sum(a: "QElement", b: "QElement", sign: int):
-    """a + b (sign 1) or a - b (sign -1) by a merge of the exponent rows; the
-    result is held as arrays.  None when the common box of the rows has more
-    codes than int64 holds.
-
-    The rows of both operands are coded over their common box and sorted
-    stably, so an exponent held by both is the run a_e, +-b_e, summed as the
-    loop of :class:`~ncdiff.carrier.Terms` sums it (x - y is x + (-y) in
-    floating point), and every other coefficient stays as it is, negated for
-    b when sign is -1: the coefficients are the loop's bit for bit.
-    """
-    (E, ca), (F, cb) = a.keyed(), b.keyed()
-    if not len(E) + len(F):
-        return QElement(a.spec)
-    cols = np.concatenate([E.T, F.T], axis=1)  # one row per generator
-    vals = np.concatenate([ca, cb if sign > 0 else -cb])
-    lo = cols.min(1)
-    box = _box(lo.tolist(), cols.max(1).tolist())
-    if box is None:
-        return None
-    codes = box[1] @ (cols - lo[:, None])
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    return _keyed_element(a.spec, cols[:, order[starts]].T,
-                          np.add.reduceat(vals[order], starts))
 
 
 def _array_adjoint(a: "QElement") -> "QElement":
@@ -400,17 +362,17 @@ def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
     return weigh
 
 
-class QElement(Terms):
+class QElement(HeldTerms):
     """Finite complex combination of normal-ordered monomials.
 
     Immutable; all operations return new elements.  Use ``QElement.monomial``
     or :func:`normal_order` to construct non-trivial elements.  The terms
     are held as the dict ``terms``, the arrays of :meth:`keyed` or both (see
-    the module docstring); ``_keyed`` is None before the arrays are built
-    and False when an exponent is too large for them.
+    the module docstring and :class:`~ncdiff.carrier.HeldTerms`).
     """
 
     __slots__ = ("spec", "terms", "_keyed")
+    _merge_terms = _ARRAY_TERMS
 
     def __init__(self, spec: QAlgebraSpec, terms: Mapping[Monomial, complex] | None = None):
         m = spec.generator_count
@@ -465,65 +427,6 @@ class QElement(Terms):
         if not self.spec.same_as(other.spec):
             raise SpecMismatchError("elements live over different presentations")
 
-    def _size(self) -> int:
-        keyed = self._keyed
-        return len(keyed[0]) if keyed else len(self.terms)
-
-    def _array_merge(self, other, sign: int):
-        """``self + sign * other`` by :func:`_array_sum`, or None for the loop;
-        one of the two elements holds arrays.
-
-        The array route runs when both operands hold arrays, or when one
-        has more than ``_ARRAY_TERMS`` terms; the other then builds its
-        arrays, unless an exponent is 2**62 or more.  Two operands held as
-        dicts keep the loop: building both their arrays costs as much as the
-        loop itself up to about 1,000 terms.
-        """
-        if not (self._keyed and other._keyed
-                or max(self._size(), other._size()) > _ARRAY_TERMS
-                and self.keyed() is not None and other.keyed() is not None):
-            return None
-        self._check(other)
-        return _array_sum(self, other, sign)
-
-    # The operations below test the held arrays inline and call the loops of
-    # Terms directly: the many small operands of the loops pay no extra call.
-
-    def __add__(self, other):
-        if isinstance(other, QElement) and (self._keyed or other._keyed):
-            out = self._array_merge(other, 1)
-            if out is not None:
-                return out
-        return Terms.__add__(self, other)
-
-    def __sub__(self, other):
-        if isinstance(other, QElement) and (self._keyed or other._keyed):
-            out = self._array_merge(other, -1)
-            if out is not None:
-                return out
-        return Terms.__sub__(self, other)
-
-    # Negation, scaling and norms read arrays only when they are held: built
-    # from a dict first, they cost more than the loops up to several hundred terms.
-
-    def __neg__(self):
-        if self._keyed:
-            E, coeffs = self._keyed
-            return _keyed_element(self.spec, E, -coeffs)
-        return Terms.__neg__(self)
-
-    def scale(self, c: complex) -> "QElement":
-        if self._keyed:
-            E, coeffs = self._keyed
-            return _keyed_element(self.spec, E, complex(c) * coeffs)
-        return Terms.scale(self, c)
-
-    def norm(self) -> float:
-        if self._keyed:
-            coeffs = self._keyed[1]
-            return float(np.abs(coeffs).max()) if len(coeffs) else 0.0  # nan if any is nan
-        return Terms.norm(self)
-
     def __mul__(self, other):
         if isinstance(other, QElement):
             self._check(other)
@@ -542,12 +445,26 @@ class QElement(Terms):
         """The exponents as int64 rows and the coefficients as an array, both
         read-only, or None when an exponent is 2**62 or more.  Built once and
         kept."""
-        keyed = self._keyed
-        if keyed is None:
-            E = _exponent_rows(self.terms, self.spec.generator_count)
-            keyed = self._keyed = False if E is None else _frozen(
-                E, np.fromiter(self.terms.values(), complex, len(E)))
-        return keyed or None
+        return self._arrays()
+
+    def _encode(self):
+        E = _exponent_rows(self.terms, self.spec.generator_count)
+        return None if E is None else frozen(
+            E, np.fromiter(self.terms.values(), complex, len(E)))
+
+    def _decode(self) -> dict:
+        E, coeffs = self._keyed
+        return dict(zip(map(tuple, E.tolist()), coeffs.tolist()))
+
+    def _held(self, E, coeffs) -> "QElement":
+        return _keyed_element(self.spec, E, coeffs)
+
+    def _sum_codes(self, cols):
+        """Mixed-radix codes over the box of the exponent columns, or None
+        when it has more codes than int64 holds."""
+        lo = cols.min(1)
+        box = _box(lo.tolist(), cols.max(1).tolist())
+        return None if box is None else box[1] @ (cols - lo[:, None])
 
     def _from_keys(self, E, coeffs) -> "QElement":
         """``coeffs[i]`` on the distinct exponent rows ``E[i]``, pruned as by
@@ -617,25 +534,7 @@ class QElement(Terms):
         return "QElement(" + " + ".join(parts) + ")"
 
 
-class _ArraysOnly(QElement):
-    """A QElement held as arrays only, with its ``terms`` slot unset.
-
-    The first read of ``terms`` reaches ``__getattr__``, which decodes the
-    arrays into the dict and makes the element a plain :class:`QElement`.
-    The hook lives on this subclass alone: a class with ``__getattr__``
-    reads every attribute about three times slower, which elements built
-    from dicts, the many small operands of the loops, must not pay.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name != "terms":
-            raise AttributeError(name)
-        E, coeffs = self._keyed
-        self.terms = terms = dict(zip(map(tuple, E.tolist()), coeffs.tolist()))
-        self.__class__ = QElement
-        return terms
+_ArraysOnly = arrays_only(QElement)
 
 
 # -- presentation builders -------------------------------------------------

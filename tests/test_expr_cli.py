@@ -176,8 +176,28 @@ def test_cli_graph(star_file):
     rc, out, _ = run_cli(["graph", "--file", star_file, "criterion", "e1"])
     rep = json.loads(out)
     assert rep["criterion"] is True and rep["verified"] is True
-    rc, _, _ = run_cli(["graph", "--file", star_file, "criterion"])
-    assert rc == 2
+    rc, out, err = run_cli(["graph", "--file", star_file, "criterion"])
+    assert rc == 2 and out == "" and err == "error: criterion needs a comma-separated edge path\n"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["deform", "heisenberg", "--exponents", "1,2"], "monomial (1, 2) has wrong arity for 3"),
+    (["deform", "heisenberg", "--exponents", "1,2,3,4"], "(1, 2, 3, 4) has wrong arity for 3"),
+    (["deform", "plane", "--k", "1"], "monomial (1,) has wrong arity for 2"),
+    (["deform", "plane", "--k", "1,x"], "--k takes comma-separated ints, got 'x'"),
+    (["deform", "plane", "--t", "0,1.5"], "--t takes comma-separated ints, got '1.5'"),
+    (["deform", "torus", "--degrees", "1, y "], "--degrees takes comma-separated ints, got 'y'"),
+    (["deform", "torus", "--params", "0.1,z"], "--params takes comma-separated floats, got 'z'"),
+    (["semigroup", "--n", "3", "--t", "1,q"], "--t takes comma-separated floats, got 'q'"),
+    (["eval", "--spec", "{spec}", "--basis", "1,two", "U"],
+     "--basis takes comma-separated ints, got 'two'"),
+], ids=["heisenberg-short-exponents", "heisenberg-long-exponents", "plane-short-k",
+        "plane-k-item", "plane-t-item", "torus-degrees-item", "torus-params-item",
+        "semigroup-t-item", "eval-basis-item"])
+def test_cli_list_options_name_the_bad_item(spec_file, argv, named):
+    rc, out, err = run_cli([spec_file if a == "{spec}" else a for a in argv])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 def test_cli_semigroup():
@@ -570,7 +590,7 @@ def test_small_operands_never_take_the_array_routes(monkeypatch, tmp_path):
 
     def refuse(*args):
         raise AssertionError("array route entered")
-    for name in ("_array_sum", "_array_adjoint", "_array_product", "_keyed_element"):
+    for name in ("_array_adjoint", "_array_product", "_keyed_element"):
         monkeypatch.setattr(qlattice, name, refuse)
     rc, out, err = run_cli(["selftest"])
     assert rc == 0 and err == "" and out.count(" PASS\n") == len(out.splitlines())
@@ -589,3 +609,35 @@ def test_small_operands_never_take_the_array_routes(monkeypatch, tmp_path):
             assert rc == 0 and err == "" and out, argv
             ran += 1
     assert ran == 8 * 3 + 6 * 2
+
+
+def test_small_graph_operands_never_take_the_array_routes(monkeypatch, tmp_path):
+    # selftest and the benchmark's interactive graph commands work on at most
+    # 3 terms, so they keep the pair loop and the list-based vertex action,
+    # and their frozen stdout, bit for bit
+    from ncdiff import graph_algebra
+
+    def refuse(*args):
+        raise AssertionError("array route entered")
+    for name in ("_array_product", "_array_vertex_action", "_held_element", "_term_codes"):
+        monkeypatch.setattr(graph_algebra, name, refuse)
+    workloads = _benchmark_workloads(monkeypatch)
+    reference = workloads.load_reference()
+    rc, out, err = run_cli(["selftest"])
+    assert rc == 0 and err == ""
+    # the frozen stdout byte for byte, up to the rounding-level numbers of the
+    # semigroup audit (see test_module_entry_points)
+    got, want = out.splitlines(True), reference["selftest"].splitlines(True)
+    assert len(got) == len(want) and [(g, w) for g, w in zip(got, want) if g != w and not (
+        w.startswith("semigroup audit") and workloads.text_matches(g, w))] == []
+    names = workloads.write_interactive_files(workloads.load_ncdiff(), tmp_path)
+    ran = 0
+    for template in workloads.FIXED_COMMANDS:
+        if template[0] != "graph":
+            continue
+        argv = [a.format(star=names["star"], loop=names["loop"], line=names["line"])
+                for a in template]
+        rc, out, err = run_cli([str(tmp_path / a) if a in names.values() else a for a in argv])
+        assert rc == 0 and err == "" and out == reference[" ".join(argv)], argv
+        ran += 1
+    assert ran == 5

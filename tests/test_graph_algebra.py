@@ -421,7 +421,7 @@ def test_array_product_falls_back_beyond_int64(len_x, len_y, takes_loop, rng, mo
     x, y = _wide_operand(g, rng, 20, len_x), _wide_operand(g, rng, 20, len_y)
     if len_x == 11:
         x = x + GraphElement(g, {(g.path(["e63"] * 11), g.vertex_path("o")): 1.0})
-        assert ga._path_rows(g, x.terms) is None
+        assert ga._term_codes(g, x.terms) is None
     calls = _count_loop_pairs(monkeypatch)
     got = x * y
     assert len(calls) == (len(x.terms) * len(y.terms) if takes_loop else 0)
@@ -458,3 +458,287 @@ def test_small_products_stay_on_the_loop(rng, monkeypatch):
     x * y  # 256 pairs: at the cut
     with pytest.raises(AssertionError, match="array route"):
         x * _operand(g, rng, 17)
+
+
+# -- elements held as path codes, held to the loops ---------------------------------
+
+HELD_GRAPHS = {"loop4": (loop_graph(4), 7), "O2": (o2_graph(), 4),
+               "diamond": (diamond_graph(), 2)}
+HELD_SIZES = [3, 40, ga._ARRAY_TERMS + 1, 600]
+LIFTED = 10 ** 9
+
+
+def _held(x):
+    """A copy of x held as path codes only, as the array routes return elements."""
+    return ga._held_element(x.graph, *GraphElement(x.graph, x.terms)._arrays())
+
+
+def _dict_only(x):
+    """A copy of x held as a dict only."""
+    return GraphElement(x.graph, x.terms)
+
+
+def _loop_route(f, *xs):
+    """f on dict-only copies of xs with every cut lifted: the loops, the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ga, "_ARRAY_TERMS", LIFTED)
+        mp.setattr(ga, "_ARRAY_PAIRS", LIFTED)
+        return f(*(_dict_only(x) for x in xs))
+
+
+def _assert_same_terms(got, want):
+    """Equal keys and exactly equal coefficients, zero signs included; a nan
+    stands where the oracle has one."""
+    assert all(type(mu) is Path and type(nu) is Path for mu, nu in got.terms)
+    assert all(type(c) is complex for c in got.terms.values())
+    assert set(got.terms) == set(want.terms)
+    for t, c in want.terms.items():
+        g = got.terms[t]
+        assert (g == c and math.copysign(1, g.real) == math.copysign(1, c.real)
+                and math.copysign(1, g.imag) == math.copysign(1, c.imag)
+                or cmath.isnan(c) and cmath.isnan(g)), t
+
+
+def _assert_close_terms(got, want, tol=1e-13):
+    """Equal keys and coefficients within ``tol`` (relative above modulus 1)."""
+    assert set(got.terms) == set(want.terms)
+    for t, c in want.terms.items():
+        if cmath.isnan(c):
+            assert cmath.isnan(got.terms[t]), t
+        else:
+            assert abs(got.terms[t] - c) <= tol * max(1.0, abs(c)), t
+
+
+def _held_pair(name, rng, n_terms):
+    """Two operands of up to ``n_terms`` terms sharing many keys; on a quarter
+    of the shared ones, b is exactly -a, so a + b cancels there."""
+    g, max_len = HELD_GRAPHS[name]
+    pairs = common_range_pairs(g, max_len)
+    n = min(n_terms, len(pairs))
+    a, b = (GraphElement(g, {pairs[i]: complex(*rng.standard_normal(2))
+                             for i in rng.choice(len(pairs), n, replace=False)})
+            for _ in range(2))
+    shared = [t for t in a.terms if t in b.terms]
+    return a, GraphElement(g, {**b.terms, **{t: -a.terms[t] for t in shared[::4]}})
+
+
+def _route_cases(a, b):
+    """(a, b) held as path codes, as dicts, and mixed."""
+    return [(_held(a), _held(b)), (_dict_only(a), _dict_only(b)),
+            (_held(a), _dict_only(b)), (_dict_only(a), _held(b))]
+
+
+@pytest.mark.parametrize("n_terms", HELD_SIZES)
+@pytest.mark.parametrize("name", list(HELD_GRAPHS))
+def test_held_sums_match_the_loop(name, n_terms, rng):
+    a, b = _held_pair(name, rng, n_terms)
+    want = {"a+b": _loop_route(lambda x, y: x + y, a, b),
+            "a-b": _loop_route(lambda x, y: x - y, a, b),
+            "b-a": _loop_route(lambda x, y: y - x, a, b)}
+    if n_terms >= 40:
+        assert len(want["a+b"].terms) < len(set(a.terms) | set(b.terms))  # some cancel
+    for x, y in _route_cases(a, b):
+        got = {"a+b": x + y, "a-b": x - y, "b-a": y - x}
+        for key, out in got.items():
+            # an operand held as codes sends the sum to the merge
+            assert bool(out._keyed) == bool(x._keyed or y._keyed)
+            _assert_same_terms(out, want[key])
+
+
+@pytest.mark.parametrize("n_terms", HELD_SIZES)
+@pytest.mark.parametrize("name", list(HELD_GRAPHS))
+def test_held_unary_routes_match_the_loop(name, n_terms, rng):
+    a, _ = _held_pair(name, rng, n_terms)
+    cs = (0.3 - 1.7j, 2, -1e-13)
+    neg = _loop_route(lambda x: -x, a)
+    scaled = [_loop_route(lambda x: x.scale(c), a) for c in cs]
+    adj = _loop_route(lambda x: x.adjoint(), a)
+    norm = _loop_route(lambda x: x.norm(), a)
+    for x in (_held(a), _dict_only(a)):
+        _assert_same_terms(-x, neg)
+        for c, want in zip(cs, scaled):
+            _assert_same_terms(x.scale(c), want)
+        got = x.adjoint()
+        assert bool(got._keyed) == bool(x._keyed or len(a.terms) > ga._ARRAY_TERMS)
+        _assert_same_terms(got, adj)
+        _assert_same_terms(got.adjoint(), a)
+        assert abs(x.norm() - norm) <= 1e-15 * norm  # numpy's modulus may differ in the last bit
+    if n_terms >= 40:
+        assert len(scaled[2].terms) < len(a.terms)  # the small scale prunes some terms
+
+
+@pytest.mark.parametrize("n_terms", HELD_SIZES)
+@pytest.mark.parametrize("name", list(HELD_GRAPHS))
+def test_held_vertex_commutators_match_the_loop(name, n_terms, rng):
+    a, _ = _held_pair(name, rng, n_terms)
+    g = a.graph
+    for v in g.vertices:
+        p = GraphElement.term(g, g.vertex_path(v), g.vertex_path(v), 0.8 - 0.3j)
+        want = _loop_route(lambda x: p.ad()(x), a)
+        assert want.terms == vertex_commutator(v, a, 0.8 - 0.3j).terms
+        held = p.ad()(_held(a))
+        assert held._keyed  # the array route ran
+        _assert_same_terms(held, want)
+        got = p.ad()(_dict_only(a))
+        assert not got._keyed  # a dict operand keeps the loop
+        _assert_same_terms(got, want)
+
+
+@pytest.mark.parametrize("name", list(HELD_GRAPHS))
+def test_held_products_match_the_loop(name, rng):
+    a, b = _held_pair(name, rng, 40)
+    want = graph_loop_product(a, b)
+    for x, y in _route_cases(a, b):
+        got = x * y
+        assert got._keyed  # the array route ran and returned codes
+        _assert_close_terms(got, want)
+
+
+@pytest.mark.parametrize("name", list(HELD_GRAPHS))
+def test_mixed_representation_chains_match_the_loop(name, rng):
+    g = HELD_GRAPHS[name][0]
+    v = g.vertices[0]
+    p = GraphElement.term(g, g.vertex_path(v), g.vertex_path(v), 1.5j)
+    x, y = _held_pair(name, rng, 40)                  # a dict, above the pair cut
+    y = _held(y)                                      # codes
+    z, w = _held_pair(name, rng, 5)                   # a small dict
+    w = _held(w)                                      # small codes
+
+    def chain(x, y, z, w):
+        xy = x * y
+        return (p.ad()((xy * z - y.adjoint() * x.scale(0.5j) + (w * z) * (x + y)).adjoint())
+                - (z * w) * xy + w * w - p.ad()(y))
+    _assert_close_terms(chain(x, y, z, w), _loop_route(chain, x, y, z, w))
+
+
+@pytest.mark.parametrize("prune_epsilon", [ga.PRUNE_EPSILON, 0.0, -1.0])
+def test_held_routes_prune_as_the_loop(prune_epsilon, monkeypatch):
+    monkeypatch.setattr(ga, "PRUNE_EPSILON", prune_epsilon)
+    g = loop_graph(4)
+    keys = common_range_pairs(g, 7)[:50]
+    a = GraphElement(g, {t: complex(k + 1, -k) for k, t in enumerate(keys)})
+    b = GraphElement(g, {t: complex(-k - 1, k + (k % 2) * 1e-13) for k, t in enumerate(keys)})
+    v = g.vertices[0]
+    p = GraphElement.term(g, g.vertex_path(v), g.vertex_path(v))
+    cases = {"sum": lambda x, y: x + y, "difference": lambda x, y: x - y,
+             "zero scale": lambda x, y: x.scale(0), "tiny scale": lambda x, y: y.scale(1e-12),
+             "adjoint": lambda x, y: (x + y).adjoint(), "vertex": lambda x, y: p.ad()(x + y)}
+    for f in cases.values():
+        want = _loop_route(f, a, b)
+        for x, y in _route_cases(a, b):
+            _assert_same_terms(f(x, y), want)
+    kept = len((_held(a) + _held(b)).terms)
+    assert kept == {ga.PRUNE_EPSILON: 0, 0.0: 25, -1.0: 50}[prune_epsilon]
+
+
+def test_held_routes_keep_nan(rng):
+    a, b = _held_pair("loop4", rng, 60)
+    t0 = next(t for t in a.terms if t[0].source != t[1].source)
+    a = GraphElement(a.graph, {**a.terms, t0: complex(math.nan, 1.0)})
+    g = a.graph
+    for x in (_held(a), _dict_only(a)):
+        assert math.isnan(x.norm())
+        assert cmath.isnan((x + _held(b)).terms[t0])
+        assert cmath.isnan(x.adjoint().terms[t0[::-1]])
+        assert cmath.isnan(x.scale(2j).terms[t0]) and cmath.isnan((-x).terms[t0])
+        assert math.isnan((x * _held(b)).norm())
+    for v in (t0[0].source, t0[1].source, next(v for v in g.vertices
+                                                if v not in (t0[0].source, t0[1].source))):
+        p = vertex_projection(g, v)
+        want = _loop_route(lambda x: p.ad()(x), a)
+        assert (t0 in want.terms) == (v in (t0[0].source, t0[1].source))
+        _assert_same_terms(p.ad()(_held(a)), want)
+    _assert_same_terms(_held(a) - _held(b), _loop_route(lambda x, y: x - y, a, b))
+
+
+def test_held_routes_on_empty_operands(rng):
+    a = _held(_held_pair("loop4", rng, 60)[0])
+    g = a.graph
+    zero = GraphElement.zero(g)
+    held_zero = ga._held_element(g, np.zeros((0, 2), np.int64), np.zeros(0, complex))
+    for z in (zero, held_zero):
+        _assert_same_terms(a + z, a)
+        _assert_same_terms(z + a, a)
+        _assert_same_terms(z - a, -a)
+        assert (a - a).terms == {}
+        assert (z * a).terms == {} and (a * z).terms == {}
+    assert (held_zero + held_zero).terms == {} and held_zero.adjoint().terms == {}
+    assert held_zero.norm() == 0.0 and (-held_zero).norm() == 0.0
+    assert held_zero.scale(3).terms == {}
+    assert vertex_projection(g, g.vertices[0]).ad()(held_zero).terms == {}
+
+
+def _uncoded_operands(rng):
+    """Elements that cannot be coded: a path foreign to the graph, and a
+    path of 11 edges in base 64, whose digits reach 2**62."""
+    g = loop_graph(4)
+    x = _operand(g, rng, 60)
+    foreign = Path("c0", ("zz",), "c1")
+    yield GraphElement(g, {**x.terms, (foreign, foreign): 2.0}), x
+    g64 = DirectedGraph(["o"], {f"e{i}": ("o", "o") for i in range(64)})
+    y = _wide_operand(g64, rng, 60, 2)
+    o = g64.vertex_path("o")
+    yield GraphElement(g64, {**y.terms, (g64.path(["e63"] * 11), o): 1.0}), y
+
+
+def test_uncoded_elements_stay_dicts(rng):
+    for x, small in _uncoded_operands(rng):
+        assert x._arrays() is None and x._keyed is False
+        held = _held(small)
+        for f in (lambda x: x + held, lambda x: held - x, lambda x: -x,
+                  lambda x: x.scale(2), lambda x: x.adjoint(), lambda x: x * held,
+                  lambda x: held * x):
+            got = f(x)
+            assert not got._keyed
+            _assert_close_terms(got, _loop_route(f, x))
+        assert x.norm() == _loop_route(lambda x: x.norm(), x)
+
+
+def test_term_codes_past_int64_take_the_loops(rng, monkeypatch):
+    # paths of 10 edges in base 64 have codes near 2**60: each is held, but
+    # the term codes of a sum or a product would pass int64
+    g = DirectedGraph(["o"], {f"e{i}": ("o", "o") for i in range(64)})
+    o = g.vertex_path("o")
+    x, y = (GraphElement(g, {(g.path([f"e{e}" for e in rng.integers(0, 64, 10)]), o):
+                             complex(*rng.standard_normal(2)) for _ in range(20)})
+            for _ in range(2))
+    hx, hy = _held(x), _held(y)
+    calls = _count_loop_pairs(monkeypatch)
+    for f in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y.adjoint()):
+        got = f(hx, hy)
+        assert not got._keyed
+        _assert_close_terms(got, _loop_route(f, x, y))
+    assert calls  # the product took the pair loop
+
+
+def test_graph_carrier_basis_keys_unchanged(rng):
+    from ncdiff import cohomology as C
+
+    g = star_tree(5)
+    carrier = C.GraphCarrierBasis(g, 2)
+    assert carrier.keys == common_range_pairs(g, 2)
+    x = GraphElement(g, {t: complex(*rng.standard_normal(2)) for t in carrier.keys[::3]})
+    assert carrier.entries(_held(x)) == carrier.entries(x)
+    basis = DifferentialBasis([vertex_projection(g, v) for v in g.vertices], mode="selfadjoint")
+    report = C.deRham_dims(basis, carrier)
+    # the frozen deRham_dims star5 reference of the benchmark
+    assert [(r.dim_ker, r.h_dim, r.rank_prev) for r in report.degrees] == [
+        (9, 9, 0), (65, 45, 20), (170, 90, 80), (210, 90, 120), (125, 45, 80), (29, 9, 20)]
+
+
+def test_terms_decoded_from_codes_are_paths(rng):
+    a, _ = _held_pair("loop4", rng, 60)
+    x = _held(a)
+    assert type(x) is ga._ArraysOnly and isinstance(x, GraphElement)
+    with pytest.raises(AttributeError):
+        GraphElement.terms.__get__(x)  # held as codes only
+    assert x.terms == a.terms and x.terms is x.terms  # decoded once, then kept
+    assert type(x) is GraphElement  # and a plain element from then on
+    assert all(type(c) is complex for c in x.terms.values())
+    for mu, nu in x.terms:
+        assert type(mu) is Path and hash(mu) == hash(Path(mu.source, mu.edges, mu.range))
+    K, coeffs = x._keyed
+    assert K.flags.writeable is False and coeffs.flags.writeable is False
+    assert K.dtype == np.int64 and K.flags.f_contiguous
+    with pytest.raises(AttributeError):
+        x.no_such_attribute
