@@ -25,9 +25,11 @@ checks of :mod:`ncdiff.expr` see it.
 The q-lattice and graph carriers may also hold their terms as keyed arrays
 (:class:`HeldTerms`): int64 keys, one row per term, and complex coefficients.
 Their array products sum coefficients by int64 term code through
-:func:`sum_by_code`; their sums merge sorted term codes, negation, scaling
-and norms read the held arrays, and an element held as arrays only builds
-its dict on first read (:func:`arrays_only`), all here, for both carriers.
+:func:`sum_by_code`.  Sums of two elements that both hold arrays merge sorted
+term codes; negation, scaling and norms read the held arrays, and an element
+held as arrays only decodes its dict on the first read of ``terms``, all
+here, for both carriers.  Moduli of held coefficients come from
+:func:`moduli`, which raises where Python's ``abs`` does, as the loops do.
 """
 
 from __future__ import annotations
@@ -71,34 +73,23 @@ def frozen(keys: np.ndarray, coeffs: np.ndarray) -> tuple:
     return keys, coeffs
 
 
+def moduli(coeffs: np.ndarray) -> np.ndarray:
+    """The moduli of complex ``coeffs``.  Raises ``OverflowError`` where the
+    modulus of a finite coefficient overflows, as Python's ``abs`` does."""
+    m = np.abs(coeffs)
+    inf = np.isinf(m)
+    if inf.any() and np.isfinite(coeffs[inf]).any():
+        raise OverflowError("absolute value too large")
+    return m
+
+
 def held_arrays(keys: np.ndarray, coeffs: np.ndarray, eps: float) -> tuple:
     """Key rows and coefficients without the coefficients at or below ``eps``
     in modulus (a nan is kept), rows in column-major order, read-only."""
-    keep = ~(np.abs(coeffs) <= eps)
+    keep = ~(moduli(coeffs) <= eps)
     if not keep.all():
         keys, coeffs = keys.T[:, keep].T, coeffs[keep]
     return frozen(np.asfortranarray(keys), coeffs)
-
-
-def arrays_only(plain: type) -> type:
-    """The subclass of ``plain`` for elements held as arrays only, with the
-    ``terms`` slot unset.
-
-    The first read of ``terms`` reaches ``__getattr__``, which decodes the
-    held arrays with ``_decode`` and makes the element a plain one.  The hook
-    lives on this subclass alone: a class with ``__getattr__`` reads every
-    attribute about three times slower, which elements built from dicts, the
-    many small operands of the loops, must not pay.
-    """
-    def __getattr__(self, name):
-        if name != "terms":
-            raise AttributeError(name)
-        self.terms = terms = self._decode()
-        self.__class__ = plain
-        return terms
-    return type("_ArraysOnly", (plain,), {"__slots__": (), "__getattr__": __getattr__,
-                                          "__module__": plain.__module__,
-                                          "__doc__": arrays_only.__doc__})
 
 
 def commutator(x, a):
@@ -166,9 +157,7 @@ class Terms(Normed):
     __slots__ = ()
 
     def __add__(self, other):
-        # either class may be the other's subclass, such as a q-lattice
-        # element held as arrays only
-        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
@@ -177,7 +166,7 @@ class Terms(Normed):
         return self._like(out)
 
     def __sub__(self, other):
-        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
@@ -200,19 +189,34 @@ class Terms(Normed):
 class HeldTerms(Terms):
     """Terms held as the dict ``terms``, as keyed arrays or as both.
 
-    ``_keyed`` is None before the arrays are built, False when the terms
-    cannot be coded, else ``(keys, coeffs)``: read-only int64 key rows, one
-    per term in column-major order, and complex coefficients.  Elements built
-    from dicts hold dicts; the array routes return elements held as arrays
-    (``arrays_only``), which pass them on to the next array route.  A
-    subclass supplies ``_encode()`` (the arrays of ``terms``, or None),
-    ``_decode()`` (the dict of the held arrays), ``_held(keys, coeffs)``
-    (an element held as arrays, pruned), ``_sum_codes(cols)`` (int64 codes of
-    the key columns ``cols``, equal for equal keys, or None) and
-    ``_merge_terms``, the sum cut of :meth:`_array_merge`.
+    ``_terms`` is the dict, or None until ``terms`` is first read from an
+    element held as arrays only.  ``_keyed`` is None before the arrays are
+    built, False when the terms cannot be coded, else ``(keys, coeffs)``:
+    read-only int64 key rows, one per term in column-major order, and complex
+    coefficients.  Elements built from dicts hold dicts; the array routes
+    return elements held as arrays, which pass them on to the next array
+    route.  A subclass supplies ``_encode()`` (the arrays of ``terms``, or
+    None), ``_decode()`` (the dict of the held arrays), ``_held(keys,
+    coeffs)`` (an element held as arrays, pruned) and ``_sum_codes(cols)``
+    (int64 codes of the key columns ``cols``, equal for equal keys, or None).
     """
 
     __slots__ = ()
+
+    @property
+    def terms(self) -> dict:
+        """The terms as ``{key: coeff}``, decoded from the held arrays on the
+        first read and kept."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = self._decode()
+        return terms
+
+    def __setstate__(self, state):
+        # numpy unpickles arrays writeable; held arrays may be shared, so
+        # they are made read-only again
+        for name, value in state[1].items():
+            setattr(self, name, frozen(*value) if name == "_keyed" and value else value)
 
     def _arrays(self):
         """The held arrays, built once and kept; None when the terms cannot be coded."""
@@ -226,23 +230,15 @@ class HeldTerms(Terms):
         return len(keyed[1]) if keyed else len(self.terms)
 
     def _array_merge(self, other, sign: int):
-        """``self + sign * other`` by a merge of sorted term codes, or None
-        for the loop; one of the two elements holds arrays.
+        """``self + sign * other`` by a merge of sorted term codes, for two
+        elements that both hold arrays, or None for the loop.
 
-        The merge runs when both operands hold arrays, or when one has more
-        than ``_merge_terms`` terms; the other then builds its arrays, unless
-        it cannot be coded.  The codes of both operands are sorted stably, so
-        a key held by both is the run a_k, +-b_k, summed as the loop of
-        :class:`Terms` sums it (x - y is x + (-y) in floating point), and
-        every other coefficient stays as it is, negated for b when sign is -1:
-        the coefficients are the loop's bit for bit.
+        The codes of both operands are sorted stably, so a key held by both
+        is the run a_k, +-b_k, summed as the loop of :class:`Terms` sums it
+        (x - y is x + (-y) in floating point), and every other coefficient
+        stays as it is, negated for b when sign is -1: the coefficients are
+        the loop's bit for bit.
         """
-        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
-            return None
-        if not (self._keyed and other._keyed
-                or max(self._size(), other._size()) > self._merge_terms
-                and self._arrays() is not None and other._arrays() is not None):
-            return None
         self._check(other)
         (A, ca), (B, cb) = self._keyed, other._keyed
         cols = np.concatenate([A.T, B.T], axis=1)  # one row per key column
@@ -255,27 +251,29 @@ class HeldTerms(Terms):
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
         starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-        return self._held(cols[:, order[starts]].T, np.add.reduceat(vals[order], starts))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in Python
+            vals = np.add.reduceat(vals[order], starts)
+        return self._held(cols[:, order[starts]].T, vals)
 
     # The operations below test the held arrays inline and call the loops of
     # Terms directly: the many small operands of the loops pay no extra call.
+    # Sums, negation, scaling and norms read arrays only when they are held:
+    # built from a dict first, they cost more than the loops up to several
+    # hundred terms.
 
     def __add__(self, other):
-        if isinstance(other, HeldTerms) and (self._keyed or other._keyed):
+        if self._keyed and isinstance(other, type(self)) and other._keyed:
             out = self._array_merge(other, 1)
             if out is not None:
                 return out
         return Terms.__add__(self, other)
 
     def __sub__(self, other):
-        if isinstance(other, HeldTerms) and (self._keyed or other._keyed):
+        if self._keyed and isinstance(other, type(self)) and other._keyed:
             out = self._array_merge(other, -1)
             if out is not None:
                 return out
         return Terms.__sub__(self, other)
-
-    # Negation, scaling and norms read arrays only when they are held: built
-    # from a dict first, they cost more than the loops up to several hundred terms.
 
     def __neg__(self):
         if self._keyed:

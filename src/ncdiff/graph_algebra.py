@@ -27,18 +27,17 @@ sits near the measured crossover (16 x 16 terms on the 4-cycle).  Operands
 that cannot be coded, or whose product codes would not fit in int64, take
 the loop at any size.
 
-Sums, differences, negation, scaling, norms and the commutator with a
-scaled vertex projection take the array routes when an operand holds codes,
-and the loops otherwise: coding a dict costs more than these loops, and
-decoding codes more than coding.  Adjoints of dicts with more than
-``_ARRAY_TERMS`` terms take the array route too.  Sums merge sorted term
-codes (``HeldTerms._array_merge`` in :mod:`ncdiff.carrier`), the adjoint
-swaps the two codes of each term, and the vertex action weighs each term by
-the source index of its codes: all three give the loops' coefficients bit
-for bit.  Elements built from dicts, such as every operand of ``selftest``
-and of the CLI's graph commands, keep the loops and their results bit for
-bit up to these cuts.  The loops are the oracle that the tests hold the
-array routes to.
+Sums and differences take the array route when both operands hold codes,
+and negation, scaling, norms and adjoints when their operand does; the
+loops take everything else, among it the commutator with a scaled vertex
+projection, which reads the paths of ``keyed()``.  Coding a dict costs more
+than these loops, and decoding codes more than coding.  Sums merge sorted
+term codes (``HeldTerms._array_merge`` in :mod:`ncdiff.carrier`) and the
+adjoint swaps the two codes of each term: both give the loops' coefficients
+bit for bit.  Elements built from dicts, such as every operand of
+``selftest`` and of the CLI's graph commands, keep the loops and their
+results bit for bit up to the product cut.  The loops are the oracle that
+the tests hold the array routes to.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import (PRUNE_EPSILON, HeldTerms, arrays_only, exact_product, frozen,
-                      held_arrays, sum_by_code)
+from .carrier import PRUNE_EPSILON, HeldTerms, frozen, held_arrays, sum_by_code
 
 
 @dataclass(frozen=True)
@@ -230,12 +228,6 @@ def graph_to_text(g: DirectedGraph) -> str:
 # Products with more term pairs than this take the array route; both routes
 # took the same time near 16 x 16 terms on the 4-cycle.
 _ARRAY_PAIRS = 256
-# Adjoints of dict operands with more terms than this take the array route;
-# both routes took the same time near 192 terms.  Coding a dict costs more
-# than the loops of sums and vertex commutators at every size measured (up
-# to 900 terms), and decoding costs more than coding: these take the array
-# routes when an operand holds arrays, and the loops otherwise.
-_ARRAY_TERMS = 192
 # Path codes stay below this, and coded paths have fewer edges than
 # _CODED_LENGTHS (which bounds the tables of a graph with one edge).
 _CODE_LIMIT = 2 ** 62
@@ -247,8 +239,7 @@ class GraphElement(HeldTerms):
     the dict ``terms``, as int64 path codes or as both (see the module
     docstring and :class:`~ncdiff.carrier.HeldTerms`)."""
 
-    __slots__ = ("graph", "terms", "_keyed")
-    _merge_terms = 0
+    __slots__ = ("graph", "_terms", "_keyed")
 
     def __init__(self, graph: DirectedGraph,
                  terms: Mapping[CKTerm, complex] | None = None):
@@ -260,14 +251,14 @@ class GraphElement(HeldTerms):
             if not abs(c) <= PRUNE_EPSILON:  # keeps a nan for the finiteness checks
                 tt[(mu, nu)] = c
         self.graph = graph
-        self.terms = tt
+        self._terms = tt
         self._keyed = None
 
     def _like(self, terms: dict) -> "GraphElement":
         """Element over the same graph: terms already canonical, only prunes."""
         out = object.__new__(GraphElement)
         out.graph = self.graph
-        out.terms = {t: c for t, c in terms.items() if not abs(c) <= PRUNE_EPSILON}
+        out._terms = {t: c for t, c in terms.items() if not abs(c) <= PRUNE_EPSILON}
         out._keyed = None
         return out
 
@@ -291,7 +282,7 @@ class GraphElement(HeldTerms):
             else:
                 pairs = len(self.terms) * len(other.terms)
             if pairs > _ARRAY_PAIRS:
-                return _array_product(self.graph, self, other)
+                return _array_product(self, other)
             return self._like(_pair_product(self.terms, other.terms))
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
@@ -303,7 +294,7 @@ class GraphElement(HeldTerms):
 
     def _from_keys(self, keys, coeffs) -> "GraphElement":
         out = self._like({})  # one pass over the keys, pruned as by ``_like``
-        out.terms = {k: c for k, c in zip(keys, coeffs) if not abs(c) <= PRUNE_EPSILON}
+        out._terms = {k: c for k, c in zip(keys, coeffs) if not abs(c) <= PRUNE_EPSILON}
         return out
 
     def _encode(self):
@@ -344,22 +335,8 @@ class GraphElement(HeldTerms):
                 return _vertex_action(mu.source, c)
         return None
 
-    def ad(self):
-        """a -> [self, a].  A scaled vertex projection c p_v weighs the path
-        codes of an operand that holds them by :func:`_array_vertex_action`;
-        everything else goes to :meth:`Normed.ad`."""
-        act = super().ad()
-        if self._size() != 1:
-            return act
-        ((mu, nu), c), = self.terms.items()
-        v = self.graph._vertex_index.get(mu.source)
-        if mu != nu or mu.edges or v is None:
-            return act
-        return lambda a: (_array_vertex_action(self, a, v, c)
-                          if isinstance(a, GraphElement) and a._keyed else act(a))
-
     def adjoint(self) -> "GraphElement":
-        if self._keyed or len(self.terms) > _ARRAY_TERMS and self._arrays() is not None:
+        if self._keyed:
             K, coeffs = self._keyed
             return _held_element(self.graph, K[:, ::-1], coeffs.conj())
         return self._like({(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()})
@@ -375,14 +352,12 @@ class GraphElement(HeldTerms):
         return "GraphElement(" + " + ".join(bits) + more + ")"
 
 
-_ArraysOnly = arrays_only(GraphElement)
-
-
 def _held_element(graph: DirectedGraph, K: np.ndarray, coeffs: np.ndarray) -> GraphElement:
     """The element with ``coeffs[i]`` on the term with path codes ``K[i]``,
     pruned as by ``GraphElement._like`` and held as arrays."""
-    out = object.__new__(_ArraysOnly)
+    out = object.__new__(GraphElement)
     out.graph = graph
+    out._terms = None
     out._keyed = held_arrays(K, coeffs, PRUNE_EPSILON)
     return out
 
@@ -490,9 +465,9 @@ def _split(graph: DirectedGraph, codes: np.ndarray):
     return L, S, D
 
 
-def _array_product(graph: DirectedGraph, a, b) -> GraphElement:
-    """The product of two elements (or two term dicts) by a prefix join, in
-    numpy; the result is held as arrays.
+def _array_product(a: GraphElement, b: GraphElement) -> GraphElement:
+    """The product of two elements by a prefix join, in numpy; the result is
+    held as arrays.
 
     A term s_mu s_nu^* of (s_mu s_nu^*)(s_alpha s_beta^*) arises when nu is
     a prefix of alpha, giving s_{mu (alpha - nu)} s_beta^*, and when alpha is
@@ -503,7 +478,7 @@ def _array_product(graph: DirectedGraph, a, b) -> GraphElement:
     output length.  When ``size**2`` exceeds int64, or an operand cannot be
     coded, the pair loop runs instead.
     """
-    a, b = (x if isinstance(x, GraphElement) else GraphElement(graph)._like(x) for x in (a, b))
+    graph = a.graph
     ka, kb = a._arrays(), b._arrays()
     if ka is None or kb is None:
         return a._like(_pair_product(a.terms, b.terms))
@@ -567,22 +542,10 @@ def _vertex_action(v: str, c: complex):
     return act
 
 
-def _array_vertex_action(p: GraphElement, a: GraphElement, v: int, c: complex) -> GraphElement:
-    """[p, a] for p = c p_v, on the path codes of ``a``, held as arrays: the
-    weights of :func:`_vertex_action`, bit for bit, with the source index of
-    each code in place of its source vertex."""
-    p._check(a)
-    K, coeffs = a._keyed
-    _, S, _ = _split(a.graph, K.T)
-    at_mu, at_nu = S == v
-    w = exact_product(c, coeffs)
-    np.negative(w, out=w, where=at_nu)
-    w[at_mu == at_nu] = 0j
-    return _held_element(a.graph, K, w)
-
-
 def vertex_commutator(v: str, x: GraphElement, coeff: complex = 1.0) -> GraphElement:
-    """[coeff p_v, x], computed termwise by :func:`_vertex_action`."""
+    """[coeff p_v, x], computed termwise by :func:`_vertex_action`; raises
+    ``ValueError`` for a vertex not in the graph of x."""
+    x.graph.vertex_path(v)
     return x._from_keys(*_vertex_action(v, coeff)(*x.keyed()))
 
 

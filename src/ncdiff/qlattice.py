@@ -39,13 +39,12 @@ the int64 exponent rows of ``a.keyed()`` all at once by the same rule, up to
 rounding (:func:`_monomial_weights`); the cohomology maps and the heat flow
 read the same action.
 
-Sums, differences, negation, scaling, adjoints and norms take the array
-route when every operand already holds arrays.  Adjoints of more than
-``_ARRAY_TERMS`` terms take it too, and so do sums with more than
-``_ARRAY_TERMS`` terms in an operand when the other holds arrays; the dict
-operand then builds its arrays.  Sums merge sorted exponent codes
-(``HeldTerms._array_merge`` in :mod:`ncdiff.carrier`) and give the loop's
-coefficients bit for bit; :func:`_array_adjoint` takes the angles of
+Sums and differences take the array route when both operands hold arrays,
+and negation, scaling, adjoints and norms when their operand does.  Adjoints
+of dicts of more than ``_ARRAY_TERMS`` terms take it too: they cross near 16
+terms even when the arrays must first be built.  Sums merge sorted exponent
+codes (``HeldTerms._array_merge`` in :mod:`ncdiff.carrier`) and give the
+loop's coefficients bit for bit; :func:`_array_adjoint` takes the angles of
 :func:`_adjoint_angle` in its association.  Elements built from dicts with
 at most ``_ARRAY_TERMS`` terms, such as every operand of ``selftest`` and of
 the CLI's ``eval``, keep the loops and their results bit for bit.
@@ -62,8 +61,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import (PRUNE_EPSILON, HeldTerms, arrays_only, frozen, held_arrays,
-                      sum_by_code)
+from .carrier import PRUNE_EPSILON, HeldTerms, frozen, held_arrays, moduli, sum_by_code
 
 Monomial = tuple  # exponent tuple (e_1, ..., e_m)
 
@@ -173,8 +171,7 @@ _EXPONENT_LIMIT = 2 ** 62
 # Commutators [c U^g, a] with more terms in ``a`` than this take the array
 # route; both routes took the same time near 32 terms, for 2 to 4 generators.
 # So do adjoints, whose routes cross near 16 terms even when the arrays must
-# first be built from a dict, and sums with an operand held as arrays (see
-# HeldTerms._array_merge).
+# first be built from a dict.
 _ARRAY_TERMS = 32
 
 
@@ -225,16 +222,16 @@ def _keyed_element(spec: QAlgebraSpec, E: np.ndarray, coeffs: np.ndarray) -> "QE
     Rows are held in column-major order: numpy reduces and slices the
     exponents of one generator many times faster there.
     """
-    out = object.__new__(_ArraysOnly)
+    out = object.__new__(QElement)
     out.spec = spec
+    out._terms = None
     out._keyed = held_arrays(E, coeffs, spec.prune_epsilon)
     return out
 
 
-def _array_product(spec: QAlgebraSpec, a, b) -> "QElement":
-    """The product of two elements (or two term dicts) on the grid of term
-    pairs, in numpy; the result is held as arrays unless an exponent
-    reaches 2**62.
+def _array_product(a: "QElement", b: "QElement") -> "QElement":
+    """The product of two elements on the grid of term pairs, in numpy; the
+    result is held as arrays unless an exponent reaches 2**62.
 
     Angles take the association of :func:`_mul_angle`, and a phase is
     applied only where the angle is nonzero, as in :func:`_pair_product`.
@@ -244,7 +241,7 @@ def _array_product(spec: QAlgebraSpec, a, b) -> "QElement":
     codes chunk by chunk.  A box with more codes than int64 holds, or an
     exponent of 2**62 or more, goes to the pair loop.
     """
-    a, b = (x if isinstance(x, QElement) else QElement(spec)._like(x) for x in (a, b))
+    spec = a.spec
     ka, kb = a.keyed(), b.keyed()
     box = None
     if ka is not None and kb is not None:
@@ -343,21 +340,23 @@ def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
     p_1 = c a_e exp(i phi_1) and p_2 = c a_e exp(i phi_2) are each dropped at
     ``prune_epsilon``, a phase is applied only where its angle is nonzero,
     and p_1 - p_2 is dropped at ``prune_epsilon`` too; a dropped term weighs
-    0.  Overflowing angles give nan weights without a warning.
+    0.  Overflowing angles and products give nan and inf weights without a
+    warning; a finite product whose modulus overflows raises
+    ``OverflowError``, as in the loop.
     """
     angles = _exchange_angles(spec, g)
     eps = spec.prune_epsilon
 
     def weigh(E, coeffs):
-        p = c * np.asarray(coeffs, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
+            p = c * np.asarray(coeffs, dtype=complex)
             phi1, phi2 = angles(E.T)
             p1 = np.multiply(p, np.exp(1j * phi1), out=p.copy(), where=phi1 != 0.0)
             p2 = np.multiply(p, np.exp(1j * phi2), out=p, where=phi2 != 0.0)
-            p1[np.abs(p1) <= eps] = 0.0
-            p2[np.abs(p2) <= eps] = 0.0
+            p1[moduli(p1) <= eps] = 0.0
+            p2[moduli(p2) <= eps] = 0.0
             v = p1 - p2
-            v[np.abs(v) <= eps] = 0.0
+            v[moduli(v) <= eps] = 0.0
         return v
     return weigh
 
@@ -371,8 +370,7 @@ class QElement(HeldTerms):
     the module docstring and :class:`~ncdiff.carrier.HeldTerms`).
     """
 
-    __slots__ = ("spec", "terms", "_keyed")
-    _merge_terms = _ARRAY_TERMS
+    __slots__ = ("spec", "_terms", "_keyed")
 
     def __init__(self, spec: QAlgebraSpec, terms: Mapping[Monomial, complex] | None = None):
         m = spec.generator_count
@@ -385,7 +383,7 @@ class QElement(HeldTerms):
             if not abs(c) <= eps:  # keeps a nan for the finiteness checks
                 tt[tuple(int(x) for x in mono)] = c
         self.spec = spec
-        self.terms = tt
+        self._terms = tt
         self._keyed = None
 
     def _like(self, terms: dict) -> "QElement":
@@ -393,7 +391,7 @@ class QElement(HeldTerms):
         out = object.__new__(QElement)
         out.spec = self.spec
         eps = self.spec.prune_epsilon
-        out.terms = {e: c for e, c in terms.items() if not abs(c) <= eps}
+        out._terms = {e: c for e, c in terms.items() if not abs(c) <= eps}
         out._keyed = None
         return out
 
@@ -435,7 +433,7 @@ class QElement(HeldTerms):
             else:
                 pairs = len(self.terms) * len(other.terms)
             if pairs > _ARRAY_PAIRS:
-                return _array_product(self.spec, self, other)
+                return _array_product(self, other)
             return self._like(_pair_product(self.spec, self.terms, other.terms))
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
@@ -532,9 +530,6 @@ class QElement(HeldTerms):
             mono = "".join(f"U{j + 1}^{x}" for j, x in enumerate(e) if x != 0) or "1"
             parts.append(f"({c:.6g})*{mono}")
         return "QElement(" + " + ".join(parts) + ")"
-
-
-_ArraysOnly = arrays_only(QElement)
 
 
 # -- presentation builders -------------------------------------------------

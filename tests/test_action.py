@@ -110,6 +110,20 @@ def test_monomial_ad_keeps_nan(n, rng):
 
 
 @pytest.mark.parametrize("n", [5, 200])
+def test_monomial_ad_raises_on_overflowing_moduli(n, rng):
+    # c a_e = 1.5e308 (1 + i) is finite, but its modulus overflows: the loop
+    # raises from abs, and the weights of the array route raise as it does
+    spec = QAlgebraSpec(np.zeros((3, 3)))  # no phases, so no part overflows
+    x = QElement.monomial(spec, (0, 1, 1), 1e308 + 1e308j)
+    a = QElement(spec, {e: 1.5 for e in _operand(spec, rng, n).terms})
+    for y in (a, a._from_keys(*a.keyed())):
+        with pytest.raises(OverflowError):
+            x.ad()(y)
+    with pytest.raises(OverflowError):
+        commutator(x, a)
+
+
+@pytest.mark.parametrize("n", [5, 200])
 def test_monomial_ad_huge_theta_gives_nan_without_warnings(n, rng):
     spec = torus_spec(1e308)
     x = QElement.generator(spec, 2)

@@ -2,6 +2,7 @@
 
 import operator
 
+import numpy as np
 import pytest
 
 import ncdiff
@@ -94,6 +95,27 @@ def test_terms_prune_at_prune_epsilon(make, rng):
     assert unit.scale(2 * PRUNE_EPSILON).terms == {key: 2 * PRUNE_EPSILON}
     assert (unit.scale(4 * PRUNE_EPSILON) + unit.scale(-3.5 * PRUNE_EPSILON)).terms == {}
     assert (a - a).terms == {} and (-a + a).terms == {}
+
+
+@TERM_CARRIERS
+def test_overflowing_moduli_raise_on_both_holdings(make, rng):
+    # 1.5e308 (1 + i) is finite, but its modulus overflows: the loops raise
+    # from abs, and the routes over held arrays must raise as they do
+    a, _, _, _ = make(rng)
+    key = next(iter(a.terms))
+    big = 1.5e308 + 1.5e308j
+    for c, factor in ((1.0, big), (1e308 + 1e308j, 1.5)):
+        x = a._like({key: c})
+        keys, coeffs = x._arrays()
+        for y in (x, x._held(keys, coeffs)):
+            with pytest.raises(OverflowError):
+                y.scale(factor)
+            assert y.norm() == abs(c)
+            assert (y + y).norm() == abs(2 * c)  # inf parts: an inf modulus, no error
+        with pytest.raises(OverflowError):
+            x._like({key: big})
+        with pytest.raises(OverflowError):
+            x._held(keys, np.array([big]))
 
 
 def test_mixing_q_and_graph_elements_is_a_type_error(rng):

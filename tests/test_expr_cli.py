@@ -619,7 +619,7 @@ def test_small_graph_operands_never_take_the_array_routes(monkeypatch, tmp_path)
 
     def refuse(*args):
         raise AssertionError("array route entered")
-    for name in ("_array_product", "_array_vertex_action", "_held_element", "_term_codes"):
+    for name in ("_array_product", "_held_element", "_term_codes"):
         monkeypatch.setattr(graph_algebra, name, refuse)
     workloads = _benchmark_workloads(monkeypatch)
     reference = workloads.load_reference()

@@ -136,6 +136,8 @@ def test_vertex_commutator_cases():
     gl = loop_graph(1)
     sl = edge_isometry(gl, "l0")
     assert vertex_commutator("c0", sl).norm() == 0.0
+    with pytest.raises(ValueError, match="unknown vertex"):
+        vertex_commutator("z", se)
 
 
 def test_is_closed():
@@ -324,7 +326,7 @@ def _operand(graph, rng, n: int, max_len: int = 4) -> GraphElement:
 def _assert_array_matches_loop(x, y):
     """Same key set as the pair loop, coefficients within 1e-13 relative (or
     1e-13 of the largest possible summand, for a coefficient that cancels)."""
-    got, want = _array_product(x.graph, x.terms, y.terms), graph_loop_product(x, y)
+    got, want = _array_product(x, y), graph_loop_product(x, y)
     assert set(got.terms) == set(want.terms)
     scale = x.norm() * y.norm()
     for t, c in want.terms.items():
@@ -362,8 +364,8 @@ def test_array_product_empty_operand(rng):
     g = loop_graph(4)
     x = _operand(g, rng, 40)
     zero = GraphElement.zero(g)
-    assert _array_product(g, x.terms, {}).terms == {}
-    assert _array_product(g, {}, x.terms).terms == {}
+    assert _array_product(x, zero).terms == {}
+    assert _array_product(zero, x).terms == {}
     assert (zero * x).terms == {} and (x * zero).terms == {}
 
 
@@ -393,7 +395,7 @@ def test_array_product_keeps_nan(rng):
     x, y = _operand(g, rng, 40), _operand(g, rng, 40)
     t0 = next(iter(x.terms))
     x = GraphElement(g, {**x.terms, t0: complex(math.nan, 0.0)})
-    got, want = _array_product(g, x.terms, y.terms), graph_loop_product(x, y)
+    got, want = _array_product(x, y), graph_loop_product(x, y)
     assert set(got.terms) == set(want.terms)
     nan_keys = {t for t, c in want.terms.items() if cmath.isnan(c)}
     assert nan_keys and nan_keys == {t for t, c in got.terms.items() if cmath.isnan(c)}
@@ -464,7 +466,7 @@ def test_small_products_stay_on_the_loop(rng, monkeypatch):
 
 HELD_GRAPHS = {"loop4": (loop_graph(4), 7), "O2": (o2_graph(), 4),
                "diamond": (diamond_graph(), 2)}
-HELD_SIZES = [3, 40, ga._ARRAY_TERMS + 1, 600]
+HELD_SIZES = [3, 40, 193, 600]
 LIFTED = 10 ** 9
 
 
@@ -481,7 +483,6 @@ def _dict_only(x):
 def _loop_route(f, *xs):
     """f on dict-only copies of xs with every cut lifted: the loops, the oracle."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ga, "_ARRAY_TERMS", LIFTED)
         mp.setattr(ga, "_ARRAY_PAIRS", LIFTED)
         return f(*(_dict_only(x) for x in xs))
 
@@ -540,8 +541,8 @@ def test_held_sums_match_the_loop(name, n_terms, rng):
     for x, y in _route_cases(a, b):
         got = {"a+b": x + y, "a-b": x - y, "b-a": y - x}
         for key, out in got.items():
-            # an operand held as codes sends the sum to the merge
-            assert bool(out._keyed) == bool(x._keyed or y._keyed)
+            # two operands held as codes send the sum to the merge
+            assert bool(out._keyed) == bool(x._keyed and y._keyed)
             _assert_same_terms(out, want[key])
 
 
@@ -559,7 +560,7 @@ def test_held_unary_routes_match_the_loop(name, n_terms, rng):
         for c, want in zip(cs, scaled):
             _assert_same_terms(x.scale(c), want)
         got = x.adjoint()
-        assert bool(got._keyed) == bool(x._keyed or len(a.terms) > ga._ARRAY_TERMS)
+        assert bool(got._keyed) == bool(x._keyed)
         _assert_same_terms(got, adj)
         _assert_same_terms(got.adjoint(), a)
         assert abs(x.norm() - norm) <= 1e-15 * norm  # numpy's modulus may differ in the last bit
@@ -576,12 +577,10 @@ def test_held_vertex_commutators_match_the_loop(name, n_terms, rng):
         p = GraphElement.term(g, g.vertex_path(v), g.vertex_path(v), 0.8 - 0.3j)
         want = _loop_route(lambda x: p.ad()(x), a)
         assert want.terms == vertex_commutator(v, a, 0.8 - 0.3j).terms
-        held = p.ad()(_held(a))
-        assert held._keyed  # the array route ran
-        _assert_same_terms(held, want)
-        got = p.ad()(_dict_only(a))
-        assert not got._keyed  # a dict operand keeps the loop
-        _assert_same_terms(got, want)
+        for x in (_held(a), _dict_only(a)):
+            got = p.ad()(x)
+            assert not got._keyed  # the loop, over the paths of keyed()
+            _assert_same_terms(got, want)
 
 
 @pytest.mark.parametrize("name", list(HELD_GRAPHS))
@@ -726,14 +725,14 @@ def test_graph_carrier_basis_keys_unchanged(rng):
         (9, 9, 0), (65, 45, 20), (170, 90, 80), (210, 90, 120), (125, 45, 80), (29, 9, 20)]
 
 
-def test_terms_decoded_from_codes_are_paths(rng):
+def test_terms_decoded_from_codes_are_paths(rng, monkeypatch):
     a, _ = _held_pair("loop4", rng, 60)
     x = _held(a)
-    assert type(x) is ga._ArraysOnly and isinstance(x, GraphElement)
-    with pytest.raises(AttributeError):
-        GraphElement.terms.__get__(x)  # held as codes only
-    assert x.terms == a.terms and x.terms is x.terms  # decoded once, then kept
-    assert type(x) is GraphElement  # and a plain element from then on
+    decoded = []
+    decode = GraphElement._decode
+    monkeypatch.setattr(GraphElement, "_decode", lambda self: decoded.append(1) or decode(self))
+    assert x.terms == a.terms and x.terms is x.terms and len(decoded) == 1  # once, then kept
+    assert type(x) is GraphElement
     assert all(type(c) is complex for c in x.terms.values())
     for mu, nu in x.terms:
         assert type(mu) is Path and hash(mu) == hash(Path(mu.source, mu.edges, mu.range))
@@ -742,3 +741,18 @@ def test_terms_decoded_from_codes_are_paths(rng):
     assert K.dtype == np.int64 and K.flags.f_contiguous
     with pytest.raises(AttributeError):
         x.no_such_attribute
+
+
+def test_held_elements_pickle(rng):
+    a, b = _held_pair("loop4", rng, 40)
+    x = a * b  # 1,600 pairs: the array route, held as codes only
+    for y in (pickle.loads(pickle.dumps(x)), pickle.loads(pickle.dumps(_dict_only(x)))):
+        g = y.graph
+        assert type(y) is GraphElement and g is not x.graph and g.edges == x.graph.edges
+        # elements compare over one graph: x's terms, over the unpickled one
+        assert y.terms == x.terms and y.equal_within(GraphElement(g, x.terms), 0.0)
+        if y._keyed:
+            (K, c), (L, d) = y._keyed, x._keyed
+            assert np.array_equal(K, L) and np.array_equal(c, d)
+            assert not K.flags.writeable and not c.flags.writeable
+        _assert_same_terms(y * y.adjoint(), GraphElement(g, (x * x.adjoint()).terms))

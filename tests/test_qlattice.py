@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -333,7 +334,7 @@ def _element(spec, rng, max_exp, n_terms):
 
 
 def _assert_array_matches_loop(a, b):
-    got = _array_product(a.spec, a.terms, b.terms)
+    got = _array_product(a, b)
     want = loop_product(a, b)
     assert set(got.terms) == set(want.terms)
     assert all(type(x) is int for e in got.terms for x in e)
@@ -376,7 +377,7 @@ def test_array_product_keeps_nan(rng):
     a, b = _element(spec, rng, 3, 20), _element(spec, rng, 3, 20)
     e0 = next(iter(a.terms))
     a = QElement(spec, {**a.terms, e0: complex(math.nan, 0.0)})
-    got, want = _array_product(spec, a.terms, b.terms), loop_product(a, b)
+    got, want = _array_product(a, b), loop_product(a, b)
     assert set(got.terms) == set(want.terms)
     nan_keys = {e for e, c in want.terms.items() if cmath.isnan(c)}
     assert nan_keys == {tuple(x + y for x, y in zip(e0, f)) for f in b.terms}
@@ -387,8 +388,8 @@ def test_array_product_keeps_nan(rng):
 def test_array_product_empty_operand(heisenberg, rng):
     a = _element(heisenberg, rng, 3, 40)
     zero = QElement.zero(heisenberg)
-    assert _array_product(heisenberg, a.terms, {}).terms == {}
-    assert _array_product(heisenberg, {}, a.terms).terms == {}
+    assert _array_product(a, zero).terms == {}
+    assert _array_product(zero, a).terms == {}
     assert (zero * a).terms == {} and (a * zero).terms == {}
 
 
@@ -416,7 +417,7 @@ def test_array_product_never_allocates_the_box():
     a, b = _element(spec, rng, 300, 100), _element(spec, rng, 300, 100)
     tracemalloc.start()
     try:
-        _array_product(spec, a.terms, b.terms)
+        _array_product(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -518,8 +519,8 @@ def test_array_sums_match_the_loop(spec, n_terms, rng):
     for x, y in _route_cases(a, b):
         got = {"a+b": x + y, "a-b": x - y, "b-a": y - x}
         for key, out in got.items():
-            # an operand held as arrays sends the sum to the array route
-            assert bool(out._keyed) == bool(x._keyed or y._keyed)
+            # two operands held as arrays send the sum to the array route
+            assert bool(out._keyed) == bool(x._keyed and y._keyed)
             _assert_same_terms(out, want[key])
 
 
@@ -650,18 +651,30 @@ def test_huge_exponents_stay_dicts():
     _assert_close_terms(square, loop_product(half, half))
 
 
-def test_terms_decoded_from_arrays_are_python_scalars(torus, rng):
+def test_terms_decoded_from_arrays_are_python_scalars(torus, rng, monkeypatch):
     a = _element(torus, rng, 6, 60)
     x = _held(a)
-    assert type(x) is qlattice._ArraysOnly and isinstance(x, QElement)
-    with pytest.raises(AttributeError):
-        QElement.terms.__get__(x)  # held as arrays only
-    assert x.terms == a.terms and x.terms is x.terms  # decoded once, then kept
-    assert type(x) is QElement  # and a plain element from then on
+    decoded = []
+    decode = QElement._decode
+    monkeypatch.setattr(QElement, "_decode", lambda self: decoded.append(1) or decode(self))
+    assert x.terms == a.terms and x.terms is x.terms and len(decoded) == 1  # once, then kept
+    assert type(x) is QElement and x.keyed() is x.keyed()
     _assert_python_terms(x)
     assert x.keyed()[0].flags.writeable is False and x.keyed()[1].flags.writeable is False
     with pytest.raises(AttributeError):
         x.no_such_attribute
+
+
+def test_held_elements_pickle(heisenberg, rng):
+    a, b = _element(heisenberg, rng, 4, 20), _element(heisenberg, rng, 4, 20)
+    x = a * b  # 400 pairs: the array route, held as arrays only
+    for y in (pickle.loads(pickle.dumps(x)), pickle.loads(pickle.dumps(_dict_only(x)))):
+        assert type(y) is QElement and y.spec.same_as(x.spec)
+        assert y.terms == x.terms
+        (E, c), (F, d) = y.keyed(), x.keyed()
+        assert np.array_equal(E, F) and np.array_equal(c, d)
+        assert not E.flags.writeable and not c.flags.writeable
+    _assert_same_terms(pickle.loads(pickle.dumps(x)) * b, x * b)
 
 
 def test_small_sums_mix_arrays_and_dicts(heisenberg, rng):
