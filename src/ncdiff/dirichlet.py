@@ -19,6 +19,9 @@ these replace are the tests' oracles, in ``tests/oracles.py``.  Every
 first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
 Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
 maps, so a diagonal basis element never forms two products.
+:func:`audit_semigroup` samples the channel on seeded random operators; the
+module holds the last integer-seeded draw, read-only and under a byte cap, so
+audits repeated at one (n, samples, seed) draw and diagonalize it once.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ def _check_time(t: float) -> None:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
 
+
+# The seeded samples of one audit are held while their three complex stacks
+# fit this many bytes: n = 32 at 100 samples, not n = 64.
+_HELD_DRAW_BYTES = 8 * 2 ** 20
+_held_draw = None  # ((n, samples, seed), (A, B, interval operators)) or None
 
 _PARENT_NAMES = {MatElement: "matrix dimension", QElement: "presentation", GraphElement: "graph"}
 
@@ -167,8 +175,23 @@ class SemigroupAudit:
         return "\n".join(lines) + "\n"
 
 
-def _random_unit_interval_operators(n: int, samples: int, rng) -> np.ndarray:
-    """Stack of random Hermitian matrices with spectrum inside [0, 1]."""
+def _audit_samples(n: int, samples: int, seed):
+    """Read-only stacks A, B of random pairs and of random Hermitian operators
+    with spectrum inside [0, 1], all from one ``default_rng(seed)``; the last
+    draw with integer arguments is held for the next call while it fits
+    ``_HELD_DRAW_BYTES``."""
+    global _held_draw
+    key = (n, samples, seed)
+    holdable = all(isinstance(v, (int, np.integer)) for v in key)
+    if holdable and _held_draw is not None and _held_draw[0] == key:
+        return _held_draw[1]
+    _held_draw = None
+    rng = np.random.default_rng(seed)
+    # one batched draw gives the same samples as drawing pair by pair
+    draws = rng.standard_normal((samples, 4, n, n))
+    A = draws[:, 0] + 1j * draws[:, 1]
+    B = draws[:, 2] + 1j * draws[:, 3]
+    del draws
     X = rng.standard_normal((samples, 2, n, n))
     X = X[:, 0] + 1j * X[:, 1]
     H = X + X.conj().swapaxes(1, 2)
@@ -176,7 +199,12 @@ def _random_unit_interval_operators(n: int, samples: int, rng) -> np.ndarray:
     lo, hi = lam[:, :1, None], lam[:, -1:, None]
     flat = hi - lo < 1e-12
     eye = np.eye(n)
-    return np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
+    ops = np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
+    for stack in (A, B, ops):
+        stack.setflags(write=False)
+    if holdable and A.nbytes + B.nbytes + ops.nbytes <= _HELD_DRAW_BYTES:
+        _held_draw = key, (A, B, ops)
+    return A, B, ops
 
 
 def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
@@ -187,7 +215,12 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     joint eigenbasis, and the symbol is computed once for all times.  The
     Choi matrix is unitarily similar (via conj(Q) (x) Q) to the symbol on
     span{e_i (x) e_i} plus a zero block of size n^2 - n, so its least
-    eigenvalue is read off the n x n symbol.
+    eigenvalue is read off the n x n symbol.  The random pairs and operators
+    with spectrum in [0, 1] are drawn once per (n, samples, seed) and shared
+    by every time.  With an integer seed the module holds them read-only, one
+    draw at a time and only while they fit ``_HELD_DRAW_BYTES``, so a repeat
+    audit at the same size and seed skips the redraw and its ``eigvalsh``;
+    the rows are those of a fresh draw, whatever the order of the calls.
     """
     ts = list(ts)
     if not ts:
@@ -197,13 +230,8 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     if samples < 1:
         raise ValueError("need at least one sample")
     Q, W = _schur_symbol(basis, n)
-    rng = np.random.default_rng(seed)
+    A, B, interval_ops = _audit_samples(n, samples, seed)
     audit = SemigroupAudit(n=n, basis_label=basis.label)
-    # one batched draw gives the same samples as drawing pair by pair
-    draws = rng.standard_normal((samples, 4, n, n))
-    A = draws[:, 0] + 1j * draws[:, 1]
-    B = draws[:, 2] + 1j * draws[:, 3]
-    interval_ops = _random_unit_interval_operators(n, samples, rng)
     eye = np.eye(n)
     for t in ts:
         M = np.exp(-t * W)

@@ -23,6 +23,10 @@ class MatElement(Normed):
         m.setflags(write=False)
         self.mat = m
 
+    def __reduce__(self):
+        # rebuilt through __init__, so the unpickled matrix is read-only too
+        return MatElement, (self.mat,)
+
     @property
     def n(self) -> int:
         return self.mat.shape[0]

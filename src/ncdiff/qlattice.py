@@ -111,6 +111,11 @@ class QAlgebraSpec:
         self._pairs = tuple((j, k, float(th[j, k])) for j in range(m)
                             for k in range(j + 1, m) if th[j, k] != 0.0)
 
+    def __reduce__(self):
+        # rebuilt through __init__, so theta comes back read-only and _pairs
+        # is derived from it again
+        return QAlgebraSpec, (self.theta, self.label, self.meta, self.prune_epsilon)
+
     @property
     def generator_count(self) -> int:
         return self.theta.shape[0]

@@ -6,7 +6,8 @@ library switches to an array route above a cut), the Laplacian and heat
 channel of a matrix basis as n^2 x n^2 Kronecker superoperators with an
 ``eigh`` (the library reads the Schur symbol in the basis's eigenbasis), and
 the Trotter splitting error by ``expm`` of those superoperators (the library
-reads two Schur symbols).
+reads two Schur symbols).  The sampled audit's random draws are also drawn
+here afresh on every call (the library holds its last seeded draw).
 Superoperators act on row-major vectorized matrices.
 """
 
@@ -91,3 +92,20 @@ def superoperator_trotter(t, steps, n, basis):
     step = scipy.linalg.expm(h * K1) @ scipy.linalg.expm(h * K2)
     approx = np.linalg.matrix_power(step, steps)
     return float(np.linalg.norm(approx - scipy.linalg.expm(t * (K1 + K2)), 2))
+
+
+def audit_samples(n: int, samples: int, seed):
+    """The random pairs A, B and operators with spectrum in [0, 1] of
+    ``audit_semigroup``, drawn afresh from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((samples, 4, n, n))
+    A = draws[:, 0] + 1j * draws[:, 1]
+    B = draws[:, 2] + 1j * draws[:, 3]
+    X = rng.standard_normal((samples, 2, n, n))
+    X = X[:, 0] + 1j * X[:, 1]
+    H = X + X.conj().swapaxes(1, 2)
+    lam = np.linalg.eigvalsh(H)
+    lo, hi = lam[:, :1, None], lam[:, -1:, None]
+    flat = hi - lo < 1e-12
+    eye = np.eye(n)
+    return A, B, np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))

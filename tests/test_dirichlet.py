@@ -159,6 +159,80 @@ def _matrix_basis(kind, n):
                               for p in projection_basis(n)], mode="selfadjoint")
 
 
+@pytest.fixture
+def no_held_draw(monkeypatch):
+    """Start with no held audit draw, and restore the module's afterwards."""
+    monkeypatch.setattr(D, "_held_draw", None)
+
+
+def test_held_draw_rows_equal_fresh_rows_in_any_order(no_held_draw, monkeypatch):
+    ts = [0.1, 1.0, 10.0]
+    cases = [(_matrix_basis(kind, n), n) for n in (4, 6) for kind in ("projection", "rotated")]
+    whole = [D.audit_semigroup(ts, n, basis, samples=20).results for basis, n in cases]
+    # single-time calls, interleaved over both sizes and both bases, forwards and back
+    calls = [(i, j) for j in range(len(ts)) for i in range(len(cases))]
+    for order in (calls, calls[::-1]):
+        for i, j in order:
+            basis, n = cases[i]
+            assert D.audit_semigroup([ts[j]], n, basis, samples=20).results == [whole[i][j]]
+    # and every row is the one a fresh draw gives
+    monkeypatch.setattr(D, "_audit_samples", oracles.audit_samples)
+    assert [D.audit_semigroup(ts, n, basis, samples=20).results for basis, n in cases] == whole
+
+
+@pytest.mark.parametrize("n, samples, seed", [(1, 3, 7), (4, 20, 7), (5, 7, np.int64(3))])
+def test_held_draw_is_the_fresh_draw(n, samples, seed, no_held_draw):
+    drawn = D._audit_samples(n, samples, seed)
+    assert D._held_draw[0] == (n, samples, seed)
+    again = D._audit_samples(n, samples, seed)
+    assert all(x is y for x, y in zip(drawn, again))
+    for x, y in zip(drawn, oracles.audit_samples(n, samples, seed)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0, 0] = 0.0
+
+
+def test_unseeded_draws_are_fresh(no_held_draw):
+    for seed in (None, np.random.default_rng(5)):
+        first, second = D._audit_samples(3, 4, seed), D._audit_samples(3, 4, seed)
+        assert not np.array_equal(first[0], second[0]) and D._held_draw is None
+    seq = np.random.SeedSequence(5)
+    first, second = D._audit_samples(3, 4, seq), D._audit_samples(3, 4, seq)
+    assert first[0] is not second[0] and np.array_equal(first[0], second[0])
+    assert D._held_draw is None
+
+
+def test_draw_over_the_cap_is_not_held(no_held_draw, monkeypatch):
+    # the heat workload's n = 20 audits fit the cap; `semigroup --n 64` does not
+    assert 3 * 100 * 20 ** 2 * 16 <= D._HELD_DRAW_BYTES < 3 * 100 * 64 ** 2 * 16
+    n, samples = 4, 10
+    fits = 3 * samples * n * n * 16
+    monkeypatch.setattr(D, "_HELD_DRAW_BYTES", fits)
+    D._audit_samples(n, samples, 7)
+    assert D._held_draw[0] == (n, samples, 7)
+    monkeypatch.setattr(D, "_HELD_DRAW_BYTES", fits - 1)
+    drawn = D._audit_samples(n, samples, 8)
+    assert D._held_draw is None
+    assert all(np.array_equal(x, y) for x, y in zip(drawn, oracles.audit_samples(n, samples, 8)))
+
+
+def test_failed_draw_leaves_nothing_held(no_held_draw, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room for the draw")
+
+    D._audit_samples(3, 4, 7)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", exhausted)
+        with pytest.raises(MemoryError):
+            D._audit_samples(3, 5, 7)
+    assert D._held_draw is None
+    D._audit_samples(3, 4, 7)
+    with pytest.raises(ValueError):
+        D._audit_samples(3, 4, -1)
+    assert D._held_draw is None
+
+
 MATRIX_CASES = pytest.mark.parametrize(
     "kind, n", [("projection", n) for n in (2, 3, 4, 5)]
     + [("rotated", 7), ("rotated", 12), ("rotated-projection", 6)], ids=lambda v: str(v))

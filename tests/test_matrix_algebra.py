@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -109,3 +110,12 @@ def test_json_roundtrip(rng):
     assert d["n"] == 3 and len(d["rows"]) == 3
     b = mat_from_json(d)
     assert (a - b).norm() < 1e-15
+
+
+def test_unpickled_matrix_is_read_only(rng):
+    a = random_matelement(4, rng)
+    b = pickle.loads(pickle.dumps(a))
+    assert type(b) is MatElement and b.mat.tobytes() == a.mat.tobytes()
+    assert not b.mat.flags.writeable
+    with pytest.raises(ValueError):
+        b.mat[0, 0] = 0.0

@@ -677,6 +677,17 @@ def test_held_elements_pickle(heisenberg, rng):
     _assert_same_terms(pickle.loads(pickle.dumps(x)) * b, x * b)
 
 
+def test_unpickled_spec_is_rebuilt():
+    spec = heisenberg_spec(0.1, 0.2)
+    back = pickle.loads(pickle.dumps(spec))
+    assert back.same_as(spec) and back._pairs == spec._pairs
+    assert (back.label, back.meta, back.prune_epsilon) == (spec.label, spec.meta,
+                                                          spec.prune_epsilon)
+    assert not back.theta.flags.writeable
+    with pytest.raises(ValueError):
+        back.theta[0, 2] = 0.0
+
+
 def test_small_sums_mix_arrays_and_dicts(heisenberg, rng):
     # an operand held as arrays and a small dict take the loop, in either order
     a, b = _element(heisenberg, rng, 2, 5), _element(heisenberg, rng, 2, 7)
