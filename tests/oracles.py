@@ -6,8 +6,9 @@ library switches to an array route above a cut), the Laplacian and heat
 channel of a matrix basis as n^2 x n^2 Kronecker superoperators with an
 ``eigh`` (the library reads the Schur symbol in the basis's eigenbasis), and
 the Trotter splitting error by ``expm`` of those superoperators (the library
-reads two Schur symbols).  The sampled audit's random draws are also drawn
-here afresh on every call (the library holds its last seeded draw).
+reads two Schur symbols).  The sampled audit's random draws and the seeded
+inputs of the selftest battery are also drawn here afresh on every call (the
+library holds its last seeded draw of each).
 Superoperators act on row-major vectorized matrices.
 """
 
@@ -17,9 +18,11 @@ import numpy as np
 import scipy.linalg
 
 from ncdiff import graph_algebra, qlattice
+from ncdiff.forms import DifferentialBasis, DifferentialForm
 from ncdiff.graph_algebra import GraphElement
 from ncdiff.matrix_algebra import MatElement
-from ncdiff.qlattice import QElement
+from ncdiff.qlattice import QElement, torus_spec
+from ncdiff.testing import default_carriers, random_form, random_qelement
 
 
 def loop_product(a: QElement, b: QElement) -> QElement:
@@ -109,3 +112,51 @@ def audit_samples(n: int, samples: int, seed):
     flat = hi - lo < 1e-12
     eye = np.eye(n)
     return A, B, np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
+
+
+def delta_inputs(samples: int) -> list:
+    """(label, forms) per carrier, drawn as ``check_delta_squared`` drew them
+    inline: one fresh ``default_carriers()``, a ``default_rng(5)`` per carrier."""
+    out = []
+    for label, basis, sample in default_carriers():
+        rng = np.random.default_rng(5)
+        alphas = []
+        for i in range(samples):
+            if i % 2 == 0:
+                alpha = DifferentialForm.from_element(basis, sample())
+            else:
+                alpha = random_form(basis, lambda _: sample(), rng)
+            alphas.append(alpha)
+        out.append((label, alphas))
+    return out
+
+
+def leibniz_inputs(samples: int) -> list:
+    """(label, form pairs) per complex-mode carrier, drawn as ``check_leibniz``
+    drew them inline, with a ``default_rng(9)`` per carrier."""
+    out = []
+    for label, basis, sample in default_carriers():
+        if basis.mode != "complex":
+            continue
+        rng = np.random.default_rng(9)
+        pairs = []
+        for _ in range(samples):
+            alpha = random_form(basis, lambda _: sample(), rng, max_terms=1)
+            beta = random_form(basis, lambda _: sample(), rng, max_terms=1)
+            pairs.append((alpha, beta))
+        out.append((label, pairs))
+    return out
+
+
+def carre_inputs(samples: int):
+    """The torus basis {U} and element pairs of the selftest's carre du champ
+    check, drawn as ``run_selftest`` drew them inline from ``default_rng(3)``."""
+    torus = torus_spec(0.7)
+    rng = np.random.default_rng(3)
+    basis = DifferentialBasis([QElement.generator(torus, 1)], label="torus {U}")
+    pairs = []
+    for _ in range(samples):
+        a = random_qelement(torus, rng)
+        c = random_qelement(torus, rng)
+        pairs.append((a, c))
+    return basis, pairs

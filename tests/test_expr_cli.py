@@ -453,6 +453,19 @@ def _benchmark_workloads(monkeypatch):
     return module
 
 
+def _assert_frozen_selftest(out, text_matches):
+    """``out`` is the frozen selftest of benchmarks/reference.json byte for
+    byte, except the numbers of the semigroup audit line: they are
+    rounding-level (about 1e-16) and vary with the LAPACK build, so they get
+    the benchmark's own text tolerance ``text_matches``."""
+    reference = Path(__file__).parents[1] / "benchmarks" / "reference.json"
+    want = json.loads(reference.read_text())["selftest"].splitlines(True)
+    got = out.splitlines(True)
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w and not (
+        w.startswith("semigroup audit") and text_matches(g, w))] == []
+
+
 def test_module_entry_points(monkeypatch):
     env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]))
 
@@ -464,20 +477,40 @@ def test_module_entry_points(monkeypatch):
     assert done.returncode == 0
     lines = done.stdout.splitlines()
     assert lines and all(line.endswith(" PASS") for line in lines)
-    # stdout equals the frozen selftest of benchmarks/reference.json byte for
-    # byte, except the numbers of the semigroup audit line: they are
-    # rounding-level (about 1e-16) and vary with the LAPACK build, so they get
-    # the benchmark's own text tolerance
-    reference = Path(__file__).parents[1] / "benchmarks" / "reference.json"
-    want = json.loads(reference.read_text())["selftest"].splitlines(True)
-    got = done.stdout.splitlines(True)
-    text_matches = _benchmark_workloads(monkeypatch).text_matches
-    assert len(got) == len(want)
-    assert [(g, w) for g, w in zip(got, want) if g != w and not (
-        w.startswith("semigroup audit") and text_matches(g, w))] == []
+    _assert_frozen_selftest(done.stdout, _benchmark_workloads(monkeypatch).text_matches)
     done = run_module("ncdiff.cli", "cohomology", "--carrier", "matrix", "--n", "0")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def _held_selftest_elements():
+    """Every carrier element the selftest battery holds between calls."""
+    from ncdiff import testing
+    held = [f for _, alphas in testing._delta_inputs(50) for f in alphas]
+    held += [f for _, pairs in testing._leibniz_inputs(30) for pair in pairs for f in pair]
+    basis, pairs = testing._carre_inputs(25)
+    elements = [x for pair in pairs for x in pair]
+    for b in [*{id(f.basis): f.basis for f in held}.values(), basis]:
+        elements += b.elements + b.scaled + b.scaled_star + b.diagonal
+    return elements + [c for f in held for c in f.terms.values()]
+
+
+def test_repeated_selftests_match_the_frozen_reference(monkeypatch):
+    # the battery's held inputs give every call the stdout of a fresh process
+    text_matches = _benchmark_workloads(monkeypatch).text_matches
+    outs = []
+    for _ in range(3):
+        rc, out, err = run_cli(["selftest"])
+        assert rc == 0 and err == ""
+        _assert_frozen_selftest(out, text_matches)
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    # no held q-lattice or graph element keeps keyed arrays, which would send
+    # the next call from the loops to the array routes and their rounding
+    from ncdiff.graph_algebra import GraphElement
+    held = [x for x in _held_selftest_elements() if isinstance(x, (QElement, GraphElement))]
+    assert {type(x) for x in held} == {QElement, GraphElement}
+    assert [x for x in held if x._keyed] == []
 
 
 def test_selftest_runs_without_scipy():
@@ -592,8 +625,9 @@ def test_small_operands_never_take_the_array_routes(monkeypatch, tmp_path):
         raise AssertionError("array route entered")
     for name in ("_array_adjoint", "_array_product", "_keyed_element"):
         monkeypatch.setattr(qlattice, name, refuse)
-    rc, out, err = run_cli(["selftest"])
-    assert rc == 0 and err == "" and out.count(" PASS\n") == len(out.splitlines())
+    for _ in range(2):  # the second call runs on the held inputs
+        rc, out, err = run_cli(["selftest"])
+        assert rc == 0 and err == "" and out.count(" PASS\n") == len(out.splitlines())
     workloads = _benchmark_workloads(monkeypatch)
     names = workloads.write_interactive_files(workloads.load_ncdiff(), tmp_path)
     files = {"{torus}": [names[f"torus-{theta}"] for theta in workloads.INTERACTIVE_THETAS],
@@ -623,13 +657,10 @@ def test_small_graph_operands_never_take_the_array_routes(monkeypatch, tmp_path)
         monkeypatch.setattr(graph_algebra, name, refuse)
     workloads = _benchmark_workloads(monkeypatch)
     reference = workloads.load_reference()
-    rc, out, err = run_cli(["selftest"])
-    assert rc == 0 and err == ""
-    # the frozen stdout byte for byte, up to the rounding-level numbers of the
-    # semigroup audit (see test_module_entry_points)
-    got, want = out.splitlines(True), reference["selftest"].splitlines(True)
-    assert len(got) == len(want) and [(g, w) for g, w in zip(got, want) if g != w and not (
-        w.startswith("semigroup audit") and workloads.text_matches(g, w))] == []
+    for _ in range(2):  # the second call runs on the held inputs
+        rc, out, err = run_cli(["selftest"])
+        assert rc == 0 and err == ""
+        _assert_frozen_selftest(out, workloads.text_matches)
     names = workloads.write_interactive_files(workloads.load_ncdiff(), tmp_path)
     ran = 0
     for template in workloads.FIXED_COMMANDS:

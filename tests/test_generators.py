@@ -1,14 +1,25 @@
 """The seeded generators of ncdiff.testing draw the samples they always drew.
 
 The oracles below are the generators as first written: one vector draw per
-exponent tuple, and the term keys of a graph listed on every draw.
+exponent tuple, and the term keys of a graph listed on every draw.  The
+selftest battery's held inputs are checked against the fresh draws of
+``oracles``.
 """
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncdiff import graph_algebra as ga
+import ncdiff
+import oracles
+from ncdiff import graph_algebra as ga, testing
 from ncdiff.graph_algebra import GraphElement
+from ncdiff.matrix_algebra import MatElement
 from ncdiff.qlattice import QElement, heisenberg_spec, torus_spec
 from ncdiff.testing import (default_carriers, graph_sampler, line_graph, loop_graph,
                             random_graph_element, random_qelement, star_tree)
@@ -86,3 +97,80 @@ def test_random_graph_element_keeps_its_stream(seed):
     sample = graph_sampler(graphs[0], ours, 3, 4)
     for i in range(10):
         assert same(sample(), oracle_graph_element(graphs[0], theirs, 3, 4)), (seed, i)
+
+
+def same_element(x, y):
+    if isinstance(x, MatElement):
+        return isinstance(y, MatElement) and x.mat.tobytes() == y.mat.tobytes()
+    return type(x) is type(y) and same(x, y)
+
+
+def same_basis(b, c):
+    return (b.label, b.mode, b.prefactors, b.size) == (c.label, c.mode, c.prefactors, c.size) \
+        and all(same_element(x, y) for x, y in zip(b.elements, c.elements))
+
+
+def same_form(f, g):
+    return same_basis(f.basis, g.basis) and list(f.terms) == list(g.terms) and all(
+        same_element(x, y) for x, y in zip(f.terms.values(), g.terms.values()))
+
+
+@pytest.mark.parametrize("samples", [None, 7])
+def test_held_selftest_inputs_equal_a_fresh_draw(samples):
+    # the held draws, at the battery's sizes and at another, equal the inline
+    # draws they replace term for term and bit for bit
+    delta, leibniz, carre = (50, 30, 25) if samples is None else (samples,) * 3
+    held = testing._delta_inputs(delta)
+    fresh = oracles.delta_inputs(delta)
+    assert [label for label, _ in held] == [label for label, _ in fresh]
+    assert len(held) == 5
+    for (label, alphas), (_, want) in zip(held, fresh):
+        assert len(alphas) == len(want) == delta
+        assert all(same_form(a, b) for a, b in zip(alphas, want)), label
+    held = testing._leibniz_inputs(leibniz)
+    fresh = oracles.leibniz_inputs(leibniz)
+    assert [label for label, _ in held] == [label for label, _ in fresh] == [
+        "torus", "heisenberg"]
+    for (label, pairs), (_, want) in zip(held, fresh):
+        assert len(pairs) == len(want) == leibniz
+        assert all(same_form(a, c) and same_form(b, d)
+                   for (a, b), (c, d) in zip(pairs, want)), label
+    basis, pairs = testing._carre_inputs(carre)
+    want_basis, want = oracles.carre_inputs(carre)
+    assert same_basis(basis, want_basis) and len(pairs) == len(want) == carre
+    assert all(same_element(a, c) and same_element(b, d) for (a, b), (c, d) in zip(pairs, want))
+
+
+def test_importing_the_battery_draws_nothing():
+    env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]))
+    code = ("import ncdiff.testing as t; print([f.cache_info().currsize for f in "
+            "(t._delta_inputs, t._leibniz_inputs, t._carre_inputs)])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stdout == "[0, 0, 0]\n", done.stderr
+
+
+@pytest.mark.parametrize("name, check", [
+    ("_delta_inputs", testing.check_delta_squared),
+    ("_leibniz_inputs", testing.check_leibniz),
+    ("_carre_inputs", testing.check_carre_du_champ),
+])
+def test_another_sample_count_replaces_the_held_inputs(name, check):
+    builder = getattr(testing, name)
+    full = check()
+    small = check(3)
+    info = builder.cache_info()
+    assert info.currsize == 1 and info.maxsize == 1
+    assert check(3) == small and builder.cache_info().hits == info.hits + 1
+    assert check() == full and builder.cache_info().misses == info.misses + 1
+    assert builder.cache_info().currsize == 1
+
+
+def test_no_test_patches_the_draw_of_the_held_inputs():
+    # a patched generator or seed would not reach inputs already held, so no
+    # test may patch them and then expect a fresh draw
+    patch = re.compile(r"setattr\([^)]*\b(testing|default_carriers|random_form"
+                       r"|random_qelement|graph_sampler|default_rng)\b")
+    hits = [(path.name, line) for path in Path(__file__).parent.glob("*.py")
+            for line in path.read_text().splitlines() if patch.search(line)]
+    assert hits == []
