@@ -1,11 +1,9 @@
 """Random element generators and the condensed invariant battery.
 
 Used by the test suite and by the ``selftest`` command; everything is
-seeded and deterministic.  The battery's seeded inputs (the carriers and
-bases, the sampled forms and form pairs, the torus pairs of the carre du
-champ check) are drawn on the first check of a process and held read-only
-for later calls with the same ``samples``; every call still runs every
-identity on them.  Nothing is drawn at import.
+seeded and deterministic.  The battery draws its inputs (carriers, forms,
+form and element pairs) once per process and sample count, at its first
+call, and holds them read-only; every call reruns every identity on them.
 """
 
 from __future__ import annotations
@@ -126,25 +124,19 @@ def default_carriers(seed: int = 11):
 
 @functools.lru_cache(maxsize=1)
 def _delta_inputs(samples: int) -> tuple:
-    """(label, forms) per carrier: the seeded 0-forms and forms of
-    :func:`check_delta_squared`, held for the next call."""
+    # (label, forms) per carrier
     out = []
     for label, basis, sample in default_carriers():
         rng = np.random.default_rng(5)
-        alphas = []
-        for i in range(samples):
-            if i % 2 == 0:
-                alphas.append(DifferentialForm.from_element(basis, sample()))
-            else:
-                alphas.append(random_form(basis, lambda _: sample(), rng))
-        out.append((label, tuple(alphas)))
+        alphas = tuple(DifferentialForm.from_element(basis, sample()) if i % 2 == 0
+                       else random_form(basis, lambda _: sample(), rng) for i in range(samples))
+        out.append((label, alphas))
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=1)
 def _leibniz_inputs(samples: int) -> tuple:
-    """(label, form pairs) per complex-mode carrier: the seeded pairs of
-    :func:`check_leibniz`, held for the next call."""
+    # (label, form pairs) per complex-mode carrier
     out = []
     for label, basis, sample in default_carriers():
         if basis.mode != "complex":
@@ -160,18 +152,13 @@ def _leibniz_inputs(samples: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _carre_inputs(samples: int) -> tuple:
-    """The torus basis {U} and the seeded element pairs of
-    :func:`check_carre_du_champ`, held for the next call."""
+def _carre_inputs() -> tuple:
+    # the torus basis {U} and the element pairs of the carre du champ check
     torus = torus_spec(0.7)
     rng = np.random.default_rng(3)
     basis = DifferentialBasis([QElement.generator(torus, 1)], label="torus {U}")
-    pairs = []
-    for _ in range(samples):
-        a = random_qelement(torus, rng)
-        c = random_qelement(torus, rng)
-        pairs.append((a, c))
-    return basis, tuple(pairs)
+    return basis, tuple((random_qelement(torus, rng), random_qelement(torus, rng))
+                        for _ in range(25))
 
 
 def check_delta_squared(samples: int = 50) -> list[tuple[str, float]]:
@@ -200,17 +187,6 @@ def check_leibniz(samples: int = 30) -> list[tuple[str, float]]:
             worst = max(worst, (lhs - rhs).norm())
         out.append((label, worst))
     return out
-
-
-def check_carre_du_champ(samples: int = 25) -> float:
-    """Max defect of the carre du champ against its first-order form on the torus."""
-    basis, pairs = _carre_inputs(samples)
-    worst = 0.0
-    for a, c in pairs:
-        lhs = dirichlet.carre_du_champ(a, c, basis)
-        rhs = dirichlet.carre_du_champ_first_order(a, c, basis)
-        worst = max(worst, (lhs - rhs).norm())
-    return worst
 
 
 def check_semigroup_audit(t: float = 1.0, n: int = 3):
@@ -245,7 +221,12 @@ def run_selftest(out=print) -> bool:
         f"symmetry {row['symmetry_error']:.3e}, conservativity "
         f"{row['conservativity_error']:.3e} {'PASS' if good else 'FAIL'}")
 
-    worst = check_carre_du_champ()
+    basis, pairs = _carre_inputs()
+    worst = 0.0
+    for a, c in pairs:
+        lhs = dirichlet.carre_du_champ(a, c, basis)
+        rhs = dirichlet.carre_du_champ_first_order(a, c, basis)
+        worst = max(worst, (lhs - rhs).norm())
     good = worst <= EQ_TOLERANCE
     ok &= good
     out(f"carre du champ identity [torus]: max defect {worst:.3e} "

@@ -148,14 +148,14 @@ def leibniz_inputs(samples: int) -> list:
     return out
 
 
-def carre_inputs(samples: int):
+def carre_inputs():
     """The torus basis {U} and element pairs of the selftest's carre du champ
     check, drawn as ``run_selftest`` drew them inline from ``default_rng(3)``."""
     torus = torus_spec(0.7)
     rng = np.random.default_rng(3)
     basis = DifferentialBasis([QElement.generator(torus, 1)], label="torus {U}")
     pairs = []
-    for _ in range(samples):
+    for _ in range(25):
         a = random_qelement(torus, rng)
         c = random_qelement(torus, rng)
         pairs.append((a, c))

@@ -488,7 +488,7 @@ def _held_selftest_elements():
     from ncdiff import testing
     held = [f for _, alphas in testing._delta_inputs(50) for f in alphas]
     held += [f for _, pairs in testing._leibniz_inputs(30) for pair in pairs for f in pair]
-    basis, pairs = testing._carre_inputs(25)
+    basis, pairs = testing._carre_inputs()
     elements = [x for pair in pairs for x in pair]
     for b in [*{id(f.basis): f.basis for f in held}.values(), basis]:
         elements += b.elements + b.scaled + b.scaled_star + b.diagonal
