@@ -9,12 +9,13 @@ adjoint and a norm from its carrier.  A carrier element supplies ``+``,
 indices, term keys) gives them as ``keyed()``, builds elements back with
 ``_from_keys``, and states in ``diagonal_action`` how an element that acts
 diagonally on them (a q-lattice monomial, a vertex projection, a diagonal
-matrix) moves each key, with one weight.  ``ad``, the carrier coordinates,
-the cohomology maps and the heat flow all read it; any other ``ad`` is
-:func:`commutator`.  A carrier whose elements are finite combinations of
-basis keys inherits :class:`Terms` and supplies only ``_check``, ``_like``,
-``__mul__`` and ``adjoint``; differential forms are :class:`Terms` too,
-over covector keys with carrier-element coefficients.
+matrix) moves each key, with one weight; ``parent_name`` names what two
+elements must share (a presentation, a graph, a matrix dimension).  ``ad``
+and the weights the cohomology maps and the heat flow read take the action;
+any other ``ad`` is :func:`commutator`.  A carrier whose elements are finite
+combinations of basis keys inherits :class:`Terms` and supplies only
+``_check``, ``_like``, ``__mul__`` and ``adjoint``; differential forms are
+:class:`Terms` too, over covector keys with carrier-element coefficients.
 
 This module holds the one tolerance policy of the package: elements agree
 when their difference has norm at most ``EQ_TOLERANCE``, and term

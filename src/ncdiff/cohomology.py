@@ -12,40 +12,36 @@ degree-0 map.  The acting elements are ``basis.diagonal``, which reads a
 rotated matrix basis as diag(c_j lambda_j) in its joint eigenbasis Q, since
 a -> Q^* a Q is unitary and keeps every singular value.
 
-The symbol route.  When every acting element (and its adjoint for starred
-covectors) is of the carrier's kind and its ``diagonal_action`` lands each
-key on itself (diagonal matrices, scaled vertex projections), key k carries
-one weight vector v(k) in C^N, one entry per covector.  On the forms over k
-the degree-k map is the exterior product v(k) ^ . on Lambda^k C^N, whose
-nonzero singular values all equal |v(k)|, with multiplicity C(N-1, k): its
-Hodge Laplacian is |v(k)|^2, the heat symbol, times the identity (Eckmann's
-combinatorial Hodge theorem for a Koszul complex).  So rank d_k =
-C(N-1, k) #{k : |v(k)| > cut}, and neither a covector index nor a map is
-built.  The cut is N D eps max|v|, the rule of the degree-0 map
-a -> (x_j a)_j on a D-dimensional carrier, which is the symbol itself, and
-so it is the same for every Dolbeault row.  The rule of the whole degree-k
-map, max(shape) eps max|v|, grows with the form space: for the M_64
-projections max(shape) reaches C(64, 32) 4096 = 7.5e21, a cut of 1.7e6
-max|v|, above every weight, which would report the middle ranks as 0.
+The symbol route.  When every weight of these elements, from
+:func:`ncdiff.forms._diagonal_weights` as in the heat flow, lands its key on
+itself (diagonal matrices, scaled vertex projections), key k carries one
+weight vector v(k) in C^N, one entry per covector.  On the forms over k the
+degree-k map is the exterior product v(k) ^ . on Lambda^k C^N, whose nonzero
+singular values all equal |v(k)|, with multiplicity C(N-1, k): its Hodge
+Laplacian is |v(k)|^2 = F lambda(k) times the identity, for the heat symbol
+lambda and F covector families (Eckmann's combinatorial Hodge theorem for a
+Koszul complex).  So rank d_k = C(N-1, k) #{k : |v(k)| > cut}, and neither a
+covector index nor a map is built.  The cut is N D eps max|v|, the rule of the
+degree-0 map a -> (x_j a)_j on a D-dimensional carrier, which is the symbol
+itself, and so it is the same for every Dolbeault row.  The rule of the whole
+degree-k map, max(shape) eps max|v|, grows with the form space: for the M_64
+projections max(shape) reaches C(64, 32) 4096 = 7.5e21, a cut of 1.7e6 max|v|,
+above every weight, which would report the middle ranks as 0.
 
-The triplet route, for every other basis and the oracle of the first.
-Every map is held as triplets ``(rows, cols, vals, shape)`` of its
-nonzeros.  A complex builds A_j, the map a -> [x_j, a] (and that of each
-starred element), once; each of its maps offsets the A_j with the exterior
-signs of the basis's front-merge table into the covector blocks they reach.
-An element that acts diagonally on its carrier's keys (a q-lattice
-monomial, a diagonal matrix, a scaled vertex projection) gives A_j in one
-pass over the keys of the carrier basis; any other element takes the
-commutator of every carrier element, read back through the basis's
-``entries``.  Ranks take one SVD per connected component of a map's nonzero
-pattern (blocks of one shape share a stacked SVD) and count singular values
-above max(shape) * eps * sigma_max of the whole map; a Dolbeault row is
-ranked as one copy, so its cut is C(n, p) times smaller than that of the
-whole row map.  Truncated q-lattice carriers, whose monomials shift keys,
-always take it, with nested exponent balls so the maps never leave their
-codomain; the inner maps keep the outer triplets inside the smaller balls.
-``boundary_matrix`` and ``dolbeault_matrix`` stay in matrix units and, like
-``numeric_rank``, are dense.
+The triplet route, for every other basis and the oracle of the first.  Every
+map is held as triplets ``(rows, cols, vals, shape)`` of its nonzeros.  A
+complex builds A_j, the map a -> [x_j, a] (and that of each starred element),
+once, from x_j's weights or else from the commutator of every carrier element;
+each of its maps offsets the A_j with the exterior signs of the basis's
+front-merge table into the covector blocks they reach.  Ranks take one SVD per
+connected component of a map's nonzero pattern (blocks of one shape share a
+stacked SVD) and count singular values above max(shape) * eps * sigma_max of
+the whole map; a Dolbeault row is ranked as one copy, so its cut is C(n, p)
+times smaller than that of the whole row map.  Truncated q-lattice carriers,
+whose monomials shift keys, always take it, with nested exponent balls so the
+maps never leave their codomain; the inner maps keep the outer triplets inside
+the smaller balls.  ``boundary_matrix`` and ``dolbeault_matrix`` stay in matrix
+units and, like ``numeric_rank``, are dense.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from math import comb
 
 import numpy as np
 
-from .forms import BasisModeError, DifferentialBasis
+from .forms import BasisModeError, DifferentialBasis, _diagonal_weights
 from .graph_algebra import DirectedGraph, GraphElement, common_range_pairs
 from .matrix_algebra import MatElement
 from .qlattice import QAlgebraSpec, QElement
@@ -207,41 +203,33 @@ def _ad_matrix(x, elems: list, codomain) -> tuple:
             vals[keep], (codomain.dim, len(elems)))
 
 
-def _commutator_matrix(x, domain, codomain, elements) -> tuple:
-    """Triplets of a -> [x, a] from ``domain`` into ``codomain``.
-
-    When x acts diagonally on the domain's carrier, every key is weighed at
-    once and column i holds at most the one entry of [x, k_i].  Any other x
-    takes :func:`_ad_matrix` on ``elements()``, the domain's elements, and so
-    does a diagonal map with an entry that leaves the codomain or is not
-    finite, so that both raise alike: :class:`TruncationError` when a
-    nonzero entry leaves the codomain, then ValueError for a non-finite one.
-    On a foreign carrier x raises what the commutator raises.
-    """
-    same_kind = isinstance(x, type(domain.parent)) and type(codomain) is type(domain)
-    act = x.diagonal_action() if same_kind else None
-    if act is None:
-        return _ad_matrix(x, elements(), codomain)
-    x._check(domain.parent)  # raises as ad does on a foreign element
-    codomain._check(domain.parent)  # raises as a codomain of another size does
-    landing, w = act(domain.keys, np.ones(domain.dim))
-    rows, w = codomain._rows(landing), np.asarray(w, dtype=complex)
-    cols = np.flatnonzero(w)  # keeps a nan
-    if (rows[cols] < 0).any() or not np.isfinite(w[cols]).all():
-        return _ad_matrix(x, elements(), codomain)  # which raises the error
-    return rows[cols], cols, w[cols], (codomain.dim, domain.dim)
-
-
-def _commutator_blocks(acting: list, families: tuple, domain, codomain=None) -> list:
+def _commutator_blocks(acting: list, families: tuple, domain, codomain=None,
+                       weights=None) -> list:
     """(starred, j, A_j) per element x_j of ``acting`` and per family of ``families``.
 
     A_j holds the triplets of a -> [x_j, a] (a -> [x_j^*, a] when starred)
-    from ``domain`` into ``codomain`` (default: the same).
+    from ``domain`` into ``codomain`` (default: the same), read from x_j's
+    ``weights`` on the domain's keys (by default those of
+    :func:`~ncdiff.forms._diagonal_weights`).  An element without them, or
+    with an entry that leaves the codomain or is not finite, takes
+    :func:`_ad_matrix`, so that both routes raise alike.
     """
-    elements = functools.cache(domain.elements)
-    return [(starred, j, _commutator_matrix(x.adjoint() if starred else x, domain,
-                                            codomain or domain, elements))
-            for starred in families for j, x in enumerate(acting)]
+    codomain = codomain or domain
+    if weights is None:
+        weights = _diagonal_weights(acting, families, domain.parent, domain.keys)
+    codomain._check(domain.parent)  # raises as a codomain of another size does
+    elements, shape = functools.cache(domain.elements), (codomain.dim, domain.dim)
+    blocks = []
+    for (starred, j), hit in zip(itertools.product(families, range(len(acting))), weights):
+        if hit is not None:
+            rows, w = codomain._rows(hit[0]), np.asarray(hit[1], dtype=complex)
+            cols = np.flatnonzero(w)  # keeps a nan
+            if not (rows[cols] < 0).any() and np.isfinite(w[cols]).all():
+                blocks.append((starred, j, (rows[cols], cols, w[cols], shape)))
+                continue
+        x = acting[j].adjoint() if starred else acting[j]
+        blocks.append((starred, j, _ad_matrix(x, elements(), codomain)))
+    return blocks
 
 
 def _assemble(basis: DifferentialBasis, blocks: list, out_indices: list,
@@ -445,50 +433,38 @@ def _top_degree(basis: DifferentialBasis, max_degree: int | None) -> int:
     return top
 
 
-def _symbol(basis: DifferentialBasis, carrier_basis, families: tuple):
-    """``(|v|, cut)`` over the keys of ``carrier_basis``, or None off the symbol route.
-
-    v(k) holds the weight on key k of each element of ``basis.diagonal``, and
-    of its adjoint when ``families`` has True.  The route needs each one to
-    be of the carrier's kind, to land every key on itself and to give a
-    finite |v|; otherwise the triplet route builds the maps and raises what
-    they raise.  An element over another carrier of the same kind raises
-    here as it does there.  The cut is N D eps max|v| for N acting elements
-    on D keys.
-    """
-    parent, keys, dim = carrier_basis.parent, carrier_basis.keys, carrier_basis.dim
-    own, v = np.arange(dim), np.zeros(dim)
+def _moduli(weights: list, carrier_basis):
+    """``(|v|, cut)`` over the keys of ``carrier_basis`` from their ``weights``
+    (:func:`~ncdiff.forms._diagonal_weights`), or None off the symbol route,
+    which needs every key to land on itself and a finite |v|.  The cut is
+    N D eps max|v| for N weights on D keys."""
+    own = np.arange(carrier_basis.dim)
+    if any(hit is None or not np.array_equal(carrier_basis._rows(hit[0]), own)
+           for hit in weights):
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        for starred in families:
-            for x in basis.diagonal:
-                x = x.adjoint() if starred else x
-                act = x.diagonal_action() if isinstance(x, type(parent)) else None
-                if act is None:
-                    return None
-                x._check(parent)
-                landing, w = act(keys, np.ones(dim))
-                if not np.array_equal(carrier_basis._rows(landing), own):
-                    return None
-                v = np.hypot(v, np.abs(np.asarray(w, dtype=complex)))
+        v = functools.reduce(np.hypot, (np.abs(w) for _, w in weights))
     if not np.isfinite(v).all():
         return None
-    return v, len(families) * len(basis.diagonal) * dim * np.finfo(float).eps * v.max(initial=0.0)
+    return v, len(weights) * len(own) * np.finfo(float).eps * v.max(initial=0.0)
 
 
 def _koszul_ranks(basis: DifferentialBasis, carrier_basis, families: tuple,
                   top: int) -> list[int]:
     """Ranks of d_0..d_top of the complex of forms over the covectors of
     ``families``, with the elements of ``basis.diagonal`` acting: by the
-    symbol when :func:`_symbol` applies, else by assembled maps and block
-    SVDs."""
-    n = len(basis.diagonal)
-    symbol = _symbol(basis, carrier_basis, families)
+    symbol when :func:`_moduli` applies, else by assembled maps and block
+    SVDs, both from one list of weights."""
+    weights = _diagonal_weights(basis.diagonal, families, carrier_basis.parent,
+                                carrier_basis.keys)
+    symbol = _moduli(weights, carrier_basis)
     if symbol is not None:
         v, cut = symbol
         r = int((v > cut).sum())
-        return [comb(n * len(families) - 1, k) * r for k in range(top + 1)]
-    indices = [_form_indices(n, k, families) for k in range(top + 2)]
-    return _ranks(basis, _commutator_blocks(basis.diagonal, families, carrier_basis), indices)
+        return [comb(len(weights) - 1, k) * r for k in range(top + 1)]
+    indices = [_form_indices(len(basis.diagonal), k, families) for k in range(top + 2)]
+    blocks = _commutator_blocks(basis.diagonal, families, carrier_basis, weights=weights)
+    return _ranks(basis, blocks, indices)
 
 
 def deRham_dims(basis: DifferentialBasis, carrier_basis,

@@ -2,19 +2,21 @@
 
 The generator is Delta = sum_j [(c_j U_j)^*, [c_j U_j, .]].  Each element x_j
 of the basis's ``diagonal`` coordinates sends a key k of its carrier to
-w_j(k) times one key (its ``diagonal_action``) and x_j^* sends that back, so
-Delta multiplies key k by the heat symbol lambda(k) = sum_j |w_j(k)|^2, and
-the semigroup is one decay per term on q-lattices and graphs, exact with no
-truncation.  A matrix basis acts in its joint eigenbasis Q as
-diag(c_j lambda_j): the symbol is W[a, b] = sum_j |c_j lambda_j(a) -
-c_j lambda_j(b)|^2, the heat channel is the Schur multiplier
-Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is completely positive exactly
-when exp(-t W) is positive semidefinite.  The n^2 x n^2 superoperators on
-row-major vectorized matrices (:func:`delta_superoperator`,
-:func:`heat_superoperator`, and :func:`choi_matrix` by reshuffling) write
-that multiplier out as V diag(vec M) V^* with V = Q (x) conj(Q) and M = W or
-exp(-t W), and :func:`trotter_check` splits the symbol into its conjugation
-and anticommutator multipliers; the Kronecker-product and ``expm`` builders
+w_j(k) times one key and x_j^* sends that back, so Delta multiplies key k by
+the heat symbol lambda(k) = sum_j |w_j(k)|^2, and the semigroup is one decay
+per term on q-lattices and graphs, exact with no truncation.  The weights
+are those of :func:`ncdiff.forms._diagonal_weights`, which the cohomology
+ranks read as |v|^2 = F lambda.  A matrix basis acts in its joint
+eigenbasis Q as diag(c_j lambda_j): the symbol is
+W[a, b] = sum_j |c_j lambda_j(a) - c_j lambda_j(b)|^2, the heat channel is
+the Schur multiplier Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is
+completely positive exactly when exp(-t W) is positive semidefinite.  The
+n^2 x n^2 superoperators on row-major vectorized matrices
+(:func:`delta_superoperator`, :func:`heat_superoperator`, and
+:func:`choi_matrix` by reshuffling) write that multiplier out as
+V diag(vec M) V^* with V = Q (x) conj(Q) and M = W or exp(-t W), and
+:func:`trotter_check` splits the symbol into its conjugation and
+anticommutator multipliers; the Kronecker-product and ``expm`` builders
 these replace are the tests' oracles, in ``tests/oracles.py``.  Every
 first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
 Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
@@ -32,9 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import BasisModeError, DifferentialBasis
+from .forms import BasisModeError, DifferentialBasis, _diagonal_weights
 from .matrix_algebra import MatElement, trace
-from .graph_algebra import GraphElement
 from .qlattice import QElement, tau as q_tau
 
 
@@ -68,33 +69,27 @@ def _check_time(t: float) -> None:
 _HELD_DRAW_BYTES = 8 * 2 ** 20
 _held_draw = None  # ((n, samples, seed), (A, B, interval operators)) or None
 
-_PARENT_NAMES = {MatElement: "matrix dimension", QElement: "presentation", GraphElement: "graph"}
 
-
-def _heat_symbol(basis: DifferentialBasis, a):
-    """keys -> lambda(keys) = sum_j |w_j(keys)|^2, the eigenvalues of Delta on
-    a's carrier: x_j of ``basis.diagonal`` sends key k to w_j(k) times a key,
-    and x_j^* sends that back to k."""
-    kind = next((k for k in _PARENT_NAMES if isinstance(a, k)), None)
-    if kind is None:
-        raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
+def _eigenvalues(basis: DifferentialBasis, a, keys) -> np.ndarray:
+    """lambda(keys) = sum_j |w_j(keys)|^2, the eigenvalues of Delta on the keys
+    of a's carrier; a ValueError where it is not finite."""
     try:
-        for x in basis.diagonal:
-            if not isinstance(x, kind):
-                raise ValueError
-            x._check(a)
-    except ValueError:
-        raise ValueError(f"basis does not act on this {_PARENT_NAMES[kind]}") from None
-    acts = [x.diagonal_action() for x in basis.diagonal]
-    if None in acts:
+        weights = _diagonal_weights(basis.diagonal, (False,), a, keys)
+    except (TypeError, ValueError):  # another kind of carrier, or another parent
+        raise ValueError(f"basis does not act on this {a.parent_name}") from None
+    if None in weights:
         raise ValueError("the heat flow needs diagonally acting (single-monomial) elements")
-    return lambda keys: sum(np.abs(act(keys, np.ones(len(keys)))[1]) ** 2 for act in acts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = sum(np.abs(w) ** 2 for _, w in weights)
+    if not np.isfinite(lam).all():
+        raise ValueError("the heat symbol is not finite")
+    return lam
 
 
 def _schur_symbol(basis: DifferentialBasis, n: int):
     """(Q, W) with Delta(a) = Q (W o Q^* a Q) Q^*: the eigenbasis the basis
     keeps, and the heat symbol on the matrix units of its coordinates."""
-    W = _heat_symbol(basis, MatElement.zero(n))(np.arange(n * n)).reshape(n, n)
+    W = _eigenvalues(basis, MatElement.zero(n), np.arange(n * n)).reshape(n, n)
     return basis.eigenbasis[0], W
 
 
@@ -110,15 +105,16 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
     """Apply exp(-t Delta) to an element: on a matrix the Schur multiplier in
     the basis's eigenbasis, on a carrier with keys one decay per key."""
     _check_time(t)
+    if not hasattr(a, "parent_name"):
+        raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
     if isinstance(a, MatElement):
         Q, W = _schur_symbol(basis, a.n)
         return MatElement(_schur_heat(Q, np.exp(-t * W), a.mat))
-    symbol = _heat_symbol(basis, a)
     keyed = a.keyed()
     if keyed is None:
         raise ValueError("exponents of 2**62 or more are too large for the heat flow")
     keys, coeffs = keyed
-    return a._from_keys(keys, np.exp(-t * symbol(keys)) * coeffs)
+    return a._from_keys(keys, np.exp(-t * _eigenvalues(basis, a, keys)) * coeffs)
 
 
 def _schur_superoperator(Q, M: np.ndarray) -> np.ndarray:

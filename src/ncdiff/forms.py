@@ -159,6 +159,26 @@ class DifferentialBasis:
         return f"DifferentialBasis(n={self.size}, mode={self.mode}, label={self.label!r})"
 
 
+def _diagonal_weights(elements: Sequence, families: tuple, parent, keys) -> list:
+    """Per family of ``families`` and element x of ``elements`` (x^* when
+    starred): ``(landing, w)`` when x sends keys[i] of ``parent``'s carrier
+    to w[i] times the key landing[i], else None.  Over ``diagonal`` these
+    give the heat symbol lambda = sum_j |w_j|^2 and the rank symbol |v|, the
+    norm of the weights of all F families: |v|^2 = F lambda.  An element of
+    another kind raises what its product with ``parent`` raises, one over
+    another parent what ``_check`` raises.  The weights are complex: inf or
+    nan where they overflow, silently."""
+    out, ones = [], np.ones(len(keys))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in [x.adjoint() if starred else x for starred in families for x in elements]:
+            if not isinstance(x, type(parent)):
+                commutator(x, parent)  # a product across carriers raises TypeError
+            x._check(parent)
+            act = x.diagonal_action()
+            out.append(None if act is None else act(keys, ones))
+    return out
+
+
 def _inversions(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(1 for x in a for y in b if x > y)
 

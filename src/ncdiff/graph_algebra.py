@@ -240,6 +240,7 @@ class GraphElement(HeldTerms):
     docstring and :class:`~ncdiff.carrier.HeldTerms`)."""
 
     __slots__ = ("graph", "_terms", "_keyed")
+    parent_name = "graph"
 
     def __init__(self, graph: DirectedGraph,
                  terms: Mapping[CKTerm, complex] | None = None):

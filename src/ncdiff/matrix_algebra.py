@@ -13,6 +13,7 @@ class MatElement(Normed):
     """Immutable square complex matrix with carrier-algebra operations."""
 
     __slots__ = ("mat",)
+    parent_name = "matrix dimension"
 
     def __init__(self, mat):
         m = np.array(mat, dtype=complex)

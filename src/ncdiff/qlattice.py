@@ -376,6 +376,7 @@ class QElement(HeldTerms):
     """
 
     __slots__ = ("spec", "_terms", "_keyed")
+    parent_name = "presentation"
 
     def __init__(self, spec: QAlgebraSpec, terms: Mapping[Monomial, complex] | None = None):
         m = spec.generator_count

@@ -322,7 +322,7 @@ def test_huge_theta_ad_matrix_error_matches_the_commutator(monkeypatch):
     with pytest.raises(ValueError, match=r"non-finite coefficient \(nan\+nanj\)") as got:
         C._ad_matrix(U, elems, codomain)
     with pytest.raises(ValueError) as diagonal:
-        C._commutator_matrix(U, domain, codomain, domain.elements)
+        _block(U, domain, codomain)
     monkeypatch.setattr(QElement, "ad", lambda x: lambda a: commutator(x, a))
     with pytest.raises(ValueError) as want:
         C._ad_matrix(U, elems, codomain)
@@ -332,10 +332,17 @@ def test_huge_theta_ad_matrix_error_matches_the_commutator(monkeypatch):
 # -- cohomology maps from the diagonal action ---------------------------------
 
 
+def _block(x, domain, codomain):
+    """The triplets of a -> [x, a] from ``domain`` into ``codomain``, as the
+    cohomology maps build them."""
+    (_, _, block), = C._commutator_blocks([x], (False,), domain, codomain)
+    return block
+
+
 def _diagonal_map(x, domain, codomain):
     """The triplets of a -> [x, a] on the diagonal route, checked to be taken."""
     assert x.diagonal_action() is not None
-    return C._commutator_matrix(x, domain, codomain, domain.elements)
+    return _block(x, domain, codomain)
 
 
 def _assert_same_map(x, domain, codomain):
@@ -401,7 +408,7 @@ def test_diagonal_maps_escape_only_with_a_nonzero_entry():
     ball = C.QMonomialBasis(flat, 1)
     # every image of U leaves the K = 1 ball for e_1 = 1, but a commutative
     # presentation makes every entry zero
-    for route in (lambda x: C._commutator_matrix(x, ball, ball, ball.elements),
+    for route in (lambda x: _block(x, ball, ball),
                   lambda x: C._ad_matrix(x, ball.elements(), ball)):
         assert len(route(QElement.generator(flat, 1))[0]) == 0
     spec = torus_spec(2 * math.pi / 3)
@@ -409,7 +416,7 @@ def test_diagonal_maps_escape_only_with_a_nonzero_entry():
     assert len(_diagonal_map(QElement.monomial(spec, (3, 0)), ball, ball)[0]) == 0
     for x in (QElement.generator(spec, 1), QElement.monomial(spec, (0, -2))):
         with pytest.raises(C.TruncationError) as got:
-            C._commutator_matrix(x, ball, ball, ball.elements)
+            _block(x, ball, ball)
         with pytest.raises(C.TruncationError) as want:
             C._ad_matrix(x, ball.elements(), ball)
         assert str(got.value) == str(want.value)
@@ -436,7 +443,7 @@ def test_foreign_carriers_raise_as_the_per_key_route():
         with pytest.raises(Exception) as want:
             C._ad_matrix(x, domain.elements(), codomain)
         with pytest.raises(want.type) as got:
-            C._commutator_matrix(x, domain, codomain, domain.elements)
+            _block(x, domain, codomain)
         assert str(got.value) == str(want.value)
         messages.append(str(got.value))
     assert messages[:4] == ["elements live over different presentations",
@@ -452,11 +459,11 @@ def test_diagonal_cohomology_never_takes_the_per_key_route(monkeypatch):
     calls = _patch_commutator(monkeypatch)
     for basis, domain, codomain, _ in setups:
         for x in basis.scaled + basis.scaled_star:
-            C._commutator_matrix(x, domain, codomain, domain.elements)
+            _block(x, domain, codomain)
     assert per_key == [] and calls == []
     # an element without a diagonal action takes it
     spec = torus_spec(THETA)
     U = QElement.generator(spec, 1)
     ball = C.QMonomialBasis(spec, 1)
-    C._commutator_matrix(U + U * U, ball, C.QMonomialBasis(spec, 3), ball.elements)
+    _block(U + U * U, ball, C.QMonomialBasis(spec, 3))
     assert len(per_key) == 1 and len(calls) == ball.dim

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncdiff.cohomology as C
+import ncdiff.dirichlet as D
 import ncdiff.forms as F
 from ncdiff.forms import DifferentialBasis, DifferentialForm
 from ncdiff.graph_algebra import vertex_projection
@@ -35,13 +36,19 @@ def clock7_setup():
 
 
 def _triplet(report):
-    """``report`` with ``_symbol`` refusing every basis, so that it takes the
+    """``report`` with ``_moduli`` refusing every basis, so that it takes the
     triplet route."""
     def run(*args, **kwargs):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(C, "_symbol", lambda *_: None)
+            patch.setattr(C, "_moduli", lambda *_: None)
             return report(*args, **kwargs)
     return run
+
+
+def _symbol(basis, carrier, families):
+    """``(|v|, cut)`` of the symbol route over ``carrier``, or None off it."""
+    weights = F._diagonal_weights(basis.diagonal, families, carrier.parent, carrier.keys)
+    return C._moduli(weights, carrier)
 
 
 def test_boundary_degree0_rank(m2_setup):
@@ -517,9 +524,13 @@ def test_truncated_maps_match_boundary_matrices(case, torus, torus_basis, heisen
 
 def test_one_commutator_matrix_per_generator(torus, torus_basis, monkeypatch):
     built = []
-    commutator_matrix = C._commutator_matrix
-    monkeypatch.setattr(C, "_commutator_matrix",
-                        lambda *args: built.append(args[0]) or commutator_matrix(*args))
+    commutator_blocks = C._commutator_blocks
+
+    def blocks(*args, **kwargs):
+        out = commutator_blocks(*args, **kwargs)
+        built.extend(out)
+        return out
+    monkeypatch.setattr(C, "_commutator_blocks", blocks)
     C.deRham_dims_truncated(torus_basis, torus, 4)
     assert len(built) == 2  # U and U^*
     built.clear()
@@ -765,16 +776,16 @@ def test_workload_symbol_reports_match_the_triplet_route(case):
     report, args = WORKLOAD_COMPLEXES[case]()
     if report is C.deRham_dims_truncated:  # monomials shift their keys
         basis, spec, K = args
-        assert C._symbol(basis, C.QMonomialBasis(spec, K), basis.families) is None
+        assert _symbol(basis, C.QMonomialBasis(spec, K), basis.families) is None
     else:
         basis, carrier = args[-2:]
-        assert C._symbol(basis, carrier, basis.families) is not None
+        assert _symbol(basis, carrier, basis.families) is not None
     assert report(*args).to_json() == _triplet(report)(*args).to_json()
 
 
 def _assert_routes_agree(basis, carrier):
     """Every report of the symbol route equals that of the triplet route."""
-    assert C._symbol(basis, carrier, basis.families) is not None
+    assert _symbol(basis, carrier, basis.families) is not None
     assert C.deRham_dims(basis, carrier).to_json() == \
         _triplet(C.deRham_dims)(basis, carrier).to_json()
     if basis.mode == "complex":
@@ -864,10 +875,20 @@ def test_no_weight_between_the_degree0_and_whole_map_cuts(case):
     if basis.mode == "complex":  # Dolbeault maps: C(n, p) C(n, q) covector indices
         rows.append(((True,), math.comb(n, n // 2) ** 2))
     for families, widest in rows:
-        v, cut = C._symbol(basis, carrier, families)
+        v, cut = _symbol(basis, carrier, families)
         top = widest * carrier.dim * eps * v.max()
         assert cut == len(families) * n * carrier.dim * eps * v.max() <= top
         assert not ((v > cut) & (v <= top)).any()
+
+
+@pytest.mark.parametrize("case", list(SYMBOL_FAMILIES))
+def test_rank_symbol_is_the_heat_symbol_times_the_family_count(case):
+    # |v|^2 = F lambda: both read one list of weights, over F families or one
+    basis, carrier = SYMBOL_FAMILIES[case]()
+    v, _ = _symbol(basis, carrier, basis.families)
+    lam = D._eigenvalues(basis, carrier.parent, carrier.keys)
+    n_families = len(basis.families)
+    assert (np.abs(v ** 2 - n_families * lam) <= 1e-14 * n_families * lam).all()
 
 
 @st.composite
@@ -925,7 +946,7 @@ def test_projection_m64_closed_form_without_maps(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("the symbol route builds no covector index and no map")
-    for name in ("_form_indices", "_dolbeault_indices", "_assemble", "_commutator_matrix"):
+    for name in ("_form_indices", "_dolbeault_indices", "_assemble", "_commutator_blocks"):
         monkeypatch.setattr(C, name, refuse)
     report, peak = _peak_bytes(lambda: C.deRham_dims(basis, C.MatrixCarrierBasis(n)))
     assert [row.h_dim for row in report.degrees] == [n * math.comb(n, k) for k in range(n + 1)]

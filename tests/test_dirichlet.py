@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import ncdiff.dirichlet as D
 import ncdiff.graph_algebra as ga
 from ncdiff.carrier import EQ_TOLERANCE
 from ncdiff.forms import (BasisConditionError, BasisModeError, DifferentialBasis,
-                          DifferentialForm)
+                          DifferentialForm, _diagonal_weights)
 from ncdiff.matrix_algebra import MatElement, joint_eigenbasis, projection_basis, trace
 from ncdiff.qlattice import QElement, tau, torus_spec
 from ncdiff.testing import (loop_graph, random_graph_element, random_matelement,
@@ -547,19 +549,45 @@ def test_heat_symbol_matches_the_laplacian(case, torus, torus_basis, heisenberg,
         foreign = ga.GraphElement(star_tree(5))
         messages = ("diagonally acting", "does not act on this graph")
     for b in bases:
-        lam = D._heat_symbol(b, zero)(keys)
+        lam = D._eigenvalues(b, zero, keys)
         for x, value in zip(elements, lam):
             key, = x.terms
             assert abs(value - D.laplacian(x, b).terms.get(key, 0j)) <= 1e-12
+        # the rank symbol over all F families of the same weights is F lambda
+        weights = _diagonal_weights(b.diagonal, b.families, zero, keys)
+        v = functools.reduce(np.hypot, (np.abs(w) for _, w in weights))
+        F = len(b.families)
+        assert (np.abs(v ** 2 - F * lam) <= 1e-14 * F * lam).all()
         a = sample()
         lhs = D.heat_semigroup(D.heat_semigroup(a, 0.4, b), 1.1, b)
         assert (lhs - D.heat_semigroup(a, 1.5, b)).norm() <= 1e-12
         for x in fixed:
             assert (D.heat_semigroup(x, 2.0, b) - x).norm() == 0.0
     with pytest.raises(ValueError, match=messages[0]):
-        D._heat_symbol(undiagonal, zero)
+        D._eigenvalues(undiagonal, zero, keys)
     with pytest.raises(ValueError, match=messages[1]):
-        D._heat_symbol(bases[0], foreign)
+        D._eigenvalues(bases[0], foreign, keys)
     # a carrier without keys, such as the forms, has no heat flow here
     with pytest.raises(TypeError, match="no semigroup evaluation"):
         D.heat_semigroup(DifferentialForm.from_element(bases[0], fixed[0]), 1.0, bases[0])
+
+
+def test_an_overflowing_heat_symbol_raises_without_a_warning():
+    g = star_tree(3)
+    vertices = DifferentialBasis([ga.vertex_projection(g, v) for v in g.vertices],
+                                 prefactors=[1e200] * 3, mode="selfadjoint")
+    a = ga.GraphElement(g, {k: 1.0 for k in ga.common_range_pairs(g, 1)})
+    huge = DifferentialBasis([MatElement(np.diag([1e200, -1e200]))], mode="selfadjoint")
+    torus = torus_spec(THETA)
+    scaled = DifferentialBasis([QElement.generator(torus, 1)], prefactors=[1e200])
+    calls = [lambda: D.heat_semigroup(a, 0.0, vertices),
+             lambda: D.heat_semigroup(MatElement.identity(2), 0.0, huge),
+             lambda: D.audit_semigroup([1.0], 2, huge),
+             lambda: D.heat_superoperator(1.0, huge, 2),
+             lambda: D.trotter_check(1.0, 4, 2, huge),
+             lambda: D.heat_semigroup(QElement.generator(torus, 2), 1.0, scaled)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(ValueError, match="the heat symbol is not finite"):
+                call()
