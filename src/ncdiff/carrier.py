@@ -4,33 +4,36 @@ The derivative ``delta a = sum_j [U_j, a] dU_j`` needs only a product, an
 adjoint and a norm from its carrier.  A carrier element supplies ``+``,
 ``-``, unary ``-``, ``scale(c)``, ``*`` (by an element and by a scalar),
 ``adjoint()`` and ``norm()``; :class:`Normed` then adds ``is_zero``,
-``equal_within``, scalar-on-the-left products and ``ad()``, the map
-``a -> [self, a]``.  A carrier with keys (exponent rows, matrix-unit
-indices, term keys) gives them as ``keyed()``, builds elements back with
-``_from_keys``, and states in ``diagonal_action`` how an element that acts
-diagonally on them (a q-lattice monomial, a vertex projection, a diagonal
-matrix) moves each key, with one weight; ``parent_name`` names what two
-elements must share (a presentation, a graph, a matrix dimension).  ``ad``
-and the weights the cohomology maps and the heat flow read take the action;
-any other ``ad`` is :func:`commutator`.  A carrier whose elements are finite
-combinations of basis keys inherits :class:`Terms` and supplies only
-``_check``, ``_like``, ``__mul__`` and ``adjoint``; differential forms are
+``equal_within``, scalar-on-the-left products, ``abs`` (the norm) and
+``ad()``, the map ``a -> [self, a]``.  A carrier with keys (exponent rows,
+matrix-unit indices, term keys) gives them as ``keyed()``, builds elements
+back with ``_from_keys``, and states in ``diagonal_action`` how an element
+that acts diagonally on them (a q-lattice monomial, a vertex projection, a
+diagonal matrix) moves each key, with one weight; ``parent_name`` names what
+two elements must share (a presentation, a graph, a matrix dimension).
+``ad`` and the weights the cohomology maps and the heat flow read take the
+action; any other ``ad`` is :func:`commutator`.
+
+A term carrier, whose elements are finite combinations of keys (the
+q-lattice and the graph), inherits :class:`HeldTerms` and supplies only its
+algebra and its coding: the parent hook ``_over``, the prune threshold
+``_eps``, ``_check``, the coding of its keys as int64 rows (``_encode``,
+``_decode``, ``_sum_codes``), ``__mul__``, ``adjoint``, ``_from_keys`` and
+``diagonal_action``.  The rest is built here, once for both: pruned
+elements held as dicts (``_like``) or as keyed arrays (``_held``), ``zero``,
+sums (a merge of sorted term codes when both operands hold arrays),
+negation, scaling, norms, and the dict of an element held as arrays,
+decoded on the first read of ``terms``.  Differential forms are
 :class:`Terms` too, over covector keys with carrier-element coefficients.
 
 This module holds the one tolerance policy of the package: elements agree
 when their difference has norm at most ``EQ_TOLERANCE``, and term
 coefficients at or below ``PRUNE_EPSILON`` in modulus are dropped.  A nan
 coefficient is never dropped and makes the norm nan, so the finiteness
-checks of :mod:`ncdiff.expr` see it.
-
-The q-lattice and graph carriers may also hold their terms as keyed arrays
-(:class:`HeldTerms`): int64 keys, one row per term, and complex coefficients.
-Their array products sum coefficients by int64 term code through
-:func:`sum_by_code`.  Sums of two elements that both hold arrays merge sorted
-term codes; negation, scaling and norms read the held arrays, and an element
-held as arrays only decodes its dict on the first read of ``terms``, all
-here, for both carriers.  Moduli of held coefficients come from
-:func:`moduli`, which raises where Python's ``abs`` does, as the loops do.
+checks of :mod:`ncdiff.expr` see it.  Array products sum coefficients by
+int64 term code through :func:`sum_by_code`; moduli of held coefficients
+come from :func:`moduli`, which raises where Python's ``abs`` does, as the
+loops do.
 """
 
 from __future__ import annotations
@@ -84,15 +87,6 @@ def moduli(coeffs: np.ndarray) -> np.ndarray:
     return m
 
 
-def held_arrays(keys: np.ndarray, coeffs: np.ndarray, eps: float) -> tuple:
-    """Key rows and coefficients without the coefficients at or below ``eps``
-    in modulus (a nan is kept), rows in column-major order, read-only."""
-    keep = ~(moduli(coeffs) <= eps)
-    if not keep.all():
-        keys, coeffs = keys.T[:, keep].T, coeffs[keep]
-    return frozen(np.asfortranarray(keys), coeffs)
-
-
 def commutator(x, a):
     """[x, a] = x a - a x on any carrier."""
     return x * a - a * x
@@ -136,6 +130,10 @@ class Normed:
             return commutator(self, a) if keyed is None else a._from_keys(*act(*keyed))
         return ad
 
+    def __abs__(self) -> float:
+        """The norm: the modulus of an element as a coefficient of a form."""
+        return self.norm()
+
     def is_zero(self, tol: float = EQ_TOLERANCE) -> bool:
         return self.norm() <= tol
 
@@ -147,15 +145,27 @@ class Terms(Normed):
     """Finite combination of basis keys, held in ``terms: {key: coeff}``.
 
     Subclasses supply ``_check(other)``, which raises when two elements live
-    over different parents, and ``_like(terms)``, which builds an element
-    over this one's parent from canonical keys, dropping small coefficients.
-    A coefficient is a complex number or any carrier element: sums need
-    only ``+``, ``-`` and unary ``-`` of the coefficients, and ``scale``
-    needs ``c * coeff``.  A subclass with non-scalar coefficients also
-    supplies ``norm``.
+    over different parents, ``_over(terms)``, an element over this one's
+    parent holding the dict ``terms`` as it is, and the prune threshold
+    ``_eps``; :meth:`_like` builds every pruned element from them.  A
+    coefficient is a complex number or any carrier element, whose modulus
+    ``abs`` is its norm: sums need only ``+``, ``-`` and unary ``-`` of the
+    coefficients, and ``scale`` needs ``c * coeff``.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def zero(cls, parent):
+        """The zero element over ``parent``."""
+        return cls(parent)
+
+    def _like(self, terms: dict):
+        """Element over this one's parent holding ``terms``, whose keys are
+        canonical, without the coefficients of modulus at or below ``_eps``
+        (a nan is kept)."""
+        eps = self._eps
+        return self._over({k: c for k, c in terms.items() if not abs(c) <= eps})
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -196,13 +206,27 @@ class HeldTerms(Terms):
     read-only int64 key rows, one per term in column-major order, and complex
     coefficients.  Elements built from dicts hold dicts; the array routes
     return elements held as arrays, which pass them on to the next array
-    route.  A subclass supplies ``_encode()`` (the arrays of ``terms``, or
-    None), ``_decode()`` (the dict of the held arrays), ``_held(keys,
-    coeffs)`` (an element held as arrays, pruned) and ``_sum_codes(cols)``
-    (int64 codes of the key columns ``cols``, equal for equal keys, or None).
+    route.  Both kinds are built here: dicts by ``_like`` and arrays by
+    ``_held``, from the subclass's ``_over`` (which holds the dict it is
+    given, or None, and no arrays) and ``_eps``.  A subclass also supplies
+    ``_encode()`` (the arrays of ``terms``, or None), ``_decode()`` (the
+    dict of the held arrays) and ``_sum_codes(cols)`` (int64 codes of the
+    key columns ``cols``, equal for equal keys, or None).
     """
 
     __slots__ = ()
+
+    def _held(self, keys: np.ndarray, coeffs: np.ndarray):
+        """Element over this one's parent held as the distinct int64 key rows
+        ``keys`` and the complex ``coeffs``, pruned as by ``_like``: rows in
+        column-major order, where numpy reduces and slices one key column
+        many times faster, both read-only (arrays passed in become so)."""
+        keep = ~(moduli(coeffs) <= self._eps)
+        if not keep.all():
+            keys, coeffs = keys.T[:, keep].T, coeffs[keep]
+        out = self._over(None)
+        out._keyed = frozen(np.asfortranarray(keys), coeffs)
+        return out
 
     @property
     def terms(self) -> dict:

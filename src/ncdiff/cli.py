@@ -27,6 +27,7 @@ from . import deformation as dfm
 from . import dirichlet
 from . import expr
 from . import graph_algebra as ga
+from . import testing
 from .carrier import PRUNE_EPSILON
 from .forms import DifferentialBasis
 from .matrix_algebra import projection_basis
@@ -184,8 +185,7 @@ def _cmd_deform(args, cfg: Config) -> int:
 
 
 def _cmd_selftest(args, cfg: Config) -> int:
-    from .testing import run_selftest
-    return 0 if run_selftest() else FAILED_CHECK
+    return 0 if testing.run_selftest() else FAILED_CHECK
 
 
 @functools.cache

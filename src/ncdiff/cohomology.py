@@ -69,7 +69,7 @@ class _KeyedBasis:
     ``keys`` are held in the form the carrier's ``keyed()`` and
     ``diagonal_action`` take, and ``parent`` is an element of the carrier.
     ``_rows`` gives the coordinate of each key of an array of keys (-1 for a
-    key outside), and ``_check`` raises for an element it cannot hold.
+    key outside).
     """
 
     @property
@@ -81,7 +81,10 @@ class _KeyedBasis:
         return [self.parent._from_keys(self.keys[i:i + 1], [1 + 0j]) for i in range(self.dim)]
 
     def _check(self, x) -> None:
-        pass
+        """ValueError for an element of another kind or over another parent."""
+        if not isinstance(x, type(self.parent)):
+            raise ValueError(f"a {type(x).__name__} has no coordinates in the {self.description}")
+        self.parent._check(x)
 
     def entries(self, x) -> tuple[list, list]:
         """Coordinates and values of x's nonzero terms; TruncationError for one outside."""
@@ -115,10 +118,6 @@ class MatrixCarrierBasis(_KeyedBasis):
         self.description = f"M_{n} matrix units"
         self.parent = MatElement.zero(n)
         self.keys = self.parent.keyed()[0]
-
-    def _check(self, a: MatElement) -> None:
-        if a.n != self.n:
-            raise ValueError("dimension mismatch")
 
     def _rows(self, flat: np.ndarray) -> np.ndarray:
         return flat

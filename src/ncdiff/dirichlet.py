@@ -40,11 +40,14 @@ from .qlattice import QElement, tau as q_tau
 
 
 def laplacian(a, basis: DifferentialBasis):
-    """Delta(a) = sum_j [(c_j U_j)^*, [c_j U_j, a]] on any carrier."""
+    """Delta(a) = sum_j [(c_j U_j)^*, [c_j U_j, a]] on any carrier; a
+    ValueError where a finite operand gives a non-finite result."""
     out = None
     for ad, ad_star in zip(basis.ad, basis.ad_star):
         term = ad_star(ad(a))
         out = term if out is None else out + term
+    if not math.isfinite(out.norm()) and math.isfinite(a.norm()):
+        raise ValueError("the Laplacian is not finite")
     return out
 
 

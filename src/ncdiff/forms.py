@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .carrier import EQ_TOLERANCE, Terms, commutator, largest
+from .carrier import EQ_TOLERANCE, Terms, commutator
 from .matrix_algebra import MatElement, joint_eigenbasis
 
 FormIndex = tuple  # ((i_1..i_p), (j_1..j_q)) of 0-based slots, each ascending
@@ -213,16 +213,13 @@ class DifferentialForm(Terms):
         self.basis = basis
         self.terms = table
 
-    def _like(self, terms: dict) -> "DifferentialForm":
-        """Form over the same basis: keys already canonical, drops zero coefficients."""
+    _eps = 0.0  # only coefficients of norm 0 are dropped
+
+    def _over(self, terms) -> "DifferentialForm":
         out = object.__new__(DifferentialForm)
         out.basis = self.basis
-        out.terms = {k: a for k, a in terms.items() if a.norm() != 0.0}
+        out.terms = terms
         return out
-
-    @classmethod
-    def zero(cls, basis) -> "DifferentialForm":
-        return cls(basis, {})
 
     @classmethod
     def from_element(cls, basis, a) -> "DifferentialForm":
@@ -232,10 +229,6 @@ class DifferentialForm(Terms):
     def _check(self, other):
         if self.basis is not other.basis:
             raise ValueError("forms live over different bases")
-
-    def norm(self) -> float:
-        """Largest coefficient norm (0.0 for the zero form, nan if any is nan)."""
-        return largest(a.norm() for a in self.terms.values())
 
     def degrees(self) -> set:
         return {(len(I), len(J)) for I, J in self.terms}

@@ -8,15 +8,13 @@ p_{r(e)}``); the completeness relation ``p_v = sum s_e s_e^*`` is applied
 only on demand with a bounded expansion depth, since unrestricted rewriting
 does not terminate on graphs with loops.
 
-An element holds its terms as a dict keyed by pairs of paths, as int64
-path codes (the codes of mu and nu of each term, see :func:`_term_codes`,
-and complex coefficients), or as both, and builds the missing one once, on
-demand, and keeps it.  Elements built from dicts hold dicts; the array
-routes below return elements held as codes, which pass them on to the next
-array route without building a path.  Paths come back from codes only when
-``terms`` is read, for I/O and for the loops.  An element with a path
-foreign to the graph, or with a path too long for int64 codes, is held only
-as a dict and always takes the loops.
+An element is a term carrier (:class:`~ncdiff.carrier.HeldTerms`): it
+holds its terms as a dict keyed by pairs of paths, as int64 path codes (the
+codes of mu and nu of each term, see :func:`_term_codes`) with complex
+coefficients, or both.  This module states the algebra and the coding.
+Paths come back from codes only when ``terms`` is read, for I/O and for the
+loops.  An element with a path foreign to the graph, or with a path too
+long for int64 codes, is held only as a dict and always takes the loops.
 
 A product has two routes.  Up to ``_ARRAY_PAIRS`` term pairs, a Python loop
 takes the pairs one by one (:func:`_pair_product` over
@@ -47,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, HeldTerms, frozen, held_arrays, sum_by_code
+from .carrier import PRUNE_EPSILON, HeldTerms, frozen, sum_by_code
 
 
 @dataclass(frozen=True)
@@ -235,9 +233,7 @@ _CODED_LENGTHS = 64
 
 
 class GraphElement(HeldTerms):
-    """Complex combination of terms s_mu s_nu^* over a fixed graph, held as
-    the dict ``terms``, as int64 path codes or as both (see the module
-    docstring and :class:`~ncdiff.carrier.HeldTerms`)."""
+    """Complex combination of terms s_mu s_nu^* over a fixed graph."""
 
     __slots__ = ("graph", "_terms", "_keyed")
     parent_name = "graph"
@@ -255,17 +251,14 @@ class GraphElement(HeldTerms):
         self._terms = tt
         self._keyed = None
 
-    def _like(self, terms: dict) -> "GraphElement":
-        """Element over the same graph: terms already canonical, only prunes."""
+    def _over(self, terms) -> "GraphElement":
         out = object.__new__(GraphElement)
         out.graph = self.graph
-        out._terms = {t: c for t, c in terms.items() if not abs(c) <= PRUNE_EPSILON}
+        out._terms = terms
         out._keyed = None
         return out
 
-    @classmethod
-    def zero(cls, graph) -> "GraphElement":
-        return cls(graph, {})
+    _eps = property(lambda self: PRUNE_EPSILON)  # the module's value at call time
 
     @classmethod
     def term(cls, graph, mu: Path, nu: Path, coeff: complex = 1.0) -> "GraphElement":
@@ -294,9 +287,7 @@ class GraphElement(HeldTerms):
         return list(self.terms), list(self.terms.values())
 
     def _from_keys(self, keys, coeffs) -> "GraphElement":
-        out = self._like({})  # one pass over the keys, pruned as by ``_like``
-        out._terms = {k: c for k, c in zip(keys, coeffs) if not abs(c) <= PRUNE_EPSILON}
-        return out
+        return self._over({k: c for k, c in zip(keys, coeffs) if not abs(c) <= PRUNE_EPSILON})
 
     def _encode(self):
         K = _term_codes(self.graph, self.terms)
@@ -318,9 +309,6 @@ class GraphElement(HeldTerms):
         mu, nu = np.searchsorted(codes, K.T).tolist()
         return {(paths[i], paths[j]): c for i, j, c in zip(mu, nu, coeffs.tolist())}
 
-    def _held(self, K, coeffs) -> "GraphElement":
-        return _held_element(self.graph, K, coeffs)
-
     def _sum_codes(self, cols):
         """code(mu) size + code(nu), with ``size`` one more than the largest
         path code, or None when that does not fit in int64."""
@@ -339,7 +327,7 @@ class GraphElement(HeldTerms):
     def adjoint(self) -> "GraphElement":
         if self._keyed:
             K, coeffs = self._keyed
-            return _held_element(self.graph, K[:, ::-1], coeffs.conj())
+            return self._held(K[:, ::-1], coeffs.conj())
         return self._like({(nu, mu): c.conjugate() for (mu, nu), c in self.terms.items()})
 
     def __repr__(self):
@@ -351,16 +339,6 @@ class GraphElement(HeldTerms):
                         f"s[{'.'.join(nu.edges) or nu.source}]*")
         more = "..." if len(self.terms) > 6 else ""
         return "GraphElement(" + " + ".join(bits) + more + ")"
-
-
-def _held_element(graph: DirectedGraph, K: np.ndarray, coeffs: np.ndarray) -> GraphElement:
-    """The element with ``coeffs[i]`` on the term with path codes ``K[i]``,
-    pruned as by ``GraphElement._like`` and held as arrays."""
-    out = object.__new__(GraphElement)
-    out.graph = graph
-    out._terms = None
-    out._keyed = held_arrays(K, coeffs, PRUNE_EPSILON)
-    return out
 
 
 def vertex_projection(graph: DirectedGraph, v: str) -> GraphElement:
@@ -511,7 +489,7 @@ def _array_product(a: GraphElement, b: GraphElement) -> GraphElement:
     # overflowing coefficients give inf and nan without a warning, as in the loop
     with np.errstate(over="ignore", invalid="ignore"):
         codes, vals = sum_by_code(np.concatenate([codes1, codes2]), ca[I] * cb[J])
-    return _held_element(graph, np.stack(np.divmod(codes, size)).T, vals)
+    return a._held(np.stack(np.divmod(codes, size)).T, vals)
 
 
 def _prefixes(L, D, pw, proper: bool):

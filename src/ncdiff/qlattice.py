@@ -12,12 +12,11 @@ This single presentation covers rotation algebras (quantum tori), Weyl
 exponentials restricted to an integer lattice, and the three-generator
 presentation of the quantum Heisenberg von Neumann algebra.
 
-An element holds its terms as a dict, as keyed arrays (int64 exponent rows
-and complex coefficients, see ``QElement.keyed``), or as both, and builds
-the missing one once, on demand, and keeps it.  Elements built from dicts
-hold dicts; the array routes below return elements held as arrays, which
-pass them on to the next array route without building a dict.  Exponents of
-2**62 or more are held only as dicts and always take the loops.
+An element is a term carrier (:class:`~ncdiff.carrier.HeldTerms`): it
+holds its terms as a dict, as int64 exponent rows with complex coefficients
+(``QElement.keyed``), or both.  This module states the algebra and the
+coding; exponents of 2**62 or more are held only as dicts and always take
+the loops.
 
 Multiplication accumulates exchange phases as floating-point angles and
 exponentiates once per term pair; coefficients with modulus at or below the
@@ -61,7 +60,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, HeldTerms, frozen, held_arrays, moduli, sum_by_code
+from .carrier import PRUNE_EPSILON, HeldTerms, frozen, moduli, sum_by_code
 
 Monomial = tuple  # exponent tuple (e_1, ..., e_m)
 
@@ -219,21 +218,6 @@ def _box(lo: list, hi: list):
     return ext, np.array([math.prod(ext[k + 1:]) for k in range(len(ext))], dtype=np.int64)
 
 
-def _keyed_element(spec: QAlgebraSpec, E: np.ndarray, coeffs: np.ndarray) -> "QElement":
-    """The element with ``coeffs[i]`` on the distinct int64 exponent rows
-    ``E[i]``, all below 2**62 in modulus, pruned as by ``QElement._like`` (a
-    nan is kept) and held as arrays.  ``E`` and ``coeffs`` become read-only.
-
-    Rows are held in column-major order: numpy reduces and slices the
-    exponents of one generator many times faster there.
-    """
-    out = object.__new__(QElement)
-    out.spec = spec
-    out._terms = None
-    out._keyed = held_arrays(E, coeffs, spec.prune_epsilon)
-    return out
-
-
 def _array_product(a: "QElement", b: "QElement") -> "QElement":
     """The product of two elements on the grid of term pairs, in numpy; the
     result is held as arrays unless an exponent reaches 2**62.
@@ -303,7 +287,7 @@ def _array_adjoint(a: "QElement") -> "QElement":
         with np.errstate(over="ignore", invalid="ignore"):
             ang = _adjoint_angle(a.spec, E.T)
             np.multiply(v, np.exp(1j * ang), out=v, where=ang != 0.0)
-    return _keyed_element(a.spec, -E, v)
+    return a._held(-E, v)
 
 
 def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
@@ -370,9 +354,7 @@ class QElement(HeldTerms):
     """Finite complex combination of normal-ordered monomials.
 
     Immutable; all operations return new elements.  Use ``QElement.monomial``
-    or :func:`normal_order` to construct non-trivial elements.  The terms
-    are held as the dict ``terms``, the arrays of :meth:`keyed` or both (see
-    the module docstring and :class:`~ncdiff.carrier.HeldTerms`).
+    or :func:`normal_order` to construct non-trivial elements.
     """
 
     __slots__ = ("spec", "_terms", "_keyed")
@@ -392,20 +374,16 @@ class QElement(HeldTerms):
         self._terms = tt
         self._keyed = None
 
-    def _like(self, terms: dict) -> "QElement":
-        """Element over the same presentation: terms already canonical, only prunes."""
+    def _over(self, terms) -> "QElement":
         out = object.__new__(QElement)
         out.spec = self.spec
-        eps = self.spec.prune_epsilon
-        out._terms = {e: c for e, c in terms.items() if not abs(c) <= eps}
+        out._terms = terms
         out._keyed = None
         return out
 
-    # -- constructors ------------------------------------------------------
+    _eps = property(lambda self: self.spec.prune_epsilon)
 
-    @classmethod
-    def zero(cls, spec) -> "QElement":
-        return cls(spec, {})
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls, spec) -> "QElement":
@@ -460,9 +438,6 @@ class QElement(HeldTerms):
         E, coeffs = self._keyed
         return dict(zip(map(tuple, E.tolist()), coeffs.tolist()))
 
-    def _held(self, E, coeffs) -> "QElement":
-        return _keyed_element(self.spec, E, coeffs)
-
     def _sum_codes(self, cols):
         """Mixed-radix codes over the box of the exponent columns, or None
         when it has more codes than int64 holds."""
@@ -477,7 +452,7 @@ class QElement(HeldTerms):
         E = np.array(E, dtype=np.int64, order="F")
         coeffs = np.array(coeffs, dtype=complex)
         if _fits(E):
-            return _keyed_element(self.spec, E, coeffs)
+            return self._held(E, coeffs)
         return self._like(dict(zip(map(tuple, E.tolist()), coeffs.tolist())))
 
     def diagonal_action(self):

@@ -2,8 +2,8 @@
 
 Used by the test suite and by the ``selftest`` command; everything is
 seeded and deterministic.  The battery draws its inputs (carriers, forms,
-form and element pairs) once per process and sample count, at its first
-call, and holds them read-only; every call reruns every identity on them.
+form and element pairs) once per process, at its first call, and holds them
+read-only; every call reruns every identity on them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from . import dirichlet, forms, graph_algebra as ga
+from . import deformation, dirichlet, forms, graph_algebra as ga
 from .carrier import EQ_TOLERANCE
 from .forms import DifferentialBasis, DifferentialForm
 from .matrix_algebra import MatElement, projection_basis
@@ -122,20 +122,27 @@ def default_carriers(seed: int = 11):
     ]
 
 
-@functools.lru_cache(maxsize=1)
-def _delta_inputs(samples: int) -> tuple:
+# Forms per carrier of the delta^2 check, form pairs per complex-mode carrier
+# of the Leibniz check.
+DELTA_SAMPLES = 50
+LEIBNIZ_SAMPLES = 30
+
+
+@functools.cache
+def _delta_inputs() -> tuple:
     # (label, forms) per carrier
     out = []
     for label, basis, sample in default_carriers():
         rng = np.random.default_rng(5)
         alphas = tuple(DifferentialForm.from_element(basis, sample()) if i % 2 == 0
-                       else random_form(basis, lambda _: sample(), rng) for i in range(samples))
+                       else random_form(basis, lambda _: sample(), rng)
+                       for i in range(DELTA_SAMPLES))
         out.append((label, alphas))
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=1)
-def _leibniz_inputs(samples: int) -> tuple:
+@functools.cache
+def _leibniz_inputs() -> tuple:
     # (label, form pairs) per complex-mode carrier
     out = []
     for label, basis, sample in default_carriers():
@@ -143,7 +150,7 @@ def _leibniz_inputs(samples: int) -> tuple:
             continue
         rng = np.random.default_rng(9)
         pairs = []
-        for _ in range(samples):
+        for _ in range(LEIBNIZ_SAMPLES):
             alpha = random_form(basis, lambda _: sample(), rng, max_terms=1)
             beta = random_form(basis, lambda _: sample(), rng, max_terms=1)
             pairs.append((alpha, beta))
@@ -151,7 +158,7 @@ def _leibniz_inputs(samples: int) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def _carre_inputs() -> tuple:
     # the torus basis {U} and the element pairs of the carre du champ check
     torus = torus_spec(0.7)
@@ -161,10 +168,10 @@ def _carre_inputs() -> tuple:
                         for _ in range(25))
 
 
-def check_delta_squared(samples: int = 50) -> list[tuple[str, float]]:
+def check_delta_squared() -> list[tuple[str, float]]:
     """Max |delta(delta(a))| per carrier over random 0-forms and forms."""
     out = []
-    for label, alphas in _delta_inputs(samples):
+    for label, alphas in _delta_inputs():
         worst = 0.0
         for alpha in alphas:
             worst = max(worst, forms.delta(forms.delta(alpha)).norm())
@@ -172,10 +179,10 @@ def check_delta_squared(samples: int = 50) -> list[tuple[str, float]]:
     return out
 
 
-def check_leibniz(samples: int = 30) -> list[tuple[str, float]]:
+def check_leibniz() -> list[tuple[str, float]]:
     """Graded product-rule defect per complex-mode carrier."""
     out = []
-    for label, pairs in _leibniz_inputs(samples):
+    for label, pairs in _leibniz_inputs():
         worst = 0.0
         for alpha, beta in pairs:
             if not alpha.terms:
@@ -189,10 +196,9 @@ def check_leibniz(samples: int = 30) -> list[tuple[str, float]]:
     return out
 
 
-def check_semigroup_audit(t: float = 1.0, n: int = 3):
-    basis = DifferentialBasis(projection_basis(n), mode="selfadjoint",
-                              label=f"M_{n} projections")
-    return dirichlet.audit_semigroup([t], n, basis, samples=25).results[0]
+def check_semigroup_audit():
+    basis = DifferentialBasis(projection_basis(3), mode="selfadjoint", label="M_3 projections")
+    return dirichlet.audit_semigroup([1.0], 3, basis, samples=25).results[0]
 
 
 def run_selftest(out=print) -> bool:
@@ -232,9 +238,8 @@ def run_selftest(out=print) -> bool:
     out(f"carre du champ identity [torus]: max defect {worst:.3e} "
         f"{'PASS' if good else 'FAIL'}")
 
-    from .deformation import heisenberg_limit_sweep
-    sweep = heisenberg_limit_sweep("W", (2, 1, 0), [1e-2, 5e-3, 2.5e-3, 1.25e-3],
-                                   mu=0.11, nu=0.07)
+    sweep = deformation.heisenberg_limit_sweep(
+        "W", (2, 1, 0), [1e-2, 5e-3, 2.5e-3, 1.25e-3], mu=0.11, nu=0.07)
     good = abs(sweep.fitted_order - 1.0) <= 0.1
     ok &= good
     out(f"deformation order [heisenberg W]: fitted {sweep.fitted_order:.3f} "

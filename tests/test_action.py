@@ -447,7 +447,7 @@ def test_foreign_carriers_raise_as_the_per_key_route():
         assert str(got.value) == str(want.value)
         messages.append(str(got.value))
     assert messages[:4] == ["elements live over different presentations",
-                            "dimension mismatch: 3 vs 4", "dimension mismatch",
+                            "dimension mismatch: 3 vs 4", "dimension mismatch: 3 vs 4",
                             "elements live over different graphs"]
 
 

@@ -240,6 +240,27 @@ def test_truncation_escape_raises(torus, torus_basis):
         C.deRham_dims_truncated(torus_basis, torus, K=1)
 
 
+def test_codomain_of_another_kind_or_parent_raises(torus, torus_basis, p_basis3):
+    # every coordinate basis asks its parent element: another kind of element
+    # and another presentation of the same arity are ValueErrors, not an
+    # AttributeError, a TypeError, an escape or a silent acceptance
+    domain = C.QMonomialBasis(torus, 2)
+    cases = [
+        (torus_basis, domain, C.MatrixCarrierBasis(3),
+         "a QElement has no coordinates in the M_3 matrix units"),
+        (torus_basis, domain, C.GraphCarrierBasis(star_tree(3), 1),
+         "a QElement has no coordinates in the graph terms"),
+        (p_basis3, C.MatrixCarrierBasis(3), domain,
+         "a MatElement has no coordinates in the torus"),
+        (torus_basis, domain, C.QMonomialBasis(torus_spec(0.3), 2),
+         "elements live over different presentations"),
+    ]
+    for basis, carrier, codomain, message in cases:
+        with pytest.raises(ValueError, match=message) as got:
+            C.boundary_matrix(0, basis, carrier, codomain)
+        assert not isinstance(got.value, C.TruncationError)
+
+
 def test_dolbeault_rows(clock7_setup):
     basis, carrier = clock7_setup
     for p in (0, 1):

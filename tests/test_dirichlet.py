@@ -591,3 +591,25 @@ def test_an_overflowing_heat_symbol_raises_without_a_warning():
         for call in calls:
             with pytest.raises(ValueError, match="the heat symbol is not finite"):
                 call()
+
+
+def test_an_overflowing_laplacian_raises_and_a_nan_operand_passes(torus_basis):
+    g = star_tree(3)
+    vertices = DifferentialBasis([ga.vertex_projection(g, v) for v in g.vertices],
+                                 prefactors=[1e200] * 3, mode="selfadjoint")
+    a = ga.GraphElement(g, {k: 1.0 for k in ga.common_range_pairs(g, 1)})
+    torus = torus_spec(THETA)
+    scaled = DifferentialBasis([QElement.generator(torus, 1)], prefactors=[1e200])
+    V = QElement.generator(torus, 2)
+    calls = [lambda: D.laplacian(a, vertices),
+             lambda: D.dirichlet_form(a, a, vertices, trace_fn=lambda x: x.norm()),
+             lambda: D.laplacian(V, scaled),
+             lambda: D.dirichlet_form(V, V, scaled),
+             lambda: D.carre_du_champ(V, V, scaled)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(ValueError, match="the Laplacian is not finite"):
+                call()
+        out = D.laplacian(V.scale(math.nan), torus_basis)
+    assert math.isnan(out.norm())

@@ -114,20 +114,18 @@ def same_form(f, g):
         same_element(x, y) for x, y in zip(f.terms.values(), g.terms.values()))
 
 
-@pytest.mark.parametrize("samples", [None, 7])
-def test_held_selftest_inputs_equal_a_fresh_draw(samples):
-    # the held draws, at the battery's sizes and at another (the carre du
-    # champ pairs have one size), equal the inline draws they replace term for
-    # term and bit for bit
-    delta, leibniz = (50, 30) if samples is None else (samples,) * 2
-    held = testing._delta_inputs(delta)
+def test_held_selftest_inputs_equal_a_fresh_draw():
+    # the held draws equal the inline draws they replace term for term and
+    # bit for bit
+    delta, leibniz = testing.DELTA_SAMPLES, testing.LEIBNIZ_SAMPLES
+    held = testing._delta_inputs()
     fresh = oracles.delta_inputs(delta)
     assert [label for label, _ in held] == [label for label, _ in fresh]
     assert len(held) == 5
     for (label, alphas), (_, want) in zip(held, fresh):
         assert len(alphas) == len(want) == delta
         assert all(same_form(a, b) for a, b in zip(alphas, want)), label
-    held = testing._leibniz_inputs(leibniz)
+    held = testing._leibniz_inputs()
     fresh = oracles.leibniz_inputs(leibniz)
     assert [label for label, _ in held] == [label for label, _ in fresh] == [
         "torus", "heisenberg"]
@@ -148,19 +146,4 @@ def test_importing_the_battery_draws_nothing():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.stdout == "[0, 0, 0]\n", done.stderr
-
-
-@pytest.mark.parametrize("name, check", [
-    ("_delta_inputs", testing.check_delta_squared),
-    ("_leibniz_inputs", testing.check_leibniz),
-])
-def test_another_sample_count_replaces_the_held_inputs(name, check):
-    builder = getattr(testing, name)
-    full = check()
-    small = check(3)
-    info = builder.cache_info()
-    assert info.currsize == 1 and info.maxsize == 1
-    assert check(3) == small and builder.cache_info().hits == info.hits + 1
-    assert check() == full and builder.cache_info().misses == info.misses + 1
-    assert builder.cache_info().currsize == 1
 
