@@ -19,12 +19,16 @@ coding; exponents of 2**62 or more are held only as dicts and always take
 the loops.
 
 Multiplication accumulates exchange phases as floating-point angles and
-exponentiates once per term pair; coefficients with modulus at or below the
-spec's ``prune_epsilon`` are dropped.  A product has two routes.  Up to
+exponentiates them; coefficients with modulus at or below the spec's
+``prune_epsilon`` are dropped.  A product has two routes.  Up to
 ``_ARRAY_PAIRS`` term pairs, a Python loop takes the pairs one by one
 (:func:`_pair_product`).  Above that cut, :func:`_array_product` forms the
 same angles on the whole grid of term pairs in numpy, chunk by chunk of rows,
-and sums coefficients by exponent code.  The cut sits above the measured
+and sums coefficients by exponent code.  An angle reads only the exponent
+columns named in the spec's pairs, so a product of more than one chunk
+exponentiates once per pair of exponent classes when there are at most a
+chunk's worth of them (:func:`_phase_table`), to the same doubles; other
+products call ``np.exp`` per chunk.  The cut sits above the measured
 crossover (near 7 x 7 terms), so the many short products of the CLI and of
 cohomology assembly never pay numpy's fixed cost.  The loop is the oracle
 that the tests hold the array route to.
@@ -75,7 +79,8 @@ class QAlgebraSpec:
     Parameters
     ----------
     theta:
-        Real m x m skew-symmetric matrix of relation angles, radians.
+        Real m x m skew-symmetric matrix of relation angles, radians, within
+        1e-12 * max(1, |entry|); stored built from its strict upper triangle.
     label:
         Free-form description used in reports.
     meta:
@@ -97,9 +102,11 @@ class QAlgebraSpec:
             raise ValueError("need at least one generator")
         if not np.isfinite(th).all():
             raise ValueError("structure angles must be finite")
-        if not np.allclose(th, -th.T, atol=1e-12):
-            raise ValueError("structure angle matrix must be skew-symmetric")
-        np.fill_diagonal(th, 0.0)
+        with np.errstate(over="ignore"):
+            if not (np.abs(th + th.T) <= 1e-12 * np.maximum(1.0, np.abs(th))).all():
+                raise ValueError("structure angle matrix must be skew-symmetric")
+        th = np.triu(th, 1)  # one angle for every reader of th[j, k] or th[k, j]
+        th -= th.T
         th.setflags(write=False)
         self.theta = th
         self.label = label
@@ -218,12 +225,43 @@ def _box(lo: list, hi: list):
     return ext, np.array([math.prod(ext[k + 1:]) for k in range(len(ext))], dtype=np.int64)
 
 
+def _grid_angles(spec: QAlgebraSpec, E: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Angles of U^e U^f over the rows e of E and f of F, in the association
+    of :func:`_mul_angle`."""
+    return sum(np.multiply.outer(t * E[:, k], F[:, j]) for j, k, t in spec._pairs)
+
+
+def _phase_table(spec: QAlgebraSpec, E: np.ndarray, F: np.ndarray):
+    """exp(1j * angle) and ``angle != 0.0`` of U^e U^f per pair of exponent
+    classes, flattened, after the class codes of E's rows (scaled by F's
+    class count) and of F's; None when there are more than ``_CHUNK_PAIRS``
+    such pairs.  A class is a row's values in the columns k of E or j of F of
+    ``spec._pairs``, the only ones an angle reads, coded in mixed radix."""
+    codes, grids, cells = [], [], 1
+    for X, i in ((E, 1), (F, 0)):
+        cols = sorted({p[i] for p in spec._pairs})
+        V = X[:, cols].T
+        lo = V.min(1)
+        ext = (V.max(1) - lo + 1).tolist()
+        cells *= math.prod(ext)
+        if cells > _CHUNK_PAIRS:
+            return None
+        codes.append(np.ravel_multi_index(V - lo[:, None], ext))
+        grids.append(np.zeros((math.prod(ext), X.shape[1])))
+        grids[-1][:, cols] = np.indices(ext).reshape(len(cols), -1).T + lo
+    ang = _grid_angles(spec, *grids)
+    return codes[0] * len(grids[1]), codes[1], np.exp(1j * ang).ravel(), (ang != 0.0).ravel()
+
+
 def _array_product(a: "QElement", b: "QElement") -> "QElement":
     """The product of two elements on the grid of term pairs, in numpy; the
     result is held as arrays unless an exponent reaches 2**62.
 
-    Angles take the association of :func:`_mul_angle`, and a phase is
-    applied only where the angle is nonzero, as in :func:`_pair_product`.
+    Angles take the association of :func:`_mul_angle` (:func:`_grid_angles`),
+    and a phase is applied only where the angle is nonzero, as in
+    :func:`_pair_product`.  A product of more than one chunk gathers its
+    phases from :func:`_phase_table` unless that declines; the table holds
+    the same doubles, so the product is the same bit for bit.
     Each product exponent is coded in mixed radix over its box
     ``[min E + min F, max E + max F]``.  A box of at most ``_DENSE_BINS``
     codes sums with ``np.bincount`` into dense bins.  A wider box sorts the
@@ -252,13 +290,17 @@ def _array_product(a: "QElement", b: "QElement") -> "QElement":
     # Overflowing angles and coefficients give inf and nan without a warning;
     # the finiteness checks see them.
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = [(t * E[:, k], F[:, j].astype(float)) for j, k, t in spec._pairs]
+        table = (_phase_table(spec, E, F)
+                 if spec._pairs and len(E) * len(F) > _CHUNK_PAIRS else None)
         step = max(1, _CHUNK_PAIRS // len(F))
         for r0 in range(0, len(E), step):
             rows = slice(r0, r0 + step)
             c = np.multiply.outer(ca[rows], cb)
-            if phases:
-                ang = sum(np.multiply.outer(te[rows], f) for te, f in phases)
+            if table:
+                cls = np.add.outer(table[0][rows], table[1])
+                np.multiply(c, table[2][cls], out=c, where=table[3][cls])
+            elif spec._pairs:
+                ang = _grid_angles(spec, E[rows], F)
                 np.multiply(c, np.exp(1j * ang), out=c, where=ang != 0.0)
             c = c.ravel()
             keys = np.add.outer(codeE[rows], codeF).ravel()

@@ -273,6 +273,7 @@ HUGE = "9" * 401
     (None, None, ["cohomology", "--carrier", "torus", "--trunc", "3", "--theta", "inf"]),
     (None, None, ["cohomology", "--carrier", "heisenberg", "--mu", "inf"]),
     (None, {"theta_matrix": [[0.0, -math.inf], [math.inf, 0.0]]}, EVAL_U),
+    (None, {"theta_matrix": [[0.0, -2.0], [2.0 * (1 + 5e-6), 0.0]]}, EVAL_U),
     (None, None, ["deform", "torus", "--params", "inf,1"]),
     (None, None, ["cohomology", "--carrier", "matrix", "--n", "2", "--max-degree", "-1"]),
     (None, None, ["cohomology", "--carrier", "torus", "--trunc", "3", "--max-degree", "-1"]),
@@ -308,6 +309,7 @@ HUGE = "9" * 401
         "eval-form-coefficient-overflow", "eval-overflow-difference",
         "eval-power-overflow-difference", "eval-form-overflow-difference",
         "cohomology-infinite-theta", "cohomology-infinite-mu", "spec-infinite-theta",
+        "spec-theta-matrix-not-skew",
         "deform-infinite-parameter", "cohomology-matrix-negative-max-degree",
         "cohomology-torus-negative-max-degree", "cohomology-huge-theta",
         "eval-huge-theta-delta", "eval-huge-theta-product",

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,29 @@ def test_spec_validation():
     spec = torus_spec(THETA)
     assert spec.generator_count == 2
     assert spec.theta[1, 0] == THETA
+
+
+def test_spec_skew_symmetry_is_tight_and_one_angle_is_stored():
+    from ncdiff.cohomology import c00_membership
+    theta = 2 * math.pi * 2 / 7
+    # numpy's default rtol of 1e-5 once let this matrix through
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        QAlgebraSpec([[0.0, -theta], [theta * (1 + 5e-6), 0.0]])
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        QAlgebraSpec([[0.0, -theta], [theta + 1e-9, 0.0]])
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        QAlgebraSpec([[0.0, 1e308], [1e308, 0.0]])  # the sum overflows
+    # one ulp apart: accepted, and stored from the upper triangle
+    spec = QAlgebraSpec([[1e-13, -theta], [np.nextafter(theta, 4.0), 0.0]])
+    assert spec.theta.tolist() == [[0.0, -theta], [theta, 0.0]]
+    assert spec.same_as(torus_spec(theta))
+    U, V = QElement.generator(spec, 1), QElement.generator(spec, 2)
+    assert len(clock_shift_rep(spec, U).mat) == 7
+    V7 = QElement(spec, {(0, 7): 1.0})
+    assert c00_membership(V7) == (True, [])
+    assert (U * V7 - V7 * U).norm() < 1e-12
+    big = QAlgebraSpec([[0.0, 1e6], [-1e6 * (1 + 5e-13), 0.0]])
+    assert big.theta[1, 0] == -1e6
 
 
 def test_normal_order_torus(torus):
@@ -434,6 +458,125 @@ def test_small_products_stay_on_the_loop(torus, rng, monkeypatch):
     a * b  # 256 pairs: at the cut
     with pytest.raises(AssertionError, match="array route"):
         a * _element(torus, rng, 6, 17)
+
+
+# -- the phase table of products above one chunk ------------------------------
+
+def _table_and_chunk_products(a, b):
+    """``_array_product(a, b)`` as it runs, with the tables it built (None
+    where the builder declined), and again with the builder declining, so
+    that every chunk calls ``np.exp`` on its own angles."""
+    built = []
+    build = qlattice._phase_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlattice, "_phase_table", lambda *args: built.append(build(*args)) or built[-1])
+        got = _array_product(a, b)
+        mp.setattr(qlattice, "_phase_table", lambda *args: None)
+        want = _array_product(a, b)
+    return got, want, built
+
+
+def _assert_same_bytes(got, want):
+    (E, c), (F, d) = got.keyed(), want.keyed()
+    assert E.dtype == F.dtype and np.array_equal(E, F)
+    assert c.dtype == d.dtype and c.tobytes() == d.tobytes()
+
+
+@pytest.mark.parametrize("spec, max_exp, sizes", [
+    (torus_spec(THETA), 20, [(65, 64), (300, 300)]),
+    (heisenberg_spec(MU, NU), 4, [(65, 64), (300, 300), (600, 600)]),
+    (torus_spec_2n([0.3, 1.1]), 3, [(65, 64), (120, 150)]),
+], ids=["torus", "heisenberg", "torus2n"])
+def test_phase_table_matches_the_per_chunk_route(spec, max_exp, sizes, rng):
+    # 65 x 64 pairs are just above one chunk of 4,096
+    for p, r in sizes:
+        a, b = _element(spec, rng, max_exp, p), _element(spec, rng, max_exp, r)
+        for x, y in ((a, b), (b, a)):
+            got, want, built = _table_and_chunk_products(x, y)
+            assert len(built) == 1 and built[0] is not None
+            _assert_same_bytes(got, want)
+            if p * r <= 300 * 300:
+                _assert_array_matches_loop(x, y)
+
+
+def test_one_chunk_products_build_no_table(heisenberg, rng):
+    a, b = _element(heisenberg, rng, 4, 64), _element(heisenberg, rng, 4, 64)
+    got, want, built = _table_and_chunk_products(a, b)
+    assert not built
+    _assert_same_bytes(got, want)
+
+
+def test_phase_table_on_zero_angles(rng):
+    # U^e V^0 times anything, and anything times U^0 V^f: every angle is a
+    # zero, of either sign (theta < 0 here), and no phase is applied
+    spec = torus_spec(-THETA)
+    flat = QAlgebraSpec(np.zeros((2, 2)))
+    a = QElement(spec, {(k, 0): complex(*rng.standard_normal(2)) for k in range(-40, 41)})
+    b = _element(spec, rng, 6, 90)
+    c = QElement(spec, {(0, k): complex(*rng.standard_normal(2)) for k in range(-40, 41)})
+    for x, y in ((a, b), (b, c), (a, c)):
+        got, want, built = _table_and_chunk_products(x, y)
+        assert len(built) == 1 and not built[0][3].any()
+        _assert_same_bytes(got, want)
+        _assert_same_bytes(got, _array_product(QElement(flat, x.terms), QElement(flat, y.terms)))
+    # zero angles mixed with nonzero ones
+    d = QElement(spec, {**a.terms, **_element(spec, rng, 6, 40).terms})
+    got, want, built = _table_and_chunk_products(d, b)
+    assert built[0][3].any() and not built[0][3].all()
+    _assert_same_bytes(got, want)
+    _assert_array_matches_loop(d, b)
+
+
+def test_phase_table_overflowing_angles(rng):
+    # angles of 1e308 times exponents overflow to inf and give nan phases,
+    # without a warning
+    spec = QAlgebraSpec([[0.0, -1e308], [1e308, 0.0]])
+    a, b = _element(spec, rng, 6, 100), _element(spec, rng, 6, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, want, built = _table_and_chunk_products(a, b)
+        assert len(built) == 1 and built[0] is not None
+        assert np.isnan(built[0][2]).any()
+        _assert_same_bytes(got, want)
+        assert np.isnan(got.keyed()[1]).any()
+
+
+def test_phase_table_declines_a_grid_wider_than_a_chunk(torus, rng):
+    # exponent classes of 201 x 201 values: the per-chunk route
+    a, b = _element(torus, rng, 100, 80), _element(torus, rng, 100, 80)
+    got, want, built = _table_and_chunk_products(a, b)
+    assert built == [None]
+    _assert_same_bytes(got, want)
+    _assert_array_matches_loop(a, b)
+
+
+def test_phase_table_with_sorted_codes(torus, rng):
+    # a product box far wider than the dense bins, but only 7 x 7 classes
+    def element(wide, n):
+        terms = {}
+        while len(terms) < n:
+            e = [int(rng.integers(-10 ** 6, 10 ** 6)), int(rng.integers(-3, 4))]
+            terms[tuple(e[::-1] if wide else e)] = complex(*rng.standard_normal(2))
+        return QElement(torus, terms)
+    a, b = element(False, 70), element(True, 70)
+    a = QElement(torus, {**a.terms, (0, 0): 1.0, (5, 1): 2.0j})
+    b = QElement(torus, {**b.terms, (-3, 0): 1.0, (0, -1): 3.0})
+    got, want, built = _table_and_chunk_products(a, b)
+    assert len(built) == 1 and len(built[0][2]) == 49
+    _assert_same_bytes(got, want)
+    _assert_array_matches_loop(a, b)
+
+
+def test_phase_table_never_allocates_the_pair_grid(heisenberg, rng):
+    # 600 x 600 pairs: phases for all of them at once would take 5.8 MB
+    a, b = _element(heisenberg, rng, 4, 600), _element(heisenberg, rng, 4, 600)
+    tracemalloc.start()
+    try:
+        _array_product(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 
 # -- the array routes of sums, negation, scaling, adjoints and norms ----------

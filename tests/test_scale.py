@@ -15,6 +15,7 @@ import numpy as np
 
 from ncdiff import DifferentialBasis, MatElement, MatrixCarrierBasis, deRham_dims, projection_basis
 from ncdiff import graph_algebra as ga
+from ncdiff import qlattice as ql
 from ncdiff.cli import main
 from ncdiff.dirichlet import audit_semigroup, carre_du_champ, carre_du_champ_first_order, laplacian
 from ncdiff.qlattice import QElement, heisenberg_spec, torus_spec
@@ -55,8 +56,13 @@ def test_carrier_arithmetic_at_scale(monkeypatch):
     # the pair loop; length-5 paths would push them past it, back to the loop.
     # Both products held as arrays must survive a pickle round trip, and the
     # Laplacian of the held 4-cycle product over the vertex basis must equal
-    # that of its dict copy.
+    # that of its dict copy.  Every q-lattice product above one chunk must
+    # take its phases from a table (counted through a wrapper of the
+    # builder), and x * y must equal the per-chunk route bit for bit.
     rng = np.random.default_rng(21)
+    tables = []
+    build = ql._phase_table
+    monkeypatch.setattr(ql, "_phase_table", lambda *args: tables.append(build(*args)) or tables[-1])
 
     def element(spec, K, n):
         grid = list(itertools.product(range(-K, K + 1), repeat=spec.generator_count))
@@ -67,6 +73,8 @@ def test_carrier_arithmetic_at_scale(monkeypatch):
     a, c = element(torus, 30, 2000), element(torus, 30, 2000)
     d = (carre_du_champ(a, c, basis) - carre_du_champ_first_order(a, c, basis)).norm()
     assert d <= 1e-10, d
+    assert tables and None not in tables, tables
+    tables.clear()
     heis = heisenberg_spec(0.11, 0.07)
     x, y, z = (element(heis, 4, 500) for _ in range(3))
     xy = x * y
@@ -75,6 +83,10 @@ def test_carrier_arithmetic_at_scale(monkeypatch):
     assoc = (xy * z - x * (y * z)).norm()
     adj = (xy.adjoint() - y.adjoint() * x.adjoint()).norm()
     assert assoc <= 1e-10 and adj <= 1e-10, (assoc, adj)
+    assert len(tables) == 5 and None not in tables, tables
+    monkeypatch.setattr(ql, "_phase_table", lambda *args: None)
+    (E, c), (F, d) = xy.keyed(), (x * y).keyed()
+    assert np.array_equal(E, F) and c.tobytes() == d.tobytes()
     g = loop_graph(4)
     keys = ga.common_range_pairs(g, 4)
     x, y, z = (ga.GraphElement(g, {t: complex(*rng.standard_normal(2)) for t in keys})
