@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -61,6 +62,8 @@ class Config:
                     raise ValueError(f"config key {key!r} must be {kind.__name__}, "
                                      f"got {value!r}")
                 setattr(cfg, key, kind(value))
+        if not 0.0 <= cfg.prune_epsilon < math.inf:
+            raise ValueError(f"prune_epsilon must be finite and >= 0, got {cfg.prune_epsilon}")
         return cfg
 
 

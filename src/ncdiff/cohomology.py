@@ -56,7 +56,7 @@ import numpy as np
 from .forms import BasisModeError, DifferentialBasis, _diagonal_weights
 from .graph_algebra import DirectedGraph, GraphElement, common_range_pairs
 from .matrix_algebra import MatElement
-from .qlattice import QAlgebraSpec, QElement
+from .qlattice import QAlgebraSpec, QElement, _angle
 
 
 class TruncationError(ValueError):
@@ -568,16 +568,16 @@ def fuglede_putnam_check(basis: DifferentialBasis, carrier_basis) -> bool:
 def c00_membership(a: QElement):
     """Coefficient test for membership in the commutant of U on a 2-torus.
 
-    [U, U^k V^l] = (1 - e^{-i l theta}) U^{k+1} V^l, so the element commutes
-    with U exactly when every stored coefficient sits at an l with
-    e^{i l theta} = 1.  Returns ``(member, witnesses)`` with the offending
-    (k, l) pairs.
+    [U, U^k V^l] = (e^{i phi_1} - e^{i phi_2}) U^{k+1} V^l with the angles of
+    U U^k V^l and U^k V^l U, so the element commutes with U exactly when every
+    stored coefficient sits where the two phases agree.  Returns
+    ``(member, witnesses)`` with the offending (k, l) pairs.
     """
     spec = a.spec
     if spec.generator_count != 2:
         raise ValueError("membership test needs a two-generator presentation")
-    theta = spec.theta[1, 0]
-    witnesses = [e for e in sorted(a.terms)
-                 if abs(1.0 - np.exp(1j * theta * e[1])) > _TOL]
+    u = (1, 0)
+    witnesses = [e for e in sorted(a.terms) if abs(
+        np.exp(1j * _angle(spec, u, e)) - np.exp(1j * _angle(spec, e, u))) > _TOL]
     return (not witnesses), witnesses
 

@@ -18,8 +18,10 @@ holds its terms as a dict, as int64 exponent rows with complex coefficients
 coding; exponents of 2**62 or more are held only as dicts and always take
 the loops.
 
-Multiplication accumulates exchange phases as floating-point angles and
-exponentiates them; coefficients with modulus at or below the spec's
+Products, adjoints and commutators multiply by exchange phases exp(i * angle)
+whose floating-point angles all come from one function, :func:`_angle`; the
+adjoint of U^e takes minus the angle of U^e U^{-e}, so monomials stay unitary
+at every exponent.  Coefficients with modulus at or below the spec's
 ``prune_epsilon`` are dropped.  A product has two routes.  Up to
 ``_ARRAY_PAIRS`` term pairs, a Python loop takes the pairs one by one
 (:func:`_pair_product`).  Above that cut, :func:`_array_product` forms the
@@ -34,8 +36,8 @@ cohomology assembly never pay numpy's fixed cost.  The loop is the oracle
 that the tests hold the array route to.
 
 A single monomial c U^g acts by ``QElement.ad``: the commutator [c U^g, a]
-multiplies each term a_e U^e by c (exp(i phi_1) - exp(i phi_2)), the two
-exchange phases of :func:`_exchange_angles`, and moves it to U^{g+e}.  Up to
+multiplies each term a_e U^e by c (exp(i phi_1) - exp(i phi_2)), with the
+angles phi_1 of U^g U^e and phi_2 of U^e U^g, and moves it to U^{g+e}.  Up to
 ``_ARRAY_TERMS`` terms a loop forms the two products of the commutator term
 by term, bit for bit.  Above it the monomial's ``diagonal_action`` weights
 the int64 exponent rows of ``a.keyed()`` all at once by the same rule, up to
@@ -47,9 +49,9 @@ and negation, scaling, adjoints and norms when their operand does.  Adjoints
 of dicts of more than ``_ARRAY_TERMS`` terms take it too: they cross near 16
 terms even when the arrays must first be built.  Sums merge sorted exponent
 codes (``HeldTerms._array_merge`` in :mod:`ncdiff.carrier`) and give the
-loop's coefficients bit for bit; :func:`_array_adjoint` takes the angles of
-:func:`_adjoint_angle` in its association.  Elements built from dicts with
-at most ``_ARRAY_TERMS`` terms, such as every operand of ``selftest`` and of
+loop's coefficients bit for bit; :func:`_array_adjoint` gives them up to the
+rounding of numpy's complex products.  Elements built from dicts with at
+most ``_ARRAY_TERMS`` terms, such as every operand of ``selftest`` and of
 the CLI's ``eval``, keep the loops and their results bit for bit.
 """
 
@@ -136,39 +138,16 @@ class QAlgebraSpec:
         return f"QAlgebraSpec(m={self.generator_count}, label={self.label!r})"
 
 
-def _mul_angle(spec: QAlgebraSpec, e: Monomial, f: Monomial) -> float:
-    """Exchange angle picked up normal-ordering the product U^e * U^f."""
-    return sum(t * e[k] * f[j] for j, k, t in spec._pairs)
-
-
-def _exchange_angles(spec: QAlgebraSpec, g: Monomial):
-    """The function e -> (angle of U^g U^e, angle of U^e U^g), so that
-    U^g U^e = exp(i (phi_1 - phi_2)) U^e U^g.
-
-    Both are summed in the association of :func:`_mul_angle`, so they equal
-    ``_mul_angle(spec, g, e)`` and ``_mul_angle(spec, e, g)`` bit for bit
-    (a zero angle may differ in sign, and a zero angle gives no phase).
-    ``e`` may also be the transposed int64 exponent rows of many terms, which
-    gives arrays of angles.
-    """
-    weights = [(t * g[k], j, t, k, g[j]) for j, k, t in spec._pairs]
-
-    def angles(e):
-        phi1 = phi2 = 0.0
-        for w, j, t, k, h in weights:
-            phi1 += w * e[j]
-            phi2 += t * e[k] * h
-        return phi1, phi2
-    return angles
-
-
-def _adjoint_angle(spec: QAlgebraSpec, e: Monomial) -> float:
-    """Exchange angle picked up normal-ordering (U^e)^* = U_m^{-e_m}..U_1^{-e_1}.
-
-    ``e`` may also be the transposed int64 exponent rows of many terms, which
-    gives an array of angles in the same association.
-    """
-    return sum(t * e[j] * e[k] for j, k, t in spec._pairs)
+def _angle(spec: QAlgebraSpec, e, f):
+    """The angle of U^e U^f = exp(i * angle) U^{e+f}, the only angle of this
+    module: ``(t * e[k]) * f[j]`` summed over ``spec._pairs``.  The adjoint of
+    U^e takes ``_angle(spec, e, e)``, exactly minus the angle of U^e U^{-e}.
+    ``e`` and ``f`` may be exponent tuples, transposed int64 exponent rows, or
+    columns broadcasting to a grid (``E.T[:, :, None]`` against ``F.T[:, None]``)."""
+    ang = 0.0
+    for j, k, t in spec._pairs:
+        ang += t * e[k] * f[j]
+    return ang
 
 
 # Products with more term pairs than this take the array route.
@@ -191,7 +170,7 @@ def _pair_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> dict:
     out: dict = {}
     for e, ca in ta.items():
         for f, cb in tb.items():
-            ang = _mul_angle(spec, e, f)
+            ang = _angle(spec, e, f)
             c = ca * cb
             if ang != 0.0:
                 c *= cmath.exp(1j * ang)
@@ -225,12 +204,6 @@ def _box(lo: list, hi: list):
     return ext, np.array([math.prod(ext[k + 1:]) for k in range(len(ext))], dtype=np.int64)
 
 
-def _grid_angles(spec: QAlgebraSpec, E: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Angles of U^e U^f over the rows e of E and f of F, in the association
-    of :func:`_mul_angle`."""
-    return sum(np.multiply.outer(t * E[:, k], F[:, j]) for j, k, t in spec._pairs)
-
-
 def _phase_table(spec: QAlgebraSpec, E: np.ndarray, F: np.ndarray):
     """exp(1j * angle) and ``angle != 0.0`` of U^e U^f per pair of exponent
     classes, flattened, after the class codes of E's rows (scaled by F's
@@ -249,7 +222,7 @@ def _phase_table(spec: QAlgebraSpec, E: np.ndarray, F: np.ndarray):
         codes.append(np.ravel_multi_index(V - lo[:, None], ext))
         grids.append(np.zeros((math.prod(ext), X.shape[1])))
         grids[-1][:, cols] = np.indices(ext).reshape(len(cols), -1).T + lo
-    ang = _grid_angles(spec, *grids)
+    ang = _angle(spec, grids[0].T[:, :, None], grids[1].T[:, None])
     return codes[0] * len(grids[1]), codes[1], np.exp(1j * ang).ravel(), (ang != 0.0).ravel()
 
 
@@ -257,8 +230,8 @@ def _array_product(a: "QElement", b: "QElement") -> "QElement":
     """The product of two elements on the grid of term pairs, in numpy; the
     result is held as arrays unless an exponent reaches 2**62.
 
-    Angles take the association of :func:`_mul_angle` (:func:`_grid_angles`),
-    and a phase is applied only where the angle is nonzero, as in
+    Angles are those of :func:`_angle` on broadcast exponent columns, and a
+    phase is applied only where the angle is nonzero, as in
     :func:`_pair_product`.  A product of more than one chunk gathers its
     phases from :func:`_phase_table` unless that declines; the table holds
     the same doubles, so the product is the same bit for bit.
@@ -300,7 +273,7 @@ def _array_product(a: "QElement", b: "QElement") -> "QElement":
                 cls = np.add.outer(table[0][rows], table[1])
                 np.multiply(c, table[2][cls], out=c, where=table[3][cls])
             elif spec._pairs:
-                ang = _grid_angles(spec, E[rows], F)
+                ang = _angle(spec, E[rows].T[:, :, None], F.T[:, None])
                 np.multiply(c, np.exp(1j * ang), out=c, where=ang != 0.0)
             c = c.ravel()
             keys = np.add.outer(codeE[rows], codeF).ravel()
@@ -321,32 +294,32 @@ def _array_product(a: "QElement", b: "QElement") -> "QElement":
 
 def _array_adjoint(a: "QElement") -> "QElement":
     """a^* held as arrays: conjugate coefficients on the negated exponent
-    rows, times exp(i phi) where the angle phi of :func:`_adjoint_angle`,
-    taken in its association, is nonzero."""
+    rows, times exp(i phi) where the angle phi of U^e U^e (:func:`_angle`) is
+    nonzero, as in the loop of ``QElement.adjoint``."""
     E, c = a.keyed()
     v = c.conj()
     if a.spec._pairs:
         with np.errstate(over="ignore", invalid="ignore"):
-            ang = _adjoint_angle(a.spec, E.T)
+            ang = _angle(a.spec, E.T, E.T)
             np.multiply(v, np.exp(1j * ang), out=v, where=ang != 0.0)
     return a._held(-E, v)
 
 
-def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
-                      angles) -> dict:
+def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict) -> dict:
     """Terms of [c U^g, a] before the final prune, one term of ``a`` at a time.
 
     The term a_e U^e gives p_1 = c a_e exp(i phi_1) and p_2 = a_e c exp(i phi_2),
-    each pruned as the two products of :func:`~ncdiff.carrier.commutator`
-    prune them, and the coefficient p_1 - p_2 on U^{g+e}.  Keys and
-    coefficients are those of the commutator, bit for bit (the product loop
-    stores 0j + p, which can differ only in the sign of a zero part); this
-    loop is the oracle of :func:`_monomial_weights`.
+    phi_1 and phi_2 the :func:`_angle` of U^g U^e and of U^e U^g, each pruned
+    as the two products of :func:`~ncdiff.carrier.commutator` prune them, and
+    the coefficient p_1 - p_2 on U^{g+e}.  Keys and coefficients are those of
+    the commutator, bit for bit (the product loop stores 0j + p, which can
+    differ only in the sign of a zero part); this loop is the oracle of
+    :func:`_monomial_weights`.
     """
     eps = spec.prune_epsilon
     out = {}
     for e, ae in terms.items():
-        phi1, phi2 = angles(e)
+        phi1, phi2 = _angle(spec, g, e), _angle(spec, e, g)
         p1 = c * ae
         if phi1 != 0.0:
             p1 *= cmath.exp(1j * phi1)
@@ -366,22 +339,21 @@ def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
     exponent rows E (one row per term) and term coefficients a_e, the
     coefficient of U^{g+e} in [c U^g, sum_e a_e U^e].
 
-    They follow :func:`_monomial_ad_loop` up to the rounding of numpy's
-    complex products (exactly when c a_e = 1): the products
-    p_1 = c a_e exp(i phi_1) and p_2 = c a_e exp(i phi_2) are each dropped at
-    ``prune_epsilon``, a phase is applied only where its angle is nonzero,
-    and p_1 - p_2 is dropped at ``prune_epsilon`` too; a dropped term weighs
-    0.  Overflowing angles and products give nan and inf weights without a
-    warning; a finite product whose modulus overflows raises
+    They follow :func:`_monomial_ad_loop`, with :func:`_angle` on the rows,
+    up to the rounding of numpy's complex products (exactly when c a_e = 1):
+    the products p_1 = c a_e exp(i phi_1) and p_2 = c a_e exp(i phi_2) are
+    each dropped at ``prune_epsilon``, a phase is applied only where its angle
+    is nonzero, and p_1 - p_2 is dropped at ``prune_epsilon`` too; a dropped
+    term weighs 0.  Overflowing angles and products give nan and inf weights
+    without a warning; a finite product whose modulus overflows raises
     ``OverflowError``, as in the loop.
     """
-    angles = _exchange_angles(spec, g)
     eps = spec.prune_epsilon
 
     def weigh(E, coeffs):
         with np.errstate(over="ignore", invalid="ignore"):
             p = c * np.asarray(coeffs, dtype=complex)
-            phi1, phi2 = angles(E.T)
+            phi1, phi2 = _angle(spec, g, E.T), _angle(spec, E.T, g)
             p1 = np.multiply(p, np.exp(1j * phi1), out=p.copy(), where=phi1 != 0.0)
             p2 = np.multiply(p, np.exp(1j * phi2), out=p, where=phi2 != 0.0)
             p1[moduli(p1) <= eps] = 0.0
@@ -518,12 +490,11 @@ class QElement(HeldTerms):
         if self._size() != 1:
             return act
         (g, c), = self.terms.items()
-        spec, angles = self.spec, _exchange_angles(self.spec, g)
 
         def ad(a):
             if isinstance(a, QElement) and not a._keyed and len(a.terms) <= _ARRAY_TERMS:
                 self._check(a)
-                return self._like(_monomial_ad_loop(spec, g, c, a.terms, angles))
+                return self._like(_monomial_ad_loop(self.spec, g, c, a.terms))
             return act(a)
         return ad
 
@@ -532,7 +503,7 @@ class QElement(HeldTerms):
             return _array_adjoint(self)
         out = {}
         for e, c in self.terms.items():
-            ang = _adjoint_angle(self.spec, e)
+            ang = _angle(self.spec, e, e)
             v = c.conjugate()
             if ang != 0.0:
                 v *= cmath.exp(1j * ang)
@@ -667,12 +638,14 @@ def clock_shift_rep(spec: QAlgebraSpec, a: QElement, tol: float = 1e-9,
     Returns a dense ``MatElement``.
 
     Raises ``ValueError`` when theta is not a rational multiple of 2*pi
-    within ``tol``.
+    within ``tol``, and ``SpecMismatchError`` when ``a`` is not over ``spec``.
     """
     from .matrix_algebra import MatElement
 
-    if spec.generator_count != 2:
+    if spec.generator_count != 2 or a.spec.generator_count != 2:
         raise ValueError("clock/shift image needs a two-generator presentation")
+    if not spec.same_as(a.spec):
+        raise SpecMismatchError("element lives over a different presentation")
     theta = spec.theta[1, 0]
     x = theta / (2.0 * math.pi)
     frac = Fraction(x).limit_denominator(max_denominator)
@@ -681,9 +654,7 @@ def clock_shift_rep(spec: QAlgebraSpec, a: QElement, tol: float = 1e-9,
     q = frac.denominator
     w = cmath.exp(1j * theta)
     clock = np.diag([w ** j for j in range(q)]).astype(complex)
-    shift = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        shift[(j + 1) % q, j] = 1.0
+    shift = np.roll(np.eye(q, dtype=complex), 1, axis=0)
     out = np.zeros((q, q), dtype=complex)
     for (e1, e2), c in a.terms.items():
         cu = np.linalg.matrix_power(clock, e1) if e1 >= 0 else \

@@ -233,6 +233,7 @@ def test_cli_deform():
 
 
 EVAL_U = ["eval", "--spec", "{spec}", "U"]
+EVAL_ZERO_TERM = ["eval", "--spec", "{spec}", "U*V - V*U + 0*U"]
 SQUARE = [[0.0, 0.7], [-0.7, 0.0]]
 # exchange angles overflow to inf, and their phases to nan
 HUGE_THETA = {"theta_matrix": [[0.0, -1e308], [1e308, 0.0]]}
@@ -248,6 +249,9 @@ HUGE = "9" * 401
     ({"tolerance": 1e-9}, None, EVAL_U),
     ({"normalized_trace": False}, None, EVAL_U),
     ([6], None, EVAL_U),
+    ({"prune_epsilon": math.nan}, None, EVAL_ZERO_TERM),
+    ({"prune_epsilon": -1}, None, EVAL_ZERO_TERM),
+    ({"prune_epsilon": math.inf}, None, EVAL_ZERO_TERM),
     (None, {"theta_matrix": 5}, EVAL_U),
     (None, {"theta_matrix": {"rows": 2}}, EVAL_U),
     (None, {"theta_matrix": SQUARE, "meta": 3}, EVAL_U),
@@ -298,8 +302,9 @@ HUGE = "9" * 401
      ["graph", "--file", "{spec}", "h0"]),
 ], ids=["spec-without-theta-matrix", "config-truncation-string",
         "config-dropped-tolerance", "config-dropped-normalized-trace",
-        "config-not-an-object", "spec-theta-matrix-scalar",
-        "spec-theta-matrix-object", "spec-meta-not-an-object",
+        "config-not-an-object", "config-nan-prune-epsilon",
+        "config-negative-prune-epsilon", "config-infinite-prune-epsilon",
+        "spec-theta-matrix-scalar", "spec-theta-matrix-object", "spec-meta-not-an-object",
         "semigroup-zero-samples", "semigroup-infinite-time", "semigroup-nan-time",
         "semigroup-no-times", "cohomology-matrix-n-zero", "cohomology-trunc-zero",
         "eval-zero-to-negative-power", "eval-power-overflow",

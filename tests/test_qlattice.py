@@ -287,6 +287,14 @@ def test_clock_shift_rejects_irrational():
         clock_shift_rep(spec, QElement.one(spec), tol=1e-12, max_denominator=50)
 
 
+def test_clock_shift_rejects_an_element_of_another_presentation(heisenberg):
+    spec = torus_spec(2 * math.pi / 3)
+    with pytest.raises(SpecMismatchError):
+        clock_shift_rep(spec, QElement.generator(torus_spec(2 * math.pi / 5), 1))
+    with pytest.raises(ValueError, match="two-generator presentation"):
+        clock_shift_rep(spec, QElement.generator(heisenberg, 1))
+
+
 def _commutation_null_dim(M):
     n = M.shape[0]
     L = np.kron(M, np.eye(n)) - np.kron(np.eye(n), M.T)
@@ -349,10 +357,14 @@ def test_pruning():
 # -- the array route of the product -------------------------------------------
 
 def _element(spec, rng, max_exp, n_terms):
-    """Element with exactly ``n_terms`` monomials, exponents in [-max_exp, max_exp]."""
+    """Element with exactly ``n_terms`` monomials, exponents in [-max_exp, max_exp];
+    ValueError, before any draw, when the box holds fewer exponents."""
+    m = spec.generator_count
+    if n_terms > (2 * max_exp + 1) ** m:
+        raise ValueError(f"{n_terms} terms do not fit in [-{max_exp}, {max_exp}]^{m}")
     terms = {}
     while len(terms) < n_terms:
-        e = tuple(rng.integers(-max_exp, max_exp + 1, spec.generator_count).tolist())
+        e = tuple(rng.integers(-max_exp, max_exp + 1, m).tolist())
         terms[e] = complex(*rng.standard_normal(2))
     return QElement(spec, terms)
 
@@ -841,3 +853,53 @@ def test_small_sums_mix_arrays_and_dicts(heisenberg, rng):
     with pytest.raises(TypeError):
         _held(a) + MatElement(np.eye(2))
     assert _held(a).__add__(1.5) is NotImplemented
+
+
+# -- one exchange angle for products, adjoints and commutators ---------------
+
+UNITARY_SIZES = [3, 10 ** 3, 10 ** 6, 10 ** 8]
+
+
+def _unit_monomials(spec, rng, max_exp):
+    """40 distinct monomials with coefficient 1, exponents in [-max_exp, max_exp]."""
+    return QElement(spec, dict.fromkeys(_element(spec, rng, max_exp, 40).terms, 1.0))
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
+def test_monomials_are_unitary_at_every_exponent(spec, rng):
+    one = QElement.one(spec)
+    for max_exp in UNITARY_SIZES:
+        a = _unit_monomials(spec, rng, max_exp)
+        loop = _loop_route(lambda x: x.adjoint(), a)
+        for adj in (loop, _held(a).adjoint(), _dict_only(a).adjoint()):
+            assert set(adj.terms) == {tuple(-x for x in e) for e in a.terms}
+            for e in a.terms:
+                u = QElement.monomial(spec, e)
+                v = adj.terms[tuple(-x for x in e)]
+                assert v == cmath.exp(1j * qlattice._angle(spec, e, e)), (max_exp, e)
+                star = QElement.monomial(spec, [-x for x in e], v)
+                assert (star * u - one).norm() == 0.0, (max_exp, e)
+                assert (u * star - one).norm() == 0.0, (max_exp, e)
+        for e in a.terms:
+            u = QElement.monomial(spec, e)
+            assert abs(inner(u, u) - 1.0) <= 1e-15, (max_exp, e)
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
+def test_monomial_products_take_the_one_angle(spec, rng):
+    for max_exp in UNITARY_SIZES:
+        a = _unit_monomials(spec, rng, max_exp)
+        f = tuple(rng.integers(-max_exp, max_exp + 1, spec.generator_count).tolist())
+        b = QElement.monomial(spec, f)
+        on_grid = _array_product(_held(a), _held(b))
+        for e in a.terms:
+            want = cmath.exp(1j * qlattice._angle(spec, e, f))
+            g = tuple(x + y for x, y in zip(e, f))
+            assert (QElement.monomial(spec, e) * b).terms == {g: want}, (max_exp, e)
+            assert on_grid.terms[g] == want, (max_exp, e)
+
+
+def test_element_helper_rejects_a_box_too_small(torus, rng):
+    with pytest.raises(ValueError):
+        _element(torus, rng, 1, 10)
+    assert len(_element(torus, rng, 1, 9).terms) == 9
