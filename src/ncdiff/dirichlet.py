@@ -22,8 +22,10 @@ first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
 Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
 maps, so a diagonal basis element never forms two products.
 :func:`audit_semigroup` samples the channel on seeded random operators; the
-module holds the last integer-seeded draw, read-only and under a byte cap, so
-audits repeated at one (n, samples, seed) draw and diagonalize it once.
+module holds integer-seeded draws read-only, keyed by (n, samples, seed) and
+evicting the least recently used to keep all of them under one byte budget,
+so audits repeated at one key draw and diagonalize it once, however the
+calls of several sizes interleave.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
 
 
-# The seeded samples of one audit are held while their three complex stacks
-# fit this many bytes: n = 32 at 100 samples, not n = 64.
+# The seeded samples of audits are held while the three complex stacks of
+# all of them together fit this many bytes: n = 16, 20 and 32 at 100 samples
+# side by side, never n = 64.
 _HELD_DRAW_BYTES = 8 * 2 ** 20
-_held_draw = None  # ((n, samples, seed), (A, B, interval operators)) or None
+_held_draws: dict = {}  # (n, samples, seed) -> (A, B, interval operators), least recent first
 
 
 def _eigenvalues(basis: DifferentialBasis, a, keys) -> np.ndarray:
@@ -176,15 +179,20 @@ class SemigroupAudit:
 
 def _audit_samples(n: int, samples: int, seed):
     """Read-only stacks A, B of random pairs and of random Hermitian operators
-    with spectrum inside [0, 1], all from one ``default_rng(seed)``; the last
-    draw with integer arguments is held for the next call while it fits
-    ``_HELD_DRAW_BYTES``."""
-    global _held_draw
+    with spectrum inside [0, 1], all from one ``default_rng(seed)``.  A draw
+    with integer arguments is held for later calls while all held draws fit
+    ``_HELD_DRAW_BYTES`` together: a miss first evicts the least recently
+    used until its 3 * samples * n^2 complex entries fit, and a draw that
+    can never fit is neither held nor evicts anything."""
     key = (n, samples, seed)
     holdable = all(isinstance(v, (int, np.integer)) for v in key)
-    if holdable and _held_draw is not None and _held_draw[0] == key:
-        return _held_draw[1]
-    _held_draw = None
+    size = 48 * int(samples) * int(n) ** 2 if holdable else math.inf
+    if size <= _HELD_DRAW_BYTES:
+        if key in _held_draws:
+            _held_draws[key] = _held_draws.pop(key)  # now the most recently used
+            return _held_draws[key]
+        while size + sum(x.nbytes for d in _held_draws.values() for x in d) > _HELD_DRAW_BYTES:
+            del _held_draws[next(iter(_held_draws))]
     rng = np.random.default_rng(seed)
     # one batched draw gives the same samples as drawing pair by pair
     draws = rng.standard_normal((samples, 4, n, n))
@@ -201,8 +209,8 @@ def _audit_samples(n: int, samples: int, seed):
     ops = np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
     for stack in (A, B, ops):
         stack.setflags(write=False)
-    if holdable and A.nbytes + B.nbytes + ops.nbytes <= _HELD_DRAW_BYTES:
-        _held_draw = key, (A, B, ops)
+    if size <= _HELD_DRAW_BYTES:
+        _held_draws[key] = A, B, ops
     return A, B, ops
 
 
@@ -216,8 +224,9 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     span{e_i (x) e_i} plus a zero block of size n^2 - n, so its least
     eigenvalue is read off the n x n symbol.  The random pairs and operators
     with spectrum in [0, 1] are drawn once per (n, samples, seed) and shared
-    by every time.  With an integer seed the module holds them read-only, one
-    draw at a time and only while they fit ``_HELD_DRAW_BYTES``, so a repeat
+    by every time.  With an integer seed the module holds them read-only,
+    beside the draws of other sizes and seeds while all of them fit
+    ``_HELD_DRAW_BYTES`` (the least recently used go first), so a repeat
     audit at the same size and seed skips the redraw and its ``eigvalsh``;
     the rows are those of a fresh draw, whatever the order of the calls.
     """

@@ -92,6 +92,9 @@ class DifferentialBasis:
         self.label = label
 
         adjoints = [u.adjoint() for u in self.elements]
+        self.scaled = [c * u for c, u in zip(self.prefactors, self.elements)]
+        # adjoints also cover self-adjoint mode: only the prefactor conjugates
+        self.scaled_star = [x.adjoint() for x in self.scaled]
         self.eigenbasis = None
         if all(isinstance(u, MatElement) for u in self.elements):
             for u in self.elements[1:]:
@@ -100,10 +103,14 @@ class DifferentialBasis:
             commuting = self.eigenbasis is not None
         else:
             # [X, Y]^* = [Y^*, X^*] and carrier norms are adjoint-invariant, so
-            # [U_i, U_j] for i < j and [U_i, U_j^*] for i <= j cover every pair
-            commuting = all(commutator(u, v).norm() <= EQ_TOLERANCE
-                            for i, u in enumerate(self.elements)
-                            for v in self.elements[i + 1:] + adjoints[i:])
+            # [x_i, x_j] for i < j and [x_i, x_j^*] for i <= j cover every pair
+            # of scaled elements x_j = c_j U_j.  Each is divided by its norm, so
+            # the defect counts relative to |x| |y| and no product overflows
+            units = [x.scale(1 / x.norm()) if x.norm() else x
+                     for x in self.scaled + self.scaled_star]
+            commuting = all(commutator(x, y).norm() <= EQ_TOLERANCE
+                            for i, x in enumerate(units[:n])
+                            for y in units[i + 1:n] + units[n + i:])
         if not commuting:
             raise BasisConditionError(
                 "basis elements and their adjoints must mutually commute")
@@ -119,9 +126,6 @@ class DifferentialBasis:
                                   "paired covectors dU, dU* coincide on it",
                                   stacklevel=2)
 
-        self.scaled = [c * u for c, u in zip(self.prefactors, self.elements)]
-        # adjoints also cover self-adjoint mode: only the prefactor conjugates
-        self.scaled_star = [x.adjoint() for x in self.scaled]
         Q, lams = self.eigenbasis or (None, None)
         self.diagonal = self.scaled if Q is None else [
             MatElement(np.diag(c * lam)) for c, lam in zip(self.prefactors, lams)]

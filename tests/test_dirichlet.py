@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import ncdiff.dirichlet as D
 import ncdiff.graph_algebra as ga
 from ncdiff.carrier import EQ_TOLERANCE
+from ncdiff.cli import main
 from ncdiff.forms import (BasisConditionError, BasisModeError, DifferentialBasis,
                           DifferentialForm, _diagonal_weights)
 from ncdiff.matrix_algebra import MatElement, joint_eigenbasis, projection_basis, trace
@@ -163,15 +164,28 @@ def _matrix_basis(kind, n):
 
 @pytest.fixture
 def no_held_draw(monkeypatch):
-    """Start with no held audit draw, and restore the module's afterwards."""
-    monkeypatch.setattr(D, "_held_draw", None)
+    """Start with no held audit draws, and restore the module's afterwards."""
+    monkeypatch.setattr(D, "_held_draws", {})
+
+
+def _recorded_draws(monkeypatch):
+    """The stacks each later ``_audit_samples`` call returns, in call order."""
+    draws, audit_samples = [], D._audit_samples
+    monkeypatch.setattr(D, "_audit_samples",
+                        lambda *args: draws.append(audit_samples(*args)) or draws[-1])
+    return draws
+
+
+def _is_fresh_draw(drawn, n, samples, seed):
+    fresh = oracles.audit_samples(n, samples, seed)
+    return all(x.tobytes() == y.tobytes() for x, y in zip(drawn, fresh))
 
 
 def test_held_draw_rows_equal_fresh_rows_in_any_order(no_held_draw, monkeypatch):
     ts = [0.1, 1.0, 10.0]
-    cases = [(_matrix_basis(kind, n), n) for n in (4, 6) for kind in ("projection", "rotated")]
+    cases = [(_matrix_basis(kind, n), n) for n in (4, 6, 9) for kind in ("projection", "rotated")]
     whole = [D.audit_semigroup(ts, n, basis, samples=20).results for basis, n in cases]
-    # single-time calls, interleaved over both sizes and both bases, forwards and back
+    # single-time calls, interleaved over all sizes and both bases, forwards and back
     calls = [(i, j) for j in range(len(ts)) for i in range(len(cases))]
     for order in (calls, calls[::-1]):
         for i, j in order:
@@ -185,7 +199,7 @@ def test_held_draw_rows_equal_fresh_rows_in_any_order(no_held_draw, monkeypatch)
 @pytest.mark.parametrize("n, samples, seed", [(1, 3, 7), (4, 20, 7), (5, 7, np.int64(3))])
 def test_held_draw_is_the_fresh_draw(n, samples, seed, no_held_draw):
     drawn = D._audit_samples(n, samples, seed)
-    assert D._held_draw[0] == (n, samples, seed)
+    assert list(D._held_draws) == [(n, samples, seed)]
     again = D._audit_samples(n, samples, seed)
     assert all(x is y for x, y in zip(drawn, again))
     for x, y in zip(drawn, oracles.audit_samples(n, samples, seed)):
@@ -198,24 +212,25 @@ def test_held_draw_is_the_fresh_draw(n, samples, seed, no_held_draw):
 def test_unseeded_draws_are_fresh(no_held_draw):
     for seed in (None, np.random.default_rng(5)):
         first, second = D._audit_samples(3, 4, seed), D._audit_samples(3, 4, seed)
-        assert not np.array_equal(first[0], second[0]) and D._held_draw is None
+        assert not np.array_equal(first[0], second[0]) and D._held_draws == {}
     seq = np.random.SeedSequence(5)
     first, second = D._audit_samples(3, 4, seq), D._audit_samples(3, 4, seq)
     assert first[0] is not second[0] and np.array_equal(first[0], second[0])
-    assert D._held_draw is None
+    assert D._held_draws == {}
 
 
 def test_draw_over_the_cap_is_not_held(no_held_draw, monkeypatch):
-    # the heat workload's n = 20 audits fit the cap; `semigroup --n 64` does not
-    assert 3 * 100 * 20 ** 2 * 16 <= D._HELD_DRAW_BYTES < 3 * 100 * 64 ** 2 * 16
+    # the heat workload's n = 16 and n = 20 audits fit the budget together;
+    # `semigroup --n 64` does not fit it alone
+    assert 3 * 100 * (16 ** 2 + 20 ** 2) * 16 <= D._HELD_DRAW_BYTES < 3 * 100 * 64 ** 2 * 16
     n, samples = 4, 10
     fits = 3 * samples * n * n * 16
     monkeypatch.setattr(D, "_HELD_DRAW_BYTES", fits)
     D._audit_samples(n, samples, 7)
-    assert D._held_draw[0] == (n, samples, 7)
+    assert list(D._held_draws) == [(n, samples, 7)]
     monkeypatch.setattr(D, "_HELD_DRAW_BYTES", fits - 1)
     drawn = D._audit_samples(n, samples, 8)
-    assert D._held_draw is None
+    assert list(D._held_draws) == [(n, samples, 7)]  # neither held nor evicting
     assert all(np.array_equal(x, y) for x, y in zip(drawn, oracles.audit_samples(n, samples, 8)))
 
 
@@ -228,11 +243,96 @@ def test_failed_draw_leaves_nothing_held(no_held_draw, monkeypatch):
         m.setattr(np.linalg, "eigvalsh", exhausted)
         with pytest.raises(MemoryError):
             D._audit_samples(3, 5, 7)
-    assert D._held_draw is None
+    assert list(D._held_draws) == [(3, 4, 7)]
     D._audit_samples(3, 4, 7)
     with pytest.raises(ValueError):
         D._audit_samples(3, 4, -1)
-    assert D._held_draw is None
+    assert list(D._held_draws) == [(3, 4, 7)]
+    # a miss evicts before it draws, so the peak stays at the budget even
+    # when the draw then fails
+    monkeypatch.setattr(D, "_HELD_DRAW_BYTES", 3 * 4 * 3 * 3 * 16)
+    with pytest.raises(ValueError):
+        D._audit_samples(3, 4, -1)
+    assert D._held_draws == {}
+
+
+def test_alternating_sizes_reuse_their_draws(no_held_draw, monkeypatch):
+    # the heat workload's traffic: `semigroup --n 16` audits of the projection
+    # basis alternate with audits of a rotated n = 20 basis, 100 samples each
+    cases = [(DifferentialBasis(projection_basis(16), mode="selfadjoint"), 16),
+             (_rotated_unitary_basis(20, seed=20), 20)]
+    draws = _recorded_draws(monkeypatch)
+    rows = [D.audit_semigroup([1.0], n, basis).results for basis, n in cases * 2]
+    assert rows[2:] == rows[:2]
+    for first, again in zip(draws[:2], draws[2:]):
+        assert all(x is y for x, y in zip(first, again))
+    assert list(D._held_draws) == [(16, 100, 7), (20, 100, 7)]
+    assert all(_is_fresh_draw(d, n, 100, 7) for d, (_, n) in zip(draws, cases * 2))
+
+
+def test_least_recently_used_draw_is_evicted(no_held_draw, monkeypatch):
+    n, samples = 4, 10
+    size = 3 * samples * n * n * 16
+    monkeypatch.setattr(D, "_HELD_DRAW_BYTES", size)  # room for one draw
+    first = D._audit_samples(n, samples, 1)
+    D._audit_samples(n, samples, 2)
+    assert list(D._held_draws) == [(n, samples, 2)]
+    again = D._audit_samples(n, samples, 1)  # a miss again, drawn afresh
+    assert again[0] is not first[0] and _is_fresh_draw(again, n, samples, 1)
+    assert list(D._held_draws) == [(n, samples, 1)]
+    D._held_draws.clear()
+    monkeypatch.setattr(D, "_HELD_DRAW_BYTES", 2 * size)  # room for two
+    a = D._audit_samples(n, samples, 1)
+    D._audit_samples(n, samples, 2)
+    assert D._audit_samples(n, samples, 1)[0] is a[0]  # seed 1 is now the most recent
+    D._audit_samples(n, samples, 3)
+    assert list(D._held_draws) == [(n, samples, 1), (n, samples, 3)]
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 10 * 25 * 16 * 2 + 7])
+def test_held_bytes_never_exceed_the_budget(budget, no_held_draw, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(D, "_HELD_DRAW_BYTES", budget)
+        sizes = [(n, samples) for n in range(1, 8) for samples in (5, 10)]
+    else:
+        sizes = [(n, 100) for n in (3, 16, 20, 32)]
+    rng = np.random.default_rng(32)
+    for _ in range(24):
+        n, samples = sizes[rng.integers(len(sizes))]
+        seed = int(rng.integers(3))
+        drawn = D._audit_samples(n, samples, seed)
+        held = sum(x.nbytes for draw in D._held_draws.values() for x in draw)
+        assert held <= D._HELD_DRAW_BYTES
+        assert _is_fresh_draw(drawn, n, samples, seed)
+        if 48 * samples * n * n <= D._HELD_DRAW_BYTES:
+            assert list(D._held_draws)[-1] == (n, samples, seed)
+
+
+def test_draw_over_the_budget_leaves_the_held_draws(no_held_draw):
+    held = [D._audit_samples(n, 100, 7) for n in (16, 20)]
+    keys = list(D._held_draws)
+    drawn = D._audit_samples(64, 100, 7)
+    assert list(D._held_draws) == keys
+    for k, d in zip(keys, held):
+        assert all(x is y for x, y in zip(D._held_draws[k], d))
+    assert _is_fresh_draw(drawn, 64, 100, 7)
+
+
+def test_cli_audits_in_one_process_reuse_their_draws(no_held_draw, monkeypatch, capsys):
+    # `selftest` audits n = 3 at 25 samples; each semigroup command audits
+    # its own size, so no command evicts another's draw
+    commands = [["selftest"], ["semigroup", "--n", "3", "--t", "1", "--samples", "20"],
+                ["semigroup", "--n", "4", "--t", "1", "--samples", "10"]]
+    draws = _recorded_draws(monkeypatch)
+    outs = []
+    for argv in commands * 2:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[3:] == outs[:3]
+    assert len(draws) == 6
+    for first, again in zip(draws[:3], draws[3:]):
+        assert all(x is y for x, y in zip(first, again))
+    assert list(D._held_draws) == [(3, 25, 7), (3, 20, 7), (4, 10, 7)]
 
 
 MATRIX_CASES = pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from ncdiff.forms import (BasisConditionError, BasisModeError, DifferentialBasis
                           DifferentialForm, component_rank, delta, form_to_json,
                           grade, partial, partial_star, star, wedge)
 from ncdiff.matrix_algebra import MatElement, projection_basis
-from ncdiff.qlattice import QElement, element_to_json
+from ncdiff.qlattice import QElement, element_to_json, torus_spec
 from ncdiff.testing import (default_carriers, random_form, random_matelement,
                             random_qelement)
 
@@ -34,6 +34,21 @@ def test_basis_validation_rejects_noncommuting(torus):
     for mode in ("complex", "selfadjoint"):
         with pytest.raises(BasisConditionError, match="mutually commute"):
             DifferentialBasis([sx, sz], mode=mode)
+
+
+def test_basis_validation_reads_scaled_elements_relative_to_their_size():
+    torus = torus_spec(0.9)
+    U, V = QElement.generator(torus, 1), QElement.generator(torus, 2)
+    # at 1e-6 the commutator of U and V is far below the absolute EQ_TOLERANCE,
+    # and such a basis would break delta^2 = 0
+    for c in (1.0, 1e-4, 1e-6):
+        for elements, prefactors in [([U.scale(c), V.scale(c)], None), ([U, V], [c, c])]:
+            with pytest.raises(BasisConditionError, match="mutually commute"):
+                DifferentialBasis(elements, prefactors=prefactors)
+    # a commuting family passes at every size, scaled inside or by prefactors
+    for c in (1e-6, 1.0, 1e200):
+        DifferentialBasis([U.scale(c), (U * U).scale(c)])
+        DifferentialBasis([U, U * U], prefactors=[c, c])
 
 
 def test_basis_validation_rejects_commuting_non_normal_pair():

@@ -1,6 +1,6 @@
 """Sizes far above the other tests: cohomology where one dense boundary map
 would need gigabytes, carrier arithmetic far above the array cuts, and the
-heat audit above the byte cap of its held draw.
+heat audit above the byte budget of its held draws.
 
 Each test is also a step of the CI workflow, run alone by node id under
 ``timeout 60`` and ``-W error::RuntimeWarning``.
@@ -14,6 +14,7 @@ import pickle
 import numpy as np
 
 from ncdiff import DifferentialBasis, MatElement, MatrixCarrierBasis, deRham_dims, projection_basis
+from ncdiff import dirichlet
 from ncdiff import graph_algebra as ga
 from ncdiff import qlattice as ql
 from ncdiff.cli import main
@@ -109,10 +110,12 @@ def test_carrier_arithmetic_at_scale(monkeypatch):
 
 
 def test_heat_audit_at_scale(capsys):
-    # the sampled heat audit at n = 64, whose draw is above the byte cap of the
-    # held draw, must meet the selftest bounds on every row; and three
-    # single-time audits at n = 20 on a seeded rotated basis, which reuse the
-    # held draw, must give exactly the rows of one three-time audit
+    # the sampled heat audit at n = 64, whose draw alone is above the byte
+    # budget of the held draws, must meet the selftest bounds on every row;
+    # three single-time audits at n = 20 on a seeded rotated basis, which
+    # reuse the held draw, must give exactly the rows of one three-time
+    # audit; and so must they with a `semigroup --n 16` before each, as the
+    # heat workload interleaves them, the n = 16 draw held beside the n = 20
     rows = json.loads(_cli(capsys, "semigroup", "--n", "64", "--t", "0.1,1,10"))["results"]
     assert [r["t"] for r in rows] == [0.1, 1.0, 10.0], rows
     for r in rows:
@@ -127,4 +130,14 @@ def test_heat_audit_at_scale(capsys):
                               prefactors=[0.8 + 0.3j, 1.1 - 0.4j])
     ts = [0.1, 1.0, 10.0]
     single = [audit_semigroup([t], n, basis).results[0] for t in ts]
-    assert single == audit_semigroup(ts, n, basis).results, single
+    whole = audit_semigroup(ts, n, basis).results
+    assert single == whole, single
+    small, interleaved = [], []
+    for t in ts:
+        small += json.loads(_cli(capsys, "semigroup", "--n", "16", "--t", repr(t),
+                                 "--samples", "100"))["results"]
+        interleaved += audit_semigroup([t], n, basis).results
+    assert interleaved == whole, interleaved
+    argv = ["semigroup", "--n", "16", "--t", "0.1,1.0,10.0", "--samples", "100"]
+    assert small == json.loads(_cli(capsys, *argv))["results"], small
+    assert list(dirichlet._held_draws)[-2:] == [(20, 100, 7), (16, 100, 7)]
