@@ -52,12 +52,12 @@ def largest(norms) -> float:
     return math.nan if math.isnan(sum(norms)) else max(norms, default=0.0)
 
 
-def sum_by_code(codes: np.ndarray, c: np.ndarray):
-    """Distinct codes and the sum of the complex ``c`` over each."""
+def sum_by_code(codes: np.ndarray, *cs: np.ndarray) -> tuple:
+    """Distinct codes, then the sum over each of every complex array of ``cs``."""
     u, inv = np.unique(codes, return_inverse=True)
     inv = inv.ravel()  # numpy 2.0 may return it shaped
     n = len(u)
-    return u, np.bincount(inv, c.real, n) + 1j * np.bincount(inv, c.imag, n)
+    return (u, *(np.bincount(inv, c.real, n) + 1j * np.bincount(inv, c.imag, n) for c in cs))
 
 
 def exact_product(c: complex, v: np.ndarray) -> np.ndarray:

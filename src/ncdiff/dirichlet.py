@@ -20,7 +20,12 @@ anticommutator multipliers; the Kronecker-product and ``expm`` builders
 these replace are the tests' oracles, in ``tests/oracles.py``.  Every
 first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
 Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
-maps, so a diagonal basis element never forms two products.
+maps, so a diagonal basis element never forms two products.  The carre du
+champ 2 Gamma(a, c) of two q-lattice elements whose product a^* c takes the
+array route, under a basis that acts diagonally, reads the heat symbol
+instead: one pass over the term pairs of a^* c weighs each pair by
+lambda(e) + lambda(f) - lambda(e + f); every other operand takes the three
+products and three Laplacians of its formula.
 :func:`audit_semigroup` samples the channel on seeded random operators; the
 module holds integer-seeded draws read-only, keyed by (n, samples, seed) and
 evicting the least recently used to keep all of them under one byte budget,
@@ -38,7 +43,7 @@ import numpy as np
 
 from .forms import BasisModeError, DifferentialBasis, _diagonal_weights
 from .matrix_algebra import MatElement, trace
-from .qlattice import QElement, tau as q_tau
+from .qlattice import _ARRAY_PAIRS, QElement, _pair_sums, tau as q_tau
 
 
 def laplacian(a, basis: DifferentialBasis):
@@ -291,17 +296,68 @@ def trotter_check(t: float, steps: int, n: int, basis: DifferentialBasis) -> flo
 # -- first-order / carre du champ identities --------------------------------
 
 def carre_du_champ(a, c, basis: DifferentialBasis):
-    """Algebra-valued form a^* Delta(c) + Delta(a^*) c - Delta(a^* c)."""
+    """Algebra-valued form 2 Gamma(a, c) = a^* Delta(c) + Delta(a^*) c - Delta(a^* c).
+
+    Two q-lattice elements whose product a^* c takes the array route, under a
+    basis that acts diagonally, take one pass over its term pairs
+    (:func:`_carre_in_one_pass`); every other operand, and any whose symbol
+    or Laplacians are not finite, takes the formula as written
+    (:func:`_carre_by_products`).  The two agree within rounding.
+    """
+    out = _carre_in_one_pass(a, c, basis)
+    return _carre_by_products(a, c, basis) if out is None else out
+
+
+def _carre_by_products(a, c, basis: DifferentialBasis):
+    """The formula: three products and three Laplacians."""
     astar = a.adjoint()
     return (astar * laplacian(c, basis) + laplacian(astar, basis) * c
             - laplacian(astar * c, basis))
 
 
+def _carre_in_one_pass(a, c, basis: DifferentialBasis):
+    """2 Gamma(a, c) = sum_{e,f} (a^*)_e c_f phi(e, f)
+    (lambda(e) + lambda(f) - lambda(e+f)) U^{e+f}, with U^e U^f =
+    phi(e, f) U^{e+f} and Delta U^e = lambda(e) U^e: one pass
+    (:func:`~ncdiff.qlattice._pair_sums`) bins P = sum (a^*)_e c_f phi and
+    R = sum (a^*)_e c_f phi (lambda(e) + lambda(f)) on the same codes, and
+    R - lambda P is pruned once.  None, for the formula, at or below the
+    product's cut of ``_ARRAY_PAIRS`` term pairs, where :func:`_eigenvalues`
+    or the pass declines, and where lambda times any coefficient, or the
+    result, is not finite.
+    """
+    if (not isinstance(a, QElement) or not isinstance(c, QElement)
+            or a._size() * c._size() <= _ARRAY_PAIRS):
+        return None
+    astar = a.adjoint()
+    ka, kc = astar.keyed(), c.keyed()
+    if ka is None or kc is None:
+        return None
+    try:
+        lam_a, lam_c = _eigenvalues(basis, astar, ka[0]), _eigenvalues(basis, c, kc[0])
+    except ValueError:
+        return None
+    summed = _pair_sums(astar, c, (lam_a, lam_c))
+    if summed is None:
+        return None
+    keys, P, R = summed
+    try:
+        lam = _eigenvalues(basis, astar, keys)
+    except ValueError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = R - lam * P
+        if not all(np.isfinite(x).all()
+                   for x in (lam_a * ka[1], lam_c * kc[1], lam * P, out)):
+            return None
+    return astar._from_keys(keys, out)
+
+
 def carre_du_champ_first_order(a, c, basis: DifferentialBasis):
     """sum_j ([c_j U_j, a]^* [c_j U_j, c] + [(c_j U_j)^*, a]^* [(c_j U_j)^*, c]).
 
-    Equals :func:`carre_du_champ` exactly; in self-adjoint mode the two
-    halves coincide and the sum doubles accordingly.
+    Equals :func:`carre_du_champ` within rounding; in self-adjoint mode the
+    two halves coincide and the sum doubles accordingly.
     """
     out = None
     for ad, ad_star in zip(basis.ad, basis.ad_star):

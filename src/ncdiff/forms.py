@@ -91,7 +91,6 @@ class DifferentialBasis:
         self.mode = mode
         self.label = label
 
-        adjoints = [u.adjoint() for u in self.elements]
         self.scaled = [c * u for c, u in zip(self.prefactors, self.elements)]
         # adjoints also cover self-adjoint mode: only the prefactor conjugates
         self.scaled_star = [x.adjoint() for x in self.scaled]
@@ -106,22 +105,23 @@ class DifferentialBasis:
             # [x_i, x_j] for i < j and [x_i, x_j^*] for i <= j cover every pair
             # of scaled elements x_j = c_j U_j.  Each is divided by its norm, so
             # the defect counts relative to |x| |y| and no product overflows
-            units = [x.scale(1 / x.norm()) if x.norm() else x
-                     for x in self.scaled + self.scaled_star]
+            units = [_unit(x) for x in self.scaled + self.scaled_star]
             commuting = all(commutator(x, y).norm() <= EQ_TOLERANCE
                             for i, x in enumerate(units[:n])
                             for y in units[i + 1:n] + units[n + i:])
         if not commuting:
             raise BasisConditionError(
                 "basis elements and their adjoints must mutually commute")
+        # |u - u^*| relative to |u|, as the commuting check reads it
+        hermitian = [(v - v.adjoint()).norm() <= EQ_TOLERANCE
+                     for v in map(_unit, self.elements)]
         if mode == "selfadjoint":
-            for u, ua in zip(self.elements, adjoints):
-                if (u - ua).norm() > EQ_TOLERANCE:
-                    raise BasisConditionError(
-                        "self-adjoint mode needs self-adjoint basis elements")
+            if not all(hermitian):
+                raise BasisConditionError(
+                    "self-adjoint mode needs self-adjoint basis elements")
         else:
-            for j, (u, ua) in enumerate(zip(self.elements, adjoints)):
-                if (u - ua).norm() <= EQ_TOLERANCE:
+            for j, h in enumerate(hermitian):
+                if h:
                     warnings.warn(f"basis element {j + 1} is self-adjoint; the "
                                   "paired covectors dU, dU* coincide on it",
                                   stacklevel=2)
@@ -161,6 +161,12 @@ class DifferentialBasis:
 
     def __repr__(self):
         return f"DifferentialBasis(n={self.size}, mode={self.mode}, label={self.label!r})"
+
+
+def _unit(x):
+    """x divided by its norm, or x when that is 0."""
+    size = x.norm()
+    return x.scale(1 / size) if size else x
 
 
 def _diagonal_weights(elements: Sequence, families: tuple, parent, keys) -> list:

@@ -26,10 +26,11 @@ at every exponent.  Coefficients with modulus at or below the spec's
 ``_ARRAY_PAIRS`` term pairs, a Python loop takes the pairs one by one
 (:func:`_pair_product`).  Above that cut, :func:`_array_product` forms the
 same angles on the whole grid of term pairs in numpy, chunk by chunk of rows,
-and sums coefficients by exponent code.  An angle reads only the exponent
-columns named in the spec's pairs, so a product of more than one chunk
-exponentiates once per pair of exponent classes when there are at most a
-chunk's worth of them (:func:`_phase_table`), to the same doubles; other
+and sums coefficients by exponent code (:func:`_pair_sums`, whose pass the
+carre du champ of :mod:`ncdiff.dirichlet` shares).  An angle reads only the
+exponent columns named in the spec's pairs, so a product of more than one
+chunk exponentiates once per pair of exponent classes when there are at most
+a chunk's worth of them (:func:`_phase_table`), to the same doubles; other
 products call ``np.exp`` per chunk.  The cut sits above the measured
 crossover (near 7 x 7 terms), so the many short products of the CLI and of
 cohomology assembly never pay numpy's fixed cost.  The loop is the oracle
@@ -226,38 +227,40 @@ def _phase_table(spec: QAlgebraSpec, E: np.ndarray, F: np.ndarray):
     return codes[0] * len(grids[1]), codes[1], np.exp(1j * ang).ravel(), (ang != 0.0).ravel()
 
 
-def _array_product(a: "QElement", b: "QElement") -> "QElement":
-    """The product of two elements on the grid of term pairs, in numpy; the
-    result is held as arrays unless an exponent reaches 2**62.
+def _pair_sums(a: "QElement", b: "QElement", weights=None):
+    """Sums over the grid of term pairs of two nonempty elements, in numpy:
+    the exponent rows g of their product and P(g), the sum of a_e b_f phi(e, f)
+    over the pairs with e + f = g, where U^e U^f = phi(e, f) U^{e+f}.  With
+    ``weights = (u, v)``, one real weight per term of a and of b, also R(g),
+    the same sum of a_e b_f phi(e, f) (u_e + v_f).  None when an exponent
+    reaches 2**62 or the box has more codes than int64 holds.
 
     Angles are those of :func:`_angle` on broadcast exponent columns, and a
     phase is applied only where the angle is nonzero, as in
-    :func:`_pair_product`.  A product of more than one chunk gathers its
+    :func:`_pair_product`.  A grid of more than one chunk gathers its
     phases from :func:`_phase_table` unless that declines; the table holds
-    the same doubles, so the product is the same bit for bit.
+    the same doubles, so the sums are the same bit for bit.
     Each product exponent is coded in mixed radix over its box
     ``[min E + min F, max E + max F]``.  A box of at most ``_DENSE_BINS``
     codes sums with ``np.bincount`` into dense bins.  A wider box sorts the
-    codes chunk by chunk.  A box with more codes than int64 holds, or an
-    exponent of 2**62 or more, goes to the pair loop.
+    codes chunk by chunk.
     """
     spec = a.spec
     ka, kb = a.keyed(), b.keyed()
-    box = None
-    if ka is not None and kb is not None:
-        (E, ca), (F, cb) = ka, kb
-        if not len(E) or not len(F):
-            return QElement(spec)
-        loE, loF = E.min(0), F.min(0)
-        box = _box((loE + loF).tolist(), (E.max(0) + F.max(0)).tolist())
+    if ka is None or kb is None:
+        return None
+    (E, ca), (F, cb) = ka, kb
+    loE, loF = E.min(0), F.min(0)
+    box = _box((loE + loF).tolist(), (E.max(0) + F.max(0)).tolist())
     if box is None:
-        return a._like(_pair_product(spec, a.terms, b.terms))
+        return None
     ext, stride = box
     size = math.prod(ext)
     codeE, codeF = stride @ (E.T - loE[:, None]), stride @ (F.T - loF[:, None])
+    sets = 1 if weights is None else 2
     dense = size <= _DENSE_BINS
     if dense:
-        re, im, hit = np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
+        re, im, hit = np.zeros((sets, size)), np.zeros((sets, size)), np.zeros(size, dtype=bool)
     else:
         parts = []
     # Overflowing angles and coefficients give inf and nan without a warning;
@@ -275,21 +278,35 @@ def _array_product(a: "QElement", b: "QElement") -> "QElement":
             elif spec._pairs:
                 ang = _angle(spec, E[rows].T[:, :, None], F.T[:, None])
                 np.multiply(c, np.exp(1j * ang), out=c, where=ang != 0.0)
-            c = c.ravel()
+            vals = [c.ravel()]
+            if weights is not None:
+                vals.append((c * np.add.outer(weights[0][rows], weights[1])).ravel())
             keys = np.add.outer(codeE[rows], codeF).ravel()
             if dense:
-                re += np.bincount(keys, c.real, size)
-                im += np.bincount(keys, c.imag, size)
+                for s, v in enumerate(vals):
+                    re[s] += np.bincount(keys, v.real, size)
+                    im[s] += np.bincount(keys, v.imag, size)
                 hit[keys] = True
             else:
-                parts.append(sum_by_code(keys, c))
+                parts.append(sum_by_code(keys, *vals))
         if dense:
             keys = np.flatnonzero(hit)
-            vals = re[keys] + 1j * im[keys]
+            sums = re[:, keys] + 1j * im[:, keys]
         else:
-            keys, vals = sum_by_code(np.concatenate([k for k, _ in parts]),
-                                     np.concatenate([v for _, v in parts]))
-    return a._from_keys((np.stack(np.unravel_index(keys, ext)) + (loE + loF)[:, None]).T, vals)
+            keys, *sums = sum_by_code(*map(np.concatenate, zip(*parts)))
+    return ((np.stack(np.unravel_index(keys, ext)) + (loE + loF)[:, None]).T, *sums)
+
+
+def _array_product(a: "QElement", b: "QElement") -> "QElement":
+    """The product of two elements from :func:`_pair_sums`, held as arrays
+    unless an exponent reaches 2**62; an exponent of 2**62 or more, or a box
+    with more codes than int64 holds, goes to the pair loop."""
+    if not a._size() or not b._size():
+        return QElement(a.spec)
+    summed = _pair_sums(a, b)
+    if summed is None:
+        return a._like(_pair_product(a.spec, a.terms, b.terms))
+    return a._from_keys(*summed)
 
 
 def _array_adjoint(a: "QElement") -> "QElement":

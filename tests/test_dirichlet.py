@@ -9,17 +9,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import ncdiff.dirichlet as D
 import ncdiff.graph_algebra as ga
+import ncdiff.qlattice as ql
 from ncdiff.carrier import EQ_TOLERANCE
 from ncdiff.cli import main
 from ncdiff.forms import (BasisConditionError, BasisModeError, DifferentialBasis,
                           DifferentialForm, _diagonal_weights)
 from ncdiff.matrix_algebra import MatElement, joint_eigenbasis, projection_basis, trace
-from ncdiff.qlattice import QElement, tau, torus_spec
+from ncdiff.qlattice import QElement, heisenberg_spec, tau, torus_spec, torus_spec_2n
 from ncdiff.testing import (loop_graph, random_graph_element, random_matelement,
                             random_qelement, star_tree)
 
 import oracles
-from conftest import THETA
+from conftest import MU, NU, THETA
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +563,76 @@ def test_carre_du_champ_identity(p_basis3, torus, torus_basis, rng):
         assert (lhs - rhs).norm() <= 1e-10
 
 
+def _generators(spec):
+    return [QElement.generator(spec, j) for j in range(1, spec.generator_count + 1)]
+
+
+def _carre_bases():
+    """The diagonal bases of the one-pass carre du champ tests, by label."""
+    (U, _), (hU, hV, hW) = _generators(torus_spec(THETA)), _generators(heisenberg_spec(MU, NU))
+    U1, _, U3, _ = _generators(torus_spec_2n([0.3, 1.1]))
+    return {"torus {U}": DifferentialBasis([U]),
+            "torus {U, U^2}": DifferentialBasis([U, U * U], prefactors=[0.7, 1.3j]),
+            "heisenberg {W}": DifferentialBasis([hW]),
+            "heisenberg {U, V}": DifferentialBasis([hU, hV]),
+            "torus2n {U1, U3}": DifferentialBasis([U1, U3])}
+
+
+def _held(x):
+    """A copy of x held as arrays only, as the array routes return elements."""
+    return x._from_keys(*x.keyed())
+
+
+def _assert_within(got, want, rel):
+    """Every coefficient of ``got`` within ``rel`` |want| of ``want``'s, over
+    both key sets: a difference of elements would prune what is below 1e-12."""
+    keys = set(got.terms) | set(want.terms)
+    worst = max(abs(got.terms.get(k, 0j) - want.terms.get(k, 0j)) for k in keys)
+    assert worst <= rel * want.norm(), (worst, want.norm())
+
+
+@pytest.mark.parametrize("label", list(_carre_bases()))
+def test_one_pass_carre_du_champ_matches_the_formula(label, rng):
+    # 60 x 60 terms as in the benchmark, and 300 x 40, above one chunk of
+    # pairs, where the pass reads its phases from the table; operands held
+    # as dicts, as arrays, and one of each
+    basis = _carre_bases()[label]
+    spec = basis.elements[0].spec
+    for n_a, n_c in ((60, 60), (300, 40)):
+        a, c = random_qelement(spec, rng, 6, n_a), random_qelement(spec, rng, 6, n_c)
+        assert a._size() * c._size() > ql._ARRAY_PAIRS
+        want = D._carre_by_products(a, c, basis)
+        for x, y in ((a, c), (_held(a), c), (a, _held(c)), (_held(a), _held(c))):
+            got = D._carre_in_one_pass(x, y, basis)
+            assert got is not None and got._terms is None
+            _assert_within(got, want, 1e-13)
+            assert D.carre_du_champ(x, y, basis).terms == got.terms
+
+
+def test_carre_du_champ_keeps_the_formula_off_the_one_pass_route(rng, monkeypatch):
+    # a basis element that does not act diagonally (U + U^-1), a graph
+    # carrier, and the selftest's 4 x 4 terms all take the three products
+    torus = torus_spec(THETA)
+    U = QElement.generator(torus, 1)
+    cosine = DifferentialBasis([U + U.adjoint()], mode="selfadjoint")
+    g = loop_graph(4)
+    vertices = DifferentialBasis([ga.vertex_projection(g, v) for v in g.vertices],
+                                 mode="selfadjoint")
+    cases = [(cosine, *(random_qelement(torus, rng, 6, 60) for _ in range(2))),
+             (vertices, *(random_graph_element(g, rng, 3, 40) for _ in range(2))),
+             (_carre_bases()["torus {U}"], *(random_qelement(torus, rng, 3, 4) for _ in range(2)))]
+    passes = []
+    pair_sums = ql._pair_sums
+    monkeypatch.setattr(D, "_pair_sums", lambda *args: passes.append(1) or pair_sums(*args))
+    for basis, a, c in cases:
+        want = D._carre_by_products(a, c, basis)
+        assert D._carre_in_one_pass(a, c, basis) is None
+        assert D.carre_du_champ(a, c, basis).terms == want.terms
+    assert cases[0][1]._size() * cases[0][2]._size() > ql._ARRAY_PAIRS
+    assert cases[1][1]._size() * cases[1][2]._size() > ga._ARRAY_PAIRS
+    assert not passes
+
+
 def test_dirichlet_form_values(p_basis2, torus, torus_basis, rng):
     e12 = MatElement.unit(2, 0, 1)
     gen_side, delta_side = D.dirichlet_form(e12, e12, p_basis2)
@@ -701,15 +772,23 @@ def test_an_overflowing_laplacian_raises_and_a_nan_operand_passes(torus_basis):
     torus = torus_spec(THETA)
     scaled = DifferentialBasis([QElement.generator(torus, 1)], prefactors=[1e200])
     V = QElement.generator(torus, 2)
+    # 17 x 17 terms: a^* b takes the array route, and so would the one-pass
+    # carre du champ on a finite symbol
+    big = QElement(torus, {(i, j): 1.0 for i in range(-8, 9) for j in range(-8, 9)})
     calls = [lambda: D.laplacian(a, vertices),
              lambda: D.dirichlet_form(a, a, vertices, trace_fn=lambda x: x.norm()),
              lambda: D.laplacian(V, scaled),
              lambda: D.dirichlet_form(V, V, scaled),
-             lambda: D.carre_du_champ(V, V, scaled)]
+             lambda: D.carre_du_champ(V, V, scaled),
+             lambda: D.carre_du_champ(big, big, scaled)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for call in calls:
             with pytest.raises(ValueError, match="the Laplacian is not finite"):
                 call()
         out = D.laplacian(V.scale(math.nan), torus_basis)
+        assert big._size() ** 2 > ql._ARRAY_PAIRS
+        nan_carre = [D.carre_du_champ(big.scale(math.nan), big, torus_basis),
+                     D.carre_du_champ(big, big.scale(math.nan), torus_basis)]
     assert math.isnan(out.norm())
+    assert all(math.isnan(x.norm()) for x in nan_carre)

@@ -66,6 +66,25 @@ def test_basis_selfadjoint_mode_checks():
         DifferentialBasis([clockish], mode="selfadjoint")
 
 
+def test_self_adjointness_is_read_relative_to_the_element_size():
+    # |U - U^*| = 1e-11 for 1e-11 U is below the absolute EQ_TOLERANCE, yet
+    # U is unitary and not self-adjoint at any size
+    torus = torus_spec(0.9)
+    U = QElement.generator(torus, 1)
+    for c in (1e-11, 1e-4, 1.0):
+        with pytest.raises(BasisConditionError, match="self-adjoint basis elements"):
+            DifferentialBasis([U.scale(c)], mode="selfadjoint")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            DifferentialBasis([U.scale(c)])
+    # U + U^* and a projection are self-adjoint at every size
+    for c in (1e-11, 1.0, 1e200):
+        for u in ((U + U.adjoint()).scale(c), MatElement(np.diag([c, 0.0]))):
+            DifferentialBasis([u], mode="selfadjoint")
+            with pytest.warns(UserWarning, match="is self-adjoint"):
+                DifferentialBasis([u])
+
+
 def test_basis_condition_one_warns():
     p1 = MatElement(np.diag([1.0, 0.0]))
     with pytest.warns(UserWarning):

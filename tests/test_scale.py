@@ -59,11 +59,18 @@ def test_carrier_arithmetic_at_scale(monkeypatch):
     # Laplacian of the held 4-cycle product over the vertex basis must equal
     # that of its dict copy.  Every q-lattice product above one chunk must
     # take its phases from a table (counted through a wrapper of the
-    # builder), and x * y must equal the per-chunk route bit for bit.
+    # builder), and x * y must equal the per-chunk route bit for bit.  The
+    # torus carre du champ must take one pass over its term pairs, with one
+    # table; a second one, on a box of 401^2 exponents, wider than the dense
+    # bins, must sum its pairs by sorted codes and match the formula.
     rng = np.random.default_rng(21)
-    tables = []
-    build = ql._phase_table
+    tables, passes, sorted_bins = [], [], []
+    build, pair_sums, sum_by_code = ql._phase_table, ql._pair_sums, ql.sum_by_code
     monkeypatch.setattr(ql, "_phase_table", lambda *args: tables.append(build(*args)) or tables[-1])
+    monkeypatch.setattr(dirichlet, "_pair_sums",
+                        lambda *args: passes.append(1) or pair_sums(*args))
+    monkeypatch.setattr(ql, "sum_by_code",
+                        lambda *args: sorted_bins.append(1) or sum_by_code(*args))
 
     def element(spec, K, n):
         grid = list(itertools.product(range(-K, K + 1), repeat=spec.generator_count))
@@ -72,9 +79,16 @@ def test_carrier_arithmetic_at_scale(monkeypatch):
     torus = torus_spec(0.7)
     basis = DifferentialBasis([QElement.generator(torus, 1)])
     a, c = element(torus, 30, 2000), element(torus, 30, 2000)
-    d = (carre_du_champ(a, c, basis) - carre_du_champ_first_order(a, c, basis)).norm()
+    out = carre_du_champ(a, c, basis)
+    assert len(passes) == 1 and len(tables) == 1 and not sorted_bins, (passes, tables)
+    d = (out - carre_du_champ_first_order(a, c, basis)).norm()
     assert d <= 1e-10, d
-    assert tables and None not in tables, tables
+    assert None not in tables, tables
+    a, c = element(torus, 100, 300), element(torus, 100, 300)
+    out = carre_du_champ(a, c, basis)
+    assert len(passes) == 2 and sorted_bins
+    want = dirichlet._carre_by_products(a, c, basis)
+    assert (out - want).norm() <= 1e-13 * want.norm()
     tables.clear()
     heis = heisenberg_spec(0.11, 0.07)
     x, y, z = (element(heis, 4, 500) for _ in range(3))
