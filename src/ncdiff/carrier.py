@@ -12,7 +12,8 @@ that acts diagonally on them (a q-lattice monomial, a vertex projection, a
 diagonal matrix) moves each key, with one weight; ``parent_name`` names what
 two elements must share (a presentation, a graph, a matrix dimension).
 ``ad`` and the weights the cohomology maps and the heat flow read take the
-action; any other ``ad`` is :func:`commutator`.
+action; any other ``ad`` is :func:`commutator`.  Its hooks ``ad.into`` and
+``ad.build`` sum brackets in raw terms (``_add_raw``) into one element (``_from_raw``).
 
 A term carrier, whose elements are finite combinations of keys (the
 q-lattice and the graph), inherits :class:`HeldTerms` and supplies only its
@@ -87,6 +88,23 @@ def moduli(coeffs: np.ndarray) -> np.ndarray:
     return m
 
 
+def add_terms(acc, terms, sign: int, eps: float) -> dict:
+    """The term dict ``acc`` (new for None) plus ``sign`` times the (key, coeff)
+    pairs ``terms``, keys distinct, as pruned elements sum: a coefficient at or
+    below ``eps`` in modulus is dropped, and so is a sum that falls there."""
+    if acc is None:  # the keys are distinct: nothing to sum
+        return {k: c if sign > 0 else -c for k, c in terms if not abs(c) <= eps}
+    for k, c in terms:
+        if not abs(c) <= eps:
+            c = -c if sign < 0 else c
+            c = acc[k] + c if k in acc else c
+            if abs(c) <= eps:
+                del acc[k]  # only a sum falls there
+            else:
+                acc[k] = c
+    return acc
+
+
 def commutator(x, a):
     """[x, a] = x a - a x on any carrier."""
     return x * a - a * x
@@ -117,17 +135,26 @@ class Normed:
     def ad(self):
         """The map a -> [self, a]: ``diagonal_action`` on the keys of an
         operand of this carrier after ``_check``, else :func:`commutator`,
-        so that foreign operands raise as they do in a product."""
+        so that foreign operands raise as they do in a product.
+
+        ``ad.into(acc, a, sign)`` is the raw accumulator ``acc`` (new for None)
+        plus sign [self, a], bit for bit as elements sum, or None for an ``a``
+        it does not take; ``ad.build(acc)`` is its element, None for zero."""
         act = self.diagonal_action()
-        if act is None:
-            return lambda a: commutator(self, a)
+
+        def keyed(a):  # the keys of an operand the action takes, else None
+            if act is not None and isinstance(a, type(self)):
+                self._check(a)
+                return a.keyed()
 
         def ad(a):
-            if not isinstance(a, type(self)):
-                return commutator(self, a)
-            self._check(a)
-            keyed = a.keyed()
-            return commutator(self, a) if keyed is None else a._from_keys(*act(*keyed))
+            k = keyed(a)
+            return commutator(self, a) if k is None else a._from_keys(*act(*k))
+
+        def into(acc, a, sign):
+            k = keyed(a)
+            return None if k is None else a._add_raw(acc, *act(*k), sign)
+        ad.into, ad.build = into, self._from_raw
         return ad
 
     def __abs__(self) -> float:
@@ -166,6 +193,12 @@ class Terms(Normed):
         (a nan is kept)."""
         eps = self._eps
         return self._over({k: c for k, c in terms.items() if not abs(c) <= eps})
+
+    def _add_raw(self, acc, keys, coeffs, sign: int) -> dict:
+        return add_terms(acc, zip(keys, coeffs), sign, self._eps)
+
+    def _from_raw(self, acc: dict):
+        return self._over(acc) if acc else None
 
     def __add__(self, other):
         if not isinstance(other, type(self)):

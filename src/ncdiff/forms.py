@@ -14,18 +14,19 @@ increasing.  The first-order derivative acts by inner derivations,
     delta a = sum_j [c_j U_j, a] dU_j + sum_j [(c_j U_j)^*, a] dU_j^*,
 
 extended to higher degree by deriving coefficients and wedging the new
-covector in front.  Each bracket goes through the basis's ``ad`` maps, which
-the carrier builds once per element: a q-lattice monomial, a vertex
-projection or a diagonal matrix weights each key of ``a`` once, instead of
-forming two products.  Where each new covector lands, and with which sign,
-comes from the basis's front-merge table, which the basis fills from
-:func:`_merge_indices` the first time a covector index (I, J) is derived.
-So ``delta`` is one pass over the terms of a form into one table of
-coefficients, pruned once.  delta^2 = 0 follows from the commuting-basis
-condition; the split delta = partial + partial_star and the star operation
-need the complex (paired-covector) mode.  A self-adjoint basis mode
-identifies dU_j^* with dU_j, halving the complex and disabling the type
-decomposition.
+covector in front.  Where each new covector lands, and with which sign, comes
+from the basis's front-merge table, filled from :func:`_merge_indices` the
+first time a covector index (I, J) is derived.  Each signed bracket goes
+through the hook ``ad.into`` of the basis's ``ad`` maps into one raw
+accumulator per output covector in the carrier's own terms: a q-lattice
+monomial, a vertex projection or a diagonal matrix weights each key of ``a``
+once, and forms no element.  Each coefficient is built once, and not at all
+when it sums to zero.  A bracket the hook does not take (a rotated matrix,
+an operand held as arrays) is the element ``ad(a)``, summed as elements sum.
+delta^2 = 0 follows from the commuting-basis condition; the split delta =
+partial + partial_star and the star operation need the complex
+(paired-covector) mode.  A self-adjoint basis mode identifies dU_j^* with
+dU_j, halving the complex and disabling the type decomposition.
 
 Carrier elements only need what the protocol in :mod:`ncdiff.carrier`
 lists; the q-lattice, matrix and graph carriers all qualify.
@@ -92,6 +93,9 @@ class DifferentialBasis:
         self.label = label
 
         self.scaled = [c * u for c, u in zip(self.prefactors, self.elements)]
+        for j, (x, u) in enumerate(zip(self.scaled, self.elements)):
+            if x.norm() == 0.0 and u.norm() != 0.0:  # a carrier may prune c u to nothing
+                raise BasisConditionError(f"basis element {j + 1} times its prefactor is zero")
         # adjoints also cover self-adjoint mode: only the prefactor conjugates
         self.scaled_star = [x.adjoint() for x in self.scaled]
         self.eigenbasis = None
@@ -260,7 +264,7 @@ def _derive(alpha: DifferentialForm, families: tuple) -> DifferentialForm:
     over ``families`` (False for dU_j with x_j = c_j U_j, True for dU_j^*)."""
     basis = alpha.basis
     acts = (basis.ad, basis.ad_star)
-    out: dict = {}
+    out, raw = {}, {}  # key -> element, or None while its brackets sum in raw[key]
     for (I, J), a in alpha.terms.items():
         rows = basis.front_merges(I, J)
         for starred in families:
@@ -268,9 +272,17 @@ def _derive(alpha: DifferentialForm, families: tuple) -> DifferentialForm:
                 if hit is None:
                     continue
                 sign, key = hit
+                if out.setdefault(key) is None:
+                    acc = act.into(raw.get(key), a, sign)
+                    if acc is not None:
+                        raw[key], build = acc, act.build
+                        continue
+                    if key in raw:
+                        out[key] = build(raw.pop(key))
                 term = act(a) if sign > 0 else -act(a)
-                out[key] = out[key] + term if key in out else term
-    return alpha._like(out)
+                out[key] = term if out[key] is None else out[key] + term
+    out.update((key, build(acc)) for key, acc in raw.items())  # built: nonzero, or None
+    return alpha._over({k: c for k, c in out.items() if c is not None and (k in raw or c.norm())})
 
 
 def delta(alpha: DifferentialForm) -> DifferentialForm:

@@ -89,6 +89,16 @@ class MatElement(Normed):
         m[flat] = coeffs
         return MatElement(m.reshape(self.n, self.n))
 
+    def _add_raw(self, acc, flat, w, sign: int):
+        """Flat entries: ``acc`` plus ``sign`` w, the new array that
+        ``diagonal_action`` gives for every unit."""
+        if acc is None:
+            return w if sign > 0 else np.negative(w, out=w)
+        return (np.add if sign > 0 else np.subtract)(acc, w, out=acc)  # x - y is x + (-y)
+
+    def _from_raw(self, flat):
+        return MatElement(flat.reshape(self.n, self.n)) if np.count_nonzero(flat) else None
+
     def diagonal_action(self):
         """For diag(d): the unit with flat index a n + b stays put with weight
         d(a) - d(b) (nan where that overflows), computed once for all units.

@@ -67,7 +67,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, HeldTerms, frozen, moduli, sum_by_code
+from .carrier import PRUNE_EPSILON, HeldTerms, add_terms, frozen, moduli, sum_by_code
 
 Monomial = tuple  # exponent tuple (e_1, ..., e_m)
 
@@ -322,16 +322,17 @@ def _array_adjoint(a: "QElement") -> "QElement":
     return a._held(-E, v)
 
 
-def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict) -> dict:
-    """Terms of [c U^g, a] before the final prune, one term of ``a`` at a time.
+def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
+                      acc, sign: int) -> dict:
+    """The term dict ``acc`` (new for None) plus sign [c U^g, a], one term of ``a`` at a time.
 
     The term a_e U^e gives p_1 = c a_e exp(i phi_1) and p_2 = a_e c exp(i phi_2),
     phi_1 and phi_2 the :func:`_angle` of U^g U^e and of U^e U^g, each pruned
     as the two products of :func:`~ncdiff.carrier.commutator` prune them, and
     the coefficient p_1 - p_2 on U^{g+e}.  Keys and coefficients are those of
-    the commutator, bit for bit (the product loop stores 0j + p, which can
-    differ only in the sign of a zero part); this loop is the oracle of
-    :func:`_monomial_weights`.
+    acc and the commutator summed as elements, bit for bit (the product loop
+    stores 0j + p, which can differ only in the sign of a zero part); this
+    loop is the oracle of :func:`_monomial_weights`.
     """
     eps = spec.prune_epsilon
     out = {}
@@ -348,7 +349,7 @@ def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict) 
             out[key] = p1 if abs(p2) <= eps else p1 - p2
         elif not abs(p2) <= eps:
             out[key] = -p2
-    return out
+    return add_terms(acc, out.items(), sign, eps)
 
 
 def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
@@ -501,18 +502,22 @@ class QElement(HeldTerms):
     def ad(self):
         """a -> [self, a].  A single monomial c U^g takes the loop
         :func:`_monomial_ad_loop` on operands held as dicts of up to
-        ``_ARRAY_TERMS`` terms, bit for bit; everything else goes to
-        :meth:`Normed.ad`."""
+        ``_ARRAY_TERMS`` terms, bit for bit, and so does its ``into``, which
+        takes no other operand; everything else goes to :meth:`Normed.ad`."""
         act = super().ad()
         if self._size() != 1:
             return act
         (g, c), = self.terms.items()
 
-        def ad(a):
+        def into(acc, a, sign):
             if isinstance(a, QElement) and not a._keyed and len(a.terms) <= _ARRAY_TERMS:
                 self._check(a)
-                return self._like(_monomial_ad_loop(self.spec, g, c, a.terms))
-            return act(a)
+                return _monomial_ad_loop(self.spec, g, c, a.terms, acc, sign)
+
+        def ad(a):
+            out = into(None, a, 1)
+            return act(a) if out is None else self._over(out)
+        ad.into, ad.build = into, self._from_raw
         return ad
 
     def adjoint(self) -> "QElement":

@@ -2,7 +2,9 @@
 
 Each function here computes a result the library now gets another way: the
 q-lattice and graph-algebra products by the pair loop at any size (the
-library switches to an array route above a cut), the Laplacian and heat
+library switches to an array route above a cut), the derivative of a form
+with one element per bracket (the library sums the brackets of each output
+coefficient in its carrier's raw terms), the Laplacian and heat
 channel of a matrix basis as n^2 x n^2 Kronecker superoperators with an
 ``eigh`` (the library reads the Schur symbol in the basis's eigenbasis), and
 the Trotter splitting error by ``expm`` of those superoperators (the library
@@ -33,6 +35,27 @@ def loop_product(a: QElement, b: QElement) -> QElement:
 def graph_loop_product(a: GraphElement, b: GraphElement) -> GraphElement:
     """``a * b`` by the pair loop at any size: the oracle of the graph array route."""
     return a._like(graph_algebra._pair_product(a.terms, b.terms))
+
+
+def derive_per_bracket(alpha: DifferentialForm, families: tuple) -> DifferentialForm:
+    """``forms._derive`` one element at a time: each bracket [x_j, a] is the
+    element ``ad(a)`` of the basis's maps, negated as an element when its
+    sign is -1 and summed into its output coefficient as elements sum.  The
+    oracle of the raw accumulators of ``delta``, ``partial`` and
+    ``partial_star``."""
+    basis = alpha.basis
+    acts = (basis.ad, basis.ad_star)
+    out: dict = {}
+    for (I, J), a in alpha.terms.items():
+        rows = basis.front_merges(I, J)
+        for starred in families:
+            for hit, act in zip(rows[starred], acts[starred]):
+                if hit is None:
+                    continue
+                sign, key = hit
+                term = act(a) if sign > 0 else -act(a)
+                out[key] = out[key] + term if key in out else term
+    return alpha._like(out)
 
 
 def _comm_superop(X: np.ndarray, n: int) -> np.ndarray:

@@ -51,6 +51,26 @@ def test_basis_validation_reads_scaled_elements_relative_to_their_size():
         DifferentialBasis([U, U * U], prefactors=[c, c])
 
 
+def test_basis_validation_rejects_a_slot_that_its_prefactor_prunes_to_zero():
+    # c U has its one coefficient at or below PRUNE_EPSILON for c = 1e-13, so
+    # c U is the zero element: a zero slot would pass the commuting check and
+    # derive nothing, even for U and V, which do not commute
+    torus = torus_spec(0.9)
+    U, V = QElement.generator(torus, 1), QElement.generator(torus, 2)
+    for elements in ([U, V], [U, U * U]):
+        with pytest.raises(BasisConditionError, match="basis element 1 times its prefactor is zero"):
+            DifferentialBasis(elements, prefactors=[1e-13, 1e-13])
+        with pytest.raises(BasisConditionError, match="basis element 2 times its prefactor is zero"):
+            DifferentialBasis(elements, prefactors=[1.0, 1e-13])
+    with pytest.raises(BasisConditionError, match="mutually commute"):
+        DifferentialBasis([U, V], prefactors=[1e-11, 1e-11])
+    basis = DifferentialBasis([U, U * U], prefactors=[1e-11, 1e-11])
+    assert delta(DifferentialForm.from_element(basis, U * U * V)).norm() > 0.0
+    with pytest.raises(BasisConditionError, match="basis element 1 times its prefactor is zero"):
+        DifferentialBasis([MatElement.identity(2)], prefactors=[0.0])
+    DifferentialBasis([MatElement.zero(2)], mode="selfadjoint")  # given as zero, not pruned
+
+
 def test_basis_validation_rejects_commuting_non_normal_pair():
     e12 = MatElement.unit(2, 0, 1)
     shifted = e12 + MatElement.identity(2)
