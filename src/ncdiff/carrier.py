@@ -11,9 +11,10 @@ back with ``_from_keys``, and states in ``diagonal_action`` how an element
 that acts diagonally on them (a q-lattice monomial, a vertex projection, a
 diagonal matrix) moves each key, with one weight; ``parent_name`` names what
 two elements must share (a presentation, a graph, a matrix dimension).
-``ad`` and the weights the cohomology maps and the heat flow read take the
-action; any other ``ad`` is :func:`commutator`.  Its hooks ``ad.into`` and
-``ad.build`` sum brackets in raw terms (``_add_raw``) into one element (``_from_raw``).
+``ad`` takes the action, held as ``ad.action`` for the symbol of a basis
+(:class:`ncdiff.forms.Symbol`); any other ``ad`` is :func:`commutator`.  Its
+hooks ``ad.into`` and ``ad.build`` sum brackets in raw terms (``_add_raw``,
+``_from_raw``) into one element.
 
 A term carrier, whose elements are finite combinations of keys (the
 q-lattice and the graph), inherits :class:`HeldTerms` and supplies only its
@@ -128,8 +129,9 @@ class Normed:
     def diagonal_action(self):
         """None, or the action of a -> [self, a] on keys when self acts
         diagonally: ``(keys, coeffs) -> (landing, weights)`` with
-        [self, sum_i coeffs[i] k_i] = sum_i weights[i] landing[i], a zero
-        weight where the image is dropped."""
+        [self, sum_i coeffs[i] k_i] = sum_i weights[i] landing[i], a zero weight
+        where the image is dropped, ``landing`` the very ``keys`` when no key
+        moves; an optional ``lam(keys)`` gives |weights|^2 at unit coeffs."""
         return None
 
     def ad(self):
@@ -139,7 +141,8 @@ class Normed:
 
         ``ad.into(acc, a, sign)`` is the raw accumulator ``acc`` (new for None)
         plus sign [self, a], bit for bit as elements sum, or None for an ``a``
-        it does not take; ``ad.build(acc)`` is its element, None for zero."""
+        it does not take; ``ad.build(acc)`` is its element, None for zero.
+        ``ad.action`` holds the ``diagonal_action``."""
         act = self.diagonal_action()
 
         def keyed(a):  # the keys of an operand the action takes, else None
@@ -154,7 +157,7 @@ class Normed:
         def into(acc, a, sign):
             k = keyed(a)
             return None if k is None else a._add_raw(acc, *act(*k), sign)
-        ad.into, ad.build = into, self._from_raw
+        ad.into, ad.build, ad.action = into, self._from_raw, act
         return ad
 
     def __abs__(self) -> float:

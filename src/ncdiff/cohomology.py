@@ -12,8 +12,8 @@ degree-0 map.  The acting elements are ``basis.diagonal``, which reads a
 rotated matrix basis as diag(c_j lambda_j) in its joint eigenbasis Q, since
 a -> Q^* a Q is unitary and keeps every singular value.
 
-The symbol route.  When every weight of these elements, from
-:func:`ncdiff.forms._diagonal_weights` as in the heat flow, lands its key on
+The symbol route.  When every weight of these elements, from the symbol the
+basis holds (``basis.symbol``, as in the heat flow), lands its key on
 itself (diagonal matrices, scaled vertex projections), key k carries one
 weight vector v(k) in C^N, one entry per covector.  On the forms over k the
 degree-k map is the exterior product v(k) ^ . on Lambda^k C^N, whose nonzero
@@ -53,7 +53,7 @@ from math import comb
 
 import numpy as np
 
-from .forms import BasisModeError, DifferentialBasis, _diagonal_weights
+from .forms import BasisModeError, DifferentialBasis, Symbol
 from .graph_algebra import DirectedGraph, GraphElement, common_range_pairs
 from .matrix_algebra import MatElement
 from .qlattice import QAlgebraSpec, QElement, _angle
@@ -202,20 +202,19 @@ def _ad_matrix(x, elems: list, codomain) -> tuple:
             vals[keep], (codomain.dim, len(elems)))
 
 
-def _commutator_blocks(acting: list, families: tuple, domain, codomain=None,
+def _commutator_blocks(symbol: Symbol, families: tuple, domain, codomain=None,
                        weights=None) -> list:
-    """(starred, j, A_j) per element x_j of ``acting`` and per family of ``families``.
+    """(starred, j, A_j) per element x_j of the ``symbol`` and per family of ``families``.
 
     A_j holds the triplets of a -> [x_j, a] (a -> [x_j^*, a] when starred)
     from ``domain`` into ``codomain`` (default: the same), read from x_j's
-    ``weights`` on the domain's keys (by default those of
-    :func:`~ncdiff.forms._diagonal_weights`).  An element without them, or
-    with an entry that leaves the codomain or is not finite, takes
-    :func:`_ad_matrix`, so that both routes raise alike.
+    ``weights`` on the domain's keys (by default those of ``symbol``).  An
+    element without them, or with an entry that leaves the codomain or is
+    not finite, takes :func:`_ad_matrix`, so that both routes raise alike.
     """
-    codomain = codomain or domain
+    codomain, acting = codomain or domain, symbol.elements
     if weights is None:
-        weights = _diagonal_weights(acting, families, domain.parent, domain.keys)
+        weights = symbol.weights(families, domain.parent, domain.keys)
     codomain._check(domain.parent)  # raises as a codomain of another size does
     elements, shape = functools.cache(domain.elements), (codomain.dim, domain.dim)
     blocks = []
@@ -270,7 +269,7 @@ def boundary_matrix(k: int, basis: DifferentialBasis, carrier_basis,
     otherwise a :class:`TruncationError` is raised.
     """
     n, families = basis.size, basis.families
-    blocks = _commutator_blocks(basis.scaled, families, carrier_basis, codomain_basis)
+    blocks = _commutator_blocks(basis.scaled_symbol, families, carrier_basis, codomain_basis)
     return _dense(_assemble(basis, blocks, _form_indices(n, k + 1, families),
                             _form_indices(n, k, families)))
 
@@ -281,7 +280,7 @@ def dolbeault_matrix(p: int, q: int, basis: DifferentialBasis, carrier_basis,
     if basis.mode != "complex":
         raise BasisModeError("type decomposition needs complex mode")
     n = basis.size
-    blocks = _commutator_blocks(basis.scaled, (True,), carrier_basis, codomain_basis)
+    blocks = _commutator_blocks(basis.scaled_symbol, (True,), carrier_basis, codomain_basis)
     return _dense(_assemble(basis, blocks, _dolbeault_indices(n, p, q + 1),
                             _dolbeault_indices(n, p, q)))
 
@@ -432,37 +431,20 @@ def _top_degree(basis: DifferentialBasis, max_degree: int | None) -> int:
     return top
 
 
-def _moduli(weights: list, carrier_basis):
-    """``(|v|, cut)`` over the keys of ``carrier_basis`` from their ``weights``
-    (:func:`~ncdiff.forms._diagonal_weights`), or None off the symbol route,
-    which needs every key to land on itself and a finite |v|.  The cut is
-    N D eps max|v| for N weights on D keys."""
-    own = np.arange(carrier_basis.dim)
-    if any(hit is None or not np.array_equal(carrier_basis._rows(hit[0]), own)
-           for hit in weights):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = functools.reduce(np.hypot, (np.abs(w) for _, w in weights))
-    if not np.isfinite(v).all():
-        return None
-    return v, len(weights) * len(own) * np.finfo(float).eps * v.max(initial=0.0)
-
-
 def _koszul_ranks(basis: DifferentialBasis, carrier_basis, families: tuple,
                   top: int) -> list[int]:
     """Ranks of d_0..d_top of the complex of forms over the covectors of
     ``families``, with the elements of ``basis.diagonal`` acting: by the
-    symbol when :func:`_moduli` applies, else by assembled maps and block
-    SVDs, both from one list of weights."""
-    weights = _diagonal_weights(basis.diagonal, families, carrier_basis.parent,
-                                carrier_basis.keys)
-    symbol = _moduli(weights, carrier_basis)
-    if symbol is not None:
-        v, cut = symbol
+    rank symbol |v| when ``Symbol.moduli`` gives it, else by assembled maps
+    and block SVDs, both from one list of weights of the held symbol."""
+    symbol, keys = basis.symbol, carrier_basis.keys
+    weights = symbol.weights(families, carrier_basis.parent, keys)
+    if (moduli := symbol.moduli(weights, keys)) is not None:
+        v, cut = moduli
         r = int((v > cut).sum())
         return [comb(len(weights) - 1, k) * r for k in range(top + 1)]
     indices = [_form_indices(len(basis.diagonal), k, families) for k in range(top + 2)]
-    blocks = _commutator_blocks(basis.diagonal, families, carrier_basis, weights=weights)
+    blocks = _commutator_blocks(symbol, families, carrier_basis, weights=weights)
     return _ranks(basis, blocks, indices)
 
 
@@ -520,7 +502,7 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
     if K < 2 * d:
         raise TruncationError(f"truncation K={K} too small for basis degree {d}")
     small, mid, big = (QMonomialBasis(spec, K - m * d) for m in (2, 1, 0))
-    blocks = _commutator_blocks(basis.scaled, basis.families, mid, big)
+    blocks = _commutator_blocks(basis.scaled_symbol, basis.families, mid, big)
     indices = [_form_indices(basis.size, k, basis.families) for k in range(top + 2)]
     ranks = _ranks(basis, blocks, indices)
     row_of, col_of = np.full(big.dim, -1), np.full(mid.dim, -1)

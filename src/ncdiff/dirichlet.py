@@ -4,13 +4,13 @@ The generator is Delta = sum_j [(c_j U_j)^*, [c_j U_j, .]].  Each element x_j
 of the basis's ``diagonal`` coordinates sends a key k of its carrier to
 w_j(k) times one key and x_j^* sends that back, so Delta multiplies key k by
 the heat symbol lambda(k) = sum_j |w_j(k)|^2, and the semigroup is one decay
-per term on q-lattices and graphs, exact with no truncation.  The weights
-are those of :func:`ncdiff.forms._diagonal_weights`, which the cohomology
-ranks read as |v|^2 = F lambda.  A matrix basis acts in its joint
-eigenbasis Q as diag(c_j lambda_j): the symbol is
-W[a, b] = sum_j |c_j lambda_j(a) - c_j lambda_j(b)|^2, the heat channel is
-the Schur multiplier Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is
-completely positive exactly when exp(-t W) is positive semidefinite.  The
+per term on q-lattices and graphs, exact with no truncation.  Each reader,
+and the cohomology ranks as |v|^2 = F lambda, takes lambda from the held
+``basis.symbol``: sum_j |c_j|^2 4 sin^2(theta g_j . k / 2) for q-lattice slots c_j U^{g_j}.
+A matrix basis acts in its joint eigenbasis Q as diag(c_j lambda_j): the
+symbol is W[a, b] = sum_j |c_j lambda_j(a) - c_j lambda_j(b)|^2, the heat
+channel is the Schur multiplier Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and
+it is completely positive exactly when exp(-t W) is positive semidefinite.  The
 n^2 x n^2 superoperators on row-major vectorized matrices
 (:func:`delta_superoperator`, :func:`heat_superoperator`, and
 :func:`choi_matrix` by reshuffling) write that multiplier out as
@@ -26,11 +26,8 @@ array route, under a basis that acts diagonally, reads the heat symbol
 instead: one pass over the term pairs of a^* c weighs each pair by
 lambda(e) + lambda(f) - lambda(e + f); every other operand takes the three
 products and three Laplacians of its formula.
-:func:`audit_semigroup` samples the channel on seeded random operators; the
-module holds integer-seeded draws read-only, keyed by (n, samples, seed) and
-evicting the least recently used to keep all of them under one byte budget,
-so audits repeated at one key draw and diagonalize it once, however the
-calls of several sizes interleave.
+:func:`audit_semigroup` samples the channel on seeded random operators,
+drawn once per (n, samples, seed) while the held draws fit one byte budget.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import BasisModeError, DifferentialBasis, _diagonal_weights
+from .forms import BasisModeError, DifferentialBasis
 from .matrix_algebra import MatElement, trace
 from .qlattice import _ARRAY_PAIRS, QElement, _pair_sums, tau as q_tau
 
@@ -81,29 +78,6 @@ _HELD_DRAW_BYTES = 8 * 2 ** 20
 _held_draws: dict = {}  # (n, samples, seed) -> (A, B, interval operators), least recent first
 
 
-def _eigenvalues(basis: DifferentialBasis, a, keys) -> np.ndarray:
-    """lambda(keys) = sum_j |w_j(keys)|^2, the eigenvalues of Delta on the keys
-    of a's carrier; a ValueError where it is not finite."""
-    try:
-        weights = _diagonal_weights(basis.diagonal, (False,), a, keys)
-    except (TypeError, ValueError):  # another kind of carrier, or another parent
-        raise ValueError(f"basis does not act on this {a.parent_name}") from None
-    if None in weights:
-        raise ValueError("the heat flow needs diagonally acting (single-monomial) elements")
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = sum(np.abs(w) ** 2 for _, w in weights)
-    if not np.isfinite(lam).all():
-        raise ValueError("the heat symbol is not finite")
-    return lam
-
-
-def _schur_symbol(basis: DifferentialBasis, n: int):
-    """(Q, W) with Delta(a) = Q (W o Q^* a Q) Q^*: the eigenbasis the basis
-    keeps, and the heat symbol on the matrix units of its coordinates."""
-    W = _eigenvalues(basis, MatElement.zero(n), np.arange(n * n)).reshape(n, n)
-    return basis.eigenbasis[0], W
-
-
 def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Phi_t(m) = Q (M o Q^* m Q) Q^* for the symbol M = exp(-t W)."""
     if Q is None:
@@ -118,35 +92,32 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
     _check_time(t)
     if not hasattr(a, "parent_name"):
         raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
+    M = np.exp(-t * basis.symbol.lam(a))
     if isinstance(a, MatElement):
-        Q, W = _schur_symbol(basis, a.n)
-        return MatElement(_schur_heat(Q, np.exp(-t * W), a.mat))
-    keyed = a.keyed()
-    if keyed is None:
-        raise ValueError("exponents of 2**62 or more are too large for the heat flow")
-    keys, coeffs = keyed
-    return a._from_keys(keys, np.exp(-t * _eigenvalues(basis, a, keys)) * coeffs)
+        return MatElement(_schur_heat(basis.eigenbasis[0], M.reshape(a.mat.shape), a.mat))
+    keys, coeffs = a.keyed()
+    return a._from_keys(keys, M * coeffs)
 
 
 def _schur_superoperator(Q, M: np.ndarray) -> np.ndarray:
     """The Schur multiplier m -> Q (M o Q^* m Q) Q^* as the n^2 x n^2 matrix
-    V diag(vec M) V^* on row-major vectorized matrices, V = Q (x) conj(Q)."""
+    V diag(M) V^* on row-major vectorized matrices (M flat), V = Q (x) conj(Q)."""
     if Q is None:
-        return np.diag(M.reshape(-1))
+        return np.diag(M)
     V = np.kron(Q, Q.conj())
-    return (V * M.reshape(-1)) @ V.conj().T
+    return (V * M) @ V.conj().T
 
 
 def delta_superoperator(basis: DifferentialBasis, n: int) -> np.ndarray:
     """Delta as an n^2 x n^2 matrix on vectorized matrices; Hermitian PSD."""
-    return _schur_superoperator(*_schur_symbol(basis, n))
+    return _schur_superoperator(basis.eigenbasis[0], basis.symbol.lam(MatElement.zero(n)))
 
 
 def heat_superoperator(t: float, basis: DifferentialBasis, n: int) -> np.ndarray:
     """exp(-t Delta) as an n^2 x n^2 matrix on vectorized matrices."""
     _check_time(t)
-    Q, W = _schur_symbol(basis, n)
-    return _schur_superoperator(Q, np.exp(-t * W))
+    M = np.exp(-t * basis.symbol.lam(MatElement.zero(n)))
+    return _schur_superoperator(basis.eigenbasis[0], M)
 
 
 def choi_matrix(t: float, n: int, basis: DifferentialBasis) -> MatElement:
@@ -224,16 +195,14 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     """Run the complete-positivity / symmetry / conservativity / Markov checks.
 
     The channel is applied as the Schur multiplier exp(-t W) in the basis's
-    joint eigenbasis, and the symbol is computed once for all times.  The
+    joint eigenbasis, and the held symbol is read once for all times.  The
     Choi matrix is unitarily similar (via conj(Q) (x) Q) to the symbol on
     span{e_i (x) e_i} plus a zero block of size n^2 - n, so its least
     eigenvalue is read off the n x n symbol.  The random pairs and operators
-    with spectrum in [0, 1] are drawn once per (n, samples, seed) and shared
-    by every time.  With an integer seed the module holds them read-only,
-    beside the draws of other sizes and seeds while all of them fit
-    ``_HELD_DRAW_BYTES`` (the least recently used go first), so a repeat
-    audit at the same size and seed skips the redraw and its ``eigvalsh``;
-    the rows are those of a fresh draw, whatever the order of the calls.
+    with spectrum in [0, 1] are drawn once per (n, samples, seed), shared by
+    every time and held as :func:`_audit_samples` states, so a repeat audit
+    skips the redraw; the rows are those of a fresh draw, whatever the order
+    of the calls.
     """
     ts = list(ts)
     if not ts:
@@ -242,7 +211,7 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
         _check_time(t)
     if samples < 1:
         raise ValueError("need at least one sample")
-    Q, W = _schur_symbol(basis, n)
+    Q, W = basis.eigenbasis[0], basis.symbol.lam(MatElement.zero(n)).reshape(n, n)
     A, B, interval_ops = _audit_samples(n, samples, seed)
     audit = SemigroupAudit(n=n, basis_label=basis.label)
     eye = np.eye(n)
@@ -274,22 +243,19 @@ def trotter_check(t: float, steps: int, n: int, basis: DifferentialBasis) -> flo
 
     K1 is the conjugation part sum (U^* a U + U a U^*), K2 the
     anticommutator with A = -sum U^* U; -Delta = K1 + K2 for a normal basis.
-    In the eigenbasis, with lambda_j the diagonal of ``basis.diagonal``,
-    both are Schur multipliers, S1 = sum_j 2 Re(conj lambda_j(a) lambda_j(b))
-    and S2 = -sum_j (|lambda_j(a)|^2 + |lambda_j(b)|^2), and conjugating by
-    the eigenbasis is unitary, so the error is the largest entry of
-    |(e^{h S1} e^{h S2})^m - e^{-t W}| with h = t / m.
+    In the eigenbasis, with lambda_j the diagonal of ``basis.diagonal``, both
+    are Schur multipliers, S2 = -sum_j (|lambda_j(a)|^2 + |lambda_j(b)|^2) and
+    S1 = -W - S2 for the held heat symbol W; the eigenbasis is unitary, so the
+    error is the largest entry of |(e^{h S1} e^{h S2})^m - e^{-t W}|, h = t / m.
     """
     _check_time(t)
     if steps < 1:
         raise ValueError("need at least one step")
-    _, W = _schur_symbol(basis, n)
-    lam = np.array([np.diag(x.mat) for x in basis.diagonal])
-    S1 = 2 * (lam.conj()[:, :, None] * lam[:, None, :]).real.sum(axis=0)
-    sq = (np.abs(lam) ** 2).sum(axis=0)
+    W = basis.symbol.lam(MatElement.zero(n)).reshape(n, n)
+    sq = sum(np.abs(np.diag(x.mat)) ** 2 for x in basis.diagonal)
     S2 = -(sq[:, None] + sq[None, :])
     h = t / steps
-    approx = (np.exp(h * S1) * np.exp(h * S2)) ** steps
+    approx = (np.exp(h * (-W - S2)) * np.exp(h * S2)) ** steps
     return float(np.abs(approx - np.exp(-t * W)).max())
 
 
@@ -322,19 +288,16 @@ def _carre_in_one_pass(a, c, basis: DifferentialBasis):
     (:func:`~ncdiff.qlattice._pair_sums`) bins P = sum (a^*)_e c_f phi and
     R = sum (a^*)_e c_f phi (lambda(e) + lambda(f)) on the same codes, and
     R - lambda P is pruned once.  None, for the formula, at or below the
-    product's cut of ``_ARRAY_PAIRS`` term pairs, where :func:`_eigenvalues`
+    product's cut of ``_ARRAY_PAIRS`` term pairs, where ``basis.symbol.lam``
     or the pass declines, and where lambda times any coefficient, or the
     result, is not finite.
     """
     if (not isinstance(a, QElement) or not isinstance(c, QElement)
             or a._size() * c._size() <= _ARRAY_PAIRS):
         return None
-    astar = a.adjoint()
-    ka, kc = astar.keyed(), c.keyed()
-    if ka is None or kc is None:
-        return None
+    astar, symbol = a.adjoint(), basis.symbol
     try:
-        lam_a, lam_c = _eigenvalues(basis, astar, ka[0]), _eigenvalues(basis, c, kc[0])
+        lam_a, lam_c = symbol.lam(astar), symbol.lam(c)
     except ValueError:
         return None
     summed = _pair_sums(astar, c, (lam_a, lam_c))
@@ -342,13 +305,13 @@ def _carre_in_one_pass(a, c, basis: DifferentialBasis):
         return None
     keys, P, R = summed
     try:
-        lam = _eigenvalues(basis, astar, keys)
+        lam = symbol.lam(astar, keys)
     except ValueError:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         out = R - lam * P
-        if not all(np.isfinite(x).all()
-                   for x in (lam_a * ka[1], lam_c * kc[1], lam * P, out)):
+        if not all(np.isfinite(x).all() for x in (lam_a * astar.keyed()[1],
+                                                   lam_c * c.keyed()[1], lam * P, out)):
             return None
     return astar._from_keys(keys, out)
 

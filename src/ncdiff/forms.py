@@ -34,6 +34,7 @@ lists; the q-lattice, matrix and graph carriers all qualify.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from math import comb
 from typing import Mapping, Sequence
@@ -72,7 +73,8 @@ class DifferentialBasis:
     ``diagonal`` is diag(c_j lambda_j) for a rotated eigenbasis Q (in the
     coordinates of the unitary a -> Q^* a Q), and ``scaled`` otherwise.
     ``ad[j]`` and ``ad_star[j]`` are the maps a -> [c_j U_j, a] and
-    a -> [(c_j U_j)^*, a], built once from the carrier's ``ad`` hook.
+    a -> [(c_j U_j)^*, a], built once from the carrier's ``ad`` hook and read
+    by the :class:`Symbol` ``scaled_symbol``; ``symbol`` is that of ``diagonal``.
     ``families`` lists the covector families, (False,) for dU_j alone and
     (False, True) when dU_j^* is kept too.
     """
@@ -135,6 +137,8 @@ class DifferentialBasis:
             MatElement(np.diag(c * lam)) for c, lam in zip(self.prefactors, lams)]
         self.ad = [x.ad() for x in self.scaled]
         self.ad_star = [x.ad() for x in self.scaled_star]
+        self.scaled_symbol = Symbol(self.scaled, (self.ad, self.ad_star))
+        self.symbol = self.scaled_symbol if Q is None else Symbol(self.diagonal)
         self.families = (False,) if mode == "selfadjoint" else (False, True)
         self._front: dict = {}
 
@@ -173,24 +177,66 @@ def _unit(x):
     return x.scale(1 / size) if size else x
 
 
-def _diagonal_weights(elements: Sequence, families: tuple, parent, keys) -> list:
-    """Per family of ``families`` and element x of ``elements`` (x^* when
-    starred): ``(landing, w)`` when x sends keys[i] of ``parent``'s carrier
-    to w[i] times the key landing[i], else None.  Over ``diagonal`` these
-    give the heat symbol lambda = sum_j |w_j|^2 and the rank symbol |v|, the
-    norm of the weights of all F families: |v|^2 = F lambda.  An element of
-    another kind raises what its product with ``parent`` raises, one over
-    another parent what ``_check`` raises.  The weights are complex: inf or
-    nan where they overflow, silently."""
-    out, ones = [], np.ones(len(keys))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in [x.adjoint() if starred else x for starred in families for x in elements]:
+class Symbol:
+    """The symbol of a basis's inner derivations x_j in the coordinates of
+    ``elements``, read from the held maps a -> [x_j, a] ``maps[starred][j]``
+    (x_j^* when starred; built on first use when None), whose ``action`` sends
+    key k to w_j(k) times one key: lambda(k) = sum_j |w_j(k)|^2 is the heat symbol."""
+
+    def __init__(self, elements: list, maps: tuple | None = None):
+        self.elements, self._maps = elements, maps
+
+    def actions(self, families: tuple, parent) -> list:
+        """The action of each map per family of ``families`` and slot, or None,
+        on parent's carrier.  An element of another kind raises what its
+        product with ``parent`` raises, one over another parent ``_check``."""
+        if self._maps is None:
+            self._maps = [[(x.adjoint() if s else x).ad() for x in self.elements] for s in (0, 1)]
+        for x in self.elements:
             if not isinstance(x, type(parent)):
                 commutator(x, parent)  # a product across carriers raises TypeError
             x._check(parent)
-            act = x.diagonal_action()
-            out.append(None if act is None else act(keys, ones))
-    return out
+        return [f.action for starred in families for f in self._maps[starred]]
+
+    def weights(self, families: tuple, parent, keys) -> list:
+        """``(landing, w)`` per action, or None: keys[i] goes to w[i] times
+        landing[i], with inf or nan weights where they overflow, silently."""
+        acts, ones = self.actions(families, parent), np.ones(len(keys))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [None if f is None else f(keys, ones) for f in acts]
+
+    @staticmethod
+    def moduli(weights: list, keys):
+        """``(|v|, cut)``: |v| the norm of the ``weights`` of all F families per
+        key (|v|^2 = F lambda), the cut N D eps max|v| for N weights on D keys;
+        None unless every action hands its ``keys`` back and |v| is finite."""
+        if any(hit is None or hit[0] is not keys for hit in weights):
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = functools.reduce(np.hypot, (np.abs(w) for _, w in weights))
+        if np.isfinite(v).all():
+            return v, len(weights) * len(keys) * np.finfo(float).eps * v.max(initial=0.0)
+
+    def lam(self, a, keys=None) -> np.ndarray:
+        """lambda on ``keys`` of a's carrier (all of a's by default): each action's
+        closed form ``lam``, else |w|^2.  A ValueError where the keys cannot be
+        coded, the basis does not act (diagonally) on them, or lambda is not finite."""
+        keys = (a.keyed() or (None,))[0] if keys is None else keys
+        try:
+            acts = self.actions((False,), a)
+        except (TypeError, ValueError):  # another kind of carrier, or another parent
+            raise ValueError(f"basis does not act on this {a.parent_name}") from None
+        if keys is None or any(f is None and x.keyed() is None
+                               for x, f in zip(self.elements, acts)):
+            raise ValueError("exponents of 2**62 or more are too large for the heat flow")
+        if None in acts:
+            raise ValueError("the heat flow needs diagonally acting (single-monomial) elements")
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = sum(f.lam(keys) if hasattr(f, "lam") else
+                      np.abs(f(keys, np.ones(len(keys)))[1]) ** 2 for f in acts)
+        if not np.isfinite(lam).all():
+            raise ValueError("the heat symbol is not finite")
+        return lam
 
 
 def _inversions(a: Sequence[int], b: Sequence[int]) -> int:

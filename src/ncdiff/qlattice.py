@@ -42,8 +42,8 @@ angles phi_1 of U^g U^e and phi_2 of U^e U^g, and moves it to U^{g+e}.  Up to
 ``_ARRAY_TERMS`` terms a loop forms the two products of the commutator term
 by term, bit for bit.  Above it the monomial's ``diagonal_action`` weights
 the int64 exponent rows of ``a.keyed()`` all at once by the same rule, up to
-rounding (:func:`_monomial_weights`); the cohomology maps and the heat flow
-read the same action.
+rounding (:func:`_monomial_weights`), for the cohomology maps too; the heat
+flow reads its ``lam``, |c|^2 4 sin^2(omega . e / 2) with omega = theta g.
 
 Sums and differences take the array route when both operands hold arrays,
 and negation, scaling, adjoints and norms when their operand does.  Adjoints
@@ -489,15 +489,21 @@ class QElement(HeldTerms):
 
     def diagonal_action(self):
         """For a single monomial c U^g: int64 exponent rows E land on E + g,
-        weighted by :func:`_monomial_weights`.  None for any other element,
-        and when g is too large for int64 rows."""
+        weighted by :func:`_monomial_weights`, whose squared moduli ``lam(E)``
+        gives in closed form.  None for any other element, and when g is too
+        large for int64 rows."""
         if self._size() != 1:
             return None
         (g, c), = self.terms.items()
         if max(map(abs, g)) >= _EXPONENT_LIMIT:
             return None
         weigh, shift = _monomial_weights(self.spec, g, c), np.array(g, dtype=np.int64)
-        return lambda E, coeffs: (E + shift, weigh(E, coeffs))
+        omega, size = self.spec.theta @ shift, 2 * abs(c)  # the angles differ by omega . e
+
+        def act(E, coeffs):
+            return E + shift, weigh(E, coeffs)
+        act.lam = lambda E: (size * np.sin(E @ omega / 2)) ** 2  # |c (1 - exp(i omega . e))|^2
+        return act
 
     def ad(self):
         """a -> [self, a].  A single monomial c U^g takes the loop
@@ -517,7 +523,7 @@ class QElement(HeldTerms):
         def ad(a):
             out = into(None, a, 1)
             return act(a) if out is None else self._over(out)
-        ad.into, ad.build = into, self._from_raw
+        ad.into, ad.build, ad.action = into, self._from_raw, act.action
         return ad
 
     def adjoint(self) -> "QElement":

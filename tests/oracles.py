@@ -98,6 +98,17 @@ def choi_matrix(t: float, n: int, basis) -> MatElement:
     return MatElement(C)
 
 
+def matrix_heat_symbol(basis, n: int) -> np.ndarray:
+    """W[a, b] = sum_j |w_j(e_ab)|^2 per matrix unit e_ab of M_n, as the heat
+    flow formed it on every call: each element of ``basis.diagonal`` builds
+    its diagonal action afresh and weighs every unit, with unit coefficients,
+    and the squared moduli sum in slot order."""
+    flat, ones = np.arange(n * n), np.ones(n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = sum(np.abs(x.diagonal_action()(flat, ones)[1]) ** 2 for x in basis.diagonal)
+    return W.reshape(n, n)
+
+
 def trotter_split(basis, n):
     """K1 = sum (U^* . U + U . U^*) and K2 = A . + . A with A = -sum U^* U, as
     n^2 x n^2 superoperators on row-major vectorized matrices."""

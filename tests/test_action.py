@@ -15,7 +15,7 @@ import pytest
 from ncdiff import carrier, cohomology as C, dirichlet, forms, graph_algebra as ga
 from ncdiff import qlattice
 from ncdiff.carrier import commutator
-from ncdiff.forms import DifferentialBasis, DifferentialForm
+from ncdiff.forms import DifferentialBasis, DifferentialForm, Symbol
 from ncdiff.matrix_algebra import MatElement, projection_basis
 from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError, _ARRAY_TERMS,
                              heisenberg_spec, torus_spec, torus_spec_2n)
@@ -335,7 +335,7 @@ def test_huge_theta_ad_matrix_error_matches_the_commutator(monkeypatch):
 def _block(x, domain, codomain):
     """The triplets of a -> [x, a] from ``domain`` into ``codomain``, as the
     cohomology maps build them."""
-    (_, _, block), = C._commutator_blocks([x], (False,), domain, codomain)
+    (_, _, block), = C._commutator_blocks(Symbol([x]), (False,), domain, codomain)
     return block
 
 

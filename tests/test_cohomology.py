@@ -36,19 +36,19 @@ def clock7_setup():
 
 
 def _triplet(report):
-    """``report`` with ``_moduli`` refusing every basis, so that it takes the
-    triplet route."""
+    """``report`` with ``Symbol.moduli`` refusing every basis, so that it
+    takes the triplet route."""
     def run(*args, **kwargs):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(C, "_moduli", lambda *_: None)
+            patch.setattr(F.Symbol, "moduli", lambda *_: None)
             return report(*args, **kwargs)
     return run
 
 
 def _symbol(basis, carrier, families):
     """``(|v|, cut)`` of the symbol route over ``carrier``, or None off it."""
-    weights = F._diagonal_weights(basis.diagonal, families, carrier.parent, carrier.keys)
-    return C._moduli(weights, carrier)
+    weights = basis.symbol.weights(families, carrier.parent, carrier.keys)
+    return basis.symbol.moduli(weights, carrier.keys)
 
 
 def test_boundary_degree0_rank(m2_setup):
@@ -345,7 +345,7 @@ def test_fuglede_putnam_matches_null_space_route(m2_setup, clock7_setup, rng):
     N = MatElement(np.array([[0.0, 1.0], [0.0, 0.0]]))
     one = DifferentialBasis([MatElement.identity(2)], mode="selfadjoint")
     bare = SimpleNamespace(scaled=[N], scaled_star=[N.adjoint()], diagonal=[N],
-                           front_merges=one.front_merges)
+                           symbol=F.Symbol([N]), front_merges=one.front_merges)
     carrier = C.MatrixCarrierBasis(2)
     assert C.commutant_kernel_dimension(bare, carrier) == 2
     assert C.commutant_kernel_dimension(bare, carrier, include_adjoints=True) == 1
@@ -697,10 +697,10 @@ def test_assemble_reads_the_merge_table(n, mode):
         elements = [MatElement(np.diag(np.exp(1j * rng.uniform(0, 6, 3)))) for _ in range(n)]
     basis = DifferentialBasis(elements, mode=mode)
     carrier = C.MatrixCarrierBasis(3)
-    rows = [(C._commutator_blocks(basis.scaled, basis.families, carrier),
+    rows = [(C._commutator_blocks(basis.scaled_symbol, basis.families, carrier),
              [C._form_indices(n, k, basis.families) for k in range(basis.top_degree + 2)])]
     if mode == "complex":
-        starred = C._commutator_blocks(basis.scaled, (True,), carrier)
+        starred = C._commutator_blocks(basis.scaled_symbol, (True,), carrier)
         rows += [(starred, [C._dolbeault_indices(n, p, q) for q in range(n + 2)])
                  for p in range(n + 1)]
     for blocks, indices in rows:
@@ -907,7 +907,7 @@ def test_rank_symbol_is_the_heat_symbol_times_the_family_count(case):
     # |v|^2 = F lambda: both read one list of weights, over F families or one
     basis, carrier = SYMBOL_FAMILIES[case]()
     v, _ = _symbol(basis, carrier, basis.families)
-    lam = D._eigenvalues(basis, carrier.parent, carrier.keys)
+    lam = basis.symbol.lam(carrier.parent, carrier.keys)
     n_families = len(basis.families)
     assert (np.abs(v ** 2 - n_families * lam) <= 1e-14 * n_families * lam).all()
 

@@ -13,7 +13,7 @@ import ncdiff.qlattice as ql
 from ncdiff.carrier import EQ_TOLERANCE
 from ncdiff.cli import main
 from ncdiff.forms import (BasisConditionError, BasisModeError, DifferentialBasis,
-                          DifferentialForm, _diagonal_weights)
+                          DifferentialForm)
 from ncdiff.matrix_algebra import MatElement, joint_eigenbasis, projection_basis, trace
 from ncdiff.qlattice import QElement, heisenberg_spec, tau, torus_spec, torus_spec_2n
 from ncdiff.testing import (loop_graph, random_graph_element, random_matelement,
@@ -691,11 +691,37 @@ def test_locality_needs_complex_mode(p_basis2):
         D.locality_isometry(e, e, p_basis2)
 
 
-@pytest.mark.parametrize("case", ["torus {U}", "heisenberg {W}", "star tree", "loop"])
+# q-lattice bases of several slots, of a product monomial and of generators
+# of several pairs: (spec, slot exponents, prefactors)
+WIDE_SYMBOL_BASES = {
+    "torus {U, U^2}": (lambda: torus_spec(THETA), [(1, 0), (2, 0)], [1, 0.5j]),
+    "torus {U^2 V}": (lambda: torus_spec(THETA), [(2, 1)], None),
+    "heisenberg {U, V}": (lambda: heisenberg_spec(MU, NU), [(1, 0, 0), (0, 1, 0)], None),
+    "torus2n {U1, U3}": (lambda: torus_spec_2n([THETA, 1.3]), [(1, 0, 0, 0), (0, 0, 1, 0)],
+                         None),
+}
+
+
+@pytest.mark.parametrize("case", ["torus {U}", "heisenberg {W}", *WIDE_SYMBOL_BASES,
+                                  "star tree", "loop"])
 def test_heat_symbol_matches_the_laplacian(case, torus, torus_basis, heisenberg,
                                            heisenberg_basis, rng):
-    # one symbol, sum_j |w_j|^2 over the diagonal actions, on every carrier with keys
-    if case in ("torus {U}", "heisenberg {W}"):
+    # one symbol, sum_j |w_j|^2 over the diagonal actions, on every carrier with
+    # keys; on a q-lattice each slot's closed form |c|^2 4 sin^2(omega . k / 2)
+    wide = case in WIDE_SYMBOL_BASES
+    if wide:
+        make, exponents, prefactors = WIDE_SYMBOL_BASES[case]
+        spec = make()
+        bases = [DifferentialBasis([QElement.monomial(spec, e) for e in exponents], prefactors)]
+        zero = QElement(spec)
+        keys = rng.integers(-40, 41, size=(200, spec.generator_count))
+        elements = [QElement.monomial(spec, e) for e in keys.tolist()]
+        fixed = [QElement.one(spec)]
+        sample = lambda: random_qelement(spec, rng)
+        undiagonal = DifferentialBasis([bases[0].elements[0] + QElement.one(spec)])
+        foreign = QElement(torus_spec(0.3))
+        messages = ("single-monomial", "does not act on this presentation")
+    elif case in ("torus {U}", "heisenberg {W}"):
         spec, basis = ((torus, torus_basis) if case == "torus {U}"
                        else (heisenberg, heisenberg_basis))
         bases = [basis, DifferentialBasis([x.scale(c) for x, c in zip(basis.elements, [0.5 - 2j])])]
@@ -720,27 +746,86 @@ def test_heat_symbol_matches_the_laplacian(case, torus, torus_basis, heisenberg,
         foreign = ga.GraphElement(star_tree(5))
         messages = ("diagonally acting", "does not act on this graph")
     for b in bases:
-        lam = D._eigenvalues(b, zero, keys)
+        lam = b.symbol.lam(zero, keys)
+        # on the wide bases within 1e-12 of the largest lambda (measured: 3e-14)
+        bound = 1e-12 * lam.max() if wide else 1e-12
         for x, value in zip(elements, lam):
             key, = x.terms
-            assert abs(value - D.laplacian(x, b).terms.get(key, 0j)) <= 1e-12
-        # the rank symbol over all F families of the same weights is F lambda
-        weights = _diagonal_weights(b.diagonal, b.families, zero, keys)
+            assert abs(value - D.laplacian(x, b).terms.get(key, 0j)) <= bound
+        # the rank symbol over all F families of the weights is F lambda
+        weights = b.symbol.weights(b.families, zero, keys)
         v = functools.reduce(np.hypot, (np.abs(w) for _, w in weights))
         F = len(b.families)
-        assert (np.abs(v ** 2 - F * lam) <= 1e-14 * F * lam).all()
+        assert (np.abs(v ** 2 - F * lam) <= (F * bound if wide else 1e-14 * F * lam)).all()
         a = sample()
         lhs = D.heat_semigroup(D.heat_semigroup(a, 0.4, b), 1.1, b)
         assert (lhs - D.heat_semigroup(a, 1.5, b)).norm() <= 1e-12
         for x in fixed:
             assert (D.heat_semigroup(x, 2.0, b) - x).norm() == 0.0
     with pytest.raises(ValueError, match=messages[0]):
-        D._eigenvalues(undiagonal, zero, keys)
+        undiagonal.symbol.lam(zero, keys)
     with pytest.raises(ValueError, match=messages[1]):
-        D._eigenvalues(bases[0], foreign, keys)
+        bases[0].symbol.lam(foreign, keys)
     # a carrier without keys, such as the forms, has no heat flow here
     with pytest.raises(TypeError, match="no semigroup evaluation"):
         D.heat_semigroup(DifferentialForm.from_element(bases[0], fixed[0]), 1.0, bases[0])
+
+
+@pytest.mark.parametrize("kind, n", [*(("projection", n) for n in range(2, 7)),
+                                     ("clock", 7), ("rotated", 5)], ids=str)
+def test_matrix_heat_symbol_is_the_per_unit_route_bit_for_bit(kind, n):
+    if kind == "clock":
+        spec = torus_spec(2 * math.pi * 3 / 7)
+        basis = DifferentialBasis([ql.clock_shift_rep(spec, QElement.generator(spec, 1))])
+    else:
+        basis = _matrix_basis(kind, n)
+    W = basis.symbol.lam(MatElement.zero(n)).reshape(n, n)
+    assert np.array_equal(W, oracles.matrix_heat_symbol(basis, n))
+
+
+def test_the_heat_symbol_is_built_once(monkeypatch, torus, rng):
+    # the slots' actions are built with the basis and held: the heat flow and
+    # the one-pass carre du champ read their closed forms and build none
+    basis = DifferentialBasis([QElement.generator(torus, 1), QElement.monomial(torus, (2, 0))],
+                              prefactors=[1, 0.5j])
+    a, c = (random_qelement(torus, rng, max_exp=4, n_terms=30) for _ in range(2))
+    assert a._size() * c._size() > ql._ARRAY_PAIRS  # the one-pass route
+    built, weights = [], ql._monomial_weights
+    monkeypatch.setattr(ql, "_monomial_weights", lambda *args: built.append(args) or weights(*args))
+    monkeypatch.setattr(D, "_carre_by_products", lambda *args: pytest.fail("the formula route"))
+    for t in np.linspace(0.1, 1.0, 10):
+        D.heat_semigroup(a, t, basis)
+    D.carre_du_champ(a, c, basis)
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", ["projection", "rotated"])
+def test_audits_read_the_held_actions(kind, monkeypatch, no_held_draw):
+    n = 5
+    basis = _matrix_basis(kind, n)
+    built, action = [], MatElement.diagonal_action
+    monkeypatch.setattr(MatElement, "diagonal_action", lambda x: built.append(x) or action(x))
+    for _ in range(3):
+        D.audit_semigroup([0.5, 2.0], n, basis, samples=4)
+    # a rotated basis builds the actions of its diagonal coordinates (and of
+    # their adjoints) on first use, once
+    assert len(built) == (0 if kind == "projection" else 2 * basis.size)
+
+
+def test_a_slot_beyond_the_exponent_limit_names_the_limit():
+    spec = torus_spec(0.9)
+    V = QElement.generator(spec, 2)
+    basis = DifferentialBasis([QElement.monomial(spec, (2 ** 62, 0))])
+    # the Laplacian takes the commutator; the heat flow needs the slot's keys
+    lap = D.laplacian(V, basis)
+    assert set(lap.terms) == {(0, 1)} and lap.coefficient((0, 1)).real > 0
+    for call in (lambda: D.heat_semigroup(V, 1.0, basis), lambda: basis.symbol.lam(V)):
+        with pytest.raises(ValueError, match=r"exponents of 2\*\*62 or more are too large"):
+            call()
+    # as for an operand beyond the limit
+    with pytest.raises(ValueError, match=r"exponents of 2\*\*62 or more are too large"):
+        D.heat_semigroup(QElement.monomial(spec, (0, 2 ** 62)), 1.0,
+                         DifferentialBasis([QElement.generator(spec, 1)]))
 
 
 def test_an_overflowing_heat_symbol_raises_without_a_warning():
