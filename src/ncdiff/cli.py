@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import cohomology as coh
 from . import deformation as dfm
@@ -40,10 +39,12 @@ FAILED_CHECK = 1
 CLOSED_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
 
 
-@dataclass
 class Config:
-    truncation: int = 6
-    prune_epsilon: float = PRUNE_EPSILON
+    """The settings a ``--config`` JSON object may override, key by key."""
+
+    def __init__(self, truncation: int = 6, prune_epsilon: float = PRUNE_EPSILON):
+        self.truncation = truncation
+        self.prune_epsilon = prune_epsilon
 
     @classmethod
     def load(cls, path: str | None) -> "Config":
@@ -54,7 +55,7 @@ class Config:
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")
             for key, value in data.items():
-                if not hasattr(cfg, key):
+                if key not in vars(cfg):
                     raise ValueError(f"unknown config key {key!r}")
                 kind = type(getattr(cfg, key))
                 accepted = (int, float) if kind is float else kind

@@ -5,6 +5,15 @@ integer powers ``^``, adjoint suffix ``'``.  Atoms are numbers (``2``,
 ``1.5``, ``3i``, ``i``), generator names (``U1..Um`` or ``U``/``V``/``W``),
 parenthesized expressions, commutator brackets ``[x, y]``, ``delta(x)`` and
 ``theta_hat(s, t, x)``.
+
+AST: :func:`parse` builds a tree of twelve node classes (``Num``, ``Gen``,
+``Adj``, ``Pow``, ``Neg``, ``Mul``, ``Add``, ``Sub``, ``Wedge``, ``Comm``,
+``Delta``, ``ThetaHat``) and :func:`to_text` renders one back.  A node is
+built from its fields by position or keyword, cannot be assigned to, equals
+and hashes alike with a node of its class with equal fields, and prints as
+``Add(left=Gen(name='U'), right=Num(value=2j))``.  The classes share one
+tuple base and generate no code at import; as frozen dataclasses, which
+write out and exec five methods each, they took half of ncdiff's import.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .carrier import commutator
 from .forms import DifferentialBasis, DifferentialForm, delta as form_delta, wedge as form_wedge
@@ -31,72 +40,93 @@ class EvalError(ValueError):
 
 # -- AST ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: complex
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
+class _Node(tuple):
+    """The tuple of a node's class and its fields.
+
+    A subclass names its fields by the parameters of its ``__new__``, which
+    builds the tuple, and reads them by name.  Leading with the class lets
+    tuple equality and hashing, in C, tell ``Add(x, y)`` from ``Sub(x, y)``.
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__new__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        for i, name in enumerate(cls.__match_args__, 1):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self[1:]))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getnewargs__(self):
+        return self[1:]
 
 
-@dataclass(frozen=True)
-class Adj:
-    arg: object
+class Num(_Node):
+    def __new__(cls, value: complex):
+        return _new_tuple(cls, (cls, value))
 
 
-@dataclass(frozen=True)
-class Pow:
-    arg: object
-    exponent: int
+class Gen(_Node):
+    def __new__(cls, name: str):
+        return _new_tuple(cls, (cls, name))
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Adj(_Node):
+    def __new__(cls, arg):
+        return _new_tuple(cls, (cls, arg))
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Pow(_Node):
+    def __new__(cls, arg, exponent: int):
+        return _new_tuple(cls, (cls, arg, exponent))
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Neg(_Node):
+    def __new__(cls, arg):
+        return _new_tuple(cls, (cls, arg))
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Mul(_Node):
+    def __new__(cls, left, right):
+        return _new_tuple(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class Wedge:
-    left: object
-    right: object
+class Add(_Node):
+    def __new__(cls, left, right):
+        return _new_tuple(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class Comm:
-    left: object
-    right: object
+class Sub(_Node):
+    def __new__(cls, left, right):
+        return _new_tuple(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class Delta:
-    arg: object
+class Wedge(_Node):
+    def __new__(cls, left, right):
+        return _new_tuple(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class ThetaHat:
-    s: float
-    t: float
-    arg: object
+class Comm(_Node):
+    def __new__(cls, left, right):
+        return _new_tuple(cls, (cls, left, right))
+
+
+class Delta(_Node):
+    def __new__(cls, arg):
+        return _new_tuple(cls, (cls, arg))
+
+
+class ThetaHat(_Node):
+    def __new__(cls, s: float, t: float, arg):
+        return _new_tuple(cls, (cls, s, t, arg))
 
 
 # -- lexer ---------------------------------------------------------------------

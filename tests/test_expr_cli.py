@@ -702,3 +702,11 @@ def test_small_graph_operands_never_take_the_array_routes(monkeypatch, tmp_path)
         assert rc == 0 and err == "" and out == reference[" ".join(argv)], argv
         ran += 1
     assert ran == 5
+
+
+@pytest.mark.parametrize("key", ["load", "__doc__", "__class__"])
+def test_cli_config_takes_only_the_settings(tmp_path, spec_file, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "x"}))
+    rc, _, err = run_cli(["--config", str(cfg), "eval", "--spec", spec_file, "U"])
+    assert rc == 2 and f"unknown config key {key!r}" in err
