@@ -287,6 +287,8 @@ class GraphElement(HeldTerms):
         return list(self.terms), list(self.terms.values())
 
     def _from_keys(self, keys, coeffs) -> "GraphElement":
+        if isinstance(coeffs, np.ndarray):
+            coeffs = coeffs.tolist()  # Python complex, as every other route holds
         return self._over({k: c for k, c in zip(keys, coeffs) if not abs(c) <= PRUNE_EPSILON})
 
     def _encode(self):

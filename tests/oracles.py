@@ -12,16 +12,23 @@ reads two Schur symbols).  The sampled audit's random draws and the seeded
 inputs of the selftest battery are also drawn here afresh on every call (the
 library holds its last seeded draw of each).
 Superoperators act on row-major vectorized matrices.
+
+The operands and comparisons that the route tests of both term carriers
+share are here too: seeded operands, copies held as a dict only or as
+arrays only, and term-by-term comparisons, bit for bit or within a bound.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 import scipy.linalg
 
 from ncdiff import graph_algebra, qlattice
 from ncdiff.forms import DifferentialBasis, DifferentialForm
-from ncdiff.graph_algebra import GraphElement
+from ncdiff.graph_algebra import GraphElement, Path, common_range_pairs
 from ncdiff.matrix_algebra import MatElement
 from ncdiff.qlattice import QElement, torus_spec
 from ncdiff.testing import default_carriers, random_form, random_qelement
@@ -194,3 +201,105 @@ def carre_inputs():
         c = random_qelement(torus, rng)
         pairs.append((a, c))
     return basis, pairs
+
+
+# -- operands and comparisons of the route tests ------------------------------
+
+def q_element(spec, rng, max_exp: int, n_terms: int) -> QElement:
+    """Element with exactly ``n_terms`` monomials, exponents in [-max_exp, max_exp];
+    ValueError, before any draw, when the box holds fewer exponents."""
+    m = spec.generator_count
+    if n_terms > (2 * max_exp + 1) ** m:
+        raise ValueError(f"{n_terms} terms do not fit in [-{max_exp}, {max_exp}]^{m}")
+    terms = {}
+    while len(terms) < n_terms:
+        e = tuple(rng.integers(-max_exp, max_exp + 1, m).tolist())
+        terms[e] = complex(*rng.standard_normal(2))
+    return QElement(spec, terms)
+
+
+def box_for(spec, n_terms: int) -> int:
+    """Largest exponent K whose box [-K, K]^m holds about twice ``n_terms``
+    exponents, so that two random operands share many of them."""
+    return max(1, math.ceil(((2 * n_terms) ** (1 / spec.generator_count) - 1) / 2))
+
+
+def graph_operand(graph, rng, n: int, max_len: int = 4) -> GraphElement:
+    """Every vertex-only term, then distinct random term keys: n terms, or
+    every key of length at most ``max_len`` when there are fewer."""
+    pairs = common_range_pairs(graph, max_len)
+    vertex_only = [i for i, (mu, nu) in enumerate(pairs) if not mu.edges and not nu.edges]
+    rest = [i for i in range(len(pairs)) if i not in vertex_only]
+    n = min(n, len(pairs))
+    idx = vertex_only[:n] + list(rng.choice(rest, n - len(vertex_only[:n]), replace=False))
+    coeffs = rng.standard_normal((n, 2))
+    return GraphElement(graph, {pairs[i]: complex(*c) for i, c in zip(idx, coeffs)})
+
+
+def wide_operand(graph, rng, n: int, max_len: int) -> GraphElement:
+    """n terms (mu, nu) of random words of length 0..max_len in the edges
+    e61-e63 of a one-vertex graph with vertex o."""
+    o = graph.vertex_path("o")
+    terms = {}
+    while len(terms) < n:
+        mu, nu = (graph.path([f"e{e}" for e in rng.integers(61, 64, k)]) if k else o
+                  for k in rng.integers(0, max_len + 1, 2))
+        terms[(mu, nu)] = complex(*rng.standard_normal(2))
+    return GraphElement(graph, terms)
+
+
+def dict_only(x):
+    """A copy of the term element x held as a dict only."""
+    return x._like(x.terms)
+
+
+def held(x):
+    """A copy of the term element x held as arrays only, as the array routes
+    return elements; x itself is left as it is."""
+    return x._held(*dict_only(x)._arrays())
+
+
+def route_cases(a, b) -> list:
+    """(a, b) held as arrays, as dicts, and mixed."""
+    return [(held(a), held(b)), (dict_only(a), dict_only(b)),
+            (held(a), dict_only(b)), (dict_only(a), held(b))]
+
+
+_KEY_PARTS = {QElement: int, GraphElement: Path}
+
+
+def assert_python_terms(x):
+    """Keys of Python ints (an exponent row) or Paths (mu, nu) with one
+    range, and Python complex coefficients, however x holds its terms."""
+    part = _KEY_PARTS[type(x)]
+    for key, c in x.terms.items():
+        assert type(key) is tuple and all(type(v) is part for v in key), key
+        assert part is int or key[0].range == key[1].range, key
+        assert type(c) is complex, (key, type(c))
+
+
+def assert_same_terms(got, want):
+    """Equal keys and exactly equal coefficients, zero signs included; a nan
+    stands where the oracle has one."""
+    assert_python_terms(got)
+    assert set(got.terms) == set(want.terms)
+    for k, c in want.terms.items():
+        g = got.terms[k]
+        assert (g == c and math.copysign(1, g.real) == math.copysign(1, c.real)
+                and math.copysign(1, g.imag) == math.copysign(1, c.imag)
+                or cmath.isnan(c) and cmath.isnan(g)), (k, g, c)
+
+
+def assert_close_terms(got, want, tol: float = 1e-13, low: float = 1.0,
+                       high: float = math.inf):
+    """Equal keys and each coefficient within ``tol`` min(high, max(low, |c|))
+    of the oracle's c: by default relative above modulus 1 and absolute below
+    it.  A nan stands where the oracle has one."""
+    assert_python_terms(got)
+    assert set(got.terms) == set(want.terms)
+    for k, c in want.terms.items():
+        g = got.terms[k]
+        if cmath.isnan(c):
+            assert cmath.isnan(g), k
+        else:
+            assert abs(g - c) <= tol * min(high, max(low, abs(c))), (k, g, c)

@@ -23,6 +23,7 @@ from ncdiff.testing import (default_carriers, loop_graph, random_form, random_gr
                             random_matelement, random_qelement, star_tree)
 
 from conftest import MU, NU, THETA
+from oracles import q_element
 
 # operand sizes on both sides of the array cut
 LOOP_SIZES = (1, 5, _ARRAY_TERMS)
@@ -31,16 +32,6 @@ ARRAY_SIZES = (_ARRAY_TERMS + 1, 300)
 
 def _bits(x):
     return {k: (v.real.hex(), v.imag.hex()) for k, v in x.terms.items()}
-
-
-def _operand(spec, rng, n, max_exp=12):
-    """An element with exactly n terms."""
-    m = spec.generator_count
-    terms = {}
-    while len(terms) < n:
-        e = tuple(int(v) for v in rng.integers(-max_exp, max_exp + 1, m))
-        terms[e] = complex(*rng.standard_normal(2))
-    return QElement(spec, terms)
 
 
 def _q_bases():
@@ -70,11 +61,11 @@ def test_monomial_ad_matches_commutator(basis, rng):
     spec = basis.scaled[0].spec
     for act, x in _each_ad(basis):
         for n in LOOP_SIZES:
-            a = _operand(spec, rng, n)
+            a = q_element(spec, rng, 12, n)
             # the keys and every bit of every coefficient, signed zeros too
             assert _bits(act(a)) == _bits(commutator(x, a))
         for n in ARRAY_SIZES:
-            a = _operand(spec, rng, n)
+            a = q_element(spec, rng, 12, n)
             got, want = act(a), commutator(x, a)
             assert set(got.terms) == set(want.terms)
             assert all(type(v) is int for e in got.terms for v in e)
@@ -89,9 +80,9 @@ def test_monomial_ad_routes(rng, monkeypatch):
     # the array route reads the operand's keys
     keyed = QElement.keyed
     monkeypatch.setattr(QElement, "keyed", lambda a: entered.append(1) or keyed(a))
-    act(_operand(spec, rng, _ARRAY_TERMS))
+    act(q_element(spec, rng, 12, _ARRAY_TERMS))
     assert not entered
-    act(_operand(spec, rng, _ARRAY_TERMS + 1))
+    act(q_element(spec, rng, 12, _ARRAY_TERMS + 1))
     assert entered == [1]
 
 
@@ -99,7 +90,7 @@ def test_monomial_ad_routes(rng, monkeypatch):
 def test_monomial_ad_keeps_nan(n, rng):
     spec = heisenberg_spec(MU, NU)
     x = QElement.monomial(spec, (0, 1, 1), 0.5 + 1j)
-    a = _operand(spec, rng, n)
+    a = q_element(spec, rng, 12, n)
     e0 = next(iter(a.terms))
     a = QElement(spec, {**a.terms, e0: complex(math.nan, 0.0)})
     got, want = x.ad()(a), commutator(x, a)
@@ -115,7 +106,7 @@ def test_monomial_ad_raises_on_overflowing_moduli(n, rng):
     # raises from abs, and the weights of the array route raise as it does
     spec = QAlgebraSpec(np.zeros((3, 3)))  # no phases, so no part overflows
     x = QElement.monomial(spec, (0, 1, 1), 1e308 + 1e308j)
-    a = QElement(spec, {e: 1.5 for e in _operand(spec, rng, n).terms})
+    a = QElement(spec, {e: 1.5 for e in q_element(spec, rng, 12, n).terms})
     for y in (a, a._from_keys(*a.keyed())):
         with pytest.raises(OverflowError):
             x.ad()(y)
@@ -127,7 +118,7 @@ def test_monomial_ad_raises_on_overflowing_moduli(n, rng):
 def test_monomial_ad_huge_theta_gives_nan_without_warnings(n, rng):
     spec = torus_spec(1e308)
     x = QElement.generator(spec, 2)
-    a = _operand(spec, rng, n)
+    a = q_element(spec, rng, 12, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = x.ad()(a)
@@ -142,7 +133,7 @@ def test_monomial_ad_exponents_beyond_int64(rng):
     big = 2 ** 63
     x = QElement.monomial(spec, (big, 1), 2j)
     for n in (3, 100):
-        a = _operand(spec, rng, n)
+        a = q_element(spec, rng, 12, n)
         assert _bits(x.ad()(a)) == _bits(commutator(x, a))
     a = QElement(spec, {(big + k, k): 1.0 + k for k in range(60)})
     assert _bits(QElement.generator(spec, 2).ad()(a)) == \

@@ -578,11 +578,6 @@ def _carre_bases():
             "torus2n {U1, U3}": DifferentialBasis([U1, U3])}
 
 
-def _held(x):
-    """A copy of x held as arrays only, as the array routes return elements."""
-    return x._from_keys(*x.keyed())
-
-
 def _assert_within(got, want, rel):
     """Every coefficient of ``got`` within ``rel`` |want| of ``want``'s, over
     both key sets: a difference of elements would prune what is below 1e-12."""
@@ -602,7 +597,7 @@ def test_one_pass_carre_du_champ_matches_the_formula(label, rng):
         a, c = random_qelement(spec, rng, 6, n_a), random_qelement(spec, rng, 6, n_c)
         assert a._size() * c._size() > ql._ARRAY_PAIRS
         want = D._carre_by_products(a, c, basis)
-        for x, y in ((a, c), (_held(a), c), (a, _held(c)), (_held(a), _held(c))):
+        for x, y in oracles.route_cases(a, c):
             got = D._carre_in_one_pass(x, y, basis)
             assert got is not None and got._terms is None
             _assert_within(got, want, 1e-13)

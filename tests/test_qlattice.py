@@ -19,7 +19,11 @@ from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError,
 from ncdiff.testing import random_qelement
 
 from conftest import MU, NU, THETA
-from oracles import loop_product
+from oracles import (assert_close_terms, box_for, dict_only, held, loop_product,
+                     q_element)
+import test_carrier as contract
+from test_carrier import (HEISENBERG, Q_CASES, TORUS, QCase, array_product_matches_loop,
+                          contract_test)
 
 
 def test_spec_validation():
@@ -356,30 +360,6 @@ def test_pruning():
 
 # -- the array route of the product -------------------------------------------
 
-def _element(spec, rng, max_exp, n_terms):
-    """Element with exactly ``n_terms`` monomials, exponents in [-max_exp, max_exp];
-    ValueError, before any draw, when the box holds fewer exponents."""
-    m = spec.generator_count
-    if n_terms > (2 * max_exp + 1) ** m:
-        raise ValueError(f"{n_terms} terms do not fit in [-{max_exp}, {max_exp}]^{m}")
-    terms = {}
-    while len(terms) < n_terms:
-        e = tuple(rng.integers(-max_exp, max_exp + 1, m).tolist())
-        terms[e] = complex(*rng.standard_normal(2))
-    return QElement(spec, terms)
-
-
-def _assert_array_matches_loop(a, b):
-    got = _array_product(a, b)
-    want = loop_product(a, b)
-    assert set(got.terms) == set(want.terms)
-    assert all(type(x) is int for e in got.terms for x in e)
-    assert all(type(c) is complex for c in got.terms.values())
-    for e, c in want.terms.items():
-        assert abs(got.terms[e] - c) <= 1e-13, e
-    return got
-
-
 NO_ANGLES = QAlgebraSpec(np.zeros((3, 3)), label="commutative")
 
 
@@ -390,43 +370,19 @@ NO_ANGLES = QAlgebraSpec(np.zeros((3, 3)), label="commutative")
     (NO_ANGLES, 4, [(16, 17), (200, 100)]),
 ])
 def test_array_product_matches_loop(spec, max_exp, sizes, rng):
-    for p, r in sizes:
-        a, b = _element(spec, rng, max_exp, p), _element(spec, rng, max_exp, r)
-        _assert_array_matches_loop(a, b)
-        _assert_array_matches_loop(b, a)
+    contract.products_match_the_loop(QCase(spec.label, spec, max_exp), sizes, rng)
 
 
-@pytest.mark.parametrize("prune_epsilon", [1e-12, 0.0, -1.0])
-def test_array_product_prunes_exact_cancellations(prune_epsilon):
-    # (1 + U + ... + U^{n-1})(V - U V) = V - U^n V: every inner term cancels exactly
-    spec = QAlgebraSpec(torus_spec(THETA).theta, prune_epsilon=prune_epsilon)
-    n = 300
-    a = QElement(spec, {(k, 0): 1.0 for k in range(n)})
-    b = QElement(spec, {(0, 1): 1.0, (1, 1): -1.0})
-    got = _assert_array_matches_loop(a, b)
-    want_keys = {(0, 1), (n, 1)} if prune_epsilon >= 0 else {(k, 1) for k in range(n + 1)}
-    assert set(got.terms) == want_keys
+test_array_product_prunes_exact_cancellations = contract_test(
+    contract.product_prunes_exact_cancellations, TORUS, prune_epsilon=[1e-12, 0.0, -1.0])
 
 
-def test_array_product_keeps_nan(rng):
-    spec = heisenberg_spec(MU, NU)
-    a, b = _element(spec, rng, 3, 20), _element(spec, rng, 3, 20)
-    e0 = next(iter(a.terms))
-    a = QElement(spec, {**a.terms, e0: complex(math.nan, 0.0)})
-    got, want = _array_product(a, b), loop_product(a, b)
-    assert set(got.terms) == set(want.terms)
-    nan_keys = {e for e, c in want.terms.items() if cmath.isnan(c)}
-    assert nan_keys == {tuple(x + y for x, y in zip(e0, f)) for f in b.terms}
-    assert nan_keys == {e for e, c in got.terms.items() if cmath.isnan(c)}
-    assert math.isnan((a * b).norm())
+def test_array_product_keeps_nan(heisenberg, rng):
+    contract.product_keeps_nan(HEISENBERG, *(q_element(heisenberg, rng, 3, 20) for _ in range(2)))
 
 
 def test_array_product_empty_operand(heisenberg, rng):
-    a = _element(heisenberg, rng, 3, 40)
-    zero = QElement.zero(heisenberg)
-    assert _array_product(a, zero).terms == {}
-    assert _array_product(zero, a).terms == {}
-    assert (zero * a).terms == {} and (a * zero).terms == {}
+    contract.product_of_empty_operand(HEISENBERG, q_element(heisenberg, rng, 3, 40))
 
 
 @pytest.mark.parametrize("spec, max_exp", [
@@ -438,19 +394,19 @@ def test_array_product_empty_operand(heisenberg, rng):
     (torus_spec(THETA), 2 ** 63 - 1),        # exponents beyond int64 sums: the pair loop
 ])
 def test_array_product_wide_boxes(spec, max_exp, rng):
-    a, b = _element(spec, rng, max_exp, 40), _element(spec, rng, max_exp, 30)
-    _assert_array_matches_loop(a, b)
+    a, b = q_element(spec, rng, max_exp, 40), q_element(spec, rng, max_exp, 30)
+    array_product_matches_loop(QCase, a, b)
     # terms that merge in a wide box: a progression along the diagonal
     a = QElement(spec, {(k * max_exp,) * spec.generator_count: 1.0 + 0.5j * k
                         for k in range(-3, 4)})
-    assert len(_assert_array_matches_loop(a, a).terms) == 13
+    assert len(array_product_matches_loop(QCase, a, a).terms) == 13
 
 
 def test_array_product_never_allocates_the_box():
     # 100 x 100 pairs in a box of 1201^2 codes: dense bins would take ~24 MB
     spec = torus_spec(THETA)
     rng = np.random.default_rng(5)
-    a, b = _element(spec, rng, 300, 100), _element(spec, rng, 300, 100)
+    a, b = q_element(spec, rng, 300, 100), q_element(spec, rng, 300, 100)
     tracemalloc.start()
     try:
         _array_product(a, b)
@@ -461,15 +417,9 @@ def test_array_product_never_allocates_the_box():
 
 
 def test_small_products_stay_on_the_loop(torus, rng, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("array route entered")
-    monkeypatch.setattr(qlattice, "_array_product", refuse)
     U, V = QElement.generator(torus, 1), QElement.generator(torus, 2)
-    assert set((U * V).terms) == {(1, 1)}
-    a, b = _element(torus, rng, 6, 16), _element(torus, rng, 6, 16)
-    a * b  # 256 pairs: at the cut
-    with pytest.raises(AssertionError, match="array route"):
-        a * _element(torus, rng, 6, 17)
+    contract.small_products_stay_on_the_loop(
+        TORUS, monkeypatch, U, V, {(1, 1)}, *(q_element(torus, rng, 6, n) for n in (16, 16, 17)))
 
 
 # -- the phase table of products above one chunk ------------------------------
@@ -502,17 +452,17 @@ def _assert_same_bytes(got, want):
 def test_phase_table_matches_the_per_chunk_route(spec, max_exp, sizes, rng):
     # 65 x 64 pairs are just above one chunk of 4,096
     for p, r in sizes:
-        a, b = _element(spec, rng, max_exp, p), _element(spec, rng, max_exp, r)
+        a, b = q_element(spec, rng, max_exp, p), q_element(spec, rng, max_exp, r)
         for x, y in ((a, b), (b, a)):
             got, want, built = _table_and_chunk_products(x, y)
             assert len(built) == 1 and built[0] is not None
             _assert_same_bytes(got, want)
             if p * r <= 300 * 300:
-                _assert_array_matches_loop(x, y)
+                array_product_matches_loop(QCase, x, y)
 
 
 def test_one_chunk_products_build_no_table(heisenberg, rng):
-    a, b = _element(heisenberg, rng, 4, 64), _element(heisenberg, rng, 4, 64)
+    a, b = q_element(heisenberg, rng, 4, 64), q_element(heisenberg, rng, 4, 64)
     got, want, built = _table_and_chunk_products(a, b)
     assert not built
     _assert_same_bytes(got, want)
@@ -524,7 +474,7 @@ def test_phase_table_on_zero_angles(rng):
     spec = torus_spec(-THETA)
     flat = QAlgebraSpec(np.zeros((2, 2)))
     a = QElement(spec, {(k, 0): complex(*rng.standard_normal(2)) for k in range(-40, 41)})
-    b = _element(spec, rng, 6, 90)
+    b = q_element(spec, rng, 6, 90)
     c = QElement(spec, {(0, k): complex(*rng.standard_normal(2)) for k in range(-40, 41)})
     for x, y in ((a, b), (b, c), (a, c)):
         got, want, built = _table_and_chunk_products(x, y)
@@ -532,18 +482,18 @@ def test_phase_table_on_zero_angles(rng):
         _assert_same_bytes(got, want)
         _assert_same_bytes(got, _array_product(QElement(flat, x.terms), QElement(flat, y.terms)))
     # zero angles mixed with nonzero ones
-    d = QElement(spec, {**a.terms, **_element(spec, rng, 6, 40).terms})
+    d = QElement(spec, {**a.terms, **q_element(spec, rng, 6, 40).terms})
     got, want, built = _table_and_chunk_products(d, b)
     assert built[0][3].any() and not built[0][3].all()
     _assert_same_bytes(got, want)
-    _assert_array_matches_loop(d, b)
+    array_product_matches_loop(QCase, d, b)
 
 
 def test_phase_table_overflowing_angles(rng):
     # angles of 1e308 times exponents overflow to inf and give nan phases,
     # without a warning
     spec = QAlgebraSpec([[0.0, -1e308], [1e308, 0.0]])
-    a, b = _element(spec, rng, 6, 100), _element(spec, rng, 6, 100)
+    a, b = q_element(spec, rng, 6, 100), q_element(spec, rng, 6, 100)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got, want, built = _table_and_chunk_products(a, b)
@@ -555,11 +505,11 @@ def test_phase_table_overflowing_angles(rng):
 
 def test_phase_table_declines_a_grid_wider_than_a_chunk(torus, rng):
     # exponent classes of 201 x 201 values: the per-chunk route
-    a, b = _element(torus, rng, 100, 80), _element(torus, rng, 100, 80)
+    a, b = q_element(torus, rng, 100, 80), q_element(torus, rng, 100, 80)
     got, want, built = _table_and_chunk_products(a, b)
     assert built == [None]
     _assert_same_bytes(got, want)
-    _assert_array_matches_loop(a, b)
+    array_product_matches_loop(QCase, a, b)
 
 
 def test_phase_table_with_sorted_codes(torus, rng):
@@ -576,12 +526,12 @@ def test_phase_table_with_sorted_codes(torus, rng):
     got, want, built = _table_and_chunk_products(a, b)
     assert len(built) == 1 and len(built[0][2]) == 49
     _assert_same_bytes(got, want)
-    _assert_array_matches_loop(a, b)
+    array_product_matches_loop(QCase, a, b)
 
 
 def test_phase_table_never_allocates_the_pair_grid(heisenberg, rng):
     # 600 x 600 pairs: phases for all of them at once would take 5.8 MB
-    a, b = _element(heisenberg, rng, 4, 600), _element(heisenberg, rng, 4, 600)
+    a, b = q_element(heisenberg, rng, 4, 600), q_element(heisenberg, rng, 4, 600)
     tracemalloc.start()
     try:
         _array_product(a, b)
@@ -593,110 +543,18 @@ def test_phase_table_never_allocates_the_pair_grid(heisenberg, rng):
 
 # -- the array routes of sums, negation, scaling, adjoints and norms ----------
 
-ROUTE_SPECS = [torus_spec(THETA), heisenberg_spec(MU, NU), torus_spec_2n([0.3, 1.1])]
 ROUTE_SIZES = [qlattice._ARRAY_TERMS + 1, 100, 500, 2000]
-LIFTED = 10 ** 9
 
-
-def _box_for(spec, n_terms):
-    """Largest exponent K whose box [-K, K]^m holds about twice ``n_terms``
-    exponents, so that two random operands share many of them."""
-    return max(1, math.ceil(((2 * n_terms) ** (1 / spec.generator_count) - 1) / 2))
-
-
-def _held(x):
-    """A copy of x held as arrays only, as the array routes return elements."""
-    return x._from_keys(*x.keyed())
-
-
-def _dict_only(x):
-    """A copy of x held as a dict only."""
-    return QElement(x.spec, x.terms)
-
-
-def _loop_route(f, *xs):
-    """f on dict-only copies of xs with every cut lifted: the loops, the oracle."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qlattice, "_ARRAY_TERMS", LIFTED)
-        mp.setattr(qlattice, "_ARRAY_PAIRS", LIFTED)
-        return f(*(_dict_only(x) for x in xs))
-
-
-def _assert_python_terms(x):
-    assert all(type(e) is tuple and all(type(v) is int for v in e) for e in x.terms)
-    assert all(type(c) is complex for c in x.terms.values())
-
-
-def _assert_same_terms(got, want):
-    """Equal keys and exactly equal coefficients (== ignores a zero's sign);
-    a nan stands where the oracle has one."""
-    _assert_python_terms(got)
-    assert set(got.terms) == set(want.terms)
-    for e, c in want.terms.items():
-        assert got.terms[e] == c or cmath.isnan(c) and cmath.isnan(got.terms[e]), e
-
-
-def _assert_close_terms(got, want, tol=1e-13):
-    """Equal keys and coefficients within ``tol`` (relative above modulus 1)."""
-    _assert_python_terms(got)
-    assert set(got.terms) == set(want.terms)
-    for e, c in want.terms.items():
-        if cmath.isnan(c):
-            assert cmath.isnan(got.terms[e]), e
-        else:
-            assert abs(got.terms[e] - c) <= tol * max(1.0, abs(c)), e
-
-
-def _operand_pair(spec, rng, n_terms):
-    """Two operands of ``n_terms`` terms sharing many exponents; on a quarter
-    of the shared ones, b is exactly -a, so a + b cancels there."""
-    K = _box_for(spec, n_terms)
-    a, b = _element(spec, rng, K, n_terms), _element(spec, rng, K, n_terms)
-    shared = sorted(set(a.terms) & set(b.terms))
-    cancel = {e: -a.terms[e] for e in shared[::4]}
-    return a, QElement(spec, {**b.terms, **cancel})
-
-
-def _route_cases(a, b):
-    """(a, b) held as arrays, as dicts, and mixed."""
-    return [(_held(a), _held(b)), (_dict_only(a), _dict_only(b)),
-            (_held(a), _dict_only(b)), (_dict_only(a), _held(b))]
-
-
-@pytest.mark.parametrize("n_terms", ROUTE_SIZES)
-@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
-def test_array_sums_match_the_loop(spec, n_terms, rng):
-    a, b = _operand_pair(spec, rng, n_terms)
-    want = {"a+b": _loop_route(lambda x, y: x + y, a, b),
-            "a-b": _loop_route(lambda x, y: x - y, a, b),
-            "b-a": _loop_route(lambda x, y: y - x, a, b)}
-    assert len(want["a+b"].terms) < len(set(a.terms) | set(b.terms))  # some cancel
-    for x, y in _route_cases(a, b):
-        got = {"a+b": x + y, "a-b": x - y, "b-a": y - x}
-        for key, out in got.items():
-            # two operands held as arrays send the sum to the array route
-            assert bool(out._keyed) == bool(x._keyed and y._keyed)
-            _assert_same_terms(out, want[key])
-
-
-@pytest.mark.parametrize("n_terms", ROUTE_SIZES)
-@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
-def test_array_unary_routes_match_the_loop(spec, n_terms, rng):
-    a = _element(spec, rng, _box_for(spec, n_terms), n_terms)
-    neg = _loop_route(lambda x: -x, a)
-    scaled = [_loop_route(lambda x: x.scale(c), a) for c in (0.3 - 1.7j, 2, -1e-13)]
-    adj = _loop_route(lambda x: x.adjoint(), a)
-    norm = _loop_route(lambda x: x.norm(), a)
-    for x in (_held(a), _dict_only(a)):
-        _assert_same_terms(-x, neg)
-        for c, want in zip((0.3 - 1.7j, 2, -1e-13), scaled):
-            _assert_close_terms(x.scale(c), want)
-        got = x.adjoint()
-        assert got._keyed  # the array route ran
-        _assert_close_terms(got, adj)
-        _assert_close_terms(got.adjoint(), a)
-        assert abs(x.norm() - norm) <= 1e-13 * norm
-    assert len(scaled[2].terms) < n_terms  # the small scale prunes some terms
+# the route contract of tests/test_carrier.py on the q-lattice cases
+test_array_sums_match_the_loop = contract_test(
+    contract.sums_match_the_loop, Q_CASES, n_terms=ROUTE_SIZES)
+test_array_unary_routes_match_the_loop = contract_test(
+    contract.unary_routes_match_the_loop, Q_CASES, n_terms=ROUTE_SIZES)
+test_held_products_match_the_loop = contract_test(contract.held_products_match_the_loop, Q_CASES)
+test_mixed_representation_chains_match_the_loop = contract_test(
+    contract.mixed_chains_match_the_loop, Q_CASES)
+test_array_routes_prune_as_the_loop = contract_test(
+    contract.routes_prune_as_the_loop, TORUS, prune_epsilon=[1e-12, 0.0, -1.0])
 
 
 @pytest.mark.parametrize("spec, gens", [
@@ -710,126 +568,48 @@ def test_array_laplacian_and_heat_match_the_loop(spec, gens, rng):
 
     basis = DifferentialBasis([QElement.generator(spec, g).scale(0.8 + 0.3j) for g in gens])
     for n_terms in ROUTE_SIZES:
-        a = _element(spec, rng, _box_for(spec, n_terms), n_terms)
-        want = _loop_route(lambda x: laplacian(x, basis), a)
-        for x in (_held(a), _dict_only(a)):
+        a = q_element(spec, rng, box_for(spec, n_terms), n_terms)
+        want = QCase.loop_route(lambda x: laplacian(x, basis), a)
+        for x in (held(a), dict_only(a)):
             got = laplacian(x, basis)
             assert got.keyed() is not None
-            _assert_close_terms(got, want)
+            assert_close_terms(got, want)
             heat = heat_semigroup(x, 0.3, basis)
             # Delta is diagonal on monomials: e^{-t Delta} decays each term alone
             decay = {e: c * math.exp(-0.3 * (want.terms.get(e, 0j) / c).real)
                      for e, c in a.terms.items()}
-            _assert_close_terms(heat, QElement(spec, decay))
+            assert_close_terms(heat, QElement(spec, decay))
 
 
-@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
-def test_mixed_representation_chains_match_the_loop(spec, rng):
-    K = _box_for(spec, 60)
-    x = _element(spec, rng, K, 40)               # a dict, above the cut
-    y = _held(_element(spec, rng, K, 60))        # arrays
-    z = _element(spec, rng, K, 5)                # a small dict
-    w = _held(_element(spec, rng, K, 3))         # small arrays
-
-    def chain(x, y, z, w):
-        xy = x * y
-        return ((xy * z - y.adjoint() * x.scale(0.5j) + (w * z) * (x + y)).adjoint()
-                - (z * w) * xy + w * w)
-    _assert_close_terms(chain(x, y, z, w), _loop_route(chain, x, y, z, w))
-
-
-@pytest.mark.parametrize("prune_epsilon", [1e-12, 0.0, -1.0])
-def test_array_routes_prune_as_the_loop(prune_epsilon, rng):
-    spec = QAlgebraSpec(torus_spec(THETA).theta, prune_epsilon=prune_epsilon)
-    a = QElement(spec, {(k, k % 3): complex(k + 1, -k) for k in range(50)})
-    b = QElement(spec, {(k, k % 3): complex(-k - 1, k + (k % 2) * 1e-13) for k in range(50)})
-    cases = {"sum": lambda x, y: x + y, "difference": lambda x, y: x - y,
-             "zero scale": lambda x, y: x.scale(0), "tiny scale": lambda x, y: y.scale(1e-12),
-             "adjoint": lambda x, y: (x + y).adjoint()}
-    for name, f in cases.items():
-        want = _loop_route(f, a, b)
-        for x, y in _route_cases(a, b):
-            _assert_close_terms(f(x, y), want)
-    kept = len((_held(a) + _held(b)).terms)
-    assert kept == {1e-12: 0, 0.0: 25, -1.0: 50}[prune_epsilon]
-
-
-def test_array_routes_keep_nan(rng):
-    spec = heisenberg_spec(MU, NU)
-    a = _element(spec, rng, 4, 60)
-    e0 = next(iter(a.terms))
-    a = QElement(spec, {**a.terms, e0: complex(math.nan, 1.0)})
-    b = _element(spec, rng, 4, 60)
-    for x in (_held(a), _dict_only(a)):
-        assert math.isnan(x.norm())
-        assert cmath.isnan((x + _held(b)).terms[e0])
-        assert cmath.isnan(x.adjoint().terms[tuple(-v for v in e0)])
-        assert cmath.isnan(x.scale(2j).terms[e0]) and cmath.isnan((-x).terms[e0])
-    _assert_same_terms(_held(a) - _held(b), _loop_route(lambda x, y: x - y, a, b))
+def test_array_routes_keep_nan(heisenberg, rng):
+    contract.routes_keep_nan(HEISENBERG, *(q_element(heisenberg, rng, 4, 60) for _ in range(2)))
 
 
 def test_array_routes_on_empty_operands(heisenberg, rng):
-    a = _held(_element(heisenberg, rng, 4, 60))
-    zero = QElement.zero(heisenberg)
-    held_zero = zero._from_keys(np.zeros((0, 3), np.int64), [])
-    for z in (zero, held_zero):
-        _assert_same_terms(a + z, a)
-        _assert_same_terms(z + a, a)
-        _assert_same_terms(z - a, -a)
-        assert (a - a).terms == {}
-        assert (z * a).terms == {} and (a * z).terms == {}
-    assert (held_zero + held_zero).terms == {} and held_zero.adjoint().terms == {}
-    assert held_zero.norm() == 0.0 and (-held_zero).norm() == 0.0
-    assert held_zero.scale(3).terms == {}
+    contract.routes_on_empty_operands(HEISENBERG, q_element(heisenberg, rng, 4, 60))
 
 
-def test_huge_exponents_stay_dicts():
-    spec = torus_spec(THETA)
-    big = QElement(spec, {(2 ** 62 + k, 1): 1.0 + k for k in range(40)})
-    huge = QElement(spec, {(2 ** 63 + k, -1): 1j * k for k in range(1, 41)})
-    small = QElement(spec, {(k, 1): 1.0 for k in range(40)})
-    for x in (big, huge):
-        assert x.keyed() is None and x._keyed is False
-        for f in (lambda x: x + small, lambda x: small - x, lambda x: -x,
-                  lambda x: x.scale(2), lambda x: x.adjoint(), lambda x: x * small):
-            got = f(x)
-            assert got.keyed() is None
-            _assert_close_terms(got, _loop_route(f, x))
-        assert x.norm() == _loop_route(lambda x: x.norm(), x)
+def test_huge_exponents_stay_dicts(rng):
+    contract.uncodable_stay_dicts(TORUS, rng)
     # exponents that fit int64 but reach 2**62 come back as a dict
+    small = QElement.zero(TORUS.parent)
     rows = np.array([[2 ** 62 + 5, 0]], dtype=np.int64)
     assert small._from_keys(rows, [2.0]).terms == {(2 ** 62 + 5, 0): 2 + 0j}
     assert small._from_keys(rows, [2.0]).keyed() is None
-    half = QElement(spec, {(2 ** 61 + k, 0): 1.0 for k in range(20)})
+    half = QElement(TORUS.parent, {(2 ** 61 + k, 0): 1.0 for k in range(20)})
     square = half * half  # 400 pairs, products reach 2**62
     assert square.keyed() is None
-    _assert_close_terms(square, loop_product(half, half))
+    assert_close_terms(square, loop_product(half, half))
 
 
 def test_terms_decoded_from_arrays_are_python_scalars(torus, rng, monkeypatch):
-    a = _element(torus, rng, 6, 60)
-    x = _held(a)
-    decoded = []
-    decode = QElement._decode
-    monkeypatch.setattr(QElement, "_decode", lambda self: decoded.append(1) or decode(self))
-    assert x.terms == a.terms and x.terms is x.terms and len(decoded) == 1  # once, then kept
-    assert type(x) is QElement and x.keyed() is x.keyed()
-    _assert_python_terms(x)
-    assert x.keyed()[0].flags.writeable is False and x.keyed()[1].flags.writeable is False
-    with pytest.raises(AttributeError):
-        x.no_such_attribute
+    x = contract.terms_decode_once(TORUS, q_element(torus, rng, 6, 60), monkeypatch)
+    assert x.keyed() is x.keyed()
 
 
 def test_held_elements_pickle(heisenberg, rng):
-    a, b = _element(heisenberg, rng, 4, 20), _element(heisenberg, rng, 4, 20)
-    x = a * b  # 400 pairs: the array route, held as arrays only
-    for y in (pickle.loads(pickle.dumps(x)), pickle.loads(pickle.dumps(_dict_only(x)))):
-        assert type(y) is QElement and y.spec.same_as(x.spec)
-        assert y.terms == x.terms
-        (E, c), (F, d) = y.keyed(), x.keyed()
-        assert np.array_equal(E, F) and np.array_equal(c, d)
-        assert not E.flags.writeable and not c.flags.writeable
-    _assert_same_terms(pickle.loads(pickle.dumps(x)) * b, x * b)
+    contract.held_elements_pickle(
+        HEISENBERG, *(q_element(heisenberg, rng, 4, 20) for _ in range(2)))
 
 
 def test_unpickled_spec_is_rebuilt():
@@ -844,15 +624,8 @@ def test_unpickled_spec_is_rebuilt():
 
 
 def test_small_sums_mix_arrays_and_dicts(heisenberg, rng):
-    # an operand held as arrays and a small dict take the loop, in either order
-    a, b = _element(heisenberg, rng, 2, 5), _element(heisenberg, rng, 2, 7)
-    for x, y in _route_cases(a, b):
-        _assert_same_terms(x + y, _loop_route(lambda u, v: u + v, a, b))
-        _assert_same_terms(y - x, _loop_route(lambda u, v: v - u, a, b))
-    from ncdiff.matrix_algebra import MatElement
-    with pytest.raises(TypeError):
-        _held(a) + MatElement(np.eye(2))
-    assert _held(a).__add__(1.5) is NotImplemented
+    contract.small_sums_mix_arrays_and_dicts(
+        HEISENBERG, *(q_element(heisenberg, rng, 2, n) for n in (5, 7)))
 
 
 # -- one exchange angle for products, adjoints and commutators ---------------
@@ -862,16 +635,17 @@ UNITARY_SIZES = [3, 10 ** 3, 10 ** 6, 10 ** 8]
 
 def _unit_monomials(spec, rng, max_exp):
     """40 distinct monomials with coefficient 1, exponents in [-max_exp, max_exp]."""
-    return QElement(spec, dict.fromkeys(_element(spec, rng, max_exp, 40).terms, 1.0))
+    return QElement(spec, dict.fromkeys(q_element(spec, rng, max_exp, 40).terms, 1.0))
 
 
-@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
-def test_monomials_are_unitary_at_every_exponent(spec, rng):
+@pytest.mark.parametrize("case", Q_CASES, ids=str)
+def test_monomials_are_unitary_at_every_exponent(case, rng):
+    spec = case.parent
     one = QElement.one(spec)
     for max_exp in UNITARY_SIZES:
         a = _unit_monomials(spec, rng, max_exp)
-        loop = _loop_route(lambda x: x.adjoint(), a)
-        for adj in (loop, _held(a).adjoint(), _dict_only(a).adjoint()):
+        loop = QCase.loop_route(lambda x: x.adjoint(), a)
+        for adj in (loop, held(a).adjoint(), dict_only(a).adjoint()):
             assert set(adj.terms) == {tuple(-x for x in e) for e in a.terms}
             for e in a.terms:
                 u = QElement.monomial(spec, e)
@@ -885,13 +659,14 @@ def test_monomials_are_unitary_at_every_exponent(spec, rng):
             assert abs(inner(u, u) - 1.0) <= 1e-15, (max_exp, e)
 
 
-@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=["torus", "heisenberg", "torus2n"])
-def test_monomial_products_take_the_one_angle(spec, rng):
+@pytest.mark.parametrize("case", Q_CASES, ids=str)
+def test_monomial_products_take_the_one_angle(case, rng):
+    spec = case.parent
     for max_exp in UNITARY_SIZES:
         a = _unit_monomials(spec, rng, max_exp)
         f = tuple(rng.integers(-max_exp, max_exp + 1, spec.generator_count).tolist())
         b = QElement.monomial(spec, f)
-        on_grid = _array_product(_held(a), _held(b))
+        on_grid = _array_product(held(a), held(b))
         for e in a.terms:
             want = cmath.exp(1j * qlattice._angle(spec, e, f))
             g = tuple(x + y for x, y in zip(e, f))
@@ -901,5 +676,5 @@ def test_monomial_products_take_the_one_angle(spec, rng):
 
 def test_element_helper_rejects_a_box_too_small(torus, rng):
     with pytest.raises(ValueError):
-        _element(torus, rng, 1, 10)
-    assert len(_element(torus, rng, 1, 9).terms) == 9
+        q_element(torus, rng, 1, 10)
+    assert len(q_element(torus, rng, 1, 9).terms) == 9
