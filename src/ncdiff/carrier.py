@@ -134,16 +134,17 @@ class Normed:
         moves; an optional ``lam(keys)`` gives |weights|^2 at unit coeffs."""
         return None
 
-    def ad(self):
+    def ad(self, _act=None):
         """The map a -> [self, a]: ``diagonal_action`` on the keys of an
         operand of this carrier after ``_check``, else :func:`commutator`,
-        so that foreign operands raise as they do in a product.
+        so that foreign operands raise as they do in a product.  ``_act``,
+        when given, is that action, computed with those of a whole family.
 
         ``ad.into(acc, a, sign)`` is the raw accumulator ``acc`` (new for None)
         plus sign [self, a], bit for bit as elements sum, or None for an ``a``
         it does not take; ``ad.build(acc)`` is its element, None for zero.
         ``ad.action`` holds the ``diagonal_action``."""
-        act = self.diagonal_action()
+        act = self.diagonal_action() if _act is None else _act
 
         def keyed(a):  # the keys of an operand the action takes, else None
             if act is not None and isinstance(a, type(self)):

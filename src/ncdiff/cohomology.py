@@ -428,6 +428,8 @@ def _top_degree(basis: DifferentialBasis, max_degree: int | None) -> int:
     top = basis.top_degree if max_degree is None else max_degree
     if top < 0:
         raise ValueError(f"max_degree must be nonnegative, got {top}")
+    if top > basis.top_degree:  # every form of higher degree is zero
+        raise ValueError(f"max_degree {top} is above the basis's top degree {basis.top_degree}")
     return top
 
 

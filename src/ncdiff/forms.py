@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .carrier import EQ_TOLERANCE, Terms, commutator
-from .matrix_algebra import MatElement, joint_eigenbasis
+from .matrix_algebra import MatElement, joint_eigenbasis, scaled_family
 
 FormIndex = tuple  # ((i_1..i_p), (j_1..j_q)) of 0-based slots, each ascending
 
@@ -68,8 +68,11 @@ class DifferentialBasis:
         ``"complex"`` keeps paired covectors dU_j, dU_j^*;
         ``"selfadjoint"`` requires U_j = U_j^* and keeps only dU_j.
 
-    A matrix family keeps the :func:`~ncdiff.matrix_algebra.joint_eigenbasis`
-    that validates it as ``eigenbasis``; it is None on other carriers.
+    A matrix family is checked and held from its arrays in one pass
+    (:func:`~ncdiff.matrix_algebra.scaled_family`), a diagonal one from its
+    diagonals alone, with ``eigenbasis`` (None, its diagonals); any other keeps
+    the :func:`~ncdiff.matrix_algebra.joint_eigenbasis` that validates it as
+    ``eigenbasis``.  It is None on other carriers.
     ``diagonal`` is diag(c_j lambda_j) for a rotated eigenbasis Q (in the
     coordinates of the unitary a -> Q^* a Q), and ``scaled`` otherwise.
     ``ad[j]`` and ``ad_star[j]`` are the maps a -> [c_j U_j, a] and
@@ -94,19 +97,27 @@ class DifferentialBasis:
         self.mode = mode
         self.label = label
 
-        self.scaled = [c * u for c, u in zip(self.prefactors, self.elements)]
-        for j, (x, u) in enumerate(zip(self.scaled, self.elements)):
-            if x.norm() == 0.0 and u.norm() != 0.0:  # a carrier may prune c u to nothing
+        matrices, held = all(isinstance(u, MatElement) for u in self.elements), None
+        if matrices:
+            self.scaled, self.scaled_star, self.ad, self.ad_star, held = scaled_family(
+                [u.mat for u in self.elements], self.prefactors)
+        else:
+            self.scaled = [c * u for c, u in zip(self.prefactors, self.elements)]
+        norms, defects, diagonals = held or ((x.norm() for x in self.scaled), None, None)
+        for j, (size, u) in enumerate(zip(norms, self.elements)):
+            if size == 0.0 and u.norm() != 0.0:  # a carrier may prune c u to nothing
                 raise BasisConditionError(f"basis element {j + 1} times its prefactor is zero")
-        # adjoints also cover self-adjoint mode: only the prefactor conjugates
-        self.scaled_star = [x.adjoint() for x in self.scaled]
         self.eigenbasis = None
-        if all(isinstance(u, MatElement) for u in self.elements):
+        if matrices:
             for u in self.elements[1:]:
                 self.elements[0]._check(u)  # one dimension for every element
-            self.eigenbasis = joint_eigenbasis([u.mat for u in self.elements])
+            self.eigenbasis = ((None, diagonals) if diagonals is not None
+                               else joint_eigenbasis([u.mat for u in self.elements]))
             commuting = self.eigenbasis is not None
         else:
+            # adjoints also cover self-adjoint mode: only the prefactor conjugates
+            self.scaled_star = [x.adjoint() for x in self.scaled]
+            self.ad, self.ad_star = ([x.ad() for x in xs] for xs in (self.scaled, self.scaled_star))
             # [X, Y]^* = [Y^*, X^*] and carrier norms are adjoint-invariant, so
             # [x_i, x_j] for i < j and [x_i, x_j^*] for i <= j cover every pair
             # of scaled elements x_j = c_j U_j.  Each is divided by its norm, so
@@ -119,8 +130,11 @@ class DifferentialBasis:
             raise BasisConditionError(
                 "basis elements and their adjoints must mutually commute")
         # |u - u^*| relative to |u|, as the commuting check reads it
-        hermitian = [(v - v.adjoint()).norm() <= EQ_TOLERANCE
-                     for v in map(_unit, self.elements)]
+        if defects is None:
+            defects = [(v - v.adjoint()).norm() for v in map(_unit, self.elements)]
+        elif not np.isfinite(defects).all():  # u / |u| overflows for a subnormal |u|
+            raise ValueError("matrix entries must be finite")
+        hermitian = [d <= EQ_TOLERANCE for d in defects]
         if mode == "selfadjoint":
             if not all(hermitian):
                 raise BasisConditionError(
@@ -135,8 +149,6 @@ class DifferentialBasis:
         Q, lams = self.eigenbasis or (None, None)
         self.diagonal = self.scaled if Q is None else [
             MatElement(np.diag(c * lam)) for c, lam in zip(self.prefactors, lams)]
-        self.ad = [x.ad() for x in self.scaled]
-        self.ad_star = [x.ad() for x in self.scaled_star]
         self.scaled_symbol = Symbol(self.scaled, (self.ad, self.ad_star))
         self.symbol = self.scaled_symbol if Q is None else Symbol(self.diagonal)
         self.families = (False,) if mode == "selfadjoint" else (False, True)

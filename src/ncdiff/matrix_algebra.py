@@ -1,4 +1,4 @@
-"""Dense complex matrix carrier, its diagonal-projection basis and joint eigenbases."""
+"""Dense complex matrix carrier, its projection basis, joint eigenbases and basis families."""
 
 from __future__ import annotations
 
@@ -23,6 +23,14 @@ class MatElement(Normed):
             raise ValueError("matrix entries must be finite")
         m.setflags(write=False)
         self.mat = m
+
+    @classmethod
+    def _trusted(cls, m: np.ndarray) -> "MatElement":
+        """The element holding ``m`` itself, a square complex array checked finite."""
+        x = object.__new__(cls)
+        m.setflags(write=False)
+        x.mat = m
+        return x
 
     def __reduce__(self):
         # rebuilt through __init__, so the unpickled matrix is read-only too
@@ -106,13 +114,7 @@ class MatElement(Normed):
         d = np.diag(self.mat)
         if (self.mat - np.diag(d)).any():
             return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            W = (d[:, None] - d[None, :]).reshape(-1)
-        # a quiet nan weighs without a warning, and ad's result then fails the
-        # constructor's finiteness check
-        W[~np.isfinite(W)] = np.nan
-        units = _unit_keys(self.n)
-        return lambda flat, coeffs: (flat, (W if flat is units else W[flat]) * coeffs)
+        return _diagonal_actions(d[None])[0]
 
     def adjoint(self) -> "MatElement":
         return MatElement(self.mat.conj().T)
@@ -132,6 +134,51 @@ def _unit_keys(n: int) -> np.ndarray:
     flat = np.arange(n * n)
     flat.setflags(write=False)
     return flat
+
+
+def _diagonal_actions(D: np.ndarray) -> list:
+    """The ``diagonal_action`` of diag(D[j]) for each row of the k x n array D."""
+    k, n = D.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = (D[:, :, None] - D[:, None, :]).reshape(k, n * n)
+        # a difference overflows only where 2 D does; as a quiet nan it weighs without
+        # a warning, and ad's result then fails the constructor's finiteness check
+        if not np.isfinite(2 * D).all():
+            W[~np.isfinite(W)] = np.nan
+    units = _unit_keys(n)
+    return [lambda flat, coeffs, w=w: (flat, (w if flat is units else w[flat]) * coeffs)
+            for w in W]
+
+
+def scaled_family(mats: list, prefactors: list) -> tuple:
+    """``(scaled, scaled_star, ad, ad_star, held)`` of square arrays X_j and
+    scalars c_j: the elements c_j X_j, their adjoints and ``ad`` maps, bit for
+    bit as ``c * MatElement(X)`` gives them, without copies.  A diagonal family
+    of one dimension is read from its diagonals: ``held`` is |c_j X_j|, the
+    defects |Y - Y^*| of Y = X_j / |X_j| (not finite where that overflows) and
+    the diagonals; None for any other family."""
+    k, n = len(mats), mats[0].shape[0]
+    with np.errstate(all="ignore"):  # a non-finite result raises below or in the caller
+        products = [complex(c) * m for c, m in zip(prefactors, mats)]
+        if all(m.shape[0] == n and np.count_nonzero(m) == np.count_nonzero(m.diagonal())
+               for m in mats):
+            diagonals = [m.diagonal() for m in mats]
+            D, Ds = np.array(diagonals), np.array([x.diagonal() for x in products])
+            finite = np.isfinite(Ds).all()  # c 0 off the diagonal is finite when c d is
+            norms, sizes = (np.abs(A).max(axis=1, initial=0.0) for A in (Ds, D))
+            inverse = np.divide(1.0, sizes, out=np.zeros(k), where=sizes > 0)
+            # Y - Y^* is 2i Im(Y) on the diagonal, and 0 off it
+            held = norms, 2 * np.abs(inverse[:, None] * D.imag).max(axis=1, initial=0.0), diagonals
+            actions = [_diagonal_actions(Ds), _diagonal_actions(Ds.conj())]
+        else:
+            held, actions = None, [[None] * k] * 2
+            finite = all(np.isfinite(x).all() for x in products)
+    if not finite:
+        raise ValueError("matrix entries must be finite")
+    scaled = [MatElement._trusted(x) for x in products]
+    stars = [MatElement._trusted(x.conj().T) for x in products]
+    return (scaled, stars, [x.ad(a) for x, a in zip(scaled, actions[0])],
+            [x.ad(a) for x, a in zip(stars, actions[1])], held)
 
 
 def projection_basis(n: int) -> list[MatElement]:

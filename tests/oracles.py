@@ -6,11 +6,13 @@ library switches to an array route above a cut), the derivative of a form
 with one element per bracket (the library sums the brackets of each output
 coefficient in its carrier's raw terms), the Laplacian and heat
 channel of a matrix basis as n^2 x n^2 Kronecker superoperators with an
-``eigh`` (the library reads the Schur symbol in the basis's eigenbasis), and
+``eigh`` (the library reads the Schur symbol in the basis's eigenbasis),
 the Trotter splitting error by ``expm`` of those superoperators (the library
-reads two Schur symbols).  The sampled audit's random draws and the seeded
-inputs of the selftest battery are also drawn here afresh on every call (the
-library holds its last seeded draw of each).
+reads two Schur symbols), and a matrix basis validated and held one element
+at a time (the library reads a matrix family from its arrays in one pass).
+The sampled audit's random draws and the seeded inputs of the selftest
+battery are also drawn here afresh on every call (the library holds its last
+seeded draw of each).
 Superoperators act on row-major vectorized matrices.
 
 The operands and comparisons that the route tests of both term carriers
@@ -21,15 +23,21 @@ arrays only, and term-by-term comparisons, bit for bit or within a bound.
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import pathlib
+import sys
+import warnings
 
 import numpy as np
 import scipy.linalg
 
-from ncdiff import graph_algebra, qlattice
-from ncdiff.forms import DifferentialBasis, DifferentialForm
+from ncdiff import graph_algebra, matrix_algebra, qlattice
+from ncdiff.carrier import EQ_TOLERANCE, commutator
+from ncdiff.forms import (BasisConditionError, DifferentialBasis, DifferentialForm, Symbol,
+                          _unit)
 from ncdiff.graph_algebra import GraphElement, Path, common_range_pairs
-from ncdiff.matrix_algebra import MatElement
+from ncdiff.matrix_algebra import MatElement, joint_eigenbasis
 from ncdiff.qlattice import QElement, torus_spec
 from ncdiff.testing import default_carriers, random_form, random_qelement
 
@@ -63,6 +71,96 @@ def derive_per_bracket(alpha: DifferentialForm, families: tuple) -> Differential
                 term = act(a) if sign > 0 else -act(a)
                 out[key] = out[key] + term if key in out else term
     return alpha._like(out)
+
+
+def per_element_action(x: MatElement):
+    """The diagonal action of one diag(d), computed from x alone: the unit with
+    flat index a n + b weighs d(a) - d(b), a quiet nan where that overflows.
+    None for any other matrix."""
+    d = np.diag(x.mat)
+    if (x.mat - np.diag(d)).any():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = (d[:, None] - d[None, :]).reshape(-1)
+    W[~np.isfinite(W)] = np.nan
+    units = matrix_algebra._unit_keys(x.n)
+    return lambda flat, coeffs: (flat, (W if flat is units else W[flat]) * coeffs)
+
+
+class PerElementBasis(DifferentialBasis):
+    """A differential basis validated and held one element at a time: per slot
+    the elements c U, (c U)^*, U / |U|, its adjoint and their difference, four
+    full norms, ``joint_eigenbasis`` on every matrix family, and each ``ad``
+    map's action from its own element (:func:`per_element_action`).  The
+    oracle of ``matrix_algebra.scaled_family``, with its order of checks and
+    its messages; numpy's RuntimeWarnings on the way are its own."""
+
+    def __init__(self, elements, prefactors=None, mode="complex", label=""):
+        if mode not in ("complex", "selfadjoint"):
+            raise ValueError(f"unknown mode {mode!r}")
+        self.elements = list(elements)
+        if not self.elements:
+            raise ValueError("basis needs at least one element")
+        n = len(self.elements)
+        self.prefactors = [complex(c) for c in (prefactors if prefactors is not None
+                                                else [1.0] * n)]
+        if len(self.prefactors) != n:
+            raise ValueError("one prefactor per basis element")
+        self.mode = mode
+        self.label = label
+
+        self.scaled = [c * u for c, u in zip(self.prefactors, self.elements)]
+        for j, (x, u) in enumerate(zip(self.scaled, self.elements)):
+            if x.norm() == 0.0 and u.norm() != 0.0:
+                raise BasisConditionError(f"basis element {j + 1} times its prefactor is zero")
+        self.scaled_star = [x.adjoint() for x in self.scaled]
+        self.eigenbasis = None
+        if all(isinstance(u, MatElement) for u in self.elements):
+            for u in self.elements[1:]:
+                self.elements[0]._check(u)
+            self.eigenbasis = joint_eigenbasis([u.mat for u in self.elements])
+            commuting = self.eigenbasis is not None
+        else:
+            units = [_unit(x) for x in self.scaled + self.scaled_star]
+            commuting = all(commutator(x, y).norm() <= EQ_TOLERANCE
+                            for i, x in enumerate(units[:n])
+                            for y in units[i + 1:n] + units[n + i:])
+        if not commuting:
+            raise BasisConditionError(
+                "basis elements and their adjoints must mutually commute")
+        hermitian = [(v - v.adjoint()).norm() <= EQ_TOLERANCE
+                     for v in map(_unit, self.elements)]
+        if mode == "selfadjoint":
+            if not all(hermitian):
+                raise BasisConditionError(
+                    "self-adjoint mode needs self-adjoint basis elements")
+        else:
+            for j, h in enumerate(hermitian):
+                if h:
+                    warnings.warn(f"basis element {j + 1} is self-adjoint; the "
+                                  "paired covectors dU, dU* coincide on it",
+                                  stacklevel=2)
+
+        Q, lams = self.eigenbasis or (None, None)
+        self.diagonal = self.scaled if Q is None else [
+            MatElement(np.diag(c * lam)) for c, lam in zip(self.prefactors, lams)]
+        self.ad, self.ad_star = ([x.ad(per_element_action(x)) if isinstance(x, MatElement)
+                                  else x.ad() for x in xs]
+                                 for xs in (self.scaled, self.scaled_star))
+        self.scaled_symbol = Symbol(self.scaled, (self.ad, self.ad_star))
+        self.symbol = self.scaled_symbol if Q is None else Symbol(self.diagonal)
+        self.families = (False,) if mode == "selfadjoint" else (False, True)
+        self._front = {}
+
+
+def benchmark_workloads(monkeypatch):
+    """The benchmark's ``workloads`` module, loaded from its file."""
+    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def _comm_superop(X: np.ndarray, n: int) -> np.ndarray:

@@ -568,9 +568,18 @@ def test_negative_max_degree_rejected(m2_setup, torus, torus_basis):
         C.deRham_dims(*m2_setup, max_degree=-1)
     with pytest.raises(ValueError, match="max_degree"):
         C.deRham_dims_truncated(torus_basis, torus, 4, max_degree=-1)
-    # degrees above the top one stay allowed: their rows are zero
-    rows = C.deRham_dims(*m2_setup, max_degree=3).to_json()["degrees"]
-    assert rows[3] == {"k": 3, "dim_ker": 0, "rank_prev": 0, "h_dim": 0}
+    # the top degree itself stays allowed, with the rows of the full complex
+    basis, carrier = m2_setup
+    assert C.deRham_dims(basis, carrier, max_degree=2).to_json() == \
+        C.deRham_dims(basis, carrier).to_json()
+    assert C.deRham_dims_truncated(torus_basis, torus, 4, max_degree=2).to_json() == \
+        C.deRham_dims_truncated(torus_basis, torus, 4).to_json()
+    # above it every row would be zero, one per degree, without a limit
+    for top in (3, 10 ** 6):
+        with pytest.raises(ValueError, match=f"max_degree {top} is above the basis's top degree 2"):
+            C.deRham_dims(basis, carrier, max_degree=top)
+        with pytest.raises(ValueError, match=f"max_degree {top} is above the basis's top degree 2"):
+            C.deRham_dims_truncated(torus_basis, torus, 4, max_degree=top)
 
 
 # -- the sparse maps of the cohomology workload --------------------------------

@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from ncdiff.forms import DifferentialBasis
 from ncdiff.qlattice import QElement, spec_to_json
 
 from conftest import THETA
+from oracles import benchmark_workloads
 
 
 @pytest.fixture
@@ -444,20 +447,40 @@ def test_cli_cohomology():
     assert rep["degrees"][0]["h_dim"] == 7
 
 
+class _StillRunning(Exception):
+    """Raised by the alarm of a CLI call that must return within a second."""
+
+
+def _expire(signum, frame):
+    raise _StillRunning
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--carrier", "matrix", "--n", "2", "--max-degree", "1000000"],
+    ["cohomology", "--carrier", "torus", "--trunc", "3", "--max-degree", "200000"],
+    ["cohomology", "--carrier", "matrix", "--n", "2", "--max-degree", "3"],
+], ids=["matrix-huge", "torus-huge", "matrix-one-above"])
+def test_cli_rejects_a_max_degree_above_the_top_degree(argv):
+    # each degree above the top used to print a zero row, without a limit; the
+    # alarm stops a call that still runs after a second (no OSError, which the
+    # CLI would report as bad input)
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        start = time.perf_counter()
+        rc, out, err = run_cli(argv)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2 and out == "" and elapsed < 1.0
+    assert err == f"error: max_degree {argv[-1]} is above the basis's top degree 2\n"
+
+
 def test_cli_selftest():
     rc, out, _ = run_cli(["selftest"])
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
-
-
-def _benchmark_workloads(monkeypatch):
-    """The benchmark's ``workloads`` module, loaded from its file."""
-    path = Path(__file__).parents[1] / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_benchmark_tracer_finds_and_restores_what_it_wraps(monkeypatch):
@@ -467,7 +490,7 @@ def test_benchmark_tracer_finds_and_restores_what_it_wraps(monkeypatch):
     spec = importlib.util.spec_from_file_location("_benchmark_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    traced = tracer.Tracer(tracer.SpanRecorder(), _benchmark_workloads(monkeypatch).load_ncdiff())
+    traced = tracer.Tracer(tracer.SpanRecorder(), benchmark_workloads(monkeypatch).load_ncdiff())
 
     def bound():
         return [vars(owner)[attr] for owner, attr, _, _ in traced._patches]
@@ -505,7 +528,7 @@ def test_module_entry_points(monkeypatch):
     assert done.returncode == 0
     lines = done.stdout.splitlines()
     assert lines and all(line.endswith(" PASS") for line in lines)
-    _assert_frozen_selftest(done.stdout, _benchmark_workloads(monkeypatch).text_matches)
+    _assert_frozen_selftest(done.stdout, benchmark_workloads(monkeypatch).text_matches)
     done = run_module("ncdiff.cli", "cohomology", "--carrier", "matrix", "--n", "0")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
@@ -525,7 +548,7 @@ def _held_selftest_elements():
 
 def test_repeated_selftests_match_the_frozen_reference(monkeypatch):
     # the battery's held inputs give every call the stdout of a fresh process
-    text_matches = _benchmark_workloads(monkeypatch).text_matches
+    text_matches = benchmark_workloads(monkeypatch).text_matches
     outs = []
     for _ in range(3):
         rc, out, err = run_cli(["selftest"])
@@ -657,7 +680,7 @@ def test_small_operands_never_take_the_array_routes(monkeypatch, tmp_path):
     for _ in range(2):  # the second call runs on the held inputs
         rc, out, err = run_cli(["selftest"])
         assert rc == 0 and err == "" and out.count(" PASS\n") == len(out.splitlines())
-    workloads = _benchmark_workloads(monkeypatch)
+    workloads = benchmark_workloads(monkeypatch)
     names = workloads.write_interactive_files(workloads.load_ncdiff(), tmp_path)
     files = {"{torus}": [names[f"torus-{theta}"] for theta in workloads.INTERACTIVE_THETAS],
              "{heis}": [names[f"heis-{mu}-{nu}"] for mu, nu in workloads.INTERACTIVE_HEIS]}
@@ -685,7 +708,7 @@ def test_small_graph_operands_never_take_the_array_routes(monkeypatch, tmp_path)
     for name in ("_array_product", "_term_codes"):
         monkeypatch.setattr(graph_algebra, name, refuse)
     monkeypatch.setattr(graph_algebra.GraphElement, "_held", refuse)
-    workloads = _benchmark_workloads(monkeypatch)
+    workloads = benchmark_workloads(monkeypatch)
     reference = workloads.load_reference()
     for _ in range(2):  # the second call runs on the held inputs
         rc, out, err = run_cli(["selftest"])
