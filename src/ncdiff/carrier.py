@@ -229,6 +229,10 @@ class Terms(Normed):
         c = complex(c)
         return self._like({k: c * v for k, v in self.terms.items()})
 
+    def __truediv__(self, c: float):
+        """Each coefficient divided by the real c."""
+        return self._like({k: v / c for k, v in self.terms.items()})
+
     def norm(self) -> float:
         """Largest coefficient modulus (0.0 for the zero element, nan if any is nan)."""
         return largest(abs(c) for c in self.terms.values())

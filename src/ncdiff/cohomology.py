@@ -33,15 +33,18 @@ map is held as triplets ``(rows, cols, vals, shape)`` of its nonzeros.  A
 complex builds A_j, the map a -> [x_j, a] (and that of each starred element),
 once, from x_j's weights or else from the commutator of every carrier element;
 each of its maps offsets the A_j with the exterior signs of the basis's
-front-merge table into the covector blocks they reach.  Ranks take one SVD per
-connected component of a map's nonzero pattern (blocks of one shape share a
-stacked SVD) and count singular values above max(shape) * eps * sigma_max of
-the whole map; a Dolbeault row is ranked as one copy, so its cut is C(n, p)
+front-merge table into the covector blocks they reach.  Ranks count singular
+values above max(shape) * eps * sigma_max of the whole map.  A map whose rows
+(or columns) hold one entry each, such as d_0 and d_1 of a truncated q-lattice
+report over single monomials, has orthogonal columns (rows): their norms are
+its singular values, and no SVD is taken.  Any other map takes one SVD per
+connected component of its nonzero pattern (blocks of one shape share a
+stacked SVD).  A Dolbeault row is ranked as one copy, so its cut is C(n, p)
 times smaller than that of the whole row map.  Truncated q-lattice carriers,
-whose monomials shift keys, always take it, with nested exponent balls so the
-maps never leave their codomain; the inner maps keep the outer triplets inside
-the smaller balls.  ``boundary_matrix`` and ``dolbeault_matrix`` stay in matrix
-units and, like ``numeric_rank``, are dense.
+whose monomials shift keys, always take this route, with nested exponent balls
+so the maps never leave their codomain; the inner maps keep the outer triplets
+inside the smaller balls.  ``boundary_matrix`` and ``dolbeault_matrix`` stay in
+matrix units and, like ``numeric_rank``, are dense.
 """
 
 from __future__ import annotations
@@ -335,18 +338,35 @@ def _slots(group: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, sizes
 
 
+def _line_norms(rows: np.ndarray, cols: np.ndarray, size: np.ndarray):
+    """Singular values of triplets with moduli ``size`` when no row holds two
+    entries: the columns have disjoint supports, so they are orthogonal and
+    the singular values are their norms (rows and columns swapped alike).
+    None for other maps, or where a nonzero modulus squares out of range."""
+    if ((size == 0) | ((size >= 1e-150) & (size <= 1e150))).all():
+        for lines, other in ((cols, rows), (rows, cols)):
+            if np.bincount(other).max() < 2:
+                return np.sqrt(np.bincount(lines, size * size))
+    return None
+
+
 def _triplet_rank(t: tuple) -> int:
     """Rank of triplets (no repeated (row, col)), cut at max(shape) * eps * sigma_max.
 
-    The rows and columns split into the connected components of the
-    bipartite graph of the entries, so the map is block diagonal up to
-    permutations and its singular values are those of the blocks.  Blocks
-    of one shape share a stacked SVD; the cut uses the global sigma_max and
-    shape, as a dense SVD would.
+    ValueError for a non-finite entry.  Failing :func:`_line_norms`, the rows
+    and columns split into the connected components of the bipartite graph
+    of the entries, so the map is block diagonal up to permutations and its
+    singular values are those of the blocks.  Blocks of one shape share a
+    stacked SVD; the cut uses the global sigma_max and shape, as a dense SVD
+    would.
     """
     rows, cols, values, (m, n) = t
     if not len(rows):
         return 0
+    if not np.isfinite(values).all():
+        raise ValueError("map entries must be finite")
+    if (norms := _line_norms(rows, cols, np.abs(values))) is not None:
+        return _rank(norms, (m, n))
     row_ids, row_of = _renumber(rows, m)
     col_ids, col_of = _renumber(cols, n)
     lab = _components(rows, m + cols, m + n)
@@ -368,7 +388,7 @@ def _triplet_rank(t: tuple) -> int:
 
 
 def numeric_rank(M: np.ndarray) -> int:
-    """Rank of a dense matrix by the rule of the triplet rank."""
+    """Rank of a dense matrix by the rule of the triplet rank; ValueError if not finite."""
     rows, cols = np.nonzero(M)
     return _triplet_rank((rows, cols, M[rows, cols], M.shape))
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from math import comb
+from math import comb, inf
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -132,8 +132,6 @@ class DifferentialBasis:
         # |u - u^*| relative to |u|, as the commuting check reads it
         if defects is None:
             defects = [(v - v.adjoint()).norm() for v in map(_unit, self.elements)]
-        elif not np.isfinite(defects).all():  # u / |u| overflows for a subnormal |u|
-            raise ValueError("matrix entries must be finite")
         hermitian = [d <= EQ_TOLERANCE for d in defects]
         if mode == "selfadjoint":
             if not all(hermitian):
@@ -184,9 +182,12 @@ class DifferentialBasis:
 
 
 def _unit(x):
-    """x divided by its norm, or x when that is 0."""
+    """x divided by its norm, or x when that is 0: scaled by 1 / |x|, or
+    divided by |x| where that overflows (a subnormal |x|)."""
     size = x.norm()
-    return x.scale(1 / size) if size else x
+    if not size:
+        return x
+    return x.scale(1 / size) if 1 / size != inf else x / size
 
 
 class Symbol:

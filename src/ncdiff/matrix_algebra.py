@@ -77,6 +77,10 @@ class MatElement(Normed):
     def scale(self, c: complex) -> "MatElement":
         return MatElement(complex(c) * self.mat)
 
+    def __truediv__(self, c: float) -> "MatElement":
+        """Each part of each entry divided by the real c."""
+        return MatElement(self.mat.real / c + 1j * (self.mat.imag / c))
+
     def __mul__(self, other):
         if isinstance(other, MatElement):
             self._check(other)
@@ -155,8 +159,7 @@ def scaled_family(mats: list, prefactors: list) -> tuple:
     scalars c_j: the elements c_j X_j, their adjoints and ``ad`` maps, bit for
     bit as ``c * MatElement(X)`` gives them, without copies.  A diagonal family
     of one dimension is read from its diagonals: ``held`` is |c_j X_j|, the
-    defects |Y - Y^*| of Y = X_j / |X_j| (not finite where that overflows) and
-    the diagonals; None for any other family."""
+    defects |Y - Y^*| of Y = X_j / |X_j| and the diagonals; None for any other family."""
     k, n = len(mats), mats[0].shape[0]
     with np.errstate(all="ignore"):  # a non-finite result raises below or in the caller
         products = [complex(c) * m for c, m in zip(prefactors, mats)]
@@ -166,9 +169,11 @@ def scaled_family(mats: list, prefactors: list) -> tuple:
             D, Ds = np.array(diagonals), np.array([x.diagonal() for x in products])
             finite = np.isfinite(Ds).all()  # c 0 off the diagonal is finite when c d is
             norms, sizes = (np.abs(A).max(axis=1, initial=0.0) for A in (Ds, D))
-            inverse = np.divide(1.0, sizes, out=np.zeros(k), where=sizes > 0)
-            # Y - Y^* is 2i Im(Y) on the diagonal, and 0 off it
-            held = norms, 2 * np.abs(inverse[:, None] * D.imag).max(axis=1, initial=0.0), diagonals
+            inverse = np.divide(1.0, sizes, out=np.zeros(k), where=sizes > 0)[:, None]
+            # Y - Y^* is 2i Im(Y) on the diagonal, and 0 off it; Y divides
+            # where 1 / |X_j| overflows, as forms._unit does
+            Y = np.where(inverse == np.inf, D.imag / sizes[:, None], inverse * D.imag)
+            held = norms, 2 * np.abs(Y).max(axis=1, initial=0.0), diagonals
             actions = [_diagonal_actions(Ds), _diagonal_actions(Ds.conj())]
         else:
             held, actions = None, [[None] * k] * 2

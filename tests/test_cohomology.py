@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ncdiff.cohomology as C
 import ncdiff.dirichlet as D
@@ -495,6 +495,97 @@ def test_numeric_rank_edge_cases():
     assert C.numeric_rank(M) == _dense_rank(M) == 2
 
 
+# -- orthogonal lines: ranks from line norms, without an SVD ---------------------
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes of the arrays passed to ``np.linalg.svd`` while the test runs."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(
+        np.shape(a)) or svd(a, *args, **kwargs))
+    return calls
+
+
+@st.composite
+def one_entry_rows(draw):
+    """Triplets in shuffled order in which no row holds two entries: each
+    column scaled by 1, 1e-6 or 1e-17 (beside unit columns, below the cut),
+    with explicit zeros among the values."""
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.permutation(h)[:draw(st.integers(0, h))]
+    cols = np.array(draw(st.lists(st.integers(0, w - 1), min_size=len(rows),
+                                  max_size=len(rows))), dtype=np.intp)
+    scales = np.array(draw(st.lists(st.sampled_from([1.0, 1e-6, 1e-17]), min_size=w,
+                                    max_size=w)))
+    vals = (rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))) * scales[cols]
+    vals[np.array(draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))),
+                  dtype=bool)] = 0
+    return rows.astype(np.intp), cols, vals, (h, w)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["one per row", "one per column"])
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(t=one_entry_rows())
+@example(t=(np.array([2, 0, 1]), np.array([1, 0, 1]), np.array([0, 1, 1e-17], dtype=complex),
+            (3, 2)))  # a 1e-17 line, below the cut, beside a unit line
+def test_orthogonal_lines_match_dense_rule(swap, t, svd_calls):
+    rows, cols, vals, (h, w) = t
+    if swap:
+        rows, cols, vals, (h, w) = cols, rows, vals, (w, h)
+    t = rows, cols, vals, (h, w)
+    svd_calls.clear()
+    assert C._triplet_rank(t) == _dense_rank(_densify(t))
+    assert svd_calls == [_densify(t).shape]  # the dense rule's alone
+
+
+@pytest.mark.parametrize("exponent", [*range(-150, 150, 25), 149])
+def test_line_norms_are_the_singular_values(exponent):
+    # moduli in [1e-150, 1e150), in one column and in one row
+    rng = np.random.default_rng(exponent + 150)
+    for length in range(1, 9):
+        line, zeros = np.arange(length), np.zeros(length, np.intp)
+        for _ in range(20):
+            v = rng.uniform(1, 10, length) * np.exp(2j * np.pi * rng.uniform(size=length))
+            v *= 10.0 ** exponent
+            for t in ((line, zeros, v, (length, 1)), (zeros, line, v, (1, length))):
+                norms = C._line_norms(t[0], t[1], np.abs(v))
+                sigma = np.linalg.svd(_densify(t), compute_uv=False)
+                assert len(norms) == 1
+                assert abs(norms[0] - sigma[0]) <= 4 * np.spacing(sigma[0])
+
+
+@pytest.mark.parametrize("values, rank", [([1.0, 1e-320], 1), ([1e-320, 3e-321], 2),
+                                          ([1e200, 3e199], 2), ([1e200, 1.0], 1)])
+def test_entries_out_of_the_squaring_range_take_the_component_route(values, rank, svd_calls):
+    t = (np.array([0, 1]), np.array([1, 0]), np.array(values, dtype=complex), (2, 3))
+    assert C._line_norms(t[0], t[1], np.abs(t[2])) is None
+    assert C._triplet_rank(t) == _dense_rank(_densify(t)) == rank
+    assert svd_calls
+
+
+def test_a_two_by_two_component_takes_an_svd(svd_calls):
+    t = (np.array([0, 0, 1, 1, 2]), np.array([0, 1, 0, 1, 2]),
+         np.array([1, 2, 2, 4, 1e-3], dtype=complex), (3, 3))
+    assert C._triplet_rank(t) == _dense_rank(_densify(t)) == 2
+    assert svd_calls
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf), complex(np.nan, 0)])
+@pytest.mark.parametrize("M", [np.eye(3, dtype=complex), np.ones((2, 2), dtype=complex)],
+                         ids=["orthogonal lines", "one component"])
+def test_a_non_finite_entry_is_rejected(bad, M):
+    M = M.copy()
+    M[1, 1] = bad
+    rows, cols = np.nonzero(M)
+    with pytest.raises(ValueError, match="map entries must be finite"):
+        C.numeric_rank(M)
+    with pytest.raises(ValueError, match="map entries must be finite"):
+        C._triplet_rank((rows, cols, M[rows, cols], M.shape))
+
+
 def test_m7_projection_closed_form():
     n = 7
     basis = DifferentialBasis(projection_basis(n), mode="selfadjoint")
@@ -634,6 +725,18 @@ def test_workload_maps_match_dense_rule(case, monkeypatch):
         assert np.all(vals != 0)
         M = _densify((rows, cols, vals, shape))
         assert C._triplet_rank((rows, cols, vals, shape)) == _dense_rank(M)
+
+
+@pytest.mark.parametrize("case", [c for c in WORKLOAD_COMPLEXES if c.startswith(("torus", "heis"))]
+                         + ["torus theta 0.9 K 80"])
+def test_truncated_complexes_make_no_svd(case, svd_calls):
+    if case == "torus theta 0.9 K 80":
+        spec = torus_spec(0.9)
+        C.deRham_dims_truncated(DifferentialBasis([QElement.generator(spec, 1)]), spec, 80)
+    else:
+        report, args = WORKLOAD_COMPLEXES[case]()
+        report(*args)
+    assert svd_calls == []
 
 
 # -- memory: no map is ever dense -----------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from ncdiff import dirichlet as D
 from ncdiff.forms import DifferentialBasis, DifferentialForm, _unit, delta
 from ncdiff.matrix_algebra import MatElement, projection_basis, scaled_family
+from ncdiff.qlattice import QElement, torus_spec
 from ncdiff.testing import random_matelement
 
 from oracles import PerElementBasis, benchmark_workloads
@@ -58,6 +59,15 @@ FAMILIES = {
         [1.0, 1e-11], "complex"),
     "overflowing-weights": ([_diag(1.5e308, -1.5e308)], None, "selfadjoint"),
     "subnormal-norm-inverse-finite": ([_diag(1e-308, 0), _diag(0, 3e-308j)], None, "complex"),
+    # 1 / |U| overflows, so U / |U| divides
+    "subnormal-norm": ([_diag(1e-310, 0)], None, "complex"),
+    "subnormal-norm-selfadjoint": ([_diag(1e-310, 0), _diag(0, 1)], None, "selfadjoint"),
+    "subnormal-norm-complex": ([_diag(1e-310, 3e-311j), _diag(2e-312j, 0)], None, "complex"),
+    "zero-slot-before-subnormal": ([_diag(1e-310, 0)], [0.1], "complex"),
+    "subnormal-norm-in-rotated-family": ([_diag(1e-310, 0), MatElement(
+        np.array([[0, 1], [1, 0]], dtype=complex))], None, "complex"),
+    "subnormal-norm-rotated": ([MatElement(1e-310 * _rotated_projections(2, 2)[0].mat)], None,
+                               "complex"),
     "zero-matrix": ([MatElement.zero(3)], None, "selfadjoint"),
     "zero-and-projection": ([MatElement.zero(3), projection_basis(3)[1]], [2.0, 0.5],
                             "complex"),
@@ -176,10 +186,24 @@ def test_the_held_defects_are_those_of_the_unit_elements(name):
     assert [_bits(d) for d in diagonals] == [_bits(np.diag(u.mat)) for u in elements]
 
 
+def test_a_subnormal_norm_is_divided_out():
+    """1 / |x| overflows, so each part of each coefficient is divided by |x|;
+    a normal |x| keeps the product by 1 / |x|."""
+    m = np.array([[1e-310, 3e-311j], [-2e-312 + 4e-313j, 0]])
+    got = _unit(MatElement(m)).mat
+    assert _bits(got.real) == _bits(m.real / 1e-310) and _bits(got.imag) == _bits(m.imag / 1e-310)
+    spec = torus_spec(0.3)
+    spec.prune_epsilon = 0.0
+    terms = {(1, 0): 1e-310 + 0j, (0, 2): -3e-311j, (2, -1): 2e-312 + 4e-313j}
+    got = _unit(QElement(spec, terms)).terms
+    assert got == {k: complex(c.real / 1e-310, c.imag / 1e-310) for k, c in terms.items()}
+    x = MatElement(np.diag([1e-308, 2e-309]))
+    assert _bits(_unit(x).mat) == _bits(complex(1 / 1e-308) * x.mat)
+
+
 SX = MatElement(np.array([[0, 1], [1, 0]], dtype=complex))
 E12 = MatElement.unit(2, 0, 1)
 P2, P3 = projection_basis(2), projection_basis(3)
-TINY = _diag(1e-310, 0)  # 1 / |TINY| overflows
 
 # (elements, prefactors, mode) of inputs that fail, some of them two checks
 REJECTED = {
@@ -193,16 +217,13 @@ REJECTED = {
     "non-commuting": ([SX, _diag(1, -1)], None, "complex"),
     "commuting-non-normal": ([E12, E12 + MatElement.identity(2)], None, "complex"),
     "non-hermitian-in-selfadjoint-mode": ([_diag(1, 1j)], None, "selfadjoint"),
-    "subnormal-norm": ([TINY], None, "complex"),
-    "subnormal-norm-selfadjoint": ([TINY, P2[1]], None, "selfadjoint"),
     "overflow-before-zero-slot": ([P2[0], _diag(1e10, 1)], [0.0, 1e300], "complex"),
     "zero-slot-before-dimensions": ([P2[0], P3[0]], [0.0, 1.0], "selfadjoint"),
     "overflow-before-dimensions": ([P2[0], _diag(1e10, 1, 1)], [1.0, 1e300], "selfadjoint"),
     "dimensions-before-commuting": ([SX, P3[0]], None, "complex"),
     "commuting-before-selfadjoint": ([SX, _diag(1, 1j)], None, "selfadjoint"),
-    "zero-slot-before-subnormal": ([TINY], [0.1], "complex"),
+    # U / |U| divides, and is not self-adjoint
     "subnormal-before-selfadjoint": ([_diag(1e-310j, 0)], None, "selfadjoint"),
-    "subnormal-norm-in-rotated-family": ([TINY, SX], None, "complex"),
     "zero-slot-before-commuting": ([SX, _diag(1, -1)], [0.0, 1.0], "complex"),
 }
 
