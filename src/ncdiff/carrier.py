@@ -12,9 +12,10 @@ that acts diagonally on them (a q-lattice monomial, a vertex projection, a
 diagonal matrix) moves each key, with one weight; ``parent_name`` names what
 two elements must share (a presentation, a graph, a matrix dimension).
 ``ad`` takes the action, held as ``ad.action`` for the symbol of a basis
-(:class:`ncdiff.forms.Symbol`); any other ``ad`` is :func:`commutator`.  Its
-hooks ``ad.into`` and ``ad.build`` sum brackets in raw terms (``_add_raw``,
-``_from_raw``) into one element.
+(:class:`ncdiff.forms.Symbol`); any other ``ad`` is :func:`commutator`.
+``family_ad`` builds the bracket hook of a whole family of elements, which
+brackets an operand with every slot at once in raw terms (``_add_raw``,
+``_from_raw``).
 
 A term carrier, whose elements are finite combinations of keys (the
 q-lattice and the graph), inherits :class:`HeldTerms` and supplies only its
@@ -139,27 +140,27 @@ class Normed:
         operand of this carrier after ``_check``, else :func:`commutator`,
         so that foreign operands raise as they do in a product.  ``_act``,
         when given, is that action, computed with those of a whole family.
-
-        ``ad.into(acc, a, sign)`` is the raw accumulator ``acc`` (new for None)
-        plus sign [self, a], bit for bit as elements sum, or None for an ``a``
-        it does not take; ``ad.build(acc)`` is its element, None for zero.
         ``ad.action`` holds the ``diagonal_action``."""
         act = self.diagonal_action() if _act is None else _act
 
-        def keyed(a):  # the keys of an operand the action takes, else None
+        def ad(a):
             if act is not None and isinstance(a, type(self)):
                 self._check(a)
-                return a.keyed()
-
-        def ad(a):
-            k = keyed(a)
-            return commutator(self, a) if k is None else a._from_keys(*act(*k))
-
-        def into(acc, a, sign):
-            k = keyed(a)
-            return None if k is None else a._add_raw(acc, *act(*k), sign)
-        ad.into, ad.build, ad.action = into, self._from_raw, act
+                k = a.keyed()
+                if k is not None:
+                    return a._from_keys(*act(*k))
+            return commutator(self, a)
+        ad.action = act
         return ad
+
+    @classmethod
+    def family_ad(cls, family: list):
+        """None, or the bracket hook of the x_j of ``family``: ``hook(a)`` reads ``a``
+        once and gives each slot's raw [x_j, a], pruned (None where it does not
+        take it), or None.  ``x_j._add_raw(acc, raw, sign)`` adds it into ``acc``
+        (new for None) as elements sum; ``_from_raw(acc)`` is the element, None
+        for zero."""
+        return None
 
     def __abs__(self) -> float:
         """The norm: the modulus of an element as a coefficient of a form."""
@@ -198,8 +199,11 @@ class Terms(Normed):
         eps = self._eps
         return self._over({k: c for k, c in terms.items() if not abs(c) <= eps})
 
-    def _add_raw(self, acc, keys, coeffs, sign: int) -> dict:
-        return add_terms(acc, zip(keys, coeffs), sign, self._eps)
+    def _add_raw(self, acc, raw: dict, sign: int) -> dict:
+        # raw: pruned terms in a dict of their own, which may start the sum as it is
+        if acc is None and sign > 0:
+            return raw
+        return add_terms(acc, raw.items(), sign, self._eps)
 
     def _from_raw(self, acc: dict):
         return self._over(acc) if acc else None

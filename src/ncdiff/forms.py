@@ -16,13 +16,13 @@ increasing.  The first-order derivative acts by inner derivations,
 extended to higher degree by deriving coefficients and wedging the new
 covector in front.  Where each new covector lands, and with which sign, comes
 from the basis's front-merge table, filled from :func:`_merge_indices` the
-first time a covector index (I, J) is derived.  Each signed bracket goes
-through the hook ``ad.into`` of the basis's ``ad`` maps into one raw
-accumulator per output covector in the carrier's own terms: a q-lattice
-monomial, a vertex projection or a diagonal matrix weights each key of ``a``
-once, and forms no element.  Each coefficient is built once, and not at all
-when it sums to zero.  A bracket the hook does not take (a rotated matrix,
-an operand held as arrays) is the element ``ad(a)``, summed as elements sum.
+first time a covector index (I, J) is derived.  A family's bracket hook (the
+carrier's ``family_ad``, held in ``family_hooks``) reads a coefficient ``a``
+once and gives every slot's bracket in the carrier's raw terms, each signed
+bracket summed into one accumulator per output covector: a coefficient is
+built once, and not at all when it sums to zero.  A bracket the hook does not
+take (a rotated matrix, a non-monomial slot, an operand held as arrays) is
+the element ``ad(a)``, summed as elements sum.
 delta^2 = 0 follows from the commuting-basis condition; the split delta =
 partial + partial_star and the star operation need the complex
 (paired-covector) mode.  A self-adjoint basis mode identifies dU_j^* with
@@ -35,7 +35,9 @@ lists; the q-lattice, matrix and graph carriers all qualify.
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
+from itertools import repeat
 from math import comb, inf
 from typing import Mapping, Sequence
 
@@ -151,6 +153,11 @@ class DifferentialBasis:
         self.symbol = self.scaled_symbol if Q is None else Symbol(self.diagonal)
         self.families = (False,) if mode == "selfadjoint" else (False, True)
         self._front: dict = {}
+
+    @functools.cached_property
+    def family_hooks(self) -> tuple:
+        """The carrier's bracket hooks of dU_j and dU_j^* (or None), built on first use."""
+        return tuple(type(xs[0]).family_ad(xs) for xs in (self.scaled, self.scaled_star))
 
     def front_merges(self, I: tuple, J: tuple) -> tuple:
         """Where dU_j, or dU_j^*, lands when wedged in front of dU_I ^ dU_J^*.
@@ -276,9 +283,11 @@ class DifferentialForm(Terms):
         table = {}
         for (I, J), a in (terms or {}).items():
             I, J = tuple(I), tuple(J)
-            for idx in (I, J):
-                if any(not 0 <= x < n for x in idx) or list(idx) != sorted(set(idx)):
+            for idx in (I, J):  # slots of any integer type, kept as Python ints
+                if not all(hasattr(x, "__index__") and 0 <= x < n for x in idx) \
+                        or list(idx) != sorted(set(idx)):
                     raise ValueError(f"bad covector index {idx}")
+            I, J = tuple(map(operator.index, I)), tuple(map(operator.index, J))
             if basis.mode == "selfadjoint" and J:
                 raise BasisModeError("self-adjoint mode has no starred covectors")
             if a.norm() != 0.0:
@@ -322,25 +331,29 @@ def _derive(alpha: DifferentialForm, families: tuple) -> DifferentialForm:
     """[x_j, a] wedged in front of every term a dU_I ^ dU_J^*, summed over j and
     over ``families`` (False for dU_j with x_j = c_j U_j, True for dU_j^*)."""
     basis = alpha.basis
-    acts = (basis.ad, basis.ad_star)
+    # x: an element of the carrier whose raw terms the hooks give
+    acts, hooks, x = (basis.ad, basis.ad_star), basis.family_hooks, basis.scaled[0]
     out, raw = {}, {}  # key -> element, or None while its brackets sum in raw[key]
     for (I, J), a in alpha.terms.items():
         rows = basis.front_merges(I, J)
         for starred in families:
-            for hit, act in zip(rows[starred], acts[starred]):
+            hits, hook = rows[starred], hooks[starred]
+            if not any(hits):  # no bracket: the coefficient is neither read nor checked
+                continue
+            parts = (hook(a) if hook is not None else None) or repeat(None)
+            for hit, act, part in zip(hits, acts[starred], parts):
                 if hit is None:
                     continue
                 sign, key = hit
                 if out.setdefault(key) is None:
-                    acc = act.into(raw.get(key), a, sign)
-                    if acc is not None:
-                        raw[key], build = acc, act.build
+                    if part is not None:
+                        raw[key] = x._add_raw(raw.get(key), part, sign)
                         continue
                     if key in raw:
-                        out[key] = build(raw.pop(key))
+                        out[key] = x._from_raw(raw.pop(key))
                 term = act(a) if sign > 0 else -act(a)
                 out[key] = term if out[key] is None else out[key] + term
-    out.update((key, build(acc)) for key, acc in raw.items())  # built: nonzero, or None
+    out.update((key, x._from_raw(acc)) for key, acc in raw.items())  # built: nonzero, or None
     return alpha._over({k: c for k, c in out.items() if c is not None and (k in raw or c.norm())})
 
 

@@ -326,6 +326,33 @@ class GraphElement(HeldTerms):
                 return _vertex_action(mu.source, c)
         return None
 
+    @classmethod
+    def family_ad(cls, family: list):
+        """One pass over the terms a s_mu s_nu^* of ``a``: with s(mu) != s(nu), to
+        the slots c_j p_v with v = s(mu) as c_j a and with v = s(nu) as -(a c_j),
+        as :func:`_vertex_action` weighs them, pruned; None for the other slots."""
+        x, slots = family[0], {}
+        vcs = [getattr(y.diagonal_action(), "vertex", None) for y in family]
+        for j, vc in enumerate(vcs):
+            if vc:
+                slots.setdefault(vc[0], []).append((j, vc[1]))
+
+        def hook(a):
+            if isinstance(a, GraphElement):
+                x._check(a)
+                parts = [vc and {} for vc in vcs]
+                for key, t in a.terms.items():
+                    s, r = key[0].source, key[1].source
+                    if s != r:
+                        for j, c in slots.get(s, ()):
+                            if not abs(w := c * t) <= PRUNE_EPSILON:
+                                parts[j][key] = w
+                        for j, c in slots.get(r, ()):
+                            if not abs(w := -(t * c)) <= PRUNE_EPSILON:
+                                parts[j][key] = w
+                return parts
+        return hook
+
     def adjoint(self) -> "GraphElement":
         if self._keyed:
             K, coeffs = self._keyed
@@ -515,11 +542,13 @@ def _join(keys, probes):
 
 def _vertex_action(v: str, c: complex):
     """(keys, coeffs) -> (keys, weights) of [c p_v, .] on term keys (mu, nu): only
-    sources act, so a term a s_mu s_nu^* weighs ([v = s(mu)] - [v = s(nu)]) c a."""
+    sources act, so a term a s_mu s_nu^* weighs ([v = s(mu)] - [v = s(nu)]) c a.
+    ``act.vertex`` is (v, c)."""
     def act(keys, coeffs):
         return keys, [(c * a if mu.source == v else -(a * c))
                       if (mu.source == v) != (nu.source == v) else 0j
                       for (mu, nu), a in zip(keys, coeffs)]
+    act.vertex = v, c
     return act
 
 

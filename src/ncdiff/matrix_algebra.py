@@ -56,7 +56,7 @@ class MatElement(Normed):
         return cls(m)
 
     def _check(self, other: "MatElement"):
-        if self.n != other.n:
+        if self.mat.shape != other.mat.shape:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def __add__(self, other):
@@ -101,15 +101,29 @@ class MatElement(Normed):
         m[flat] = coeffs
         return MatElement(m.reshape(self.n, self.n))
 
-    def _add_raw(self, acc, flat, w, sign: int):
-        """Flat entries: ``acc`` plus ``sign`` w, the new array that
-        ``diagonal_action`` gives for every unit."""
+    def _add_raw(self, acc, w, sign: int):
+        """Flat entries: ``acc`` plus ``sign`` w, a new row of weights, used once."""
         if acc is None:
             return w if sign > 0 else np.negative(w, out=w)
         return (np.add if sign > 0 else np.subtract)(acc, w, out=acc)  # x - y is x + (-y)
 
     def _from_raw(self, flat):
-        return MatElement(flat.reshape(self.n, self.n)) if np.count_nonzero(flat) else None
+        return MatElement(flat.reshape(self.mat.shape)) if np.count_nonzero(flat) else None
+
+    @classmethod
+    def family_ad(cls, family: list):
+        """For a diagonal family: every slot's weight row times the flat
+        entries of ``a``, in one product.  None for any other family."""
+        D, x = np.array([np.diag(y.mat) for y in family]), family[0]
+        if any((y.mat - np.diag(d)).any() for y, d in zip(family, D)):
+            return None
+        W = _diagonal_actions(D)[0]
+
+        def hook(a):
+            if isinstance(a, MatElement):
+                x._check(a)
+                return list(W * a.mat.reshape(-1))
+        return hook
 
     def diagonal_action(self):
         """For diag(d): the unit with flat index a n + b stays put with weight
@@ -118,7 +132,7 @@ class MatElement(Normed):
         d = np.diag(self.mat)
         if (self.mat - np.diag(d)).any():
             return None
-        return _diagonal_actions(d[None])[0]
+        return _diagonal_actions(d[None])[1][0]
 
     def adjoint(self) -> "MatElement":
         return MatElement(self.mat.conj().T)
@@ -140,8 +154,9 @@ def _unit_keys(n: int) -> np.ndarray:
     return flat
 
 
-def _diagonal_actions(D: np.ndarray) -> list:
-    """The ``diagonal_action`` of diag(D[j]) for each row of the k x n array D."""
+def _diagonal_actions(D: np.ndarray) -> tuple:
+    """For diag(D[j]), each row j of the k x n array D: the weights d(a) - d(b)
+    of the units e_ab, stacked as the rows of W, and the ``diagonal_action``."""
     k, n = D.shape
     with np.errstate(over="ignore", invalid="ignore"):
         W = (D[:, :, None] - D[:, None, :]).reshape(k, n * n)
@@ -150,8 +165,8 @@ def _diagonal_actions(D: np.ndarray) -> list:
         if not np.isfinite(2 * D).all():
             W[~np.isfinite(W)] = np.nan
     units = _unit_keys(n)
-    return [lambda flat, coeffs, w=w: (flat, (w if flat is units else w[flat]) * coeffs)
-            for w in W]
+    return W, [lambda flat, coeffs, w=w: (flat, (w if flat is units else w[flat]) * coeffs)
+               for w in W]
 
 
 def scaled_family(mats: list, prefactors: list) -> tuple:
@@ -174,7 +189,7 @@ def scaled_family(mats: list, prefactors: list) -> tuple:
             # where 1 / |X_j| overflows, as forms._unit does
             Y = np.where(inverse == np.inf, D.imag / sizes[:, None], inverse * D.imag)
             held = norms, 2 * np.abs(Y).max(axis=1, initial=0.0), diagonals
-            actions = [_diagonal_actions(Ds), _diagonal_actions(Ds.conj())]
+            actions = [_diagonal_actions(Ds)[1], _diagonal_actions(Ds.conj())[1]]
         else:
             held, actions = None, [[None] * k] * 2
             finite = all(np.isfinite(x).all() for x in products)

@@ -40,10 +40,12 @@ A single monomial c U^g acts by ``QElement.ad``: the commutator [c U^g, a]
 multiplies each term a_e U^e by c (exp(i phi_1) - exp(i phi_2)), with the
 angles phi_1 of U^g U^e and phi_2 of U^e U^g, and moves it to U^{g+e}.  Up to
 ``_ARRAY_TERMS`` terms a loop forms the two products of the commutator term
-by term, bit for bit.  Above it the monomial's ``diagonal_action`` weights
-the int64 exponent rows of ``a.keyed()`` all at once by the same rule, up to
-rounding (:func:`_monomial_weights`), for the cohomology maps too; the heat
-flow reads its ``lam``, |c|^2 4 sin^2(omega . e / 2) with omega = theta g.
+by term, bit for bit, and a family of monomials runs each slot's loop on one
+read of ``a`` (``QElement.family_ad``).  Above it the monomial's
+``diagonal_action`` weights the int64 exponent rows of ``a.keyed()`` all at
+once by the same rule, up to rounding (:func:`_monomial_weights`), for the
+cohomology maps too; the heat flow reads its ``lam``,
+|c|^2 4 sin^2(omega . e / 2) with omega = theta g.
 
 Sums and differences take the array route when both operands hold arrays,
 and negation, scaling, adjoints and norms when their operand does.  Adjoints
@@ -67,7 +69,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, HeldTerms, add_terms, frozen, moduli, sum_by_code
+from .carrier import PRUNE_EPSILON, HeldTerms, frozen, moduli, sum_by_code
 
 Monomial = tuple  # exponent tuple (e_1, ..., e_m)
 
@@ -167,15 +169,19 @@ _ARRAY_TERMS = 32
 
 
 def _pair_product(spec: QAlgebraSpec, ta: dict, tb: dict) -> dict:
-    """Unpruned terms of the product, one term pair at a time."""
+    """Unpruned terms of the product, one term pair at a time; each angle is
+    :func:`_angle`'s, its factors ``t * e[k]`` formed once per term of ``ta``."""
     out: dict = {}
-    for e, ca in ta.items():
+    for e, ca in ta.items() if tb else ():  # no factor of an exponent without a pair
+        te = [(j, t * e[k]) for j, k, t in spec._pairs]
         for f, cb in tb.items():
-            ang = _angle(spec, e, f)
+            ang = 0.0
+            for j, s in te:
+                ang += s * f[j]
             c = ca * cb
             if ang != 0.0:
                 c *= cmath.exp(1j * ang)
-            g = tuple(x + y for x, y in zip(e, f))
+            g = tuple(map(operator.add, e, f))
             out[g] = out.get(g, 0j) + c
     return out
 
@@ -323,21 +329,25 @@ def _array_adjoint(a: "QElement") -> "QElement":
 
 
 def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
-                      acc, sign: int) -> dict:
-    """The term dict ``acc`` (new for None) plus sign [c U^g, a], one term of ``a`` at a time.
+                      factors: list) -> dict:
+    """The terms of [c U^g, a], one term of ``a`` at a time, pruned.
 
     The term a_e U^e gives p_1 = c a_e exp(i phi_1) and p_2 = a_e c exp(i phi_2),
-    phi_1 and phi_2 the :func:`_angle` of U^g U^e and of U^e U^g, each pruned
-    as the two products of :func:`~ncdiff.carrier.commutator` prune them, and
-    the coefficient p_1 - p_2 on U^{g+e}.  Keys and coefficients are those of
-    acc and the commutator summed as elements, bit for bit (the product loop
-    stores 0j + p, which can differ only in the sign of a zero part); this
-    loop is the oracle of :func:`_monomial_weights`.
+    phi_1 and phi_2 the :func:`_angle` of U^g U^e and of U^e U^g (``factors``:
+    (j, k, t, t g[k], g[j]) per pair of ``spec._pairs``), each pruned as the
+    two products of :func:`~ncdiff.carrier.commutator` prune them, and
+    p_1 - p_2 on U^{g+e}, pruned too.  Keys and coefficients are the
+    commutator's, bit for bit (the product loop stores 0j + p, which can differ
+    only in the sign of a zero part); this loop is the oracle of
+    :func:`_monomial_weights`.
     """
     eps = spec.prune_epsilon
     out = {}
     for e, ae in terms.items():
-        phi1, phi2 = _angle(spec, g, e), _angle(spec, e, g)
+        phi1 = phi2 = 0.0
+        for j, k, t, s, gj in factors:
+            phi1 += s * e[j]
+            phi2 += t * e[k] * gj
         p1 = c * ae
         if phi1 != 0.0:
             p1 *= cmath.exp(1j * phi1)
@@ -346,10 +356,11 @@ def _monomial_ad_loop(spec: QAlgebraSpec, g: Monomial, c: complex, terms: dict,
             p2 *= cmath.exp(1j * phi2)
         key = tuple(map(operator.add, g, e))
         if not abs(p1) <= eps:
-            out[key] = p1 if abs(p2) <= eps else p1 - p2
+            if not abs(v := p1 if abs(p2) <= eps else p1 - p2) <= eps:
+                out[key] = v
         elif not abs(p2) <= eps:
             out[key] = -p2
-    return add_terms(acc, out.items(), sign, eps)
+    return out
 
 
 def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
@@ -506,25 +517,36 @@ class QElement(HeldTerms):
         return act
 
     def ad(self):
-        """a -> [self, a].  A single monomial c U^g takes the loop
-        :func:`_monomial_ad_loop` on operands held as dicts of up to
-        ``_ARRAY_TERMS`` terms, bit for bit, and so does its ``into``, which
-        takes no other operand; everything else goes to :meth:`Normed.ad`."""
-        act = super().ad()
-        if self._size() != 1:
-            return act
-        (g, c), = self.terms.items()
-
-        def into(acc, a, sign):
-            if isinstance(a, QElement) and not a._keyed and len(a.terms) <= _ARRAY_TERMS:
-                self._check(a)
-                return _monomial_ad_loop(self.spec, g, c, a.terms, acc, sign)
+        """a -> [self, a]: a single monomial takes its loop (``family_ad``) on
+        operands held as dicts of up to ``_ARRAY_TERMS`` terms, bit for bit;
+        everything else goes to :meth:`Normed.ad`."""
+        act, hook = super().ad(), QElement.family_ad([self])
 
         def ad(a):
-            out = into(None, a, 1)
-            return act(a) if out is None else self._over(out)
-        ad.into, ad.build, ad.action = into, self._from_raw, act.action
+            part = hook(a)
+            return act(a) if part is None or part[0] is None else self._over(part[0])
+        ad.action = act.action
         return ad
+
+    @classmethod
+    def family_ad(cls, family: list):
+        """Over one presentation: each monomial slot c U^g's :func:`_monomial_ad_loop`,
+        with what its angles take from g formed once, on an ``a`` held as a dict
+        of up to ``_ARRAY_TERMS`` terms; None for the other slots."""
+        x, spec, loops = family[0], family[0].spec, [None] * len(family)
+        if any(y.spec is not spec for y in family):
+            return None
+        for j, y in enumerate(family):
+            if y._size() == 1:
+                (g, c), = y.terms.items()
+                loops[j] = g, c, [(i, k, t, t * g[k], g[i]) for i, k, t in spec._pairs]
+
+        def hook(a):
+            if isinstance(a, QElement) and not a._keyed and len(a.terms) <= _ARRAY_TERMS:
+                x._check(a)
+                terms = a.terms
+                return [m and _monomial_ad_loop(spec, m[0], m[1], terms, m[2]) for m in loops]
+        return hook
 
     def adjoint(self) -> "QElement":
         if self._keyed or len(self.terms) > _ARRAY_TERMS and self.keyed() is not None:

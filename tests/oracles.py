@@ -2,7 +2,9 @@
 
 Each function here computes a result the library now gets another way: the
 q-lattice and graph-algebra products by the pair loop at any size (the
-library switches to an array route above a cut), the derivative of a form
+library switches to an array route above a cut), the q-lattice product and
+monomial bracket loops with every angle formed in full (the library forms
+each angle's first factors once per term), the derivative of a form
 with one element per bracket (the library sums the brackets of each output
 coefficient in its carrier's raw terms), the Laplacian and heat
 channel of a matrix basis as n^2 x n^2 Kronecker superoperators with an
@@ -25,6 +27,7 @@ from __future__ import annotations
 import cmath
 import importlib.util
 import math
+import operator
 import pathlib
 import sys
 import warnings
@@ -33,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from ncdiff import graph_algebra, matrix_algebra, qlattice
-from ncdiff.carrier import EQ_TOLERANCE, commutator
+from ncdiff.carrier import EQ_TOLERANCE, add_terms, commutator
 from ncdiff.forms import (BasisConditionError, DifferentialBasis, DifferentialForm, Symbol,
                           _unit)
 from ncdiff.graph_algebra import GraphElement, Path, common_range_pairs
@@ -42,9 +45,47 @@ from ncdiff.qlattice import QElement, torus_spec
 from ncdiff.testing import default_carriers, random_form, random_qelement
 
 
+def pair_product(spec, ta: dict, tb: dict) -> dict:
+    """Unpruned terms of the q-lattice product, one term pair at a time, each
+    angle from ``qlattice._angle`` in full: the oracle of the product loop
+    ``qlattice._pair_product``, which forms the first factors once per term."""
+    out: dict = {}
+    for e, ca in ta.items():
+        for f, cb in tb.items():
+            ang = qlattice._angle(spec, e, f)
+            c = ca * cb
+            if ang != 0.0:
+                c *= cmath.exp(1j * ang)
+            g = tuple(x + y for x, y in zip(e, f))
+            out[g] = out.get(g, 0j) + c
+    return out
+
+
+def monomial_ad_loop(spec, g: tuple, c: complex, terms: dict, acc, sign: int) -> dict:
+    """The term dict ``acc`` (new for None) plus sign [c U^g, a], one term of
+    ``a`` at a time, both angles from ``qlattice._angle`` in full: the oracle
+    of ``qlattice._monomial_ad_loop`` and of its sums in ``forms.delta``."""
+    eps = spec.prune_epsilon
+    out = {}
+    for e, ae in terms.items():
+        phi1, phi2 = qlattice._angle(spec, g, e), qlattice._angle(spec, e, g)
+        p1 = c * ae
+        if phi1 != 0.0:
+            p1 *= cmath.exp(1j * phi1)
+        p2 = ae * c
+        if phi2 != 0.0:
+            p2 *= cmath.exp(1j * phi2)
+        key = tuple(map(operator.add, g, e))
+        if not abs(p1) <= eps:
+            out[key] = p1 if abs(p2) <= eps else p1 - p2
+        elif not abs(p2) <= eps:
+            out[key] = -p2
+    return add_terms(acc, out.items(), sign, eps)
+
+
 def loop_product(a: QElement, b: QElement) -> QElement:
     """``a * b`` by the pair loop at any size: the oracle of the array route."""
-    return a._like(qlattice._pair_product(a.spec, a.terms, b.terms))
+    return a._like(pair_product(a.spec, a.terms, b.terms))
 
 
 def graph_loop_product(a: GraphElement, b: GraphElement) -> GraphElement:

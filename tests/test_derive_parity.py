@@ -1,19 +1,22 @@
-"""The derivative's raw accumulators against the per-bracket oracle.
+"""The derivative's family hooks and raw accumulators against the per-bracket oracle.
 
-``forms._derive`` (behind ``delta``, ``partial`` and ``partial_star``) sums
-each signed bracket [x_j, a] into one raw accumulator per output key, in its
-carrier's own terms, and builds each output coefficient once.
-``oracles.derive_per_bracket`` builds every bracket as an element, negates it
-as an element and sums elements pairwise.  Both must give the same keys in
-the same order and the same coefficients, bit for bit, on every carrier, on
-the routes the hooks take (dict-held q-lattice operands of up to 32 terms,
-diagonal matrices, vertex projections) and on the element fallback (operands
-held as arrays or of more terms, rotated matrices, non-monomial slots), also
-mixed within one form.
+``forms._derive`` (behind ``delta``, ``partial`` and ``partial_star``) calls
+one bracket hook per form coefficient and covector family (the carrier's
+``family_ad``), sums each signed bracket [x_j, a] into one raw accumulator per
+output key, in its carrier's own terms, and builds each output coefficient
+once.  ``oracles.derive_per_bracket`` builds every bracket as an element,
+negates it as an element and sums elements pairwise.  Both must give the
+same keys in the same order and the same coefficients, bit for bit, on every
+carrier, on the routes the hooks take (dict-held q-lattice operands of up to
+32 terms, diagonal matrix families of any size, vertex projections on all or
+some vertices) and on the element fallback (operands held as arrays or of
+more terms, rotated matrices, non-monomial and non-vertex slots), also mixed
+within one form; and raise what it raises.
 """
 
 import cmath
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ import pytest
 from ncdiff import graph_algebra as ga
 from ncdiff import testing
 from ncdiff.forms import DifferentialBasis, DifferentialForm, delta, partial, partial_star
+from ncdiff.graph_algebra import GraphElement
 from ncdiff.matrix_algebra import MatElement, projection_basis
 from ncdiff.qlattice import (QElement, SpecMismatchError, heisenberg_spec, torus_spec,
                              torus_spec_2n)
@@ -76,8 +80,15 @@ def _cases():
     unitaries = [MatElement(np.diag(np.exp(1j * rng.uniform(0, 6.3, 4)))) for _ in range(2)]
     tree, loop = star_tree(5), loop_graph(3)
 
-    def mat4(r):
-        return random_matelement(4, r)
+    def mat(n):
+        return lambda r: random_matelement(n, r)
+    mat4 = mat(4)
+    p = {v: ga.vertex_projection(tree, v) for v in tree.vertices}
+    with warnings.catch_warnings():  # a vertex projection is self-adjoint
+        warnings.simplefilter("ignore")
+        complex_tree = DifferentialBasis(list(p.values()),
+                                         prefactors=[1j, 2 - 0.5j, -1.5, 0.25j, 3 + 1j])
+    clocks = [MatElement(np.diag(np.exp(1j * rng.uniform(0, 6.3, 5)))) for _ in range(3)]
     return [
         ("M_4 projections", DifferentialBasis(projection_basis(4), mode="selfadjoint"), mat4),
         ("M_4 diagonal unitaries", DifferentialBasis(unitaries, prefactors=[1.5, 0.5 - 1j]), mat4),
@@ -93,6 +104,20 @@ def _cases():
         ("3-cycle", DifferentialBasis([ga.vertex_projection(loop, v) for v in loop.vertices],
                                       prefactors=[1.0, 2 - 1j, 0.5j], mode="selfadjoint"),
          _graph_sampler(loop, rng, n_terms=5)),
+        ("star tree, complex prefactors",
+         DifferentialBasis(list(p.values()), prefactors=[1j, 2 - 0.5j, -1.5, 0.25j, 3 + 1j],
+                           mode="selfadjoint"), _graph_sampler(tree, rng, n_terms=6)),
+        ("star tree, both families", complex_tree, _graph_sampler(tree, rng, n_terms=6)),
+        ("star tree, three vertices",
+         DifferentialBasis([p["v3"], p["root"], p["v1"]], prefactors=[0.5, -1j, 2.0],
+                           mode="selfadjoint"), _graph_sampler(tree, rng, n_terms=6)),
+        ("star tree, a non-vertex slot",
+         DifferentialBasis([p["root"], p["v1"] + p["v2"].scale(2.0), p["v3"]],
+                           mode="selfadjoint"), _graph_sampler(tree, rng, n_terms=6)),
+        ("M_1", DifferentialBasis([MatElement([[2.0]])], mode="selfadjoint"), mat(1)),
+        ("M_5 diagonal unitaries",
+         DifferentialBasis(clocks, prefactors=[0.5j, 1.0, -2 + 1j]), mat(5)),
+        ("M_7 projections", DifferentialBasis(projection_basis(7), mode="selfadjoint"), mat(7)),
     ]
 
 
@@ -220,13 +245,37 @@ def test_an_overflowing_matrix_weight_raises_as_the_elements_raise():
         assert _raised(lambda: delta(alpha)) == want
 
 
+def test_a_family_whose_weights_overflow_to_nan_derives_as_the_elements_do():
+    # slot 0's weights d(a) - d(b) overflow to nan for the entries 1e308 and
+    # -1e308: a bracket with it fails the finiteness check, and forms on which
+    # slot 0 never lands (every covector holds dU_1) derive bit for bit
+    D = [[1e308, -1e308, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0, 0.0], [3.0, 1.0, 0.0, 2.0, 1.0]]
+    basis = DifferentialBasis([MatElement(np.diag(d)) for d in D], mode="selfadjoint")
+    rng = np.random.default_rng(6)
+    for alpha in _forms(basis, lambda r: random_matelement(5, r).scale(1e-3), rng):
+        want = _raised(lambda: derive_per_bracket(alpha, (False,)))
+        assert want == (ValueError, "matrix entries must be finite")
+        assert _raised(lambda: delta(alpha)) == want
+        alpha = DifferentialForm(basis, {k: a for k, a in alpha.terms.items() if 0 in k[0]})
+        if alpha.terms:
+            assert_same_form(delta(alpha), derive_per_bracket(alpha, (False,)))
+            assert delta(alpha).terms
+
+
 def test_a_foreign_operand_raises_as_the_elements_raise():
     other_graph = star_tree(5)
     cases = [
         ("torus {U}", QElement.generator(torus_spec(0.3), 2), SpecMismatchError),
         ("torus {U}", random_matelement(4, np.random.default_rng(2)), TypeError),
+        ("heisenberg {W}", QElement.generator(torus_spec(THETA), 1), SpecMismatchError),
         ("M_4 projections", random_matelement(3, np.random.default_rng(2)), ValueError),
+        ("M_5 diagonal unitaries", random_matelement(4, np.random.default_rng(2)), ValueError),
+        ("M_5 diagonal unitaries", QElement.generator(torus_spec(THETA), 1), TypeError),
+        ("M_1", ga.vertex_projection(other_graph, "root"), TypeError),
         ("star tree", ga.vertex_projection(other_graph, other_graph.vertices[1]), ValueError),
+        ("star tree, both families", random_matelement(4, np.random.default_rng(2)), TypeError),
+        ("star tree, a non-vertex slot", ga.unit(other_graph), ValueError),
+        ("3-cycle", QElement.generator(torus_spec(THETA), 1), TypeError),
     ]
     for label, foreign, kind in cases:
         basis, sample = CASES[label]
@@ -236,8 +285,31 @@ def test_a_foreign_operand_raises_as_the_elements_raise():
             alpha = DifferentialForm(basis, terms)
             for derive, families in _derivatives(basis):
                 want = _raised(lambda: derive_per_bracket(alpha, families))
-                assert want is not None and want[0] is kind
-                assert _raised(lambda: derive(alpha)) == want
+                assert want is not None and want[0] is kind, label
+                assert _raised(lambda: derive(alpha)) == want, label
+        # where no covector lands, neither route brackets, and neither raises
+        top = tuple(range(basis.size))
+        alpha = DifferentialForm(basis, {(top, top if basis.mode == "complex" else ()): foreign})
+        for derive, families in _derivatives(basis):
+            assert derive(alpha).terms == derive_per_bracket(alpha, families).terms == {}
+
+
+def test_each_family_has_a_hook_but_the_rotated_one():
+    for label, (basis, sample) in CASES.items():
+        hooks = basis.family_hooks
+        assert all((hook is None) == (label == "rotated M_4 unitaries") for hook in hooks)
+        assert basis.family_hooks is hooks  # built once
+    # the hook hands the non-vertex slot to the fallback, and takes the others
+    basis, sample = CASES["star tree, a non-vertex slot"]
+    parts = basis.family_hooks[0](sample(np.random.default_rng(0)))
+    assert [part is None for part in parts] == [False, True, False]
+
+
+def test_building_a_basis_builds_no_hook():
+    basis = DifferentialBasis(projection_basis(5), mode="selfadjoint")
+    assert "family_hooks" not in vars(basis)
+    delta(DifferentialForm.from_element(basis, random_matelement(5, np.random.default_rng(0))))
+    assert "family_hooks" in vars(basis)
 
 
 def test_delta_builds_each_matrix_coefficient_once(monkeypatch):
@@ -260,3 +332,25 @@ def test_delta_builds_each_matrix_coefficient_once(monkeypatch):
         built.clear()
         d = delta(alpha)
         assert len(built) == len(d.terms)
+
+
+def test_delta_reads_each_operand_once_per_family(monkeypatch):
+    # one warm check_delta_squared: each (form term, family) pair reads its
+    # coefficient's keys at most once, where every slot read them before
+    testing.check_delta_squared()
+    pairs = {GraphElement: 0, MatElement: 0, QElement: 0}
+    for _, alphas in testing._delta_inputs():
+        basis = alphas[0].basis
+        for alpha in alphas:
+            n = len(alpha.terms) + len(delta(alpha).terms)
+            pairs[type(basis.elements[0])] += n * len(basis.families)
+    assert (pairs[GraphElement], pairs[MatElement]) == (508, 320)
+    calls = {GraphElement: 0, MatElement: 0}
+    for cls in calls:
+        def counted(a, keyed=cls.keyed, cls=cls):
+            calls[cls] += 1
+            return keyed(a)
+        monkeypatch.setattr(cls, "keyed", counted)
+    testing.check_delta_squared()
+    assert calls[GraphElement] <= pairs[GraphElement]
+    assert calls[MatElement] <= pairs[MatElement]

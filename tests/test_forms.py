@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import warnings
 from math import comb
 
@@ -365,3 +366,30 @@ def test_form_json(torus, torus_basis):
     d = form_to_json(alpha, element_to_json)
     assert set(d) == {"basis_ref", "terms"}
     assert d["terms"][0]["I"] == [1] and d["terms"][0]["J"] == []
+
+
+def test_covector_indices_are_held_as_python_ints():
+    # random_form draws its slots with rng.choice, as numpy int64
+    label, basis, sample = default_carriers()[0]
+    assert label == "matrix M_4"
+    rng = np.random.default_rng(2)
+    alpha = random_form(basis, lambda _: sample(), rng, max_terms=6)
+    d = delta(alpha)
+    for form in (alpha, d):
+        assert any(key != ((), ()) for key in form.terms)
+        assert all(type(s) is int for I, J in form.terms for s in I + J)
+        json.dumps(form_to_json(form, lambda a: a.mat.real.tolist()))
+    # indices of any integer type name the same covectors
+    a = sample()
+    given = DifferentialForm(basis, {((np.int64(0), np.int32(2)), ()): a})
+    assert list(given.terms) == [((0, 2), ())]
+    assert all(type(s) is int for s in next(iter(given.terms))[0])
+
+
+@pytest.mark.parametrize("index", [(1.0,), (np.float64(1),), (0, 1.5), ("1",)])
+def test_a_non_integral_covector_index_is_rejected(torus_basis, index):
+    U = torus_basis.elements[0]
+    with pytest.raises(ValueError, match="bad covector index"):
+        DifferentialForm(torus_basis, {(index, ()): U})
+    with pytest.raises(ValueError, match="bad covector index"):
+        DifferentialForm(torus_basis, {((), index): U})

@@ -147,3 +147,15 @@ def test_importing_the_battery_draws_nothing():
                           env=env, timeout=120)
     assert done.stdout == "[0, 0, 0]\n", done.stderr
 
+
+
+def test_the_selftest_derives_afresh_on_every_call(monkeypatch):
+    # the battery holds its inputs, not its results: once delta^2 != 0, the
+    # next selftest on the same held inputs fails
+    lines = []
+    assert testing.run_selftest(out=lines.append)
+    assert lines and not any("FAIL" in line for line in lines)
+    monkeypatch.setattr(testing.forms, "delta", lambda alpha: alpha)
+    lines.clear()
+    assert not testing.run_selftest(out=lines.append)
+    assert any(line.startswith("delta^2 = 0") and line.endswith("FAIL") for line in lines)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ncdiff import qlattice
-from ncdiff.carrier import commutator
+from ncdiff.carrier import add_terms, commutator
 from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError,
                              _array_product, clock_shift_rep, element_from_json,
                              element_to_json, heisenberg_spec, inner,
@@ -20,7 +20,7 @@ from ncdiff.testing import random_qelement
 
 from conftest import MU, NU, THETA
 from oracles import (assert_close_terms, box_for, dict_only, held, loop_product,
-                     q_element)
+                     monomial_ad_loop, pair_product, q_element)
 import test_carrier as contract
 from test_carrier import (HEISENBERG, Q_CASES, TORUS, QCase, array_product_matches_loop,
                           contract_test)
@@ -678,3 +678,83 @@ def test_element_helper_rejects_a_box_too_small(torus, rng):
     with pytest.raises(ValueError):
         q_element(torus, rng, 1, 10)
     assert len(q_element(torus, rng, 1, 9).terms) == 9
+
+# -- the product and bracket loops against their oracles, which form every
+# angle in full --------------------------------------------------------------
+
+# 0, 1 and 3 nonzero structure angles; the last with a negative prune threshold
+HOISTED_SPECS = [
+    QAlgebraSpec(np.zeros((2, 2))),
+    torus_spec(THETA),
+    QAlgebraSpec([[0.0, 0.3, -1.1], [-0.3, 0.0, 2.5], [1.1, -2.5, 0.0]]),
+    QAlgebraSpec([[0.0, 0.3, -1.1], [-0.3, 0.0, 2.5], [1.1, -2.5, 0.0]], prune_epsilon=-1.0),
+]
+
+
+def _hoisted_operands(spec, rng):
+    """Random dicts, Python-int exponents from 2**62 up, nan and inf
+    coefficients, zeros of both signs, and the empty dict."""
+    m = spec.generator_count
+    small = q_element(spec, rng, 3, 6).terms
+    big = {tuple(2 ** 62 + 7 * k + j for j in range(m)): complex(*rng.standard_normal(2))
+           for k in range(3)}
+    big[tuple(-(2 ** 64) for _ in range(m))] = 1j
+    odd = {(1,) * m: complex("nan"), (0,) * m: complex("inf"), (-1,) * m: complex(1.0, -0.0),
+           (2,) * m: complex(-0.0, 0.0), (3,) * m: complex("-inf") + 1j}
+    return [small, big, odd, {**small, **odd}, {}]
+
+
+def _same_bits(got: dict, want: dict):
+    """Keys in one order and every coefficient bit for bit, zero signs and nans too."""
+    assert list(got) == list(want)
+    assert [(c.real.hex(), c.imag.hex()) for c in got.values()] == \
+        [(c.real.hex(), c.imag.hex()) for c in want.values()]
+
+
+@pytest.mark.parametrize("spec", HOISTED_SPECS, ids=["0 pairs", "1 pair", "3 pairs", "eps < 0"])
+def test_pair_product_matches_its_full_angle_oracle(spec, rng):
+    operands = _hoisted_operands(spec, rng)
+    for ta, tb in itertools.product(operands, repeat=2):
+        _same_bits(qlattice._pair_product(spec, ta, tb), pair_product(spec, ta, tb))
+
+
+@pytest.mark.parametrize("spec", HOISTED_SPECS, ids=["0 pairs", "1 pair", "3 pairs", "eps < 0"])
+def test_monomial_ad_loop_matches_its_full_angle_oracle(spec, rng):
+    # the loop as delta runs it, through the family hook, and as ad runs it
+    m = spec.generator_count
+    slots = [((1,) + (0,) * (m - 1), 1.0), ((-2,) * m, 0.5 - 2j), ((2 ** 62 + 1,) * m, 1j)]
+    hook = QElement.family_ad([QElement(spec, {g: c}) for g, c in slots])
+    for terms in _hoisted_operands(spec, rng):
+        a = QElement(spec, terms)  # keeps zeros only where prune_epsilon < 0
+        parts = hook(a)
+        for (g, c), part in zip(slots, parts):
+            for acc, sign in [(None, 1), (None, -1), (dict(a.terms), 1), ({(9,) * m: 2j}, -1)]:
+                got = add_terms(None if acc is None else dict(acc), part.items(), sign,
+                                spec.prune_epsilon)
+                _same_bits(got, monomial_ad_loop(spec, g, c, a.terms, acc, sign))
+            _same_bits(QElement(spec, {g: c}).ad()(a).terms,
+                       monomial_ad_loop(spec, g, c, a.terms, None, 1))
+
+
+def test_loops_raise_on_exponents_beyond_floats_as_their_oracles_do():
+    # an exponent of 10**400 has no float: the product raises at its first
+    # angle, and forms none when the other operand is empty; a monomial with
+    # it has no bracket loop, while the oracle's loop raises at its first term
+    spec = torus_spec(THETA)
+    big = 10 ** 400
+    huge = {(big, big): 1.0}
+    for ta, tb in [(huge, {(1, 1): 2.0}), ({(1, 1): 2.0}, huge)]:
+        for loop in (qlattice._pair_product, pair_product):
+            with pytest.raises(OverflowError):
+                loop(spec, ta, tb)
+    for ta, tb in [(huge, {}), ({}, huge)]:
+        assert qlattice._pair_product(spec, ta, tb) == pair_product(spec, ta, tb) == {}
+    with pytest.raises(OverflowError):
+        QElement(spec, huge).ad()
+    with pytest.raises(OverflowError):
+        monomial_ad_loop(spec, (big, big), 1.0, {(1, 1): 1.0}, None, 1)
+    hook = QElement.family_ad([QElement.generator(spec, 1)])
+    with pytest.raises(OverflowError):
+        hook(QElement(spec, huge))
+    with pytest.raises(OverflowError):
+        monomial_ad_loop(spec, (1, 0), 1.0, huge, None, 1)
