@@ -21,13 +21,16 @@ these replace are the tests' oracles, in ``tests/oracles.py``.  Every
 first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
 Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
 maps, so a diagonal basis element never forms two products.  The carre du
-champ 2 Gamma(a, c) of two q-lattice elements whose product a^* c takes the
-array route, under a basis that acts diagonally, reads the heat symbol
+champ 2 Gamma(a, c) of two q-lattice elements with more than ``_CARRE_PAIRS``
+term pairs, under a basis that acts diagonally, reads the heat symbol
 instead: one pass over the term pairs of a^* c weighs each pair by
 lambda(e) + lambda(f) - lambda(e + f); every other operand takes the three
 products and three Laplacians of its formula.
 :func:`audit_semigroup` samples the channel on seeded random operators,
 drawn once per (n, samples, seed) while the held draws fit one byte budget.
+It draws and checks them in blocks of ``_BLOCK_ENTRIES`` matrix entries per
+stack, so its temporaries beside the three sample stacks hold one block, and
+each row is bit for bit that of one pass over the whole stacks.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .forms import BasisModeError, DifferentialBasis
 from .matrix_algebra import MatElement, trace
-from .qlattice import _ARRAY_PAIRS, QElement, _pair_sums, tau as q_tau
+from .qlattice import QElement, _pair_sums, tau as q_tau
 
 
 def laplacian(a, basis: DifferentialBasis):
@@ -76,6 +79,9 @@ def _check_time(t: float) -> None:
 # side by side, never n = 64.
 _HELD_DRAW_BYTES = 8 * 2 ** 20
 _held_draws: dict = {}  # (n, samples, seed) -> (A, B, interval operators), least recent first
+# An audit draws and checks its samples in blocks of at most this many entries
+# per stack, as ``qlattice._CHUNK_PAIRS`` bounds a chunk: 32 samples at n = 16.
+_BLOCK_ENTRIES = 2 ** 13
 
 
 def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -155,8 +161,10 @@ class SemigroupAudit:
 
 def _audit_samples(n: int, samples: int, seed):
     """Read-only stacks A, B of random pairs and of random Hermitian operators
-    with spectrum inside [0, 1], all from one ``default_rng(seed)``.  A draw
-    with integer arguments is held for later calls while all held draws fit
+    with spectrum inside [0, 1], all from one ``default_rng(seed)``, drawn into
+    the stacks a block at a time: the blocks of A and B first, one stream as
+    one draw of them all, then the operators'.  A draw with integer arguments
+    is held, once complete, for later calls while all held draws fit
     ``_HELD_DRAW_BYTES`` together: a miss first evicts the least recently
     used until its 3 * samples * n^2 complex entries fit, and a draw that
     can never fit is neither held nor evicts anything."""
@@ -170,19 +178,21 @@ def _audit_samples(n: int, samples: int, seed):
         while size + sum(x.nbytes for d in _held_draws.values() for x in d) > _HELD_DRAW_BYTES:
             del _held_draws[next(iter(_held_draws))]
     rng = np.random.default_rng(seed)
-    # one batched draw gives the same samples as drawing pair by pair
-    draws = rng.standard_normal((samples, 4, n, n))
-    A = draws[:, 0] + 1j * draws[:, 1]
-    B = draws[:, 2] + 1j * draws[:, 3]
-    del draws
-    X = rng.standard_normal((samples, 2, n, n))
-    X = X[:, 0] + 1j * X[:, 1]
-    H = X + X.conj().swapaxes(1, 2)
-    lam = np.linalg.eigvalsh(H)
-    lo, hi = lam[:, :1, None], lam[:, -1:, None]
-    flat = hi - lo < 1e-12
+    A, B, ops = (np.empty((samples, n, n), dtype=complex) for _ in range(3))
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    blocks = [slice(k, k + step) for k in range(0, samples, step)]
+    for s in blocks:
+        draws = rng.standard_normal((len(A[s]), 4, n, n))
+        A[s], B[s] = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
     eye = np.eye(n)
-    ops = np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
+    for s in blocks:
+        X = rng.standard_normal((len(A[s]), 2, n, n))
+        X = X[:, 0] + 1j * X[:, 1]
+        H = X + X.conj().swapaxes(1, 2)
+        lam = np.linalg.eigvalsh(H)
+        lo, hi = lam[:, :1, None], lam[:, -1:, None]
+        flat = hi - lo < 1e-12
+        ops[s] = np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
     for stack in (A, B, ops):
         stack.setflags(write=False)
     if size <= _HELD_DRAW_BYTES:
@@ -202,7 +212,8 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     with spectrum in [0, 1] are drawn once per (n, samples, seed), shared by
     every time and held as :func:`_audit_samples` states, so a repeat audit
     skips the redraw; the rows are those of a fresh draw, whatever the order
-    of the calls.
+    of the calls.  Each block of samples is taken into the eigenbasis once for
+    all times; no temporary outgrows a block, and each row is one pass's bit for bit.
     """
     ts = list(ts)
     if not ts:
@@ -212,28 +223,37 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     if samples < 1:
         raise ValueError("need at least one sample")
     Q, W = basis.eigenbasis[0], basis.symbol.lam(MatElement.zero(n)).reshape(n, n)
-    A, B, interval_ops = _audit_samples(n, samples, seed)
+    Qh = None if Q is None else Q.conj().T
+    Ms = [np.exp(-t * W) for t in ts]
+
+    def heats(x):  # Phi_t(x) for each time, x taken into the eigenbasis once
+        x = x if Q is None else Qh @ x @ Q
+        return (M * x if Q is None else Q @ (M * x) @ Qh for M in Ms)
+
+    parts = [[] for _ in ts]  # per time: (symmetry, Markov min, Markov max) of each block
+    stacks, step = _audit_samples(n, samples, seed), max(1, _BLOCK_ENTRIES // (n * n))
+    for k in range(0, samples, step):
+        A, B, ops = (x[k:k + step] for x in stacks)
+        # tau-symmetry tr(Phi(a) b) = tr(a Phi(b)) over the random pairs
+        left = [np.einsum("kij,kji->k", PA, B) for PA in heats(A)]
+        right = [np.einsum("kij,kji->k", A, PB) for PB in heats(B)]
+        for part, x, y, F in zip(parts, left, right, heats(ops)):
+            F += F.conj().swapaxes(1, 2)  # in place: 0.5 * (F + F^*), one temporary
+            F *= 0.5
+            lam = np.linalg.eigvalsh(F)
+            part.append((np.abs(x - y).max(), lam[:, 0].min(), lam[:, -1].max()))
     audit = SemigroupAudit(n=n, basis_label=basis.label)
     eye = np.eye(n)
-    for t in ts:
-        M = np.exp(-t * W)
+    for t, M, part in zip(ts, Ms, parts):
         choi_min = float(np.linalg.eigvalsh(M)[0])
-        if n >= 2:
-            choi_min = min(choi_min, 0.0)
-        # tau-symmetry tr(Phi(a) b) = tr(a Phi(b)) over the random pairs
-        sym = np.abs(np.einsum("kij,kji->k", _schur_heat(Q, M, A), B)
-                     - np.einsum("kij,kji->k", A, _schur_heat(Q, M, B))).max() / n
-        cons = float(np.abs(_schur_heat(Q, M, eye) - eye).max())
-        F = _schur_heat(Q, M, interval_ops)
-        lam = np.linalg.eigvalsh(0.5 * (F + F.conj().swapaxes(1, 2)))
-        mk_min, mk_max = float(lam[:, 0].min()), float(lam[:, -1].max())
+        sym, mk_min, mk_max = np.array(part).T
         audit.results.append({
             "t": t,
-            "choi_min_eigenvalue": choi_min,
-            "symmetry_error": float(sym),
-            "conservativity_error": cons,
-            "markov_min": mk_min,
-            "markov_max": mk_max,
+            "choi_min_eigenvalue": min(choi_min, 0.0) if n >= 2 else choi_min,
+            "symmetry_error": float(sym.max() / n),
+            "conservativity_error": float(np.abs(_schur_heat(Q, M, eye) - eye).max()),
+            "markov_min": float(mk_min.min()),
+            "markov_max": float(mk_max.max()),
         })
     return audit
 
@@ -261,10 +281,16 @@ def trotter_check(t: float, steps: int, n: int, basis: DifferentialBasis) -> flo
 
 # -- first-order / carre du champ identities --------------------------------
 
+# The one pass beats the three products above about 30 term pairs: on the
+# torus basis {U} with operands held as dicts, 16 pairs took 180-220 us by the
+# formula against 185-300 us by the pass, 36 pairs 400-570 against 200-330 us.
+_CARRE_PAIRS = 32
+
+
 def carre_du_champ(a, c, basis: DifferentialBasis):
     """Algebra-valued form 2 Gamma(a, c) = a^* Delta(c) + Delta(a^*) c - Delta(a^* c).
 
-    Two q-lattice elements whose product a^* c takes the array route, under a
+    Two q-lattice elements with more than ``_CARRE_PAIRS`` term pairs, under a
     basis that acts diagonally, take one pass over its term pairs
     (:func:`_carre_in_one_pass`); every other operand, and any whose symbol
     or Laplacians are not finite, takes the formula as written
@@ -287,13 +313,13 @@ def _carre_in_one_pass(a, c, basis: DifferentialBasis):
     phi(e, f) U^{e+f} and Delta U^e = lambda(e) U^e: one pass
     (:func:`~ncdiff.qlattice._pair_sums`) bins P = sum (a^*)_e c_f phi and
     R = sum (a^*)_e c_f phi (lambda(e) + lambda(f)) on the same codes, and
-    R - lambda P is pruned once.  None, for the formula, at or below the
-    product's cut of ``_ARRAY_PAIRS`` term pairs, where ``basis.symbol.lam``
+    R - lambda P is pruned once.  None, for the formula, at or below
+    ``_CARRE_PAIRS`` term pairs, where ``basis.symbol.lam``
     or the pass declines, and where lambda times any coefficient, or the
     result, is not finite.
     """
     if (not isinstance(a, QElement) or not isinstance(c, QElement)
-            or a._size() * c._size() <= _ARRAY_PAIRS):
+            or a._size() * c._size() <= _CARRE_PAIRS):
         return None
     astar, symbol = a.adjoint(), basis.symbol
     try:

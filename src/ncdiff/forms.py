@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .carrier import EQ_TOLERANCE, Terms, commutator
+from .carrier import EQ_TOLERANCE, HeldTerms, Terms, commutator
 from .matrix_algebra import MatElement, joint_eigenbasis, scaled_family
 
 FormIndex = tuple  # ((i_1..i_p), (j_1..j_q)) of 0-based slots, each ascending
@@ -272,6 +272,18 @@ def _merge_indices(I1, J1, I2, J2) -> tuple[int, FormIndex] | None:
     return sign, (tuple(sorted(I1 + I2)), tuple(sorted(J1 + J2)))
 
 
+def _vanishes(a) -> bool:
+    """Whether the carrier element ``a`` has norm 0, read without its norm
+    where the carrier allows: a term carrier pruning at a threshold of at
+    least 0 holds no zero coefficient, so it vanishes exactly when it has no
+    terms, and a matrix when it has no nonzero entry (nan is nonzero)."""
+    if isinstance(a, HeldTerms) and a._eps >= 0:
+        return not a._size()
+    if isinstance(a, MatElement):
+        return not np.count_nonzero(a.mat)
+    return a.norm() == 0.0
+
+
 class DifferentialForm(Terms):
     """Graded form: carrier-element coefficients on covector index keys (I, J)."""
 
@@ -290,12 +302,14 @@ class DifferentialForm(Terms):
             I, J = tuple(map(operator.index, I)), tuple(map(operator.index, J))
             if basis.mode == "selfadjoint" and J:
                 raise BasisModeError("self-adjoint mode has no starred covectors")
-            if a.norm() != 0.0:
+            if not _vanishes(a):
                 table[(I, J)] = a
         self.basis = basis
         self.terms = table
 
-    _eps = 0.0  # only coefficients of norm 0 are dropped
+    def _like(self, terms: dict) -> "DifferentialForm":
+        """The form holding ``terms`` without the coefficients of norm 0."""
+        return self._over({k: a for k, a in terms.items() if not _vanishes(a)})
 
     def _over(self, terms) -> "DifferentialForm":
         out = object.__new__(DifferentialForm)
@@ -354,7 +368,8 @@ def _derive(alpha: DifferentialForm, families: tuple) -> DifferentialForm:
                 term = act(a) if sign > 0 else -act(a)
                 out[key] = term if out[key] is None else out[key] + term
     out.update((key, x._from_raw(acc)) for key, acc in raw.items())  # built: nonzero, or None
-    return alpha._over({k: c for k, c in out.items() if c is not None and (k in raw or c.norm())})
+    return alpha._over({k: c for k, c in out.items()
+                        if c is not None and (k in raw or not _vanishes(c))})
 
 
 def delta(alpha: DifferentialForm) -> DifferentialForm:

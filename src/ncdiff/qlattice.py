@@ -393,6 +393,15 @@ def _monomial_weights(spec: QAlgebraSpec, g: Monomial, c: complex):
     return weigh
 
 
+def _exponents(mono) -> tuple:
+    """The exponents of ``mono`` as Python ints: a ValueError that names it
+    where one is not an integer (2.0 included), never a truncation."""
+    try:
+        return tuple(map(operator.index, mono))
+    except TypeError:
+        raise ValueError(f"monomial {mono} needs integer exponents") from None
+
+
 class QElement(HeldTerms):
     """Finite complex combination of normal-ordered monomials.
 
@@ -408,11 +417,12 @@ class QElement(HeldTerms):
         eps = spec.prune_epsilon
         tt = {}
         for mono, c in (terms or {}).items():
-            if len(mono) != m:
+            e = _exponents(mono)
+            if len(e) != m:
                 raise ValueError(f"monomial {mono} has wrong arity for {m} generators")
             c = complex(c)
             if not abs(c) <= eps:  # keeps a nan for the finiteness checks
-                tt[tuple(int(x) for x in mono)] = c
+                tt[e] = c
         self.spec = spec
         self._terms = tt
         self._keyed = None
@@ -751,6 +761,6 @@ def element_to_json(a: QElement) -> list:
 def element_from_json(spec: QAlgebraSpec, items: Iterable[Mapping]) -> QElement:
     terms: dict = {}
     for it in items:
-        e = tuple(int(x) for x in it["exponents"])
+        e = _exponents(it["exponents"])
         terms[e] = terms.get(e, 0j) + complex(it["re"], it["im"])
     return QElement(spec, terms)

@@ -14,7 +14,8 @@ reads two Schur symbols), and a matrix basis validated and held one element
 at a time (the library reads a matrix family from its arrays in one pass).
 The sampled audit's random draws and the seeded inputs of the selftest
 battery are also drawn here afresh on every call (the library holds its last
-seeded draw of each).
+seeded draw of each), and the audit's rows are computed over the whole
+sample stacks at once (the library draws and checks them in blocks).
 Superoperators act on row-major vectorized matrices.
 
 The operands and comparisons that the route tests of both term carriers
@@ -292,6 +293,38 @@ def audit_samples(n: int, samples: int, seed):
     flat = hi - lo < 1e-12
     eye = np.eye(n)
     return A, B, np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
+
+
+def audit_semigroup(ts, n: int, basis, samples: int = 100, seed=7) -> list:
+    """The rows of ``audit_semigroup`` by one pass over the whole stacks of
+    :func:`audit_samples` for each time, every sample's Schur multiplier
+    taken into the eigenbasis and back with one temporary the size of the
+    whole stack (the library checks the samples a block at a time)."""
+    Q, W = basis.eigenbasis[0], basis.symbol.lam(MatElement.zero(n)).reshape(n, n)
+
+    def schur_heat(M, m):
+        if Q is None:
+            return M * m
+        Qh = Q.conj().T
+        return Q @ (M * (Qh @ m @ Q)) @ Qh
+
+    A, B, interval_ops = audit_samples(n, samples, seed)
+    rows = []
+    eye = np.eye(n)
+    for t in ts:
+        M = np.exp(-t * W)
+        choi_min = float(np.linalg.eigvalsh(M)[0])
+        if n >= 2:
+            choi_min = min(choi_min, 0.0)
+        sym = np.abs(np.einsum("kij,kji->k", schur_heat(M, A), B)
+                     - np.einsum("kij,kji->k", A, schur_heat(M, B))).max() / n
+        cons = float(np.abs(schur_heat(M, eye) - eye).max())
+        F = schur_heat(M, interval_ops)
+        lam = np.linalg.eigvalsh(0.5 * (F + F.conj().swapaxes(1, 2)))
+        rows.append({"t": t, "choi_min_eigenvalue": choi_min, "symmetry_error": float(sym),
+                     "conservativity_error": cons, "markov_min": float(lam[:, 0].min()),
+                     "markov_max": float(lam[:, -1].max())})
+    return rows
 
 
 def delta_inputs(samples: int) -> list:

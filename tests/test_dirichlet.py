@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -336,6 +337,67 @@ def test_cli_audits_in_one_process_reuse_their_draws(no_held_draw, monkeypatch, 
     assert list(D._held_draws) == [(3, 25, 7), (3, 20, 7), (4, 10, 7)]
 
 
+_grid_basis = functools.cache(_matrix_basis)
+AUDIT_GRID = pytest.mark.parametrize(
+    "kind, n", [("rotated", 1)] + [(kind, n) for n in (2, 3, 16, 20, 64)
+                                   for kind in ("projection", "rotated", "rotated-projection")],
+    ids=lambda v: str(v))
+
+
+@AUDIT_GRID
+def test_audit_rows_are_the_whole_stack_rows(kind, n, no_held_draw):
+    # the audit draws and checks its samples in blocks of _BLOCK_ENTRIES
+    # entries per stack; sample counts that no block size divides, one and
+    # three times, draws held and (n = 64 at 100 samples) over the budget
+    basis, ts = _grid_basis(kind, n), [0.1, 1.0, 10.0]
+    for samples in (1, 7, 25, 100, 101):
+        want = oracles.audit_semigroup(ts, n, basis, samples=samples)
+        assert D.audit_semigroup(ts, n, basis, samples=samples).results == want, samples
+        assert D.audit_semigroup([1.0], n, basis, samples=samples).results == want[1:2], samples
+    assert 48 * 100 * 64 ** 2 > D._HELD_DRAW_BYTES >= 48 * 25 * 64 ** 2
+
+
+@pytest.mark.parametrize("kind, n", [("rotated", 3), ("rotated-projection", 20),
+                                     ("projection", 64)], ids=lambda v: str(v))
+def test_audit_rows_on_draws_that_are_not_held(kind, n, no_held_draw, monkeypatch):
+    basis, ts = _grid_basis(kind, n), [0.1, 1.0, 10.0]
+    want = oracles.audit_semigroup(ts, n, basis, samples=37, seed=np.random.SeedSequence(5))
+    assert D.audit_semigroup(ts, n, basis, samples=37, seed=np.random.SeedSequence(5)).results \
+        == want and D._held_draws == {}
+    monkeypatch.setattr(D, "_HELD_DRAW_BYTES", 0)  # too small for any draw
+    assert D.audit_semigroup(ts, n, basis, samples=37).results \
+        == oracles.audit_semigroup(ts, n, basis, samples=37) and D._held_draws == {}
+    # an unseeded draw takes fresh entropy: give both the same
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: default_rng(np.random.SeedSequence(5) if seed is None
+                                                      else seed))
+    assert D.audit_semigroup(ts, n, basis, samples=37, seed=None).results == want
+
+
+def _traced_peak(f) -> float:
+    """Bytes that ``f()`` allocates at its peak above what was allocated before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_audit_temporaries_hold_one_block(no_held_draw):
+    # beside the three sample stacks (19.7 MB at n = 64, 100 samples) an
+    # audit's temporaries hold one block; one pass over the whole stacks, as
+    # oracles.audit_semigroup makes it, peaks at 37.8 MB there and adds
+    # 2.0 MB to a held n = 20 draw
+    big, small = _grid_basis("projection", 64), _grid_basis("rotated", 20)
+    D.audit_semigroup([1.0], 64, big, samples=1)  # the eigenbasis and symbol, held
+    assert _traced_peak(lambda: D.audit_semigroup([0.1, 1.0, 10.0], 64, big)) <= 22 * 2 ** 20
+    D.audit_semigroup([1.0], 20, small)  # the draw, held
+    assert _traced_peak(lambda: D.audit_semigroup([0.1, 1.0, 10.0], 20, small)) <= 0.8 * 2 ** 20
+
+
 MATRIX_CASES = pytest.mark.parametrize(
     "kind, n", [("projection", n) for n in (2, 3, 4, 5)]
     + [("rotated", 7), ("rotated", 12), ("rotated-projection", 6)], ids=lambda v: str(v))
@@ -626,6 +688,30 @@ def test_carre_du_champ_keeps_the_formula_off_the_one_pass_route(rng, monkeypatc
     assert cases[0][1]._size() * cases[0][2]._size() > ql._ARRAY_PAIRS
     assert cases[1][1]._size() * cases[1][2]._size() > ga._ARRAY_PAIRS
     assert not passes
+
+
+@pytest.mark.parametrize("label", ["torus {U}", "heisenberg {U, V}"])
+def test_carre_du_champ_takes_the_one_pass_just_above_its_own_cut(label, rng, monkeypatch):
+    # the one pass beats the three products far below the product's cut, and
+    # the selftest's pairs of 4-term operands stay at or below its own
+    assert 4 * 4 <= D._CARRE_PAIRS < ql._ARRAY_PAIRS
+    basis = _carre_bases()[label]
+    spec = basis.elements[0].spec
+    passes = []
+    pair_sums = ql._pair_sums
+    monkeypatch.setattr(D, "_pair_sums", lambda *args: passes.append(1) or pair_sums(*args))
+    for n_a, n_c, route in ((1, D._CARRE_PAIRS + 1, True), (3, 11, True), (4, 8, False),
+                            (1, D._CARRE_PAIRS, False)):
+        a, c = oracles.q_element(spec, rng, 3, n_a), oracles.q_element(spec, rng, 3, n_c)
+        want = D._carre_by_products(a, c, basis)
+        got = D._carre_in_one_pass(a, c, basis)
+        assert (got is not None) is route is (n_a * n_c > D._CARRE_PAIRS)
+        if route:
+            _assert_within(got, want, 1e-13)
+            assert D.carre_du_champ(a, c, basis).terms == got.terms
+        else:
+            assert D.carre_du_champ(a, c, basis).terms == want.terms
+    assert len(passes) == 4
 
 
 def test_dirichlet_form_values(p_basis2, torus, torus_basis, rng):

@@ -12,10 +12,11 @@ from ncdiff.forms import (BasisConditionError, BasisModeError, DifferentialBasis
                           DifferentialForm, component_rank, delta, form_to_json,
                           grade, partial, partial_star, star, wedge)
 from ncdiff.matrix_algebra import MatElement, projection_basis
-from ncdiff.qlattice import QElement, element_to_json, torus_spec
+from ncdiff.qlattice import QAlgebraSpec, QElement, element_to_json, torus_spec
 from ncdiff.testing import (default_carriers, random_form, random_matelement,
                             random_qelement)
 
+import oracles
 from conftest import THETA
 
 
@@ -393,3 +394,55 @@ def test_a_non_integral_covector_index_is_rejected(torus_basis, index):
         DifferentialForm(torus_basis, {(index, ()): U})
     with pytest.raises(ValueError, match="bad covector index"):
         DifferentialForm(torus_basis, {((), index): U})
+
+
+def _battery_forms():
+    """The forms that the selftest's delta^2, Leibniz and carre du champ
+    inputs give under delta, wedge, star and differences."""
+    out = []
+    for _, alphas in oracles.delta_inputs(4):
+        for alpha in alphas:
+            out += [delta(alpha), delta(delta(alpha)), alpha - alpha]
+    for _, pairs in oracles.leibniz_inputs(4):
+        for alpha, beta in pairs:
+            r = alpha.total_degree() if alpha.terms else 0
+            lhs = delta(wedge(alpha, beta))
+            rhs = wedge(delta(alpha), beta) + wedge(alpha, delta(beta)).scale((-1) ** r)
+            out += [lhs, rhs, lhs - rhs, star(lhs)]
+    basis, pairs = oracles.carre_inputs()
+    for a, c in pairs:
+        da, dc = (delta(DifferentialForm.from_element(basis, x)) for x in (a, c))
+        out += [wedge(da, dc), da - da, da + dc, -star(dc)]
+    return out
+
+
+def test_forms_drop_what_the_full_norm_drops(monkeypatch):
+    # a coefficient is dropped when its norm is 0, decided without the norm
+    # where the carrier allows (forms._vanishes); the dropped keys are those
+    # of the full norm on every form the selftest's inputs give
+    got = [list(form.terms) for form in _battery_forms()]
+    zeros = []
+    monkeypatch.setattr(F, "_vanishes", lambda a: zeros.append(a.norm() == 0.0) or zeros[-1])
+    assert got == [list(form.terms) for form in _battery_forms()]
+    assert any(zeros) and not all(zeros)
+
+
+def test_forms_drop_zero_coefficients_that_their_carrier_keeps():
+    # a negative prune_epsilon keeps zero coefficients in a q-lattice
+    # element, so its norm decides; a nan coefficient is never dropped
+    spec = QAlgebraSpec(torus_spec(THETA).theta, prune_epsilon=-1.0)
+    U, V = QElement.generator(spec, 1), QElement.generator(spec, 2)
+    zero = U - U
+    assert zero.terms == {(1, 0): 0j} and zero.norm() == 0.0
+    basis = DifferentialBasis([U])
+    form = DifferentialForm(basis, {((), ()): zero, ((0,), ()): V})
+    assert list(form.terms) == [((0,), ())]
+    assert (form - form).terms == {} and (form.scale(0.0)).terms == {}
+    assert wedge(form, DifferentialForm.from_element(basis, zero)).terms == {}
+    nan = QElement(spec, {(0, 1): complex("nan")})
+    assert list(DifferentialForm(basis, {((0,), ()): nan}).terms) == [((0,), ())]
+    # a matrix coefficient vanishes exactly when no entry is nonzero
+    mbasis = DifferentialBasis(projection_basis(2), mode="selfadjoint")
+    for m, kept in ((np.zeros((2, 2)), False), (np.diag([-0.0, 5e-324j]), True)):
+        f = DifferentialForm(mbasis, {((0,), ()): MatElement(m)})
+        assert bool(f.terms) is kept and bool((f + f).terms) is kept

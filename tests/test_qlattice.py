@@ -352,6 +352,29 @@ def test_serialization_roundtrip(torus, rng):
     assert all(abs(a.terms[e] - b.terms[e]) < 1e-15 for e in a.terms)
 
 
+@pytest.mark.parametrize("mono", [(0.5, 1), (2.0, 1), (np.float64(1), 0), ("1", 0), (1, None)])
+def test_a_non_integral_exponent_is_rejected(mono):
+    # int() would truncate 0.5 to 0; every entry point names the monomial
+    spec = torus_spec(0.7)
+    with pytest.raises(ValueError, match=r"monomial .* needs integer exponents"):
+        QElement(spec, {mono: 1.0})
+    with pytest.raises(ValueError, match=r"monomial .* needs integer exponents"):
+        element_from_json(spec, [{"exponents": list(mono), "re": 1.0, "im": 0.0}])
+    with pytest.raises(ValueError, match="needs integer exponents"):  # before the arity
+        QElement(spec, {mono + (0,): 1.0})
+
+
+def test_integer_exponents_of_any_integer_type_are_python_ints():
+    spec = torus_spec(0.7)
+    for mono in ((np.int64(2), True), (np.int32(2), 1), (2, np.uint8(1))):
+        a = QElement(spec, {mono: 1.0})
+        b = element_from_json(spec, [{"exponents": list(mono), "re": 1.0, "im": 0.0}])
+        assert a.terms == b.terms == {(2, 1): 1 + 0j}
+        assert all(type(x) is int for x in next(iter(a.terms)) + next(iter(b.terms)))
+    with pytest.raises(ValueError, match=r"monomial \(2, 1, 0\) has wrong arity for 2"):
+        QElement(spec, {(2, 1, 0): 1.0})
+
+
 def test_pruning():
     spec = torus_spec(0.1)
     a = QElement(spec, {(1, 0): 1e-15, (0, 1): 1.0})
