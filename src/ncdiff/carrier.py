@@ -36,17 +36,47 @@ coefficient is never dropped and makes the norm nan, so the finiteness
 checks of :mod:`ncdiff.expr` see it.  Array products sum coefficients by
 int64 term code through :func:`sum_by_code`; moduli of held coefficients
 come from :func:`moduli`, which raises where Python's ``abs`` does, as the
-loops do.
+loops do.  Every record of the package, from an expression node to a
+report, is a :class:`_Node`: immutable named fields on one tuple.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
 EQ_TOLERANCE = 1e-10
 PRUNE_EPSILON = 1e-12
+
+_new_tuple = tuple.__new__
+
+
+class _Node(tuple):
+    """The tuple of a node's class and its fields.
+
+    A subclass names its fields by the parameters of its ``__new__``, which
+    builds the tuple, and reads them by name.  Leading with the class lets
+    tuple equality and hashing, in C, tell ``Add(x, y)`` from ``Sub(x, y)``.
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__new__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        for i, name in enumerate(cls.__match_args__, 1):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self[1:]))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getnewargs__(self):
+        return self[1:]
 
 
 def largest(norms) -> float:

@@ -150,8 +150,7 @@ def _cmd_graph(args, cfg: Config) -> int:
     mu = graph.path(args.path.split(","))
     flag = ga.full_isometry_criterion(graph, mu)
     verified = ga.expand_projection_check(graph, mu) if flag else None
-    _emit({"path": {"source": mu.source, "edges": list(mu.edges), "range": mu.range},
-           "criterion": flag, "verified": verified})
+    _emit({"path": ga._path_json(mu), "criterion": flag, "verified": verified})
     return 0
 
 

@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
+from .carrier import _new_tuple, _Node
 from .forms import BasisModeError, DifferentialBasis, Symbol
 from .graph_algebra import DirectedGraph, GraphElement, common_range_pairs
 from .matrix_algebra import MatElement
@@ -393,21 +393,17 @@ def numeric_rank(M: np.ndarray) -> int:
     return _triplet_rank((rows, cols, M[rows, cols], M.shape))
 
 
-@dataclass
-class DegreeRow:
-    k: int
-    dim_ker: int
-    rank_prev: int
-    h_dim: int
+class DegreeRow(_Node):
+    def __new__(cls, k: int, dim_ker: int, rank_prev: int, h_dim: int):
+        return _new_tuple(cls, (cls, k, dim_ker, rank_prev, h_dim))
 
 
-@dataclass
-class ComplexReport:
+class ComplexReport(_Node):
     """Per-degree kernel/rank/cohomology dimensions for one chain of maps."""
-    basis_label: str
-    carrier_description: str
-    truncation: dict | None
-    degrees: list = field(default_factory=list)
+
+    def __new__(cls, basis_label: str, carrier_description: str, truncation: dict | None,
+                degrees: list):
+        return _new_tuple(cls, (cls, basis_label, carrier_description, truncation, degrees))
 
     def h(self, k: int) -> int:
         for row in self.degrees:
@@ -437,11 +433,11 @@ def _chain_report(basis_label: str, carrier_basis, sizes: list, ranks: list,
     """Rows of degrees 0..len(ranks)-1: degree k spans sizes[k] covector indices
     x carrier_basis, and its outgoing and incoming maps have ranks ranks[k]
     and ranks_in[k]."""
-    report = ComplexReport(basis_label, carrier_basis.description, truncation)
+    rows = []
     for k, (rank, rank_in) in enumerate(zip(ranks, ranks_in)):
         dim_ker = sizes[k] * carrier_basis.dim - rank
-        report.degrees.append(DegreeRow(k, dim_ker, rank_in, dim_ker - rank_in))
-    return report
+        rows.append(DegreeRow(k, dim_ker, rank_in, dim_ker - rank_in))
+    return ComplexReport(basis_label, carrier_basis.description, truncation, rows)
 
 
 def _top_degree(basis: DifferentialBasis, max_degree: int | None) -> int:

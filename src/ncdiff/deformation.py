@@ -15,12 +15,11 @@ Heisenberg generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .carrier import commutator, largest
+from .carrier import _new_tuple, _Node, commutator, largest
 from .qlattice import QElement, heisenberg_spec, weyl_lattice_spec
 
 TWO_PI_I = 2j * math.pi
@@ -39,33 +38,28 @@ def _check_parameters(values: Sequence[float]) -> None:
         raise ValueError("parameter values must be strictly decreasing")
 
 
-@dataclass
-class DeformationSweep:
+class DeformationSweep(_Node):
     """Record of a limit experiment.
 
     ``values`` must be finite, positive and strictly decreasing; ``errors``
     are the finite max coefficient deviations from the classical target;
     ``fitted_order`` is the log-log least-squares slope (NaN when an error vanishes).
     """
-    parameter_name: str
-    values: list
-    errors: list
-    target_description: str
-    fitted_order: float = field(init=False)
 
-    def __post_init__(self):
-        _check_parameters(self.values)
-        if len(self.errors) != len(self.values):
+    def __new__(cls, parameter_name: str, values: list, errors: list,
+                target_description: str):
+        _check_parameters(values)
+        if len(errors) != len(values):
             raise ValueError("one error per parameter value")
-        if any(not np.isfinite(e) for e in self.errors):
+        if any(not np.isfinite(e) for e in errors):
             raise ValueError("errors must be finite")
-        self.fitted_order = self._fit()
+        return _new_tuple(cls, (cls, parameter_name, values, errors, target_description))
 
-    def _fit(self) -> float:
+    @property
+    def fitted_order(self) -> float:
         if len(self.values) < 2 or any(e <= 0 for e in self.errors):
             return float("nan")
-        slope = np.polyfit(np.log(self.values), np.log(self.errors), 1)[0]
-        return float(slope)
+        return float(np.polyfit(np.log(self.values), np.log(self.errors), 1)[0])
 
     def halving_ratio(self) -> float:
         """errors[-1] / errors[-2]; 0.5 signals clean first-order decay."""
@@ -80,7 +74,8 @@ class DeformationSweep:
 
     def summary_json(self) -> dict:
         """Strict-JSON summary: a NaN ``fitted_order`` becomes ``None``."""
-        return {"fitted_order": None if math.isnan(self.fitted_order) else self.fitted_order,
+        order = self.fitted_order
+        return {"fitted_order": None if math.isnan(order) else order,
                 "target_description": self.target_description}
 
 

@@ -36,11 +36,11 @@ each row is bit for bit that of one pass over the whole stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .carrier import _new_tuple, _Node
 from .forms import BasisModeError, DifferentialBasis
 from .matrix_algebra import MatElement, trace
 from .qlattice import QElement, _pair_sums, tau as q_tau
@@ -133,8 +133,7 @@ def choi_matrix(t: float, n: int, basis: DifferentialBasis) -> MatElement:
     return MatElement(C)
 
 
-@dataclass
-class SemigroupAudit:
+class SemigroupAudit(_Node):
     """Per-time diagnostics of the heat channel.
 
     ``results`` rows carry: choi_min_eigenvalue (complete positivity needs
@@ -142,9 +141,9 @@ class SemigroupAudit:
     conservativity_error (|Phi_t(1) - 1|), markov_min/markov_max (spectral
     range of Phi_t over random operators between 0 and 1).
     """
-    n: int
-    basis_label: str
-    results: list = field(default_factory=list)
+
+    def __new__(cls, n: int, basis_label: str, results: list):
+        return _new_tuple(cls, (cls, n, basis_label, results))
 
     def to_json(self) -> dict:
         return {"n": self.n, "basis": self.basis_label,
@@ -242,12 +241,11 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
             F *= 0.5
             lam = np.linalg.eigvalsh(F)
             part.append((np.abs(x - y).max(), lam[:, 0].min(), lam[:, -1].max()))
-    audit = SemigroupAudit(n=n, basis_label=basis.label)
-    eye = np.eye(n)
+    rows, eye = [], np.eye(n)
     for t, M, part in zip(ts, Ms, parts):
         choi_min = float(np.linalg.eigvalsh(M)[0])
         sym, mk_min, mk_max = np.array(part).T
-        audit.results.append({
+        rows.append({
             "t": t,
             "choi_min_eigenvalue": min(choi_min, 0.0) if n >= 2 else choi_min,
             "symmetry_error": float(sym.max() / n),
@@ -255,7 +253,7 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
             "markov_min": float(mk_min.min()),
             "markov_max": float(mk_max.max()),
         })
-    return audit
+    return SemigroupAudit(n, basis.label, rows)
 
 
 def trotter_check(t: float, steps: int, n: int, basis: DifferentialBasis) -> float:

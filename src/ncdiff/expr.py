@@ -11,9 +11,10 @@ AST: :func:`parse` builds a tree of twelve node classes (``Num``, ``Gen``,
 ``Delta``, ``ThetaHat``) and :func:`to_text` renders one back.  A node is
 built from its fields by position or keyword, cannot be assigned to, equals
 and hashes alike with a node of its class with equal fields, and prints as
-``Add(left=Gen(name='U'), right=Num(value=2j))``.  The classes share one
-tuple base and generate no code at import; as frozen dataclasses, which
-write out and exec five methods each, they took half of ncdiff's import.
+``Add(left=Gen(name='U'), right=Num(value=2j))``.  The classes share the
+package's one tuple record base, :class:`ncdiff.carrier._Node`, and generate
+no code at import; as frozen dataclasses, which write out and exec five
+methods each, they took half of ncdiff's import.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from operator import itemgetter
 
-from .carrier import commutator
+from .carrier import _new_tuple, _Node, commutator
 from .forms import DifferentialBasis, DifferentialForm, delta as form_delta, wedge as form_wedge
 from .qlattice import QAlgebraSpec, QElement, theta_hat
 
@@ -39,35 +39,6 @@ class EvalError(ValueError):
 
 
 # -- AST ---------------------------------------------------------------------
-
-_new_tuple = tuple.__new__
-
-
-class _Node(tuple):
-    """The tuple of a node's class and its fields.
-
-    A subclass names its fields by the parameters of its ``__new__``, which
-    builds the tuple, and reads them by name.  Leading with the class lets
-    tuple equality and hashing, in C, tell ``Add(x, y)`` from ``Sub(x, y)``.
-    """
-
-    def __init_subclass__(cls):
-        code = cls.__new__.__code__
-        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
-        for i, name in enumerate(cls.__match_args__, 1):
-            setattr(cls, name, property(itemgetter(i)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__match_args__, self[1:]))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __getnewargs__(self):
-        return self[1:]
-
 
 class Num(_Node):
     def __new__(cls, value: complex):

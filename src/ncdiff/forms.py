@@ -368,8 +368,9 @@ def _derive(alpha: DifferentialForm, families: tuple) -> DifferentialForm:
                 term = act(a) if sign > 0 else -act(a)
                 out[key] = term if out[key] is None else out[key] + term
     out.update((key, x._from_raw(acc)) for key, acc in raw.items())  # built: nonzero, or None
-    return alpha._over({k: c for k, c in out.items()
-                        if c is not None and (k in raw or not _vanishes(c))})
+    keeps_zeros = isinstance(x, HeldTerms) and x._eps < 0  # then a built sum may be zero
+    return alpha._over({k: c for k, c in out.items() if c is not None
+                        and (k in raw and not keeps_zeros or not _vanishes(c))})
 
 
 def delta(alpha: DifferentialForm) -> DifferentialForm:

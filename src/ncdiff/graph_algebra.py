@@ -40,37 +40,22 @@ the tests hold the array routes to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, HeldTerms, frozen, sum_by_code
+from .carrier import PRUNE_EPSILON, HeldTerms, _new_tuple, _Node, frozen, sum_by_code
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Node):
     """Directed path: source vertex, edge-name sequence, range vertex.
 
     Build through :meth:`DirectedGraph.path` / :meth:`DirectedGraph.vertex_path`
-    so composability is checked.  The hash is that of the field tuple,
-    computed once when the path is built: term dicts keyed by pairs of paths
-    hash every key on each insertion and lookup.
+    so composability is checked.
     """
-    source: str
-    edges: tuple
-    range: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.source, self.edges, self.range)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a path unpickled in another process
-        # hashes with that process's string hashes
-        return Path, (self.source, self.edges, self.range)
+    def __new__(cls, source: str, edges: tuple, range: str):
+        return _new_tuple(cls, (cls, source, edges, range))
 
     def __len__(self):
         return len(self.edges)

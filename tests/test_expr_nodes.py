@@ -1,15 +1,23 @@
-"""The contract of the expression AST nodes, and which ncdiff classes are dataclasses."""
+"""The contract of the tuple records (the expression AST nodes and the public
+records), and that ncdiff neither defines nor loads a dataclass."""
 
 import copy
 import dataclasses
 import importlib
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import ncdiff
 import ncdiff.expr as E
+from ncdiff.cohomology import ComplexReport, DegreeRow
+from ncdiff.deformation import DeformationSweep
+from ncdiff.dirichlet import SemigroupAudit
+from ncdiff.graph_algebra import Path
 
 FIELDS = {
     E.Num: ("value",),
@@ -33,6 +41,28 @@ REPR = ("Add(left=Sub(left=ThetaHat(s=0.3, t=-0.5, arg=Adj(arg=Comm(left=Gen(nam
         "right=Neg(arg=Num(value=(1.5+0j))))")
 
 
+# each public record: its fields, the arguments of a sample, and its repr
+RECORDS = {
+    Path: (("source", "edges", "range"), ("v0", ("e0", "e1"), "v2"), "Path(e0.e1:v0->v2)"),
+    DegreeRow: (("k", "dim_ker", "rank_prev", "h_dim"), (1, 3, 1, 2),
+                "DegreeRow(k=1, dim_ker=3, rank_prev=1, h_dim=2)"),
+    ComplexReport: (("basis_label", "carrier_description", "truncation", "degrees"),
+                    ("torus {U}", "torus K=1", {"K": 1}, [DegreeRow(0, 1, 0, 1)]),
+                    "ComplexReport(basis_label='torus {U}', carrier_description='torus K=1', "
+                    "truncation={'K': 1}, degrees=[DegreeRow(k=0, dim_ker=1, rank_prev=0, "
+                    "h_dim=1)])"),
+    SemigroupAudit: (("n", "basis_label", "results"),
+                     (3, "M_3 projections", [{"t": 0.5, "markov_min": 0.0}]),
+                     "SemigroupAudit(n=3, basis_label='M_3 projections', "
+                     "results=[{'t': 0.5, 'markov_min': 0.0}])"),
+    DeformationSweep: (("parameter_name", "values", "errors", "target_description"),
+                       ("h", [0.01, 0.005], [0.001, 0.0005], "halving"),
+                       "DeformationSweep(parameter_name='h', values=[0.01, 0.005], "
+                       "errors=[0.001, 0.0005], target_description='halving')"),
+}
+NAMES = {**FIELDS, **{cls: names for cls, (names, _, _) in RECORDS.items()}}
+
+
 def _tree():
     """The parse of TEXT, built by hand."""
     comm = E.Comm(E.Gen("U"), E.Pow(E.Gen("V"), -2))
@@ -41,8 +71,14 @@ def _tree():
     return E.Add(E.Sub(left, right), E.Neg(E.Num(1.5 + 0j)))
 
 
+def _args(cls):
+    if cls in RECORDS:
+        return RECORDS[cls][1]
+    return tuple(E.Gen(f"x{i}") for i in range(len(FIELDS[cls])))
+
+
 def _sample(cls):
-    return cls(*(E.Gen(f"x{i}") for i in range(len(FIELDS[cls]))))
+    return cls(*_args(cls))
 
 
 def test_fields_in_order():
@@ -50,6 +86,9 @@ def test_fields_in_order():
         assert cls.__match_args__ == names
         node = cls(*range(len(names)))
         assert tuple(getattr(node, n) for n in names) == tuple(range(len(names)))
+    for cls, (names, args, _) in RECORDS.items():
+        assert cls.__match_args__ == names
+        assert tuple(getattr(cls(*args), n) for n in names) == args
 
 
 def test_equal_trees_are_equal_and_hash_alike():
@@ -72,17 +111,21 @@ def test_equal_fields_of_other_types_differ():
 
 def test_repr_of_a_nested_tree():
     assert repr(_tree()) == repr(E.parse(TEXT)) == REPR
+    for cls, (_, args, text) in RECORDS.items():
+        assert repr(cls(*args)) == text
 
 
 def test_keyword_construction():
     assert E.Pow(arg=E.Gen(name="U"), exponent=3) == E.Pow(E.Gen("U"), 3)
     assert E.ThetaHat(0.1, t=0.2, arg=E.Gen("V")) == E.ThetaHat(0.1, 0.2, E.Gen("V"))
     assert E.Add(right=E.Num(1j), left=E.Gen("U")) == E.Add(E.Gen("U"), E.Num(1j))
+    for cls, (names, args, _) in RECORDS.items():
+        assert cls(**dict(zip(names, args))) == cls(*args)
 
 
-@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", list(NAMES), ids=lambda c: c.__name__)
 def test_wrong_arity_raises_type_error(cls):
-    n = len(FIELDS[cls])
+    n = len(NAMES[cls])
     with pytest.raises(TypeError):
         cls(*range(n - 1))
     with pytest.raises(TypeError):
@@ -90,18 +133,18 @@ def test_wrong_arity_raises_type_error(cls):
     with pytest.raises(TypeError):
         cls(*range(n), bogus=1)
     with pytest.raises(TypeError):
-        cls(*range(n), **{FIELDS[cls][0]: 0})
+        cls(*range(n), **{NAMES[cls][0]: 0})
 
 
-@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", list(NAMES), ids=lambda c: c.__name__)
 def test_assignment_raises_attribute_error(cls):
     node = _sample(cls)
     with pytest.raises(AttributeError):
-        setattr(node, FIELDS[cls][0], E.Gen("z"))
+        setattr(node, NAMES[cls][0], E.Gen("z"))
     with pytest.raises(AttributeError):
         node.extra = 1
     with pytest.raises(AttributeError):
-        delattr(node, FIELDS[cls][0])
+        delattr(node, NAMES[cls][0])
     assert node == _sample(cls)
 
 
@@ -109,6 +152,11 @@ def test_copies_and_pickles_are_equal():
     tree = _tree()
     for other in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
         assert other == tree and type(other) is E.Add and repr(other) == REPR
+    for cls, (_, args, text) in RECORDS.items():
+        record = cls(*args)
+        for other in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert other == record and type(other) is cls and repr(other) == text
 
 
 def test_nodes_match_by_position():
@@ -121,21 +169,27 @@ def test_nodes_match_by_position():
 
 # A dataclass writes out and execs the source of its methods when its module
 # is imported: 0.5-1.0 ms a class on a 2-core x86-64 VM (timed around
-# dataclasses._process_class in a bytecode-cached import).  As frozen
-# dataclasses the twelve expression nodes took 8-10 ms, over half of that
-# import; the five public records below still take about 3.3 ms of its 10.
-PUBLIC_RECORDS = {"graph_algebra.Path", "cohomology.ComplexReport", "cohomology.DegreeRow",
-                  "dirichlet.SemigroupAudit", "deformation.DeformationSweep"}
-
-
-def test_only_the_public_records_are_dataclasses():
-    found = set()
+# dataclasses._process_class in a bytecode-cached import).  The twelve
+# expression nodes and the five public records share one tuple base,
+# carrier._Node, which generates no code.
+def test_no_ncdiff_class_is_a_dataclass():
+    found = []
     for info in pkgutil.iter_modules(ncdiff.__path__):
         if info.name == "__main__":
             continue
         mod = importlib.import_module(f"ncdiff.{info.name}")
-        for name, obj in vars(mod).items():
-            if (isinstance(obj, type) and obj.__module__ == mod.__name__
-                    and dataclasses.is_dataclass(obj)):
-                found.add(f"{info.name}.{name}")
-    assert found == PUBLIC_RECORDS
+        found += [f"{info.name}.{name}" for name, obj in vars(mod).items()
+                  if isinstance(obj, type) and obj.__module__ == mod.__name__
+                  and dataclasses.is_dataclass(obj)]
+    assert found == []
+
+
+def test_importing_ncdiff_loads_no_dataclasses():
+    src = os.path.dirname(os.path.dirname(ncdiff.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, numpy, ncdiff, ncdiff.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dataclasses'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

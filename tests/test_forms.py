@@ -427,6 +427,23 @@ def test_forms_drop_what_the_full_norm_drops(monkeypatch):
     assert any(zeros) and not all(zeros)
 
 
+def test_delta_drops_zero_brackets_that_their_carrier_keeps():
+    # a bracket summed in a raw accumulator is dropped exactly when its norm
+    # is 0, as every other coefficient is, also where the carrier keeps zeros
+    spec = QAlgebraSpec(torus_spec(THETA).theta, prune_epsilon=-1.0)
+    U, V = QElement.generator(spec, 1), QElement.generator(spec, 2)
+    basis = DifferentialBasis([U])
+    assert delta(DifferentialForm.from_element(basis, U)).terms == {}
+    for a in (U, V, U + V, U - U, V - V + U):
+        alpha = DifferentialForm.from_element(basis, a)
+        for derive, families in ((delta, (False, True)), (partial, (False,)),
+                                 (partial_star, (True,))):
+            got = derive(alpha)
+            want = oracles.derive_per_bracket(alpha, families)
+            assert list(got.terms) == list(want.terms)
+            assert all(c.terms == want.terms[k].terms for k, c in got.terms.items())
+
+
 def test_forms_drop_zero_coefficients_that_their_carrier_keeps():
     # a negative prune_epsilon keeps zero coefficients in a q-lattice
     # element, so its norm decides; a nan coefficient is never dropped

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import itertools
 import math
 import pickle
@@ -71,27 +70,24 @@ def test_path_validation():
         g.path(["e1", "e0"])  # wrong order, not composable
     p = g.path(["e0", "e1"])
     assert p.source == "v0" and p.range == "v2" and len(p) == 2
+    assert len(g.vertex_path("v0")) == 0 and not g.vertex_path("v0")
 
 
 def test_equal_paths_hash_equal():
-    # the hash is kept per path: equal paths built apart must still meet as keys
+    # equal paths built apart must meet as keys
     g = line_graph(2)
     p = g.path(["e0", "e1"])
     q = Path("v0", ("e0",) + ("e1",), "v2")
     r = g.extend(g.path(["e0"]), "e1")
     assert p == q == r and p is not q and q is not r
-    assert hash(p) == hash(q) == hash(r) == hash(("v0", ("e0", "e1"), "v2"))
+    assert hash(p) == hash(q) == hash(r)
     terms = {(p, g.vertex_path("v2")): 1.0}
     assert terms[(q, Path("v2", (), "v2"))] == 1.0 and (r, g.vertex_path("v2")) in terms
     assert {p, q, r} == {p} and p != g.path(["e1"]) and hash(g.vertex_path("v0")) != hash(p)
-    assert [f.name for f in dataclasses.fields(Path)] == ["source", "edges", "range"]
-    assert repr(q) == "Path(e0.e1:v0->v2)" and dataclasses.asdict(q) == {
-        "source": "v0", "edges": ("e0", "e1"), "range": "v2"}
-    moved = dataclasses.replace(q, range="v9")
-    assert moved.range == "v9" and hash(moved) == hash(("v0", ("e0", "e1"), "v9"))
+    assert repr(q) == "Path(e0.e1:v0->v2)"
     again = pickle.loads(pickle.dumps(q))
     assert again == q and hash(again) == hash(q)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         q.source = "v1"
 
 
