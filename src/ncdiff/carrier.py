@@ -12,7 +12,9 @@ that acts diagonally on them (a q-lattice monomial, a vertex projection, a
 diagonal matrix) moves each key, with one weight; ``parent_name`` names what
 two elements must share (a presentation, a graph, a matrix dimension).
 ``ad`` takes the action, held as ``ad.action`` for the symbol of a basis
-(:class:`ncdiff.forms.Symbol`); any other ``ad`` is :func:`commutator`.
+(:class:`ncdiff.forms.Symbol`), which is read on a key set of the carrier
+(:class:`_KeyedBasis`, whose subclasses live in the carrier modules); any
+other ``ad`` is :func:`commutator`.
 ``family_ad`` builds the bracket hook of a whole family of elements, which
 brackets an operand with every slot at once in raw terms (``_add_raw``,
 ``_from_raw``).
@@ -43,7 +45,7 @@ report, is a :class:`_Node`: immutable named fields on one tuple.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -392,3 +394,66 @@ class HeldTerms(Terms):
             coeffs = self._keyed[1]
             return float(np.abs(coeffs).max()) if len(coeffs) else 0.0  # nan if any is nan
         return Terms.norm(self)
+
+
+class TruncationError(ValueError):
+    """An element's support left the coordinate truncation."""
+
+
+class _KeyedBasis:
+    """A key set: ``keys`` of the carrier of its element ``parent`` as the
+    carrier's ``keyed()`` gives them (None where they cannot be coded), key i
+    as coordinate i; ``of(a)`` holds an operand's own.  The carrier modules'
+    key sets (``MatrixCarrierBasis``, ``QMonomialBasis``, ``GraphCarrierBasis``)
+    add ``description`` and ``_rows``, the coordinate of each of an array of
+    keys (-1 for a key outside), and so coordinates for their elements."""
+
+    def __init__(self, parent, keys):
+        self.parent, self.keys = parent, keys
+
+    @classmethod
+    def of(cls, a) -> "_KeyedBasis":
+        return cls(a, (a.keyed() or (None,))[0])
+
+    @staticmethod
+    def _checked_size(value, name: str) -> int:
+        """A key set's size as an int; a ValueError naming it if negative or not an integer."""
+        if not hasattr(value, "__index__") or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        return index(value)
+
+    @property
+    def dim(self) -> int:
+        return len(self.keys)
+
+    def elements(self) -> list:
+        """The carrier element of each key, with coefficient 1."""
+        return [self.parent._from_keys(self.keys[i:i + 1], [1 + 0j]) for i in range(self.dim)]
+
+    def _check(self, x) -> None:
+        """ValueError for an element of another kind or over another parent."""
+        if not isinstance(x, type(self.parent)):
+            raise ValueError(f"a {type(x).__name__} has no coordinates in the {self.description}")
+        self.parent._check(x)
+
+    def entries(self, x) -> tuple[list, list]:
+        """Coordinates and values of x's nonzero terms; TruncationError for one outside."""
+        self._check(x)
+        keyed = x.keyed()
+        if keyed is None:
+            raise TruncationError(f"{x} escapes the {self.description}")
+        keys, coeffs = keyed[0], np.asarray(keyed[1], dtype=complex)
+        rows = self._rows(keys)
+        nz = np.flatnonzero(coeffs)  # keeps a nan
+        out = nz[rows[nz] < 0]
+        if len(out):
+            key = keys[out[0]]
+            key = tuple(key.tolist()) if isinstance(key, np.ndarray) else key
+            raise TruncationError(f"{key} escapes the {self.description}")
+        return rows[nz].tolist(), coeffs[nz].tolist()
+
+    def coords(self, x) -> np.ndarray:
+        v = np.zeros(self.dim, dtype=complex)
+        idx, vals = self.entries(x)
+        v[idx] = vals
+        return v

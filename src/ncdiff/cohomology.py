@@ -1,26 +1,28 @@
 """Boundary-map assembly and kernel/rank computation for the form complexes.
 
 Degree-k forms over a finite-dimensional (or truncated) carrier span a
-vector space with basis {covector index} x {carrier basis element}.  The
-derivative is a sum of inner derivations, so every rank report is a rank of
-one Koszul complex over a chosen set of covector families, which
-:func:`_koszul_ranks` computes: ``deRham_dims`` takes all the families; a
-Dolbeault row at unstarred degree p is C(n, p) copies of the complex over
-the starred family, since the starred half-derivative carries dU_I along
-with the sign (-1)^p; the commutant dimension is D minus the rank of its
-degree-0 map.  The acting elements are ``basis.diagonal``, which reads a
-rotated matrix basis as diag(c_j lambda_j) in its joint eigenbasis Q, since
-a -> Q^* a Q is unitary and keeps every singular value.
+vector space with basis {covector index} x {key}, for a key set of the
+carrier (``MatrixCarrierBasis``, ``QMonomialBasis``, ``GraphCarrierBasis``,
+each in its carrier's module and exported here).  The derivative is a sum of
+inner derivations, so every rank report is a rank of one Koszul complex over
+a chosen set of covector families, which :func:`_koszul_ranks` computes:
+``deRham_dims`` takes all the families; a Dolbeault row at unstarred degree p
+is C(n, p) copies of the complex over the starred family, since the starred
+half-derivative carries dU_I along with the sign (-1)^p; the commutant
+dimension is D minus the rank of its degree-0 map.  The acting elements are
+``basis.diagonal``, which reads a rotated matrix basis as diag(c_j lambda_j)
+in its joint eigenbasis Q, since a -> Q^* a Q is unitary and keeps every
+singular value; their weights are one read of the held symbol on the key set,
+``basis.symbol.on(keyset).weights(families)``, as the heat flow reads lambda.
 
-The symbol route.  When every weight of these elements, from the symbol the
-basis holds (``basis.symbol``, as in the heat flow), lands its key on
-itself (diagonal matrices, scaled vertex projections), key k carries one
-weight vector v(k) in C^N, one entry per covector.  On the forms over k the
-degree-k map is the exterior product v(k) ^ . on Lambda^k C^N, whose nonzero
-singular values all equal |v(k)|, with multiplicity C(N-1, k): its Hodge
-Laplacian is |v(k)|^2 = F lambda(k) times the identity, for the heat symbol
-lambda and F covector families (Eckmann's combinatorial Hodge theorem for a
-Koszul complex).  So rank d_k = C(N-1, k) #{k : |v(k)| > cut}, and neither a
+The symbol route.  When every weight lands its key on itself (diagonal
+matrices, scaled vertex projections), key k carries one weight vector v(k)
+in C^N, one entry per covector.  On the forms over k the degree-k map is the
+exterior product v(k) ^ . on Lambda^k C^N, whose nonzero singular values all
+equal |v(k)|, with multiplicity C(N-1, k): its Hodge Laplacian is
+|v(k)|^2 = F lambda(k) times the identity, for the heat symbol lambda and F
+covector families (Eckmann's combinatorial Hodge theorem for a Koszul
+complex).  So rank d_k = C(N-1, k) #{k : |v(k)| > cut}, and neither a
 covector index nor a map is built.  The cut is N D eps max|v|, the rule of the
 degree-0 map a -> (x_j a)_j on a D-dimensional carrier, which is the symbol
 itself, and so it is the same for every Dolbeault row.  The rule of the whole
@@ -55,118 +57,11 @@ from math import comb
 
 import numpy as np
 
-from .carrier import _new_tuple, _Node
+from .carrier import TruncationError, _new_tuple, _Node
 from .forms import BasisModeError, DifferentialBasis, Symbol
-from .graph_algebra import DirectedGraph, GraphElement, common_range_pairs
-from .matrix_algebra import MatElement
-from .qlattice import QAlgebraSpec, QElement, _angle
-
-
-class TruncationError(ValueError):
-    """An element's support left the coordinate truncation."""
-
-
-class _KeyedBasis:
-    """Carrier coordinates over ``keys``: key i is coordinate i.
-
-    ``keys`` are held in the form the carrier's ``keyed()`` and
-    ``diagonal_action`` take, and ``parent`` is an element of the carrier.
-    ``_rows`` gives the coordinate of each key of an array of keys (-1 for a
-    key outside).
-    """
-
-    @property
-    def dim(self) -> int:
-        return len(self.keys)
-
-    def elements(self) -> list:
-        """The carrier element of each key, with coefficient 1."""
-        return [self.parent._from_keys(self.keys[i:i + 1], [1 + 0j]) for i in range(self.dim)]
-
-    def _check(self, x) -> None:
-        """ValueError for an element of another kind or over another parent."""
-        if not isinstance(x, type(self.parent)):
-            raise ValueError(f"a {type(x).__name__} has no coordinates in the {self.description}")
-        self.parent._check(x)
-
-    def entries(self, x) -> tuple[list, list]:
-        """Coordinates and values of x's nonzero terms; TruncationError for one outside."""
-        self._check(x)
-        keyed = x.keyed()
-        if keyed is None:
-            raise TruncationError(f"{x} escapes the {self.description}")
-        keys, coeffs = keyed
-        coeffs = np.asarray(coeffs, dtype=complex)
-        rows = self._rows(keys)
-        nz = np.flatnonzero(coeffs)  # keeps a nan
-        out = nz[rows[nz] < 0]
-        if len(out):
-            key = keys[out[0]]
-            key = tuple(key.tolist()) if isinstance(key, np.ndarray) else key
-            raise TruncationError(f"{key} escapes the {self.description}")
-        return rows[nz].tolist(), coeffs[nz].tolist()
-
-    def coords(self, x) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        idx, vals = self.entries(x)
-        v[idx] = vals
-        return v
-
-
-class MatrixCarrierBasis(_KeyedBasis):
-    """Matrix units of M_n as carrier coordinates, keyed by the flat index i n + j."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.description = f"M_{n} matrix units"
-        self.parent = MatElement.zero(n)
-        self.keys = self.parent.keyed()[0]
-
-    def _rows(self, flat: np.ndarray) -> np.ndarray:
-        return flat
-
-
-class QMonomialBasis(_KeyedBasis):
-    """Monomials with every exponent in [-K, K] as carrier coordinates.
-
-    ``keys`` is the int64 array of exponent rows in ``itertools.product``
-    order, so the coordinate of e is the mixed-radix number of e + K in
-    base 2K + 1.
-    """
-
-    def __init__(self, spec: QAlgebraSpec, K: int):
-        if K < 0:
-            raise ValueError("truncation must be nonnegative")
-        self.spec = spec
-        self.K = K
-        m = spec.generator_count
-        side = 2 * K + 1
-        self.keys = np.indices((side,) * m).reshape(m, -1).T.astype(np.int64) - K
-        self._stride = side ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        self.description = f"{spec.label or 'q-lattice'} monomials |e|<={K}"
-        self.parent = QElement(spec)
-
-    def _rows(self, E: np.ndarray) -> np.ndarray:
-        rows = np.full(len(E), -1)
-        if E.shape[1:] == self._stride.shape:
-            inside = (np.abs(E) <= self.K).all(axis=1)
-            rows[inside] = (E[inside] + self.K) @ self._stride
-        return rows
-
-
-class GraphCarrierBasis(_KeyedBasis):
-    """Common-range path pairs with both lengths <= max_len as coordinates."""
-
-    def __init__(self, graph: DirectedGraph, max_len: int):
-        self.graph = graph
-        self.max_len = max_len
-        self.keys = common_range_pairs(graph, max_len)
-        self._index = {k: i for i, k in enumerate(self.keys)}
-        self.description = f"graph terms |mu|,|nu|<={max_len}"
-        self.parent = GraphElement(graph)
-
-    def _rows(self, keys: list) -> np.ndarray:
-        return np.array([self._index.get(k, -1) for k in keys], dtype=np.intp)
+from .graph_algebra import GraphCarrierBasis
+from .matrix_algebra import MatrixCarrierBasis
+from .qlattice import QAlgebraSpec, QElement, QMonomialBasis, _angle
 
 
 def _dolbeault_indices(n: int, p: int, q: int) -> list:
@@ -216,8 +111,7 @@ def _commutator_blocks(symbol: Symbol, families: tuple, domain, codomain=None,
     not finite, takes :func:`_ad_matrix`, so that both routes raise alike.
     """
     codomain, acting = codomain or domain, symbol.elements
-    if weights is None:
-        weights = symbol.weights(families, domain.parent, domain.keys)
+    weights = symbol.on(domain).weights(families) if weights is None else weights
     codomain._check(domain.parent)  # raises as a codomain of another size does
     elements, shape = functools.cache(domain.elements), (codomain.dim, domain.dim)
     blocks = []
@@ -449,20 +343,30 @@ def _top_degree(basis: DifferentialBasis, max_degree: int | None) -> int:
     return top
 
 
+def _rank_symbol(weights: list, keys):
+    """``(|v|, cut)``: |v| the norm of the ``weights`` of all F families per
+    key (|v|^2 = F lambda), the cut N D eps max|v| for N weights on D keys;
+    None unless every action hands its ``keys`` back and |v| is finite."""
+    if any(hit is None or hit[0] is not keys for hit in weights):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = functools.reduce(np.hypot, (np.abs(w) for _, w in weights))
+    if np.isfinite(v).all():
+        return v, len(weights) * len(keys) * np.finfo(float).eps * v.max(initial=0.0)
+
+
 def _koszul_ranks(basis: DifferentialBasis, carrier_basis, families: tuple,
                   top: int) -> list[int]:
     """Ranks of d_0..d_top of the complex of forms over the covectors of
     ``families``, with the elements of ``basis.diagonal`` acting: by the
-    rank symbol |v| when ``Symbol.moduli`` gives it, else by assembled maps
-    and block SVDs, both from one list of weights of the held symbol."""
-    symbol, keys = basis.symbol, carrier_basis.keys
-    weights = symbol.weights(families, carrier_basis.parent, keys)
-    if (moduli := symbol.moduli(weights, keys)) is not None:
-        v, cut = moduli
-        r = int((v > cut).sum())
+    rank symbol |v| when :func:`_rank_symbol` gives it, else by assembled
+    maps and block SVDs, both from one read of the held symbol on the key set."""
+    weights = basis.symbol.on(carrier_basis).weights(families)
+    if (moduli := _rank_symbol(weights, carrier_basis.keys)) is not None:
+        r = int((moduli[0] > moduli[1]).sum())
         return [comb(len(weights) - 1, k) * r for k in range(top + 1)]
     indices = [_form_indices(len(basis.diagonal), k, families) for k in range(top + 2)]
-    blocks = _commutator_blocks(symbol, families, carrier_basis, weights=weights)
+    blocks = _commutator_blocks(basis.symbol, families, carrier_basis, weights=weights)
     return _ranks(basis, blocks, indices)
 
 
@@ -495,11 +399,7 @@ def dolbeault_dims(p: int, basis: DifferentialBasis, carrier_basis) -> ComplexRe
 
 
 def _max_basis_degree(basis: DifferentialBasis) -> int:
-    d = 0
-    for x in basis.scaled:
-        for e in x.terms:
-            d = max(d, max(abs(v) for v in e) if e else 0)
-    return d
+    return max((abs(v) for x in basis.scaled for e in x.terms for v in e), default=0)
 
 
 def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
@@ -511,21 +411,19 @@ def deRham_dims_truncated(basis: DifferentialBasis, spec: QAlgebraSpec, K: int,
     K-2d -> K-d -> K: the degree-k kernel is computed on the K-d ball and
     the incoming rank on the K-2d ball, keeping every assembled map inside
     its stated codomain.  The K-2d -> K-d blocks keep the entries of the
-    K-d -> K ones inside the smaller balls, found through index maps that
-    send a dropped key to -1.  Cohomology numbers inherit the truncation
+    K-d -> K ones inside the smaller balls, whose rows of the larger balls'
+    keys are -1 for a dropped key.  Cohomology numbers inherit the truncation
     and are reported with that provenance.
     """
     top = _top_degree(basis, max_degree)
     d = _max_basis_degree(basis)
     if K < 2 * d:
         raise TruncationError(f"truncation K={K} too small for basis degree {d}")
-    small, mid, big = (QMonomialBasis(spec, K - m * d) for m in (2, 1, 0))
+    big, mid, small = (QMonomialBasis(spec, K - m * d) for m in (0, 1, 2))
     blocks = _commutator_blocks(basis.scaled_symbol, basis.families, mid, big)
     indices = [_form_indices(basis.size, k, basis.families) for k in range(top + 2)]
     ranks = _ranks(basis, blocks, indices)
-    row_of, col_of = np.full(big.dim, -1), np.full(mid.dim, -1)
-    row_of[big._rows(mid.keys)] = np.arange(mid.dim)
-    col_of[mid._rows(small.keys)] = np.arange(small.dim)
+    row_of, col_of = mid._rows(big.keys), small._rows(mid.keys)
     inner = []
     for starred, j, (rows, cols, vals, _) in blocks:
         rows, cols = row_of[rows], col_of[cols]

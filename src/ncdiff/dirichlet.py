@@ -4,55 +4,47 @@ The generator is Delta = sum_j [(c_j U_j)^*, [c_j U_j, .]].  Each element x_j
 of the basis's ``diagonal`` coordinates sends a key k of its carrier to
 w_j(k) times one key and x_j^* sends that back, so Delta multiplies key k by
 the heat symbol lambda(k) = sum_j |w_j(k)|^2, and the semigroup is one decay
-per term on q-lattices and graphs, exact with no truncation.  Each reader,
-and the cohomology ranks as |v|^2 = F lambda, takes lambda from the held
-``basis.symbol``: sum_j |c_j|^2 4 sin^2(theta g_j . k / 2) for q-lattice slots c_j U^{g_j}.
-A matrix basis acts in its joint eigenbasis Q as diag(c_j lambda_j): the
-symbol is W[a, b] = sum_j |c_j lambda_j(a) - c_j lambda_j(b)|^2, the heat
-channel is the Schur multiplier Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and
-it is completely positive exactly when exp(-t W) is positive semidefinite.  The
-n^2 x n^2 superoperators on row-major vectorized matrices
-(:func:`delta_superoperator`, :func:`heat_superoperator`, and
-:func:`choi_matrix` by reshuffling) write that multiplier out as
-V diag(vec M) V^* with V = Q (x) conj(Q) and M = W or exp(-t W), and
-:func:`trotter_check` splits the symbol into its conjugation and
-anticommutator multipliers; the Kronecker-product and ``expm`` builders
-these replace are the tests' oracles, in ``tests/oracles.py``.  Every
-first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
-Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
-maps, so a diagonal basis element never forms two products.  The carre du
-champ 2 Gamma(a, c) of two q-lattice elements with more than ``_CARRE_PAIRS``
-term pairs, under a basis that acts diagonally, reads the heat symbol
-instead: one pass over the term pairs of a^* c weighs each pair by
-lambda(e) + lambda(f) - lambda(e + f); every other operand takes the three
-products and three Laplacians of its formula.
-:func:`audit_semigroup` samples the channel on seeded random operators,
-drawn once per (n, samples, seed) while the held draws fit one byte budget.
-It draws and checks them in blocks of ``_BLOCK_ENTRIES`` matrix entries per
-stack, so its temporaries beside the three sample stacks hold one block, and
-each row is bit for bit that of one pass over the whole stacks.
+per term on q-lattices and graphs, exact with no truncation.  Every reader
+takes lambda from the held ``basis.symbol`` through its one entry point,
+``basis.symbol.on(keyset).lam()``: the heat flow and the one-pass carre du
+champ on their operands' keys (``carrier._KeyedBasis.of``), the matrix routes
+on :class:`~ncdiff.matrix_algebra.MatrixCarrierBasis`.  On q-lattice slots
+c_j U^{g_j} it is sum_j |c_j|^2 4 sin^2(theta g_j . k / 2).  A matrix basis
+acts in its joint eigenbasis Q as diag(c_j lambda_j): the symbol is
+W[a, b] = sum_j |c_j lambda_j(a) - c_j lambda_j(b)|^2, the heat channel is the
+Schur multiplier Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is completely
+positive exactly when exp(-t W) is positive semidefinite.  The n^2 x n^2
+superoperators on row-major vectorized matrices (:func:`delta_superoperator`,
+:func:`heat_superoperator`, and :func:`choi_matrix` by reshuffling) write that
+multiplier out as V diag(vec M) V^* with V = Q (x) conj(Q) and M = W or
+exp(-t W), and :func:`trotter_check` splits the symbol into its conjugation
+and anticommutator multipliers; the Kronecker-product and ``expm`` builders
+these replace are the tests' oracles.  Every first-order bracket
+[c_j U_j, a] (the Laplacian, the carre du champ, the Dirichlet pairing, the
+locality isometry) goes through the basis's ``ad`` maps, so a diagonal basis
+element never forms two products.  :func:`audit_semigroup` samples the
+channel on seeded random operators, in blocks of ``_BLOCK_ENTRIES`` entries.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
-from .carrier import _new_tuple, _Node
+from .carrier import _KeyedBasis, _new_tuple, _Node
 from .forms import BasisModeError, DifferentialBasis
-from .matrix_algebra import MatElement, trace
+from .matrix_algebra import MatElement, MatrixCarrierBasis, trace
 from .qlattice import QElement, _pair_sums, tau as q_tau
 
 
 def laplacian(a, basis: DifferentialBasis):
     """Delta(a) = sum_j [(c_j U_j)^*, [c_j U_j, a]] on any carrier; a
     ValueError where a finite operand gives a non-finite result."""
-    out = None
-    for ad, ad_star in zip(basis.ad, basis.ad_star):
-        term = ad_star(ad(a))
-        out = term if out is None else out + term
+    out = reduce(add, (ad_star(ad(a)) for ad, ad_star in zip(basis.ad, basis.ad_star)))
     if not math.isfinite(out.norm()) and math.isfinite(a.norm()):
         raise ValueError("the Laplacian is not finite")
     return out
@@ -98,7 +90,7 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
     _check_time(t)
     if not hasattr(a, "parent_name"):
         raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
-    M = np.exp(-t * basis.symbol.lam(a))
+    M = np.exp(-t * basis.symbol.on(_KeyedBasis.of(a)).lam())
     if isinstance(a, MatElement):
         return MatElement(_schur_heat(basis.eigenbasis[0], M.reshape(a.mat.shape), a.mat))
     keys, coeffs = a.keyed()
@@ -114,23 +106,29 @@ def _schur_superoperator(Q, M: np.ndarray) -> np.ndarray:
     return (V * M) @ V.conj().T
 
 
+def _matrix_symbol(basis: DifferentialBasis, n: int) -> tuple:
+    """The eigenbasis Q (None when diagonal) and the heat symbol W on the n^2
+    matrix units, flat, read first: a basis not acting on M_n raises its ValueError."""
+    W = basis.symbol.on(MatrixCarrierBasis(n)).lam()
+    return basis.eigenbasis[0], W
+
+
 def delta_superoperator(basis: DifferentialBasis, n: int) -> np.ndarray:
     """Delta as an n^2 x n^2 matrix on vectorized matrices; Hermitian PSD."""
-    return _schur_superoperator(basis.eigenbasis[0], basis.symbol.lam(MatElement.zero(n)))
+    return _schur_superoperator(*_matrix_symbol(basis, n))
 
 
 def heat_superoperator(t: float, basis: DifferentialBasis, n: int) -> np.ndarray:
     """exp(-t Delta) as an n^2 x n^2 matrix on vectorized matrices."""
     _check_time(t)
-    M = np.exp(-t * basis.symbol.lam(MatElement.zero(n)))
-    return _schur_superoperator(basis.eigenbasis[0], M)
+    Q, W = _matrix_symbol(basis, n)
+    return _schur_superoperator(Q, np.exp(-t * W))
 
 
 def choi_matrix(t: float, n: int, basis: DifferentialBasis) -> MatElement:
     """Choi matrix sum_{ij} e_ij (x) Phi_t(e_ij) of the heat channel."""
-    S = heat_superoperator(t, basis, n)
-    C = S.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
-    return MatElement(C)
+    S = heat_superoperator(t, basis, n).reshape(n, n, n, n)
+    return MatElement(S.transpose(2, 0, 3, 1).reshape(n * n, n * n))
 
 
 class SemigroupAudit(_Node):
@@ -221,8 +219,8 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
         _check_time(t)
     if samples < 1:
         raise ValueError("need at least one sample")
-    Q, W = basis.eigenbasis[0], basis.symbol.lam(MatElement.zero(n)).reshape(n, n)
-    Qh = None if Q is None else Q.conj().T
+    Q, W = _matrix_symbol(basis, n)
+    W, Qh = W.reshape(n, n), (None if Q is None else Q.conj().T)
     Ms = [np.exp(-t * W) for t in ts]
 
     def heats(x):  # Phi_t(x) for each time, x taken into the eigenbasis once
@@ -269,7 +267,7 @@ def trotter_check(t: float, steps: int, n: int, basis: DifferentialBasis) -> flo
     _check_time(t)
     if steps < 1:
         raise ValueError("need at least one step")
-    W = basis.symbol.lam(MatElement.zero(n)).reshape(n, n)
+    W = _matrix_symbol(basis, n)[1].reshape(n, n)
     sq = sum(np.abs(np.diag(x.mat)) ** 2 for x in basis.diagonal)
     S2 = -(sq[:, None] + sq[None, :])
     h = t / steps
@@ -312,24 +310,20 @@ def _carre_in_one_pass(a, c, basis: DifferentialBasis):
     (:func:`~ncdiff.qlattice._pair_sums`) bins P = sum (a^*)_e c_f phi and
     R = sum (a^*)_e c_f phi (lambda(e) + lambda(f)) on the same codes, and
     R - lambda P is pruned once.  None, for the formula, at or below
-    ``_CARRE_PAIRS`` term pairs, where ``basis.symbol.lam``
-    or the pass declines, and where lambda times any coefficient, or the
-    result, is not finite.
+    ``_CARRE_PAIRS`` term pairs, where the heat symbol or the pass declines,
+    and where lambda times any coefficient, or the result, is not finite.
     """
     if (not isinstance(a, QElement) or not isinstance(c, QElement)
             or a._size() * c._size() <= _CARRE_PAIRS):
         return None
-    astar, symbol = a.adjoint(), basis.symbol
+    astar, on = a.adjoint(), basis.symbol.on
     try:
-        lam_a, lam_c = symbol.lam(astar), symbol.lam(c)
-    except ValueError:
-        return None
-    summed = _pair_sums(astar, c, (lam_a, lam_c))
-    if summed is None:
-        return None
-    keys, P, R = summed
-    try:
-        lam = symbol.lam(astar, keys)
+        lam_a, lam_c = on(_KeyedBasis.of(astar)).lam(), on(_KeyedBasis.of(c)).lam()
+        summed = _pair_sums(astar, c, (lam_a, lam_c))
+        if summed is None:
+            return None
+        keys, P, R = summed
+        lam = on(_KeyedBasis(astar, keys)).lam()
     except ValueError:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -346,11 +340,8 @@ def carre_du_champ_first_order(a, c, basis: DifferentialBasis):
     Equals :func:`carre_du_champ` within rounding; in self-adjoint mode the
     two halves coincide and the sum doubles accordingly.
     """
-    out = None
-    for ad, ad_star in zip(basis.ad, basis.ad_star):
-        term = ad(a).adjoint() * ad(c) + ad_star(a).adjoint() * ad_star(c)
-        out = term if out is None else out + term
-    return out
+    return reduce(add, (ad(a).adjoint() * ad(c) + ad_star(a).adjoint() * ad_star(c)
+                        for ad, ad_star in zip(basis.ad, basis.ad_star)))
 
 
 def dirichlet_form(a, b, basis: DifferentialBasis, trace_fn=None):
@@ -364,12 +355,10 @@ def dirichlet_form(a, b, basis: DifferentialBasis, trace_fn=None):
     """
     tr = trace_fn or default_trace
     generator_side = tr(a.adjoint() * laplacian(b, basis))
-    pairing = None
-    for ad, ad_star in zip(basis.ad, basis.ad_star):
-        term = ad(a).adjoint() * ad(b)
-        if basis.mode == "complex":
-            term = term + ad_star(a).adjoint() * ad_star(b)
-        pairing = term if pairing is None else pairing + term
+    both = basis.mode == "complex"
+    pairing = reduce(add, (ad(a).adjoint() * ad(b) + ad_star(a).adjoint() * ad_star(b) if both
+                           else ad(a).adjoint() * ad(b)
+                           for ad, ad_star in zip(basis.ad, basis.ad_star)))
     return generator_side, tr(pairing)
 
 
@@ -391,8 +380,5 @@ def isometry_check(a, b, c, d, basis: DifferentialBasis) -> float:
     lhs = b.adjoint() * carre_du_champ(a, c, basis) * d
     wab = locality_isometry(a, b, basis)
     wcd = locality_isometry(c, d, basis)
-    rhs = None
-    for u, v in zip(wab, wcd):
-        term = u.adjoint() * v
-        rhs = term if rhs is None else rhs + term
+    rhs = reduce(add, (u.adjoint() * v for u, v in zip(wab, wcd)))
     return (lhs - rhs).norm()

@@ -29,7 +29,10 @@ partial + partial_star and the star operation need the complex
 dU_j, halving the complex and disabling the type decomposition.
 
 Carrier elements only need what the protocol in :mod:`ncdiff.carrier`
-lists; the q-lattice, matrix and graph carriers all qualify.
+lists; the q-lattice, matrix and graph carriers all qualify.  A basis holds
+the symbol of its brackets (:class:`Symbol`), read on a key set of its
+carrier through one entry point, ``symbol.on(keyset)``: the weights per family
+(for the cohomology ranks) and the heat symbol lambda (for the heat flow).
 """
 
 from __future__ import annotations
@@ -201,59 +204,59 @@ class Symbol:
     """The symbol of a basis's inner derivations x_j in the coordinates of
     ``elements``, read from the held maps a -> [x_j, a] ``maps[starred][j]``
     (x_j^* when starred; built on first use when None), whose ``action`` sends
-    key k to w_j(k) times one key: lambda(k) = sum_j |w_j(k)|^2 is the heat symbol."""
+    key k to w_j(k) times one key: lambda(k) = sum_j |w_j(k)|^2 is the heat
+    symbol.  It is read on one key set at a time, through :meth:`on`."""
 
     def __init__(self, elements: list, maps: tuple | None = None):
         self.elements, self._maps = elements, maps
 
-    def actions(self, families: tuple, parent) -> list:
-        """The action of each map per family of ``families`` and slot, or None,
-        on parent's carrier.  An element of another kind raises what its
-        product with ``parent`` raises, one over another parent ``_check``."""
+    def on(self, keyset) -> "KeyedSymbol":
+        """The symbol on a key set (:class:`~ncdiff.carrier._KeyedBasis`), such as
+        the matrix units of M_n or an operand's own keys; nothing is read yet."""
         if self._maps is None:
             self._maps = [[(x.adjoint() if s else x).ad() for x in self.elements] for s in (0, 1)]
-        for x in self.elements:
-            if not isinstance(x, type(parent)):
-                commutator(x, parent)  # a product across carriers raises TypeError
-            x._check(parent)
-        return [f.action for starred in families for f in self._maps[starred]]
+        return KeyedSymbol(self, keyset)
 
-    def weights(self, families: tuple, parent, keys) -> list:
-        """``(landing, w)`` per action, or None: keys[i] goes to w[i] times
-        landing[i], with inf or nan weights where they overflow, silently."""
-        acts, ones = self.actions(families, parent), np.ones(len(keys))
+
+class KeyedSymbol:
+    """A :class:`Symbol` on one key set: the weights and landings per
+    family (``weights``) and the heat symbol (``lam``)."""
+
+    def __init__(self, symbol: Symbol, keyset):
+        self.symbol, self.parent, self.keys = symbol, keyset.parent, keyset.keys
+
+    def _actions(self, families: tuple) -> list:
+        """Each map's action per family and slot, or None; raises as a product
+        with the parent raises for another carrier, ``_check`` for another parent."""
+        for x in self.symbol.elements:
+            if not isinstance(x, type(self.parent)):
+                commutator(x, self.parent)  # a product across carriers raises TypeError
+            x._check(self.parent)
+        return [f.action for starred in families for f in self.symbol._maps[starred]]
+
+    def weights(self, families: tuple) -> list:
+        """``(landing, w)`` per action of ``families``, or None: keys[i] goes to
+        w[i] times landing[i], with inf or nan weights where they overflow, silently."""
+        acts, ones = self._actions(families), np.ones(len(self.keys))
         with np.errstate(over="ignore", invalid="ignore"):
-            return [None if f is None else f(keys, ones) for f in acts]
+            return [None if f is None else f(self.keys, ones) for f in acts]
 
-    @staticmethod
-    def moduli(weights: list, keys):
-        """``(|v|, cut)``: |v| the norm of the ``weights`` of all F families per
-        key (|v|^2 = F lambda), the cut N D eps max|v| for N weights on D keys;
-        None unless every action hands its ``keys`` back and |v| is finite."""
-        if any(hit is None or hit[0] is not keys for hit in weights):
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = functools.reduce(np.hypot, (np.abs(w) for _, w in weights))
-        if np.isfinite(v).all():
-            return v, len(weights) * len(keys) * np.finfo(float).eps * v.max(initial=0.0)
-
-    def lam(self, a, keys=None) -> np.ndarray:
-        """lambda on ``keys`` of a's carrier (all of a's by default): each action's
-        closed form ``lam``, else |w|^2.  A ValueError where the keys cannot be
-        coded, the basis does not act (diagonally) on them, or lambda is not finite."""
-        keys = (a.keyed() or (None,))[0] if keys is None else keys
+    def lam(self) -> np.ndarray:
+        """lambda on the keys: each action's closed form ``lam``, else |w|^2.  A
+        ValueError where the keys cannot be coded, the basis does not act
+        (diagonally) on them, or lambda is not finite."""
         try:
-            acts = self.actions((False,), a)
+            acts = self._actions((False,))
         except (TypeError, ValueError):  # another kind of carrier, or another parent
-            raise ValueError(f"basis does not act on this {a.parent_name}") from None
-        if keys is None or any(f is None and x.keyed() is None
-                               for x, f in zip(self.elements, acts)):
+            raise ValueError(f"basis does not act on this {self.parent.parent_name}") from None
+        if self.keys is None or any(f is None and x.keyed() is None
+                                    for x, f in zip(self.symbol.elements, acts)):
             raise ValueError("exponents of 2**62 or more are too large for the heat flow")
         if None in acts:
             raise ValueError("the heat flow needs diagonally acting (single-monomial) elements")
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = sum(f.lam(keys) if hasattr(f, "lam") else
-                      np.abs(f(keys, np.ones(len(keys)))[1]) ** 2 for f in acts)
+            lam = sum(f.lam(self.keys) if hasattr(f, "lam") else
+                      np.abs(f(self.keys, np.ones(len(self.keys)))[1]) ** 2 for f in acts)
         if not np.isfinite(lam).all():
             raise ValueError("the heat symbol is not finite")
         return lam

@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, HeldTerms, _new_tuple, _Node, frozen, sum_by_code
+from .carrier import PRUNE_EPSILON, HeldTerms, _KeyedBasis, _new_tuple, _Node, frozen, sum_by_code
 
 
 class Path(_Node):
@@ -353,6 +353,20 @@ class GraphElement(HeldTerms):
                         f"s[{'.'.join(nu.edges) or nu.source}]*")
         more = "..." if len(self.terms) > 6 else ""
         return "GraphElement(" + " + ".join(bits) + more + ")"
+
+
+class GraphCarrierBasis(_KeyedBasis):
+    """Common-range path pairs with both lengths <= max_len as coordinates."""
+
+    def __init__(self, graph: DirectedGraph, max_len: int):
+        self.graph = graph
+        self.max_len = max_len = self._checked_size(max_len, "max_len")
+        super().__init__(GraphElement(graph), common_range_pairs(graph, max_len))
+        self._index = {k: i for i, k in enumerate(self.keys)}
+        self.description = f"graph terms |mu|,|nu|<={max_len}"
+
+    def _rows(self, keys: list) -> np.ndarray:
+        return np.array([self._index.get(k, -1) for k in keys], dtype=np.intp)
 
 
 def vertex_projection(graph: DirectedGraph, v: str) -> GraphElement:

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from .carrier import EQ_TOLERANCE, Normed
+from .carrier import EQ_TOLERANCE, Normed, _KeyedBasis
 
 
 class MatElement(Normed):
@@ -143,6 +143,18 @@ class MatElement(Normed):
 
     def __repr__(self):
         return f"MatElement(n={self.n})"
+
+
+class MatrixCarrierBasis(_KeyedBasis):
+    """Matrix units of M_n as carrier coordinates, keyed by the flat index i n + j."""
+
+    def __init__(self, n: int):
+        self.n = n = self._checked_size(n, "n")
+        self.description = f"M_{n} matrix units"
+        super().__init__(MatElement.zero(n), _unit_keys(n))
+
+    def _rows(self, flat: np.ndarray) -> np.ndarray:
+        return np.where((flat >= 0) & (flat < len(self.keys)), flat, -1)
 
 
 @functools.cache

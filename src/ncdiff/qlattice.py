@@ -69,7 +69,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .carrier import PRUNE_EPSILON, HeldTerms, frozen, moduli, sum_by_code
+from .carrier import PRUNE_EPSILON, HeldTerms, _KeyedBasis, frozen, moduli, sum_by_code
 
 Monomial = tuple  # exponent tuple (e_1, ..., e_m)
 
@@ -584,6 +584,28 @@ class QElement(HeldTerms):
             mono = "".join(f"U{j + 1}^{x}" for j, x in enumerate(e) if x != 0) or "1"
             parts.append(f"({c:.6g})*{mono}")
         return "QElement(" + " + ".join(parts) + ")"
+
+
+class QMonomialBasis(_KeyedBasis):
+    """Monomials with every exponent in [-K, K] as carrier coordinates: int64
+    exponent rows in ``itertools.product`` order, so the coordinate of e is the
+    mixed-radix number of e + K in base 2K + 1."""
+
+    def __init__(self, spec: QAlgebraSpec, K: int):
+        self.spec = spec
+        self.K = K = self._checked_size(K, "truncation K")
+        m, side = spec.generator_count, 2 * K + 1
+        keys = np.indices((side,) * m).reshape(m, -1).T.astype(np.int64) - K
+        super().__init__(QElement(spec), keys)
+        self._stride = side ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        self.description = f"{spec.label or 'q-lattice'} monomials |e|<={K}"
+
+    def _rows(self, E: np.ndarray) -> np.ndarray:
+        rows = np.full(len(E), -1)
+        if E.shape[1:] == self._stride.shape:
+            inside = (np.abs(E) <= self.K).all(axis=1)
+            rows[inside] = (E[inside] + self.K) @ self._stride
+        return rows
 
 
 # -- presentation builders -------------------------------------------------

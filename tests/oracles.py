@@ -41,7 +41,7 @@ from ncdiff.carrier import EQ_TOLERANCE, add_terms, commutator
 from ncdiff.forms import (BasisConditionError, DifferentialBasis, DifferentialForm, Symbol,
                           _unit)
 from ncdiff.graph_algebra import GraphElement, Path, common_range_pairs
-from ncdiff.matrix_algebra import MatElement, joint_eigenbasis
+from ncdiff.matrix_algebra import MatElement, MatrixCarrierBasis, joint_eigenbasis
 from ncdiff.qlattice import QElement, torus_spec
 from ncdiff.testing import default_carriers, random_form, random_qelement
 
@@ -300,7 +300,7 @@ def audit_semigroup(ts, n: int, basis, samples: int = 100, seed=7) -> list:
     :func:`audit_samples` for each time, every sample's Schur multiplier
     taken into the eigenbasis and back with one temporary the size of the
     whole stack (the library checks the samples a block at a time)."""
-    Q, W = basis.eigenbasis[0], basis.symbol.lam(MatElement.zero(n)).reshape(n, n)
+    Q, W = basis.eigenbasis[0], basis.symbol.on(MatrixCarrierBasis(n)).lam().reshape(n, n)
 
     def schur_heat(M, m):
         if Q is None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ncdiff
-from ncdiff import carrier, dirichlet, graph_algebra as ga, matrix_algebra, qlattice
+from ncdiff import carrier, cohomology, dirichlet, graph_algebra as ga, matrix_algebra, qlattice
 from ncdiff.carrier import EQ_TOLERANCE, PRUNE_EPSILON
 from ncdiff.forms import DifferentialBasis
 from ncdiff.graph_algebra import (DirectedGraph, GraphElement, Path, common_range_pairs,
@@ -582,3 +582,66 @@ def test_from_keys_and_heat_give_python_scalars(case, rng):
         assert x.terms == a.terms
     for x in (held(a), dict_only(a)):
         assert_python_terms(dirichlet.heat_semigroup(x, 0.3, case.heat_basis()))
+
+
+# -- key sets: carrier coordinates over a finite set of keys -------------------
+# Each factory returns a key set of its carrier's module and keys outside it.
+
+def _matrix_keys():
+    return matrix_algebra.MatrixCarrierBasis(3), np.array([9, -1])
+
+
+def _q_keys():
+    return qlattice.QMonomialBasis(torus_spec(THETA), 2), np.array([[3, 0], [0, -3]])
+
+
+def _graph_keys():
+    g = loop_graph(2)
+    keyset = ga.GraphCarrierBasis(g, 1)
+    return keyset, [k for k in common_range_pairs(g, 2) if k not in keyset.keys]
+
+
+KEY_SETS = pytest.mark.parametrize("make", [_matrix_keys, _q_keys, _graph_keys],
+                                   ids=["matrix", "qlattice", "graph"])
+
+
+@KEY_SETS
+def test_key_set_coordinates_are_unit_vectors(make):
+    keyset, _ = make()
+    eye = np.eye(keyset.dim)
+    for i, x in enumerate(keyset.elements()):
+        assert np.array_equal(keyset.coords(x), eye[i])
+
+
+@KEY_SETS
+def test_key_set_rows_mark_a_key_outside(make):
+    keyset, outside = make()
+    assert len(outside) and keyset._rows(outside).tolist() == [-1] * len(outside)
+    assert keyset._rows(keyset.keys).tolist() == list(range(keyset.dim))
+
+
+def test_key_sets_keep_their_import_paths():
+    for name, module in (("MatrixCarrierBasis", matrix_algebra), ("QMonomialBasis", qlattice),
+                         ("GraphCarrierBasis", ga)):
+        assert getattr(cohomology, name) is getattr(ncdiff, name) is getattr(module, name)
+    assert cohomology.TruncationError is carrier.TruncationError
+
+
+def test_key_sets_check_their_size():
+    spec = torus_spec(THETA)
+    basis = DifferentialBasis([QElement.generator(spec, 1)])
+    calls = [(lambda: ga.GraphCarrierBasis(star_tree(3), -1), "max_len", "-1"),
+             (lambda: ga.GraphCarrierBasis(star_tree(3), 1.0), "max_len", "1.0"),
+             (lambda: qlattice.QMonomialBasis(spec, -1), "truncation K", "-1"),
+             (lambda: qlattice.QMonomialBasis(spec, 2.0), "truncation K", "2.0"),
+             (lambda: matrix_algebra.MatrixCarrierBasis(-2), "n", "-2"),
+             (lambda: matrix_algebra.MatrixCarrierBasis(2.0), "n", "2.0")]
+    calls.append((lambda: cohomology.deRham_dims_truncated(basis, spec, 4.0),
+                  "truncation K", "4.0"))
+    for call, name, value in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, "
+                                             f"got {value}$"):
+            call()
+    # an integer of another type is a size
+    assert qlattice.QMonomialBasis(spec, np.int64(1)).dim == 9
+    assert ga.GraphCarrierBasis(star_tree(3), 0).description == "graph terms |mu|,|nu|<=0"

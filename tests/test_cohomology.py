@@ -36,19 +36,18 @@ def clock7_setup():
 
 
 def _triplet(report):
-    """``report`` with ``Symbol.moduli`` refusing every basis, so that it
+    """``report`` with the rank symbol refusing every basis, so that it
     takes the triplet route."""
     def run(*args, **kwargs):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(F.Symbol, "moduli", lambda *_: None)
+            patch.setattr(C, "_rank_symbol", lambda *_: None)
             return report(*args, **kwargs)
     return run
 
 
 def _symbol(basis, carrier, families):
     """``(|v|, cut)`` of the symbol route over ``carrier``, or None off it."""
-    weights = basis.symbol.weights(families, carrier.parent, carrier.keys)
-    return basis.symbol.moduli(weights, carrier.keys)
+    return C._rank_symbol(basis.symbol.on(carrier).weights(families), carrier.keys)
 
 
 def test_boundary_degree0_rank(m2_setup):
@@ -1019,7 +1018,7 @@ def test_rank_symbol_is_the_heat_symbol_times_the_family_count(case):
     # |v|^2 = F lambda: both read one list of weights, over F families or one
     basis, carrier = SYMBOL_FAMILIES[case]()
     v, _ = _symbol(basis, carrier, basis.families)
-    lam = basis.symbol.lam(carrier.parent, carrier.keys)
+    lam = basis.symbol.on(carrier).lam()
     n_families = len(basis.families)
     assert (np.abs(v ** 2 - n_families * lam) <= 1e-14 * n_families * lam).all()
 

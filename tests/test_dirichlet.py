@@ -11,11 +11,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 import ncdiff.dirichlet as D
 import ncdiff.graph_algebra as ga
 import ncdiff.qlattice as ql
-from ncdiff.carrier import EQ_TOLERANCE
+from ncdiff.carrier import EQ_TOLERANCE, _KeyedBasis
 from ncdiff.cli import main
 from ncdiff.forms import (BasisConditionError, BasisModeError, DifferentialBasis,
                           DifferentialForm)
-from ncdiff.matrix_algebra import MatElement, joint_eigenbasis, projection_basis, trace
+from ncdiff.matrix_algebra import (MatElement, MatrixCarrierBasis, joint_eigenbasis,
+                                  projection_basis, trace)
 from ncdiff.qlattice import QElement, heisenberg_spec, tau, torus_spec, torus_spec_2n
 from ncdiff.testing import (loop_graph, random_graph_element, random_matelement,
                             random_qelement, star_tree)
@@ -560,11 +561,22 @@ def test_heat_rejects_bad_input(p_basis2, p_basis3, torus, torus_basis):
         D.audit_semigroup([1.0], 2, p_basis2, samples=0)
     with pytest.raises(ValueError):
         D.audit_semigroup([], 2, p_basis2)
-    # the basis must be a matrix basis of the operand's size
-    for call in (lambda: D.heat_semigroup(e12, 1.0, torus_basis),
-                 lambda: D.audit_semigroup([1.0], 3, p_basis2)):
+    # the basis must be a matrix basis of the operand's size; a basis of
+    # another carrier is refused by its symbol before its eigenbasis is read
+    tree = star_tree(3)
+    graph_basis = DifferentialBasis([ga.vertex_projection(tree, v) for v in tree.vertices],
+                                    mode="selfadjoint")
+    calls = [lambda b, n: D.delta_superoperator(b, n),
+             lambda b, n: D.heat_superoperator(1.0, b, n),
+             lambda b, n: D.choi_matrix(1.0, n, b),
+             lambda b, n: D.audit_semigroup([1.0], n, b),
+             lambda b, n: D.trotter_check(1.0, 4, n, b)]
+    cases = [(call, b, n) for call in calls
+             for b, n in ((p_basis2, 3), (torus_basis, 2), (graph_basis, 2))]
+    cases.append((lambda b, n: D.heat_semigroup(e12, 1.0, b), torus_basis, 2))
+    for call, b, n in cases:
         with pytest.raises(ValueError, match="does not act on this matrix dimension"):
-            call()
+            call(b, n)
 
 
 def test_trotter(p_basis2, p_basis3):
@@ -827,14 +839,14 @@ def test_heat_symbol_matches_the_laplacian(case, torus, torus_basis, heisenberg,
         foreign = ga.GraphElement(star_tree(5))
         messages = ("diagonally acting", "does not act on this graph")
     for b in bases:
-        lam = b.symbol.lam(zero, keys)
+        lam = b.symbol.on(_KeyedBasis(zero, keys)).lam()
         # on the wide bases within 1e-12 of the largest lambda (measured: 3e-14)
         bound = 1e-12 * lam.max() if wide else 1e-12
         for x, value in zip(elements, lam):
             key, = x.terms
             assert abs(value - D.laplacian(x, b).terms.get(key, 0j)) <= bound
         # the rank symbol over all F families of the weights is F lambda
-        weights = b.symbol.weights(b.families, zero, keys)
+        weights = b.symbol.on(_KeyedBasis(zero, keys)).weights(b.families)
         v = functools.reduce(np.hypot, (np.abs(w) for _, w in weights))
         F = len(b.families)
         assert (np.abs(v ** 2 - F * lam) <= (F * bound if wide else 1e-14 * F * lam)).all()
@@ -844,9 +856,9 @@ def test_heat_symbol_matches_the_laplacian(case, torus, torus_basis, heisenberg,
         for x in fixed:
             assert (D.heat_semigroup(x, 2.0, b) - x).norm() == 0.0
     with pytest.raises(ValueError, match=messages[0]):
-        undiagonal.symbol.lam(zero, keys)
+        undiagonal.symbol.on(_KeyedBasis(zero, keys)).lam()
     with pytest.raises(ValueError, match=messages[1]):
-        bases[0].symbol.lam(foreign, keys)
+        bases[0].symbol.on(_KeyedBasis(foreign, keys)).lam()
     # a carrier without keys, such as the forms, has no heat flow here
     with pytest.raises(TypeError, match="no semigroup evaluation"):
         D.heat_semigroup(DifferentialForm.from_element(bases[0], fixed[0]), 1.0, bases[0])
@@ -860,7 +872,7 @@ def test_matrix_heat_symbol_is_the_per_unit_route_bit_for_bit(kind, n):
         basis = DifferentialBasis([ql.clock_shift_rep(spec, QElement.generator(spec, 1))])
     else:
         basis = _matrix_basis(kind, n)
-    W = basis.symbol.lam(MatElement.zero(n)).reshape(n, n)
+    W = basis.symbol.on(MatrixCarrierBasis(n)).lam().reshape(n, n)
     assert np.array_equal(W, oracles.matrix_heat_symbol(basis, n))
 
 
@@ -900,7 +912,8 @@ def test_a_slot_beyond_the_exponent_limit_names_the_limit():
     # the Laplacian takes the commutator; the heat flow needs the slot's keys
     lap = D.laplacian(V, basis)
     assert set(lap.terms) == {(0, 1)} and lap.coefficient((0, 1)).real > 0
-    for call in (lambda: D.heat_semigroup(V, 1.0, basis), lambda: basis.symbol.lam(V)):
+    for call in (lambda: D.heat_semigroup(V, 1.0, basis),
+                 lambda: basis.symbol.on(_KeyedBasis.of(V)).lam()):
         with pytest.raises(ValueError, match=r"exponents of 2\*\*62 or more are too large"):
             call()
     # as for an operand beyond the limit

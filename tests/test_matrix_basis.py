@@ -11,7 +11,7 @@ import pytest
 
 from ncdiff import dirichlet as D
 from ncdiff.forms import DifferentialBasis, DifferentialForm, _unit, delta
-from ncdiff.matrix_algebra import MatElement, projection_basis, scaled_family
+from ncdiff.matrix_algebra import MatElement, MatrixCarrierBasis, projection_basis, scaled_family
 from ncdiff.qlattice import QElement, torus_spec
 from ncdiff.testing import random_matelement
 
@@ -140,10 +140,10 @@ def _assert_same_basis(got, want, operands):
     assert [_bits(x) for x in glams] == [_bits(x) for x in wlams]
     for held, oracle in ((got.ad, want.ad), (got.ad_star, want.ad_star)):
         assert [_weights(f.action, n) for f in held] == [_weights(f.action, n) for f in oracle]
-    zero = MatElement.zero(n)
+    units = MatrixCarrierBasis(n)
     for symbol in ("symbol", "scaled_symbol"):
-        assert _outcome(lambda: _bits(getattr(got, symbol).lam(zero))) == \
-            _outcome(lambda: _bits(getattr(want, symbol).lam(zero)))
+        assert _outcome(lambda: _bits(getattr(got, symbol).on(units).lam())) == \
+            _outcome(lambda: _bits(getattr(want, symbol).on(units).lam()))
     for a in operands:
         for call in (lambda b: delta(DifferentialForm.from_element(b, a)),
                      lambda b: D.laplacian(a, b), lambda b: D.heat_semigroup(a, 0.7, b)):
