@@ -417,8 +417,8 @@ class _KeyedBasis:
 
     @staticmethod
     def _checked_size(value, name: str) -> int:
-        """A key set's size as an int; a ValueError naming it if negative or not an integer."""
-        if not hasattr(value, "__index__") or value < 0:
+        """A key set's size as an int; a ValueError naming it unless a nonnegative int, not bool."""
+        if not hasattr(value, "__index__") or isinstance(value, bool) or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         return index(value)
 

@@ -23,7 +23,8 @@ these replace are the tests' oracles.  Every first-order bracket
 [c_j U_j, a] (the Laplacian, the carre du champ, the Dirichlet pairing, the
 locality isometry) goes through the basis's ``ad`` maps, so a diagonal basis
 element never forms two products.  :func:`audit_semigroup` samples the
-channel on seeded random operators, in blocks of ``_BLOCK_ENTRIES`` entries.
+channel on seeded random operators in blocks of ``_BLOCK_ENTRIES`` entries and
+diagonalizes those a Schur bound cannot place inside the Markov range so far.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ _held_draws: dict = {}  # (n, samples, seed) -> (A, B, interval operators), leas
 # An audit draws and checks its samples in blocks of at most this many entries
 # per stack, as ``qlattice._CHUNK_PAIRS`` bounds a chunk: 32 samples at n = 16.
 _BLOCK_ENTRIES = 2 ** 13
+# An audit skips a sample's eigvalsh when its Schur bounds clear the Markov range so far by
+# this, over twice eigvalsh's error: n u |M| <= n^2 u on lambda_min(M), 5e-13 at n <= 64.
+_MARKOV_MARGIN = 1e-9
 
 
 def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -197,20 +201,37 @@ def _audit_samples(n: int, samples: int, seed):
     return A, B, ops
 
 
+def _undecided(x, mu: float, lo: float, hi: float):
+    """Which operators x (0 <= x <= 1, in the eigenbasis) have Schur bounds that do not
+    clear [lo, hi], widened by their diagonals, by ``_MARKOV_MARGIN``; all if none can."""
+    if mu <= max(lo, 1 - hi) < np.inf:  # every bound lies inside a range known already
+        return slice(None)
+    d = x.diagonal(0, 1, 2).real
+    lo, hi = min(lo, d.min()), max(hi, d.max())
+    if mu <= max(lo, 1 - hi):
+        return slice(None)
+    keep = (mu * d.min(1) <= lo + _MARKOV_MARGIN) | (1 - mu * (1 - d.max(1)) >= hi - _MARKOV_MARGIN)
+    return slice(None) if keep.all() else keep
+
+
 def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
                     samples: int = 100, seed: int = 7) -> SemigroupAudit:
     """Run the complete-positivity / symmetry / conservativity / Markov checks.
 
-    The channel is applied as the Schur multiplier exp(-t W) in the basis's
-    joint eigenbasis, and the held symbol is read once for all times.  The
-    Choi matrix is unitarily similar (via conj(Q) (x) Q) to the symbol on
-    span{e_i (x) e_i} plus a zero block of size n^2 - n, so its least
-    eigenvalue is read off the n x n symbol.  The random pairs and operators
-    with spectrum in [0, 1] are drawn once per (n, samples, seed), shared by
-    every time and held as :func:`_audit_samples` states, so a repeat audit
-    skips the redraw; the rows are those of a fresh draw, whatever the order
-    of the calls.  Each block of samples is taken into the eigenbasis once for
-    all times; no temporary outgrows a block, and each row is one pass's bit for bit.
+    The channel is the Schur multiplier M = exp(-t W) in the basis's joint
+    eigenbasis, the held symbol read once for all times.  The Choi matrix is
+    unitarily similar (via conj(Q) (x) Q) to M on span{e_i (x) e_i} plus a
+    zero block, so its least eigenvalue is read off mu = lambda_min(M).  The
+    random pairs and operators with spectrum in [0, 1] are drawn once per
+    (n, samples, seed) and held (:func:`_audit_samples`): a repeat audit gets
+    a fresh draw's rows without the redraw.  Each block of samples is taken
+    into the eigenbasis once for all times; no temporary outgrows a block.  By
+    the Schur product theorem an operator A there has Phi_t(A)'s spectrum in
+    [mu min_i A_ii, 1 - mu min_i (1 - A_ii)], and each A_ii = (M o A)_ii is a
+    Rayleigh quotient: a sample whose bounds lie ``_MARKOV_MARGIN`` inside the
+    range of the quotients and eigenvalues so far is not diagonalized.  The
+    extremes still are, by the same eigvalsh, so each row is one whole-stack
+    pass's bit for bit.
     """
     ts = list(ts)
     if not ts:
@@ -222,26 +243,31 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     Q, W = _matrix_symbol(basis, n)
     W, Qh = W.reshape(n, n), (None if Q is None else Q.conj().T)
     Ms = [np.exp(-t * W) for t in ts]
+    mus = [float(np.linalg.eigvalsh(M)[0]) for M in Ms]
 
     def heats(x):  # Phi_t(x) for each time, x taken into the eigenbasis once
         x = x if Q is None else Qh @ x @ Q
         return (M * x if Q is None else Q @ (M * x) @ Qh for M in Ms)
 
-    parts = [[] for _ in ts]  # per time: (symmetry, Markov min, Markov max) of each block
+    parts = [[] for _ in ts]  # per time and block: symmetry, Markov min and max so far
     stacks, step = _audit_samples(n, samples, seed), max(1, _BLOCK_ENTRIES // (n * n))
     for k in range(0, samples, step):
         A, B, ops = (x[k:k + step] for x in stacks)
         # tau-symmetry tr(Phi(a) b) = tr(a Phi(b)) over the random pairs
         left = [np.einsum("kij,kji->k", PA, B) for PA in heats(A)]
         right = [np.einsum("kij,kji->k", A, PB) for PB in heats(B)]
-        for part, x, y, F in zip(parts, left, right, heats(ops)):
+        ops = ops if Q is None else Qh @ ops @ Q
+        for part, x, y, M, mu in zip(parts, left, right, Ms, mus):
+            lo, hi = part[-1][1:] if part else (np.inf, -np.inf)  # the Markov range so far
+            F = ops[_undecided(ops, mu, lo, hi)]
+            F = M * F if Q is None else Q @ (M * F) @ Qh
             F += F.conj().swapaxes(1, 2)  # in place: 0.5 * (F + F^*), one temporary
             F *= 0.5
             lam = np.linalg.eigvalsh(F)
-            part.append((np.abs(x - y).max(), lam[:, 0].min(), lam[:, -1].max()))
+            part.append((np.abs(x - y).max(), lam[:, 0].min(initial=lo),
+                         lam[:, -1].max(initial=hi)))
     rows, eye = [], np.eye(n)
-    for t, M, part in zip(ts, Ms, parts):
-        choi_min = float(np.linalg.eigvalsh(M)[0])
+    for t, M, choi_min, part in zip(ts, Ms, mus, parts):
         sym, mk_min, mk_max = np.array(part).T
         rows.append({
             "t": t,

@@ -650,8 +650,7 @@ def h0_report(graph: DirectedGraph, max_len: int) -> dict:
     the vertex count); and one flag per simple no-exit loop, each of which
     generates a copy of the continuous functions on the circle.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    max_len = _KeyedBasis._checked_size(max_len, "max_len")
     closed = [(mu, nu) for mu, nu in common_range_pairs(graph, max_len)
               if mu.source == nu.source]
     loop_free = not graph.has_loops()

@@ -635,7 +635,9 @@ def test_key_sets_check_their_size():
              (lambda: qlattice.QMonomialBasis(spec, -1), "truncation K", "-1"),
              (lambda: qlattice.QMonomialBasis(spec, 2.0), "truncation K", "2.0"),
              (lambda: matrix_algebra.MatrixCarrierBasis(-2), "n", "-2"),
-             (lambda: matrix_algebra.MatrixCarrierBasis(2.0), "n", "2.0")]
+             (lambda: matrix_algebra.MatrixCarrierBasis(2.0), "n", "2.0"),
+             (lambda: matrix_algebra.MatrixCarrierBasis(True), "n", "True"),
+             (lambda: qlattice.QMonomialBasis(spec, False), "truncation K", "False")]
     calls.append((lambda: cohomology.deRham_dims_truncated(basis, spec, 4.0),
                   "truncation K", "4.0"))
     for call, name, value in calls:

@@ -399,6 +399,57 @@ def test_audit_temporaries_hold_one_block(no_held_draw):
     assert _traced_peak(lambda: D.audit_semigroup([0.1, 1.0, 10.0], 20, small)) <= 0.8 * 2 ** 20
 
 
+def _markov_filter_run(monkeypatch, ts, n, basis, samples=100):
+    """An audit's rows and the number of samples it hands to eigvalsh, on a
+    held draw (so that the draw's own eigvalsh is not counted)."""
+    D._audit_samples(n, samples, 7)
+    counts, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if a.ndim == 3:  # a stack of samples; the Choi row passes the n x n symbol
+            counts.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", counted)
+        rows = D.audit_semigroup(ts, n, basis, samples=samples).results
+    return rows, sum(counts)
+
+
+@pytest.mark.parametrize("t, most", [(1.0, 25), (10.0, 5)])
+def test_markov_filter_skips_projection_samples(t, most, no_held_draw, monkeypatch):
+    # on M_16 projections exp(-t W) = e^{-2t} J + (1 - e^{-2t}) I, J all ones,
+    # so its least eigenvalue 1 - e^{-2t} bounds most samples well inside the
+    # Markov range
+    basis = _grid_basis("projection", 16)
+    rows, diagonalized = _markov_filter_run(monkeypatch, [t], 16, basis)
+    assert diagonalized <= most
+    assert rows == oracles.audit_semigroup([t], 16, basis)
+
+
+def test_markov_filter_keeps_every_rotated_sample(no_held_draw, monkeypatch):
+    # the heat workload's kind of basis: the least eigenvalue of exp(-t W) is
+    # 3e-5 to 0.09, under the running Markov minimum, so no sample is skipped
+    basis, ts = _rotated_unitary_basis(20, seed=20), [0.1, 1.0, 10.0]
+    for t in ts:
+        rows, diagonalized = _markov_filter_run(monkeypatch, [t], 20, basis)
+        assert diagonalized == 100 and rows == oracles.audit_semigroup([t], 20, basis)
+    assert _markov_filter_run(monkeypatch, ts, 20, basis)[1] == 300
+
+
+def test_markov_filter_declines_on_a_singular_symbol(no_held_draw, monkeypatch):
+    # the symbol vanishes between units 0 and 1, so exp(-t W) has two equal
+    # rows and least eigenvalue 0: the Schur bound is 0 and rules nothing out
+    basis = DifferentialBasis([MatElement(np.diag([1.0, 1.0, 0.0, 0.0])),
+                               MatElement(np.diag([0.0, 0.0, 1.0, 0.0]))], mode="selfadjoint")
+    ts = [0.1, 1.0, 10.0]
+    W = D._matrix_symbol(basis, 4)[1].reshape(4, 4)
+    assert W[0, 1] == 0.0
+    assert all(abs(np.linalg.eigvalsh(np.exp(-t * W))[0]) < 1e-15 for t in ts)
+    rows, diagonalized = _markov_filter_run(monkeypatch, ts, 4, basis)
+    assert diagonalized == 3 * 100
+    assert rows == oracles.audit_semigroup(ts, 4, basis)
+
+
 MATRIX_CASES = pytest.mark.parametrize(
     "kind, n", [("projection", n) for n in (2, 3, 4, 5)]
     + [("rotated", 7), ("rotated", 12), ("rotated-projection", 6)], ids=lambda v: str(v))

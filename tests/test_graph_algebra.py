@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 import ncdiff.forms as F
@@ -261,6 +262,18 @@ def test_h0_zero_length():
     rep = h0_report(star_tree(3), 0)
     assert rep["projection_count"] == 3
     assert all(len(mu) == 0 and len(nu) == 0 for mu, nu in rep["closed_terms"])
+
+
+def test_h0_checks_max_len_as_the_key_set_does():
+    # a float, a negative or a bool max_len is the key set's ValueError, not a
+    # TypeError from the path enumeration
+    for bad in (2.0, 1.5, -1, True, False):
+        message = f"^max_len must be a nonnegative integer, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            h0_report(star_tree(3), bad)
+        with pytest.raises(ValueError, match=message):
+            ga.GraphCarrierBasis(star_tree(3), bad)
+    assert h0_report(star_tree(3), np.int64(2)) == h0_report(star_tree(3), 2)
 
 
 def test_h0_loop_flag():
