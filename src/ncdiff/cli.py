@@ -29,7 +29,7 @@ from . import expr
 from . import graph_algebra as ga
 from . import testing
 from .carrier import PRUNE_EPSILON
-from .forms import DifferentialBasis
+from .forms import DifferentialBasis, form_to_json
 from .matrix_algebra import projection_basis
 from .qlattice import (QElement, element_to_json, heisenberg_spec, spec_from_json,
                        torus_spec)
@@ -98,11 +98,11 @@ def _cmd_eval(args, cfg: Config) -> int:
     expr.check_finite(value)
     if isinstance(value, complex):
         value = QElement.one(spec).scale(value)
-    if isinstance(value, QElement):
-        if args.json:
-            _emit(element_to_json(value))
-        else:
-            print(expr.format_element(value))
+    if args.json:
+        _emit(element_to_json(value) if isinstance(value, QElement)
+              else form_to_json(value, element_to_json))
+    elif isinstance(value, QElement):
+        print(expr.format_element(value))
     else:
         print(expr.format_form(value))
     return 0
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an expression to normal form")
     p.add_argument("--spec", required=True, help="presentation JSON file")
     p.add_argument("--basis", help="comma-separated generator indices for delta")
-    p.add_argument("--json", action="store_true", help="emit element JSON")
+    p.add_argument("--json", action="store_true", help="emit element or form JSON")
     p.add_argument("expression")
     p.set_defaults(func=_cmd_eval)
 

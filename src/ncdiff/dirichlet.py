@@ -67,6 +67,13 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
 
 
+def _decay(t, lam: np.ndarray) -> np.ndarray:
+    """exp(-t lam), t a time or an array of times that broadcasts against lam;
+    where -t lam overflows (an enormous finite time) the decay is 0, unwarned."""
+    with np.errstate(over="ignore"):
+        return np.exp(-t * lam)
+
+
 # The seeded samples of audits are held while the three complex stacks of
 # all of them together fit this many bytes: n = 16, 20 and 32 at 100 samples
 # side by side, never n = 64.
@@ -94,7 +101,7 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
     _check_time(t)
     if not hasattr(a, "parent_name"):
         raise TypeError(f"no semigroup evaluation for {type(a).__name__}")
-    M = np.exp(-t * basis.symbol.on(_KeyedBasis.of(a)).lam())
+    M = _decay(t, basis.symbol.on(_KeyedBasis.of(a)).lam())
     if isinstance(a, MatElement):
         return MatElement(_schur_heat(basis.eigenbasis[0], M.reshape(a.mat.shape), a.mat))
     keys, coeffs = a.keyed()
@@ -126,7 +133,7 @@ def heat_superoperator(t: float, basis: DifferentialBasis, n: int) -> np.ndarray
     """exp(-t Delta) as an n^2 x n^2 matrix on vectorized matrices."""
     _check_time(t)
     Q, W = _matrix_symbol(basis, n)
-    return _schur_superoperator(Q, np.exp(-t * W))
+    return _schur_superoperator(Q, _decay(t, W))
 
 
 def choi_matrix(t: float, n: int, basis: DifferentialBasis) -> MatElement:
@@ -238,11 +245,11 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
         raise ValueError("need at least one time")
     for t in ts:
         _check_time(t)
-    if samples < 1:
+    if _KeyedBasis._checked_size(samples, "samples") < 1:
         raise ValueError("need at least one sample")
     Q, W = _matrix_symbol(basis, n)
     W, Qh = W.reshape(n, n), (None if Q is None else Q.conj().T)
-    Ms = [np.exp(-t * W) for t in ts]
+    Ms = _decay(np.array(ts, dtype=float)[:, None, None], W)
     mus = [float(np.linalg.eigvalsh(M)[0]) for M in Ms]
 
     def heats(x):  # Phi_t(x) for each time, x taken into the eigenbasis once
@@ -289,16 +296,20 @@ def trotter_check(t: float, steps: int, n: int, basis: DifferentialBasis) -> flo
     are Schur multipliers, S2 = -sum_j (|lambda_j(a)|^2 + |lambda_j(b)|^2) and
     S1 = -W - S2 for the held heat symbol W; the eigenbasis is unitary, so the
     error is the largest entry of |(e^{h S1} e^{h S2})^m - e^{-t W}|, h = t / m.
+    A step h so long that e^{h S1} overflows raises a ValueError.
     """
     _check_time(t)
-    if steps < 1:
+    if _KeyedBasis._checked_size(steps, "steps") < 1:
         raise ValueError("need at least one step")
     W = _matrix_symbol(basis, n)[1].reshape(n, n)
     sq = sum(np.abs(np.diag(x.mat)) ** 2 for x in basis.diagonal)
     S2 = -(sq[:, None] + sq[None, :])
     h = t / steps
-    approx = (np.exp(h * (-W - S2)) * np.exp(h * S2)) ** steps
-    return float(np.abs(approx - np.exp(-t * W)).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = (np.exp(h * (-W - S2)) * np.exp(h * S2)) ** steps
+    if not np.isfinite(approx).all():
+        raise ValueError(f"the Trotter step t/steps = {h!r} is too long: exp(h S1) overflows")
+    return float(np.abs(approx - _decay(t, W)).max())
 
 
 # -- first-order / carre du champ identities --------------------------------

@@ -8,9 +8,9 @@ parenthesized expressions, commutator brackets ``[x, y]``, ``delta(x)`` and
 
 AST: :func:`parse` builds a tree of twelve node classes (``Num``, ``Gen``,
 ``Adj``, ``Pow``, ``Neg``, ``Mul``, ``Add``, ``Sub``, ``Wedge``, ``Comm``,
-``Delta``, ``ThetaHat``) and :func:`to_text` renders one back.  A node is
-built from its fields by position or keyword, cannot be assigned to, equals
-and hashes alike with a node of its class with equal fields, and prints as
+``Delta``, ``ThetaHat``).  A node is built from its fields by position or
+keyword, cannot be assigned to, equals and hashes alike with a node of its
+class with equal fields, and prints as
 ``Add(left=Gen(name='U'), right=Num(value=2j))``.  The classes share the
 package's one tuple record base, :class:`ncdiff.carrier._Node`, and generate
 no code at import; as frozen dataclasses, which write out and exec five
@@ -266,48 +266,6 @@ class _Parser:
 def parse(text: str):
     """Parse an expression into its AST; raises ExprSyntaxError with position."""
     return _Parser(text).parse()
-
-
-def to_text(node) -> str:
-    """Render an AST back to parseable text (parenthesized where needed)."""
-    if isinstance(node, Num):
-        v = node.value
-        if v.imag == 0:
-            return repr(v.real)
-        if v.real == 0:
-            return "i" if v.imag == 1 else f"{v.imag!r}i"
-        return f"({v.real!r} + {v.imag!r}i)"
-    if isinstance(node, Gen):
-        return node.name
-    if isinstance(node, Adj):
-        return f"{_atomized(node.arg)}'"
-    if isinstance(node, Pow):
-        return f"{_atomized(node.arg)}^{node.exponent}"
-    if isinstance(node, Neg):
-        return f"-{_atomized(node.arg)}"
-    if isinstance(node, Mul):
-        return f"{_atomized(node.left)} * {_atomized(node.right)}"
-    if isinstance(node, Add):
-        return f"({to_text(node.left)} + {to_text(node.right)})"
-    if isinstance(node, Sub):
-        return f"({to_text(node.left)} - {to_text(node.right)})"
-    if isinstance(node, Wedge):
-        return f"{_atomized(node.left)} /\\ {_atomized(node.right)}"
-    if isinstance(node, Comm):
-        return f"[{to_text(node.left)}, {to_text(node.right)}]"
-    if isinstance(node, Delta):
-        return f"delta({to_text(node.arg)})"
-    if isinstance(node, ThetaHat):
-        return f"theta_hat({node.s!r}, {node.t!r}, {to_text(node.arg)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _atomized(node) -> str:
-    # Add/Sub self-parenthesize in to_text; the listed atoms never need parens
-    text = to_text(node)
-    if isinstance(node, (Num, Gen, Comm, Delta, ThetaHat, Add, Sub)):
-        return text
-    return f"({text})"
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -41,7 +41,7 @@ import functools
 import operator
 import warnings
 from itertools import repeat
-from math import comb, inf
+from math import inf
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -440,13 +440,6 @@ def grade(alpha: DifferentialForm) -> dict[tuple[int, int], DifferentialForm]:
     for (I, J), a in alpha.terms.items():
         buckets.setdefault((len(I), len(J)), {})[(I, J)] = a
     return {pq: alpha._like(tbl) for pq, tbl in buckets.items()}
-
-
-def component_rank(n: int, p: int, q: int) -> int:
-    """Free-module rank of the (p, q) covector space over an n-element basis."""
-    if p > n or q > n or p < 0 or q < 0:
-        return 0
-    return comb(n, p) * comb(n, q)
 
 
 def form_to_json(alpha: DifferentialForm, coeff_to_json) -> dict:

@@ -375,8 +375,7 @@ def vertex_projection(graph: DirectedGraph, v: str) -> GraphElement:
 
 
 def edge_isometry(graph: DirectedGraph, e: str) -> GraphElement:
-    mu = graph.path([e])
-    return GraphElement.term(graph, mu, graph.vertex_path(mu.range))
+    return path_isometry(graph, graph.path([e]))
 
 
 def path_isometry(graph: DirectedGraph, mu: Path) -> GraphElement:

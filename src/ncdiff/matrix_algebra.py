@@ -265,16 +265,3 @@ def offdiag(a: MatElement) -> MatElement:
     m = a.mat.copy()
     np.fill_diagonal(m, 0.0)
     return MatElement(m)
-
-
-def mat_to_json(a: MatElement) -> dict:
-    return {"n": a.n,
-            "rows": [[[z.real, z.imag] for z in row] for row in a.mat]}
-
-
-def mat_from_json(d) -> MatElement:
-    n = int(d["n"])
-    m = np.array([[complex(re, im) for re, im in row] for row in d["rows"]])
-    if m.shape != (n, n):
-        raise ValueError("rows disagree with declared dimension")
-    return MatElement(m)

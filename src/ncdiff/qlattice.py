@@ -778,11 +778,3 @@ def spec_from_json(d: Mapping) -> QAlgebraSpec:
 def element_to_json(a: QElement) -> list:
     return [{"exponents": list(e), "re": a.terms[e].real, "im": a.terms[e].imag}
             for e in sorted(a.terms)]
-
-
-def element_from_json(spec: QAlgebraSpec, items: Iterable[Mapping]) -> QElement:
-    terms: dict = {}
-    for it in items:
-        e = _exponents(it["exponents"])
-        terms[e] = terms.get(e, 0j) + complex(it["re"], it["im"])
-    return QElement(spec, terms)

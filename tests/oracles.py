@@ -21,6 +21,10 @@ Superoperators act on row-major vectorized matrices.
 The operands and comparisons that the route tests of both term carriers
 share are here too: seeded operands, copies held as a dict only or as
 arrays only, and term-by-term comparisons, bit for bit or within a bound.
+So are the inverses of two writers that the package ships without a
+reader: :func:`element_from_json` reads back the element JSON of
+``ncdiff eval --json`` (``qlattice.element_to_json``), and :func:`to_text`
+renders an ``expr`` AST back to text that ``expr.parse`` reads.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import operator
 import pathlib
 import sys
 import warnings
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.linalg
@@ -42,7 +47,9 @@ from ncdiff.forms import (BasisConditionError, DifferentialBasis, DifferentialFo
                           _unit)
 from ncdiff.graph_algebra import GraphElement, Path, common_range_pairs
 from ncdiff.matrix_algebra import MatElement, MatrixCarrierBasis, joint_eigenbasis
-from ncdiff.qlattice import QElement, torus_spec
+from ncdiff.expr import (Add, Adj, Comm, Delta, Gen, Mul, Neg, Num, Pow, Sub, ThetaHat,
+                         Wedge)
+from ncdiff.qlattice import QAlgebraSpec, QElement, _exponents, torus_spec
 from ncdiff.testing import default_carriers, random_form, random_qelement
 
 
@@ -373,6 +380,58 @@ def carre_inputs():
         c = random_qelement(torus, rng)
         pairs.append((a, c))
     return basis, pairs
+
+
+# -- round-trip oracles of the JSON and text readers ---------------------------
+
+def element_from_json(spec: QAlgebraSpec, items: Iterable[Mapping]) -> QElement:
+    terms: dict = {}
+    for it in items:
+        e = _exponents(it["exponents"])
+        terms[e] = terms.get(e, 0j) + complex(it["re"], it["im"])
+    return QElement(spec, terms)
+
+
+def to_text(node) -> str:
+    """Render an AST back to parseable text (parenthesized where needed)."""
+    if isinstance(node, Num):
+        v = node.value
+        if v.imag == 0:
+            return repr(v.real)
+        if v.real == 0:
+            return "i" if v.imag == 1 else f"{v.imag!r}i"
+        return f"({v.real!r} + {v.imag!r}i)"
+    if isinstance(node, Gen):
+        return node.name
+    if isinstance(node, Adj):
+        return f"{_atomized(node.arg)}'"
+    if isinstance(node, Pow):
+        return f"{_atomized(node.arg)}^{node.exponent}"
+    if isinstance(node, Neg):
+        return f"-{_atomized(node.arg)}"
+    if isinstance(node, Mul):
+        return f"{_atomized(node.left)} * {_atomized(node.right)}"
+    if isinstance(node, Add):
+        return f"({to_text(node.left)} + {to_text(node.right)})"
+    if isinstance(node, Sub):
+        return f"({to_text(node.left)} - {to_text(node.right)})"
+    if isinstance(node, Wedge):
+        return f"{_atomized(node.left)} /\\ {_atomized(node.right)}"
+    if isinstance(node, Comm):
+        return f"[{to_text(node.left)}, {to_text(node.right)}]"
+    if isinstance(node, Delta):
+        return f"delta({to_text(node.arg)})"
+    if isinstance(node, ThetaHat):
+        return f"theta_hat({node.s!r}, {node.t!r}, {to_text(node.arg)})"
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _atomized(node) -> str:
+    # Add/Sub self-parenthesize in to_text; the listed atoms never need parens
+    text = to_text(node)
+    if isinstance(node, (Num, Gen, Comm, Delta, ThetaHat, Add, Sub)):
+        return text
+    return f"({text})"
 
 
 # -- operands and comparisons of the route tests ------------------------------

@@ -1,6 +1,11 @@
 import cmath
 import functools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -657,6 +662,64 @@ def test_trotter_split_reassembles_generator(p_basis3):
     K1, K2 = oracles.trotter_split(p_basis3, n)
     Ds = D.delta_superoperator(p_basis3, n)
     assert np.abs(K1 + K2 + Ds).max() < 1e-13
+
+
+def test_a_trotter_step_limit_raises_without_a_warning(p_basis3):
+    # exp(h S1) holds e^{2h} on its diagonal, beyond floats once h passes about 355
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"the Trotter step t/steps = 400\.0 is too long"):
+            D.trotter_check(400.0, 1, 3, p_basis3)
+        assert D.trotter_check(100.0, 1, 3, p_basis3) == 0.0
+        assert D.trotter_check(1000.0, 10, 3, p_basis3) == 0.0
+    assert abs(oracles.superoperator_trotter(100.0, 1, 3, p_basis3)) <= 1e-12
+
+
+def test_an_enormous_time_decays_to_zero_on_every_heat_route(p_basis3, torus, torus_basis,
+                                                               rng):
+    # -t lambda overflows to -inf at t = 1e308, and exp gives the limit: only
+    # what lambda = 0 holds survives, as at a long finite time
+    a = random_matelement(3, rng)
+    V = QElement.generator(torus, 2) + QElement.one(torus)
+    routes = [lambda t: D.heat_semigroup(a, t, p_basis3).mat,
+              lambda t: D.heat_superoperator(t, p_basis3, 3),
+              lambda t: D.choi_matrix(t, 3, p_basis3).mat]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for huge in (1e308, np.finfo(float).max):
+            for route in routes:
+                assert route(huge).tobytes() == route(1e4).tobytes()
+            assert D.heat_semigroup(V, huge, torus_basis).terms == {(0, 0): 1}
+            rows = [D.audit_semigroup([t, 1.0], 3, p_basis3, samples=10).results
+                    for t in (huge, 1e4)]
+            assert [{**r, "t": 0} for r in rows[0]] == [{**r, "t": 0} for r in rows[1]]
+    assert (D.heat_semigroup(a, 1e308, p_basis3).mat == np.diag(np.diag(a.mat))).all()
+
+
+def test_the_cli_audit_at_an_enormous_time_writes_no_warning():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(D.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ncdiff", "semigroup", "--n", "3",
+                           "--t", "1e308", "--samples", "10"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["results"][0]["conservativity_error"] == 0.0
+
+
+@pytest.mark.parametrize("samples", [2.5, 3.0, True, -1])
+def test_the_sample_count_argument_is_checked(samples, p_basis3):
+    with pytest.raises(ValueError, match=f"samples must be a nonnegative integer, got {samples}"):
+        D.audit_semigroup([1.0], 3, p_basis3, samples=samples)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        D.audit_semigroup([1.0], 3, p_basis3, samples=0)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, -1])
+def test_the_step_count_argument_is_checked(steps, p_basis3):
+    with pytest.raises(ValueError, match=f"steps must be a nonnegative integer, got {steps}"):
+        D.trotter_check(1.0, steps, 3, p_basis3)
+    with pytest.raises(ValueError, match="need at least one step"):
+        D.trotter_check(1.0, 0, 3, p_basis3)
+    assert D.trotter_check(1.0, np.int64(3), 3, p_basis3) == D.trotter_check(1.0, 3, 3, p_basis3)
 
 
 def test_carre_du_champ_matrix_example(p_basis2):

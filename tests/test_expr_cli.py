@@ -1,9 +1,13 @@
+import ast
 import cmath
 import importlib.util
+import itertools
 import io
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -21,7 +25,7 @@ from ncdiff.forms import DifferentialBasis
 from ncdiff.qlattice import QElement, spec_to_json
 
 from conftest import THETA
-from oracles import benchmark_workloads
+from oracles import benchmark_workloads, element_from_json, to_text
 
 
 @pytest.fixture
@@ -107,7 +111,7 @@ def _random_ast(rng, depth=0):
 def test_roundtrip_random_asts(rng):
     for _ in range(200):
         ast = _random_ast(rng)
-        text = E.to_text(ast)
+        text = to_text(ast)
         assert E.parse(text) == ast, text
 
 
@@ -159,6 +163,30 @@ def test_cli_eval(spec_file):
     # large but finite: only a non-finite result is rejected
     rc, out, _ = run_cli(["eval", "--spec", spec_file, "1e300*U + 1e300*U"])
     assert rc == 0 and out == "2e+300*U\n"
+
+
+def test_eval_json_emits_a_form_as_strict_json(spec_file, torus):
+    argv = ["eval", "--spec", spec_file, "--basis", "1", "delta(V)"]
+    rc, text, _ = run_cli(argv)
+    assert rc == 0 and "dU1*" in text  # as format_form prints it
+    rc, out, _ = run_cli(argv[:1] + ["--json"] + argv[1:])
+    assert rc == 0
+    d = json.loads(out, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
+    assert d["basis_ref"] == "generators 1"
+    # 1-based I and J, terms sorted: dU1* then dU1, the covectors format_form names
+    covectors = [[f"dU{i}" for i in t["I"]] + [f"dU{j}*" for j in t["J"]] for t in d["terms"]]
+    assert covectors == [["dU1*"], ["dU1"]]
+    assert all(c in text for c, in covectors)
+    # each coefficient reads back as the evaluated form's
+    basis = DifferentialBasis([QElement.generator(torus, 1)])
+    alpha = E.evaluate(E.parse("delta(V)"), E.EvalContext(torus, basis))
+    assert len(alpha.terms) == len(d["terms"])
+    for t in d["terms"]:
+        key = (tuple(i - 1 for i in t["I"]), tuple(j - 1 for j in t["J"]))
+        assert element_from_json(torus, t["coefficient"]).terms == alpha.terms[key].terms
+    # an element keeps the element shape
+    rc, out, _ = run_cli(["eval", "--spec", spec_file, "--basis", "1", "--json", "[U, V]"])
+    assert rc == 0 and isinstance(json.loads(out), list)
 
 
 def test_cli_eval_bad_input(spec_file):
@@ -502,6 +530,57 @@ def test_benchmark_tracer_finds_and_restores_what_it_wraps(monkeypatch):
     finally:
         traced.uninstall()
     assert all(now is orig for now, orig in zip(bound(), originals))
+
+
+def _workflow_pytest_steps(text: str) -> list:
+    """(step name, argv after ``pytest``) of each step of a workflow that runs
+    pytest, its ``run:`` read as one line, or folded from its indented block."""
+    steps, name, lines = [], None, text.splitlines()
+    for i, line in enumerate(lines):
+        key = re.match(r"(\s*)(?:- )?(name|run): (.*)$", line)
+        if key is None:
+            continue
+        indent, field, value = key.groups()
+        if field == "name":
+            name = value
+            continue
+        if value in (">-", ">"):
+            block = itertools.takewhile(
+                lambda x: len(x) - len(x.lstrip()) > len(indent), lines[i + 1:])
+            value = " ".join(x.strip() for x in block)
+        argv = shlex.split(value)
+        if "pytest" in argv:
+            steps.append((name, argv[argv.index("pytest") + 1:]))
+    return steps
+
+
+def test_the_workflow_names_only_tests_that_exist():
+    # the CI steps select tests by file, node id and -k: one moved, renamed or
+    # deleted fails here, in the tier-1 suite, not only when the workflow runs
+    root = Path(__file__).parents[1]
+    steps = _workflow_pytest_steps((root / ".github" / "workflows" / "tier1.yml").read_text())
+    named, selections = 0, 0
+    for step, argv in steps:
+        functions = set()
+        for arg in argv:
+            if not arg.startswith("tests/"):
+                continue
+            file, _, test = arg.partition("::")
+            assert (root / file).is_file(), (step, arg)
+            tree = ast.parse((root / file).read_text())
+            defined = {node.name for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef) and node.name.startswith("test")}
+            assert not test or test in defined, (step, arg)
+            functions |= {test} if test else defined
+            named += 1
+        for option, value in zip(argv, argv[1:]):
+            if option != "-k":
+                continue
+            for alternative in re.split(r"\s+or\s+", value.strip()):
+                assert re.fullmatch(r"\w+", alternative), (step, value)
+                assert any(alternative.lower() in f.lower() for f in functions), (step, alternative)
+            selections += 1
+    assert len(steps) >= 10 and named >= 21 and selections >= 3
 
 
 def _assert_frozen_selftest(out, text_matches):

@@ -7,8 +7,7 @@ import pytest
 from ncdiff.carrier import commutator
 from ncdiff.dirichlet import laplacian
 from ncdiff.forms import DifferentialBasis
-from ncdiff.matrix_algebra import (MatElement, mat_from_json, mat_to_json, offdiag,
-                                   projection_basis, trace)
+from ncdiff.matrix_algebra import MatElement, offdiag, projection_basis, trace
 from ncdiff.testing import random_matelement
 
 
@@ -102,14 +101,6 @@ def test_diagonal_weights_that_overflow_raise_in_ad():
         for a in (MatElement(np.ones((2, 2))), MatElement.identity(2)):
             with pytest.raises(ValueError, match="matrix entries must be finite"):
                 basis.ad[0](a)
-
-
-def test_json_roundtrip(rng):
-    a = random_matelement(3, rng)
-    d = mat_to_json(a)
-    assert d["n"] == 3 and len(d["rows"]) == 3
-    b = mat_from_json(d)
-    assert (a - b).norm() < 1e-15
 
 
 def test_unpickled_matrix_is_read_only(rng):

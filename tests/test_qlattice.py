@@ -11,16 +11,15 @@ import pytest
 from ncdiff import qlattice
 from ncdiff.carrier import add_terms, commutator
 from ncdiff.qlattice import (QAlgebraSpec, QElement, SpecMismatchError,
-                             _array_product, clock_shift_rep, element_from_json,
-                             element_to_json, heisenberg_spec, inner,
-                             normal_order, spec_from_json, spec_to_json, tau,
-                             theta_hat, torus_spec, torus_spec_2n,
+                             _array_product, clock_shift_rep, element_to_json,
+                             heisenberg_spec, inner, normal_order, spec_from_json,
+                             spec_to_json, tau, theta_hat, torus_spec, torus_spec_2n,
                              weyl_lattice_spec)
 from ncdiff.testing import random_qelement
 
 from conftest import MU, NU, THETA
-from oracles import (assert_close_terms, box_for, dict_only, held, loop_product,
-                     monomial_ad_loop, pair_product, q_element)
+from oracles import (assert_close_terms, box_for, dict_only, element_from_json, held,
+                     loop_product, monomial_ad_loop, pair_product, q_element)
 import test_carrier as contract
 from test_carrier import (HEISENBERG, Q_CASES, TORUS, QCase, array_product_matches_loop,
                           contract_test)
