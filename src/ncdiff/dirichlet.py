@@ -13,18 +13,18 @@ c_j U^{g_j} it is sum_j |c_j|^2 4 sin^2(theta g_j . k / 2).  A matrix basis
 acts in its joint eigenbasis Q as diag(c_j lambda_j): the symbol is
 W[a, b] = sum_j |c_j lambda_j(a) - c_j lambda_j(b)|^2, the heat channel is the
 Schur multiplier Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is completely
-positive exactly when exp(-t W) is positive semidefinite.  The n^2 x n^2
-superoperators on row-major vectorized matrices (:func:`delta_superoperator`,
-:func:`heat_superoperator`, and :func:`choi_matrix` by reshuffling) write that
-multiplier out as V diag(vec M) V^* with V = Q (x) conj(Q) and M = W or
-exp(-t W), and :func:`trotter_check` splits the symbol into its conjugation
-and anticommutator multipliers; the Kronecker-product and ``expm`` builders
-these replace are the tests' oracles.  Every first-order bracket
-[c_j U_j, a] (the Laplacian, the carre du champ, the Dirichlet pairing, the
-locality isometry) goes through the basis's ``ad`` maps, so a diagonal basis
-element never forms two products.  :func:`audit_semigroup` samples the
-channel on seeded random operators in blocks of ``_BLOCK_ENTRIES`` entries and
-diagonalizes those a Schur bound cannot place inside the Markov range so far.
+positive exactly when exp(-t W) is positive semidefinite.  Every matrix route
+applies its multiplier, M = exp(-t W) or W for Delta, in :func:`_schur_heat`:
+the heat flow, the audit, and the n^2 x n^2 superoperators on row-major
+vectorized matrices (:func:`delta_superoperator`, :func:`heat_superoperator`,
+:func:`choi_matrix` by reshuffling) as its images of the n^2 matrix units, in
+O(n^5); Kronecker and ``expm`` builders of them are the tests' oracles.  Every
+first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
+Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
+maps, so a diagonal basis element never forms two products.
+:func:`audit_semigroup` samples the channel on seeded random operators in
+blocks of ``_BLOCK_ENTRIES`` entries and diagonalizes those a Schur bound
+cannot place inside the Markov range so far.
 """
 
 from __future__ import annotations
@@ -87,12 +87,15 @@ _BLOCK_ENTRIES = 2 ** 13
 _MARKOV_MARGIN = 1e-9
 
 
-def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Phi_t(m) = Q (M o Q^* m Q) Q^* for the symbol M = exp(-t W)."""
-    if Q is None:
-        return M * m
-    Qh = Q.conj().T
-    return Q @ (M * (Qh @ m @ Q)) @ Qh
+def _eigen(Q, m: np.ndarray) -> np.ndarray:  # m in the eigenbasis, Q^* m Q (m where Q is None)
+    return m if Q is None else Q.conj().T @ m @ Q
+
+
+def _schur_heat(Q, M: np.ndarray, m: np.ndarray, rotated: bool = False) -> np.ndarray:
+    """Q (M o Q^* m Q) Q^*, the Schur multiplier M (exp(-t W) or W) on one n x n
+    matrix m or a stack; ``rotated`` when m is given as Q^* m Q already."""
+    m = m if rotated else _eigen(Q, m)
+    return M * m if Q is None else Q @ (M * m) @ Q.conj().T
 
 
 def heat_semigroup(a, t: float, basis: DifferentialBasis):
@@ -108,38 +111,35 @@ def heat_semigroup(a, t: float, basis: DifferentialBasis):
     return a._from_keys(keys, M * coeffs)
 
 
-def _schur_superoperator(Q, M: np.ndarray) -> np.ndarray:
-    """The Schur multiplier m -> Q (M o Q^* m Q) Q^* as the n^2 x n^2 matrix
-    V diag(M) V^* on row-major vectorized matrices (M flat), V = Q (x) conj(Q)."""
-    if Q is None:
-        return np.diag(M)
-    V = np.kron(Q, Q.conj())
-    return (V * M) @ V.conj().T
-
-
 def _matrix_symbol(basis: DifferentialBasis, n: int) -> tuple:
-    """The eigenbasis Q (None when diagonal) and the heat symbol W on the n^2
-    matrix units, flat, read first: a basis not acting on M_n raises its ValueError."""
+    """The eigenbasis Q (None when diagonal) and the n x n heat symbol W,
+    W[a, b] on the unit e_ab, read first: a basis not acting on M_n raises its ValueError."""
     W = basis.symbol.on(MatrixCarrierBasis(n)).lam()
-    return basis.eigenbasis[0], W
+    return basis.eigenbasis[0], W.reshape(n, n)
+
+
+def _unit_images(Q, M: np.ndarray) -> np.ndarray:
+    """The multiplier M as an n^2 x n^2 matrix on row-major vectorized
+    matrices: column a n + b is its image of the matrix unit e_ab."""
+    return _schur_heat(Q, M, np.eye(M.size).reshape(-1, *M.shape)).reshape(M.size, -1).T
 
 
 def delta_superoperator(basis: DifferentialBasis, n: int) -> np.ndarray:
     """Delta as an n^2 x n^2 matrix on vectorized matrices; Hermitian PSD."""
-    return _schur_superoperator(*_matrix_symbol(basis, n))
+    return _unit_images(*_matrix_symbol(basis, n))
 
 
 def heat_superoperator(t: float, basis: DifferentialBasis, n: int) -> np.ndarray:
     """exp(-t Delta) as an n^2 x n^2 matrix on vectorized matrices."""
     _check_time(t)
     Q, W = _matrix_symbol(basis, n)
-    return _schur_superoperator(Q, _decay(t, W))
+    return _unit_images(Q, _decay(t, W))
 
 
 def choi_matrix(t: float, n: int, basis: DifferentialBasis) -> MatElement:
-    """Choi matrix sum_{ij} e_ij (x) Phi_t(e_ij) of the heat channel."""
-    S = heat_superoperator(t, basis, n).reshape(n, n, n, n)
-    return MatElement(S.transpose(2, 0, 3, 1).reshape(n * n, n * n))
+    """Choi matrix sum_{ab} e_ab (x) Phi_t(e_ab) of the heat channel."""
+    S = heat_superoperator(t, basis, n).T.reshape(n, n, n, n)  # S[a, b] = Phi_t(e_ab)
+    return MatElement(S.transpose(0, 2, 1, 3).reshape(n * n, n * n))
 
 
 class SemigroupAudit(_Node):
@@ -215,8 +215,6 @@ def _undecided(x, mu: float, lo: float, hi: float):
         return slice(None)
     d = x.diagonal(0, 1, 2).real
     lo, hi = min(lo, d.min()), max(hi, d.max())
-    if mu <= max(lo, 1 - hi):
-        return slice(None)
     keep = (mu * d.min(1) <= lo + _MARKOV_MARGIN) | (1 - mu * (1 - d.max(1)) >= hi - _MARKOV_MARGIN)
     return slice(None) if keep.all() else keep
 
@@ -248,13 +246,12 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     if _KeyedBasis._checked_size(samples, "samples") < 1:
         raise ValueError("need at least one sample")
     Q, W = _matrix_symbol(basis, n)
-    W, Qh = W.reshape(n, n), (None if Q is None else Q.conj().T)
     Ms = _decay(np.array(ts, dtype=float)[:, None, None], W)
     mus = [float(np.linalg.eigvalsh(M)[0]) for M in Ms]
 
     def heats(x):  # Phi_t(x) for each time, x taken into the eigenbasis once
-        x = x if Q is None else Qh @ x @ Q
-        return (M * x if Q is None else Q @ (M * x) @ Qh for M in Ms)
+        x = _eigen(Q, x)
+        return (_schur_heat(Q, M, x, rotated=True) for M in Ms)
 
     parts = [[] for _ in ts]  # per time and block: symmetry, Markov min and max so far
     stacks, step = _audit_samples(n, samples, seed), max(1, _BLOCK_ENTRIES // (n * n))
@@ -263,11 +260,10 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
         # tau-symmetry tr(Phi(a) b) = tr(a Phi(b)) over the random pairs
         left = [np.einsum("kij,kji->k", PA, B) for PA in heats(A)]
         right = [np.einsum("kij,kji->k", A, PB) for PB in heats(B)]
-        ops = ops if Q is None else Qh @ ops @ Q
+        ops = _eigen(Q, ops)
         for part, x, y, M, mu in zip(parts, left, right, Ms, mus):
             lo, hi = part[-1][1:] if part else (np.inf, -np.inf)  # the Markov range so far
-            F = ops[_undecided(ops, mu, lo, hi)]
-            F = M * F if Q is None else Q @ (M * F) @ Qh
+            F = _schur_heat(Q, M, ops[_undecided(ops, mu, lo, hi)], rotated=True)
             F += F.conj().swapaxes(1, 2)  # in place: 0.5 * (F + F^*), one temporary
             F *= 0.5
             lam = np.linalg.eigvalsh(F)
@@ -290,18 +286,18 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
 def trotter_check(t: float, steps: int, n: int, basis: DifferentialBasis) -> float:
     """Splitting error |(e^{(t/m)K1} e^{(t/m)K2})^m - e^{-t Delta}|_2.
 
-    K1 is the conjugation part sum (U^* a U + U a U^*), K2 the
-    anticommutator with A = -sum U^* U; -Delta = K1 + K2 for a normal basis.
-    In the eigenbasis, with lambda_j the diagonal of ``basis.diagonal``, both
-    are Schur multipliers, S2 = -sum_j (|lambda_j(a)|^2 + |lambda_j(b)|^2) and
-    S1 = -W - S2 for the held heat symbol W; the eigenbasis is unitary, so the
-    error is the largest entry of |(e^{h S1} e^{h S2})^m - e^{-t W}|, h = t / m.
-    A step h so long that e^{h S1} overflows raises a ValueError.
+    K1 is the conjugation part sum (U^* a U + U a U^*), K2 the anticommutator
+    with A = -sum U^* U: for a normal basis -Delta = K1 + K2, and in the
+    unitary eigenbasis both are commuting Schur multipliers, S1 = -W - S2 and
+    S2 = -sum_j (|lambda_j(a)|^2 + |lambda_j(b)|^2) (lambda_j on ``basis.diagonal``).
+    The value, max |(e^{h S1} e^{h S2})^m - e^{-t W}| with h = t / m, is the
+    rounding of the m-th power, about linear in m: 1.6e-15, 1.4e-12, 1.1e-7 at
+    10^3, 10^6, 10^9 steps on the M_3 projections.  A ValueError if e^{h S1} overflows.
     """
     _check_time(t)
     if _KeyedBasis._checked_size(steps, "steps") < 1:
         raise ValueError("need at least one step")
-    W = _matrix_symbol(basis, n)[1].reshape(n, n)
+    W = _matrix_symbol(basis, n)[1]
     sq = sum(np.abs(np.diag(x.mat)) ** 2 for x in basis.diagonal)
     S2 = -(sq[:, None] + sq[None, :])
     h = t / steps

@@ -148,16 +148,16 @@ class DirectedGraph:
         return Path(p.source, p.edges + (edge,), self.range(edge))
 
     def paths_up_to(self, max_len: int) -> list[Path]:
-        """All paths of length 0..max_len."""
+        """All paths of length 0..max_len: a ValueError, before a length is built, where
+        they would pass ``_MAX_PATH_ENTRIES`` entries, a path of length k counting k + 1."""
         out = [self.vertex_path(v) for v in self.vertices]
-        frontier = list(out)
-        for _ in range(max_len):
-            nxt = []
-            for p in frontier:
-                for e in self._out[p.range]:
-                    nxt.append(self.extend(p, e))
-            out.extend(nxt)
-            frontier = nxt
+        frontier, size = list(out), len(out)
+        for k in range(1, max_len + 1):
+            size += (k + 1) * sum(len(self._out[p.range]) for p in frontier)
+            if size > _MAX_PATH_ENTRIES:
+                raise ValueError(f"max_len {max_len} has {size} > {_MAX_PATH_ENTRIES} path entries")
+            frontier = [self.extend(p, e) for p in frontier for e in self._out[p.range]]
+            out.extend(frontier)
             if not frontier:
                 break
         return out
@@ -215,6 +215,8 @@ _ARRAY_PAIRS = 256
 # _CODED_LENGTHS (which bounds the tables of a graph with one edge).
 _CODE_LIMIT = 2 ** 62
 _CODED_LENGTHS = 64
+# Bounds on the JSON lines of an h0 report (about 150 bytes each to print) and on path entries.
+_MAX_H0_LINES, _MAX_PATH_ENTRIES = 2 ** 23, 2 ** 20
 
 
 class GraphElement(HeldTerms):
@@ -647,18 +649,27 @@ def h0_report(graph: DirectedGraph, max_len: int) -> dict:
     Returns all closed terms with |mu|, |nu| <= max_len; for loop-free
     graphs the merged projection count (a tree with one sink yields exactly
     the vertex count); and one flag per simple no-exit loop, each of which
-    generates a copy of the continuous functions on the circle.
+    generates a copy of the continuous functions on the circle.  A ValueError,
+    before any term is built, where the terms would print more than
+    ``_MAX_H0_LINES`` (2^23) lines of JSON, 14 + |mu| + |nu| each at most.
     """
     max_len = _KeyedBasis._checked_size(max_len, "max_len")
-    closed = [(mu, nu) for mu, nu in common_range_pairs(graph, max_len)
-              if mu.source == nu.source]
+    by_range, ends = {}, {}  # paths by range, and by (range, source)
+    for p in graph.paths_up_to(max_len):
+        by_range.setdefault(p.range, []).append(p)
+        ends.setdefault((p.range, p.source), []).append(p)
+    terms = sum(len(g) ** 2 for g in ends.values())
+    size = 14 * terms + 2 * sum(len(g) * sum(map(len, g)) for g in ends.values())
+    if size > _MAX_H0_LINES:
+        raise ValueError(f"max_len {max_len}: {terms} closed terms, {size} > {_MAX_H0_LINES} lines")
+    closed = [(mu, nu) for group in by_range.values() for mu in group
+              for nu in ends[mu.range, mu.source]]
     loop_free = not graph.has_loops()
-    report = {
+    return {
         "closed_terms": closed,
         "projection_count": _merged_projection_count(graph, max_len) if loop_free else None,
         "circle_flags": _no_exit_loops(graph),
     }
-    return report
 
 
 def _path_json(p: Path) -> dict:

@@ -448,13 +448,8 @@ class QElement(HeldTerms):
 
     @classmethod
     def generator(cls, spec, index: int) -> "QElement":
-        """Generator U_index, index in 1..m."""
-        m = spec.generator_count
-        if not 1 <= index <= m:
-            raise ValueError(f"generator index {index} out of range 1..{m}")
-        e = [0] * m
-        e[index - 1] = 1
-        return cls(spec, {tuple(e): 1.0})
+        """Generator U_index, index in 1..m: the word of one letter (index, 1)."""
+        return normal_order(spec, [(index, 1)])
 
     # -- ring operations ---------------------------------------------------
 
@@ -670,22 +665,26 @@ def heisenberg_spec(mu: float, nu: float, hbar: float = 1.0, c: float = 1.0,
 def normal_order(spec: QAlgebraSpec, word: Iterable[tuple[int, int]]) -> QElement:
     """Normal-order a word of generator letters.
 
-    ``word`` is a sequence of ``(index, exponent)`` pairs with index in 1..m;
-    exponent is a nonzero integer (+-1 for plain letters and adjoints).
-    Returns the single-monomial element equal to the word under the
-    relations, with the accumulated exchange phase as its coefficient.
+    ``word`` is a sequence of ``(index, exponent)`` pairs of integers, index in
+    1..m (a ValueError names any other letter).  Returns the single-monomial element
+    equal to the word under the relations, its exchange phase as the coefficient.
     """
     m = spec.generator_count
-    acc = QElement.one(spec)
+    acc = None
     for index, power in word:
+        try:
+            index, power = operator.index(index), operator.index(power)
+        except TypeError:
+            raise ValueError(f"letter {(index, power)!r} needs integer index and power") from None
         if not 1 <= index <= m:
             raise ValueError(f"generator index {index} out of range 1..{m}")
         if power == 0:
             continue
         e = [0] * m
-        e[index - 1] = int(power)
-        acc = acc * QElement.monomial(spec, e)
-    return acc
+        e[index - 1] = power
+        letter = QElement.monomial(spec, e)
+        acc = letter if acc is None else acc * letter
+    return QElement.one(spec) if acc is None else acc
 
 
 def theta_hat(s: float, t: float, a: QElement) -> QElement:

@@ -495,6 +495,46 @@ def test_superoperators_match_the_kron_oracles(kind, n):
             assert np.abs(got - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kind, n", [("rotated", 24), ("rotated-projection", 16),
+                                     ("projection", 6)], ids=lambda v: str(v))
+def test_superoperators_are_the_heat_route_on_the_matrix_units(kind, n, monkeypatch):
+    # each superoperator, and the Choi matrix, is one call of the matrix heat
+    # route on the stack of the n^2 matrix units, with no Kronecker product,
+    # and matches the Kronecker oracles above n = 12 too
+    basis = _matrix_basis(kind, n)
+    wants = [oracles.delta_superoperator(basis, n)]
+    for t in (0.1, 1.0):
+        wants += [oracles.heat_superoperator(t, basis, n), oracles.choi_matrix(t, n, basis).mat]
+    stacks, schur_heat = [], D._schur_heat
+
+    def recorded(Q, M, m, *args, **kwargs):
+        stacks.append(m.shape)
+        return schur_heat(Q, M, m, *args, **kwargs)
+
+    def no_kron(*args):
+        raise AssertionError("np.kron called")
+    monkeypatch.setattr(D, "_schur_heat", recorded)
+    monkeypatch.setattr(np, "kron", no_kron)
+    gots = [D.delta_superoperator(basis, n)]
+    for t in (0.1, 1.0):
+        gots += [D.heat_superoperator(t, basis, n), D.choi_matrix(t, n, basis).mat]
+    monkeypatch.undo()
+    assert stacks == [(n * n, n, n)] * 5
+    for got, want in zip(gots, wants):
+        if kind == "projection":
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_superoperator_memory_on_a_rotated_pair():
+    # the n^2 x n^2 result alone is 16 MB at n = 32; the n^2 unit images take
+    # 48 MB at their peak, the Kronecker product V diag(vec M) V^* took 64 MB
+    basis = _matrix_basis("rotated", 32)
+    D.heat_superoperator(1.0, basis, 32)  # the eigenbasis and symbol, held
+    assert _traced_peak(lambda: D.heat_superoperator(1.0, basis, 32)) <= 56 * 2 ** 20
+
+
 # -- joint eigenbasis against the superoperator oracle ------------------------
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0

@@ -1,13 +1,18 @@
 import cmath
+import io
 import itertools
+import json
 import math
 import pickle
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 import ncdiff.forms as F
 from ncdiff import graph_algebra as ga
+from ncdiff.cli import main
 from ncdiff.forms import DifferentialBasis, DifferentialForm
 from ncdiff.graph_algebra import (DirectedGraph, GraphElement, Path,
                                   common_range_pairs, edge_isometry,
@@ -274,6 +279,64 @@ def test_h0_checks_max_len_as_the_key_set_does():
         with pytest.raises(ValueError, match=message):
             ga.GraphCarrierBasis(star_tree(3), bad)
     assert h0_report(star_tree(3), np.int64(2)) == h0_report(star_tree(3), 2)
+
+
+# Printed, the closed terms of o2 at max_len 8 take about 1 GB, and the OOM
+# killer strikes before a MemoryError can be raised, so the reports refuse
+# what they could not print before they build it.
+@pytest.mark.parametrize("graph, max_len, named", [
+    (o2_graph(), 60, "max_len 60 has "),
+    (loop_graph(1), 10 ** 9, "max_len 1000000000 has "),
+    (loop_graph(1), 300, "max_len 300: 90601 closed terms, "),
+    (line_graph(200), 200, "max_len 200 has "),
+], ids=["o2-60", "loop-1e9", "loop-300", "line200-200"])
+def test_h0_refuses_a_report_too_large_for_memory(graph, max_len, named):
+    with pytest.raises(ValueError, match="^" + re.escape(named)):
+        h0_report(graph, max_len)
+    if "has" in named:  # the paths themselves are refused, for every key set
+        with pytest.raises(ValueError, match="^" + re.escape(named)):
+            ga.GraphCarrierBasis(graph, max_len)
+
+
+def test_h0_lists_o2_to_length_8_and_refuses_length_9():
+    assert len(h0_report(o2_graph(), 8)["closed_terms"]) == 511 ** 2
+    message = "^max_len 9: 1046529 closed terms, 31416330 > 8388608 lines$"
+    with pytest.raises(ValueError, match=message):
+        h0_report(o2_graph(), 9)
+
+
+@pytest.mark.parametrize("name", sorted(graph_corpus()))
+def test_h0_bound_counts_at_least_the_printed_lines(name, monkeypatch):
+    # each closed term prints at most 14 + |mu| + |nu| lines of JSON, and the
+    # terms are the same-source common-range pairs in their order
+    graph, limit = graph_corpus()[name], ga._MAX_H0_LINES
+    for max_len in range(4):
+        monkeypatch.setattr(ga, "_MAX_H0_LINES", limit)
+        closed = h0_report(graph, max_len)["closed_terms"]
+        assert closed == [(mu, nu) for mu, nu in common_range_pairs(graph, max_len)
+                          if mu.source == nu.source]
+        terms = h0_report_json({"closed_terms": closed, "projection_count": None,
+                                "circle_flags": []})["closed_terms"]
+        printed = json.dumps(terms, indent=2, sort_keys=True).count("\n") - 1
+        bound = sum(14 + len(mu) + len(nu) for mu, nu in closed)
+        assert printed <= bound
+        monkeypatch.setattr(ga, "_MAX_H0_LINES", bound - 1)
+        with pytest.raises(ValueError, match=f"^max_len {max_len}: {len(closed)} closed terms, "
+                                             f"{bound} > {bound - 1} lines$"):
+            h0_report(graph, max_len)
+        monkeypatch.setattr(ga, "_MAX_H0_LINES", bound)
+        assert h0_report(graph, max_len)["closed_terms"] == closed
+
+
+@pytest.mark.parametrize("action", ["h0", "closed"])
+def test_the_graph_reports_exit_2_above_their_bound(action, tmp_path):
+    path = tmp_path / "o2.txt"
+    path.write_text(graph_to_text(o2_graph()))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["graph", "--file", str(path), action, "--max-len", "60"])
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: max_len 60 has ") and err.getvalue().count("\n") == 1
 
 
 def test_h0_loop_flag():

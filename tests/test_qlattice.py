@@ -2,8 +2,10 @@ import cmath
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +82,26 @@ def test_normal_order_heisenberg(heisenberg):
 def test_normal_order_index_error(torus):
     with pytest.raises(ValueError):
         normal_order(torus, [(3, 1)])
+
+
+@pytest.mark.parametrize("word, letter", [
+    ([(1, 2.5)], "(1, 2.5)"), ([(1, 2.0)], "(1, 2.0)"), ([(2, 1), (1, 0.0)], "(1, 0.0)"),
+    ([(1.0, 1)], "(1.0, 1)"), ([(1, Fraction(1))], "(1, Fraction(1, 1))"), ([("1", 1)], "('1', 1)"),
+], ids=["fractional-power", "float-power", "float-zero-power", "float-index", "fraction-power",
+        "string-index"])
+def test_normal_order_rejects_a_letter_that_is_not_a_pair_of_integers(torus, word, letter):
+    # a power is checked as QElement checks exponents, never truncated, and an
+    # index is checked before it is used; numpy integers are integers
+    message = f"^letter {re.escape(letter)} needs integer index and power$"
+    with pytest.raises(ValueError, match=message):
+        normal_order(torus, word)
+    if isinstance(word[-1][0], float):
+        with pytest.raises(ValueError, match=re.escape(letter)):
+            QElement.generator(torus, word[-1][0])
+    got = normal_order(torus, [(np.int64(2), np.int32(3)), (np.uint8(1), np.int16(-2))])
+    assert got.terms == normal_order(torus, [(2, 3), (1, -2)]).terms
+    assert all(type(k) is int for e in got.terms for k in e)
+    assert QElement.generator(torus, np.int64(2)).terms == QElement.generator(torus, 2).terms
 
 
 def _swap_oracle(spec, word):
