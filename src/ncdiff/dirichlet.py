@@ -14,8 +14,8 @@ acts in its joint eigenbasis Q as diag(c_j lambda_j): the symbol is
 W[a, b] = sum_j |c_j lambda_j(a) - c_j lambda_j(b)|^2, the heat channel is the
 Schur multiplier Phi_t(a) = Q (exp(-t W) o Q^* a Q) Q^*, and it is completely
 positive exactly when exp(-t W) is positive semidefinite.  Every matrix route
-applies its multiplier, M = exp(-t W) or W for Delta, in :func:`_schur_heat`:
-the heat flow, the audit, and the n^2 x n^2 superoperators on row-major
+that returns a matrix applies M = exp(-t W), or W for Delta, in :func:`_schur_heat`:
+the heat flow, the audit's Phi_t(1), and the n^2 x n^2 superoperators on row-major
 vectorized matrices (:func:`delta_superoperator`, :func:`heat_superoperator`,
 :func:`choi_matrix` by reshuffling) as its images of the n^2 matrix units, in
 O(n^5); Kronecker and ``expm`` builders of them are the tests' oracles.  Every
@@ -23,8 +23,9 @@ first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
 Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
 maps, so a diagonal basis element never forms two products.
 :func:`audit_semigroup` samples the channel on seeded random operators in
-blocks of ``_BLOCK_ENTRIES`` entries and diagonalizes those a Schur bound
-cannot place inside the Markov range so far.
+blocks of ``_BLOCK_ENTRIES`` entries, reads them in the eigenbasis, and
+diagonalizes M o Q^* a Q where neither a Schur bound nor Gershgorin's discs
+place it inside the Markov range so far.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ _held_draws: dict = {}  # (n, samples, seed) -> (A, B, interval operators), leas
 # An audit draws and checks its samples in blocks of at most this many entries
 # per stack, as ``qlattice._CHUNK_PAIRS`` bounds a chunk: 32 samples at n = 16.
 _BLOCK_ENTRIES = 2 ** 13
-# An audit skips a sample's eigvalsh when its Schur bounds clear the Markov range so far by
-# this, over twice eigvalsh's error: n u |M| <= n^2 u on lambda_min(M), 5e-13 at n <= 64.
+# An audit skips a sample's eigvalsh when its Schur or disc bounds clear the Markov range so
+# far by this, over twice eigvalsh's error: n u |M| <= n^2 u on lambda_min(M), 5e-13 at n <= 64.
 _MARKOV_MARGIN = 1e-9
 
 
@@ -91,11 +92,10 @@ def _eigen(Q, m: np.ndarray) -> np.ndarray:  # m in the eigenbasis, Q^* m Q (m w
     return m if Q is None else Q.conj().T @ m @ Q
 
 
-def _schur_heat(Q, M: np.ndarray, m: np.ndarray, rotated: bool = False) -> np.ndarray:
+def _schur_heat(Q, M: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Q (M o Q^* m Q) Q^*, the Schur multiplier M (exp(-t W) or W) on one n x n
-    matrix m or a stack; ``rotated`` when m is given as Q^* m Q already."""
-    m = m if rotated else _eigen(Q, m)
-    return M * m if Q is None else Q @ (M * m) @ Q.conj().T
+    matrix m or a stack."""
+    return M * m if Q is None else Q @ (M * _eigen(Q, m)) @ Q.conj().T
 
 
 def heat_semigroup(a, t: float, basis: DifferentialBasis):
@@ -208,15 +208,21 @@ def _audit_samples(n: int, samples: int, seed):
     return A, B, ops
 
 
-def _undecided(x, mu: float, lo: float, hi: float):
-    """Which operators x (0 <= x <= 1, in the eigenbasis) have Schur bounds that do not
-    clear [lo, hi], widened by their diagonals, by ``_MARKOV_MARGIN``; all if none can."""
-    if mu <= max(lo, 1 - hi) < np.inf:  # every bound lies inside a range known already
-        return slice(None)
+def _undecided(x, M: np.ndarray, mu: float, lo: float, hi: float, discs: bool) -> tuple:
+    """Which operators x (0 <= x <= 1, in the eigenbasis) have bounds on the spectrum of M o x
+    that do not clear [lo, hi], widened by their diagonals, by ``_MARKOV_MARGIN``, and whether
+    to test discs next: the Schur bounds, then with ``discs`` Gershgorin's discs (centres x_ii,
+    as M_ii = 1; radii sum_{j != i} M_ij |x_ij|), kept on while they clear a quarter of the rest."""
     d = x.diagonal(0, 1, 2).real
-    lo, hi = min(lo, d.min()), max(hi, d.max())
-    keep = (mu * d.min(1) <= lo + _MARKOV_MARGIN) | (1 - mu * (1 - d.max(1)) >= hi - _MARKOV_MARGIN)
-    return slice(None) if keep.all() else keep
+    lo, hi = min(lo, d.min()) + _MARKOV_MARGIN, max(hi, d.max()) - _MARKOV_MARGIN
+    low, high = mu * d.min(1), 1 - mu * (1 - d.max(1))
+    keep = (low <= lo) | (high >= hi)
+    if discs and keep.any():
+        c, r = d[keep], np.einsum("kij,ij->ki", np.abs(x[keep]), M - np.eye(len(M)))
+        low, high = np.maximum(low[keep], (c - r).min(1)), np.minimum(high[keep], (c + r).max(1))
+        cleared = (low > lo) & (high < hi)
+        discs, keep[keep] = 4 * cleared.sum() >= len(c), ~cleared
+    return (slice(None) if keep.all() else keep), discs
 
 
 def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
@@ -230,13 +236,16 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     random pairs and operators with spectrum in [0, 1] are drawn once per
     (n, samples, seed) and held (:func:`_audit_samples`): a repeat audit gets
     a fresh draw's rows without the redraw.  Each block of samples is taken
-    into the eigenbasis once for all times; no temporary outgrows a block.  By
-    the Schur product theorem an operator A there has Phi_t(A)'s spectrum in
+    into the eigenbasis once for all times and read there (a -> Q^* a Q keeps
+    traces and spectra): tau-symmetry compares tr((M o A) B) with tr(A (M o B)),
+    the Markov range is M o A's spectrum, and only the conservativity row,
+    which checks Q, forms Phi_t(1) = Q (M o 1) Q^*; no temporary outgrows a
+    block.  By the Schur product theorem 0 <= A <= 1 puts that spectrum in
     [mu min_i A_ii, 1 - mu min_i (1 - A_ii)], and each A_ii = (M o A)_ii is a
-    Rayleigh quotient: a sample whose bounds lie ``_MARKOV_MARGIN`` inside the
-    range of the quotients and eigenvalues so far is not diagonalized.  The
-    extremes still are, by the same eigvalsh, so each row is one whole-stack
-    pass's bit for bit.
+    Rayleigh quotient: a sample whose bounds, or discs (:func:`_undecided`), lie
+    ``_MARKOV_MARGIN`` inside the range of the quotients and eigenvalues so far
+    is not diagonalized.  The extremes still are, by the same eigvalsh, so
+    each row is one whole-stack pass's bit for bit.
     """
     ts = list(ts)
     if not ts:
@@ -249,26 +258,21 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     Ms = _decay(np.array(ts, dtype=float)[:, None, None], W)
     mus = [float(np.linalg.eigvalsh(M)[0]) for M in Ms]
 
-    def heats(x):  # Phi_t(x) for each time, x taken into the eigenbasis once
-        x = _eigen(Q, x)
-        return (_schur_heat(Q, M, x, rotated=True) for M in Ms)
-
     parts = [[] for _ in ts]  # per time and block: symmetry, Markov min and max so far
+    discs = [True] * len(ts)  # per time: whether the Gershgorin discs are still tested
     stacks, step = _audit_samples(n, samples, seed), max(1, _BLOCK_ENTRIES // (n * n))
     for k in range(0, samples, step):
-        A, B, ops = (x[k:k + step] for x in stacks)
-        # tau-symmetry tr(Phi(a) b) = tr(a Phi(b)) over the random pairs
-        left = [np.einsum("kij,kji->k", PA, B) for PA in heats(A)]
-        right = [np.einsum("kij,kji->k", A, PB) for PB in heats(B)]
-        ops = _eigen(Q, ops)
-        for part, x, y, M, mu in zip(parts, left, right, Ms, mus):
+        A, B = (_eigen(Q, x[k:k + step]) for x in stacks[:2])
+        # tau-symmetry tr(Phi(a) b) = tr(a Phi(b)), read as tr((M o A) B) = tr(A (M o B))
+        syms = [np.abs(np.einsum("kij,kji->k", M * A, B) - np.einsum("kij,kji->k", A, M * B))
+                for M in Ms]
+        del A, B  # the rotated pairs go before the operators are rotated
+        ops = _eigen(Q, stacks[2][k:k + step])
+        for i, (part, sym, M, mu) in enumerate(zip(parts, syms, Ms, mus)):
             lo, hi = part[-1][1:] if part else (np.inf, -np.inf)  # the Markov range so far
-            F = _schur_heat(Q, M, ops[_undecided(ops, mu, lo, hi)], rotated=True)
-            F += F.conj().swapaxes(1, 2)  # in place: 0.5 * (F + F^*), one temporary
-            F *= 0.5
-            lam = np.linalg.eigvalsh(F)
-            part.append((np.abs(x - y).max(), lam[:, 0].min(initial=lo),
-                         lam[:, -1].max(initial=hi)))
+            keep, discs[i] = _undecided(ops, M, mu, lo, hi, discs[i])
+            lam = np.linalg.eigvalsh(M * ops[keep])
+            part.append((sym.max(), lam[:, 0].min(initial=lo), lam[:, -1].max(initial=hi)))
     rows, eye = [], np.eye(n)
     for t, M, choi_min, part in zip(ts, Ms, mus, parts):
         sym, mk_min, mk_max = np.array(part).T

@@ -170,11 +170,15 @@ def common_range_pairs(graph: DirectedGraph, max_len: int) -> list[CKTerm]:
     """Term keys (mu, nu) with a common range and |mu|, |nu| <= max_len.
 
     Grouped by range vertex, in the order the ranges first appear among
-    ``graph.paths_up_to(max_len)``, and in path order within each group.
+    ``graph.paths_up_to(max_len)``, and in path order within each group.  A
+    ValueError, before any key is built, above ``_MAX_CARRIER_KEYS`` (2^20) keys.
     """
     by_range: dict = {}
     for p in graph.paths_up_to(max_len):
         by_range.setdefault(p.range, []).append(p)
+    keys = sum(len(group) ** 2 for group in by_range.values())
+    if keys > _MAX_CARRIER_KEYS:
+        raise ValueError(f"max_len {max_len}: {keys} > {_MAX_CARRIER_KEYS} common-range pairs")
     return [(mu, nu) for group in by_range.values() for mu in group for nu in group]
 
 
@@ -215,8 +219,9 @@ _ARRAY_PAIRS = 256
 # _CODED_LENGTHS (which bounds the tables of a graph with one edge).
 _CODE_LIMIT = 2 ** 62
 _CODED_LENGTHS = 64
-# Bounds on the JSON lines of an h0 report (about 150 bytes each to print) and on path entries.
-_MAX_H0_LINES, _MAX_PATH_ENTRIES = 2 ** 23, 2 ** 20
+# Bounds on the JSON lines of an h0 report (about 150 bytes each to print), on path entries
+# and on the keys of a common-range key set (about 180 bytes each to hold).
+_MAX_H0_LINES, _MAX_PATH_ENTRIES, _MAX_CARRIER_KEYS = 2 ** 23, 2 ** 20, 2 ** 20
 
 
 class GraphElement(HeldTerms):

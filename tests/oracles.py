@@ -15,7 +15,9 @@ at a time (the library reads a matrix family from its arrays in one pass).
 The sampled audit's random draws and the seeded inputs of the selftest
 battery are also drawn here afresh on every call (the library holds its last
 seeded draw of each), and the audit's rows are computed over the whole
-sample stacks at once (the library draws and checks them in blocks).
+sample stacks at once (the library draws and checks them in blocks), and
+once more with every heat rotated back out of the eigenbasis (the library
+reads the rows in the eigenbasis).
 Superoperators act on row-major vectorized matrices.
 
 The operands and comparisons that the route tests of both term carriers
@@ -304,9 +306,34 @@ def audit_samples(n: int, samples: int, seed):
 
 def audit_semigroup(ts, n: int, basis, samples: int = 100, seed=7) -> list:
     """The rows of ``audit_semigroup`` by one pass over the whole stacks of
-    :func:`audit_samples` for each time, every sample's Schur multiplier
-    taken into the eigenbasis and back with one temporary the size of the
-    whole stack (the library checks the samples a block at a time)."""
+    :func:`audit_samples` for each time, every sample taken into the
+    eigenbasis with one temporary the size of the whole stack and its rows
+    read there, every Markov sample diagonalized (the library checks the
+    samples a block at a time and diagonalizes only those its bounds leave)."""
+    Q, W = basis.eigenbasis[0], basis.symbol.on(MatrixCarrierBasis(n)).lam().reshape(n, n)
+    A, B, interval_ops = (x if Q is None else Q.conj().T @ x @ Q
+                          for x in audit_samples(n, samples, seed))
+    rows = []
+    eye = np.eye(n)
+    for t in ts:
+        M = np.exp(-t * W)
+        choi_min = float(np.linalg.eigvalsh(M)[0])
+        if n >= 2:
+            choi_min = min(choi_min, 0.0)
+        sym = np.abs(np.einsum("kij,kji->k", M * A, B)
+                     - np.einsum("kij,kji->k", A, M * B)).max() / n
+        heat_eye = M * eye if Q is None else Q @ (M * (Q.conj().T @ eye @ Q)) @ Q.conj().T
+        lam = np.linalg.eigvalsh(M * interval_ops)
+        rows.append({"t": t, "choi_min_eigenvalue": choi_min, "symmetry_error": float(sym),
+                     "conservativity_error": float(np.abs(heat_eye - eye).max()),
+                     "markov_min": float(lam[:, 0].min()), "markov_max": float(lam[:, -1].max())})
+    return rows
+
+
+def audit_semigroup_back_rotated(ts, n: int, basis, samples: int = 100, seed=7) -> list:
+    """The rows of :func:`audit_semigroup` with every heat taken back out of
+    the eigenbasis, Phi_t(m) = Q (M o Q^* m Q) Q^*, and the Markov samples
+    symmetrized there before eigvalsh: the same rows within rounding."""
     Q, W = basis.eigenbasis[0], basis.symbol.on(MatrixCarrierBasis(n)).lam().reshape(n, n)
 
     def schur_heat(M, m):

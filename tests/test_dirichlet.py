@@ -344,10 +344,9 @@ def test_cli_audits_in_one_process_reuse_their_draws(no_held_draw, monkeypatch, 
 
 
 _grid_basis = functools.cache(_matrix_basis)
-AUDIT_GRID = pytest.mark.parametrize(
-    "kind, n", [("rotated", 1)] + [(kind, n) for n in (2, 3, 16, 20, 64)
-                                   for kind in ("projection", "rotated", "rotated-projection")],
-    ids=lambda v: str(v))
+_AUDIT_CASES = [("rotated", 1)] + [(kind, n) for n in (2, 3, 16, 20, 64)
+                                   for kind in ("projection", "rotated", "rotated-projection")]
+AUDIT_GRID = pytest.mark.parametrize("kind, n", _AUDIT_CASES, ids=lambda v: str(v))
 
 
 @AUDIT_GRID
@@ -361,6 +360,21 @@ def test_audit_rows_are_the_whole_stack_rows(kind, n, no_held_draw):
         assert D.audit_semigroup(ts, n, basis, samples=samples).results == want, samples
         assert D.audit_semigroup([1.0], n, basis, samples=samples).results == want[1:2], samples
     assert 48 * 100 * 64 ** 2 > D._HELD_DRAW_BYTES >= 48 * 25 * 64 ** 2
+
+
+@pytest.mark.parametrize("kind, n", [case for case in _AUDIT_CASES if case[0] != "projection"],
+                         ids=lambda v: str(v))
+def test_audit_rows_match_the_back_rotated_oracle(kind, n, no_held_draw):
+    # the audit reads its rows in the eigenbasis; taking each heat back out
+    # of it, Q (M o Q^* a Q) Q^*, and symmetrizing the Markov samples there
+    # gives the same rows within rounding (2.7e-15 at most up to n = 64)
+    basis, ts = _grid_basis(kind, n), [0.1, 1.0, 10.0]
+    for samples in (7, 100):
+        got = D.audit_semigroup(ts, n, basis, samples=samples).results
+        want = oracles.audit_semigroup_back_rotated(ts, n, basis, samples=samples)
+        for row, back in zip(got, want, strict=True):
+            assert row.keys() == back.keys() and row["t"] == back["t"]
+            assert max(abs(row[k] - back[k]) for k in row) <= 1e-12, (samples, row, back)
 
 
 @pytest.mark.parametrize("kind, n", [("rotated", 3), ("rotated-projection", 20),
@@ -433,17 +447,21 @@ def test_markov_filter_skips_projection_samples(t, most, no_held_draw, monkeypat
 
 def test_markov_filter_keeps_every_rotated_sample(no_held_draw, monkeypatch):
     # the heat workload's kind of basis: the least eigenvalue of exp(-t W) is
-    # 3e-5 to 0.09, under the running Markov minimum, so no sample is skipped
+    # 3e-5 to 0.09, under the running Markov minimum, so the Schur bound skips
+    # no sample; at t = 0.1 and 1 the discs clear under a quarter of the
+    # first block and are dropped, at t = 10 they clear 83 of 100 samples
     basis, ts = _rotated_unitary_basis(20, seed=20), [0.1, 1.0, 10.0]
-    for t in ts:
+    for t, count in zip(ts, (100, 100, 17)):
         rows, diagonalized = _markov_filter_run(monkeypatch, [t], 20, basis)
-        assert diagonalized == 100 and rows == oracles.audit_semigroup([t], 20, basis)
-    assert _markov_filter_run(monkeypatch, ts, 20, basis)[1] == 300
+        assert diagonalized == count and rows == oracles.audit_semigroup([t], 20, basis)
+    assert _markov_filter_run(monkeypatch, ts, 20, basis)[1] == 217
 
 
 def test_markov_filter_declines_on_a_singular_symbol(no_held_draw, monkeypatch):
     # the symbol vanishes between units 0 and 1, so exp(-t W) has two equal
-    # rows and least eigenvalue 0: the Schur bound is 0 and rules nothing out
+    # rows and least eigenvalue 0: the Schur bound is 0 and rules nothing out,
+    # while the discs, whose radii fall with exp(-t W) off the diagonal, clear
+    # none of the 100 samples at t = 0.1, 29 at t = 1 and 64 at t = 10
     basis = DifferentialBasis([MatElement(np.diag([1.0, 1.0, 0.0, 0.0])),
                                MatElement(np.diag([0.0, 0.0, 1.0, 0.0]))], mode="selfadjoint")
     ts = [0.1, 1.0, 10.0]
@@ -451,8 +469,27 @@ def test_markov_filter_declines_on_a_singular_symbol(no_held_draw, monkeypatch):
     assert W[0, 1] == 0.0
     assert all(abs(np.linalg.eigvalsh(np.exp(-t * W))[0]) < 1e-15 for t in ts)
     rows, diagonalized = _markov_filter_run(monkeypatch, ts, 4, basis)
-    assert diagonalized == 3 * 100
+    assert diagonalized == 100 + 71 + 36
     assert rows == oracles.audit_semigroup(ts, 4, basis)
+
+
+def test_markov_discs_clear_rotated_samples_at_long_times(no_held_draw, monkeypatch):
+    # at t = 10 exp(-t W) is nearly diagonal off a few close eigenvalue pairs,
+    # so the Gershgorin discs of M o Q^* a Q (centres its diagonal, radii
+    # sum_{j != i} M_ij |(Q^* a Q)_ij|) lie inside the Markov range for all
+    # but 17 of the 100 samples, 8, 2, 2, 3 and 2 per block of 20; wider radii
+    # (M dropped from them) diagonalize more, narrower ones fewer
+    basis, counts = _rotated_unitary_basis(20, seed=20), []
+    undecided = D._undecided
+
+    def counted(x, *args):
+        keep, discs = undecided(x, *args)
+        counts.append(len(x[keep]))
+        return keep, discs
+    monkeypatch.setattr(D, "_undecided", counted)
+    rows, diagonalized = _markov_filter_run(monkeypatch, [10.0], 20, basis)
+    assert counts == [8, 2, 2, 3, 2] and diagonalized == 17
+    assert rows == oracles.audit_semigroup([10.0], 20, basis)
 
 
 MATRIX_CASES = pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -296,6 +297,22 @@ def test_h0_refuses_a_report_too_large_for_memory(graph, max_len, named):
     if "has" in named:  # the paths themselves are refused, for every key set
         with pytest.raises(ValueError, match="^" + re.escape(named)):
             ga.GraphCarrierBasis(graph, max_len)
+
+
+def test_graph_carrier_refuses_too_many_common_range_pairs(monkeypatch):
+    # a star of 2000 leaves has 4,001,999 common-range pairs at max_len 1, about
+    # 720 MB as keys; they are counted from the paths grouped by range, so the
+    # key set is refused before any key is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^max_len 1: 4001999 > 1048576 common-range pairs$"):
+        ga.GraphCarrierBasis(star_tree(2000), 1)
+    assert time.perf_counter() - start < 1.0
+    keys = common_range_pairs(star_tree(5), 2)  # a key set of exactly the bound is built
+    monkeypatch.setattr(ga, "_MAX_CARRIER_KEYS", len(keys))
+    assert ga.GraphCarrierBasis(star_tree(5), 2).keys == keys
+    monkeypatch.setattr(ga, "_MAX_CARRIER_KEYS", len(keys) - 1)
+    with pytest.raises(ValueError, match=f"^max_len 2: {len(keys)} > {len(keys) - 1} common"):
+        ga.GraphCarrierBasis(star_tree(5), 2)
 
 
 def test_h0_lists_o2_to_length_8_and_refuses_length_9():
