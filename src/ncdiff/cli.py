@@ -37,6 +37,10 @@ from .qlattice import (QElement, element_to_json, heisenberg_spec, spec_from_jso
 BAD_INPUT = 2
 FAILED_CHECK = 1
 CLOSED_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
+# `semigroup --n N` and `cohomology --carrier matrix --n N` build N dense N x N
+# projections and peak near 80 N^3 bytes: 0.66-0.84 GB RSS at N = 200 and
+# 2.1-2.5 GB at N = 300 (2-core x86-64 VM).
+_MAX_MATRIX_N = 200
 
 
 class Config:
@@ -108,12 +112,17 @@ def _cmd_eval(args, cfg: Config) -> int:
     return 0
 
 
+def _projection_basis(n: int) -> DifferentialBasis:
+    """The M_n projection basis, refused before anything is built above ``_MAX_MATRIX_N``."""
+    if n > _MAX_MATRIX_N:
+        raise ValueError(f"--n {n} > {_MAX_MATRIX_N}: M_n projections need about 80 n^3 bytes")
+    return DifferentialBasis(projection_basis(n), mode="selfadjoint", label=f"M_{n} projections")
+
+
 def _cohomology_setup(args, cfg: Config):
     if args.carrier == "matrix":
         n = 3 if args.n is None else args.n
-        basis = DifferentialBasis(projection_basis(n), mode="selfadjoint",
-                                  label=f"M_{n} projections")
-        return basis, coh.MatrixCarrierBasis(n), None
+        return _projection_basis(n), coh.MatrixCarrierBasis(n), None
     if args.carrier == "torus":
         spec = torus_spec(args.theta)
         basis = DifferentialBasis([QElement.generator(spec, 1)], label="torus {U}")
@@ -155,11 +164,8 @@ def _cmd_graph(args, cfg: Config) -> int:
 
 
 def _cmd_semigroup(args, cfg: Config) -> int:
-    n = args.n
-    basis = DifferentialBasis(projection_basis(n), mode="selfadjoint",
-                              label=f"M_{n} projections")
     ts = _parse_list(args.t, "--t", float)
-    audit = dirichlet.audit_semigroup(ts, n, basis, samples=args.samples)
+    audit = dirichlet.audit_semigroup(ts, args.n, _projection_basis(args.n), samples=args.samples)
     if args.csv:
         sys.stdout.write(audit.to_csv())
     else:

@@ -22,10 +22,11 @@ O(n^5); Kronecker and ``expm`` builders of them are the tests' oracles.  Every
 first-order bracket [c_j U_j, a] (the Laplacian, the carre du champ, the
 Dirichlet pairing, the locality isometry) goes through the basis's ``ad``
 maps, so a diagonal basis element never forms two products.
-:func:`audit_semigroup` samples the channel on seeded random operators in
-blocks of ``_BLOCK_ENTRIES`` entries, reads them in the eigenbasis, and
-diagonalizes M o Q^* a Q where neither a Schur bound nor Gershgorin's discs
-place it inside the Markov range so far.
+:func:`audit_semigroup` samples the channel on seeded random operators,
+drawn in blocks of ``_BLOCK_ENTRIES`` entries and held already taken into the
+eigenbasis, Q^* a Q, reads them there, and diagonalizes M o Q^* a Q where
+neither a Schur bound nor Gershgorin's discs place it inside the Markov range
+so far.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _decay(t, lam: np.ndarray) -> np.ndarray:
 # all of them together fit this many bytes: n = 16, 20 and 32 at 100 samples
 # side by side, never n = 64.
 _HELD_DRAW_BYTES = 8 * 2 ** 20
-_held_draws: dict = {}  # (n, samples, seed) -> (A, B, interval operators), least recent first
+_held_draws: dict = {}  # (n, samples, seed[, Q bytes]) -> (A, B, operators) in Q, oldest first
 # An audit draws and checks its samples in blocks of at most this many entries
 # per stack, as ``qlattice._CHUNK_PAIRS`` bounds a chunk: 32 samples at n = 16.
 _BLOCK_ENTRIES = 2 ** 13
@@ -167,18 +168,22 @@ class SemigroupAudit(_Node):
         return "\n".join(lines) + "\n"
 
 
-def _audit_samples(n: int, samples: int, seed):
+def _audit_samples(n: int, samples: int, seed, Q=None):
     """Read-only stacks A, B of random pairs and of random Hermitian operators
     with spectrum inside [0, 1], all from one ``default_rng(seed)``, drawn into
-    the stacks a block at a time: the blocks of A and B first, one stream as
-    one draw of them all, then the operators'.  A draw with integer arguments
-    is held, once complete, for later calls while all held draws fit
-    ``_HELD_DRAW_BYTES`` together: a miss first evicts the least recently
-    used until its 3 * samples * n^2 complex entries fit, and a draw that
-    can never fit is neither held nor evicts anything."""
+    the stacks a block at a time and each block taken into the eigenbasis Q
+    as drawn, Q^* a Q (the operators right after they are built from H): the
+    blocks of A and B first, one stream as one draw of them all, then the
+    operators'.  A draw with integer arguments is held, once complete, under
+    (n, samples, seed) and Q's bytes (none for Q None), so bases with equal Q
+    share it, for later calls while all held draws fit ``_HELD_DRAW_BYTES``
+    together: a miss first evicts the least recently used until its
+    3 * samples * n^2 complex entries fit, and a draw that can never fit is
+    neither held nor evicts anything."""
     key = (n, samples, seed)
     holdable = all(isinstance(v, (int, np.integer)) for v in key)
     size = 48 * int(samples) * int(n) ** 2 if holdable else math.inf
+    key += () if Q is None else (Q.tobytes(),)
     if size <= _HELD_DRAW_BYTES:
         if key in _held_draws:
             _held_draws[key] = _held_draws.pop(key)  # now the most recently used
@@ -191,7 +196,7 @@ def _audit_samples(n: int, samples: int, seed):
     blocks = [slice(k, k + step) for k in range(0, samples, step)]
     for s in blocks:
         draws = rng.standard_normal((len(A[s]), 4, n, n))
-        A[s], B[s] = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+        A[s], B[s] = (_eigen(Q, draws[:, i] + 1j * draws[:, i + 1]) for i in (0, 2))
     eye = np.eye(n)
     for s in blocks:
         X = rng.standard_normal((len(A[s]), 2, n, n))
@@ -200,7 +205,7 @@ def _audit_samples(n: int, samples: int, seed):
         lam = np.linalg.eigvalsh(H)
         lo, hi = lam[:, :1, None], lam[:, -1:, None]
         flat = hi - lo < 1e-12
-        ops[s] = np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
+        ops[s] = _eigen(Q, np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo)))
     for stack in (A, B, ops):
         stack.setflags(write=False)
     if size <= _HELD_DRAW_BYTES:
@@ -234,10 +239,11 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
     unitarily similar (via conj(Q) (x) Q) to M on span{e_i (x) e_i} plus a
     zero block, so its least eigenvalue is read off mu = lambda_min(M).  The
     random pairs and operators with spectrum in [0, 1] are drawn once per
-    (n, samples, seed) and held (:func:`_audit_samples`): a repeat audit gets
-    a fresh draw's rows without the redraw.  Each block of samples is taken
-    into the eigenbasis once for all times and read there (a -> Q^* a Q keeps
-    traces and spectra): tau-symmetry compares tr((M o A) B) with tr(A (M o B)),
+    (n, samples, seed) and eigenbasis, each block taken into the eigenbasis
+    as it is drawn, and held (:func:`_audit_samples`): a repeat audit gets a
+    fresh draw's rows without the redraw and rotates no sample.  The samples
+    are read in the eigenbasis a block at a time (a -> Q^* a Q keeps traces
+    and spectra): tau-symmetry compares tr((M o A) B) with tr(A (M o B)),
     the Markov range is M o A's spectrum, and only the conservativity row,
     which checks Q, forms Phi_t(1) = Q (M o 1) Q^*; no temporary outgrows a
     block.  By the Schur product theorem 0 <= A <= 1 puts that spectrum in
@@ -260,14 +266,12 @@ def audit_semigroup(ts: Sequence[float], n: int, basis: DifferentialBasis,
 
     parts = [[] for _ in ts]  # per time and block: symmetry, Markov min and max so far
     discs = [True] * len(ts)  # per time: whether the Gershgorin discs are still tested
-    stacks, step = _audit_samples(n, samples, seed), max(1, _BLOCK_ENTRIES // (n * n))
+    stacks, step = _audit_samples(n, samples, seed, Q), max(1, _BLOCK_ENTRIES // (n * n))
     for k in range(0, samples, step):
-        A, B = (_eigen(Q, x[k:k + step]) for x in stacks[:2])
+        A, B, ops = (x[k:k + step] for x in stacks)
         # tau-symmetry tr(Phi(a) b) = tr(a Phi(b)), read as tr((M o A) B) = tr(A (M o B))
         syms = [np.abs(np.einsum("kij,kji->k", M * A, B) - np.einsum("kij,kji->k", A, M * B))
                 for M in Ms]
-        del A, B  # the rotated pairs go before the operators are rotated
-        ops = _eigen(Q, stacks[2][k:k + step])
         for i, (part, sym, M, mu) in enumerate(zip(parts, syms, Ms, mus)):
             lo, hi = part[-1][1:] if part else (np.inf, -np.inf)  # the Markov range so far
             keep, discs[i] = _undecided(ops, M, mu, lo, hi, discs[i])

@@ -287,9 +287,10 @@ def superoperator_trotter(t, steps, n, basis):
     return float(np.linalg.norm(approx - scipy.linalg.expm(t * (K1 + K2)), 2))
 
 
-def audit_samples(n: int, samples: int, seed):
+def audit_samples(n: int, samples: int, seed, Q=None):
     """The random pairs A, B and operators with spectrum in [0, 1] of
-    ``audit_semigroup``, drawn afresh from ``default_rng(seed)``."""
+    ``audit_semigroup``, drawn afresh from ``default_rng(seed)``, each whole
+    stack then taken into the eigenbasis Q, Q^* x Q (left as drawn for Q None)."""
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((samples, 4, n, n))
     A = draws[:, 0] + 1j * draws[:, 1]
@@ -301,7 +302,8 @@ def audit_samples(n: int, samples: int, seed):
     lo, hi = lam[:, :1, None], lam[:, -1:, None]
     flat = hi - lo < 1e-12
     eye = np.eye(n)
-    return A, B, np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
+    ops = np.where(flat, 0.5 * eye, (H - lo * eye) / np.where(flat, 1.0, hi - lo))
+    return tuple(x if Q is None else Q.conj().T @ x @ Q for x in (A, B, ops))
 
 
 def audit_semigroup(ts, n: int, basis, samples: int = 100, seed=7) -> list:
@@ -311,8 +313,7 @@ def audit_semigroup(ts, n: int, basis, samples: int = 100, seed=7) -> list:
     read there, every Markov sample diagonalized (the library checks the
     samples a block at a time and diagonalizes only those its bounds leave)."""
     Q, W = basis.eigenbasis[0], basis.symbol.on(MatrixCarrierBasis(n)).lam().reshape(n, n)
-    A, B, interval_ops = (x if Q is None else Q.conj().T @ x @ Q
-                          for x in audit_samples(n, samples, seed))
+    A, B, interval_ops = audit_samples(n, samples, seed, Q)
     rows = []
     eye = np.eye(n)
     for t in ts:

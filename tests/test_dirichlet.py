@@ -184,9 +184,23 @@ def _recorded_draws(monkeypatch):
     return draws
 
 
-def _is_fresh_draw(drawn, n, samples, seed):
-    fresh = oracles.audit_samples(n, samples, seed)
-    return all(x.tobytes() == y.tobytes() for x, y in zip(drawn, fresh))
+def _fresh_draw(n, samples, seed, Q=None):
+    """A fresh draw, taken into the eigenbasis Q a block of the audit at a time."""
+    fresh, step = oracles.audit_samples(n, samples, seed), max(1, D._BLOCK_ENTRIES // (n * n))
+    if Q is None:
+        return fresh
+    return [np.concatenate([Q.conj().T @ x[k:k + step] @ Q for k in range(0, samples, step)])
+            for x in fresh]
+
+
+def _is_fresh_draw(drawn, n, samples, seed, Q=None):
+    fresh = _fresh_draw(n, samples, seed, Q)
+    return all(x.tobytes() == y.tobytes() for x, y in zip(drawn, fresh, strict=True))
+
+
+def _draw_key(n, samples, seed, Q=None):
+    """The key of a held draw: the eigenbasis's bytes follow (n, samples, seed)."""
+    return (n, samples, seed) + (() if Q is None else (Q.tobytes(),))
 
 
 def test_held_draw_rows_equal_fresh_rows_in_any_order(no_held_draw, monkeypatch):
@@ -274,8 +288,58 @@ def test_alternating_sizes_reuse_their_draws(no_held_draw, monkeypatch):
     assert rows[2:] == rows[:2]
     for first, again in zip(draws[:2], draws[2:]):
         assert all(x is y for x, y in zip(first, again))
-    assert list(D._held_draws) == [(16, 100, 7), (20, 100, 7)]
-    assert all(_is_fresh_draw(d, n, 100, 7) for d, (_, n) in zip(draws, cases * 2))
+    assert list(D._held_draws) == [(16, 100, 7), _draw_key(20, 100, 7, cases[1][0].eigenbasis[0])]
+    assert all(_is_fresh_draw(d, n, 100, 7, basis.eigenbasis[0])
+               for d, (basis, n) in zip(draws, cases * 2))
+
+
+@pytest.mark.parametrize("kind, n, samples", [("rotated", 2, 3), ("rotated", 3, 7),
+                                              ("rotated-projection", 20, 45),
+                                              ("rotated", 64, 5)], ids=lambda v: str(v))
+def test_rotated_draw_is_the_fresh_draw_rotated_block_by_block(kind, n, samples, no_held_draw):
+    # each block of A, B and the operators is taken into the eigenbasis as it
+    # is drawn, and only the rotated stacks are held, under Q's bytes
+    Q = _grid_basis(kind, n).eigenbasis[0]
+    drawn = D._audit_samples(n, samples, 7, Q)
+    assert list(D._held_draws) == [(n, samples, 7, Q.tobytes())]
+    assert all(x is y for x, y in zip(drawn, D._audit_samples(n, samples, 7, Q.copy())))
+    for x, y in zip(drawn, _fresh_draw(n, samples, 7, Q), strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert not x.flags.writeable
+    assert sum(x.nbytes for d in D._held_draws.values() for x in d) == 48 * samples * n * n
+
+
+def test_repeat_rotated_audit_rotates_no_sample(no_held_draw, monkeypatch):
+    # each heat audit job builds its own basis: a second one with the same
+    # matrices has an equal eigenbasis, so a later audit at another time
+    # reads the held rotated stacks and takes no sample into the eigenbasis
+    first = _rotated_unitary_basis(20, seed=20)
+    D.audit_semigroup([0.1], 20, first)
+    second = _rotated_unitary_basis(20, seed=20)
+    assert second.eigenbasis[0] is not first.eigenbasis[0]
+    assert np.array_equal(second.eigenbasis[0], first.eigenbasis[0])
+    held, = D._held_draws.values()
+    draws, rotated, eigen = _recorded_draws(monkeypatch), [], D._eigen
+
+    def counted(Q, m):
+        rotated.append(m.shape)
+        return eigen(Q, m)
+    monkeypatch.setattr(D, "_eigen", counted)
+    rows = D.audit_semigroup([1.0, 10.0], 20, second).results
+    assert all(x is y for x, y in zip(draws[0], held, strict=True))
+    assert rotated == [(20, 20)] * 2  # the conservativity rows' Q^* 1 Q, one per time
+    assert list(D._held_draws) == [_draw_key(20, 100, 7, first.eigenbasis[0])]
+    assert rows == oracles.audit_semigroup([1.0, 10.0], 20, first)
+
+
+def test_two_eigenbases_hold_two_draws(no_held_draw):
+    # a draw in one eigenbasis is not a draw in another, nor the unrotated one
+    n = 6
+    Qs = [_grid_basis(kind, n).eigenbasis[0] for kind in ("rotated", "rotated-projection")]
+    drawn = [D._audit_samples(n, 10, 7, Q) for Q in Qs + [None]]
+    assert list(D._held_draws) == [_draw_key(n, 10, 7, Q) for Q in Qs + [None]]
+    assert not np.array_equal(drawn[0][0], drawn[1][0])
+    assert all(_is_fresh_draw(d, n, 10, 7, Q) for d, Q in zip(drawn, Qs + [None]))
 
 
 def test_least_recently_used_draw_is_evicted(no_held_draw, monkeypatch):
@@ -304,16 +368,23 @@ def test_held_bytes_never_exceed_the_budget(budget, no_held_draw, monkeypatch):
         sizes = [(n, samples) for n in range(1, 8) for samples in (5, 10)]
     else:
         sizes = [(n, 100) for n in (3, 16, 20, 32)]
-    rng = np.random.default_rng(32)
-    for _ in range(24):
-        n, samples = sizes[rng.integers(len(sizes))]
-        seed = int(rng.integers(3))
-        drawn = D._audit_samples(n, samples, seed)
-        held = sum(x.nbytes for draw in D._held_draws.values() for x in draw)
-        assert held <= D._HELD_DRAW_BYTES
-        assert _is_fresh_draw(drawn, n, samples, seed)
-        if 48 * samples * n * n <= D._HELD_DRAW_BYTES:
-            assert list(D._held_draws)[-1] == (n, samples, seed)
+    # the same 24 draws unrotated, then each in one of two eigenbases of its
+    # size or in none
+    bases = {n: [None] + [_random_unitary(n, np.random.default_rng(s)) for s in (n, n + 1)]
+             for n in {n for n, _ in sizes}}
+    for rotated in (False, True):
+        D._held_draws.clear()
+        rng, pick = np.random.default_rng(32), np.random.default_rng(33)
+        for _ in range(24):
+            n, samples = sizes[rng.integers(len(sizes))]
+            seed = int(rng.integers(3))
+            Q = bases[n][pick.integers(3)] if rotated else None
+            drawn = D._audit_samples(n, samples, seed, Q)
+            held = sum(x.nbytes for draw in D._held_draws.values() for x in draw)
+            assert held <= D._HELD_DRAW_BYTES
+            assert _is_fresh_draw(drawn, n, samples, seed, Q)
+            if 48 * samples * n * n <= D._HELD_DRAW_BYTES:
+                assert list(D._held_draws)[-1] == _draw_key(n, samples, seed, Q)
 
 
 def test_draw_over_the_budget_leaves_the_held_draws(no_held_draw):
@@ -421,7 +492,7 @@ def test_audit_temporaries_hold_one_block(no_held_draw):
 def _markov_filter_run(monkeypatch, ts, n, basis, samples=100):
     """An audit's rows and the number of samples it hands to eigvalsh, on a
     held draw (so that the draw's own eigvalsh is not counted)."""
-    D._audit_samples(n, samples, 7)
+    D._audit_samples(n, samples, 7, basis.eigenbasis[0])
     counts, eigvalsh = [], np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):

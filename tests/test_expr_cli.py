@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -503,6 +504,28 @@ def test_cli_rejects_a_max_degree_above_the_top_degree(argv):
         signal.signal(signal.SIGALRM, previous)
     assert rc == 2 and out == "" and elapsed < 1.0
     assert err == f"error: max_degree {argv[-1]} is above the basis's top degree 2\n"
+
+
+@pytest.mark.parametrize("argv", [["semigroup", "--t", "1"], ["cohomology", "--carrier", "matrix"]],
+                         ids=["semigroup", "cohomology"])
+def test_cli_refuses_a_matrix_dimension_too_large_for_memory(argv, monkeypatch):
+    # N dense N x N projections peak near 80 N^3 bytes, 80 PB at N = 100000:
+    # the bound is checked before anything is built
+    run_cli(argv + ["--n", "2"])  # the parser, built once
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rc, out, err = run_cli(argv + ["--n", "100000"])
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == "" and elapsed < 1.0 and peak < 2 ** 20
+    assert err == f"error: --n 100000 > {cli._MAX_MATRIX_N}: M_n projections need about " \
+        "80 n^3 bytes\n"
+    assert cli._MAX_MATRIX_N >= 64
+    # the bound itself is allowed
+    monkeypatch.setattr(cli, "_MAX_MATRIX_N", 3)
+    assert run_cli(argv + ["--n", "3"])[0] == 0 and run_cli(argv + ["--n", "4"])[0] == 2
 
 
 def test_cli_selftest():

@@ -154,4 +154,5 @@ def test_heat_audit_at_scale(capsys):
     assert interleaved == whole, interleaved
     argv = ["semigroup", "--n", "16", "--t", "0.1,1.0,10.0", "--samples", "100"]
     assert small == json.loads(_cli(capsys, *argv))["results"], small
-    assert list(dirichlet._held_draws)[-2:] == [(20, 100, 7), (16, 100, 7)]
+    rotated_key = (20, 100, 7, basis.eigenbasis[0].tobytes())
+    assert list(dirichlet._held_draws)[-2:] == [rotated_key, (16, 100, 7)]
