@@ -7,6 +7,10 @@ Subcommands: ``eval`` (expression to normal form), ``cohomology``
 an integer too large for a float, or an expression nested too deeply),
 141 (128 + SIGPIPE) when the reader closes stdout early.
 
+JSON is streamed to stdout as it is encoded, never held whole as text, so a
+non-finite value is refused by its record (or by ``expr.check_finite`` for
+``eval``) before the first byte: a stream cannot take back what it wrote.
+
 The argument parser is built on the first call of :func:`main` and reused by
 every later call in the process: each parse returns a fresh namespace, and
 argparse writes help and errors to the ``sys.stdout``/``sys.stderr`` of the
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -85,7 +90,12 @@ def _parse_list(text: str, option: str, kind=int) -> list:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
+    """Print strict JSON as it is encoded, a few thousand chunks to a write (one
+    write per chunk is a system call each on an unbuffered stdout)."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(obj)
+    while text := "".join(itertools.islice(chunks, 4096)):
+        sys.stdout.write(text)
+    sys.stdout.write("\n")
 
 
 def _cmd_eval(args, cfg: Config) -> int:
@@ -146,13 +156,9 @@ def _cmd_cohomology(args, cfg: Config) -> int:
 def _cmd_graph(args, cfg: Config) -> int:
     with open(args.file) as fh:
         graph = ga.parse_graph(fh.read())
-    if args.action == "h0":
-        report = ga.h0_report(graph, args.max_len)
-        _emit(ga.h0_report_json(report))
-        return 0
-    if args.action == "closed":
-        report = ga.h0_report(graph, args.max_len)
-        _emit({"closed_terms": ga.h0_report_json(report)["closed_terms"]})
+    if args.action in ("h0", "closed"):
+        report = ga.h0_report_json(ga.h0_report(graph, args.max_len))
+        _emit(report if args.action == "h0" else {"closed_terms": report["closed_terms"]})
         return 0
     if not args.path:
         raise ValueError("criterion needs a comma-separated edge path")

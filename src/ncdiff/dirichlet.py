@@ -149,10 +149,12 @@ class SemigroupAudit(_Node):
     ``results`` rows carry: choi_min_eigenvalue (complete positivity needs
     >= 0), symmetry_error (trace-symmetry defect over random pairs),
     conservativity_error (|Phi_t(1) - 1|), markov_min/markov_max (spectral
-    range of Phi_t over random operators between 0 and 1).
+    range of Phi_t over random operators between 0 and 1), all finite.
     """
 
     def __new__(cls, n: int, basis_label: str, results: list):
+        if not all(math.isfinite(v) for r in results for v in r.values()):
+            raise ValueError("audit rows must be finite")
         return _new_tuple(cls, (cls, n, basis_label, results))
 
     def to_json(self) -> dict:

@@ -40,6 +40,7 @@ the tests hold the array routes to.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -109,19 +110,17 @@ class DirectedGraph:
         return not self._out[v]
 
     def has_loops(self) -> bool:
-        """True when the graph contains a directed cycle."""
-        color = {v: 0 for v in self.vertices}
-
-        def visit(v):
-            color[v] = 1
+        """True when the graph contains a directed cycle: exactly then does peeling
+        off vertices with no incoming edge, one at a time, leave a vertex unpeeled."""
+        indegree = Counter(r for _, r in self.edges.values())
+        peeled = [v for v in self.vertices if not indegree[v]]
+        for v in peeled:  # grows while it is read
             for e in self._out[v]:
-                w = self.range(e)
-                if color[w] == 1 or (color[w] == 0 and visit(w)):
-                    return True
-            color[v] = 2
-            return False
-
-        return any(color[v] == 0 and visit(v) for v in self.vertices)
+                r = self.range(e)
+                indegree[r] -= 1
+                if not indegree[r]:
+                    peeled.append(r)
+        return len(peeled) < len(self.vertices)
 
     # -- paths -------------------------------------------------------------
 
@@ -606,46 +605,21 @@ def expand_projection_check(graph: DirectedGraph, mu: Path) -> bool:
 
 
 def _no_exit_loops(graph: DirectedGraph) -> list[Path]:
-    """Simple loops on which every vertex has the loop edge as its only exit."""
-    single = {v: graph.out_edges(v)[0] for v in graph.vertices
-              if len(graph.out_edges(v)) == 1}
-    loops = []
-    seen: set = set()
+    """Simple loops on which every vertex has the loop edge as its only exit: each
+    single-exit chain is walked once, up to where an earlier walk has been, and a
+    walk that closes on itself gives a loop from its first repeated vertex."""
+    single = {v: out[0] for v, out in graph._out.items() if len(out) == 1}
+    loops, seen = [], set()
     for start in single:
-        if start in seen:
-            continue
-        trail = []
-        pos = {}
-        v = start
-        while v in single and v not in pos:
+        v, pos, trail = start, {}, []
+        while v in single and v not in seen:
+            seen.add(v)
             pos[v] = len(trail)
             trail.append(single[v])
-            v = graph.range(single[v])
+            v = graph.range(trail[-1])
         if v in pos:
-            cycle_edges = trail[pos[v]:]
-            cycle_vertices = {graph.source(e) for e in cycle_edges}
-            if not cycle_vertices & seen:
-                loops.append(graph.path(cycle_edges))
-                seen |= cycle_vertices
-        seen.update(pos)
+            loops.append(graph.path(trail[pos[v]:]))
     return loops
-
-
-def _merged_projection_count(graph: DirectedGraph, max_len: int) -> int:
-    """Distinct projections s_mu s_mu^*, |mu| <= max_len, merged when the
-    single-exit criterion collapses a tail.
-
-    Canonical representative: strip trailing edges while the last edge's
-    source has a single exit; a fully stripped path collapses to its source
-    vertex projection.
-    """
-    reps = set()
-    for mu in graph.paths_up_to(max_len):
-        edges = list(mu.edges)
-        while edges and graph.out_edges(graph.source(edges[-1])) == (edges[-1],):
-            edges.pop()
-        reps.add((mu.source, tuple(edges)))
-    return len(reps)
 
 
 def h0_report(graph: DirectedGraph, max_len: int) -> dict:
@@ -654,25 +628,28 @@ def h0_report(graph: DirectedGraph, max_len: int) -> dict:
     Returns all closed terms with |mu|, |nu| <= max_len; for loop-free
     graphs the merged projection count (a tree with one sink yields exactly
     the vertex count); and one flag per simple no-exit loop, each of which
-    generates a copy of the continuous functions on the circle.  A ValueError,
-    before any term is built, where the terms would print more than
-    ``_MAX_H0_LINES`` (2^23) lines of JSON, 14 + |mu| + |nu| each at most.
+    generates a copy of the continuous functions on the circle.  Stripping
+    single-exit tails merges the projections s_mu s_mu^* onto the vertex paths
+    and the paths whose last edge leaves a vertex of several exits, so the
+    count is theirs among the listed paths.  A ValueError, before any term is
+    built, where the terms would print more than ``_MAX_H0_LINES`` (2^23)
+    lines of JSON, 14 + |mu| + |nu| each at most.
     """
     max_len = _KeyedBasis._checked_size(max_len, "max_len")
-    by_range, ends = {}, {}  # paths by range, and by (range, source)
+    by_range, ends, count = {}, {}, 0  # paths by range, and by (range, source)
     for p in graph.paths_up_to(max_len):
         by_range.setdefault(p.range, []).append(p)
         ends.setdefault((p.range, p.source), []).append(p)
+        count += not p.edges or len(graph.out_edges(graph.source(p.edges[-1]))) > 1
     terms = sum(len(g) ** 2 for g in ends.values())
     size = 14 * terms + 2 * sum(len(g) * sum(map(len, g)) for g in ends.values())
     if size > _MAX_H0_LINES:
         raise ValueError(f"max_len {max_len}: {terms} closed terms, {size} > {_MAX_H0_LINES} lines")
     closed = [(mu, nu) for group in by_range.values() for mu in group
               for nu in ends[mu.range, mu.source]]
-    loop_free = not graph.has_loops()
     return {
         "closed_terms": closed,
-        "projection_count": _merged_projection_count(graph, max_len) if loop_free else None,
+        "projection_count": None if graph.has_loops() else count,
         "circle_flags": _no_exit_loops(graph),
     }
 

@@ -17,7 +17,10 @@ battery are also drawn here afresh on every call (the library holds its last
 seeded draw of each), and the audit's rows are computed over the whole
 sample stacks at once (the library draws and checks them in blocks), and
 once more with every heat rotated back out of the eigenbasis (the library
-reads the rows in the eigenbasis).
+reads the rows in the eigenbasis).  The h0 survey's loop tests are the
+recursive colour search and the walk that restarts in visited chains (the
+library peels and walks each chain once), and its projection count strips
+the tail of every path in a second pass (the library reads it off the paths).
 Superoperators act on row-major vectorized matrices.
 
 The operands and comparisons that the route tests of both term carriers
@@ -101,6 +104,69 @@ def loop_product(a: QElement, b: QElement) -> QElement:
 def graph_loop_product(a: GraphElement, b: GraphElement) -> GraphElement:
     """``a * b`` by the pair loop at any size: the oracle of the graph array route."""
     return a._like(graph_algebra._pair_product(a.terms, b.terms))
+
+
+def has_loops(graph) -> bool:
+    """True when the graph contains a directed cycle, by a recursive
+    three-colour search: the oracle of ``DirectedGraph.has_loops``."""
+    color = {v: 0 for v in graph.vertices}
+
+    def visit(v):
+        color[v] = 1
+        for e in graph.out_edges(v):
+            w = graph.range(e)
+            if color[w] == 1 or (color[w] == 0 and visit(w)):
+                return True
+        color[v] = 2
+        return False
+
+    return any(color[v] == 0 and visit(v) for v in graph.vertices)
+
+
+def no_exit_loops(graph) -> list:
+    """The simple no-exit loops, each walk running on through chains visited
+    before and a loop kept unless it meets them: the oracle of
+    ``graph_algebra._no_exit_loops``."""
+    single = {v: graph.out_edges(v)[0] for v in graph.vertices
+              if len(graph.out_edges(v)) == 1}
+    loops = []
+    seen: set = set()
+    for start in single:
+        if start in seen:
+            continue
+        trail = []
+        pos = {}
+        v = start
+        while v in single and v not in pos:
+            pos[v] = len(trail)
+            trail.append(single[v])
+            v = graph.range(single[v])
+        if v in pos:
+            cycle_edges = trail[pos[v]:]
+            cycle_vertices = {graph.source(e) for e in cycle_edges}
+            if not cycle_vertices & seen:
+                loops.append(graph.path(cycle_edges))
+                seen |= cycle_vertices
+        seen.update(pos)
+    return loops
+
+
+def merged_projection_count(graph, max_len: int) -> int:
+    """Distinct projections s_mu s_mu^*, |mu| <= max_len, merged when the
+    single-exit criterion collapses a tail, by stripping every path: the
+    oracle of the count in ``graph_algebra.h0_report``.
+
+    Canonical representative: strip trailing edges while the last edge's
+    source has a single exit; a fully stripped path collapses to its source
+    vertex projection.
+    """
+    reps = set()
+    for mu in graph.paths_up_to(max_len):
+        edges = list(mu.edges)
+        while edges and graph.out_edges(graph.source(edges[-1])) == (edges[-1],):
+            edges.pop()
+        reps.add((mu.source, tuple(edges)))
+    return len(reps)
 
 
 def derive_per_bracket(alpha: DifferentialForm, families: tuple) -> DifferentialForm:

@@ -755,6 +755,74 @@ def test_closed_stdout_exits_quietly():
     assert err == ""  # no "error:" line and no traceback
 
 
+@pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+def test_a_non_finite_audit_row_exits_2_before_the_first_byte(csv, monkeypatch):
+    # the report is streamed and cannot take back what it wrote, so the audit
+    # record refuses a nan row before anything is printed
+    audit = cli.dirichlet.audit_semigroup
+
+    def planted(*args, **kwargs):
+        real = audit(*args, **kwargs)
+        rows = [{**r, "markov_max": math.nan} for r in real.results]
+        return cli.dirichlet.SemigroupAudit(real.n, real.basis_label, rows)
+
+    monkeypatch.setattr(cli.dirichlet, "audit_semigroup", planted)
+    argv = ["semigroup", "--n", "3", "--t", "0.5,1", "--samples", "5"] + ["--csv"] * csv
+    rc, out, err = run_cli(argv)
+    assert (rc, out, err) == (2, "", "error: audit rows must be finite\n")
+
+
+def _o2_file(tmp_path) -> str:
+    path = tmp_path / "o2.txt"
+    path.write_text("vertex o\nedge a o o\nedge b o o\n")
+    return str(path)
+
+
+def test_a_streamed_report_stops_quietly_on_a_closed_stdout(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ncdiff.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "ncdiff", "graph", "--file", _o2_file(tmp_path),
+                             "closed", "--max-len", "6"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.read(100).startswith('{\n  "closed_terms": [')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.CLOSED_PIPE
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""
+
+
+class _Sink:
+    """A stdout that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_streamed_report_is_never_held_whole(tmp_path):
+    # graph closed on O_2 at max_len 6 prints 16,129 terms, 5.7 MB; the
+    # traced peak was 55 MB when the text was rendered whole before printing
+    argv = ["graph", "--file", _o2_file(tmp_path), "closed", "--max-len", "6"]
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and sink.size > 5 * 2 ** 20 and peak < 25 * 2 ** 20
+
+
 def test_cli_config(tmp_path, spec_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"prune_epsilon": 1e-6}))

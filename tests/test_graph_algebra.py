@@ -24,9 +24,11 @@ from ncdiff.graph_algebra import (DirectedGraph, GraphElement, Path,
                                   vertex_commutator, vertex_projection)
 from ncdiff.testing import random_graph_element
 
-from conftest import diamond_graph, graph_corpus, line_graph, loop_graph, o2_graph, star_tree
+from conftest import (diamond_graph, graph_corpus, line_graph, loop_graph, loop_with_exit, o2_graph,
+                      star_tree)
 from oracles import (assert_close_terms, assert_same_terms, dict_only, graph_loop_product,
-                     graph_operand, held, wide_operand)
+                     graph_operand, has_loops, held, merged_projection_count, no_exit_loops,
+                     wide_operand)
 import test_carrier as contract
 from test_carrier import (GRAPH_CASES, LOOP4, O2, GraphCase, array_product_matches_loop,
                           contract_test)
@@ -373,6 +375,73 @@ def test_h0_json_shape():
     for t in rep["closed_terms"]:
         assert set(t) == {"mu", "nu"}
         assert set(t["mu"]) == {"source", "edges", "range"}
+
+
+def _random_digraph(rng, acyclic: bool) -> DirectedGraph:
+    """1-7 vertices and up to 12 edges, parallel edges allowed; self-loops and
+    cycles too unless ``acyclic``, which orders the vertices at random and
+    lets each edge go only forward."""
+    n = int(rng.integers(1, 8))
+    order = [f"v{i}" for i in rng.permutation(n)]
+    edges = {}
+    for i in range(int(rng.integers(0, 13))):
+        a, b = rng.integers(0, n, 2)
+        if acyclic:
+            if a == b:
+                continue
+            a, b = sorted((a, b))
+        edges[f"e{i}"] = (order[a], order[b])
+    return DirectedGraph(sorted(order), edges)
+
+
+def test_h0_projection_count_matches_its_oracle_on_random_dags():
+    rng = np.random.default_rng(55)
+    for _ in range(400):
+        g = _random_digraph(rng, acyclic=True)
+        for max_len in range(4):
+            assert h0_report(g, max_len)["projection_count"] == merged_projection_count(g, max_len)
+
+
+def test_loop_searches_match_their_recursive_oracles_on_random_digraphs():
+    rng = np.random.default_rng(56)
+    found = [0, 0]
+    for _ in range(3000):
+        g = _random_digraph(rng, acyclic=False)
+        cyclic, flags = g.has_loops(), ga._no_exit_loops(g)
+        assert (cyclic, flags) == (has_loops(g), no_exit_loops(g))
+        found[0] += cyclic
+        found[1] += bool(flags)
+    assert min(found) > 300 and found[0] < 2700  # both answers are met often
+
+
+def test_h0_reports_a_line_and_a_loop_of_3000_edges(tmp_path):
+    # the recursive loop search raised RecursionError beyond about 990 vertices
+    line, loop = line_graph(3000), loop_graph(3000)
+    assert h0_report(line, 1)["projection_count"] == 3001
+    flags = h0_report(loop, 1)["circle_flags"]
+    assert flags == [loop.path([f"l{i}" for i in range(3000)])] and flags[0].source == "c0"
+    for name, graph in (("line", line), ("loop", loop)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(graph_to_text(graph))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["graph", "--file", str(path), "h0", "--max-len", "1"])
+        assert (rc, err.getvalue()) == (0, "")
+        assert json.loads(out.getvalue()) == h0_report_json(h0_report(graph, 1))
+
+
+@pytest.mark.parametrize("graph", [star_tree(5), loop_with_exit(), o2_graph()],
+                         ids=["tree", "loop_exit", "o2"])
+def test_h0_lists_the_paths_once(graph, monkeypatch):
+    calls = []
+    paths_up_to = DirectedGraph.paths_up_to
+
+    def counted(self, max_len):
+        calls.append(max_len)
+        return paths_up_to(self, max_len)
+    monkeypatch.setattr(DirectedGraph, "paths_up_to", counted)
+    h0_report(graph, 3)
+    assert calls == [3]
 
 
 def test_unit_is_identity(rng):
