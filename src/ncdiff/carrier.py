@@ -15,9 +15,9 @@ two elements must share (a presentation, a graph, a matrix dimension).
 (:class:`ncdiff.forms.Symbol`), which is read on a key set of the carrier
 (:class:`_KeyedBasis`, whose subclasses live in the carrier modules); any
 other ``ad`` is :func:`commutator`.
-``family_ad`` builds the bracket hook of a whole family of elements, which
-brackets an operand with every slot at once in raw terms (``_add_raw``,
-``_from_raw``).
+``family_ad`` builds, from those held actions, the bracket hook of a whole
+family, which brackets an operand with every slot at once in raw terms
+(``_add_raw``, ``_from_raw``).
 
 A term carrier, whose elements are finite combinations of keys (the
 q-lattice and the graph), inherits :class:`HeldTerms` and supplies only its
@@ -186,12 +186,12 @@ class Normed:
         return ad
 
     @classmethod
-    def family_ad(cls, family: list):
-        """None, or the bracket hook of the x_j of ``family``: ``hook(a)`` reads ``a``
-        once and gives each slot's raw [x_j, a], pruned (None where it does not
-        take it), or None.  ``x_j._add_raw(acc, raw, sign)`` adds it into ``acc``
-        (new for None) as elements sum; ``_from_raw(acc)`` is the element, None
-        for zero."""
+    def family_ad(cls, family: list, actions: list):
+        """None, or the bracket hook of the x_j of ``family`` from the ``actions``
+        their ``ad`` maps hold: ``hook(a)`` reads ``a`` once and gives each slot's
+        raw [x_j, a], pruned (None where it does not take it), or None.
+        ``x_j._add_raw(acc, raw, sign)`` adds it into ``acc`` (new for None) as
+        elements sum; ``_from_raw(acc)`` is the element, None for zero."""
         return None
 
     def __abs__(self) -> float:

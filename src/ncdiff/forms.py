@@ -17,8 +17,8 @@ extended to higher degree by deriving coefficients and wedging the new
 covector in front.  Where each new covector lands, and with which sign, comes
 from the basis's front-merge table, filled from :func:`_merge_indices` the
 first time a covector index (I, J) is derived.  A family's bracket hook (the
-carrier's ``family_ad``, held in ``family_hooks``) reads a coefficient ``a``
-once and gives every slot's bracket in the carrier's raw terms, each signed
+carrier's ``family_ad`` of the actions ``ad`` holds, in ``family_hooks``) reads
+``a`` once and gives every slot's bracket in the carrier's raw terms, each signed
 bracket summed into one accumulator per output covector: a coefficient is
 built once, and not at all when it sums to zero.  A bracket the hook does not
 take (a rotated matrix, a non-monomial slot, an operand held as arrays) is
@@ -159,8 +159,9 @@ class DifferentialBasis:
 
     @functools.cached_property
     def family_hooks(self) -> tuple:
-        """The carrier's bracket hooks of dU_j and dU_j^* (or None), built on first use."""
-        return tuple(type(xs[0]).family_ad(xs) for xs in (self.scaled, self.scaled_star))
+        """The carrier's bracket hooks of dU_j and dU_j^* from their held actions, or None."""
+        return tuple(type(xs[0]).family_ad(xs, [f.action for f in ad]) for xs, ad in
+                     zip((self.scaled, self.scaled_star), (self.ad, self.ad_star)))
 
     def front_merges(self, I: tuple, J: tuple) -> tuple:
         """Where dU_j, or dU_j^*, lands when wedged in front of dU_I ^ dU_J^*.

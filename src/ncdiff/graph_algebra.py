@@ -74,14 +74,14 @@ class DirectedGraph:
 
     def __init__(self, vertices: Iterable[str], edges: Mapping[str, tuple[str, str]]):
         self.vertices = tuple(dict.fromkeys(vertices))
-        vset = set(self.vertices)
+        out: dict = {v: [] for v in self.vertices}
         self.edges = {}
         for name, (src, rng) in edges.items():
-            if src not in vset or rng not in vset:
+            if src not in out or rng not in out:
                 raise ValueError(f"edge {name}: {src}->{rng} uses undeclared vertices")
-            self.edges[name] = (str(src), str(rng))
-        self._out = {v: tuple(e for e, (s, _) in self.edges.items() if s == v)
-                     for v in self.vertices}
+            self.edges[name] = (src, rng)  # as the vertices are named
+            out[src].append(name)
+        self._out = {v: tuple(es) for v, es in out.items()}
         # int64 path codes (see _term_codes): pw[L] = base**L and off[L], the
         # number of codes of the paths shorter than L, for the lengths whose
         # codes stay below _CODE_LIMIT
@@ -318,12 +318,12 @@ class GraphElement(HeldTerms):
         return None
 
     @classmethod
-    def family_ad(cls, family: list):
+    def family_ad(cls, family: list, actions: list):
         """One pass over the terms a s_mu s_nu^* of ``a``: with s(mu) != s(nu), to
         the slots c_j p_v with v = s(mu) as c_j a and with v = s(nu) as -(a c_j),
-        as :func:`_vertex_action` weighs them, pruned; None for the other slots."""
+        as their held :func:`_vertex_action` weighs them, pruned; None elsewhere."""
         x, slots = family[0], {}
-        vcs = [getattr(y.diagonal_action(), "vertex", None) for y in family]
+        vcs = [getattr(act, "vertex", None) for act in actions]
         for j, vc in enumerate(vcs):
             if vc:
                 slots.setdefault(vc[0], []).append((j, vc[1]))

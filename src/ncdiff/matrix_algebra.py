@@ -1,4 +1,4 @@
-"""Dense complex matrix carrier, its projection basis, joint eigenbases and basis families."""
+"""Dense complex matrix carrier, projection basis, joint eigenbases, families and their actions."""
 
 from __future__ import annotations
 
@@ -111,19 +111,17 @@ class MatElement(Normed):
         return MatElement(flat.reshape(self.mat.shape)) if np.count_nonzero(flat) else None
 
     @classmethod
-    def family_ad(cls, family: list):
-        """For a diagonal family: every slot's weight row times the flat
-        entries of ``a``, in one product.  None for any other family."""
-        D, x = np.array([np.diag(y.mat) for y in family]), family[0]
-        if any((y.mat - np.diag(d)).any() for y, d in zip(family, D)):
-            return None
-        W = _diagonal_actions(D)[0]
+    def family_ad(cls, family: list, actions: list):
+        """For a diagonal family: each slot's held action on the flat entries of
+        ``a``, read once.  None for any other family."""
+        x = family[0]
 
         def hook(a):
             if isinstance(a, MatElement):
                 x._check(a)
-                return list(W * a.mat.reshape(-1))
-        return hook
+                k = a.keyed()
+                return [act(*k)[1] for act in actions]
+        return None if None in actions else hook
 
     def diagonal_action(self):
         """For diag(d): the unit with flat index a n + b stays put with weight
@@ -132,7 +130,7 @@ class MatElement(Normed):
         d = np.diag(self.mat)
         if (self.mat - np.diag(d)).any():
             return None
-        return _diagonal_actions(d[None])[1][0]
+        return _diagonal_actions(d[None])[0]
 
     def adjoint(self) -> "MatElement":
         return MatElement(self.mat.conj().T)
@@ -166,9 +164,9 @@ def _unit_keys(n: int) -> np.ndarray:
     return flat
 
 
-def _diagonal_actions(D: np.ndarray) -> tuple:
-    """For diag(D[j]), each row j of the k x n array D: the weights d(a) - d(b)
-    of the units e_ab, stacked as the rows of W, and the ``diagonal_action``."""
+def _diagonal_actions(D: np.ndarray) -> list:
+    """The ``diagonal_action`` of diag(D[j]), for each row j of the k x n array D:
+    the unit e_ab weighs d(a) - d(b)."""
     k, n = D.shape
     with np.errstate(over="ignore", invalid="ignore"):
         W = (D[:, :, None] - D[:, None, :]).reshape(k, n * n)
@@ -177,8 +175,8 @@ def _diagonal_actions(D: np.ndarray) -> tuple:
         if not np.isfinite(2 * D).all():
             W[~np.isfinite(W)] = np.nan
     units = _unit_keys(n)
-    return W, [lambda flat, coeffs, w=w: (flat, (w if flat is units else w[flat]) * coeffs)
-               for w in W]
+    return [lambda flat, coeffs, w=w: (flat, (w if flat is units else w[flat]) * coeffs)
+            for w in W]
 
 
 def scaled_family(mats: list, prefactors: list) -> tuple:
@@ -201,7 +199,7 @@ def scaled_family(mats: list, prefactors: list) -> tuple:
             # where 1 / |X_j| overflows, as forms._unit does
             Y = np.where(inverse == np.inf, D.imag / sizes[:, None], inverse * D.imag)
             held = norms, 2 * np.abs(Y).max(axis=1, initial=0.0), diagonals
-            actions = [_diagonal_actions(Ds)[1], _diagonal_actions(Ds.conj())[1]]
+            actions = [_diagonal_actions(Ds), _diagonal_actions(Ds.conj())]
         else:
             held, actions = None, [[None] * k] * 2
             finite = all(np.isfinite(x).all() for x in products)

@@ -534,10 +534,10 @@ class QElement(HeldTerms):
         return ad
 
     @classmethod
-    def family_ad(cls, family: list):
+    def family_ad(cls, family: list, actions: list | None = None):
         """Over one presentation: each monomial slot c U^g's :func:`_monomial_ad_loop`,
-        with what its angles take from g formed once, on an ``a`` held as a dict
-        of up to ``_ARRAY_TERMS`` terms; None for the other slots."""
+        with what its angles take from g formed once, on an ``a`` held as a dict of up
+        to ``_ARRAY_TERMS`` terms; None for the other slots.  ``actions`` go unread."""
         x, spec, loops = family[0], family[0].spec, [None] * len(family)
         if any(y.spec is not spec for y in family):
             return None

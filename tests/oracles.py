@@ -6,7 +6,9 @@ library switches to an array route above a cut), the q-lattice product and
 monomial bracket loops with every angle formed in full (the library forms
 each angle's first factors once per term), the derivative of a form
 with one element per bracket (the library sums the brackets of each output
-coefficient in its carrier's raw terms), the Laplacian and heat
+coefficient in its carrier's raw terms), a diagonal matrix family's bracket
+hook from a weight stack of its own (the library reads the actions its
+basis holds), the Laplacian and heat
 channel of a matrix basis as n^2 x n^2 Kronecker superoperators with an
 ``eigh`` (the library reads the Schur symbol in the basis's eigenbasis),
 the Trotter splitting error by ``expm`` of those superoperators (the library
@@ -188,6 +190,27 @@ def derive_per_bracket(alpha: DifferentialForm, families: tuple) -> Differential
                 term = act(a) if sign > 0 else -act(a)
                 out[key] = out[key] + term if key in out else term
     return alpha._like(out)
+
+
+def matrix_family_ad(family: list):
+    """The bracket hook of a diagonal matrix family built from its elements: a
+    k x n^2 stack of the weights d(a) - d(b), a quiet nan where one overflows,
+    times the flat entries of ``a`` in one product.  None for any other family.
+    The oracle of ``MatElement.family_ad``, which reads the actions the basis holds."""
+    D, x = np.array([np.diag(y.mat) for y in family]), family[0]
+    if any((y.mat - np.diag(d)).any() for y, d in zip(family, D)):
+        return None
+    k, n = D.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = (D[:, :, None] - D[:, None, :]).reshape(k, n * n)
+        if not np.isfinite(2 * D).all():
+            W[~np.isfinite(W)] = np.nan
+
+    def hook(a):
+        if isinstance(a, MatElement):
+            x._check(a)
+            return list(W * a.mat.reshape(-1))
+    return hook
 
 
 def per_element_action(x: MatElement):

@@ -16,6 +16,7 @@ within one form; and raise what it raises.
 
 import cmath
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,10 +32,19 @@ from ncdiff.qlattice import (QElement, SpecMismatchError, heisenberg_spec, torus
 from ncdiff.testing import loop_graph, random_form, random_matelement, star_tree
 
 from conftest import MU, NU, THETA
-from oracles import derive_per_bracket
+from oracles import derive_per_bracket, matrix_family_ad
 
 # q-lattice coefficient sizes: the hook takes dicts of up to 32 terms
 SIZES = (3, 20, 32, 33)
+# diagonals of two self-adjoint families whose slot 0 weighs d(a) - d(b) as
+# nan: 1e308 - (-1e308) overflows
+OVERFLOWING = ([[1e308, -1e308, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]],
+               [[1e308, -1e308, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0, 0.0],
+                [3.0, 1.0, 0.0, 2.0, 1.0]])
+
+
+def _diagonal_basis(diagonals):
+    return DifferentialBasis([MatElement(np.diag(d)) for d in diagonals], mode="selfadjoint")
 
 
 def _held(x):
@@ -232,10 +242,7 @@ def _raised(f):
 
 
 def test_an_overflowing_matrix_weight_raises_as_the_elements_raise():
-    # d(a) - d(b) overflows to nan for the entries 1e308 and -1e308
-    big = MatElement(np.diag([1e308, -1e308, 0.0, 1.0]))
-    basis = DifferentialBasis([big, MatElement(np.diag([0.0, 0.0, 1.0, 1.0]))],
-                              mode="selfadjoint")
+    basis = _diagonal_basis(OVERFLOWING[0])
     # small entries: only the weight overflows, not its product with them
     a = random_matelement(4, np.random.default_rng(1)).scale(1e-3)
     for alpha in (DifferentialForm.from_element(basis, a),
@@ -246,11 +253,9 @@ def test_an_overflowing_matrix_weight_raises_as_the_elements_raise():
 
 
 def test_a_family_whose_weights_overflow_to_nan_derives_as_the_elements_do():
-    # slot 0's weights d(a) - d(b) overflow to nan for the entries 1e308 and
-    # -1e308: a bracket with it fails the finiteness check, and forms on which
+    # a bracket with slot 0 fails the finiteness check, and forms on which
     # slot 0 never lands (every covector holds dU_1) derive bit for bit
-    D = [[1e308, -1e308, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0, 0.0], [3.0, 1.0, 0.0, 2.0, 1.0]]
-    basis = DifferentialBasis([MatElement(np.diag(d)) for d in D], mode="selfadjoint")
+    basis = _diagonal_basis(OVERFLOWING[1])
     rng = np.random.default_rng(6)
     for alpha in _forms(basis, lambda r: random_matelement(5, r).scale(1e-3), rng):
         want = _raised(lambda: derive_per_bracket(alpha, (False,)))
@@ -303,6 +308,71 @@ def test_each_family_has_a_hook_but_the_rotated_one():
     basis, sample = CASES["star tree, a non-vertex slot"]
     parts = basis.family_hooks[0](sample(np.random.default_rng(0)))
     assert [part is None for part in parts] == [False, True, False]
+
+
+def test_the_matrix_hook_gives_the_raw_parts_of_its_oracle_bit_for_bit():
+    # every diagonal matrix family of CASES, and the two whose weights overflow
+    cases = [(basis, sample) for basis, sample in CASES.values()
+             if isinstance(basis.elements[0], MatElement) and basis.eigenbasis[0] is None]
+    cases += [(_diagonal_basis(D), lambda r, n=len(D[0]): random_matelement(n, r).scale(1e-3))
+              for D in OVERFLOWING]
+    assert len(cases) == 7
+    rng = np.random.default_rng(8)
+    for basis, sample in cases:
+        n = basis.elements[0].n
+        for xs, hook in zip((basis.scaled, basis.scaled_star), basis.family_hooks):
+            oracle = matrix_family_ad(xs)
+            for a in [sample(rng) for _ in range(3)] + [MatElement.zero(n)]:
+                got, want = hook(a), oracle(a)
+                assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+            foreign = QElement.generator(torus_spec(THETA), 1)
+            assert hook(foreign) is oracle(foreign) is None
+
+
+def test_delta_reads_the_actions_a_diagonal_matrix_basis_holds():
+    # the hooks bracket with ad[j].action and ad_star[j].action, the actions
+    # that ad and the symbol read, each once per operand
+    rng = np.random.default_rng(9)
+    clocks = [MatElement(np.diag(np.exp(1j * rng.uniform(0, 6.3, 5)))) for _ in range(3)]
+    basis, read = DifferentialBasis(clocks, prefactors=[0.5j, 1.0, -2 + 1j]), []
+
+    def wrapped(act, slot):
+        def counted(*keyed):
+            read.append(slot)
+            return act(*keyed)
+        return counted
+    for starred, fs in enumerate((basis.ad, basis.ad_star)):
+        for j, f in enumerate(fs):
+            f.action = wrapped(f.action, (starred, j))
+    alpha = DifferentialForm.from_element(basis, random_matelement(5, rng))
+    assert_same_form(delta(alpha), derive_per_bracket(alpha, basis.families))
+    assert sorted(read) == [(starred, j) for starred in (0, 1) for j in range(3)]
+
+
+def test_the_graph_hook_reads_the_vertex_tags_the_basis_holds(monkeypatch):
+    basis, sample = CASES["star tree, a non-vertex slot"]
+    basis = DifferentialBasis(basis.elements, mode="selfadjoint")  # no hook built yet
+    built = []
+    action = GraphElement.diagonal_action
+    monkeypatch.setattr(GraphElement, "diagonal_action", lambda x: built.append(x) or action(x))
+    alpha = DifferentialForm.from_element(basis, sample(np.random.default_rng(0)))
+    assert_same_form(delta(alpha), derive_per_bracket(alpha, basis.families))
+    assert built == []
+
+
+def test_the_first_delta_holds_no_weight_stack_of_its_own():
+    # the first delta over the M_64 projections holds its 64 output
+    # coefficients, 4 MiB; a k x n^2 weight stack per family held 8 MiB more
+    basis = DifferentialBasis(projection_basis(64), mode="selfadjoint")
+    alpha = DifferentialForm.from_element(basis, random_matelement(64, np.random.default_rng(0)))
+    tracemalloc.start()
+    try:
+        d = delta(alpha)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(d.terms) == 64
+    assert held < 8 * 2 ** 20
 
 
 def test_building_a_basis_builds_no_hook():

@@ -82,6 +82,16 @@ def test_path_validation():
     assert len(g.vertex_path("v0")) == 0 and not g.vertex_path("v0")
 
 
+def test_integer_vertex_names_keep_their_edges():
+    # endpoints held as str under vertices named by int left vertex 1 without
+    # its edge, h0 without the closed term (e, e), and e starting at "1"
+    g = DirectedGraph([1, 2], {"e": (1, 2)})
+    e = g.path(["e"])
+    assert g.out_edges(1) == ("e",) and (e.source, e.range) == (1, 2)
+    assert (e, e) in h0_report(g, 1)["closed_terms"]
+    assert g.vertex_path(e.source) == g.vertex_path(1)
+
+
 def test_equal_paths_hash_equal():
     # equal paths built apart must meet as keys
     g = line_graph(2)
